@@ -6,34 +6,42 @@
 //! and pays everywhere: the design's AIG, **once, before unrolling**, so a
 //! merged cone disappears from every time frame of every BMC context.
 //!
-//! The loop is the classic fraiging recipe:
+//! The pass rebuilds the graph structurally, then runs the classic
+//! fraiging recipe in **rounds**:
 //!
 //! 1. **Simulate** — every node carries a multi-word signature
 //!    ([`FraigConfig::sim_words`] × 64 pseudorandom input patterns,
 //!    deterministic in [`FraigConfig::seed`]), computed incrementally as
-//!    the reduced graph is built. Equal (or complementary) signatures are
-//!    the only evidence considered, so candidate classes are found without
+//!    the graph is rebuilt. Equal (or complementary) signatures are the
+//!    only evidence considered, so candidate classes are found without
 //!    any solver work. The constant node seeds the all-zero class, which
 //!    is how constant cones are detected.
-//! 2. **Prove** — candidate pairs go to an incremental
-//!    [`emm_sat::EquivOracle`]: only the two cones' Tseitin clauses are
-//!    encoded (shared substructure once), and the query is bounded by
-//!    [`FraigConfig::sat_conflicts`]. A proved pair merges the new node
-//!    into its class representative; fanouts built later automatically
-//!    redirect to the representative.
+//! 2. **Prove** — each candidate class becomes one job for a
+//!    [`SweepRunner`]: its members are checked against the class leader
+//!    (the oldest node) by a private incremental [`emm_sat::EquivOracle`]
+//!    that encodes only the two cones' Tseitin clauses, each query
+//!    bounded by [`FraigConfig::sat_conflicts`]. Jobs are pure functions
+//!    of the round's snapshot, and their merges commit at a barrier in
+//!    canonical class order.
 //! 3. **Refine** — a refuted pair yields a distinguishing model, which is
-//!    a *real* simulation pattern. It is folded into every signature and
-//!    the candidate classes are re-bucketed, so one counterexample
-//!    separates every pair it distinguishes — no candidate is ever offered
-//!    again across a pattern the engine has already seen, and the
-//!    guided patterns quickly sharpen the random ones.
+//!    a *real* simulation pattern. The round's patterns are appended to
+//!    every signature as fresh words, so no pattern is ever dropped: a
+//!    pair a counterexample has separated never shares a class again,
+//!    and the next round re-buckets the graph under the sharper
+//!    signatures.
 //!
-//! The pass finishes with a rewrite: a fresh graph is rebuilt in the old
-//! topological order with every fanout redirected to class
-//! representatives, inputs preserved index-for-index, and merged or
-//! unreferenced cones dead-stripped. [`fraig_design`] applies that rewrite
-//! to a whole [`Design`] (ports, properties, constraints, name table)
-//! through `Design::replace_aig`.
+//! Rounds stop when one neither merges nor refutes anything, or when
+//! [`FraigConfig::max_checks`] is spent. The pass finishes with a
+//! rewrite: a fresh graph is rebuilt in the old topological order with
+//! every fanout redirected to class representatives, inputs preserved
+//! index-for-index, and merged or unreferenced cones dead-stripped.
+//! [`fraig_design`] applies that rewrite to a whole [`Design`] (ports,
+//! properties, constraints, name table) through `Design::replace_aig`.
+//!
+//! Because the commit order is fixed, the result — graph, map, and
+//! stats — is identical for every runner and worker count:
+//! [`SequentialRunner`] and a one-worker pool both run the jobs inline,
+//! and a wider pool only changes which thread runs which class.
 //!
 //! Soundness: a merge is performed only after the oracle *proves* the two
 //! cones equal as functions of all AIG inputs (latch outputs and read-data
@@ -64,7 +72,7 @@ use emm_sat::{EquivOracle, FaultSite, Lit, ResourceGovernor};
 
 use crate::aig::{Aig, Bit, Node, NodeId};
 use crate::design::Design;
-use crate::sim::eval_combinational;
+use crate::sim::eval_combinational_words;
 
 /// Knobs of the fraig pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,8 +84,6 @@ pub struct FraigConfig {
     pub sim_words: usize,
     /// Conflict budget per equivalence-check direction.
     pub sat_conflicts: u64,
-    /// Candidates tried per node before giving up on a merge.
-    pub max_candidates: usize,
     /// Total SAT equivalence checks across the pass (hard cap; the pass
     /// degrades to pure structural reduction once exhausted).
     pub max_checks: u64,
@@ -93,7 +99,6 @@ impl Default for FraigConfig {
             enabled: true,
             sim_words: 4,
             sat_conflicts: 48,
-            max_candidates: 2,
             max_checks: 4096,
             max_bucket: 8,
             seed: 0x00E5_AD8F_F12A_9001,
@@ -136,16 +141,12 @@ pub struct FraigStats {
     /// Simulation patterns used (initial random plus counterexamples).
     pub sim_patterns: u64,
     /// Nodes a candidate class refused because it was already at
-    /// [`FraigConfig::max_bucket`] — cones that were never offered for a
-    /// merge. A non-zero count means raising `max_bucket`/`max_checks`
-    /// could find more merges (the ROADMAP's bucket-cap blind spot).
+    /// [`FraigConfig::max_bucket`], counted once per round. A refused
+    /// cone stays a live representative and is re-offered next round,
+    /// once merges or refinement have shrunk its class; a non-zero
+    /// count at the end means raising `max_bucket`/`max_checks` could
+    /// find more merges.
     pub buckets_truncated: u64,
-    /// Truncated cones re-offered by the retry pass once merges landed
-    /// or refinement split their classes.
-    pub truncated_retried: u64,
-    /// Merges found by the truncated-cone retry pass (included in
-    /// [`FraigStats::merges`]).
-    pub retry_merges: u64,
     /// The pass was interrupted by its [`ResourceGovernor`] (deadline or
     /// cancellation) and degraded to structural reduction for the
     /// remainder of the graph. The result is still a sound best-so-far
@@ -175,12 +176,7 @@ pub struct FraigResult {
 impl FraigResult {
     /// Maps an edge of the source graph into the reduced graph.
     pub fn map_bit(&self, old: Bit) -> Bit {
-        let base = self.map[old.node().index()];
-        if old.is_inverted() {
-            !base
-        } else {
-            base
-        }
+        apply(&self.map, old)
     }
 }
 
@@ -191,510 +187,6 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
-
-/// The in-flight state of one fraig run over a growing reduced graph.
-struct Fraiger {
-    config: FraigConfig,
-    /// The graph being built ("G1"): source nodes rebuilt over
-    /// representative-substituted operands. Merged nodes stay in it as
-    /// garbage and are dead-stripped by the final compaction.
-    g1: Aig,
-    /// G1 node -> representative edge (identity unless merged).
-    repr: Vec<Bit>,
-    /// Flat signatures: G1 node `n` owns `sig[n*w .. (n+1)*w]`.
-    sig: Vec<u64>,
-    /// Candidate classes: canonical signature -> canonical member edges.
-    buckets: HashMap<Vec<u64>, Vec<Bit>>,
-    /// Lazily encoded cones of G1 (the solver side).
-    oracle: EquivOracle,
-    stats: FraigStats,
-    /// The shared resource governor; polled once per candidate-loop
-    /// entry so cancellation latency is bounded by one SAT check.
-    governor: ResourceGovernor,
-    /// Set when the governor trips: no further SAT work is issued and
-    /// the pass degrades to structural reduction.
-    halted: bool,
-    /// Cones refused by a full candidate class, kept for the retry pass.
-    truncated: Vec<NodeId>,
-}
-
-impl Fraiger {
-    fn new(config: FraigConfig, governor: ResourceGovernor) -> Fraiger {
-        let w = config.sim_words.max(1);
-        let mut oracle = EquivOracle::new();
-        oracle.set_governor(governor.clone());
-        let mut f = Fraiger {
-            config: FraigConfig {
-                sim_words: w,
-                ..config
-            },
-            g1: Aig::new(),
-            repr: vec![Aig::FALSE],
-            sig: vec![0; w],
-            buckets: HashMap::new(),
-            oracle,
-            stats: FraigStats {
-                sim_patterns: 64 * w as u64,
-                ..FraigStats::default()
-            },
-            governor,
-            halted: false,
-            truncated: Vec::new(),
-        };
-        // The constant node seeds the all-zero class, so constant cones
-        // become ordinary merge candidates.
-        f.buckets.insert(vec![0; w], vec![Aig::FALSE]);
-        f
-    }
-
-    /// Follows representative chains (with phase) to the class leader.
-    fn resolve(&self, mut bit: Bit) -> Bit {
-        loop {
-            let r = self.repr[bit.node().index()];
-            if r.node() == bit.node() {
-                return if bit.is_inverted() { !r } else { r };
-            }
-            bit = if bit.is_inverted() { !r } else { r };
-        }
-    }
-
-    /// Signature of a G1 edge (node signature, phase-adjusted), one word.
-    fn sig_word(&self, bit: Bit, w: usize) -> u64 {
-        let s = self.sig[bit.node().index() * self.config.sim_words + w];
-        if bit.is_inverted() {
-            !s
-        } else {
-            s
-        }
-    }
-
-    /// Canonicalizes an edge's signature: flips the phase so pattern 0
-    /// (bit 0 of word 0) evaluates to false. Equal functions — up to
-    /// complement — then share one key.
-    fn canonical(&self, node: NodeId) -> (Bit, Vec<u64>) {
-        let w = self.config.sim_words;
-        let bit = Bit::new(node, self.sig[node.index() * w] & 1 == 1);
-        let key = (0..w).map(|i| self.sig_word(bit, i)).collect();
-        (bit, key)
-    }
-
-    /// Registers a fresh G1 node with the given signature words.
-    fn push_node(&mut self, node: NodeId, words: &[u64]) {
-        debug_assert_eq!(node.index(), self.repr.len());
-        self.repr.push(Bit::new(node, false));
-        self.sig.extend_from_slice(words);
-    }
-
-    /// Rebuilds one source AND over mapped operands, then tries to merge
-    /// the result into an existing equivalence class. Returns the edge the
-    /// source node maps to.
-    fn build_and(&mut self, a: Bit, b: Bit) -> Bit {
-        let a = self.resolve(a);
-        let b = self.resolve(b);
-        let before = self.g1.num_nodes();
-        let out = self.g1.and(a, b);
-        if self.g1.num_nodes() == before {
-            // Folded or interned: the substitutions exposed existing
-            // structure; no new node, no new signature.
-            self.stats.structural_merges += 1;
-            return self.resolve(out);
-        }
-        let w = self.config.sim_words;
-        let words: Vec<u64> = (0..w)
-            .map(|i| self.sig_word(a, i) & self.sig_word(b, i))
-            .collect();
-        self.push_node(out.node(), &words);
-        self.try_merge(out.node());
-        self.resolve(out)
-    }
-
-    /// Offers `node` to its signature class: SAT-checks up to
-    /// `max_candidates` members and either merges or joins the class.
-    fn try_merge(&mut self, node: NodeId) {
-        self.try_merge_bounded(node, self.config.max_checks, true);
-    }
-
-    /// The work of [`Fraiger::try_merge`] under an explicit check cap.
-    /// `count_truncation` is false when the retry pass re-offers a cone
-    /// already counted as truncated. Returns whether the node merged.
-    fn try_merge_bounded(&mut self, node: NodeId, max_checks: u64, count_truncation: bool) -> bool {
-        let mut tried = 0usize;
-        let mut pos = 0usize;
-        while self.stats.sat_checks < max_checks && tried < self.config.max_candidates {
-            if !self.halted && self.governor.poll().is_some() {
-                // Governor tripped: stop issuing SAT work and degrade to
-                // structural reduction. Everything merged so far was
-                // proved, so the partial reduction stays sound.
-                self.halted = true;
-                self.stats.interrupted = true;
-            }
-            if self.halted {
-                break;
-            }
-            // Re-read the class on every step: a refuted check re-buckets
-            // everything, which both drops separated candidates and keeps
-            // this node's key current.
-            let (lit, key) = self.canonical(node);
-            let Some(members) = self.buckets.get(&key) else {
-                break;
-            };
-            let Some(&cand) = members.get(pos) else {
-                break;
-            };
-            pos += 1;
-            let cand = self.resolve(cand);
-            if cand.node() == node {
-                continue;
-            }
-            tried += 1;
-            self.stats.sat_checks += 1;
-            let la = self.encode(lit);
-            let lb = self.encode(cand);
-            let answer = self.oracle.prove_equiv(la, lb, self.config.sat_conflicts);
-            self.governor.note(FaultSite::FraigCheck);
-            match answer {
-                Some(true) => {
-                    // lit ≡ cand, so node ≡ cand ^ lit's phase. Point the
-                    // younger node at the older one so representative
-                    // chains always descend in topological order (the
-                    // retry pass can prove a class member equal to an
-                    // older truncated cone).
-                    self.stats.merges += 1;
-                    self.governor.note(FaultSite::FraigMerge);
-                    if cand.node() == NodeId::FALSE {
-                        self.stats.const_merges += 1;
-                    }
-                    if cand.node().index() < node.index() {
-                        self.repr[node.index()] = if lit.is_inverted() { !cand } else { cand };
-                    } else {
-                        let this = Bit::new(node, lit.is_inverted());
-                        self.repr[cand.node().index()] =
-                            if cand.is_inverted() { !this } else { this };
-                    }
-                    return true;
-                }
-                Some(false) => {
-                    self.stats.refuted += 1;
-                    self.refine();
-                    // The counterexample separates this node from the
-                    // refuted candidate (and possibly others); restart the
-                    // scan of the re-bucketed class.
-                    pos = 0;
-                }
-                None => {
-                    self.stats.unknown += 1;
-                }
-            }
-        }
-        let (lit, key) = self.canonical(node);
-        let class = self.buckets.entry(key).or_default();
-        if class.contains(&lit) {
-            // Already a member (a cone the retry pass re-offered).
-        } else if class.len() < self.config.max_bucket {
-            class.push(lit);
-        } else if count_truncation {
-            // The class is full: this cone was never offered a merge.
-            // Recorded — and remembered for the retry pass — instead of
-            // silently skipped, so the blind spot is visible in the stats
-            // line.
-            self.stats.buckets_truncated += 1;
-            self.truncated.push(node);
-        }
-        false
-    }
-
-    /// Second chance for bucket-cap-truncated cones (the ROADMAP's blind
-    /// spot): after the first pass has merged and refined, classes have
-    /// shrunk or split, so a cone a full class once refused can be
-    /// re-offered. The retry gets its own `max_checks` allowance — the
-    /// first pass may have consumed the original budget. Returns the
-    /// number of merges the retry found.
-    fn retry_truncated(&mut self) -> u64 {
-        if self.truncated.is_empty() || self.halted {
-            return 0;
-        }
-        let cap = self.stats.sat_checks.saturating_add(self.config.max_checks);
-        let mut nodes = std::mem::take(&mut self.truncated);
-        nodes.sort_unstable();
-        nodes.dedup();
-        let before = self.stats.merges;
-        for n in nodes {
-            if self.halted || self.stats.sat_checks >= cap {
-                break;
-            }
-            if self.resolve(Bit::new(n, false)).node() != n {
-                // Merged away since it was refused.
-                continue;
-            }
-            self.stats.truncated_retried += 1;
-            self.try_merge_bounded(n, cap, false);
-        }
-        let found = self.stats.merges - before;
-        self.stats.retry_merges = found;
-        found
-    }
-
-    /// Encodes the cone of a G1 edge into the oracle (memoized) and
-    /// returns its solver literal.
-    fn encode(&mut self, bit: Bit) -> Lit {
-        encode_cone(&self.g1, &mut self.oracle, bit)
-    }
-
-    /// Folds the oracle's distinguishing model back into every signature
-    /// as one fresh pattern, then rebuilds the candidate classes.
-    fn refine(&mut self) {
-        self.stats.cex_patterns += 1;
-        self.stats.sim_patterns += 1;
-        let round = self.stats.cex_patterns;
-        // Assemble a full input pattern: model values where the cone was
-        // encoded, deterministic pseudorandom bits elsewhere.
-        let mut inputs = vec![false; self.g1.num_inputs()];
-        for (id, node) in self.g1.iter() {
-            if let Node::Input(i) = node {
-                let modeled = self
-                    .oracle
-                    .lit(id.index())
-                    .and_then(|l| self.oracle.model_lit(l));
-                inputs[i as usize] = modeled.unwrap_or_else(|| {
-                    mix(self.config.seed
-                        ^ round.wrapping_mul(0x9E3779B97F4A7C15)
-                        ^ id.index() as u64)
-                        & 1
-                        == 1
-                });
-            }
-        }
-        let values = eval_combinational(&self.g1, &inputs);
-        let w = self.config.sim_words;
-        for (n, &value) in values.iter().enumerate() {
-            let word = &mut self.sig[n * w];
-            *word = (*word << 1) | value as u64;
-        }
-        // Re-bucket the candidate classes under the refined signatures.
-        let mut members: Vec<Bit> = self.buckets.drain().flat_map(|(_, v)| v).collect();
-        members.sort_unstable();
-        members.dedup();
-        for m in members {
-            let (lit, key) = self.canonical(m.node());
-            let class = self.buckets.entry(key).or_default();
-            if class.contains(&lit) {
-                continue;
-            }
-            if class.len() < self.config.max_bucket {
-                class.push(lit);
-            } else {
-                self.stats.buckets_truncated += 1;
-                self.truncated.push(lit.node());
-            }
-        }
-    }
-}
-
-/// Runs the fraig pass over a raw graph.
-///
-/// `roots` are the edges whose functions must be preserved (for a design:
-/// next-state functions, properties, constraints, and memory port buses);
-/// everything outside their cones — including cones orphaned by merges —
-/// is dead-stripped from the result. Inputs are always preserved, in
-/// order, so dense input indices survive the rewrite.
-///
-/// # Examples
-///
-/// Absorption (`a ∧ (a ∧ b) ≡ a ∧ b`) creates two structurally distinct
-/// nodes with one function; the pass proves and merges them:
-///
-/// ```
-/// use emm_aig::fraig::{fraig_aig, FraigConfig};
-/// use emm_aig::Aig;
-///
-/// let mut g = Aig::new();
-/// let a = g.new_input();
-/// let b = g.new_input();
-/// let x = g.and(a, b);
-/// let y = g.and(a, x);
-/// let r = fraig_aig(&g, &[x, y], &FraigConfig::default());
-/// assert_eq!(r.map_bit(x), r.map_bit(y));
-/// assert_eq!(r.aig.num_ands(), 1);
-/// ```
-pub fn fraig_aig(aig: &Aig, roots: &[Bit], config: &FraigConfig) -> FraigResult {
-    fraig_aig_governed(aig, roots, config, &ResourceGovernor::unlimited())
-}
-
-/// [`fraig_aig`] under a shared [`ResourceGovernor`].
-///
-/// The governor's deadline and cancellation token are polled once per
-/// candidate offer and inside every oracle call, and
-/// [`FaultSite::FraigCheck`] / [`FaultSite::FraigMerge`] events feed its
-/// fault injector. When the governor trips mid-pass, SAT work stops but
-/// the rebuild finishes structurally: the result is the sound
-/// best-so-far reduction with [`FraigStats::interrupted`] set.
-pub fn fraig_aig_governed(
-    aig: &Aig,
-    roots: &[Bit],
-    config: &FraigConfig,
-    governor: &ResourceGovernor,
-) -> FraigResult {
-    let mut f = Fraiger::new(*config, governor.clone());
-    let w = f.config.sim_words;
-    // Phase A: rebuild in topological order with merge-on-the-fly.
-    let mut map1: Vec<Bit> = Vec::with_capacity(aig.num_nodes());
-    for (_, node) in aig.iter() {
-        let mapped = match node {
-            Node::Const => Aig::FALSE,
-            Node::Input(i) => {
-                let b = f.g1.new_input();
-                let words: Vec<u64> = (0..w)
-                    .map(|k| mix(f.config.seed ^ mix((i as u64) << 8 | k as u64)))
-                    .collect();
-                f.push_node(b.node(), &words);
-                b
-            }
-            Node::And(a, b) => {
-                let fa = apply(&map1, a);
-                let fb = apply(&map1, b);
-                f.build_and(fa, fb)
-            }
-        };
-        map1.push(mapped);
-    }
-    // Second pass over bucket-cap-truncated cones, now that merges and
-    // refinement have shrunk the classes.
-    let retry_merges = f.retry_truncated();
-    let resolved: Vec<Bit> = map1.iter().map(|&b| f.resolve(b)).collect();
-    // Merges found by the retry land *after* fanouts were already rebuilt,
-    // so they don't propagate through G1's structure on their own: when
-    // any landed, rebuild once more with representatives substituted.
-    let (live, pre) = if retry_merges > 0 {
-        let mut g3 = Aig::new();
-        let mut map3: Vec<Bit> = Vec::with_capacity(f.g1.num_nodes());
-        for (id, node) in f.g1.iter() {
-            let rep = f.resolve(Bit::new(id, false));
-            let mapped = if rep.node() != id {
-                // Merged: representative chains descend, so it is built.
-                apply(&map3, rep)
-            } else {
-                match node {
-                    Node::Const => Aig::FALSE,
-                    Node::Input(_) => g3.new_input(),
-                    Node::And(a, b) => {
-                        let ra = apply(&map3, f.resolve(a));
-                        let rb = apply(&map3, f.resolve(b));
-                        g3.and(ra, rb)
-                    }
-                }
-            };
-            map3.push(mapped);
-        }
-        let pre: Vec<Bit> = resolved.iter().map(|&b| apply(&map3, b)).collect();
-        (g3, pre)
-    } else {
-        (std::mem::take(&mut f.g1), resolved)
-    };
-    // Phase B: dead-strip into a compacted graph, preserving input order
-    // and the relative order of surviving nodes (so downstream consumers
-    // that rely on "address cones precede their read port" still hold).
-    let root_nodes: Vec<NodeId> = roots.iter().map(|&r| apply(&pre, r).node()).collect();
-    let (g2, map2) = live.compacted(&root_nodes);
-    // Final edge map: old -> representative -> compacted G2.
-    let map: Vec<Bit> = pre.iter().map(|&b| apply(&map2, b)).collect();
-    let mut stats = f.stats;
-    stats.ands_before = aig.num_ands();
-    stats.ands_after = g2.num_ands();
-    FraigResult {
-        aig: g2,
-        stats,
-        map,
-    }
-}
-
-/// Applies the fraig pass to a whole design in place, rewriting its
-/// combinational core and every stored edge. Returns the pass counters.
-///
-/// The design's interface is untouched: latch order and initial values,
-/// memory modules and port order, property and constraint lists, input
-/// kinds, and dense input indices are all preserved — only the gate
-/// structure between them shrinks. A design that fails
-/// [`Design::check`] is returned unchanged (zeroed stats), since
-/// next-state functions must exist to be preserved.
-pub fn fraig_design(design: &mut Design, config: &FraigConfig) -> FraigStats {
-    fraig_design_governed(design, config, &ResourceGovernor::unlimited())
-}
-
-/// [`fraig_design`] under a shared [`ResourceGovernor`] — see
-/// [`fraig_aig_governed`] for the degradation contract.
-pub fn fraig_design_governed(
-    design: &mut Design,
-    config: &FraigConfig,
-    governor: &ResourceGovernor,
-) -> FraigStats {
-    if design.check().is_err() {
-        return FraigStats::default();
-    }
-    let roots = design.reduction_roots();
-    let FraigResult { aig, stats, map } = fraig_aig_governed(&design.aig, &roots, config, governor);
-    design.replace_aig(aig, &mut |b| apply(&map, b));
-    stats
-}
-
-fn apply(map: &[Bit], bit: Bit) -> Bit {
-    let base = map[bit.node().index()];
-    if bit.is_inverted() {
-        !base
-    } else {
-        base
-    }
-}
-
-/// Encodes the cone of an edge of `g` into `oracle` (memoized, iterative
-/// DFS) and returns its solver literal.
-fn encode_cone(g: &Aig, oracle: &mut EquivOracle, bit: Bit) -> Lit {
-    let mut stack = vec![bit.node()];
-    while let Some(&n) = stack.last() {
-        if oracle.lit(n.index()).is_some() {
-            stack.pop();
-            continue;
-        }
-        match g.node(n) {
-            Node::Const => {
-                oracle.define_const(n.index());
-                stack.pop();
-            }
-            Node::Input(_) => {
-                oracle.define_input(n.index());
-                stack.pop();
-            }
-            Node::And(a, b) => {
-                let (la, lb) = (oracle.lit(a.node().index()), oracle.lit(b.node().index()));
-                match (la, lb) {
-                    (Some(la), Some(lb)) => {
-                        let la = if a.is_inverted() { !la } else { la };
-                        let lb = if b.is_inverted() { !lb } else { lb };
-                        oracle.define_and(n.index(), la, lb);
-                        stack.pop();
-                    }
-                    _ => {
-                        if la.is_none() {
-                            stack.push(a.node());
-                        }
-                        if lb.is_none() {
-                            stack.push(b.node());
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let l = oracle.lit(bit.node().index()).expect("just encoded");
-    if bit.is_inverted() {
-        !l
-    } else {
-        l
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched class-parallel sweep
-// ---------------------------------------------------------------------------
 
 /// One SAT equivalence check's outcome inside a [`ClassReport`], in the
 /// order the job issued them.
@@ -710,8 +202,8 @@ pub enum SweepOutcome {
     },
     /// The pair was refuted; `pattern` is the distinguishing input
     /// assignment (model values where the cone was encoded,
-    /// deterministic pseudorandom fill elsewhere), folded into every
-    /// signature at the barrier.
+    /// deterministic pseudorandom fill elsewhere), appended to every
+    /// signature after the barrier.
     Refuted {
         /// One value per graph input, dense input order.
         pattern: Vec<bool>,
@@ -720,7 +212,7 @@ pub enum SweepOutcome {
     Unknown,
 }
 
-/// What one candidate-class job of the batched sweep found. Reports are
+/// What one candidate-class job of the sweep found. Reports are
 /// committed at the round barrier in canonical class order, so the
 /// result is identical at every worker count.
 #[derive(Clone, Debug, Default)]
@@ -769,70 +261,78 @@ impl SweepRunner for SequentialRunner {
     }
 }
 
-/// Follows representative chains (with phase) to the class leader.
-fn chase(repr: &[Bit], mut bit: Bit) -> Bit {
-    loop {
-        let r = repr[bit.node().index()];
-        if r.node() == bit.node() {
-            return if bit.is_inverted() { !r } else { r };
-        }
-        bit = if bit.is_inverted() { !r } else { r };
-    }
-}
-
-/// Signature word of an edge (node signature, phase-adjusted).
-fn sig_word_of(sig: &[u64], w: usize, bit: Bit, k: usize) -> u64 {
-    let s = sig[bit.node().index() * w + k];
-    if bit.is_inverted() {
-        !s
-    } else {
-        s
-    }
-}
-
-/// Canonicalizes a node's signature: flips the phase so pattern 0
-/// evaluates to false, as [`Fraiger::canonical`].
-fn canonical_of(sig: &[u64], w: usize, node: NodeId) -> (Bit, Vec<u64>) {
-    let bit = Bit::new(node, sig[node.index() * w] & 1 == 1);
-    let key = (0..w).map(|k| sig_word_of(sig, w, bit, k)).collect();
-    (bit, key)
-}
-
-/// The batched, class-parallel variant of [`fraig_aig_governed`].
+/// Runs the fraig pass over a raw graph, unlimited and inline: the
+/// [`fraig_aig_governed`] shorthand with an unlimited governor and the
+/// [`SequentialRunner`].
 ///
-/// Instead of merging on the fly during the topological rebuild, this
-/// pass alternates **rounds**: bucket all live nodes into candidate
-/// classes by signature, dispatch one job per class to `runner` (each
-/// with its own [`EquivOracle`] and a [forked](ResourceGovernor::fork),
-/// fault-disarmed governor), then commit every job's merges,
-/// counterexample patterns, and fault-injection events at a barrier in
-/// canonical class order. Because jobs are pure functions of the round
-/// snapshot and the commit order is fixed, **the result — graph, map,
-/// and stats — is bit-identical at every worker count**, including
-/// under fault injection: armed faults are replayed against the parent
-/// governor at the barrier, and the commit stream is truncated at the
-/// deterministic trip point.
+/// `roots` are the edges whose functions must be preserved (for a design:
+/// next-state functions, properties, constraints, and memory port buses);
+/// everything outside their cones — including cones orphaned by merges —
+/// is dead-stripped from the result. Inputs are always preserved, in
+/// order, so dense input indices survive the rewrite.
 ///
-/// The schedule differs from [`fraig_aig_governed`]'s (checks are
-/// batched per class rather than interleaved with construction), so
-/// stats and intermediate candidates differ from the classic pass; the
-/// *reduction is equally sound* and the differential suite checks both
-/// engines agree on verdicts.
-pub fn fraig_aig_pooled(
+/// # Examples
+///
+/// Absorption (`a ∧ (a ∧ b) ≡ a ∧ b`) creates two structurally distinct
+/// nodes with one function; the pass proves and merges them:
+///
+/// ```
+/// use emm_aig::fraig::{fraig_aig, FraigConfig};
+/// use emm_aig::Aig;
+///
+/// let mut g = Aig::new();
+/// let a = g.new_input();
+/// let b = g.new_input();
+/// let x = g.and(a, b);
+/// let y = g.and(a, x);
+/// let r = fraig_aig(&g, &[x, y], &FraigConfig::default());
+/// assert_eq!(r.map_bit(x), r.map_bit(y));
+/// assert_eq!(r.aig.num_ands(), 1);
+/// ```
+pub fn fraig_aig(aig: &Aig, roots: &[Bit], config: &FraigConfig) -> FraigResult {
+    fraig_aig_governed(
+        aig,
+        roots,
+        config,
+        &ResourceGovernor::unlimited(),
+        &SequentialRunner,
+    )
+}
+
+/// The fraig pass under a shared [`ResourceGovernor`], with candidate
+/// classes dispatched to `runner`.
+///
+/// Each round buckets the live nodes into candidate classes by signature
+/// and hands one job per class to `runner`; each job has its own
+/// [`EquivOracle`] and a [forked](ResourceGovernor::fork), fault-disarmed
+/// governor. Merges, counterexample patterns, and the
+/// [`FaultSite::FraigCheck`] / [`FaultSite::FraigMerge`] events are then
+/// committed at a barrier in canonical class order, so **the result —
+/// graph, map, and stats — is identical for every runner**, fault
+/// injection included: armed faults trip on the parent governor at the
+/// same committed check at every worker count.
+///
+/// The governor's deadline and cancellation token are polled once per
+/// round, once per check inside every job, and inside every oracle call.
+/// When it trips, SAT work stops but the rebuild finishes structurally:
+/// the result is the sound best-so-far reduction with
+/// [`FraigStats::interrupted`] set.
+pub fn fraig_aig_governed(
     aig: &Aig,
     roots: &[Bit],
     config: &FraigConfig,
     governor: &ResourceGovernor,
     runner: &dyn SweepRunner,
 ) -> FraigResult {
-    let w = config.sim_words.max(1);
+    let mut w = config.sim_words.max(1);
     let mut stats = FraigStats {
         sim_patterns: 64 * w as u64,
         ands_before: aig.num_ands(),
         ..FraigStats::default()
     };
 
-    // Phase A: structural rebuild with incremental signatures, no SAT.
+    // Structural rebuild with incremental signatures, no SAT. Node `n`
+    // owns `sig[n*w .. (n+1)*w]`.
     let mut g1 = Aig::new();
     let mut sig: Vec<u64> = vec![0; w];
     let mut map1: Vec<Bit> = Vec::with_capacity(aig.num_nodes());
@@ -997,16 +497,12 @@ pub fn fraig_aig_pooled(
             }
         }
 
-        // Refine: fold the committed counterexample patterns into every
-        // signature, in commit order.
-        for pattern in &patterns {
-            stats.cex_patterns += 1;
-            stats.sim_patterns += 1;
-            let values = eval_combinational(&g1, pattern);
-            for (n, &value) in values.iter().enumerate() {
-                let word = &mut sig[n * w];
-                *word = (*word << 1) | value as u64;
-            }
+        // Refine: append the committed counterexample patterns to every
+        // signature.
+        if !patterns.is_empty() {
+            stats.cex_patterns += patterns.len() as u64;
+            stats.sim_patterns += patterns.len() as u64;
+            (sig, w) = append_patterns(&g1, &sig, w, &patterns);
         }
         if !progressed {
             break;
@@ -1014,8 +510,9 @@ pub fn fraig_aig_pooled(
     }
 
     // Substitution rebuild (merges landed after fanouts were built),
-    // then dead-strip into a compacted graph — as the classic pass's
-    // retry path.
+    // then dead-strip into a compacted graph, preserving input order and
+    // the relative order of surviving nodes (so downstream consumers
+    // that rely on "address cones precede their read port" still hold).
     let resolved: Vec<Bit> = map1.iter().map(|&b| chase(&repr, b)).collect();
     let (live, pre) = if stats.merges > 0 {
         let mut g3 = Aig::new();
@@ -1023,6 +520,7 @@ pub fn fraig_aig_pooled(
         for (id, node) in g1.iter() {
             let rep = chase(&repr, Bit::new(id, false));
             let mapped = if rep.node() != id {
+                // Merged: representative chains descend, so it is built.
                 apply(&map3, rep)
             } else {
                 match node {
@@ -1044,12 +542,162 @@ pub fn fraig_aig_pooled(
     };
     let root_nodes: Vec<NodeId> = roots.iter().map(|&r| apply(&pre, r).node()).collect();
     let (g2, map2) = live.compacted(&root_nodes);
+    // Final edge map: old -> representative -> compacted graph.
     let map: Vec<Bit> = pre.iter().map(|&b| apply(&map2, b)).collect();
     stats.ands_after = g2.num_ands();
     FraigResult {
         aig: g2,
         stats,
         map,
+    }
+}
+
+/// Applies the fraig pass to a whole design in place, unlimited and
+/// inline (the [`fraig_design_governed`] shorthand), rewriting its
+/// combinational core and every stored edge. Returns the pass counters.
+///
+/// The design's interface is untouched: latch order and initial values,
+/// memory modules and port order, property and constraint lists, input
+/// kinds, and dense input indices are all preserved — only the gate
+/// structure between them shrinks. A design that fails
+/// [`Design::check`] is returned unchanged (zeroed stats), since
+/// next-state functions must exist to be preserved.
+pub fn fraig_design(design: &mut Design, config: &FraigConfig) -> FraigStats {
+    fraig_design_governed(
+        design,
+        config,
+        &ResourceGovernor::unlimited(),
+        &SequentialRunner,
+    )
+}
+
+/// [`fraig_design`] under a shared [`ResourceGovernor`] and a
+/// [`SweepRunner`] — see [`fraig_aig_governed`] for the degradation and
+/// determinism contracts.
+pub fn fraig_design_governed(
+    design: &mut Design,
+    config: &FraigConfig,
+    governor: &ResourceGovernor,
+    runner: &dyn SweepRunner,
+) -> FraigStats {
+    if design.check().is_err() {
+        return FraigStats::default();
+    }
+    let roots = design.reduction_roots();
+    let FraigResult { aig, stats, map } =
+        fraig_aig_governed(&design.aig, &roots, config, governor, runner);
+    design.replace_aig(aig, &mut |b| apply(&map, b));
+    stats
+}
+
+fn apply(map: &[Bit], bit: Bit) -> Bit {
+    let base = map[bit.node().index()];
+    if bit.is_inverted() {
+        !base
+    } else {
+        base
+    }
+}
+
+/// Follows representative chains (with phase) to the class leader.
+fn chase(repr: &[Bit], mut bit: Bit) -> Bit {
+    loop {
+        let r = repr[bit.node().index()];
+        if r.node() == bit.node() {
+            return if bit.is_inverted() { !r } else { r };
+        }
+        bit = if bit.is_inverted() { !r } else { r };
+    }
+}
+
+/// Signature word of an edge (node signature, phase-adjusted).
+fn sig_word_of(sig: &[u64], w: usize, bit: Bit, k: usize) -> u64 {
+    let s = sig[bit.node().index() * w + k];
+    if bit.is_inverted() {
+        !s
+    } else {
+        s
+    }
+}
+
+/// Canonicalizes a node's signature: flips the phase so pattern 0 (bit 0
+/// of word 0, which refinement never rewrites) evaluates to false. Equal
+/// functions — up to complement — then share one key.
+fn canonical_of(sig: &[u64], w: usize, node: NodeId) -> (Bit, Vec<u64>) {
+    let bit = Bit::new(node, sig[node.index() * w] & 1 == 1);
+    let key = (0..w).map(|k| sig_word_of(sig, w, bit, k)).collect();
+    (bit, key)
+}
+
+/// Simulates `patterns` on `g` and appends the values to every node's
+/// signature as fresh words, returning the widened signatures and width.
+///
+/// Bit `j` of the new words holds pattern `j % patterns.len()`, so the
+/// tail of the last word repeats real patterns rather than a padding
+/// constant: a constant would read inverted on a complemented edge and
+/// split a node from its complement's class.
+fn append_patterns(g: &Aig, sig: &[u64], w: usize, patterns: &[Vec<bool>]) -> (Vec<u64>, usize) {
+    let extra = patterns.len().div_ceil(64);
+    let mut inputs = vec![0u64; g.num_inputs() * extra];
+    for bit in 0..64 * extra {
+        let pattern = &patterns[bit % patterns.len()];
+        for (i, &value) in pattern.iter().enumerate() {
+            inputs[i * extra + bit / 64] |= (value as u64) << (bit % 64);
+        }
+    }
+    let values = eval_combinational_words(g, &inputs, extra);
+    let mut widened = Vec::with_capacity(g.num_nodes() * (w + extra));
+    for n in 0..g.num_nodes() {
+        widened.extend_from_slice(&sig[n * w..(n + 1) * w]);
+        widened.extend_from_slice(&values[n * extra..(n + 1) * extra]);
+    }
+    (widened, w + extra)
+}
+
+/// Encodes the cone of an edge of `g` into `oracle` (memoized, iterative
+/// DFS) and returns its solver literal.
+fn encode_cone(g: &Aig, oracle: &mut EquivOracle, bit: Bit) -> Lit {
+    let mut stack = vec![bit.node()];
+    while let Some(&n) = stack.last() {
+        if oracle.lit(n.index()).is_some() {
+            stack.pop();
+            continue;
+        }
+        match g.node(n) {
+            Node::Const => {
+                oracle.define_const(n.index());
+                stack.pop();
+            }
+            Node::Input(_) => {
+                oracle.define_input(n.index());
+                stack.pop();
+            }
+            Node::And(a, b) => {
+                let (la, lb) = (oracle.lit(a.node().index()), oracle.lit(b.node().index()));
+                match (la, lb) {
+                    (Some(la), Some(lb)) => {
+                        let la = if a.is_inverted() { !la } else { la };
+                        let lb = if b.is_inverted() { !lb } else { lb };
+                        oracle.define_and(n.index(), la, lb);
+                        stack.pop();
+                    }
+                    _ => {
+                        if la.is_none() {
+                            stack.push(a.node());
+                        }
+                        if lb.is_none() {
+                            stack.push(b.node());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let l = oracle.lit(bit.node().index()).expect("just encoded");
+    if bit.is_inverted() {
+        !l
+    } else {
+        l
     }
 }
 
@@ -1107,31 +755,13 @@ fn sweep_class(
     report
 }
 
-/// [`fraig_design_governed`] on the batched class-parallel pass: applies
-/// [`fraig_aig_pooled`] to a whole design in place. Same interface
-/// contract as [`fraig_design`]; the runner decides the parallelism and
-/// the result is identical for every worker count.
-pub fn fraig_design_pooled(
-    design: &mut Design,
-    config: &FraigConfig,
-    governor: &ResourceGovernor,
-    runner: &dyn SweepRunner,
-) -> FraigStats {
-    if design.check().is_err() {
-        return FraigStats::default();
-    }
-    let roots = design.reduction_roots();
-    let FraigResult { aig, stats, map } =
-        fraig_aig_pooled(&design.aig, &roots, config, governor, runner);
-    design.replace_aig(aig, &mut |b| apply(&map, b));
-    stats
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
     use crate::design::{LatchInit, MemInit};
-    use crate::sim::{eval_combinational_words, Simulator};
+    use crate::sim::{eval_combinational, Simulator};
     use crate::word::Word;
 
     #[test]
@@ -1188,9 +818,8 @@ mod tests {
         assert_eq!(r.stats.merges, 0);
     }
 
-    /// After a refutation the distinguishing pattern becomes part of the
-    /// signatures: a second structurally distinct all-ones detector joins
-    /// a refined class and is separated without exhausting checks.
+    /// Two structurally distinct all-ones detectors (opposite
+    /// association orders) are proved equal and merged.
     #[test]
     fn cex_patterns_refine_future_classes() {
         let mut g = Aig::new();
@@ -1213,38 +842,123 @@ mod tests {
         assert!(r.stats.merges >= 1);
     }
 
+    /// Records every committed round's counterexample patterns while
+    /// running the jobs inline.
+    #[derive(Default)]
+    struct RecordingRunner(RefCell<Vec<Vec<Vec<bool>>>>);
+
+    impl SweepRunner for RecordingRunner {
+        fn run_sweep<'a>(&self, tasks: Vec<SweepTask<'a>>) -> Vec<Option<ClassReport>> {
+            let reports = SequentialRunner.run_sweep(tasks);
+            let patterns = reports
+                .iter()
+                .flatten()
+                .flat_map(|r| &r.checks)
+                .filter_map(|c| match c {
+                    SweepOutcome::Refuted { pattern } => Some(pattern.clone()),
+                    _ => None,
+                })
+                .collect();
+            self.0.borrow_mut().push(patterns);
+            reports
+        }
+    }
+
+    /// Refinement keeps every counterexample pattern, even when one round
+    /// commits more than 64 of them. Each `(x_i, y_i)` pair below differs
+    /// only where `x_i` and all fourteen of its private inputs are one —
+    /// too rare for random simulation, so every pair is a candidate class
+    /// — and no node of `y_i`'s cone is rare itself, so the pairs are the
+    /// only classes. A pattern that refutes pair `i` therefore separates
+    /// pair `i` alone; if refinement dropped it, the pair would re-form
+    /// and be refuted again in a later round.
+    #[test]
+    fn refinement_keeps_every_pattern_of_a_wide_round() {
+        const PAIRS: usize = 96;
+        let mut g = Aig::new();
+        let mut pairs = Vec::new();
+        for _ in 0..PAIRS {
+            let x = g.new_input();
+            let mut halves = [Aig::FALSE; 2];
+            for half in &mut halves {
+                let mut all = Aig::TRUE;
+                for _ in 0..7 {
+                    let a = g.new_input();
+                    all = g.and(all, a);
+                }
+                // x ∧ ¬all: differs from x on one pattern in 256.
+                *half = g.and(x, !all);
+            }
+            // y = (x ∧ ¬X) ∨ (x ∧ ¬Y) = x ∧ ¬(X ∧ Y), with no rare node.
+            let y = !g.and(!halves[0], !halves[1]);
+            pairs.push((x, y));
+        }
+        let roots: Vec<Bit> = pairs.iter().flat_map(|&(x, y)| [x, y]).collect();
+        let config = FraigConfig {
+            sim_words: 64,
+            ..FraigConfig::default()
+        };
+        let runner = RecordingRunner::default();
+        let r = fraig_aig_governed(&g, &roots, &config, &ResourceGovernor::unlimited(), &runner);
+        let rounds = runner.0.into_inner();
+        assert!(
+            rounds[0].len() > 64,
+            "round 1 committed {} refutations",
+            rounds[0].len()
+        );
+        let mut refuted = vec![0usize; PAIRS];
+        for pattern in rounds.iter().flatten() {
+            let values = eval_combinational(&g, pattern);
+            let value = |b: Bit| b.apply(values[b.node().index()]);
+            for (i, &(x, y)) in pairs.iter().enumerate() {
+                refuted[i] += usize::from(value(x) != value(y));
+            }
+        }
+        assert!(
+            refuted.iter().all(|&n| n <= 1),
+            "a pair was refuted twice: {refuted:?}"
+        );
+        assert_eq!(r.stats.refuted, refuted.iter().sum::<usize>() as u64);
+        assert_eq!(r.stats.merges, 0);
+    }
+
+    /// Refinement appends real simulation: every appended word, padding
+    /// included, equals a from-scratch evaluation of the graph, so a node
+    /// and a structurally distinct complement of it keep one canonical
+    /// key (constant padding would read inverted on one of them).
     #[test]
     fn signatures_match_bit_parallel_simulation() {
-        // The incremental signatures must agree with a from-scratch
-        // word-parallel evaluation of the reduced graph.
-        let config = FraigConfig::default();
         let mut g = Aig::new();
-        let a = g.new_input();
-        let b = g.new_input();
-        let c = g.new_input();
-        let x = g.and(a, b);
-        let y = g.and(x, !c);
-        let r = fraig_aig(&g, &[y], &config);
-        let w = config.sim_words;
-        let inputs: Vec<u64> = (0..r.aig.num_inputs())
-            .flat_map(|i| (0..w).map(move |k| mix(config.seed ^ mix((i as u64) << 8 | k as u64))))
-            .collect();
-        let values = eval_combinational_words(&r.aig, &inputs, w);
-        // Sanity: the root's value is the AND of its cone under every word.
-        let yb = r.map_bit(y);
-        let base = yb.node().index() * w;
-        for k in 0..w {
-            let va = inputs[k];
-            let vb = inputs[w + k];
-            let vc = inputs[2 * w + k];
-            let expect = va & vb & !vc;
-            let got = if yb.is_inverted() {
-                !values[base + k]
-            } else {
-                values[base + k]
-            };
-            assert_eq!(got, expect, "word {k}");
+        let inputs: Vec<Bit> = (0..13).map(|_| g.new_input()).collect();
+        let mut n = Aig::TRUE;
+        for &i in &inputs[..12] {
+            n = g.and(n, i);
         }
+        let nc = g.and(n, inputs[12]);
+        let p = g.and(!n, !nc); // ¬n ∧ ¬(n ∧ c) ≡ ¬n
+        let w = 2;
+        let random: Vec<u64> = (0..13 * w as u64).map(mix).collect();
+        let sig = eval_combinational_words(&g, &random, w);
+        let patterns: Vec<Vec<bool>> = (0..70u64)
+            .map(|k| (0..13).map(|i| mix(k << 8 | i) & 1 == 1).collect())
+            .collect();
+        let (sig, wide) = append_patterns(&g, &sig, w, &patterns);
+        assert_eq!(wide, w + 2, "70 patterns take two words");
+        for bit in 0..128 {
+            let values = eval_combinational(&g, &patterns[bit % 70]);
+            for (id, _) in g.iter() {
+                let word = sig[id.index() * wide + w + bit / 64];
+                assert_eq!(
+                    word >> (bit % 64) & 1 == 1,
+                    values[id.index()],
+                    "node {id:?}, appended bit {bit}"
+                );
+            }
+        }
+        assert_eq!(
+            canonical_of(&sig, wide, n.node()).1,
+            canonical_of(&sig, wide, p.node()).1
+        );
     }
 
     #[test]
@@ -1267,9 +981,10 @@ mod tests {
         assert_eq!(r.aig.num_ands(), 2);
     }
 
-    /// Pin the bucket-cap counter: with `max_bucket: 1` and no SAT budget,
-    /// every signature-equal node after the first is refused by its class
-    /// and must be counted, not silently skipped.
+    /// Pin the bucket-cap counter: with `max_bucket: 1` every class is a
+    /// singleton, so no check runs, and every signature-equal node after
+    /// the first is refused by its class and must be counted, not
+    /// silently skipped.
     #[test]
     fn bucket_cap_truncations_are_counted() {
         let mut g = Aig::new();
@@ -1281,11 +996,11 @@ mod tests {
         let right = g.and(x, b);
         let config = FraigConfig {
             max_bucket: 1,
-            max_checks: 0,
             ..FraigConfig::default()
         };
         let r = fraig_aig(&g, &[x, left, right], &config);
-        assert_eq!(r.stats.merges, 0, "no checks, no merges");
+        assert_eq!(r.stats.sat_checks, 0, "singleton classes need no check");
+        assert_eq!(r.stats.merges, 0);
         assert_eq!(
             r.stats.buckets_truncated, 2,
             "left and right both hit the full class"
@@ -1295,11 +1010,12 @@ mod tests {
         assert_eq!(r.stats.buckets_truncated, 0);
     }
 
-    /// Satellite: cones refused by a full class are re-offered after the
-    /// first pass once merges have landed — and a late merge propagates
-    /// through already-built fanouts via the substitution rebuild.
+    /// A cone refused by a full class stays a live representative and is
+    /// re-bucketed next round, once the merges just committed have
+    /// shrunk its class — and the late merge propagates through fanouts
+    /// already built on the refused cone via the substitution rebuild.
     #[test]
-    fn truncated_cones_are_retried_after_merges() {
+    fn truncated_cones_merge_in_a_later_round() {
         let mut g = Aig::new();
         let a = g.new_input();
         let b = g.new_input();
@@ -1307,25 +1023,23 @@ mod tests {
         let d = g.new_input();
         let e = g.new_input();
         let x = g.and(a, b);
-        let y = g.and(a, x); // ≡ x, costs check 1
-        let z = g.and(x, b); // ≡ x, costs check 2 — budget now spent
+        let y = g.and(a, x); // ≡ x, fills x's class
+        let z = g.and(x, b); // ≡ x, refused by the capped class
         let u = g.and(c, d);
-        let v = g.and(c, u); // ≡ u, but no checks left: truncated
-        let t = g.and(v, e); // fanout of the truncated cone
+        let v = g.and(c, u); // ≡ u
+        let t = g.and(z, e); // fanout of the refused cone
         let config = FraigConfig {
-            max_bucket: 1,
-            max_checks: 2,
+            max_bucket: 2,
             ..FraigConfig::default()
         };
         let r = fraig_aig(&g, &[x, y, z, u, v, t], &config);
-        assert_eq!(r.stats.merges, 3);
-        assert_eq!(r.stats.buckets_truncated, 1, "v hit u's full class");
-        assert_eq!(r.stats.truncated_retried, 1);
-        assert_eq!(r.stats.retry_merges, 1, "the retry pass proved v ≡ u");
-        assert_eq!(r.map_bit(v), r.map_bit(u));
+        assert_eq!(r.stats.buckets_truncated, 1, "round 1 refused z");
+        assert_eq!(r.stats.merges, 3, "z merged in round 2");
         assert_eq!(r.map_bit(y), r.map_bit(x));
-        // The substitution rebuild redirects t's fanin to u's node and
-        // dead-strips v's cone: exactly x, u, t survive.
+        assert_eq!(r.map_bit(z), r.map_bit(x));
+        assert_eq!(r.map_bit(v), r.map_bit(u));
+        // t's fanin is redirected to x and z's cone dead-strips: exactly
+        // x, u, t survive.
         assert_eq!(r.aig.num_ands(), 3);
     }
 
@@ -1340,7 +1054,13 @@ mod tests {
         let y = g.and(a, x);
         let governor = ResourceGovernor::unlimited();
         governor.cancel();
-        let r = fraig_aig_governed(&g, &[x, y], &FraigConfig::default(), &governor);
+        let r = fraig_aig_governed(
+            &g,
+            &[x, y],
+            &FraigConfig::default(),
+            &governor,
+            &SequentialRunner,
+        );
         assert!(r.stats.interrupted);
         assert_eq!(r.stats.sat_checks, 0, "no SAT work under cancellation");
         assert_eq!(r.stats.merges, 0);
@@ -1349,8 +1069,9 @@ mod tests {
     }
 
     /// The deterministic fault injector stops the pass right after the
-    /// Nth equivalence check: everything proved before the trip stays
-    /// merged, everything after degrades structurally.
+    /// Nth committed equivalence check: everything proved up to the trip
+    /// stays merged, every later class degrades structurally, and a
+    /// rerun trips at the same place.
     #[test]
     fn fault_injection_halts_after_nth_fraig_check() {
         let mut g = Aig::new();
@@ -1359,18 +1080,29 @@ mod tests {
         let c = g.new_input();
         let d = g.new_input();
         let x = g.and(a, b);
-        let y = g.and(a, x); // check 1: proves and merges
+        let y = g.and(a, x); // x's class, check 1: proves and merges
         let u = g.and(c, d);
-        let v = g.and(c, u); // check 2: proves, then the fault trips
-        let w = g.and(x, b); // would be check 3 — never issued
-        let governor = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
-        let r = fraig_aig_governed(&g, &[x, y, u, v, w], &FraigConfig::default(), &governor);
+        let v = g.and(c, u); // u's class: committed after the trip
+        let w = g.and(x, b); // x's class, check 2: proves, then the fault trips
+        let roots = [x, y, u, v, w];
+        let run = || {
+            let governor = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
+            fraig_aig_governed(
+                &g,
+                &roots,
+                &FraigConfig::default(),
+                &governor,
+                &SequentialRunner,
+            )
+        };
+        let r = run();
         assert_eq!(r.stats.sat_checks, 2, "halted right after the 2nd check");
-        assert_eq!(r.stats.merges, 2, "both completed checks proved");
+        assert_eq!(r.stats.merges, 2, "both committed checks proved");
         assert!(r.stats.interrupted);
         assert_eq!(r.map_bit(x), r.map_bit(y));
-        assert_eq!(r.map_bit(u), r.map_bit(v));
-        assert_ne!(r.map_bit(w), r.map_bit(x), "post-trip cone left unmerged");
+        assert_eq!(r.map_bit(x), r.map_bit(w));
+        assert_ne!(r.map_bit(u), r.map_bit(v), "post-trip class left unmerged");
+        assert_eq!(r.stats, run().stats, "the trip point is deterministic");
     }
 
     #[test]
@@ -1427,180 +1159,5 @@ mod tests {
         let stats = fraig_design(&mut d, &FraigConfig::default());
         assert_eq!(stats, FraigStats::default());
         assert_eq!(d.num_gates(), gates);
-    }
-
-    #[test]
-    fn pooled_sweep_merges_absorbed_variants() {
-        let mut g = Aig::new();
-        let a = g.new_input();
-        let b = g.new_input();
-        let x = g.and(a, b);
-        let left = g.and(a, x);
-        let right = g.and(x, b);
-        let r = fraig_aig_pooled(
-            &g,
-            &[x, left, right],
-            &FraigConfig::default(),
-            &ResourceGovernor::unlimited(),
-            &SequentialRunner,
-        );
-        assert_eq!(r.map_bit(x), r.map_bit(left));
-        assert_eq!(r.map_bit(x), r.map_bit(right));
-        assert_eq!(r.aig.num_ands(), 1);
-        assert_eq!(r.stats.merges, 2);
-    }
-
-    #[test]
-    fn pooled_sweep_detects_constant_cones() {
-        let mut g = Aig::new();
-        let a = g.new_input();
-        let b = g.new_input();
-        let x = g.and(a, b);
-        let y = g.and(a, !b);
-        let z = g.and(x, y);
-        let r = fraig_aig_pooled(
-            &g,
-            &[z],
-            &FraigConfig::default(),
-            &ResourceGovernor::unlimited(),
-            &SequentialRunner,
-        );
-        assert_eq!(r.map_bit(z), Aig::FALSE);
-        assert!(r.stats.const_merges >= 1);
-        assert_eq!(r.aig.num_ands(), 0);
-    }
-
-    #[test]
-    fn pooled_sweep_never_merges_across_a_real_counterexample() {
-        let mut g = Aig::new();
-        let inputs: Vec<Bit> = (0..16).map(|_| g.new_input()).collect();
-        let mut acc = Aig::TRUE;
-        for &i in &inputs {
-            acc = g.and(acc, i);
-        }
-        let r = fraig_aig_pooled(
-            &g,
-            &[acc],
-            &FraigConfig::default(),
-            &ResourceGovernor::unlimited(),
-            &SequentialRunner,
-        );
-        assert_ne!(r.map_bit(acc), Aig::FALSE);
-        assert_eq!(r.aig.num_ands(), 15);
-        assert!(r.stats.refuted >= 1);
-        assert_eq!(r.stats.merges, 0);
-    }
-
-    #[test]
-    fn pooled_design_preserves_cycle_semantics() {
-        let mut d = Design::new();
-        let mem = d.add_memory("m", 3, 4, MemInit::Zero);
-        let ptr = d.new_latch_word("ptr", 3, LatchInit::Zero);
-        let next = d.aig.inc(&ptr);
-        d.set_next_word(&ptr, &next);
-        let wd = d.new_input_word("wd", 4);
-        let we = d.new_input("we");
-        d.add_write_port(mem, ptr.clone(), we, wd.clone());
-        let rd = d.add_read_port(mem, ptr.clone(), Aig::TRUE);
-        let hit1 = d.aig.eq_word(&rd, &wd);
-        let diff = d.aig.word_xor(&rd, &wd);
-        let any_diff = d.aig.redor(&diff);
-        let both = d.aig.and(hit1, !any_diff);
-        d.add_property("p", both);
-        d.check().expect("valid");
-
-        let mut pooled = d.clone();
-        let stats = fraig_design_pooled(
-            &mut pooled,
-            &FraigConfig::default(),
-            &ResourceGovernor::unlimited(),
-            &SequentialRunner,
-        );
-        assert!(stats.ands_after <= stats.ands_before);
-        pooled.check().expect("still well-formed");
-
-        let mut sim_a = Simulator::new(&d);
-        let mut sim_b = Simulator::new(&pooled);
-        let mut state = 0x0F1E_2D3C_4B5A_6978u64;
-        for cycle in 0..40 {
-            state = mix(state);
-            let inputs: Vec<bool> = (0..d.free_inputs().len())
-                .map(|i| (state >> i) & 1 == 1)
-                .collect();
-            let ra = sim_a.step(&inputs);
-            let rb = sim_b.step(&inputs);
-            assert_eq!(ra.property_bad, rb.property_bad, "cycle {cycle}");
-        }
-    }
-
-    /// The pooled sweep's determinism contract under fault injection:
-    /// the armed fault is replayed at the barrier, so two runs trip at
-    /// the same committed check and produce identical stats and graphs.
-    #[test]
-    fn pooled_fault_injection_is_deterministic() {
-        let mut g = Aig::new();
-        let a = g.new_input();
-        let b = g.new_input();
-        let c = g.new_input();
-        let d = g.new_input();
-        let x = g.and(a, b);
-        let y = g.and(a, x);
-        let u = g.and(c, d);
-        let v = g.and(c, u);
-        let w = g.and(x, b);
-        let roots = [x, y, u, v, w];
-        let run = || {
-            let governor = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
-            fraig_aig_pooled(
-                &g,
-                &roots,
-                &FraigConfig::default(),
-                &governor,
-                &SequentialRunner,
-            )
-        };
-        let r1 = run();
-        let r2 = run();
-        assert_eq!(r1.stats, r2.stats);
-        assert_eq!(r1.stats.sat_checks, 2, "committed exactly up to the trip");
-        assert!(r1.stats.interrupted);
-        assert_eq!(r1.aig.num_ands(), r2.aig.num_ands());
-        for &r in &roots {
-            assert_eq!(r1.map_bit(r), r2.map_bit(r));
-        }
-    }
-
-    /// The pooled rounds path has no explicit retry pass: a cone refused
-    /// by a full class stays a live representative and is re-bucketed in
-    /// the next round, where the merges just committed have shrunk the
-    /// class. Pin that a bucket-cap-truncated cone still merges — one
-    /// round later.
-    #[test]
-    fn pooled_truncated_cones_merge_in_a_later_round() {
-        let mut g = Aig::new();
-        let a = g.new_input();
-        let b = g.new_input();
-        let x = g.and(a, b);
-        let left = g.and(a, x); // ≡ x, same signature
-        let right = g.and(x, b); // ≡ x, refused by the capped class
-        let config = FraigConfig {
-            max_bucket: 2,
-            ..FraigConfig::default()
-        };
-        let r = fraig_aig_pooled(
-            &g,
-            &[x, left, right],
-            &config,
-            &ResourceGovernor::unlimited(),
-            &SequentialRunner,
-        );
-        assert_eq!(
-            r.stats.buckets_truncated, 1,
-            "round 1 capped x's class at two members"
-        );
-        assert_eq!(r.stats.merges, 2, "the re-offered cone merged in round 2");
-        assert_eq!(r.map_bit(left), r.map_bit(x));
-        assert_eq!(r.map_bit(right), r.map_bit(x));
-        assert_eq!(r.aig.num_ands(), 1);
     }
 }

@@ -19,7 +19,7 @@
 //!   refine) that merges equivalent cones *before* Tseitin encoding: every
 //!   node carries a multi-word random-simulation signature, signature
 //!   classes are confirmed by bounded incremental SAT checks
-//!   ([`emm_sat::EquivOracle`]), refutation models are folded back into
+//!   ([`emm_sat::EquivOracle`]), refutation models are appended to
 //!   the signatures as guided patterns, and a final rewrite redirects
 //!   fanouts to class representatives and dead-strips merged cones. Knobs
 //!   live in [`FraigConfig`]; the BMC engine runs it by default.
@@ -66,7 +66,6 @@ pub mod btor2;
 pub mod coi;
 pub mod cuts;
 pub mod design;
-pub mod emn;
 pub mod fraig;
 pub mod report;
 pub mod rewrite;
@@ -80,9 +79,8 @@ pub use design::{
     PropertyId, ReadPort, WritePort,
 };
 pub use fraig::{
-    fraig_aig, fraig_aig_governed, fraig_aig_pooled, fraig_design, fraig_design_governed,
-    fraig_design_pooled, ClassReport, FraigConfig, FraigResult, FraigStats, SequentialRunner,
-    SweepOutcome, SweepRunner, SweepTask,
+    fraig_aig, fraig_aig_governed, fraig_design, fraig_design_governed, ClassReport, FraigConfig,
+    FraigResult, FraigStats, SequentialRunner, SweepOutcome, SweepRunner, SweepTask,
 };
 pub use rewrite::{
     rewrite_aig, rewrite_aig_governed, rewrite_design, rewrite_design_governed, RewriteConfig,

@@ -478,7 +478,6 @@ fn json_record(r: &RunRecord) -> String {
                  \"merges\": {}, \"const_merges\": {}, \"structural_merges\": {}, \
                  \"sat_checks\": {}, \"refuted\": {}, \"unknown\": {}, \
                  \"cex_patterns\": {}, \"buckets_truncated\": {}, \
-                 \"truncated_retried\": {}, \"retry_merges\": {}, \
                  \"interrupted\": {}}}",
                 st.ands_before,
                 st.ands_after,
@@ -490,8 +489,6 @@ fn json_record(r: &RunRecord) -> String {
                 st.unknown,
                 st.cex_patterns,
                 st.buckets_truncated,
-                st.truncated_retried,
-                st.retry_merges,
                 st.interrupted,
             )
             .expect("write");

@@ -14,8 +14,8 @@ use std::borrow::Cow;
 use std::time::Instant;
 
 use emm_aig::{
-    fraig_design_governed, fraig_design_pooled, rewrite_design_governed, Design, FraigConfig,
-    FraigStats, RewriteConfig, RewriteStats,
+    fraig_design_governed, rewrite_design_governed, Design, FraigConfig, FraigStats, RewriteConfig,
+    RewriteStats,
 };
 use emm_core::Pool;
 use emm_sat::ResourceGovernor;
@@ -40,11 +40,10 @@ impl<'d> ReducedModel<'d> {
     /// the graph, which feeds fraig better merge candidates) on a private
     /// copy of `design`, honoring each pass's `enabled` flag.
     ///
-    /// `workers >= 1` schedules the fraig SAT sweep on an in-tree
-    /// [`Pool`] with that many workers ([`fraig_design_pooled`]); the
-    /// result is bit-identical at every worker count. `workers == 0`
-    /// keeps the classic sequential sweep ([`fraig_design_governed`]),
-    /// whose schedule differs from the pooled one.
+    /// The fraig sweep ([`fraig_design_governed`]) runs its candidate
+    /// classes on an in-tree [`Pool`] of `workers` threads. `0` and `1`
+    /// both run them inline on the caller's thread, and the reduced model
+    /// and its stats are identical at every worker count.
     pub fn reduce(
         design: &'d Design,
         rewrite: &RewriteConfig,
@@ -67,12 +66,8 @@ impl<'d> ReducedModel<'d> {
             if fraig.enabled {
                 let model = reduced.get_or_insert_with(|| design.clone());
                 let t = Instant::now();
-                fraig_stats = Some(if workers >= 1 {
-                    let pool = Pool::new(workers).with_governor(governor.clone());
-                    fraig_design_pooled(model, fraig, governor, &pool)
-                } else {
-                    fraig_design_governed(model, fraig, governor)
-                });
+                let pool = Pool::new(workers).with_governor(governor.clone());
+                fraig_stats = Some(fraig_design_governed(model, fraig, governor, &pool));
                 fraig_seconds = t.elapsed().as_secs_f64();
             }
         }

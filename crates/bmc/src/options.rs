@@ -201,12 +201,10 @@ pub struct VerifyOptions {
     pub abstraction: Option<AbstractionSpec>,
     /// Enable proof-based-abstraction reason discovery.
     pub pba_discovery: bool,
-    /// Worker threads for the parallel paths (the batched fraig sweep in
+    /// Worker threads for the parallel paths (the fraig sweep in
     /// preprocessing, and whatever driver consumes these options). `0`
-    /// (the default) selects the classic sequential algorithms; `1` runs
-    /// the parallel algorithms on their deterministic single-thread
-    /// schedule — both are deterministic, but the two schedules may
-    /// differ, so `0` stays bit-compatible with the historical passes.
+    /// (the default) and `1` both run inline on the caller's thread; the
+    /// result is identical at every worker count.
     pub workers: usize,
 }
 
@@ -315,7 +313,7 @@ impl VerifyOptions {
     }
 
     /// Sets the worker-thread count for the parallel paths (see the
-    /// field docs for the `0` / `1` distinction).
+    /// field docs).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self

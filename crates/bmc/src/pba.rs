@@ -430,10 +430,9 @@ fn fork_config(config: &PbaConfig) -> PbaConfig {
 /// worker count, fault injection included.
 ///
 /// The shared pre-reduction runs its fraig sweep on `pool` too
-/// ([`ReducedModel::reduce`] with `pool.workers()` workers), which is
-/// bit-identical at every worker count but schedules checks differently
-/// from the classic sequential sweep the single-property [`discover`]
-/// inherits through [`BmcEngine::new`].
+/// ([`ReducedModel::reduce`] with `pool.workers()` workers); it yields
+/// the same model at every worker count, and the same model the
+/// single-property [`discover`] gets through [`BmcEngine::new`].
 ///
 /// # Errors
 ///

@@ -175,8 +175,9 @@ impl VerificationServer {
         let requests = std::mem::take(&mut self.queue);
 
         // Shared pre-reduction: one ReducedModel per distinct (design,
-        // rewrite config, fraig config, workers) combination, resolved in
-        // submission order so the grouping is deterministic.
+        // rewrite config, fraig config) combination, resolved in
+        // submission order so the grouping is deterministic. The worker
+        // count does not change the reduction, so it is not part of the key.
         let mut groups: Vec<(*const Design, &VerifyRequest, ReducedModel<'_>)> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(requests.len());
         for req in &requests {
@@ -185,7 +186,6 @@ impl VerificationServer {
                 *ptr == key
                     && leader.options.pipeline.rewrite == req.options.pipeline.rewrite
                     && leader.options.pipeline.fraig == req.options.pipeline.fraig
-                    && leader.options.workers == req.options.workers
             });
             group_of.push(found.unwrap_or_else(|| {
                 let reduced = ReducedModel::reduce(

@@ -11,8 +11,10 @@
 //! merge surfaces as a hard `SpuriousTrace` error, not just a flaky
 //! disagreement.
 
-use emm_aig::{fraig_design, Design, FraigConfig, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_aig::{fraig_design, Design, FraigConfig, LatchInit, MemInit, RewriteConfig};
+use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict, ReducedModel};
+use emm_designs::quicksort::{QuickSort, QuickSortConfig};
+use emm_sat::ResourceGovernor;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -202,4 +204,32 @@ fn fraig_shrinks_redundant_designs() {
         total_removed > 0,
         "the redundant comparator cones must yield at least one merge"
     );
+}
+
+/// Refinement must keep every counterexample pattern. The paper-width
+/// quicksort (the DIMACS-export design) refutes over a hundred candidate
+/// pairs in its first rounds; a sweep that dropped older patterns would
+/// re-form the classes they split and spend the whole check budget
+/// refuting them again, where keeping them reduces to the same model in
+/// a few hundred checks.
+#[test]
+fn paper_quicksort_reduces_without_spending_the_check_budget() {
+    let qs = QuickSort::new(QuickSortConfig::paper(3));
+    let fraig = FraigConfig::default();
+    for workers in [0, 1] {
+        let reduced = ReducedModel::reduce(
+            &qs.design,
+            &RewriteConfig::default(),
+            &fraig,
+            &ResourceGovernor::unlimited(),
+            workers,
+        );
+        let stats = reduced.fraig_stats().expect("fraig ran");
+        assert_eq!(reduced.model().num_gates(), 1735, "{workers} workers");
+        assert!(
+            stats.sat_checks < fraig.max_checks,
+            "{workers} workers: {} checks spent",
+            stats.sat_checks
+        );
+    }
 }

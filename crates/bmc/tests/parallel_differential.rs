@@ -1,5 +1,5 @@
-//! Differential tests of the parallel verification paths: the batched
-//! fraig sweep, the parallel PBA dispatch, and the verification server
+//! Differential tests of the parallel verification paths: the fraig
+//! sweep, the parallel PBA dispatch, and the verification server
 //! must produce **bit-identical** results at every pool worker count —
 //! with and without deterministic fault injection — because every
 //! parallel schedule commits its merges/results in a canonical order
@@ -7,25 +7,34 @@
 //!
 //! The CI `parallel` matrix leg runs this suite under `EMM_WORKERS=1`
 //! and `EMM_WORKERS=4`; the suite itself additionally sweeps explicit
-//! worker counts so a single run covers 1/2/4.
+//! worker counts so a single run covers 1/2/4 (and 0 for the shared
+//! reduction).
 
 use std::sync::Arc;
 
-use emm_aig::{fraig_design_pooled, Design, FraigConfig, LatchInit};
+use emm_aig::{fraig_design_governed, Design, FraigConfig, LatchInit, RewriteConfig};
 use emm_bmc::pba::{self, PbaConfig};
-use emm_bmc::{VerificationServer, VerifyBudget, VerifyOptions, VerifyRequest};
+use emm_bmc::{ReducedModel, VerificationServer, VerifyBudget, VerifyOptions, VerifyRequest};
 use emm_core::Pool;
 use emm_sat::{FaultSite, ResourceGovernor};
 
 /// A counter design with redundant logic (fraig fodder) and a mix of
 /// reachable and unreachable properties.
 fn redundant_counter() -> Design {
+    counter(4)
+}
+
+/// [`redundant_counter`] at `width` bits. From about a dozen bits on,
+/// the property comparators hold rare-valued nodes that random
+/// simulation cannot tell from constants, so fraig also refutes
+/// candidates and refines its signatures.
+fn counter(width: usize) -> Design {
     let mut d = Design::new();
-    let count = d.new_latch_word("count", 4, LatchInit::Zero);
+    let count = d.new_latch_word("count", width, LatchInit::Zero);
     let inc_a = d.aig.inc(&count);
     // A structurally different duplicate of the same increment: an
     // adder of the constant 1, giving fraig equivalent cones to merge.
-    let one = d.aig.const_word(1, 4);
+    let one = d.aig.const_word(1, width);
     let inc_b = d.aig.add(&count, &one);
     d.set_next_word(&count, &inc_a);
     let hit9_a = d.aig.eq_const(&count, 9);
@@ -62,19 +71,40 @@ fn memory_design() -> Design {
     d
 }
 
+/// The public entry point reduces to the same model at every worker
+/// count, `0` included: there is one fraig sweep, and `0` and `1` both
+/// run it inline.
 #[test]
 fn pooled_fraig_is_bit_identical_across_worker_counts() {
-    let base = redundant_counter();
+    let base = counter(16);
     let governor = ResourceGovernor::unlimited();
     let mut outcomes = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let mut model = base.clone();
-        let pool = Pool::new(workers);
-        let stats = fraig_design_pooled(&mut model, &FraigConfig::default(), &governor, &pool);
-        outcomes.push((stats, model.num_gates(), format!("{:?}", model.stats())));
+    for workers in [0usize, 1, 2, 4] {
+        let reduced = ReducedModel::reduce(
+            &base,
+            &RewriteConfig::default(),
+            &FraigConfig::default(),
+            &governor,
+            workers,
+        );
+        let model = reduced.model();
+        outcomes.push((
+            reduced.fraig_stats().copied(),
+            model.num_gates(),
+            format!("{:?}", model.stats()),
+        ));
     }
-    assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");
-    assert_eq!(outcomes[0], outcomes[2], "1 vs 4 workers diverged");
+    assert!(
+        outcomes[0].0.is_some_and(|s| s.merges > 0 && s.refuted > 0),
+        "fraig both merged and refined"
+    );
+    for (i, workers) in [1, 2, 4].into_iter().enumerate() {
+        assert_eq!(
+            outcomes[0],
+            outcomes[i + 1],
+            "0 vs {workers} workers diverged"
+        );
+    }
 }
 
 #[test]
@@ -85,7 +115,7 @@ fn pooled_fraig_fault_injection_is_bit_identical() {
         let governor = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
         let mut model = base.clone();
         let pool = Pool::new(workers);
-        let stats = fraig_design_pooled(&mut model, &FraigConfig::default(), &governor, &pool);
+        let stats = fraig_design_governed(&mut model, &FraigConfig::default(), &governor, &pool);
         outcomes.push((stats, model.num_gates()));
     }
     assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");
@@ -284,14 +314,14 @@ fn env_sized_pool_matches_explicit_pools() {
     let base = redundant_counter();
     let governor = ResourceGovernor::unlimited();
     let mut reference = base.clone();
-    let expected = fraig_design_pooled(
+    let expected = fraig_design_governed(
         &mut reference,
         &FraigConfig::default(),
         &governor,
         &Pool::new(1),
     );
     let mut model = base.clone();
-    let got = fraig_design_pooled(
+    let got = fraig_design_governed(
         &mut model,
         &FraigConfig::default(),
         &governor,

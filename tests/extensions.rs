@@ -1,9 +1,8 @@
 //! Integration tests for the extensions beyond the paper's core scope:
-//! the data-race checker (Section 4.1's "beyond the scope" remark), the
-//! cone-of-influence front end, and the EMN netlist interchange format.
+//! the data-race checker (Section 4.1's "beyond the scope" remark) and
+//! the cone-of-influence front end.
 
 use emm_verif::aig::coi::cone_of_influence;
-use emm_verif::aig::emn::{parse_emn, write_emn};
 use emm_verif::aig::{Design, MemInit};
 use emm_verif::bmc::{AbstractionSpec, BmcEngine, BmcOptions, BmcVerdict};
 use emm_verif::core::add_race_checkers;
@@ -126,47 +125,4 @@ fn coi_is_weaker_than_pba_on_quicksort() {
         "COI keeps the array (structural dependence), unlike PBA (Table 2)"
     );
     assert!(cone.memories[qs.stack.0 as usize]);
-}
-
-/// EMN round-trip on a real case-study design: identical structure and
-/// identical BMC verdicts.
-#[test]
-fn emn_roundtrip_preserves_verification_results() {
-    let qs = QuickSort::new(QuickSortConfig {
-        n: 2,
-        addr_width: 3,
-        data_width: 3,
-        bug: Default::default(),
-    });
-    let text = write_emn(&qs.design);
-    let back = parse_emn(&text).expect("parse");
-    assert_eq!(back.aig.num_nodes(), qs.design.aig.num_nodes());
-    assert_eq!(back.num_latches(), qs.design.num_latches());
-
-    let mut original = BmcEngine::new(
-        &qs.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
-    let run_a = original
-        .check(qs.p1.0 as usize, qs.cycle_bound())
-        .expect("a");
-    let mut reparsed = BmcEngine::new(
-        &back,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
-    let run_b = reparsed
-        .check(qs.p1.0 as usize, qs.cycle_bound())
-        .expect("b");
-    match (&run_a.verdict, &run_b.verdict) {
-        (BmcVerdict::Proof { depth: da, .. }, BmcVerdict::Proof { depth: db, .. }) => {
-            assert_eq!(da, db, "identical proof depth after round-trip")
-        }
-        (x, y) => panic!("verdicts diverged: {x:?} vs {y:?}"),
-    }
 }
