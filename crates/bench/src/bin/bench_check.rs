@@ -166,55 +166,6 @@ fn check_required_modes(
     missing
 }
 
-/// The solver-inprocessing counters every fresh `incremental` and
-/// `kinduction` row must carry. A fresh file missing them means the
-/// harness silently stopped reporting the inprocessing work — fail the
-/// gate rather than letting the columns rot.
-const INPROCESS_U64_KEYS: [&str; 5] = [
-    "vivified_literals",
-    "subsumed_literals",
-    "probed_literals",
-    "failed_literals",
-    "inprocess_rounds",
-];
-
-/// Checks that the inprocessing counter columns are present on the
-/// fresh file's `incremental`/`kinduction` run records; returns the
-/// `(benchmark/mode, missing keys)` holes found (reported on stdout).
-fn check_inprocess_counters(path: &str) -> Result<Vec<(String, String)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut holes = Vec::new();
-    for line in text.lines() {
-        let (Some(benchmark), Some(mode), Some(_verdict)) = (
-            extract_str(line, "benchmark"),
-            extract_str(line, "mode"),
-            extract_str(line, "verdict"),
-        ) else {
-            continue;
-        };
-        if mode != "incremental" && mode != "kinduction" {
-            continue;
-        }
-        let mut missing: Vec<&str> = INPROCESS_U64_KEYS
-            .iter()
-            .filter(|k| extract_u64(line, k).is_none())
-            .copied()
-            .collect();
-        if extract_f64(line, "inprocess_seconds").is_none() {
-            missing.push("inprocess_seconds");
-        }
-        if !missing.is_empty() {
-            let key = format!("{benchmark}/{mode}");
-            println!(
-                "  FAIL {key}: fresh run record missing inprocessing counter(s) {}",
-                missing.join(", ")
-            );
-            holes.push((key, missing.join(", ")));
-        }
-    }
-    Ok(holes)
-}
-
 /// Per-row outcome, for both the stdout report and the markdown summary.
 enum Outcome {
     Ok,
@@ -362,24 +313,6 @@ fn main() -> ExitCode {
             "| {benchmark} / {mode} | {} | {} → {} | {dc:+.1}% | {} → {} | {dv:+.1}% | {status} |",
             new.verdict, base.clauses, new.clauses, base.vars, new.vars
         );
-    }
-    // --- Inprocessing counter columns (fresh file only) -------------------
-    // The baseline is allowed to predate the columns; the fresh harness
-    // output is not.
-    match check_inprocess_counters(&fresh_path) {
-        Ok(holes) => {
-            for (key, missing) in holes {
-                let _ = writeln!(
-                    table,
-                    "| {key} | — | — | — | — | — | ❌ missing inprocessing counter(s): {missing} |"
-                );
-                failures += 1;
-            }
-        }
-        Err(err) => {
-            eprintln!("bench_check: {err}");
-            return ExitCode::FAILURE;
-        }
     }
     for (key, row) in &fresh {
         if !baseline.contains_key(key) {

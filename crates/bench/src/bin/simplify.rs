@@ -94,34 +94,6 @@ struct KinductionExtras {
     step_clauses: u64,
     /// Wall seconds per interleaved base-bound/step-depth iteration.
     per_k_seconds: Vec<f64>,
-    /// Between-depths inprocessing counters, base + step solvers summed.
-    inprocess: InprocessCounters,
-}
-
-/// The inprocessing counters recorded on the solver-lifecycle rows
-/// (`incremental`, `kinduction`): literals removed per technique plus
-/// completed rounds and the wall seconds the engine spent in
-/// [`emm_sat::Solver::inprocess`] between bounds/depths.
-struct InprocessCounters {
-    vivified_literals: u64,
-    subsumed_literals: u64,
-    probed_literals: u64,
-    failed_literals: u64,
-    inprocess_rounds: u64,
-    inprocess_seconds: f64,
-}
-
-impl InprocessCounters {
-    fn from_stats(stats: &[emm_sat::SolverStats], seconds: f64) -> InprocessCounters {
-        InprocessCounters {
-            vivified_literals: stats.iter().map(|s| s.vivified_literals).sum(),
-            subsumed_literals: stats.iter().map(|s| s.subsumed_literals).sum(),
-            probed_literals: stats.iter().map(|s| s.probed_literals).sum(),
-            failed_literals: stats.iter().map(|s| s.failed_literals).sum(),
-            inprocess_rounds: stats.iter().map(|s| s.inprocess_rounds).sum(),
-            inprocess_seconds: seconds,
-        }
-    }
 }
 
 /// The `incremental` mode's extra measurements: solver-side clause
@@ -141,8 +113,6 @@ struct IncrementalExtras {
     restart_verdict: String,
     /// Wall seconds per bound, restart engine.
     restart_per_bound_seconds: Vec<f64>,
-    /// Between-bounds inprocessing counters of the anchored solver.
-    inprocess: InprocessCounters,
 }
 
 fn verdict_name(v: &BmcVerdict) -> String {
@@ -356,7 +326,6 @@ fn run_incremental(
             restart_seconds: restart_elapsed.as_secs_f64(),
             restart_verdict: verdict_name(&restart_run.verdict),
             restart_per_bound_seconds: restart_run.per_bound_seconds,
-            inprocess: InprocessCounters::from_stats(&[solver_stats], run.phase_seconds.inprocess),
         }),
         kinduction: None,
     }
@@ -410,10 +379,6 @@ fn run_kinduction(
             step_vars,
             step_clauses: step_stats.original_clauses,
             per_k_seconds: run.per_bound_seconds,
-            inprocess: InprocessCounters::from_stats(
-                &[solver_stats, step_stats],
-                run.phase_seconds.inprocess,
-            ),
         }),
     }
 }
@@ -545,7 +510,6 @@ fn json_record(r: &RunRecord) -> String {
             fmt_bounds(&extra.restart_per_bound_seconds),
         )
         .expect("write");
-        s.push_str(&json_inprocess(&extra.inprocess));
     }
     if let Some(extra) = &r.kinduction {
         write!(
@@ -570,27 +534,9 @@ fn json_record(r: &RunRecord) -> String {
                 .join(", "),
         )
         .expect("write");
-        s.push_str(&json_inprocess(&extra.inprocess));
     }
     s.push('}');
     s
-}
-
-/// The shared inprocessing-counter JSON fragment of the two
-/// solver-lifecycle rows; `bench_check` requires these keys on fresh
-/// `incremental` and `kinduction` output.
-fn json_inprocess(c: &InprocessCounters) -> String {
-    format!(
-        ", \"vivified_literals\": {}, \"subsumed_literals\": {}, \
-         \"probed_literals\": {}, \"failed_literals\": {}, \
-         \"inprocess_rounds\": {}, \"inprocess_seconds\": {:.3}",
-        c.vivified_literals,
-        c.subsumed_literals,
-        c.probed_literals,
-        c.failed_literals,
-        c.inprocess_rounds,
-        c.inprocess_seconds,
-    )
 }
 
 /// One `server` section row: [`VerificationServer`] batch throughput at a
@@ -657,19 +603,6 @@ fn run_server_bench(aw: usize, dw: usize, timeout: Duration) -> Vec<ServerRow> {
         });
     }
     rows
-}
-
-fn format_inprocess(c: &InprocessCounters) -> String {
-    format!(
-        "inprocess: {} rounds in {:.3}s — vivified {} / subsumed {} / \
-         probed {} lits ({} failed)",
-        c.inprocess_rounds,
-        c.inprocess_seconds,
-        c.vivified_literals,
-        c.subsumed_literals,
-        c.probed_literals,
-        c.failed_literals,
-    )
 }
 
 fn json_server_row(r: &ServerRow) -> String {
@@ -766,12 +699,6 @@ fn main() {
                         extra.retired_clauses,
                         extra.property_clauses_retired,
                     );
-                    println!(
-                        "{:>28} {:>16}  {}",
-                        "",
-                        "",
-                        format_inprocess(&extra.inprocess)
-                    );
                 }
                 if let Some(extra) = &r.kinduction {
                     println!(
@@ -784,12 +711,6 @@ fn main() {
                         extra.steps_failed,
                         extra.step_vars,
                         extra.step_clauses,
-                    );
-                    println!(
-                        "{:>28} {:>16}  {}",
-                        "",
-                        "",
-                        format_inprocess(&extra.inprocess)
                     );
                 }
                 records.push(r);

@@ -378,8 +378,9 @@ pub struct PhaseSeconds {
     pub encode: f64,
     /// SAT solving (all termination and counterexample queries).
     pub solve: f64,
-    /// Between-bounds solver inprocessing ([`emm_sat::Solver::inprocess`]):
-    /// vivification, subsumption, probing amortized across the bound loop.
+    /// Always 0: the solver has no inprocessing pass. Kept only because
+    /// the repository benchmark (`benchmark/`) reads it; dropped with the
+    /// next change to the benchmark.
     pub inprocess: f64,
 }
 
@@ -506,7 +507,6 @@ pub struct BmcEngine<'d> {
     /// Encode/solve wall time accumulated over the current `check` call.
     encode_seconds: f64,
     solve_seconds: f64,
-    inprocess_seconds: f64,
 }
 
 impl<'d> BmcEngine<'d> {
@@ -623,7 +623,6 @@ impl<'d> BmcEngine<'d> {
             fraig_seconds,
             encode_seconds: 0.0,
             solve_seconds: 0.0,
-            inprocess_seconds: 0.0,
         }
     }
 
@@ -633,7 +632,7 @@ impl<'d> BmcEngine<'d> {
         governor: &ResourceGovernor,
         anchored: bool,
     ) -> Ctx {
-        let mut solver = Solver::with_config(options.pipeline.solver.clone());
+        let mut solver = Solver::new();
         solver.set_governor(governor.clone());
         let mut simplify = options.pipeline.simplify.enabled.then(|| {
             let mut s = Simplifier::new(options.pipeline.simplify);
@@ -938,7 +937,6 @@ impl<'d> BmcEngine<'d> {
         };
         self.encode_seconds = 0.0;
         self.solve_seconds = 0.0;
-        self.inprocess_seconds = 0.0;
         // A context whose EMM encoder aborted mid-frame is under-
         // constrained (its SAT answers could be spurious); rebuild it
         // before trusting anything. Otherwise just re-install the
@@ -984,7 +982,6 @@ impl<'d> BmcEngine<'d> {
                 return self.finish(v, i, started, per_bound);
             }
             self.apply_budget(deadline);
-            self.inprocess_between_bounds(i);
             let outcome = self.process_bound(prop, bad_bit, i)?;
             per_bound.push(bound_started.elapsed().as_secs_f64());
             if let Some(verdict) = outcome {
@@ -992,26 +989,6 @@ impl<'d> BmcEngine<'d> {
             }
         }
         self.finish(BmcVerdict::BoundReached, max_depth, started, per_bound)
-    }
-
-    /// Runs the solver inprocessing loop between bounds, where its cost
-    /// is amortized across every later query on the same contexts. Only
-    /// meaningful on the incremental lifecycle (a rebuilt context has
-    /// nothing to carry forward) and skipped for bound 0 (nothing solved
-    /// yet). A governor/budget stop here is deliberately ignored: the
-    /// pass leaves the solver usable, and the loop-top poll plus the
-    /// solve calls of this very bound report exhaustion through the
-    /// existing verdict paths.
-    fn inprocess_between_bounds(&mut self, bound: usize) {
-        if bound == 0 || !self.options.pipeline.incremental {
-            return;
-        }
-        let started = Instant::now();
-        let _ = self.anchored.solver.inprocess();
-        if let Some(f) = &mut self.floating {
-            let _ = f.solver.inprocess();
-        }
-        self.inprocess_seconds += started.elapsed().as_secs_f64();
     }
 
     /// Runs every solver query of bound `i`; `Some(verdict)` ends the run.
@@ -1037,7 +1014,7 @@ impl<'d> BmcEngine<'d> {
             let mut assumptions = Self::base_assumptions(&self.anchored);
             assumptions.push(self.anchored.lfp.as_ref().expect("proofs on").activation());
             let solve_started = Instant::now();
-            let forward = self.anchored.solver.solve_with_assumptions(&assumptions);
+            let forward = self.anchored.solver.solve_with(&assumptions);
             self.solve_seconds += solve_started.elapsed().as_secs_f64();
             match forward {
                 SolveResult::Unsat => {
@@ -1064,7 +1041,7 @@ impl<'d> BmcEngine<'d> {
             let bad_i = floating.assumption(bad_i);
             assumptions.push(bad_i);
             let solve_started = Instant::now();
-            let backward = floating.solver.solve_with_assumptions(&assumptions);
+            let backward = floating.solver.solve_with(&assumptions);
             self.solve_seconds += solve_started.elapsed().as_secs_f64();
             match backward {
                 SolveResult::Unsat => {
@@ -1106,7 +1083,7 @@ impl<'d> BmcEngine<'d> {
         let mut assumptions = Self::base_assumptions(&self.anchored);
         assumptions.push(group);
         let solve_started = Instant::now();
-        let result = self.anchored.solver.solve_with_assumptions(&assumptions);
+        let result = self.anchored.solver.solve_with(&assumptions);
         self.solve_seconds += solve_started.elapsed().as_secs_f64();
         match result {
             SolveResult::Sat => {
@@ -1175,7 +1152,7 @@ impl<'d> BmcEngine<'d> {
                 fraig: self.fraig_seconds,
                 encode: self.encode_seconds,
                 solve: self.solve_seconds,
-                inprocess: self.inprocess_seconds,
+                inprocess: 0.0,
             },
         })
     }

@@ -110,7 +110,6 @@ pub struct KInduction<'d> {
     step_clauses_retired: u64,
     encode_seconds: f64,
     solve_seconds: f64,
-    inprocess_seconds: f64,
     /// Preprocessing times and PBA reasons of the most recent base run,
     /// passed through into this engine's [`BmcRun`]s.
     rewrite_seconds: f64,
@@ -184,7 +183,6 @@ impl<'d> KInduction<'d> {
             step_clauses_retired: 0,
             encode_seconds: 0.0,
             solve_seconds: 0.0,
-            inprocess_seconds: 0.0,
             rewrite_seconds: 0.0,
             fraig_seconds: 0.0,
             latch_reasons: Vec::new(),
@@ -304,7 +302,6 @@ impl<'d> KInduction<'d> {
         self.base.set_governor(self.governor.clone());
         self.encode_seconds = 0.0;
         self.solve_seconds = 0.0;
-        self.inprocess_seconds = 0.0;
         // An EMM encoder that aborted mid-frame left the newest step
         // frame under-constrained; rebuild before trusting any answer
         // (the base engine does the same for its own contexts).
@@ -339,7 +336,6 @@ impl<'d> KInduction<'d> {
             let base_run = self.base.check(prop, k)?;
             self.encode_seconds += base_run.phase_seconds.encode;
             self.solve_seconds += base_run.phase_seconds.solve;
-            self.inprocess_seconds += base_run.phase_seconds.inprocess;
             self.rewrite_seconds = base_run.phase_seconds.rewrite;
             self.fraig_seconds = base_run.phase_seconds.fraig;
             self.latch_reasons = base_run.latch_reasons.clone();
@@ -410,17 +406,6 @@ impl<'d> KInduction<'d> {
             .with_earlier_deadline(deadline);
         self.step.solver.set_budget(budget);
 
-        // Inprocess the long-lived step context between depths: the
-        // simplified database serves every deeper step query. A stop by
-        // the governor/budget is ignored here — the pass is a sound
-        // no-op-or-partial-run and the step solve below reports the
-        // exhaustion through the normal outcome path.
-        if k > 0 {
-            let inprocess_started = Instant::now();
-            let _ = self.step.solver.inprocess();
-            self.inprocess_seconds += inprocess_started.elapsed().as_secs_f64();
-        }
-
         let group = self.step.solver.new_activation_group();
         for j in 0..k {
             let bad_j = self.step.unroller.lit(j, bad_bit);
@@ -441,7 +426,7 @@ impl<'d> KInduction<'d> {
         );
         assumptions.push(group);
         let solve_started = Instant::now();
-        let result = self.step.solver.solve_with_assumptions(&assumptions);
+        let result = self.step.solver.solve_with(&assumptions);
         self.solve_seconds += solve_started.elapsed().as_secs_f64();
         // Every step group is transient: retired on completion (the
         // learned clauses stay; the property clauses leave the arena)
@@ -492,7 +477,7 @@ impl<'d> KInduction<'d> {
                 fraig: self.fraig_seconds,
                 encode: self.encode_seconds,
                 solve: self.solve_seconds,
-                inprocess: self.inprocess_seconds,
+                inprocess: 0.0,
             },
         })
     }

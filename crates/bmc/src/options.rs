@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use emm_aig::{FraigConfig, RewriteConfig};
 use emm_core::EmmOptions;
-use emm_sat::{Budget, ResourceGovernor, SimplifyConfig, SolverConfig};
+use emm_sat::{Budget, ResourceGovernor, SimplifyConfig};
 
 use crate::engine::{AbstractionSpec, BmcOptions};
 
@@ -80,12 +80,6 @@ pub struct PipelineOptions {
     /// Which proving engine drivers dispatch to when proofs are
     /// requested (see [`ProofEngine`]).
     pub proof_engine: ProofEngine,
-    /// CDCL solver heuristics (restart policy, decay rates, clause-DB
-    /// reduction, the inprocessing loop) used by every solver the
-    /// pipeline creates — [`BmcEngine`](crate::BmcEngine)'s anchored and
-    /// floating contexts, [`crate::KInduction`]'s step context, and the
-    /// PBA/server drivers on top of them.
-    pub solver: SolverConfig,
 }
 
 impl Default for PipelineOptions {
@@ -100,7 +94,6 @@ impl Default for PipelineOptions {
             wall_limit: None,
             governor: ResourceGovernor::unlimited(),
             proof_engine: ProofEngine::default(),
-            solver: SolverConfig::default(),
         }
     }
 }
@@ -157,12 +150,6 @@ impl PipelineOptions {
     /// Selects the proving engine drivers dispatch to.
     pub fn proof_engine(mut self, engine: ProofEngine) -> Self {
         self.proof_engine = engine;
-        self
-    }
-
-    /// Sets the CDCL solver configuration used by every pipeline solver.
-    pub fn solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
         self
     }
 }
@@ -282,12 +269,6 @@ impl VerifyOptions {
         self
     }
 
-    /// Sets the CDCL solver configuration used by every pipeline solver.
-    pub fn solver(mut self, solver: SolverConfig) -> Self {
-        self.pipeline.solver = solver;
-        self
-    }
-
     /// Enables or disables the termination (proof) checks.
     pub fn proofs(mut self, proofs: bool) -> Self {
         self.proofs = proofs;
@@ -342,7 +323,6 @@ impl From<BmcOptions> for VerifyOptions {
                 wall_limit: o.wall_limit,
                 governor: o.governor,
                 proof_engine: ProofEngine::Bounded,
-                solver: SolverConfig::default(),
             },
             proofs: o.proofs,
             validate_traces: o.validate_traces,

@@ -129,12 +129,6 @@ impl PbaConfig {
         self.pipeline.proof_engine = engine;
         self
     }
-
-    /// Sets the CDCL solver configuration used by every pipeline solver.
-    pub fn solver(mut self, solver: emm_sat::SolverConfig) -> Self {
-        self.pipeline.solver = solver;
-        self
-    }
 }
 
 impl From<PipelineOptions> for PbaConfig {

@@ -28,7 +28,7 @@ use emm_sat::{ExhaustionReason, FaultSite, ResourceGovernor, SimplifyConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-const ALL_SITES: [FaultSite; 11] = [
+const ALL_SITES: [FaultSite; 8] = [
     FaultSite::Conflict,
     FaultSite::RetiredClause,
     FaultSite::FraigCheck,
@@ -37,9 +37,6 @@ const ALL_SITES: [FaultSite; 11] = [
     FaultSite::EmmComparator,
     FaultSite::RewriteIteration,
     FaultSite::Frame,
-    FaultSite::Vivify,
-    FaultSite::Subsume,
-    FaultSite::Probe,
 ];
 
 fn verdict_shape(v: &BmcVerdict) -> (u8, usize) {
@@ -383,9 +380,6 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
         FaultSite::SweepCheck,
         FaultSite::EmmComparator,
         FaultSite::Frame,
-        FaultSite::Vivify,
-        FaultSite::Subsume,
-        FaultSite::Probe,
     ];
     let mut rng = StdRng::seed_from_u64(0xFA19);
     let d = random_mem_design(&mut rng);

@@ -1,13 +1,12 @@
 //! Arena-allocated clause storage with mark-and-compact garbage collection.
 //!
 //! Clauses live in one contiguous `Vec<u32>`; a [`ClauseRef`] is an offset
-//! into that arena. Each clause has a fixed four-word header:
+//! into that arena. Each clause has a fixed three-word header:
 //!
 //! ```text
 //! word 0: literal count
-//! word 1: flags (bit 0: learnt, bit 1: deleted, bit 2: gc mark)
-//! word 2: clause id (for unsat-core / proof tracking; 0 when untracked)
-//! word 3: activity (f32 bits, learnt clauses) | LBD in high bits of word 1
+//! word 1: flags (bit 0: learnt, bit 1: deleted) | LBD in the high bits
+//! word 2: activity (f32 bits, learnt clauses)
 //! ```
 //!
 //! followed by the literals. Deleted clauses are only marked; space is
@@ -17,23 +16,13 @@
 
 use crate::lit::Lit;
 
-/// Stable identifier of a tracked clause, used in unsat cores.
+/// Stable identifier of an original clause, the handle
+/// `Solver::retire_clause` and activation groups retire it by.
 ///
 /// Ids are assigned by the solver in insertion order and survive garbage
 /// collection (unlike the internal `ClauseRef`, which is a raw arena offset).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ClauseId(pub u32);
-
-impl ClauseId {
-    /// Id used for clauses that are not tracked for core extraction.
-    pub const UNTRACKED: ClauseId = ClauseId(0);
-
-    /// Returns `true` if this clause participates in core tracking.
-    #[inline]
-    pub fn is_tracked(self) -> bool {
-        self.0 != 0
-    }
-}
 
 /// A reference to a clause in the arena (a raw offset).
 ///
@@ -58,10 +47,9 @@ impl ClauseRef {
     }
 }
 
-const HEADER_WORDS: usize = 4;
+const HEADER_WORDS: usize = 3;
 const FLAG_LEARNT: u32 = 1;
 const FLAG_DELETED: u32 = 2;
-const FLAG_MARK: u32 = 4;
 const LBD_SHIFT: u32 = 8;
 
 /// The clause arena.
@@ -84,12 +72,11 @@ impl ClauseDb {
     ///
     /// Panics if `lits` is empty (empty clauses are handled by the solver
     /// before reaching the arena).
-    pub fn alloc(&mut self, lits: &[Lit], learnt: bool, id: ClauseId) -> ClauseRef {
+    pub fn alloc(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         assert!(!lits.is_empty(), "cannot allocate an empty clause");
         let offset = self.arena.len();
         self.arena.push(lits.len() as u32);
         self.arena.push(if learnt { FLAG_LEARNT } else { 0 });
-        self.arena.push(id.0);
         self.arena.push(0f32.to_bits());
         self.arena.extend(lits.iter().map(|l| l.code() as u32));
         ClauseRef(offset as u32)
@@ -146,22 +133,16 @@ impl ClauseDb {
         self.arena[cref.offset() + 1] & FLAG_DELETED != 0
     }
 
-    /// Returns the tracking id of the clause.
-    #[inline]
-    pub fn id(&self, cref: ClauseRef) -> ClauseId {
-        ClauseId(self.arena[cref.offset() + 2])
-    }
-
     /// Returns the clause activity (learnt clauses only; 0.0 otherwise).
     #[inline]
     pub fn activity(&self, cref: ClauseRef) -> f32 {
-        f32::from_bits(self.arena[cref.offset() + 3])
+        f32::from_bits(self.arena[cref.offset() + 2])
     }
 
     /// Sets the clause activity.
     #[inline]
     pub fn set_activity(&mut self, cref: ClauseRef, activity: f32) {
-        self.arena[cref.offset() + 3] = activity.to_bits();
+        self.arena[cref.offset() + 2] = activity.to_bits();
     }
 
     /// Returns the stored literal-block-distance of a learnt clause.
@@ -177,13 +158,6 @@ impl ClauseDb {
         let flags = self.arena[off] & ((1 << LBD_SHIFT) - 1);
         self.arena[off] = flags | (lbd.min(u32::MAX >> LBD_SHIFT) << LBD_SHIFT);
     }
-
-    // NOTE: there is deliberately no in-place `shrink`: reducing the
-    // stored length word would desynchronize the linear arena walk that
-    // `collect_garbage`/`ClauseIter` use to advance from clause to
-    // clause. Strengthening (inprocess.rs) reallocates instead: alloc
-    // the shorter clause under the same id, delete the old allocation,
-    // and let GC compact.
 
     /// Marks a clause deleted; the space is reclaimed by the next GC.
     pub fn delete(&mut self, cref: ClauseRef) {
@@ -230,11 +204,6 @@ impl ClauseDb {
     pub fn iter(&self) -> ClauseIter<'_> {
         ClauseIter { db: self, off: 0 }
     }
-
-    #[allow(dead_code)]
-    fn flag_mark(&self, cref: ClauseRef) -> bool {
-        self.arena[cref.offset() + 1] & FLAG_MARK != 0
-    }
 }
 
 /// Iterator over live clause references; see [`ClauseDb::iter`].
@@ -273,21 +242,19 @@ mod tests {
     #[test]
     fn alloc_and_read_back() {
         let mut db = ClauseDb::new();
-        let a = db.alloc(&lits(&[1, 2, 3]), false, ClauseId(7));
-        let b = db.alloc(&lits(&[4, 5]), true, ClauseId::UNTRACKED);
+        let a = db.alloc(&lits(&[1, 2, 3]), false);
+        let b = db.alloc(&lits(&[4, 5]), true);
         assert_eq!(db.lits(a), &lits(&[1, 2, 3])[..]);
         assert_eq!(db.lits(b), &lits(&[4, 5])[..]);
         assert_eq!(db.len(a), 3);
         assert!(!db.is_learnt(a));
         assert!(db.is_learnt(b));
-        assert_eq!(db.id(a), ClauseId(7));
-        assert!(!db.id(b).is_tracked());
     }
 
     #[test]
     fn activity_and_lbd() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(&[0, 1]), true, ClauseId::UNTRACKED);
+        let c = db.alloc(&lits(&[0, 1]), true);
         db.set_activity(c, 3.5);
         assert_eq!(db.activity(c), 3.5);
         db.set_lbd(c, 9);
@@ -300,9 +267,9 @@ mod tests {
     #[test]
     fn gc_compacts_and_relocates() {
         let mut db = ClauseDb::new();
-        let a = db.alloc(&lits(&[1, 2, 3]), false, ClauseId(1));
-        let b = db.alloc(&lits(&[4, 5]), true, ClauseId(2));
-        let c = db.alloc(&lits(&[6, 7, 8, 9]), false, ClauseId(3));
+        let a = db.alloc(&lits(&[1, 2, 3]), false);
+        let b = db.alloc(&lits(&[4, 5]), true);
+        let c = db.alloc(&lits(&[6, 7, 8, 9]), false);
         db.delete(b);
         assert!(db.wasted() > 0);
         let mut moves = Vec::new();
@@ -314,7 +281,6 @@ mod tests {
         assert_eq!(survivors.len(), 2);
         assert_eq!(db.lits(survivors[0]), &lits(&[1, 2, 3])[..]);
         assert_eq!(db.lits(survivors[1]), &lits(&[6, 7, 8, 9])[..]);
-        assert_eq!(db.id(survivors[1]), ClauseId(3));
         let _ = c;
         assert_eq!(db.wasted(), 0);
     }

@@ -94,14 +94,6 @@ pub enum FaultSite {
     RewriteIteration,
     /// A BMC time frame unrolled.
     Frame,
-    /// A clause vivified by the inprocessing loop
-    /// (`Solver::inprocess`), noted once per clause examined.
-    Vivify,
-    /// A subsumption/self-subsumption candidate clause examined by the
-    /// inprocessing loop.
-    Subsume,
-    /// A failed-literal probe completed by the inprocessing loop.
-    Probe,
 }
 
 /// State shared between every clone of a governor.

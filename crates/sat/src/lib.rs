@@ -3,14 +3,15 @@
 //! A conflict-driven clause-learning (CDCL) SAT solver built as the backend
 //! for SAT-based Bounded Model Checking with Efficient Memory Modeling
 //! (Ganai, Gupta, Ashar — DATE 2005). It stands in for the paper's hybrid
-//! circuit/CNF solver (their ref. \[21\]) and resolution-based refutation
-//! extractor (their ref. \[20\]).
+//! circuit/CNF solver (their ref. \[21\]); unsat cores come from
+//! failed assumptions over activation-group selectors rather than from a
+//! resolution-based refutation extractor (their ref. \[20\]).
 //!
 //! ## Features
 //!
 //! * Incremental solving: add clauses between [`Solver::solve`] calls — the
 //!   pattern BMC uses when unrolling one frame at a time.
-//! * Solving under **assumptions** ([`Solver::solve_with_assumptions`])
+//! * Solving under **assumptions** ([`Solver::solve_with`])
 //!   with [`Solver::failed_assumptions`], enabling selector-based *group
 //!   unsat cores* (how proof-based abstraction computes latch reasons).
 //! * **Clause retirement**: [`Solver::retire_clause`] physically deletes a
@@ -20,9 +21,6 @@
 //!   clauses to a guard literal so whole groups — e.g. a BMC bound's
 //!   property clause — can be enforced per solve and later removed for
 //!   good.
-//! * **Refutation tracing** ([`SolverConfig::proof_tracing`]): on UNSAT,
-//!   [`Solver::core_clause_ids`] returns the original clauses used in the
-//!   refutation (`SAT_Get_Refutation` in the paper's Fig. 1/Fig. 3).
 //! * Deterministic **budgets** ([`Budget`]) for the paper's timeout-based
 //!   experimental methodology, and a pipeline-wide **resource governor**
 //!   ([`ResourceGovernor`], module [`govern`]): shared deadline,
@@ -63,7 +61,6 @@ pub mod dimacs;
 mod equiv;
 pub mod govern;
 mod heap;
-mod inprocess;
 mod lit;
 pub mod naive;
 pub mod simplify;
@@ -73,8 +70,7 @@ mod solver;
 pub use clause::ClauseId;
 pub use equiv::EquivOracle;
 pub use govern::{ExhaustionReason, FaultSite, ResourceGovernor};
-pub use inprocess::InprocessConfig;
 pub use lit::{LBool, Lit, Var};
 pub use simplify::{Simplifier, SimplifyConfig, SimplifySink, SimplifyStats};
 pub use sink::{CnfSink, CountingSink, VecSink};
-pub use solver::{Budget, RestartPolicy, SolveResult, Solver, SolverConfig, SolverStats};
+pub use solver::{Budget, SolveResult, Solver, SolverConfig, SolverStats};

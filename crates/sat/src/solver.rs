@@ -8,11 +8,11 @@
 //! analysis with recursive clause minimization, VSIDS branching with phase
 //! saving, Luby restarts, and activity/LBD-driven learned-clause reduction.
 //!
-//! Three features are specifically in service of the EMM/BMC stack built
+//! Two features are specifically in service of the EMM/BMC stack built
 //! on top (see the `emm-bmc` crate):
 //!
 //! * **Incremental solving under assumptions**
-//!   ([`Solver::solve_with_assumptions`]) with
+//!   ([`Solver::solve_with`]) with
 //!   [`Solver::failed_assumptions`] — the mechanism behind *group unsat
 //!   cores*, which proof-based abstraction uses to compute latch reasons.
 //! * **Clause retirement** ([`Solver::retire_clause`]) and **activation
@@ -22,10 +22,6 @@
 //!   reclaimed by the mark-and-compact GC), which is how the incremental
 //!   BMC bound loop sheds refuted bounds' property clauses and how the
 //!   sweeping sink deletes the Tseitin triples of merged-away gates.
-//! * **Refutation tracing** ([`SolverConfig::proof_tracing`]) — every learned
-//!   clause records its antecedents so that, on UNSAT,
-//!   [`Solver::core_clause_ids`] returns the set of original clauses used in
-//!   the refutation (the paper's `SAT_Get_Refutation`, ref. [20]).
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -33,61 +29,20 @@ use std::time::Instant;
 use crate::clause::{ClauseDb, ClauseId, ClauseRef};
 use crate::govern::{ExhaustionReason, FaultSite, ResourceGovernor};
 use crate::heap::VarHeap;
-use crate::inprocess::InprocessConfig;
 use crate::lit::{LBool, Lit, Var};
-
-/// The restart strategy the search loop runs under.
-///
-/// [`RestartPolicy::Luby`] is the classic fixed schedule (reluctant
-/// doubling scaled by [`SolverConfig::restart_base`]).
-/// [`RestartPolicy::Ema`] is the Glucose-style adaptive policy
-/// (Audemard & Simon): the solver tracks a fast and a slow exponential
-/// moving average of learned-clause LBD and restarts when the recent
-/// average exceeds the long-run average by a margin — search is
-/// abandoned exactly when the clauses being learned get worse than the
-/// run's norm.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RestartPolicy {
-    /// Fixed Luby schedule (the historical default).
-    #[default]
-    Luby,
-    /// Glucose-style adaptive restarts from LBD moving averages.
-    Ema,
-}
 
 /// Tunable solver parameters.
 ///
-/// Every field stays public, so struct-literal construction with
-/// `..SolverConfig::default()` keeps working; new code should prefer
-/// the chainable builder methods, which read the same at every call
-/// site and keep compiling as knobs are added.
-///
-/// # Migration
-///
-/// Until the inprocessing kernel landed, drivers could not reach the
-/// solver's heuristics at all — `BmcEngine` hardcoded
-/// `SolverConfig::default()`. The configuration now travels on the
-/// options surface: set it once on `PipelineOptions::solver` (crate
-/// `emm-bmc`, mirrored by `VerifyOptions::solver`) and every solver
-/// the pipeline creates — anchored, floating, k-induction step —
-/// inherits it. Existing struct-literal call sites keep working
-/// unchanged; the two new knob groups ([`RestartPolicy`] and
-/// [`InprocessConfig`]) default to the previous behaviour
-/// (Luby restarts) and to inprocessing-on with conservative caps.
+/// Every field is public, so struct-literal construction with
+/// `..SolverConfig::default()` works as well as the chainable builder
+/// methods:
 ///
 /// ```
-/// use emm_sat::{InprocessConfig, RestartPolicy, SolverConfig};
+/// use emm_sat::SolverConfig;
 ///
-/// // Old style (still compiles):
-/// let old = SolverConfig { restart_base: 50, ..SolverConfig::default() };
-/// // New style:
-/// let new = SolverConfig::default()
-///     .restart_base(50)
-///     .restart_policy(RestartPolicy::Ema)
-///     .chrono_backtrack(Some(64))
-///     .inprocess(InprocessConfig::default().probe(false));
-/// assert_eq!(old.restart_base, new.restart_base);
-/// assert_eq!(old.restart_policy, RestartPolicy::Luby);
+/// let literal = SolverConfig { restart_base: 50, ..SolverConfig::default() };
+/// let built = SolverConfig::default().restart_base(50);
+/// assert_eq!(literal.restart_base, built.restart_base);
 /// ```
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
@@ -101,21 +56,6 @@ pub struct SolverConfig {
     pub first_reduce: u64,
     /// Additional learned clauses allowed after each reduction.
     pub reduce_increment: u64,
-    /// Record antecedents of learned clauses so an unsat core of original
-    /// clauses can be extracted after an UNSAT answer.
-    pub proof_tracing: bool,
-    /// Restart strategy (Luby schedule or Glucose-style EMA).
-    pub restart_policy: RestartPolicy,
-    /// Chronological backtracking: `Some(t)` keeps the trail and backs
-    /// up a single level instead of backjumping whenever conflict
-    /// analysis asks to unwind more than `t` levels (the learned clause
-    /// is asserting one level below the conflict, so the assignment
-    /// work of the skipped levels is preserved). `None` (the default)
-    /// always backjumps to the asserting level.
-    pub chrono_backtrack: Option<u32>,
-    /// The inprocessing loop's knobs (see [`Solver::inprocess`]);
-    /// enabled by default with conservative per-call effort caps.
-    pub inprocess: InprocessConfig,
 }
 
 impl Default for SolverConfig {
@@ -126,10 +66,6 @@ impl Default for SolverConfig {
             restart_base: 100,
             first_reduce: 4000,
             reduce_increment: 1500,
-            proof_tracing: false,
-            restart_policy: RestartPolicy::Luby,
-            chrono_backtrack: None,
-            inprocess: InprocessConfig::default(),
         }
     }
 }
@@ -162,31 +98,6 @@ impl SolverConfig {
     /// Sets the learned-clause allowance added after each reduction.
     pub fn reduce_increment(mut self, n: u64) -> SolverConfig {
         self.reduce_increment = n;
-        self
-    }
-
-    /// Enables or disables refutation tracing.
-    pub fn proof_tracing(mut self, on: bool) -> SolverConfig {
-        self.proof_tracing = on;
-        self
-    }
-
-    /// Selects the restart strategy.
-    pub fn restart_policy(mut self, policy: RestartPolicy) -> SolverConfig {
-        self.restart_policy = policy;
-        self
-    }
-
-    /// Enables chronological backtracking with the given level-gap
-    /// threshold (`None` disables it).
-    pub fn chrono_backtrack(mut self, threshold: Option<u32>) -> SolverConfig {
-        self.chrono_backtrack = threshold;
-        self
-    }
-
-    /// Replaces the inprocessing configuration.
-    pub fn inprocess(mut self, config: InprocessConfig) -> SolverConfig {
-        self.inprocess = config;
         self
     }
 }
@@ -290,26 +201,13 @@ pub struct SolverStats {
     /// Original clauses retired by [`Solver::retire_clause`] /
     /// [`Solver::retire_group`].
     pub retired_clauses: u64,
-    /// Conflicts resolved by chronological (single-level) backtracking
-    /// instead of a full backjump.
-    pub chrono_backtracks: u64,
-    /// Clauses strengthened by inprocessing vivification.
-    pub vivified_clauses: u64,
-    /// Literals removed by inprocessing vivification.
+    /// Always 0: the solver has no inprocessing pass. Kept only because
+    /// the repository benchmark (`benchmark/`) reads it; dropped with
+    /// the next change to the benchmark.
     pub vivified_literals: u64,
-    /// Learnt clauses deleted by inprocessing because another clause
-    /// subsumes them.
-    pub subsumed_clauses: u64,
-    /// Literals removed by inprocessing subsumption machinery: the
-    /// literals of deleted subsumed clauses plus one per
-    /// self-subsuming-resolution strengthening.
+    /// Always 0; kept only for the benchmark, like `vivified_literals`.
     pub subsumed_literals: u64,
-    /// Failed-literal probes run by inprocessing.
-    pub probed_literals: u64,
-    /// Level-0 units derived from failed probes.
-    pub failed_literals: u64,
-    /// Inprocessing passes that ran to completion (an early stop by the
-    /// governor or the budget deadline does not count).
+    /// Always 0; kept only for the benchmark, like `vivified_literals`.
     pub inprocess_rounds: u64,
 }
 
@@ -323,37 +221,6 @@ pub struct SolverStats {
 struct Watcher {
     cref: ClauseRef,
     blocker: Lit,
-}
-
-/// Proof-tracing state: a DAG from derived clause ids to antecedent ids.
-#[derive(Debug, Default)]
-pub(crate) struct Tracer {
-    /// `antecedents[id]` for derived (learned / level-0 unit) ids.
-    antecedents: HashMap<u32, Box<[u32]>>,
-    /// Ids corresponding to user-added clauses.
-    original: Vec<bool>,
-    /// For each var assigned at level 0: the derived id justifying it.
-    unit_id: Vec<u32>,
-    /// Scratch: antecedent ids of the clause currently being learned.
-    current: Vec<u32>,
-    /// Final refutation antecedents (seeds core extraction).
-    final_ids: Vec<u32>,
-}
-
-const NO_ID: u32 = 0;
-
-impl Tracer {
-    fn mark_original(&mut self, id: ClauseId) {
-        let idx = id.0 as usize;
-        if self.original.len() <= idx {
-            self.original.resize(idx + 1, false);
-        }
-        self.original[idx] = true;
-    }
-
-    fn is_original(&self, id: u32) -> bool {
-        self.original.get(id as usize).copied().unwrap_or(false)
-    }
 }
 
 /// The CDCL solver. See the crate docs for an overview.
@@ -370,25 +237,25 @@ impl Tracer {
 /// ```
 #[derive(Debug)]
 pub struct Solver {
-    pub(crate) config: SolverConfig,
-    pub(crate) db: ClauseDb,
+    config: SolverConfig,
+    db: ClauseDb,
     /// `watches[p.code()]`: clauses that must be inspected when `p` becomes true
     /// (i.e. clauses in which `!p` is one of the two watched literals).
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<ClauseRef>,
-    pub(crate) trail: Vec<Lit>,
-    pub(crate) trail_lim: Vec<usize>,
+    trail: Vec<Lit>,
+    trail_lim: Vec<usize>,
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
     cla_inc: f64,
     order: VarHeap,
     polarity: Vec<bool>,
-    pub(crate) learnts: Vec<ClauseRef>,
+    learnts: Vec<ClauseRef>,
     /// Permanently unsatisfiable (an empty clause was derived at level 0).
-    pub(crate) ok: bool,
+    ok: bool,
     /// Analysis scratch.
     seen: Vec<u8>,
     analyze_stack: Vec<Lit>,
@@ -397,37 +264,20 @@ pub struct Solver {
     model: Vec<LBool>,
     /// Failed assumptions from the last UNSAT-under-assumptions answer.
     conflict_set: Vec<Lit>,
-    pub(crate) stats: SolverStats,
+    stats: SolverStats,
     next_clause_id: u32,
-    pub(crate) tracer: Option<Tracer>,
-    /// Core (original clause ids) from the last UNSAT answer, when tracing.
-    last_core: Option<Vec<ClauseId>>,
-    pub(crate) budget: Budget,
-    pub(crate) governor: ResourceGovernor,
+    budget: Budget,
+    governor: ResourceGovernor,
     /// Why the last solve call answered `Unknown` (cleared per call).
     exhaustion: Option<ExhaustionReason>,
     reduce_limit: u64,
-    /// `id_refs[id]` = arena ref of the original clause with that tracking
-    /// id (INVALID for learnt/derived ids and clauses never allocated or
-    /// already retired). This is what makes [`Solver::retire_clause`] O(1):
+    /// `id_refs[id]` = arena ref of the original clause with that id
+    /// (INVALID for clauses never allocated or already retired). This is what makes [`Solver::retire_clause`] O(1):
     /// ids are stable across garbage collection, arena offsets are not.
-    pub(crate) id_refs: Vec<ClauseRef>,
+    id_refs: Vec<ClauseRef>,
     /// Activation groups: group variable -> ids of the clauses guarded by
     /// it (see [`Solver::new_activation_group`]).
-    pub(crate) groups: HashMap<Var, Vec<ClauseId>>,
-    /// Fast/slow exponential moving averages of learned-clause LBD,
-    /// driving [`RestartPolicy::Ema`].
-    ema_fast: f64,
-    ema_slow: f64,
-    /// Rotating inprocessing cursors so successive calls spread their
-    /// bounded effort across the whole database (clause-id index and
-    /// variable index respectively).
-    pub(crate) vivify_cursor: usize,
-    pub(crate) probe_cursor: usize,
-    /// Lifetime conflict count at the end of the previous
-    /// `inprocess()` call — the base of the conflict-credit effort
-    /// scaling (`InprocessConfig::scale_to_conflicts`).
-    pub(crate) last_inprocess_conflicts: u64,
+    groups: HashMap<Var, Vec<ClauseId>>,
 }
 
 impl Default for Solver {
@@ -444,7 +294,6 @@ impl Solver {
 
     /// Creates a solver with the given configuration.
     pub fn with_config(config: SolverConfig) -> Solver {
-        let tracer = config.proof_tracing.then(Tracer::default);
         let first_reduce = config.first_reduce;
         Solver {
             config,
@@ -470,19 +319,12 @@ impl Solver {
             conflict_set: Vec::new(),
             stats: SolverStats::default(),
             next_clause_id: 1,
-            tracer,
-            last_core: None,
             budget: Budget::unlimited(),
             governor: ResourceGovernor::unlimited(),
             exhaustion: None,
             reduce_limit: first_reduce,
             id_refs: Vec::new(),
             groups: HashMap::new(),
-            ema_fast: 0.0,
-            ema_slow: 0.0,
-            vivify_cursor: 0,
-            probe_cursor: 0,
-            last_inprocess_conflicts: 0,
         }
     }
 
@@ -504,21 +346,18 @@ impl Solver {
         self.watches.push(Vec::new());
         self.order.grow_to(self.assigns.len());
         self.order.insert(var, &self.activity);
-        if let Some(tr) = &mut self.tracer {
-            tr.unit_id.push(NO_ID);
-        }
         var
     }
 
     /// Current decision level.
     #[inline]
-    pub(crate) fn decision_level(&self) -> u32 {
+    fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
     }
 
     /// Current value of a literal.
     #[inline]
-    pub(crate) fn lit_value(&self, lit: Lit) -> LBool {
+    fn lit_value(&self, lit: Lit) -> LBool {
         self.assigns[lit.var().index()].xor_sign(lit.is_negative())
     }
 
@@ -551,14 +390,8 @@ impl Solver {
         let id = ClauseId(self.next_clause_id);
         self.next_clause_id += 1;
         self.stats.original_clauses += 1;
-        if let Some(tr) = &mut self.tracer {
-            tr.mark_original(id);
-        }
         if sorted.is_empty() {
             self.ok = false;
-            if let Some(tr) = &mut self.tracer {
-                tr.final_ids = vec![id.0];
-            }
             return Some(id);
         }
         // Reorder so the first two literals are the "best" watches:
@@ -580,36 +413,25 @@ impl Solver {
             // at level 0 (all assignments here are level-0 assignments).
             if v0.is_false() {
                 self.ok = false;
-                if let Some(_tr) = &self.tracer {
-                    let mut ids = vec![id.0];
-                    for &l in &sorted {
-                        ids.push(self.level0_unit_id(l.var()));
-                    }
-                    self.tracer.as_mut().expect("traced").final_ids = ids;
-                }
                 return Some(id);
             }
             if v0.is_true() {
-                // Satisfied at level 0; store it anyway when it can still be
-                // a core member? A level-0 satisfied clause can never be in a
-                // refutation driven by later clauses unless its unit was the
-                // propagation source, which is already recorded. Drop it.
+                // Satisfied at level 0 for good: nothing to store.
                 return Some(id);
             }
             // Unit under level-0 assignment.
-            let cref = self.db.alloc(&sorted, false, id);
+            let cref = self.db.alloc(&sorted, false);
             self.register_ref(id, cref);
             if sorted.len() >= 2 {
                 self.attach(cref);
             }
             self.enqueue(sorted[0], cref);
-            if let Some(confl) = self.propagate() {
-                self.record_final_level0(confl);
+            if self.propagate().is_some() {
                 self.ok = false;
             }
             return Some(id);
         }
-        let cref = self.db.alloc(&sorted, false, id);
+        let cref = self.db.alloc(&sorted, false);
         self.register_ref(id, cref);
         self.attach(cref);
         Some(id)
@@ -617,7 +439,7 @@ impl Solver {
 
     /// Records the arena location of an original clause so it can later be
     /// retired by id.
-    pub(crate) fn register_ref(&mut self, id: ClauseId, cref: ClauseRef) {
+    fn register_ref(&mut self, id: ClauseId, cref: ClauseRef) {
         let idx = id.0 as usize;
         if self.id_refs.len() <= idx {
             self.id_refs.resize(idx + 1, ClauseRef::INVALID);
@@ -698,17 +520,6 @@ impl Solver {
         self.solve_with(&[])
     }
 
-    /// Shorthand for [`Solver::solve_with_assumptions`] (the historical
-    /// spelling; both names resolve to the same implementation).
-    ///
-    /// On [`SolveResult::Unsat`], [`Solver::failed_assumptions`] returns a
-    /// subset of the assumptions sufficient for unsatisfiability; if proof
-    /// tracing is enabled, [`Solver::core_clause_ids`] additionally returns
-    /// the original clauses used by the refutation.
-    pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.solve_with_assumptions(assumptions)
-    }
-
     /// Solves under the given assumption literals — the incremental-BMC
     /// entry point.
     ///
@@ -728,29 +539,23 @@ impl Solver {
     /// let b = s.new_var().positive();
     /// s.add_clause(&[!a, b]);
     /// // Query 1: under `a`, propagation forces `b`.
-    /// assert_eq!(s.solve_with_assumptions(&[a]), SolveResult::Sat);
+    /// assert_eq!(s.solve_with(&[a]), SolveResult::Sat);
     /// assert_eq!(s.model_value(b), Some(true));
     /// // Query 2: the same solver, incompatible assumptions.
-    /// assert_eq!(s.solve_with_assumptions(&[a, !b]), SolveResult::Unsat);
+    /// assert_eq!(s.solve_with(&[a, !b]), SolveResult::Unsat);
     /// assert!(!s.failed_assumptions().is_empty());
     /// // The formula itself is untouched.
     /// assert_eq!(s.solve(), SolveResult::Sat);
     /// ```
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
+    pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.model.clear();
         self.conflict_set.clear();
-        self.last_core = None;
         self.exhaustion = None;
         if !self.ok {
-            if let Some(tr) = &self.tracer {
-                let seeds = tr.final_ids.clone();
-                self.last_core = Some(self.expand_core(&seeds));
-            }
             return SolveResult::Unsat;
         }
         debug_assert_eq!(self.decision_level(), 0);
-        if let Some(confl) = self.propagate() {
-            self.record_final_level0(confl);
+        if self.propagate().is_some() {
             self.ok = false;
             return SolveResult::Unsat;
         }
@@ -763,12 +568,7 @@ impl Solver {
         let conflicts_at_start = self.stats.conflicts;
         let mut restart_count = 0u64;
         let result = loop {
-            // Under the EMA policy the restart decision is taken inside
-            // `search` from the LBD averages; the schedule cap is moot.
-            let max_conflicts = match self.config.restart_policy {
-                RestartPolicy::Luby => luby(restart_count) * self.config.restart_base,
-                RestartPolicy::Ema => u64::MAX,
-            };
+            let max_conflicts = luby(restart_count) * self.config.restart_base;
             restart_count += 1;
             match self.search(max_conflicts, assumptions, conflicts_at_start) {
                 SearchOutcome::Sat => break SolveResult::Sat,
@@ -807,9 +607,7 @@ impl Solver {
     ///   after [`Solver::retire_group`] asserted the group literal false).
     ///
     /// Retiring a clause that is *not* redundant weakens the formula and
-    /// can change answers. With [`SolverConfig::proof_tracing`], cores
-    /// reported after a retirement may still name retired clause ids —
-    /// they were original clauses when the traced derivations happened.
+    /// can change answers.
     ///
     /// # Examples
     ///
@@ -887,11 +685,11 @@ impl Solver {
     /// let g = s.new_activation_group();
     /// s.add_clause_in_group(g, &[x]);
     /// // Active only under the group assumption.
-    /// assert_eq!(s.solve_with_assumptions(&[g, !x]), SolveResult::Unsat);
-    /// assert_eq!(s.solve_with_assumptions(&[!x]), SolveResult::Sat);
+    /// assert_eq!(s.solve_with(&[g, !x]), SolveResult::Unsat);
+    /// assert_eq!(s.solve_with(&[!x]), SolveResult::Sat);
     /// // Retiring deletes the group's clauses for good.
     /// assert_eq!(s.retire_group(g), 1);
-    /// assert_eq!(s.solve_with_assumptions(&[!x]), SolveResult::Sat);
+    /// assert_eq!(s.solve_with(&[!x]), SolveResult::Sat);
     /// ```
     ///
     /// # Panics
@@ -946,14 +744,6 @@ impl Solver {
     /// The subset of assumptions responsible for the last UNSAT answer.
     pub fn failed_assumptions(&self) -> &[Lit] {
         &self.conflict_set
-    }
-
-    /// Original clause ids used in the last refutation.
-    ///
-    /// Returns `None` unless the last solve returned UNSAT and
-    /// [`SolverConfig::proof_tracing`] is enabled.
-    pub fn core_clause_ids(&self) -> Option<&[ClauseId]> {
-        self.last_core.as_deref()
     }
 
     /// Attempts to prove that the clauses added so far entail `a ≡ b`,
@@ -1022,7 +812,6 @@ impl Solver {
                 conflicts_here += 1;
                 self.governor.note(FaultSite::Conflict);
                 if self.decision_level() == 0 {
-                    self.record_final_level0(confl);
                     self.ok = false;
                     return SearchOutcome::Unsat;
                 }
@@ -1031,24 +820,7 @@ impl Solver {
                     self.analyze_final_conflict(confl);
                     return SearchOutcome::Unsat;
                 }
-                let (learnt, mut backtrack) = self.analyze(confl);
-                // Chronological backtracking: when analysis asks to
-                // unwind far, step back a single level instead. The
-                // learnt clause is still asserting there — every
-                // non-UIP literal sits at a level at or below the
-                // computed backjump level, which is below the current
-                // one — so the usual learn/enqueue path applies and the
-                // trail stays level-ordered; the skipped levels'
-                // assignments survive to be reused. Unit learnts must
-                // take the full backjump to level 0 (`learn` asserts
-                // them there).
-                if let Some(threshold) = self.config.chrono_backtrack {
-                    let dl = self.decision_level();
-                    if learnt.len() > 1 && dl - backtrack > threshold && dl - backtrack > 1 {
-                        backtrack = dl - 1;
-                        self.stats.chrono_backtracks += 1;
-                    }
-                }
+                let (learnt, backtrack) = self.analyze(confl);
                 self.cancel_until(backtrack);
                 self.learn(learnt);
                 self.decay_activities();
@@ -1091,18 +863,9 @@ impl Solver {
                         return SearchOutcome::BudgetExhausted;
                     }
                 }
-                let restart_due = match self.config.restart_policy {
-                    RestartPolicy::Luby => conflicts_here >= max_restart_conflicts,
-                    // Glucose-style trigger: the recent learnt-LBD
-                    // average drifted above the long-run average by the
-                    // margin, after a minimum number of conflicts since
-                    // the last restart so the fast EMA has signal.
-                    RestartPolicy::Ema => {
-                        conflicts_here >= EMA_MIN_CONFLICTS
-                            && self.ema_fast > self.ema_slow * EMA_MARGIN
-                    }
-                };
-                if restart_due && self.decision_level() > assumptions.len() as u32 {
+                if conflicts_here >= max_restart_conflicts
+                    && self.decision_level() > assumptions.len() as u32
+                {
                     return SearchOutcome::Restart;
                 }
             } else {
@@ -1147,7 +910,7 @@ impl Solver {
         }
     }
 
-    pub(crate) fn attach(&mut self, cref: ClauseRef) {
+    fn attach(&mut self, cref: ClauseRef) {
         let lits = self.db.lits(cref);
         debug_assert!(lits.len() >= 2);
         let (l0, l1) = (lits[0], lits[1]);
@@ -1155,42 +918,16 @@ impl Solver {
         self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
     }
 
-    pub(crate) fn enqueue(&mut self, lit: Lit, reason: ClauseRef) {
+    fn enqueue(&mut self, lit: Lit, reason: ClauseRef) {
         debug_assert!(self.lit_value(lit).is_undef());
         let v = lit.var().index();
         self.assigns[v] = LBool::from_bool(lit.is_positive());
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(lit);
-        if self.decision_level() == 0 {
-            if let Some(tr) = &mut self.tracer {
-                if tr.unit_id[v] == NO_ID && reason.is_valid() {
-                    // Derive a unit id justifying this level-0 literal.
-                    let rid = self.db.id(reason);
-                    let rlits: Vec<Lit> = self.db.lits(reason).to_vec();
-                    if rlits.len() == 1 {
-                        tr.unit_id[v] = rid.0;
-                    } else {
-                        let mut ante = Vec::with_capacity(rlits.len());
-                        ante.push(rid.0);
-                        for l in rlits {
-                            if l.var() != lit.var() {
-                                let uid = tr.unit_id[l.var().index()];
-                                debug_assert_ne!(uid, NO_ID, "level-0 reason lit lacks unit id");
-                                ante.push(uid);
-                            }
-                        }
-                        let fresh = self.next_clause_id;
-                        self.next_clause_id += 1;
-                        tr.antecedents.insert(fresh, ante.into_boxed_slice());
-                        tr.unit_id[v] = fresh;
-                    }
-                }
-            }
-        }
     }
 
-    pub(crate) fn propagate(&mut self) -> Option<ClauseRef> {
+    fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -1275,17 +1012,8 @@ impl Solver {
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let mut confl = confl;
-        if let Some(tr) = &mut self.tracer {
-            tr.current.clear();
-        }
         loop {
             self.bump_clause(confl);
-            if self.tracer.is_some() {
-                let cid = self.db.id(confl).0;
-                if let Some(tr) = &mut self.tracer {
-                    tr.current.push(cid);
-                }
-            }
             let lits: Vec<Lit> = self.db.lits(confl).to_vec();
             let start = if p.is_some() { 1 } else { 0 };
             for &q in &lits[start..] {
@@ -1293,13 +1021,7 @@ impl Solver {
                 if self.seen[v.index()] == 0 {
                     let lvl = self.level[v.index()];
                     if lvl == 0 {
-                        // Resolved away by a level-0 unit; record it.
-                        if self.tracer.is_some() {
-                            let uid = self.level0_unit_id(v);
-                            if let Some(tr) = &mut self.tracer {
-                                tr.current.push(uid);
-                            }
-                        }
+                        // Resolved away by a level-0 unit.
                         continue;
                     }
                     self.seen[v.index()] = 1;
@@ -1370,23 +1092,15 @@ impl Solver {
         self.analyze_stack.clear();
         self.analyze_stack.push(lit);
         let top = self.analyze_clear.len();
-        let mut recorded: Vec<u32> = Vec::new();
         while let Some(l) = self.analyze_stack.pop() {
             let cref = self.reason[l.var().index()];
             debug_assert!(cref.is_valid());
-            if self.tracer.is_some() {
-                recorded.push(self.db.id(cref).0);
-            }
             let lits: Vec<Lit> = self.db.lits(cref).to_vec();
             for &q in &lits[1..] {
                 let v = q.var();
                 if self.seen[v.index()] == 0 {
                     let lvl = self.level[v.index()];
                     if lvl == 0 {
-                        if self.tracer.is_some() {
-                            let uid = self.level0_unit_id(v);
-                            recorded.push(uid);
-                        }
                         continue;
                     }
                     if self.reason[v.index()].is_valid() {
@@ -1403,50 +1117,23 @@ impl Solver {
                 }
             }
         }
-        if let Some(tr) = &mut self.tracer {
-            tr.current.extend(recorded);
-        }
         true
     }
 
     fn learn(&mut self, learnt: Vec<Lit>) {
-        let fresh = self.next_clause_id;
-        let id = if let Some(tr) = &mut self.tracer {
-            self.next_clause_id += 1;
-            let mut ante = std::mem::take(&mut tr.current);
-            ante.sort_unstable();
-            ante.dedup();
-            tr.antecedents.insert(fresh, ante.into_boxed_slice());
-            ClauseId(fresh)
-        } else {
-            ClauseId::UNTRACKED
-        };
+        let cref = self.db.alloc(&learnt, true);
         if learnt.len() == 1 {
             debug_assert_eq!(self.decision_level(), 0);
-            self.update_lbd_emas(1);
-            let cref = self.db.alloc(&learnt, true, id);
             self.enqueue(learnt[0], cref);
             return;
         }
-        let cref = self.db.alloc(&learnt, true, id);
         let lbd = self.compute_lbd(&learnt);
-        self.update_lbd_emas(lbd);
         self.db.set_lbd(cref, lbd);
         self.bump_clause(cref);
         self.attach(cref);
         self.learnts.push(cref);
         self.stats.learned_clauses += 1;
         self.enqueue(learnt[0], cref);
-    }
-
-    /// Feeds one learnt clause's LBD into the restart EMAs. Both
-    /// averages start at zero and warm up at their own rates; the
-    /// [`EMA_MIN_CONFLICTS`] floor in the restart trigger covers the
-    /// bias window after each restart.
-    fn update_lbd_emas(&mut self, lbd: u32) {
-        let lbd = lbd as f64;
-        self.ema_fast += EMA_FAST_ALPHA * (lbd - self.ema_fast);
-        self.ema_slow += EMA_SLOW_ALPHA * (lbd - self.ema_slow);
     }
 
     fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
@@ -1456,7 +1143,7 @@ impl Solver {
         levels.len() as u32
     }
 
-    pub(crate) fn cancel_until(&mut self, target: u32) {
+    fn cancel_until(&mut self, target: u32) {
         if self.decision_level() <= target {
             return;
         }
@@ -1544,14 +1231,14 @@ impl Solver {
         self.lit_value(first).is_true() && self.reason[first.var().index()] == cref
     }
 
-    pub(crate) fn detach(&mut self, cref: ClauseRef) {
+    fn detach(&mut self, cref: ClauseRef) {
         let lits = self.db.lits(cref);
         let (l0, l1) = (lits[0], lits[1]);
         self.watches[(!l0).code()].retain(|w| w.cref != cref);
         self.watches[(!l1).code()].retain(|w| w.cref != cref);
     }
 
-    pub(crate) fn collect_garbage(&mut self) {
+    fn collect_garbage(&mut self) {
         self.stats.gc_runs += 1;
         let mut map: HashMap<ClauseRef, ClauseRef> = HashMap::new();
         self.db.collect_garbage(|old, new| {
@@ -1591,80 +1278,39 @@ impl Solver {
     }
 
     // ------------------------------------------------------------------
-    // Final conflict analysis (assumptions and cores)
+    // Final conflict analysis (failed assumptions)
     // ------------------------------------------------------------------
-
-    /// The derived unit id justifying a level-0 assignment of `v`.
-    fn level0_unit_id(&self, v: Var) -> u32 {
-        let tr = self.tracer.as_ref().expect("tracing enabled");
-        let uid = tr.unit_id[v.index()];
-        debug_assert_ne!(uid, NO_ID, "level-0 var without unit id");
-        uid
-    }
-
-    /// Conflict at decision level 0: the formula itself is UNSAT.
-    fn record_final_level0(&mut self, confl: ClauseRef) {
-        if self.tracer.is_none() {
-            return;
-        }
-        let mut ids = vec![self.db.id(confl).0];
-        let lits: Vec<Lit> = self.db.lits(confl).to_vec();
-        for l in lits {
-            ids.push(self.level0_unit_id(l.var()));
-        }
-        let core = self.expand_core(&ids);
-        self.tracer.as_mut().expect("traced").final_ids = ids;
-        self.last_core = Some(core);
-    }
 
     /// Assumption literal `p` is already false: walk its reason chain.
     fn analyze_final_assumption(&mut self, p: Lit) {
         self.conflict_set.clear();
         self.conflict_set.push(p);
-        let mut core_ids: Vec<u32> = Vec::new();
         if self.level[p.var().index()] == 0 {
-            if self.tracer.is_some() {
-                core_ids.push(self.level0_unit_id(p.var()));
-                self.last_core = Some(self.expand_core(&core_ids));
-            }
-            // !p holds at level 0: p alone is the failed assumption, and with
-            // tracing the core is the refutation of p.
+            // !p holds at level 0: p alone is the failed assumption.
             return;
         }
         // Walk backwards from !p through reasons.
-        self.analyze_final_walk(vec![!p], &mut core_ids);
-        if self.tracer.is_some() {
-            self.last_core = Some(self.expand_core(&core_ids));
-        }
+        self.analyze_final_walk(vec![!p]);
     }
 
     /// Conflict while all decisions are assumptions: failed set from the
     /// conflicting clause.
     fn analyze_final_conflict(&mut self, confl: ClauseRef) {
         self.conflict_set.clear();
-        let mut core_ids: Vec<u32> = Vec::new();
-        if self.tracer.is_some() {
-            core_ids.push(self.db.id(confl).0);
-        }
         let seeds: Vec<Lit> = self.db.lits(confl).to_vec();
-        self.analyze_final_walk(seeds, &mut core_ids);
-        if self.tracer.is_some() {
-            self.last_core = Some(self.expand_core(&core_ids));
-        }
+        self.analyze_final_walk(seeds);
     }
 
     /// Shared reason-graph walk for final conflicts. `seeds` are false
-    /// literals; assumption decisions reached are added (negated) to the
-    /// conflict set, traversed clause ids to `core_ids`.
-    fn analyze_final_walk(&mut self, seeds: Vec<Lit>, core_ids: &mut Vec<u32>) {
+    /// literals; assumption decisions reached are added to the conflict
+    /// set.
+    fn analyze_final_walk(&mut self, seeds: Vec<Lit>) {
         let mut stack: Vec<Var> = Vec::new();
         for l in &seeds {
             let v = l.var();
             if self.level[v.index()] > 0 && self.seen[v.index()] == 0 {
                 self.seen[v.index()] = 1;
                 stack.push(v);
-            } else if self.level[v.index()] == 0 && self.tracer.is_some() {
-                core_ids.push(self.level0_unit_id(v));
             }
         }
         let mut cleanup = stack.clone();
@@ -1678,20 +1324,13 @@ impl Solver {
                 self.conflict_set.push(lit);
                 continue;
             }
-            if self.tracer.is_some() {
-                core_ids.push(self.db.id(r).0);
-            }
             let lits: Vec<Lit> = self.db.lits(r).to_vec();
             for q in lits {
                 let qv = q.var();
                 if qv == v {
                     continue;
                 }
-                if self.level[qv.index()] == 0 {
-                    if self.tracer.is_some() {
-                        core_ids.push(self.level0_unit_id(qv));
-                    }
-                } else if self.seen[qv.index()] == 0 {
+                if self.level[qv.index()] > 0 && self.seen[qv.index()] == 0 {
                     self.seen[qv.index()] = 1;
                     cleanup.push(qv);
                     stack.push(qv);
@@ -1704,36 +1343,7 @@ impl Solver {
         self.conflict_set.sort_unstable_by_key(|l| l.code());
         self.conflict_set.dedup();
     }
-
-    /// Expands derived ids through the antecedent DAG to original clause ids.
-    fn expand_core(&self, seeds: &[u32]) -> Vec<ClauseId> {
-        let tr = self.tracer.as_ref().expect("tracing enabled");
-        let mut visited: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let mut out: Vec<ClauseId> = Vec::new();
-        let mut stack: Vec<u32> = seeds.to_vec();
-        while let Some(id) = stack.pop() {
-            if id == NO_ID || !visited.insert(id) {
-                continue;
-            }
-            if tr.is_original(id) {
-                out.push(ClauseId(id));
-            } else if let Some(ante) = tr.antecedents.get(&id) {
-                stack.extend(ante.iter().copied());
-            }
-        }
-        out.sort_unstable();
-        out
-    }
 }
-
-/// [`RestartPolicy::Ema`] tuning (Audemard & Simon's Glucose family):
-/// the fast average tracks the last ~32 learnt clauses, the slow one
-/// the last ~4096; a restart fires when fast exceeds slow by 25%, but
-/// never within the first 50 conflicts after the previous restart.
-const EMA_FAST_ALPHA: f64 = 1.0 / 32.0;
-const EMA_SLOW_ALPHA: f64 = 1.0 / 4096.0;
-const EMA_MARGIN: f64 = 1.25;
-const EMA_MIN_CONFLICTS: u64 = 50;
 
 #[derive(Debug, PartialEq, Eq)]
 enum SearchOutcome {
@@ -1929,72 +1539,32 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn core_tracing_pigeonhole() {
-        let mut s = Solver::with_config(SolverConfig {
-            proof_tracing: true,
-            ..SolverConfig::default()
-        });
-        pigeonhole(&mut s, 4, 3);
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        let core = s.core_clause_ids().expect("tracing enabled").to_vec();
-        assert!(!core.is_empty());
-        // Replay the core alone: it must be UNSAT.
-        let mut s2 = Solver::new();
-        let mut replay: Vec<Vec<Lit>> = Vec::new();
-        {
-            // Rebuild PHP(4,3) clause list in the same order to map ids.
-            let mut probe = Solver::new();
-            let mut id_to_clause: HashMap<u32, Vec<Lit>> = HashMap::new();
-            let add = |probe: &mut Solver, lits: Vec<Lit>, map: &mut HashMap<u32, Vec<Lit>>| {
-                if let Some(id) = probe.add_clause(&lits) {
-                    map.insert(id.0, lits);
-                }
-            };
-            let p: Vec<Vec<Lit>> = (0..4)
-                .map(|_| (0..3).map(|_| probe.new_var().positive()).collect())
-                .collect();
-            for row in &p {
-                add(&mut probe, row.clone(), &mut id_to_clause);
-            }
-            for h in 0..3 {
-                for i in 0..4 {
-                    for j in i + 1..4 {
-                        add(&mut probe, vec![!p[i][h], !p[j][h]], &mut id_to_clause);
-                    }
-                }
-            }
-            for _ in 0..12 {
-                s2.new_var();
-            }
-            for cid in &core {
-                replay.push(id_to_clause[&cid.0].clone());
-            }
-        }
-        for c in &replay {
-            s2.add_clause(c);
-        }
-        assert_eq!(s2.solve(), SolveResult::Unsat, "core replay must be UNSAT");
-    }
-
+    /// Group cores in selector form: every clause sits in its own
+    /// activation group, and the failed assumptions of the UNSAT answer
+    /// name the relevant groups and never the irrelevant one.
     #[test]
     fn core_excludes_irrelevant_clauses() {
-        let mut s = Solver::with_config(SolverConfig {
-            proof_tracing: true,
-            ..SolverConfig::default()
-        });
+        let mut s = Solver::new();
         let v = vars(&mut s, 4);
-        let irrelevant = s.add_clause(&[v[2], v[3]]).expect("id");
-        let relevant1 = s.add_clause(&[v[0]]).expect("id");
-        let relevant2 = s.add_clause(&[!v[0], v[1]]).expect("id");
-        let relevant3 = s.add_clause(&[!v[1]]).expect("id");
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        let core = s.core_clause_ids().expect("core").to_vec();
-        assert!(core.contains(&relevant1));
-        assert!(core.contains(&relevant2));
-        assert!(core.contains(&relevant3));
-        assert!(!core.contains(&irrelevant));
+        let clauses = [vec![v[2], v[3]], vec![v[0]], vec![!v[0], v[1]], vec![!v[1]]];
+        let groups: Vec<Lit> = clauses
+            .iter()
+            .map(|c| {
+                let g = s.new_activation_group();
+                s.add_clause_in_group(g, c);
+                g
+            })
+            .collect();
+        assert_eq!(s.solve_with(&groups), SolveResult::Unsat);
+        let core = s.failed_assumptions().to_vec();
+        for &relevant in &groups[1..] {
+            assert!(
+                core.contains(&relevant),
+                "{relevant:?} missing from {core:?}"
+            );
+        }
+        assert!(!core.contains(&groups[0]), "irrelevant group in {core:?}");
+        assert_eq!(s.solve_with(&[groups[0]]), SolveResult::Sat);
     }
 
     #[test]

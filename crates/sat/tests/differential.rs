@@ -2,7 +2,7 @@
 //! solver, plus randomized checks of assumptions and unsat cores.
 
 use emm_sat::naive::NaiveSolver;
-use emm_sat::{Budget, CnfSink, Lit, SolveResult, Solver, SolverConfig, Var};
+use emm_sat::{Budget, CnfSink, Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -155,51 +155,6 @@ fn random_assumptions_match_reference() {
 }
 
 #[test]
-fn random_unsat_cores_are_sufficient() {
-    let mut rng = StdRng::seed_from_u64(0xC04E);
-    let mut n_checked = 0;
-    for _ in 0..250 {
-        let n_vars = rng.random_range(3..10);
-        let n_clauses = rng.random_range(n_vars..(n_vars * 6));
-        let cnf = random_cnf(&mut rng, n_vars, n_clauses, 3);
-
-        let mut cdcl = Solver::with_config(SolverConfig {
-            proof_tracing: true,
-            ..SolverConfig::default()
-        });
-        mk_vars(&mut cdcl, n_vars);
-        let mut ids = Vec::new();
-        for c in &cnf {
-            ids.push(cdcl.add_clause(c));
-        }
-        if cdcl.solve() != SolveResult::Unsat {
-            continue;
-        }
-        n_checked += 1;
-        let core = cdcl.core_clause_ids().expect("tracing on").to_vec();
-        assert!(!core.is_empty());
-        // Replay only the core clauses: must still be UNSAT.
-        let mut replay = NaiveSolver::new(n_vars);
-        for (clause, id) in cnf.iter().zip(&ids) {
-            if let Some(id) = id {
-                if core.contains(id) {
-                    replay.add_clause(clause);
-                }
-            }
-        }
-        assert_eq!(
-            replay.solve(),
-            Some(false),
-            "core is not sufficient\n{cnf:?}\n{core:?}"
-        );
-    }
-    assert!(
-        n_checked > 30,
-        "too few UNSAT instances exercised: {n_checked}"
-    );
-}
-
-#[test]
 fn incremental_solving_matches_batch() {
     let mut rng = StdRng::seed_from_u64(0x1234);
     for _ in 0..100 {
@@ -290,12 +245,13 @@ proptest! {
     }
 }
 
-/// Resolution-traced cores and selector-based (failed-assumption) cores
-/// are independent mechanisms for the same question; cross-check them:
-/// every clause GROUP the traced core touches must appear in the failed
-/// selectors when the same formula is solved with one selector per group.
+/// Selector-based (failed-assumption) group cores — the mechanism
+/// proof-based abstraction uses — must be *sufficient*: solving the
+/// formula with one activation selector per clause group, the groups
+/// named by the failed selectors are UNSAT on their own, replayed
+/// through the reference solver.
 #[test]
-fn traced_cores_agree_with_selector_cores() {
+fn selector_group_cores_are_sufficient() {
     let mut rng = StdRng::seed_from_u64(0xC0DE);
     let mut checked = 0;
     for _ in 0..150 {
@@ -307,32 +263,7 @@ fn traced_cores_agree_with_selector_cores() {
             .map(|_| random_cnf(&mut rng, n_vars, clauses_per_group, 3))
             .collect();
 
-        // Solver A: proof tracing, plain clauses, ids recorded per group.
-        let mut a = Solver::with_config(SolverConfig {
-            proof_tracing: true,
-            ..SolverConfig::default()
-        });
-        mk_vars(&mut a, n_vars);
-        let mut id_group = std::collections::HashMap::new();
-        for (gi, group) in groups.iter().enumerate() {
-            for clause in group {
-                if let Some(id) = a.add_clause(clause) {
-                    id_group.insert(id, gi);
-                }
-            }
-        }
-        if a.solve() != SolveResult::Unsat {
-            continue;
-        }
-        checked += 1;
-        let traced_groups: std::collections::HashSet<usize> = a
-            .core_clause_ids()
-            .expect("traced")
-            .iter()
-            .filter_map(|id| id_group.get(id).copied())
-            .collect();
-
-        // Solver B: one selector per group, assumption-based core.
+        // One selector per group, assumption-based core.
         let mut b = Solver::new();
         mk_vars(&mut b, n_vars);
         let selectors: Vec<Lit> = (0..n_groups).map(|_| b.new_var().positive()).collect();
@@ -343,28 +274,27 @@ fn traced_cores_agree_with_selector_cores() {
                 b.add_clause(&guarded);
             }
         }
-        assert_eq!(b.solve_with(&selectors), SolveResult::Unsat);
+        if b.solve_with(&selectors) != SolveResult::Unsat {
+            continue;
+        }
+        checked += 1;
         let failed_groups: std::collections::HashSet<usize> = b
             .failed_assumptions()
             .iter()
             .filter_map(|l| selectors.iter().position(|s| s == l))
             .collect();
 
-        // Both cores must be *sufficient*: replay each through the
-        // reference solver.
-        for (label, core) in [("traced", &traced_groups), ("selector", &failed_groups)] {
-            let mut replay = NaiveSolver::new(n_vars);
-            for &gi in core {
-                for clause in &groups[gi] {
-                    replay.add_clause(clause);
-                }
+        let mut replay = NaiveSolver::new(n_vars);
+        for &gi in &failed_groups {
+            for clause in &groups[gi] {
+                replay.add_clause(clause);
             }
-            assert_eq!(
-                replay.solve(),
-                Some(false),
-                "{label} core {core:?} must be sufficient"
-            );
         }
+        assert_eq!(
+            replay.solve(),
+            Some(false),
+            "selector core {failed_groups:?} must be sufficient"
+        );
     }
     assert!(checked > 20, "too few UNSAT instances: {checked}");
 }

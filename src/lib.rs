@@ -12,7 +12,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`sat`] | `emm-sat` | CDCL SAT solver (assumptions, group cores, refutation tracing) |
+//! | [`sat`] | `emm-sat` | CDCL SAT solver (assumptions, group cores, clause retirement) |
 //! | [`aig`] | `emm-aig` | word-level netlists, memories, simulator, traces |
 //! | [`core`] | `emm-core` | EMM constraints (the paper's contribution) + explicit baseline |
 //! | [`bmc`] | `emm-bmc` | BMC-1/2/3 engines, induction proofs, PBA |
