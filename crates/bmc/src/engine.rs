@@ -374,7 +374,8 @@ pub struct PhaseSeconds {
     pub rewrite: f64,
     /// Fraig reduction ([`BmcOptions::fraig`]).
     pub fraig: f64,
-    /// Frame unrolling plus EMM/LFP constraint emission.
+    /// Frame unrolling, EMM constraint emission, and the model checks
+    /// and pair rows of on-demand LFP refinement.
     pub encode: f64,
     /// SAT solving (all termination and counterexample queries).
     pub solve: f64,
@@ -453,6 +454,23 @@ impl Ctx {
             Some(simp) => simp.attach(&mut self.solver).materialize(lit),
             None => lit,
         }
+    }
+
+    /// Solves under `assumptions` with `LFP` enforced, adding pair rows
+    /// on demand (see [`LfpBuilder::solve`]).
+    pub(crate) fn solve_lfp(
+        &mut self,
+        assumptions: &[Lit],
+        encode_seconds: &mut f64,
+        solve_seconds: &mut f64,
+    ) -> SolveResult {
+        self.lfp.as_mut().expect("proofs on").solve(
+            &mut self.solver,
+            self.simplify.as_mut(),
+            assumptions,
+            encode_seconds,
+            solve_seconds,
+        )
     }
 }
 
@@ -865,6 +883,14 @@ impl<'d> BmcEngine<'d> {
                             sink.materialize(en);
                         }
                     }
+                    // The LFP model check reads every frame's kept
+                    // latches and write enables, and its rows are added
+                    // on demand, so nothing else may reference them.
+                    if let Some(lfp) = lfp {
+                        for l in lfp.frame_lits(frame) {
+                            sink.materialize(l);
+                        }
+                    }
                 }
                 None => Self::extend_one(model, unroller, emm, emm_index, lfp, solver),
             }
@@ -876,7 +902,8 @@ impl<'d> BmcEngine<'d> {
         None
     }
 
-    /// Unrolls one frame and emits its EMM and LFP constraints into `sink`.
+    /// Unrolls one frame, emits its EMM constraints into `sink` and
+    /// records its LFP literals.
     fn extend_one(
         model: &Design,
         unroller: &mut Unroller,
@@ -907,7 +934,7 @@ impl<'d> BmcEngine<'d> {
                     }
                 }
             }
-            lfp.add_frame(sink, &lits, &writes);
+            lfp.add_frame(&lits, &writes);
         }
     }
 
@@ -999,8 +1026,8 @@ impl<'d> BmcEngine<'d> {
         i: usize,
     ) -> Result<Option<BmcVerdict>, BmcError> {
         // The termination queries are *bound-exact*: `LFP_i` is "frames
-        // 0..=i are pairwise distinct", and the single shared activation
-        // literal enforces every distinctness row emitted so far. On a
+        // 0..=i are pairwise distinct", and the LFP query enforces
+        // distinctness over every frame unrolled so far. On a
         // repeated `check` call the contexts may already be unrolled past
         // `i`; re-running the bound-`i` query then would assume LFP over
         // the *deeper* unrolling and could report a spurious proof (e.g.
@@ -1011,11 +1038,12 @@ impl<'d> BmcEngine<'d> {
         let bound_exact = self.anchored.unroller.num_frames() == i + 1;
         if self.options.proofs && bound_exact {
             // Forward termination: SAT(I ∧ LFP_i ∧ C_i).
-            let mut assumptions = Self::base_assumptions(&self.anchored);
-            assumptions.push(self.anchored.lfp.as_ref().expect("proofs on").activation());
-            let solve_started = Instant::now();
-            let forward = self.anchored.solver.solve_with(&assumptions);
-            self.solve_seconds += solve_started.elapsed().as_secs_f64();
+            let assumptions = Self::base_assumptions(&self.anchored);
+            let forward = self.anchored.solve_lfp(
+                &assumptions,
+                &mut self.encode_seconds,
+                &mut self.solve_seconds,
+            );
             match forward {
                 SolveResult::Unsat => {
                     return Ok(Some(BmcVerdict::Proof {
@@ -1032,7 +1060,6 @@ impl<'d> BmcEngine<'d> {
             // Backward termination: SAT(LFP_i ∧ ¬P_i ∧ CP_i ∧ C_i).
             let floating = self.floating.as_mut().expect("proofs on");
             let mut assumptions = Self::base_assumptions(floating);
-            assumptions.push(floating.lfp.as_ref().expect("proofs on").activation());
             for j in 0..i {
                 let bad_j = floating.unroller.lit(j, bad_bit);
                 assumptions.push(floating.assumption(!bad_j));
@@ -1040,9 +1067,11 @@ impl<'d> BmcEngine<'d> {
             let bad_i = floating.unroller.lit(i, bad_bit);
             let bad_i = floating.assumption(bad_i);
             assumptions.push(bad_i);
-            let solve_started = Instant::now();
-            let backward = floating.solver.solve_with(&assumptions);
-            self.solve_seconds += solve_started.elapsed().as_secs_f64();
+            let backward = floating.solve_lfp(
+                &assumptions,
+                &mut self.encode_seconds,
+                &mut self.solve_seconds,
+            );
             match backward {
                 SolveResult::Unsat => {
                     return Ok(Some(BmcVerdict::Proof {

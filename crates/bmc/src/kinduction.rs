@@ -12,9 +12,12 @@
 //!   arbitrary-init) asking for a **simple path** `s_0 … s_k` with
 //!   `¬bad` at `s_0 … s_{k-1}` and `bad` at `s_k`. The simple-path
 //!   (loop-free-path) constraints come from the same [`crate::LfpBuilder`]
-//!   rows the termination checks use, derived from the latch state of
-//!   the EMM encoding; without them k-induction is incomplete (a lasso
-//!   of good states could extend forever).
+//!   the termination checks use, derived from the latch state of the
+//!   EMM encoding; without them k-induction is incomplete (a lasso of
+//!   good states could extend forever). As there, a pair row is added
+//!   only when a step model repeats that pair's state (Eén & Sörensson's
+//!   lazy simple-path refinement), so the step answers exactly as with
+//!   every row present.
 //!
 //! If the base case finds no counterexample up to `k` and the step query
 //! is unsatisfiable at `k`, the property holds in **all** reachable
@@ -378,8 +381,8 @@ impl<'d> KInduction<'d> {
     /// One inductive-step query at depth `k`: extend the floating
     /// context to frames `0..=k`, post `¬bad_0 … ¬bad_{k-1}, bad_k` in a
     /// fresh activation group, solve under the EMM selector assumptions
-    /// plus the LFP activation, and retire the group once the query
-    /// completes (or is abandoned by the governor).
+    /// with `LFP` enforced, and retire the group once the query completes
+    /// (or is abandoned by the governor).
     fn step_query(
         &mut self,
         k: usize,
@@ -417,17 +420,12 @@ impl<'d> KInduction<'d> {
         self.step.solver.add_clause_in_group(group, &[bad_k]);
 
         let mut assumptions = BmcEngine::base_assumptions(&self.step);
-        assumptions.push(
-            self.step
-                .lfp
-                .as_ref()
-                .expect("step ctx has LFP")
-                .activation(),
-        );
         assumptions.push(group);
-        let solve_started = Instant::now();
-        let result = self.step.solver.solve_with(&assumptions);
-        self.solve_seconds += solve_started.elapsed().as_secs_f64();
+        let result = self.step.solve_lfp(
+            &assumptions,
+            &mut self.encode_seconds,
+            &mut self.solve_seconds,
+        );
         // Every step group is transient: retired on completion (the
         // learned clauses stay; the property clauses leave the arena)
         // and on abandonment alike.

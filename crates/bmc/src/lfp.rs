@@ -3,14 +3,29 @@
 //! of Fig. 3).
 //!
 //! `LFP_i` states that the system states at frames `0..=i` are pairwise
-//! distinct. The constraints are cumulative across depths — exactly the
-//! monotone-growth shape the incremental solver lifecycle wants — so they
-//! are added permanently to the solver but *activated* by a single shared
-//! assumption literal: counterexample checks on the same solver simply do
-//! not assume it. (Unlike the per-bound property clauses, which a refuted
-//! bound retires via `emm_sat::Solver::retire_group`, LFP constraints stay
-//! useful at every later bound, so a single never-retired activation
-//! literal is the right granularity.)
+//! distinct. Its pair rows are added permanently to the solver but
+//! *activated* by a single shared assumption literal: counterexample
+//! checks on the same solver simply do not assume it. (Unlike the
+//! per-bound property clauses, which a refuted bound retires via
+//! `emm_sat::Solver::retire_group`, LFP rows stay useful at every later
+//! bound, so a single never-retired activation literal is the right
+//! granularity.)
+//!
+//! ## Rows on demand
+//!
+//! `LFP_i` has `O(i²)` pair rows, and almost none of them ever decide a
+//! query. [`LfpBuilder::add_frame`] therefore only records a frame's
+//! literals; [`LfpBuilder::solve`] adds rows lazily, as Eén & Sörensson
+//! do for simple-path constraints ("Temporal Induction by Incremental
+//! SAT Solving", BMC 2003). It solves with the rows emitted so far; on
+//! SAT it reads every frame's state from the model, emits the row of
+//! each frame pair the model repeats, and solves again. The answer is
+//! exactly that of the full encoding: UNSAT under a subset of the rows
+//! implies UNSAT under all of them, and SAT is accepted only from a
+//! model that repeats no pair, which the rows still missing cannot rule
+//! out (their difference variables are fresh, so the model extends to
+//! satisfy them). A row, once emitted, holds in every later model, so
+//! each round adds only new rows and the loop ends.
 //!
 //! ## State under EMM
 //!
@@ -36,12 +51,14 @@
 //! memory's reads are unconstrained pseudo-inputs, so it is not state in
 //! the abstract model and its writes cannot distinguish frames.
 
-use emm_sat::{CnfSink, Lit};
+use std::time::Instant;
+
+use emm_sat::{CnfSink, Lit, Simplifier, SolveResult, Solver};
 
 /// Incremental builder of pairwise-distinct-state constraints.
 #[derive(Debug)]
 pub struct LfpBuilder {
-    /// Shared activation literal: assume it to enforce `LFP`.
+    /// Shared activation literal, assumed by [`LfpBuilder::solve`].
     activation: Lit,
     /// Latch literals per recorded frame (already filtered to kept latches).
     frames: Vec<Vec<Lit>>,
@@ -50,8 +67,6 @@ pub struct LfpBuilder {
     write_frames: Vec<Vec<Lit>>,
     /// Positions (into the unfiltered latch vector) that participate.
     kept_positions: Vec<usize>,
-    /// Total pair constraints added (for reporting).
-    pairs: usize,
 }
 
 impl LfpBuilder {
@@ -78,47 +93,113 @@ impl LfpBuilder {
             frames: Vec::new(),
             write_frames: Vec::new(),
             kept_positions,
-            pairs: 0,
         }
     }
 
-    /// The literal whose assumption activates all pair constraints.
-    pub fn activation(&self) -> Lit {
-        self.activation
-    }
-
-    /// Number of pairwise constraints emitted so far.
-    pub fn num_pairs(&self) -> usize {
-        self.pairs
-    }
-
-    /// Registers frame `k`'s latch literals (the full, unfiltered vector)
-    /// and its write-activity literals (the enable of every kept-memory
-    /// write port at frame `k`), then adds distinctness constraints
-    /// against every earlier frame.
-    pub fn add_frame<S: CnfSink + ?Sized>(
-        &mut self,
-        sink: &mut S,
-        latch_lits: &[Lit],
-        write_lits: &[Lit],
-    ) {
-        let state: Vec<Lit> = self.kept_positions.iter().map(|&i| latch_lits[i]).collect();
-        for j in 0..self.frames.len() {
-            self.add_pair(sink, j, &state);
-        }
-        self.frames.push(state);
+    /// Records the next frame's latch literals (the full, unfiltered
+    /// vector) and its write-activity literals (the enable of every
+    /// kept-memory write port at that frame). Emits nothing: rows are
+    /// added on demand by [`LfpBuilder::solve`].
+    pub fn add_frame(&mut self, latch_lits: &[Lit], write_lits: &[Lit]) {
+        self.frames
+            .push(self.kept_positions.iter().map(|&i| latch_lits[i]).collect());
         self.write_frames.push(write_lits.to_vec());
     }
 
-    /// States at `frames[j]` and `state` must differ in some kept latch,
-    /// or an enabled write in a frame between them may have changed the
-    /// memory contents.
-    fn add_pair<S: CnfSink + ?Sized>(&mut self, sink: &mut S, j: usize, state: &[Lit]) {
-        self.pairs += 1;
-        let old = self.frames[j].clone();
-        let mut any_diff: Vec<Lit> = Vec::with_capacity(state.len() + 1);
+    /// The literals [`LfpBuilder::solve`] reads from the model at frame
+    /// `k`: its kept latches and write enables. Under lazy gate emission
+    /// a caller must materialize them, or the model leaves them
+    /// unconstrained.
+    pub fn frame_lits(&self, k: usize) -> impl Iterator<Item = Lit> + '_ {
+        self.frames[k].iter().chain(&self.write_frames[k]).copied()
+    }
+
+    /// Solves `solver` under `assumptions` with `LFP` over every recorded
+    /// frame enforced, emitting pair rows on demand (see the module docs).
+    /// Rows go through `simplify` when the context has one, and model
+    /// values are read through its sweep substitutions. Time spent
+    /// solving is added to `solve_seconds`, time spent checking models
+    /// and emitting rows to `encode_seconds`.
+    pub fn solve(
+        &mut self,
+        solver: &mut Solver,
+        mut simplify: Option<&mut Simplifier>,
+        assumptions: &[Lit],
+        encode_seconds: &mut f64,
+        solve_seconds: &mut f64,
+    ) -> SolveResult {
+        let mut assumptions = assumptions.to_vec();
+        assumptions.push(self.activation);
+        loop {
+            let started = Instant::now();
+            let result = solver.solve_with(&assumptions);
+            *solve_seconds += started.elapsed().as_secs_f64();
+            if result != SolveResult::Sat {
+                return result;
+            }
+            let started = Instant::now();
+            let repeated = self.repeated_pairs(solver, simplify.as_deref());
+            let mut attached;
+            let sink: &mut dyn CnfSink = match simplify.as_deref_mut() {
+                Some(simp) => {
+                    attached = simp.attach(&mut *solver);
+                    &mut attached
+                }
+                None => &mut *solver,
+            };
+            for &(j, k) in &repeated {
+                self.add_pair(sink, j, k);
+            }
+            *encode_seconds += started.elapsed().as_secs_f64();
+            if repeated.is_empty() {
+                return SolveResult::Sat;
+            }
+        }
+    }
+
+    /// Every frame pair `(j, k)`, `j < k`, that the solver's model shows
+    /// as the same state: equal kept latches and no write enabled in
+    /// frames `j..k`. Sorted by `k`, then `j`, so emission order (and
+    /// with it every later solve) is deterministic.
+    fn repeated_pairs(
+        &self,
+        solver: &Solver,
+        simplify: Option<&Simplifier>,
+    ) -> Vec<(usize, usize)> {
+        let value = |l: Lit| {
+            let l = simplify.map_or(l, |s| s.resolve(l));
+            solver.model_value(l).unwrap_or(false)
+        };
+        let states: Vec<Vec<bool>> = self
+            .frames
+            .iter()
+            .map(|f| f.iter().map(|&l| value(l)).collect())
+            .collect();
+        let wrote: Vec<bool> = self
+            .write_frames
+            .iter()
+            .map(|ws| ws.iter().any(|&l| value(l)))
+            .collect();
+        let mut pairs = Vec::new();
+        for k in 1..states.len() {
+            // A write at frame w < k separates every frame j <= w from k.
+            let first = (0..k).rev().find(|&j| wrote[j]).map_or(0, |j| j + 1);
+            pairs.extend(
+                (first..k)
+                    .filter(|&j| states[j] == states[k])
+                    .map(|j| (j, k)),
+            );
+        }
+        pairs
+    }
+
+    /// The states at frames `j < k` must differ in some kept latch, or an
+    /// enabled write in frames `j..k` may have changed the memory
+    /// contents.
+    fn add_pair<S: CnfSink + ?Sized>(&self, sink: &mut S, j: usize, k: usize) {
+        let mut any_diff: Vec<Lit> = Vec::with_capacity(self.frames[k].len() + 1);
         any_diff.push(!self.activation);
-        for (&a, &b) in old.iter().zip(state) {
+        for (&a, &b) in self.frames[j].iter().zip(&self.frames[k]) {
             if a == b {
                 // Identical literals can never differ; contribute nothing.
                 continue;
@@ -133,10 +214,7 @@ impl LfpBuilder {
             sink.add_clause(&[!x, !a, !b]);
             any_diff.push(x);
         }
-        // Writes in frames j..k-1 (k = the frame being added) may leave
-        // the memory contents at k different from those at j, so the
-        // states are not provably equal while any such write is enabled.
-        for ws in &self.write_frames[j..] {
+        for ws in &self.write_frames[j..k] {
             any_diff.extend_from_slice(ws);
         }
         // If nothing can differ, the clause degenerates to !activation:
@@ -151,7 +229,11 @@ mod tests {
     use super::*;
     use crate::unroll::{UnrollConfig, Unroller};
     use emm_aig::{Design, LatchInit};
-    use emm_sat::{SolveResult, Solver};
+
+    /// Solves with `LFP` enforced on a bare solver, timings discarded.
+    fn solve_lfp(lfp: &mut LfpBuilder, s: &mut Solver) -> SolveResult {
+        lfp.solve(s, None, &[], &mut 0.0, &mut 0.0)
+    }
 
     /// A modulo-`m` counter design over `width` bits.
     fn mod_counter(width: usize, modulo: u64) -> Design {
@@ -187,8 +269,8 @@ mod tests {
         // (6 states) must revisit.
         for k in 0..8usize {
             u.extend(&d, &mut s);
-            lfp.add_frame(&mut s, &u.latch_lits(&d, k), &[]);
-            let result = s.solve_with(&[lfp.activation()]);
+            lfp.add_frame(&u.latch_lits(&d, k), &[]);
+            let result = solve_lfp(&mut lfp, &mut s);
             let expect = if (k as u64) < modulo {
                 SolveResult::Sat
             } else {
@@ -198,7 +280,7 @@ mod tests {
         }
     }
 
-    /// Without the activation assumption the pair constraints are inert.
+    /// Rows emitted on demand are inert without the activation assumption.
     #[test]
     fn inactive_lfp_does_not_constrain() {
         let d = mod_counter(3, 2);
@@ -214,10 +296,10 @@ mod tests {
         let mut lfp = LfpBuilder::new(&mut s, d.num_latches(), None);
         for k in 0..6 {
             u.extend(&d, &mut s);
-            lfp.add_frame(&mut s, &u.latch_lits(&d, k), &[]);
+            lfp.add_frame(&u.latch_lits(&d, k), &[]);
         }
+        assert_eq!(solve_lfp(&mut lfp, &mut s), SolveResult::Unsat);
         assert_eq!(s.solve(), SolveResult::Sat, "plain model stays satisfiable");
-        assert_eq!(s.solve_with(&[lfp.activation()]), SolveResult::Unsat);
     }
 
     /// Restricting state to a kept subset changes the effective diameter.
@@ -247,9 +329,9 @@ mod tests {
         let mut lfp = LfpBuilder::new(&mut s, d.num_latches(), Some(&kept));
         for k in 0..4 {
             u.extend(&d, &mut s);
-            lfp.add_frame(&mut s, &u.latch_lits(&d, k), &[]);
+            lfp.add_frame(&u.latch_lits(&d, k), &[]);
         }
         // The toggle alone has 2 states; 3 frames must repeat.
-        assert_eq!(s.solve_with(&[lfp.activation()]), SolveResult::Unsat);
+        assert_eq!(solve_lfp(&mut lfp, &mut s), SolveResult::Unsat);
     }
 }

@@ -2,7 +2,7 @@
 //! explicit-model agreement, arbitrary initial memory state, and PBA.
 
 use emm_aig::{Design, LatchInit, MemInit, Word};
-use emm_bmc::{pba, BmcEngine, BmcOptions, BmcVerdict, ProofKind};
+use emm_bmc::{pba, BmcEngine, BmcOptions, BmcVerdict, KInduction, ProofKind, VerifyOptions};
 use emm_core::{explicit_model, EmmOptions};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -494,4 +494,71 @@ fn wall_limit_yields_unknown_deadline() {
         "{:?}",
         run.verdict
     );
+}
+
+/// A 6-bit `count` climbs 0..=29 and parks there, so values from 30 up
+/// are unreachable; from 30 on it advances only while input `go` is
+/// high. `bad` is `count == bad_at`. Beside it runs a 3-bit mod-5
+/// counter `c` that advances while input `en` is high. `c` feeds neither
+/// the property nor a memory, so it is state only to the simple-path
+/// constraints: a floating window may hold `count` for as many frames as
+/// `c` takes distinct values.
+fn parked_counter_with_idle_state(bad_at: u64) -> Design {
+    let mut d = Design::new();
+    let count = d.new_latch_word("count", 6, LatchInit::Zero);
+    let inc = d.aig.inc(&count);
+    let parked = d.aig.eq_const(&count, 29);
+    let thirty = d.aig.const_word(30, 6);
+    let reachable = d.aig.ult(&count, &thirty);
+    let go = d.new_input("go");
+    let climb = d.aig.mux_word(parked, &count, &inc);
+    let stall = d.aig.mux_word(go, &inc, &count);
+    let next = d.aig.mux_word(reachable, &climb, &stall);
+    d.set_next_word(&count, &next);
+    let c = d.new_latch_word("c", 3, LatchInit::Zero);
+    let c_inc = d.aig.inc(&c);
+    let wrap = d.aig.eq_const(&c, 4);
+    let zero = d.aig.const_word(0, 3);
+    let c_step = d.aig.mux_word(wrap, &zero, &c_inc);
+    let en = d.new_input("en");
+    let c_next = d.aig.mux_word(en, &c_step, &c);
+    d.set_next_word(&c, &c_next);
+    let bad = d.aig.eq_const(&count, bad_at);
+    d.add_property("p", bad);
+    d.check().expect("valid");
+    d
+}
+
+/// State outside every property and memory cone still counts for the
+/// simple-path constraints. Its latch literals reach the solver only
+/// through LFP rows, which are added on demand after a model check, so
+/// the engine must constrain them every frame or that check reads
+/// unconstrained values. The depths are those of the eager encoding.
+#[test]
+fn lfp_counts_state_outside_every_cone() {
+    for (bad_at, depth) in [(32, 14), (34, 24)] {
+        let d = parked_counter_with_idle_state(bad_at);
+        let run = BmcEngine::new(&d, VerifyOptions::default().proofs(true))
+            .check(0, 60)
+            .expect("run");
+        assert!(
+            matches!(
+                run.verdict,
+                BmcVerdict::Proof {
+                    kind: ProofKind::BackwardInduction,
+                    depth: d,
+                } if d == depth
+            ),
+            "bad_at {bad_at}: {:?}",
+            run.verdict
+        );
+        let run = KInduction::new(&d, VerifyOptions::default())
+            .check(0, 60)
+            .expect("run");
+        assert!(
+            matches!(run.verdict, BmcVerdict::Proved { k } if k == depth),
+            "bad_at {bad_at}: {:?}",
+            run.verdict
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the simple-path (LFP) constraint encoding.
 //!
-//! The contract under test: with the activation literal assumed, the
-//! constraints are unsatisfiable **iff** two frames are *provably* the
+//! The contract under test: `LfpBuilder::solve`, which adds pair rows
+//! on demand, answers UNSAT **iff** two frames are *provably* the
 //! same system state — equal kept-latch valuations with no enabled
 //! memory write in any frame between them. Frames forced equal by
 //! simulation must violate the uniqueness clauses; pairwise-distinct
@@ -71,7 +71,7 @@ proptest! {
         let states: Vec<u64> = raw_states.iter().map(|s| s & mask).collect();
         let mut s = Solver::new();
         let mut lfp = LfpBuilder::new(&mut s, width, None);
-        let mut assumptions = vec![lfp.activation()];
+        let mut assumptions = Vec::new();
         for (f, &st) in states.iter().enumerate() {
             let latch_lits: Vec<Lit> = (0..width).map(|_| s.new_var().positive()).collect();
             for (b, &l) in latch_lits.iter().enumerate() {
@@ -79,14 +79,14 @@ proptest! {
             }
             let w = s.new_var().positive();
             assumptions.push(if writes[f] { w } else { !w });
-            lfp.add_frame(&mut s, &latch_lits, &[w]);
+            lfp.add_frame(&latch_lits, &[w]);
         }
         let expected = if expect_unsat(&states, &writes[..states.len()]) {
             SolveResult::Unsat
         } else {
             SolveResult::Sat
         };
-        prop_assert_eq!(s.solve_with(&assumptions), expected);
+        prop_assert_eq!(lfp.solve(&mut s, None, &assumptions, &mut 0.0, &mut 0.0), expected);
     }
 
     /// Design-level check: unroll the gated counter floating (no initial
@@ -130,14 +130,13 @@ proptest! {
                 let lit = u.lit(f, bit);
                 assumptions.push(if value { lit } else { !lit });
             }
-            lfp.add_frame(&mut s, &latch_lits, &[u.lit(f, we_bit)]);
+            lfp.add_frame(&latch_lits, &[u.lit(f, we_bit)]);
         }
-        assumptions.push(lfp.activation());
         let expected = if expect_unsat(&states, &writes) {
             SolveResult::Unsat
         } else {
             SolveResult::Sat
         };
-        prop_assert_eq!(s.solve_with(&assumptions), expected);
+        prop_assert_eq!(lfp.solve(&mut s, None, &assumptions, &mut 0.0, &mut 0.0), expected);
     }
 }

@@ -313,7 +313,7 @@ impl SweepRunner for Pool {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::AtomicBool;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use super::*;
 
@@ -360,14 +360,33 @@ mod tests {
 
     #[test]
     fn work_is_stolen_from_a_busy_worker() {
+        /// Sleeps until `done` holds, giving up after 30 s so a broken
+        /// stealer fails the assertion below instead of hanging.
+        fn wait_for(done: impl Fn() -> bool) {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !done() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
         let pool = Pool::new(4);
-        // 8 jobs seed 2 per worker; job 0 pins worker 0 long enough for
-        // a sibling to steal its second seeded job (job 4).
+        // 8 jobs seed 2 per worker. Every other job first waits for job 0
+        // to start, which keeps each sibling inside its own first seeded
+        // job, so none can steal job 0 off worker 0's deque. Job 0 then
+        // holds worker 0 until the other seven have finished, so its
+        // second seeded job (job 4) can only run on a sibling that
+        // steals it.
+        let job0_started = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let (job0_started, finished) = (&job0_started, &finished);
         let jobs: Vec<Job<'_, ()>> = (0..8)
             .map(|i| {
                 boxed(move || {
                     if i == 0 {
-                        std::thread::sleep(Duration::from_millis(200));
+                        job0_started.store(true, Ordering::Release);
+                        wait_for(|| finished.load(Ordering::Acquire) == 7);
+                    } else {
+                        wait_for(|| job0_started.load(Ordering::Acquire));
+                        finished.fetch_add(1, Ordering::AcqRel);
                     }
                 })
             })
