@@ -45,22 +45,10 @@ pub fn format_fraig_stats(stats: &FraigStats) -> String {
 /// Renders rewrite-pass counters as a one-line summary, the companion of
 /// [`format_fraig_stats`] for the cut-based rewriting stage.
 pub fn format_rewrite_stats(stats: &RewriteStats) -> String {
-    // Selection counters only appear when global selection actually ran
-    // (candidates were collected); the greedy path leaves them at zero.
-    let select = if stats.candidates_collected > 0 {
-        format!(
-            "; select {} -> {} kept ({} overlap-dropped, {} exchanges)",
-            stats.candidates_collected,
-            stats.candidates_collected - stats.select_dropped,
-            stats.select_dropped,
-            stats.exchange_swaps,
-        )
-    } else {
-        String::new()
-    };
     format!(
         "rewrite(k={}): {} -> {} ANDs (-{}; {} rewrites, {} xor, {} mux) in {} iters, \
-         {} cuts, {} candidates ({} zero-gain){select}, {} NPN classes",
+         {} cuts, {} candidates ({} zero-gain); select {} -> {} kept \
+         ({} overlap-dropped, {} exchanges), {} NPN classes",
         stats.cut_size,
         stats.ands_before,
         stats.ands_after,
@@ -72,6 +60,10 @@ pub fn format_rewrite_stats(stats: &RewriteStats) -> String {
         stats.cuts_enumerated,
         stats.candidates_tried,
         stats.zero_gain_skipped,
+        stats.candidates_collected,
+        stats.candidates_collected - stats.select_dropped,
+        stats.select_dropped,
+        stats.exchange_swaps,
         stats.npn_classes,
     )
 }

@@ -35,22 +35,19 @@
 //!    strictly positive gains survive — the **zero-gain guard** that keeps
 //!    the fixpoint iteration from oscillating between equal-cost shapes.
 //!
-//! How measured-gain candidates are *accepted* is governed by
-//! [`RewriteConfig::global_select`]:
-//!
-//! * **Global selection** (the default): candidates are collected for the
-//!   whole graph first, each carrying the node set it would free (root +
-//!   MFFC) and the pre-existing nodes its measured cost depends on.
-//!   Overlapping free-sets mean overlapping claims — accepting both
-//!   would double-count the shared nodes — and a dependency on another
-//!   candidate's freed node is a conflict too, so a maximum-weight
-//!   conflict-free subset is chosen by the greedy-with-exchange solver
-//!   of [`crate::select`], and only the chosen rewrites are committed in
-//!   one topological rebuild.
-//! * **Traversal-order greedy** (`global_select: false`, the historical
-//!   behavior): each candidate is accepted the moment it measures a
-//!   positive gain, which can double-count nodes shared between
-//!   overlapping MFFCs.
+//! Measured-gain candidates are *accepted* by **global selection**:
+//! candidates are collected for the whole graph first, each carrying the
+//! node set it would free (root + MFFC) and the pre-existing nodes its
+//! measured cost depends on. Overlapping free-sets mean overlapping
+//! claims — accepting both would double-count the shared nodes — and a
+//! dependency on another candidate's freed node is a conflict too, so a
+//! maximum-weight conflict-free subset is chosen by the
+//! greedy-with-exchange solver of [`crate::select`], and only the chosen
+//! rewrites are committed in one topological rebuild. A freed node is
+//! therefore never counted by two accepted rewrites, nor freed out from
+//! under a rewrite whose measured cost depends on it (residual
+//! commit-time drift from structural sharing is bounded by the
+//! never-grows fixpoint guard).
 //!
 //! The pass repeats ([`RewriteConfig::max_iters`]) until an iteration
 //! stops strictly reducing the AND count; a non-improving iteration is
@@ -92,13 +89,6 @@ pub struct RewriteConfig {
     /// Fixpoint cap: rewriting repeats until an iteration stops strictly
     /// reducing the AND count, or this many iterations have run.
     pub max_iters: usize,
-    /// Accept rewrites through the global non-overlapping selection pass
-    /// (see the module docs) instead of traversal-order greedy. On by
-    /// default: a freed node is then never counted by two accepted
-    /// rewrites, nor freed out from under a rewrite whose measured cost
-    /// depends on it (residual commit-time drift from structural sharing
-    /// is bounded by the never-grows fixpoint guard).
-    pub global_select: bool,
 }
 
 impl Default for RewriteConfig {
@@ -108,7 +98,6 @@ impl Default for RewriteConfig {
             cut_size: 4,
             max_cuts: 8,
             max_iters: 4,
-            global_select: true,
         }
     }
 }
@@ -124,9 +113,9 @@ impl RewriteConfig {
 
     /// The widest configuration: 6-input cuts (with a deeper cut list per
     /// node, since wide cuts survive dominance pruning in greater
-    /// numbers) and global selection. Slower than the default but sees
-    /// redundancy no 4-input window can expose; the bench harness
-    /// measures it as the `rewrite6_fraig` mode.
+    /// numbers). Slower than the default but sees redundancy no 4-input
+    /// window can expose; the bench harness measures it as the
+    /// `rewrite6_fraig` mode.
     pub fn wide() -> RewriteConfig {
         RewriteConfig {
             cut_size: MAX_CUT_SIZE,
@@ -161,7 +150,7 @@ pub struct RewriteStats {
     /// provably unable to win on the support-size lower bound).
     pub zero_gain_skipped: u64,
     /// Positive-gain candidates offered to global selection (same-root
-    /// alternatives included; 0 when `global_select` is off).
+    /// alternatives included).
     pub candidates_collected: u64,
     /// Of those, candidates dropped because their freed nodes overlapped
     /// a selected candidate's.
@@ -884,140 +873,6 @@ fn fanout_refs(src: &Aig, roots: &[Bit]) -> Vec<u32> {
     refs
 }
 
-/// One topological rebuild with per-node cut rewriting accepted greedily
-/// in traversal order, followed by a dead-strip from the mapped roots.
-/// Returns the compacted graph, the source-node map into it, and the
-/// number of accepted replacements.
-fn rewrite_pass_greedy(
-    src: &Aig,
-    roots: &[Bit],
-    config: &RewriteConfig,
-    lib: &mut NpnLibrary,
-    stats: &mut RewriteStats,
-) -> (Aig, Vec<Bit>, u64) {
-    let cuts = enumerate_cuts(
-        src,
-        &CutConfig {
-            cut_size: config.cut_size,
-            max_cuts: config.max_cuts,
-        },
-    );
-    stats.cuts_enumerated += cuts.iter().map(|c| c.len() as u64).sum::<u64>();
-    let mut refs = fanout_refs(src, roots);
-
-    let mut g2 = Aig::new();
-    let mut map: Vec<Bit> = Vec::with_capacity(src.num_nodes());
-    let mut accepted = 0u64;
-    for (id, node) in src.iter() {
-        let mapped = match node {
-            Node::Const => Aig::FALSE,
-            Node::Input(_) => g2.new_input(),
-            Node::And(a, b) => {
-                let fa = apply(&map, a);
-                let fb = apply(&map, b);
-                let before = g2.num_nodes();
-                let default = g2.and(fa, fb);
-                if g2.num_nodes() == before {
-                    // Folded or interned: locally free, nothing to beat.
-                    default
-                } else {
-                    let mut best = default;
-                    let mut best_gain = 0i64;
-                    let mut best_class = 0u64;
-                    let mut best_reads = 0usize;
-                    for cut in &cuts[id.index()] {
-                        if cut.is_trivial(id) || cut.leaves.is_empty() {
-                            continue;
-                        }
-                        stats.candidates_tried += 1;
-                        // What the replacement frees: the node's default
-                        // AND plus its fanout-free cone above the cut.
-                        let interior = mffc_interior(src, &mut refs, id, &cut.leaves);
-                        let saved = 1 + interior.len() as i64;
-                        // A function of s leaves needs at least s-1 ANDs;
-                        // skip cuts that cannot win before paying for
-                        // canonicalization (it is the expensive step for
-                        // wide cuts).
-                        if support_size(cut.tt).saturating_sub(1) as i64 >= saved + 2 {
-                            stats.zero_gain_skipped += 1;
-                            continue;
-                        }
-                        let (canon, t) = lib.canonical(cut.tt);
-                        let (_, nominal) = lib.recipe(canon);
-                        // Don't pollute the new graph with candidates that
-                        // cannot win even with generous structural sharing.
-                        if nominal as i64 >= saved + 2 {
-                            stats.zero_gain_skipped += 1;
-                            continue;
-                        }
-                        let mut leaf_edges = [Aig::FALSE; MAX_CUT_SIZE];
-                        for (i, l) in cut.leaves.iter().enumerate() {
-                            leaf_edges[i] = apply(&map, Bit::new(*l, false));
-                        }
-                        let before_c = g2.num_nodes();
-                        let cand = lib.build(&mut g2, canon, &t, &leaf_edges);
-                        let added = (g2.num_nodes() - before_c) as i64;
-                        // Discount credited-as-freed nodes the candidate
-                        // still reaches (through their rebuilt images) —
-                        // best-effort here, since the map can merge
-                        // interior images into shared logic; exact in
-                        // the global pass, which measures on a clone.
-                        let mut freed: Vec<NodeId> = interior
-                            .iter()
-                            .map(|n| apply(&map, Bit::new(*n, false)).node())
-                            .collect();
-                        freed.push(default.node());
-                        freed.sort_unstable();
-                        freed.dedup();
-                        let (alive, reads) = cone_references(&g2, cand, before_c, &freed);
-                        let gain = saved - alive - added;
-                        // At equal (positive) gain, prefer the candidate
-                        // that reads more pre-existing strash nodes: its
-                        // implementation is already shared with the rest
-                        // of the graph, so later rewrites and the final
-                        // dead-strip see more reuse for the same saving.
-                        let reuse_break =
-                            gain == best_gain && best_gain > 0 && reads.len() > best_reads;
-                        if cand != default && (gain > best_gain || reuse_break) {
-                            if reuse_break {
-                                stats.reuse_preferred += 1;
-                            }
-                            best = cand;
-                            best_gain = gain;
-                            best_class = canon;
-                            best_reads = reads.len();
-                        } else {
-                            if cand != default {
-                                stats.zero_gain_skipped += 1;
-                            }
-                            // Unwind the losing candidate: leaving its
-                            // nodes in the graph would let later
-                            // candidates share them for free, overstating
-                            // their measured gain. Everything `best` and
-                            // `default` reference lies below `before_c`,
-                            // so the truncation cannot orphan them.
-                            g2.truncate(before_c);
-                        }
-                    }
-                    if best != default {
-                        accepted += 1;
-                        stats.rewrites += 1;
-                        if lib.xor_classes.contains(&best_class) {
-                            stats.xor_rewrites += 1;
-                        } else if best_class == lib.mux_class {
-                            stats.mux_rewrites += 1;
-                        }
-                    }
-                    best
-                }
-            }
-        };
-        map.push(mapped);
-    }
-
-    compact_from_roots(g2, map, roots, accepted)
-}
-
 /// A positive-gain replacement candidate awaiting global selection.
 struct Candidate {
     root: NodeId,
@@ -1272,11 +1127,8 @@ pub fn rewrite_aig_governed(
         }
         governor.note(FaultSite::RewriteIteration);
         let roots_cur: Vec<Bit> = roots.iter().map(|&r| apply(&result_map, r)).collect();
-        let (g2, pmap, accepted) = if config.global_select {
-            rewrite_pass_global(&result_aig, &roots_cur, config, &mut lib, &mut stats)
-        } else {
-            rewrite_pass_greedy(&result_aig, &roots_cur, config, &mut lib, &mut stats)
-        };
+        let (g2, pmap, accepted) =
+            rewrite_pass_global(&result_aig, &roots_cur, config, &mut lib, &mut stats);
         if g2.num_ands() >= result_aig.num_ands() {
             // A non-improving iteration is discarded: the pass never grows
             // the graph, and equal size means the fixpoint is reached.
@@ -1649,43 +1501,6 @@ mod tests {
             let mapped = wide.map_bit(f);
             let expect = inputs[1] && inputs[2] && inputs[3] && inputs[4];
             assert_eq!(mapped.apply(values[mapped.node().index()]), expect, "{p}");
-        }
-    }
-
-    #[test]
-    fn greedy_and_global_agree_on_semantics() {
-        // Same graph through both acceptance policies: functions must
-        // match even where the chosen rewrites differ.
-        let mut g = Aig::new();
-        let a = g.new_input();
-        let b = g.new_input();
-        let c = g.new_input();
-        let t1 = g.and(a, b);
-        let t2 = g.and(a, !b);
-        let wire = g.or(t1, t2); // ≡ a
-        let x1 = g.and(wire, c);
-        let x2 = g.xor(wire, c);
-        let root = g.and(x1, !x2);
-        let greedy = rewrite_aig(
-            &g,
-            &[root],
-            &RewriteConfig {
-                global_select: false,
-                ..RewriteConfig::default()
-            },
-        );
-        let global = rewrite_aig(&g, &[root], &RewriteConfig::default());
-        for p in 0..8usize {
-            let inputs: Vec<bool> = (0..3).map(|i| (p >> i) & 1 == 1).collect();
-            let vg = eval_combinational(&greedy.aig, &inputs);
-            let vl = eval_combinational(&global.aig, &inputs);
-            let mg = greedy.map_bit(root);
-            let ml = global.map_bit(root);
-            assert_eq!(
-                mg.apply(vg[mg.node().index()]),
-                ml.apply(vl[ml.node().index()]),
-                "pattern {p}"
-            );
         }
     }
 

@@ -17,9 +17,9 @@
 //! The problem is weighted independent set on the conflict graph —
 //! NP-hard in general, but the instances here are small (hundreds of
 //! candidates, claim sets of a handful of nodes) and sparse, so a greedy
-//! pass refined by 1-exchange is accurate in practice and, unlike the
-//! traversal-order greedy it replaces, never counts a freed node twice:
-//! the gains of a selected set add up.
+//! pass refined by 1-exchange is accurate in practice and, unlike
+//! accepting each rewrite in traversal order, never counts a freed node
+//! twice: the gains of a selected set add up.
 //!
 //! The solver is deliberately generic over plain `usize` resource slots so
 //! it can be unit-tested (and reused) without dragging in AIG types.

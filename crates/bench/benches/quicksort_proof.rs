@@ -3,18 +3,12 @@
 //! memory expansion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use emm_core::explicit_model;
 use emm_designs::quicksort::{QuickSort, QuickSortConfig};
 
 fn prove_p1(design: &emm_aig::Design, bound: usize) {
-    let mut engine = BmcEngine::new(
-        design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(design, VerifyOptions::default().proofs(true));
     let run = engine.check(0, bound).expect("run");
     assert!(
         matches!(run.verdict, BmcVerdict::Proof { .. }),

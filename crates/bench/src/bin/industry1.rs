@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use emm_bench::{secs, time_or_timeout, Table};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use emm_core::explicit_model;
 use emm_designs::image_filter::{ImageFilter, ImageFilterConfig};
 
@@ -42,7 +42,7 @@ fn run_bank(design: &emm_aig::Design, filter: &ImageFilter, budget: Duration) ->
     let mut witnesses = 0;
     let mut max_depth = 0;
     let mut timed_out = false;
-    let mut engine = BmcEngine::new(design, BmcOptions::default());
+    let mut engine = BmcEngine::new(design, VerifyOptions::default());
     for &p in &filter.reachable {
         if Instant::now() >= deadline {
             timed_out = true;
@@ -60,13 +60,7 @@ fn run_bank(design: &emm_aig::Design, filter: &ImageFilter, budget: Duration) ->
 
     let started = Instant::now();
     let mut proofs = 0;
-    let mut engine = BmcEngine::new(
-        design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(design, VerifyOptions::default().proofs(true));
     for &p in &filter.unreachable {
         let run = engine.check(p, 24).expect("run");
         if run.verdict.is_proof() {

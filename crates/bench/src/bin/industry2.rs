@@ -17,7 +17,7 @@
 use std::time::Duration;
 
 use emm_bench::{secs, Table};
-use emm_bmc::{pba, AbstractionSpec, BmcEngine, BmcOptions, BmcVerdict, ProofKind};
+use emm_bmc::{pba, AbstractionSpec, BmcEngine, BmcVerdict, ProofKind, VerifyOptions};
 use emm_core::explicit_model;
 use emm_designs::industry2::{Industry2, Industry2Config};
 
@@ -59,11 +59,9 @@ fn main() {
     };
     let mut engine = BmcEngine::new(
         d,
-        BmcOptions {
-            abstraction: Some(no_memory),
-            validate_traces: false,
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .abstraction(Some(no_memory))
+            .validate_traces(false),
     );
     let run = engine.check(lookup.lookups[0], 20).expect("run");
     let cell = match run.verdict {
@@ -79,7 +77,7 @@ fn main() {
 
     // Step 2: EMM — no witnesses for any property.
     let started = std::time::Instant::now();
-    let mut engine = BmcEngine::new(d, BmcOptions::default());
+    let mut engine = BmcEngine::new(d, VerifyOptions::default());
     let mut clean = 0;
     for &p in &lookup.lookups {
         let run = engine.check(p, depth).expect("run");
@@ -95,13 +93,7 @@ fn main() {
     ]);
 
     // Step 3: the invariant by backward induction — EMM vs Explicit.
-    let mut engine = BmcEngine::new(
-        d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(d, VerifyOptions::default().proofs(true));
     let run = engine.check(lookup.invariant, 10).expect("run");
     let cell = match run.verdict {
         BmcVerdict::Proof {
@@ -122,11 +114,9 @@ fn main() {
     let (expl, _) = explicit_model(d);
     let mut engine = BmcEngine::new(
         &expl,
-        BmcOptions {
-            proofs: true,
-            wall_limit: Some(Duration::from_secs(120)),
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .proofs(true)
+            .wall_limit(Some(Duration::from_secs(120))),
     );
     let run = engine.check(lookup.invariant, 10).expect("run");
     let cell = match run.verdict {

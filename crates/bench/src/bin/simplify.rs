@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use emm_aig::{FraigConfig, RewriteConfig};
 use emm_bench::secs;
 use emm_bmc::{
-    BmcEngine, BmcOptions, BmcVerdict, KInduction, VerificationServer, VerifyBudget, VerifyOptions,
+    BmcEngine, BmcVerdict, KInduction, VerificationServer, VerifyBudget, VerifyOptions,
     VerifyRequest,
 };
 use emm_designs::quicksort::{QuickSort, QuickSortConfig};
@@ -237,15 +237,13 @@ fn run_one(
     let started = Instant::now();
     let mut engine = BmcEngine::new(
         design,
-        BmcOptions {
-            proofs: true,
-            wall_limit: Some(timeout),
-            simplify,
-            fraig,
-            rewrite,
-            emm,
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .proofs(true)
+            .wall_limit(Some(timeout))
+            .simplify(simplify)
+            .fraig(fraig)
+            .rewrite(rewrite)
+            .emm(emm),
     );
     let run = engine.check(prop, bound).expect("bench run");
     let elapsed = started.elapsed();
@@ -282,16 +280,16 @@ fn run_incremental(
     bound: usize,
     timeout: Duration,
 ) -> RunRecord {
-    let opts = |incremental: bool| BmcOptions {
-        proofs: true,
-        // The restart leg is deliberately quadratic; give it headroom so
-        // the comparison ends in matching verdicts, not a timeout.
-        wall_limit: Some(if incremental { timeout } else { timeout * 5 }),
-        simplify: SimplifyConfig::sweeping(),
-        fraig: FraigConfig::disabled(),
-        rewrite: RewriteConfig::disabled(),
-        incremental,
-        ..BmcOptions::default()
+    let opts = |incremental: bool| {
+        VerifyOptions::default()
+            .proofs(true)
+            // The restart leg is deliberately quadratic; give it headroom so
+            // the comparison ends in matching verdicts, not a timeout.
+            .wall_limit(Some(if incremental { timeout } else { timeout * 5 }))
+            .simplify(SimplifyConfig::sweeping())
+            .fraig(FraigConfig::disabled())
+            .rewrite(RewriteConfig::disabled())
+            .incremental(incremental)
     };
     let started = Instant::now();
     let mut engine = BmcEngine::new(design, opts(true));

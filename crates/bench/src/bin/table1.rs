@@ -17,7 +17,7 @@
 use std::time::Duration;
 
 use emm_bench::{resident_mib, secs, Table};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use emm_core::explicit_model;
 use emm_designs::quicksort::{QuickSort, QuickSortConfig};
 
@@ -77,11 +77,9 @@ fn main() {
             // EMM: BMC-3 forward induction proof.
             let mut engine = BmcEngine::new(
                 &qs.design,
-                BmcOptions {
-                    proofs: true,
-                    wall_limit: Some(timeout),
-                    ..BmcOptions::default()
-                },
+                VerifyOptions::default()
+                    .proofs(true)
+                    .wall_limit(Some(timeout)),
             );
             let run = engine.check(prop, qs.cycle_bound()).expect("emm run");
             let (diameter, emm_time) = match run.verdict {
@@ -96,11 +94,9 @@ fn main() {
             // Explicit: BMC-1 on the expanded model.
             let mut engine = BmcEngine::new(
                 &expl,
-                BmcOptions {
-                    proofs: true,
-                    wall_limit: Some(timeout),
-                    ..BmcOptions::default()
-                },
+                VerifyOptions::default()
+                    .proofs(true)
+                    .wall_limit(Some(timeout)),
             );
             let run = engine.check(prop, qs.cycle_bound()).expect("explicit run");
             let expl_time = match run.verdict {

@@ -119,9 +119,8 @@ pub fn dump_bmc_cnf(
     design: &Design,
     property: usize,
     depth: usize,
-    options: impl Into<VerifyOptions>,
+    options: VerifyOptions,
 ) -> Result<BmcCnf, DumpDimacsError> {
-    let options: VerifyOptions = options.into();
     design
         .check()
         .map_err(|e| DumpDimacsError::Malformed(e.to_string()))?;

@@ -15,8 +15,7 @@
 use std::time::Duration;
 
 use emm_aig::{Design, FraigConfig, RewriteConfig};
-use emm_core::{EmmOptions, Job, JobResult, Pool};
-use emm_sat::{Budget, ResourceGovernor};
+use emm_core::{Job, JobResult, Pool};
 
 use crate::engine::{AbstractionSpec, BmcEngine, BmcVerdict};
 use crate::model::ReducedModel;
@@ -24,17 +23,21 @@ use crate::options::{PipelineOptions, VerifyOptions};
 
 /// PBA discovery configuration: the two discovery knobs plus the shared
 /// [`PipelineOptions`] block every engine the drivers construct inherits
-/// (preprocessing, budgets, the governor). Build it flat (the two
-/// discovery fields are still plain) or through the builder methods:
+/// (preprocessing, budgets, the governor). Pipeline knobs are set on the
+/// embedded block:
 ///
 /// ```
 /// use emm_bmc::pba::PbaConfig;
+/// use emm_bmc::PipelineOptions;
 /// use emm_aig::RewriteConfig;
 ///
 /// let config = PbaConfig::default()
 ///     .stability_depth(5)
 ///     .max_depth(50)
-///     .rewrite(RewriteConfig::wide());
+///     .pipeline(PipelineOptions {
+///         rewrite: RewriteConfig::wide(),
+///         ..PipelineOptions::default()
+///     });
 /// assert_eq!(config.stability_depth, 5);
 /// ```
 #[derive(Clone, Debug)]
@@ -79,64 +82,6 @@ impl PbaConfig {
     pub fn pipeline(mut self, pipeline: PipelineOptions) -> Self {
         self.pipeline = pipeline;
         self
-    }
-
-    /// Sets the EMM encoder options.
-    pub fn emm(mut self, emm: EmmOptions) -> Self {
-        self.pipeline.emm = emm;
-        self
-    }
-
-    /// Sets the per-SAT-call budget.
-    pub fn solve_budget(mut self, budget: Budget) -> Self {
-        self.pipeline.solve_budget = budget;
-        self
-    }
-
-    /// Sets the wall-clock limit per discovery run.
-    pub fn wall_limit(mut self, limit: Option<Duration>) -> Self {
-        self.pipeline.wall_limit = limit;
-        self
-    }
-
-    /// Sets the fraig preprocessing configuration.
-    pub fn fraig(mut self, fraig: FraigConfig) -> Self {
-        self.pipeline.fraig = fraig;
-        self
-    }
-
-    /// Sets the rewrite preprocessing configuration.
-    pub fn rewrite(mut self, rewrite: RewriteConfig) -> Self {
-        self.pipeline.rewrite = rewrite;
-        self
-    }
-
-    /// Enables or disables bound-to-bound incremental solving.
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.pipeline.incremental = incremental;
-        self
-    }
-
-    /// Installs the pipeline governor.
-    pub fn governor(mut self, governor: ResourceGovernor) -> Self {
-        self.pipeline.governor = governor;
-        self
-    }
-
-    /// Selects the proving engine [`discover_and_prove`] dispatches to
-    /// for its proof attempts.
-    pub fn proof_engine(mut self, engine: crate::options::ProofEngine) -> Self {
-        self.pipeline.proof_engine = engine;
-        self
-    }
-}
-
-impl From<PipelineOptions> for PbaConfig {
-    fn from(pipeline: PipelineOptions) -> PbaConfig {
-        PbaConfig {
-            pipeline,
-            ..PbaConfig::default()
-        }
     }
 }
 
@@ -407,21 +352,24 @@ fn cancelled_discovery(design: &Design) -> PbaDiscovery {
 }
 
 /// The per-job configuration of the parallel drivers: the shared config
-/// with a [forked](ResourceGovernor::fork) governor, so each job counts
-/// its own fault-injection events deterministically (independent of how
-/// jobs interleave across workers) while still observing a cancellation
-/// of the parent governor.
+/// with a [forked](emm_sat::ResourceGovernor::fork) governor, so each job
+/// counts its own fault-injection events deterministically (independent
+/// of how jobs interleave across workers) while still observing a
+/// cancellation of the parent governor.
 fn fork_config(config: &PbaConfig) -> PbaConfig {
-    config.clone().governor(config.pipeline.governor.fork())
+    let mut forked = config.clone();
+    forked.pipeline.governor = config.pipeline.governor.fork();
+    forked
 }
 
 /// Runs [`discover`] for every property in `props` as one independent job
 /// per property on `pool`, sharing one rewrite/fraig pre-reduction across
 /// all of them. Each job builds its own engine (own solver, own contexts)
-/// over the shared reduced model with a [forked](ResourceGovernor::fork)
-/// governor; results come back merged **by job index** — `result[i]`
-/// belongs to `props[i]` — so the output is identical at every pool
-/// worker count, fault injection included.
+/// over the shared reduced model with a
+/// [forked](emm_sat::ResourceGovernor::fork) governor; results come back
+/// merged **by job index** — `result[i]` belongs to `props[i]` — so the
+/// output is identical at every pool worker count, fault injection
+/// included.
 ///
 /// The shared pre-reduction runs its fraig sweep on `pool` too
 /// ([`ReducedModel::reduce`] with `pool.workers()` workers); it yields

@@ -10,7 +10,7 @@
 //! maps persist in the `Unroller`, and [`Unroller::extend`] emits only
 //! the *new* frame's clauses into the sink — nothing already encoded is
 //! revisited. That is what lets `BmcEngine` keep one long-lived solver
-//! across its whole bound loop (see [`crate::BmcOptions::incremental`]).
+//! across its whole bound loop (see [`crate::PipelineOptions::incremental`]).
 //!
 //! Three latch-handling modes support the different BMC configurations:
 //!

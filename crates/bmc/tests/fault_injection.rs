@@ -20,7 +20,7 @@
 use std::time::{Duration, Instant};
 
 use emm_aig::{Design, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict, KInduction, VerifyOptions};
+use emm_bmc::{BmcEngine, BmcVerdict, KInduction, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
@@ -67,13 +67,11 @@ fn assert_sound(context: &str, reference: &BmcVerdict, degraded: &BmcVerdict) {
     );
 }
 
-fn opts(governor: ResourceGovernor, proofs: bool) -> BmcOptions {
-    BmcOptions {
-        proofs,
-        governor,
-        simplify: SimplifyConfig::sweeping(),
-        ..BmcOptions::default()
-    }
+fn opts(governor: ResourceGovernor, proofs: bool) -> VerifyOptions {
+    VerifyOptions::default()
+        .proofs(proofs)
+        .governor(governor)
+        .simplify(SimplifyConfig::sweeping())
 }
 
 /// The random memory design family of the differential suites: a memory

@@ -12,7 +12,7 @@
 //! disagreement.
 
 use emm_aig::{fraig_design, Design, FraigConfig, LatchInit, MemInit, RewriteConfig};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict, ReducedModel};
+use emm_bmc::{BmcEngine, BmcVerdict, ReducedModel, VerifyOptions};
 use emm_designs::quicksort::{QuickSort, QuickSortConfig};
 use emm_sat::ResourceGovernor;
 use rand::rngs::StdRng;
@@ -124,15 +124,9 @@ fn fraig_engine_agrees_with_unreduced_on_random_mem_designs() {
     let mut rng = StdRng::seed_from_u64(0xF4A16);
     for round in 0..25 {
         let d = random_mem_design(&mut rng);
-        let mut fraiged = BmcEngine::new(&d, BmcOptions::default());
+        let mut fraiged = BmcEngine::new(&d, VerifyOptions::default());
         let fraig_run = fraiged.check(0, 5).expect("fraiged run");
-        let mut plain = BmcEngine::new(
-            &d,
-            BmcOptions {
-                fraig: FraigConfig::disabled(),
-                ..BmcOptions::default()
-            },
-        );
+        let mut plain = BmcEngine::new(&d, VerifyOptions::default().fraig(FraigConfig::disabled()));
         let plain_run = plain.check(0, 5).expect("plain run");
         assert_eq!(
             verdict_shape(&fraig_run.verdict),
@@ -156,21 +150,13 @@ fn fraig_proof_engine_agrees_on_random_designs() {
         } else {
             random_mem_design(&mut rng)
         };
-        let mut fraiged = BmcEngine::new(
-            &d,
-            BmcOptions {
-                proofs: true,
-                ..BmcOptions::default()
-            },
-        );
+        let mut fraiged = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
         let fraig_run = fraiged.check(0, 6).expect("fraiged run");
         let mut plain = BmcEngine::new(
             &d,
-            BmcOptions {
-                proofs: true,
-                fraig: FraigConfig::disabled(),
-                ..BmcOptions::default()
-            },
+            VerifyOptions::default()
+                .proofs(true)
+                .fraig(FraigConfig::disabled()),
         );
         let plain_run = plain.check(0, 6).expect("plain run");
         assert_eq!(

@@ -2,7 +2,7 @@
 //! long-lived solver per context, per-bound property clauses in
 //! activation groups retired on refutation, sweep-merged Tseitin
 //! definitions physically deleted — against the restart-from-scratch
-//! baseline (`BmcOptions { incremental: false, .. }`), which rebuilds
+//! baseline (`VerifyOptions::default().incremental(false)`), which rebuilds
 //! every context at every bound.
 //!
 //! Verdicts *and* counterexample traces must agree exactly: the
@@ -15,7 +15,7 @@
 //! engine).
 
 use emm_aig::{Design, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
 use emm_sat::SimplifyConfig;
 use rand::rngs::StdRng;
@@ -55,12 +55,10 @@ fn verdict_shape(v: &BmcVerdict) -> (u8, usize) {
 fn run(design: &Design, prop: usize, bound: usize, incremental: bool, proofs: bool) -> BmcVerdict {
     let mut engine = BmcEngine::new(
         design,
-        BmcOptions {
-            proofs,
-            incremental,
-            simplify: SimplifyConfig::sweeping(),
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .proofs(proofs)
+            .incremental(incremental)
+            .simplify(SimplifyConfig::sweeping()),
     );
     engine
         .check(prop, bound)
@@ -195,10 +193,7 @@ fn repeated_shallow_checks_match_one_deep_check() {
         let d = random_mem_design(&mut rng);
         let mut stepped = BmcEngine::new(
             &d,
-            BmcOptions {
-                simplify: SimplifyConfig::sweeping(),
-                ..BmcOptions::default()
-            },
+            VerifyOptions::default().simplify(SimplifyConfig::sweeping()),
         );
         let mut verdict = None;
         for depth in 0..=6 {
@@ -239,26 +234,14 @@ fn repeated_checks_with_proofs_stay_sound() {
     d.add_property("reaches10", bad);
     d.check().expect("well-formed");
 
-    let mut fresh = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut fresh = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let reference = fresh.check(0, 20).expect("fresh").verdict;
     let BmcVerdict::Counterexample(ref t) = reference else {
         panic!("expected a counterexample, got {reference:?}");
     };
     let expect_depth = t.depth();
 
-    let mut reused = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut reused = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let shallow = reused.check(0, 3).expect("shallow").verdict;
     assert!(
         matches!(shallow, BmcVerdict::BoundReached),
@@ -294,10 +277,7 @@ fn property_switch_keeps_proofs_complete() {
     d.add_property("reaches7", unreachable);
     d.check().expect("well-formed");
 
-    let opts = || BmcOptions {
-        proofs: true,
-        ..BmcOptions::default()
-    };
+    let opts = || VerifyOptions::default().proofs(true);
     let mut fresh = BmcEngine::new(&d, opts());
     let reference = fresh.check(1, 20).expect("fresh").verdict;
     assert!(reference.is_proof(), "expected a proof, got {reference:?}");
@@ -331,10 +311,7 @@ fn retired_clause_accounting_matches_sweep_merges() {
     });
     let mut engine = BmcEngine::new(
         &qs.design,
-        BmcOptions {
-            simplify: SimplifyConfig::sweeping(),
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default().simplify(SimplifyConfig::sweeping()),
     );
     let bound = 12;
     let run = engine.check(qs.p1.0 as usize, bound).expect("run");
@@ -372,11 +349,9 @@ fn restart_mode_accounting_is_self_contained() {
     });
     let mut engine = BmcEngine::new(
         &qs.design,
-        BmcOptions {
-            incremental: false,
-            simplify: SimplifyConfig::sweeping(),
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .incremental(false)
+            .simplify(SimplifyConfig::sweeping()),
     );
     let run = engine.check(qs.p1.0 as usize, 6).expect("run");
     assert!(matches!(run.verdict, BmcVerdict::BoundReached));

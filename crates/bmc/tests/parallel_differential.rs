@@ -14,7 +14,9 @@ use std::sync::Arc;
 
 use emm_aig::{fraig_design_governed, Design, FraigConfig, LatchInit, RewriteConfig};
 use emm_bmc::pba::{self, PbaConfig};
-use emm_bmc::{ReducedModel, VerificationServer, VerifyBudget, VerifyOptions, VerifyRequest};
+use emm_bmc::{
+    PipelineOptions, ReducedModel, VerificationServer, VerifyBudget, VerifyOptions, VerifyRequest,
+};
 use emm_core::Pool;
 use emm_sat::{FaultSite, ResourceGovernor};
 
@@ -159,7 +161,10 @@ fn parallel_pba_fault_injection_is_deterministic() {
         let config = PbaConfig::default()
             .stability_depth(3)
             .max_depth(12)
-            .governor(ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 4));
+            .pipeline(PipelineOptions {
+                governor: ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 4),
+                ..Default::default()
+            });
         let pool = Pool::new(workers);
         let results = pba::discover_all(&design, &props, &config, &pool).expect("discovery");
         outcomes.push(results.iter().map(discovery_key).collect::<Vec<_>>());

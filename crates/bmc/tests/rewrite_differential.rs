@@ -12,7 +12,7 @@
 //! flaky disagreement.
 
 use emm_aig::{rewrite_design, Design, LatchInit, MemInit, RewriteConfig};
-use emm_bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -131,14 +131,11 @@ fn rewrite_engine_agrees_with_unrewritten_on_random_mem_designs() {
     let mut rng = StdRng::seed_from_u64(0x2E581);
     for round in 0..25 {
         let d = random_mem_design(&mut rng);
-        let mut rewritten = BmcEngine::new(&d, BmcOptions::default());
+        let mut rewritten = BmcEngine::new(&d, VerifyOptions::default());
         let rewrite_run = rewritten.check(0, 5).expect("rewritten run");
         let mut plain = BmcEngine::new(
             &d,
-            BmcOptions {
-                rewrite: RewriteConfig::disabled(),
-                ..BmcOptions::default()
-            },
+            VerifyOptions::default().rewrite(RewriteConfig::disabled()),
         );
         let plain_run = plain.check(0, 5).expect("plain run");
         assert_eq!(
@@ -164,21 +161,13 @@ fn rewrite_proof_engine_agrees_on_random_designs() {
         } else {
             random_mem_design(&mut rng)
         };
-        let mut rewritten = BmcEngine::new(
-            &d,
-            BmcOptions {
-                proofs: true,
-                ..BmcOptions::default()
-            },
-        );
+        let mut rewritten = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
         let rewrite_run = rewritten.check(0, 6).expect("rewritten run");
         let mut plain = BmcEngine::new(
             &d,
-            BmcOptions {
-                proofs: true,
-                rewrite: RewriteConfig::disabled(),
-                ..BmcOptions::default()
-            },
+            VerifyOptions::default()
+                .proofs(true)
+                .rewrite(RewriteConfig::disabled()),
         );
         let plain_run = plain.check(0, 6).expect("plain run");
         assert_eq!(

@@ -3,7 +3,7 @@
 //!
 //! [`Budget`](crate::Budget) limits a *single solve call*; the
 //! [`ResourceGovernor`] governs the *whole verification pipeline*. One
-//! governor is threaded from `BmcOptions` through the reduction passes
+//! governor is threaded from `PipelineOptions` through the reduction passes
 //! (rewrite, fraig), the simplifying sink's SAT sweeper, the EMM
 //! constraint encoder, and both incremental solvers, so a job-level
 //! deadline or a dispatcher's cancellation request reaches every loop

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example cpu_program`
 
-use emm_verif::bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_verif::bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use emm_verif::designs::cpu::{emulate, CpuConfig, Instr, Op, TinyCpu};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,13 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Prove the result property: whenever the CPU halts, acc == expected.
     let prop = cpu.result_correct.expect("concrete program").0 as usize;
     let bound = cpu.load_cycles + expected.cycles + 24;
-    let mut engine = BmcEngine::new(
-        &cpu.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&cpu.design, VerifyOptions::default().proofs(true));
     match engine.check(prop, bound)?.verdict {
         BmcVerdict::Proof { kind, depth } => {
             println!("result_correct proved by {kind:?} at depth {depth}");
@@ -66,13 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Any-program mode: halt is sticky for every program.
     let any = TinyCpu::any_program(config);
-    let mut engine = BmcEngine::new(
-        &any.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&any.design, VerifyOptions::default().proofs(true));
     match engine.check(any.halt_sticky.0 as usize, 32)?.verdict {
         BmcVerdict::Proof { kind, depth } => {
             println!("halt_sticky proved over ALL programs by {kind:?} at depth {depth}");

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example image_filter [--paper]`
 
-use emm_verif::bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_verif::bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use emm_verif::designs::image_filter::{ImageFilter, ImageFilterConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // across properties, exactly how the paper's platform amortizes 216
     // properties in 400 seconds.
     let started = std::time::Instant::now();
-    let mut engine = BmcEngine::new(&filter.design, BmcOptions::default());
+    let mut engine = BmcEngine::new(&filter.design, VerifyOptions::default());
     let mut found = 0;
     let mut max_depth = 0;
     for &p in &filter.reachable {
@@ -47,13 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Induction proofs for the invariant properties (BMC-3).
     let started = std::time::Instant::now();
     let mut proved = 0;
-    let mut engine = BmcEngine::new(
-        &filter.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&filter.design, VerifyOptions::default().proofs(true));
     for &p in &filter.unreachable {
         let run = engine.check(p, 24)?;
         match run.verdict {

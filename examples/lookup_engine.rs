@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example lookup_engine`
 
-use emm_verif::bmc::{AbstractionSpec, BmcEngine, BmcOptions, BmcVerdict, ProofKind};
+use emm_verif::bmc::{AbstractionSpec, BmcEngine, BmcVerdict, ProofKind, VerifyOptions};
 use emm_verif::designs::industry2::{Industry2, Industry2Config};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,11 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut engine = BmcEngine::new(
         d,
-        BmcOptions {
-            abstraction: Some(no_memory),
-            validate_traces: false, // spurious by construction
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .abstraction(Some(no_memory))
+            // spurious by construction
+            .validate_traces(false),
     );
     let prop0 = engine_design.lookups[0];
     let run = engine.check(prop0, 20)?;
@@ -44,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Step 2: EMM keeps the semantics -> no witnesses ---------------
-    let mut engine = BmcEngine::new(d, BmcOptions::default());
+    let mut engine = BmcEngine::new(d, VerifyOptions::default());
     let run = engine.check(prop0, 30)?;
     match run.verdict {
         BmcVerdict::BoundReached => {
@@ -54,13 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Step 3: the invariant proof by backward induction -------------
-    let mut engine = BmcEngine::new(
-        d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(d, VerifyOptions::default().proofs(true));
     let run = engine.check(engine_design.invariant, 10)?;
     match run.verdict {
         BmcVerdict::Proof { kind, depth } => {
@@ -82,12 +75,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut engine = BmcEngine::new(
         cd,
-        BmcOptions {
-            proofs: true,
-            abstraction: Some(no_memory),
-            validate_traces: false,
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .proofs(true)
+            .abstraction(Some(no_memory))
+            .validate_traces(false),
     );
     let mut proved = 0;
     for &p in &constrained.lookups {

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quicksort [n] [addr_width] [data_width]`
 
-use emm_verif::bmc::{pba, BmcEngine, BmcOptions, BmcVerdict};
+use emm_verif::bmc::{pba, BmcEngine, BmcVerdict, VerifyOptions};
 use emm_verif::designs::quicksort::{QuickSort, QuickSortConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,13 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- BMC-3 forward-induction proofs (Table 1's EMM columns) --------
     for (name, prop) in [("P1", qs.p1.0 as usize), ("P2", qs.p2.0 as usize)] {
-        let mut engine = BmcEngine::new(
-            &qs.design,
-            BmcOptions {
-                proofs: true,
-                ..BmcOptions::default()
-            },
-        );
+        let mut engine = BmcEngine::new(&qs.design, VerifyOptions::default().proofs(true));
         let run = engine.check(prop, qs.cycle_bound())?;
         match run.verdict {
             BmcVerdict::Proof { kind, depth } => {

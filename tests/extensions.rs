@@ -4,7 +4,7 @@
 
 use emm_verif::aig::coi::cone_of_influence;
 use emm_verif::aig::{Design, MemInit};
-use emm_verif::bmc::{AbstractionSpec, BmcEngine, BmcOptions, BmcVerdict};
+use emm_verif::bmc::{AbstractionSpec, BmcEngine, BmcVerdict, VerifyOptions};
 use emm_verif::core::add_race_checkers;
 use emm_verif::designs::quicksort::{QuickSort, QuickSortConfig};
 use emm_verif::designs::regfile::{RegFile, RegFileConfig};
@@ -24,7 +24,7 @@ fn race_witness_found_and_validated() {
     let checks = add_race_checkers(&mut d);
     d.check().expect("valid");
     let prop = checks[0].1 .0 as usize;
-    let mut engine = BmcEngine::new(&d, BmcOptions::default());
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default());
     let run = engine.check(prop, 4).expect("run");
     match run.verdict {
         BmcVerdict::Counterexample(trace) => {
@@ -52,13 +52,7 @@ fn arbitrated_regfile_is_provably_race_free() {
     assert_eq!(checks.len(), 1);
     d.check().expect("valid");
     let prop = checks[0].1 .0 as usize;
-    let mut engine = BmcEngine::new(
-        &d,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let run = engine.check(prop, 10).expect("run");
     assert!(
         run.verdict.is_proof(),
@@ -97,12 +91,10 @@ fn coi_abstraction_supports_proofs() {
     let spec = AbstractionSpec::from_cone(&cone);
     let mut engine = BmcEngine::new(
         &d,
-        BmcOptions {
-            proofs: true,
-            abstraction: Some(spec),
-            validate_traces: false,
-            ..BmcOptions::default()
-        },
+        VerifyOptions::default()
+            .proofs(true)
+            .abstraction(Some(spec))
+            .validate_traces(false),
     );
     let run = engine.check(0, 10).expect("run");
     assert!(

@@ -2,7 +2,7 @@
 //! memory models, plus the BDD engine as a second opinion.
 
 use emm_verif::bdd::{SymbolicChecker, SymbolicOptions, SymbolicVerdict};
-use emm_verif::bmc::{BmcEngine, BmcOptions, BmcVerdict};
+use emm_verif::bmc::{BmcEngine, BmcVerdict, VerifyOptions};
 use emm_verif::core::explicit_model;
 use emm_verif::designs::fifo::{Fifo, FifoConfig};
 use emm_verif::designs::lifo::{Lifo, LifoConfig};
@@ -16,19 +16,13 @@ fn fifo_properties_hold() {
         addr_width: 2,
         data_width: 2,
     });
-    let mut engine = BmcEngine::new(
-        &fifo.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&fifo.design, VerifyOptions::default().proofs(true));
     let run = engine.check(fifo.no_overflow.0 as usize, 30).expect("run");
     assert!(run.verdict.is_proof(), "no_overflow: {:?}", run.verdict);
     // Integrity needs more depth to close inductively; check falsification
     // emptiness to a healthy bound instead (the randomized simulation test
     // already covers the positive side).
-    let mut engine = BmcEngine::new(&fifo.design, BmcOptions::default());
+    let mut engine = BmcEngine::new(&fifo.design, VerifyOptions::default());
     let run = engine.check(fifo.integrity.0 as usize, 8).expect("run");
     assert!(
         matches!(run.verdict, BmcVerdict::BoundReached),
@@ -45,7 +39,7 @@ fn lifo_properties_hold() {
         addr_width: 2,
         data_width: 2,
     });
-    let mut engine = BmcEngine::new(&lifo.design, BmcOptions::default());
+    let mut engine = BmcEngine::new(&lifo.design, VerifyOptions::default());
     let run = engine
         .check(lifo.push_pop_identity.0 as usize, 8)
         .expect("run");
@@ -54,13 +48,7 @@ fn lifo_properties_hold() {
         "{:?}",
         run.verdict
     );
-    let mut engine = BmcEngine::new(
-        &lifo.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&lifo.design, VerifyOptions::default().proofs(true));
     let run = engine.check(lifo.no_overflow.0 as usize, 30).expect("run");
     assert!(run.verdict.is_proof(), "no_overflow: {:?}", run.verdict);
 }
@@ -77,7 +65,7 @@ fn regfile_shadow_consistency_multiport() {
             write_ports: w,
             watched: 1,
         });
-        let mut engine = BmcEngine::new(&rf.design, BmcOptions::default());
+        let mut engine = BmcEngine::new(&rf.design, VerifyOptions::default());
         let run = engine
             .check(rf.shadow_consistency.0 as usize, 6)
             .expect("run");
@@ -119,7 +107,7 @@ fn regfile_detects_injected_bug() {
     // Force divergence: write nonzero to addr 2 while shadow (addr 1)
     // stays zero. "bad" = values differ.
     d.add_property("cross_check", !eq);
-    let mut engine = BmcEngine::new(&d, BmcOptions::default());
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default());
     let run = engine.check(1, 6).expect("run");
     match run.verdict {
         BmcVerdict::Counterexample(trace) => {
@@ -141,13 +129,7 @@ fn memcpy_needs_init_consistency() {
     });
     let bound = engine_design.cycle_bound();
     // Proof with eq. (6).
-    let mut engine = BmcEngine::new(
-        &engine_design.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut engine = BmcEngine::new(&engine_design.design, VerifyOptions::default().proofs(true));
     let run = engine
         .check(engine_design.copy_correct.0 as usize, bound)
         .expect("run");
@@ -155,14 +137,12 @@ fn memcpy_needs_init_consistency() {
     // Spurious CE without eq. (6) — the paper's Section 4.2 caveat.
     let mut engine = BmcEngine::new(
         &engine_design.design,
-        BmcOptions {
-            validate_traces: false,
-            emm: emm_verif::core::EmmOptions {
+        VerifyOptions::default()
+            .validate_traces(false)
+            .emm(emm_verif::core::EmmOptions {
                 skip_init_consistency: true,
                 ..emm_verif::core::EmmOptions::default()
-            },
-            ..BmcOptions::default()
-        },
+            }),
     );
     let run = engine
         .check(engine_design.copy_correct.0 as usize, bound)
@@ -185,25 +165,13 @@ fn three_engines_agree_on_fifo() {
     let prop = fifo.no_overflow.0 as usize;
 
     // EMM proof.
-    let mut emm = BmcEngine::new(
-        &fifo.design,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut emm = BmcEngine::new(&fifo.design, VerifyOptions::default().proofs(true));
     let emm_run = emm.check(prop, 40).expect("emm");
     assert!(emm_run.verdict.is_proof(), "EMM: {:?}", emm_run.verdict);
 
     // Explicit-model proof.
     let (expl, _) = explicit_model(&fifo.design);
-    let mut exp = BmcEngine::new(
-        &expl,
-        BmcOptions {
-            proofs: true,
-            ..BmcOptions::default()
-        },
-    );
+    let mut exp = BmcEngine::new(&expl, VerifyOptions::default().proofs(true));
     let exp_run = exp.check(prop, 60).expect("explicit");
     assert!(
         exp_run.verdict.is_proof(),
