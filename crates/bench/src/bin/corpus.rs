@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 use emm_aig::aiger::{write_aiger_ascii, write_aiger_binary};
 use emm_aig::btor2::write_btor2;
 use emm_aig::Design;
+use emm_bench::ServerRow;
 use emm_bmc::{
     BmcEngine, BmcVerdict, KInduction, ModelSource, VerificationServer, VerifyBudget, VerifyOptions,
 };
@@ -86,14 +87,6 @@ struct Row {
     vars: usize,
     clauses: u64,
     emm_clauses: usize,
-}
-
-struct ServerRow {
-    workers: usize,
-    jobs: usize,
-    cores: usize,
-    elapsed_seconds: f64,
-    jobs_per_sec: f64,
 }
 
 /// Writes the golden corpus files into `dir`.
@@ -265,26 +258,23 @@ fn run_rows(name: &str, design: &Arc<Design>, max_depth: usize, timeout: Duratio
 }
 
 /// Replays the whole corpus through [`VerificationServer::submit_model`]
-/// batches at pool sizes 1 and 4. Returns the throughput rows; panics if
-/// any job errors, if verdicts differ across worker counts, or if a
-/// bounded verdict disagrees with the direct engine row.
+/// batches at pool sizes 1 and 4, each the median of
+/// [`SERVER_SAMPLES`](emm_bench::SERVER_SAMPLES) batches. Returns the
+/// throughput rows; panics if any job errors, if verdicts differ across
+/// batches, or if a bounded verdict disagrees with the direct engine row.
 fn run_server(
     designs: &[(String, Arc<Design>)],
     direct: &[Row],
     max_depth: usize,
     timeout: Duration,
 ) -> Vec<ServerRow> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let budget = VerifyBudget {
         max_depth,
         wall_limit: Some(timeout),
         ..VerifyBudget::default()
     };
-    let mut rows = Vec::new();
     let mut baseline: Option<Vec<String>> = None;
-    for workers in [1usize, 4] {
+    let mut batch = |workers: usize| {
         let mut server = VerificationServer::new(workers);
         let mut labels = Vec::new();
         for (name, design) in designs {
@@ -319,21 +309,14 @@ fn run_server(
         // Standing differential 2: bit-identical batches at every pool size.
         match &baseline {
             None => baseline = Some(verdicts),
-            Some(first) => assert_eq!(
-                first, &verdicts,
-                "server verdicts diverged between worker counts"
-            ),
+            Some(first) => assert_eq!(first, &verdicts, "server verdicts diverged between batches"),
         }
-        let stats = server.stats();
-        rows.push(ServerRow {
-            workers,
-            jobs: stats.jobs,
-            cores,
-            elapsed_seconds: stats.elapsed_seconds,
-            jobs_per_sec: stats.jobs_per_sec,
-        });
-    }
-    rows
+        server.stats()
+    };
+    [1usize, 4]
+        .into_iter()
+        .map(|workers| ServerRow::median_of(|| batch(workers)))
+        .collect()
 }
 
 fn main() {
@@ -427,13 +410,7 @@ fn main() {
     json.push_str(
         &server_rows
             .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"workers\": {}, \"jobs\": {}, \"cores\": {}, \
-                     \"elapsed_seconds\": {:.3}, \"jobs_per_sec\": {:.3}}}",
-                    r.workers, r.jobs, r.cores, r.elapsed_seconds, r.jobs_per_sec
-                )
-            })
+            .map(ServerRow::to_json)
             .collect::<Vec<_>>()
             .join(",\n"),
     );

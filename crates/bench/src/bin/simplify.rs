@@ -23,7 +23,7 @@
 //!
 //! A final `server` section measures `VerificationServer` batch
 //! throughput (jobs/sec) at pool sizes 1, 2, and 4 on the quicksort
-//! `n = 3` workload, recording the machine's core count alongside so the
+//! `n = 3` workload, each the median of 3 batches, recording the machine's core count alongside so the
 //! CI gate can judge core-scaling honestly.
 //!
 //! Usage:
@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use emm_aig::{FraigConfig, RewriteConfig};
-use emm_bench::secs;
+use emm_bench::{secs, ServerRow};
 use emm_bmc::{
     BmcEngine, BmcVerdict, KInduction, VerificationServer, VerifyBudget, VerifyOptions,
     VerifyRequest,
@@ -537,25 +537,14 @@ fn json_record(r: &RunRecord) -> String {
     s
 }
 
-/// One `server` section row: [`VerificationServer`] batch throughput at a
-/// given pool size. `cores` records the machine the numbers came from —
-/// `bench_check` only gates throughput against a baseline measured on the
-/// same core count, and only demands multi-worker scaling when the
-/// machine can actually run workers in parallel.
-struct ServerRow {
-    workers: usize,
-    jobs: usize,
-    cores: usize,
-    elapsed_seconds: f64,
-    jobs_per_sec: f64,
-}
-
 /// Measures [`VerificationServer`] throughput on a fixed batch — the
 /// quicksort `n = 3` Table 1/2 properties, two submissions each, all
 /// sharing one `Arc`'d design so the pre-reduction is shared — at pool
-/// sizes 1, 2, and 4. Responses are bit-identical across worker counts
-/// (the parallel differential suite proves it); this measures only how
-/// fast the batch drains.
+/// sizes 1, 2, and 4, each the median of
+/// [`SERVER_SAMPLES`](emm_bench::SERVER_SAMPLES) batches.
+/// Responses are bit-identical across worker counts (the parallel
+/// differential suite proves it); this measures only how fast the batch
+/// drains.
 fn run_server_bench(aw: usize, dw: usize, timeout: Duration) -> Vec<ServerRow> {
     let qs = QuickSort::new(QuickSortConfig {
         n: 3,
@@ -566,11 +555,7 @@ fn run_server_bench(aw: usize, dw: usize, timeout: Duration) -> Vec<ServerRow> {
     let design = Arc::new(qs.design.clone());
     let props = [qs.p1.0 as usize, qs.p2.0 as usize];
     let bound = qs.cycle_bound();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut rows = Vec::new();
-    for workers in [1usize, 2, 4] {
+    let batch = |workers: usize| {
         let mut server = VerificationServer::new(workers);
         for _ in 0..2 {
             for &prop in &props {
@@ -591,24 +576,12 @@ fn run_server_bench(aw: usize, dw: usize, timeout: Duration) -> Vec<ServerRow> {
             responses.iter().all(|r| r.error.is_none()),
             "server bench job failed"
         );
-        let stats = server.stats();
-        rows.push(ServerRow {
-            workers,
-            jobs: stats.jobs,
-            cores,
-            elapsed_seconds: stats.elapsed_seconds,
-            jobs_per_sec: stats.jobs_per_sec,
-        });
-    }
-    rows
-}
-
-fn json_server_row(r: &ServerRow) -> String {
-    format!(
-        "    {{\"workers\": {}, \"jobs\": {}, \"cores\": {}, \
-         \"elapsed_seconds\": {:.3}, \"jobs_per_sec\": {:.3}}}",
-        r.workers, r.jobs, r.cores, r.elapsed_seconds, r.jobs_per_sec
-    )
+        server.stats()
+    };
+    [1usize, 2, 4]
+        .into_iter()
+        .map(|workers| ServerRow::median_of(|| batch(workers)))
+        .collect()
 }
 
 fn main() {
@@ -787,7 +760,7 @@ fn main() {
     json.push_str(
         &server_rows
             .iter()
-            .map(json_server_row)
+            .map(ServerRow::to_json)
             .collect::<Vec<_>>()
             .join(",\n"),
     );

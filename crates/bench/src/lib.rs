@@ -21,6 +21,8 @@
 
 use std::time::Duration;
 
+use emm_bmc::ServerStats;
+
 /// Formats a duration like the paper's tables (seconds, one decimal).
 pub fn secs(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64())
@@ -46,6 +48,59 @@ pub fn resident_mib() -> Option<f64> {
         }
     }
     None
+}
+
+/// Batches each `server` throughput row drains; the row reports the
+/// median. One batch drains in a second or two, so a single sample
+/// carries the host's speed drift straight into `bench_check`'s 10%
+/// throughput gate.
+pub const SERVER_SAMPLES: usize = 3;
+
+/// One `server` section row of a bench JSON file:
+/// [`VerificationServer`](emm_bmc::VerificationServer) batch throughput
+/// at one pool size. `cores` records the machine the numbers came from —
+/// `bench_check` only gates throughput against a baseline measured on the
+/// same core count, and only demands multi-worker scaling when the
+/// machine can actually run workers in parallel.
+#[derive(Clone, Copy, Debug)]
+pub struct ServerRow {
+    /// Worker threads of the pool.
+    pub workers: usize,
+    /// Jobs in the batch.
+    pub jobs: usize,
+    /// Cores the machine reports.
+    pub cores: usize,
+    /// Wall-clock seconds of the median batch.
+    pub elapsed_seconds: f64,
+    /// Throughput of the median batch.
+    pub jobs_per_sec: f64,
+}
+
+impl ServerRow {
+    /// Runs `batch` [`SERVER_SAMPLES`] times and keeps the sample with
+    /// the median `jobs_per_sec`. Each call of `batch` drains the same
+    /// job list on a fresh server and returns its stats.
+    pub fn median_of(mut batch: impl FnMut() -> ServerStats) -> ServerRow {
+        let mut samples: Vec<ServerStats> = (0..SERVER_SAMPLES).map(|_| batch()).collect();
+        samples.sort_by(|a, b| a.jobs_per_sec.total_cmp(&b.jobs_per_sec));
+        let median = samples[SERVER_SAMPLES / 2];
+        ServerRow {
+            workers: median.workers,
+            jobs: median.jobs,
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            elapsed_seconds: median.elapsed_seconds,
+            jobs_per_sec: median.jobs_per_sec,
+        }
+    }
+
+    /// The row as one record line of the JSON `server` section.
+    pub fn to_json(&self) -> String {
+        format!(
+            "    {{\"workers\": {}, \"jobs\": {}, \"cores\": {}, \
+             \"elapsed_seconds\": {:.3}, \"jobs_per_sec\": {:.3}}}",
+            self.workers, self.jobs, self.cores, self.elapsed_seconds, self.jobs_per_sec
+        )
+    }
 }
 
 /// Minimal field extraction from the flat one-record-per-line JSON the

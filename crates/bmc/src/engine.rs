@@ -29,6 +29,27 @@
 //! | BMC-2 (Fig. 2) | memories + EMM, `proofs: false` |
 //! | BMC-3 (Fig. 3) | memories + EMM, `proofs: true`, optionally PBA |
 //!
+//! ## Backward check schedule
+//!
+//! The backward check is a termination check: UNSAT proves the property,
+//! SAT only says "no proof at this bound". Giving up on it can delay a
+//! proof but never yields a wrong verdict, so each backward query runs
+//! under a deterministic conflict cap. The cap starts at 16 in every
+//! [`BmcEngine::check`] call, doubles after each query that hits it, and
+//! falls back to 16 after any SAT answer. A query that hits the cap while
+//! the governor is clear counts as "no proof at this bound" and the
+//! counterexample check runs as usual; a `solve_budget` conflict limit
+//! at or below the cap, or any governor trip, still ends the run
+//! [`BmcVerdict::Unknown`]. Once the backward query at bound `k` is
+//! UNSAT, so is every later one (the window at `k+1` contains a floating
+//! window of length `k`), so the capped queries after it are consecutive
+//! and the cap keeps doubling: a proof that needs `N` conflicts lands by
+//! bound `k + ⌈log2(N/16)⌉` if the depth limit allows.
+//! [`BmcEngine::backward_capped`] counts the abandoned queries. The
+//! forward check stays uncapped because it is the one that closes the
+//! paper's proofs at the cycle bound, and [`crate::KInduction`]'s step
+//! query stays uncapped because it is that engine's only proof route.
+//!
 //! ## The preprocessing and simplifying pipeline
 //!
 //! By default the engine reduces the design on a private copy — first
@@ -69,8 +90,8 @@ use std::time::{Duration, Instant};
 use emm_aig::{Design, FraigStats, RewriteStats, Trace};
 use emm_core::{EmmEncoder, MemoryShape, SelectorGranularity};
 use emm_sat::{
-    CnfSink, ExhaustionReason, FaultSite, Lit, ResourceGovernor, Simplifier, SimplifyStats,
-    SolveResult, Solver,
+    Budget, CnfSink, ExhaustionReason, FaultSite, Lit, ResourceGovernor, Simplifier, SimplifyStats,
+    SolveResult, Solver, SolverStats,
 };
 
 use crate::lfp::LfpBuilder;
@@ -368,7 +389,19 @@ pub struct BmcEngine<'d> {
     /// Encode/solve wall time accumulated over the current `check` call.
     encode_seconds: f64,
     solve_seconds: f64,
+    /// Conflict cap of the next backward termination query (see the
+    /// module docs' "Backward check schedule"). Reset at the start of
+    /// every `check`, which precedes every context rebuild but the
+    /// per-bound one of restart mode; that one keeps the cap, so a hard
+    /// backward proof is delayed, not lost, in both modes.
+    backward_cap: u64,
+    /// Backward queries abandoned at their cap, over the engine's life.
+    backward_capped: u64,
 }
+
+/// Conflict cap of the first backward query of a `check` call and of the
+/// first one after a satisfiable answer.
+const BACKWARD_CAP_FLOOR: u64 = 16;
 
 impl<'d> BmcEngine<'d> {
     /// Creates an engine for `design`.
@@ -480,6 +513,8 @@ impl<'d> BmcEngine<'d> {
             fraig_seconds,
             encode_seconds: 0.0,
             solve_seconds: 0.0,
+            backward_cap: BACKWARD_CAP_FLOOR,
+            backward_capped: 0,
         }
     }
 
@@ -588,6 +623,21 @@ impl<'d> BmcEngine<'d> {
             self.anchored.solver.num_vars(),
             *self.anchored.solver.stats(),
         )
+    }
+
+    /// Raw CDCL statistics of the floating context's solver, which answers
+    /// the backward termination queries; `None` with proofs off.
+    pub fn floating_solver_stats(&self) -> Option<(usize, SolverStats)> {
+        self.floating
+            .as_ref()
+            .map(|f| (f.solver.num_vars(), *f.solver.stats()))
+    }
+
+    /// Backward termination queries abandoned at their conflict cap (see
+    /// the module docs' "Backward check schedule"), over the engine's
+    /// life. Each one meant "no proof at this bound", never a verdict.
+    pub fn backward_capped(&self) -> u64 {
+        self.backward_capped
     }
 
     /// Frames currently unrolled in the anchored context.
@@ -803,6 +853,7 @@ impl<'d> BmcEngine<'d> {
         };
         self.encode_seconds = 0.0;
         self.solve_seconds = 0.0;
+        self.backward_cap = BACKWARD_CAP_FLOOR;
         // A context whose EMM encoder aborted mid-frame is under-
         // constrained (its SAT answers could be spurious); rebuild it
         // before trusting anything. Otherwise just re-install the
@@ -918,6 +969,11 @@ impl<'d> BmcEngine<'d> {
                         depth: i,
                     }));
                 }
+                // No proof at this bound; the counterexample check runs.
+                SolveResult::Unknown if self.backward_hit_cap() => {
+                    self.backward_cap = self.backward_cap.saturating_mul(2);
+                    self.backward_capped += 1;
+                }
                 SolveResult::Unknown => {
                     let reason = self
                         .floating
@@ -927,7 +983,7 @@ impl<'d> BmcEngine<'d> {
                         .exhaustion_reason();
                     return Ok(Some(self.unknown_verdict(prop, reason)));
                 }
-                SolveResult::Sat => {}
+                SolveResult::Sat => self.backward_cap = BACKWARD_CAP_FLOOR,
             }
         }
 
@@ -982,6 +1038,26 @@ impl<'d> BmcEngine<'d> {
                 Ok(None)
             }
         }
+    }
+
+    /// Whether the backward query's `Unknown` came from the schedule's cap
+    /// alone: the cap, not `solve_budget`, was the binding conflict limit,
+    /// and neither the deadline, a cancellation nor a lifetime work cap of
+    /// the governor has tripped. Any other `Unknown` ends the run.
+    fn backward_hit_cap(&self) -> bool {
+        let solver = &self.floating.as_ref().expect("proofs on").solver;
+        let stats = solver.stats();
+        self.options
+            .pipeline
+            .solve_budget
+            .max_conflicts
+            .is_none_or(|max| self.backward_cap < max)
+            && solver.exhaustion_reason() == Some(ExhaustionReason::ConflictLimit)
+            && self.governor.poll().is_none()
+            && self
+                .governor
+                .check_counters(stats.conflicts, stats.propagations)
+                .is_none()
     }
 
     /// Drops and recreates every context: fresh solvers, unrollers, EMM
@@ -1064,8 +1140,16 @@ impl<'d> BmcEngine<'d> {
             .clone()
             .with_earlier_deadline(deadline);
         self.anchored.solver.set_budget(budget.clone());
+        // The floating solver answers only the backward query, so its
+        // budget carries the schedule's cap.
         if let Some(f) = &mut self.floating {
-            f.solver.set_budget(budget);
+            let cap = budget
+                .max_conflicts
+                .map_or(self.backward_cap, |max| max.min(self.backward_cap));
+            f.solver.set_budget(Budget {
+                max_conflicts: Some(cap),
+                ..budget
+            });
         }
     }
 

@@ -117,9 +117,11 @@ impl LfpBuilder {
     /// Solves `solver` under `assumptions` with `LFP` over every recorded
     /// frame enforced, emitting pair rows on demand (see the module docs).
     /// Rows go through `simplify` when the context has one, and model
-    /// values are read through its sweep substitutions. Time spent
-    /// solving is added to `solve_seconds`, time spent checking models
-    /// and emitting rows to `encode_seconds`.
+    /// values are read through its sweep substitutions. The solver's
+    /// [`Budget`](emm_sat::Budget) applies to each `solve_with` round, not
+    /// to the query as a whole. Time spent solving is added to
+    /// `solve_seconds`, time spent checking models and emitting rows to
+    /// `encode_seconds`.
     pub fn solve(
         &mut self,
         solver: &mut Solver,

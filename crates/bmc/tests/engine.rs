@@ -4,6 +4,8 @@
 use emm_aig::{Design, LatchInit, MemInit, Word};
 use emm_bmc::{pba, BmcEngine, BmcVerdict, KInduction, ProofKind, VerifyOptions};
 use emm_core::{explicit_model, EmmOptions};
+use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
+use emm_sat::{Budget, ExhaustionReason, ResourceGovernor};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -502,10 +504,12 @@ fn parked_counter_with_idle_state(bad_at: u64) -> Design {
 /// simple-path constraints. Its latch literals reach the solver only
 /// through LFP rows, which are added on demand after a model check, so
 /// the engine must constrain them every frame or that check reads
-/// unconstrained values. The depths are those of the eager encoding.
+/// unconstrained values. `KInduction`'s uncapped step query closes at
+/// the first inductive depth; the bounded engine's capped backward check
+/// needs 352 and 859 conflicts there and lands one bound later.
 #[test]
 fn lfp_counts_state_outside_every_cone() {
-    for (bad_at, depth) in [(32, 14), (34, 24)] {
+    for (bad_at, ki_depth, bounded_depth) in [(32, 14, 15), (34, 24, 25)] {
         let d = parked_counter_with_idle_state(bad_at);
         let run = BmcEngine::new(&d, VerifyOptions::default().proofs(true))
             .check(0, 60)
@@ -516,7 +520,7 @@ fn lfp_counts_state_outside_every_cone() {
                 BmcVerdict::Proof {
                     kind: ProofKind::BackwardInduction,
                     depth: d,
-                } if d == depth
+                } if d == bounded_depth
             ),
             "bad_at {bad_at}: {:?}",
             run.verdict
@@ -525,9 +529,119 @@ fn lfp_counts_state_outside_every_cone() {
             .check(0, 60)
             .expect("run");
         assert!(
-            matches!(run.verdict, BmcVerdict::Proved { k } if k == depth),
+            matches!(run.verdict, BmcVerdict::Proved { k } if k == ki_depth),
             "bad_at {bad_at}: {:?}",
             run.verdict
         );
+        assert!(
+            bounded_depth >= ki_depth,
+            "a capped backward check can delay a proof, never advance it"
+        );
     }
+}
+
+/// A `solve_budget` conflict limit at or below the backward schedule's
+/// floor binds before the cap does, so it still ends the run `Unknown`.
+#[test]
+fn solve_budget_below_the_backward_floor_ends_the_run() {
+    let d = parked_counter_with_idle_state(32);
+    for n in [1, 8, 16] {
+        let mut engine = BmcEngine::new(
+            &d,
+            VerifyOptions::default()
+                .proofs(true)
+                .solve_budget(Budget::conflicts(n)),
+        );
+        let run = engine.check(0, 60).expect("run");
+        assert!(
+            matches!(
+                run.verdict,
+                BmcVerdict::Unknown {
+                    reason: ExhaustionReason::ConflictLimit,
+                    ..
+                }
+            ),
+            "budget {n}: {:?}",
+            run.verdict
+        );
+        assert_eq!(engine.backward_capped(), 0, "budget {n}");
+    }
+}
+
+/// A governor lifetime conflict cap that trips inside a backward query
+/// reports the same `ConflictLimit` as the schedule's cap, but it ends
+/// the run. The bounds whose capped backward query fell through still
+/// ran their counterexample check, so `deepest_clean_bound` is the bound
+/// before the trip, and raising the governor resumes to the proof.
+#[test]
+fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
+    let d = parked_counter_with_idle_state(32);
+    let cap = 200;
+    let mut engine = BmcEngine::new(
+        &d,
+        VerifyOptions::default()
+            .proofs(true)
+            .governor(ResourceGovernor::unlimited().with_max_conflicts(cap)),
+    );
+    let run = engine.check(0, 60).expect("run");
+    let (_, floating) = engine.floating_solver_stats().expect("proofs on");
+    let (_, anchored) = engine.solver_stats();
+    assert!(
+        floating.conflicts >= cap && anchored.conflicts < cap,
+        "the trip must come from the floating solver"
+    );
+    assert!(engine.backward_capped() > 0, "earlier bounds fell through");
+    match run.verdict {
+        BmcVerdict::Unknown {
+            reason: ExhaustionReason::ConflictLimit,
+            deepest_clean_bound,
+        } => assert_eq!(deepest_clean_bound, Some(run.depth_reached as u32 - 1)),
+        other => panic!("expected Unknown{{ConflictLimit}}, got {other:?}"),
+    }
+    engine.set_governor(ResourceGovernor::unlimited());
+    let run = engine.check(0, 60).expect("resume");
+    assert!(
+        matches!(
+            run.verdict,
+            BmcVerdict::Proof {
+                kind: ProofKind::BackwardInduction,
+                depth,
+            } if depth >= 14
+        ),
+        "{:?}",
+        run.verdict
+    );
+}
+
+/// The Table 1 P1 proof closes at the cycle bound by the forward check
+/// while every backward query before it is capped or SAT, and the
+/// schedule is deterministic: two fresh runs spend the same search.
+#[test]
+fn backward_schedule_keeps_the_forward_proof_and_is_deterministic() {
+    let qs = QuickSort::new(QuickSortConfig {
+        n: 3,
+        addr_width: 6,
+        data_width: 4,
+        bug: Bug::None,
+    });
+    let bound = qs.cycle_bound();
+    let run_once = || {
+        let mut engine = BmcEngine::new(&qs.design, VerifyOptions::default().proofs(true));
+        let run = engine.check(qs.p1.0 as usize, bound).expect("run");
+        assert!(
+            matches!(
+                run.verdict,
+                BmcVerdict::Proof {
+                    kind: ProofKind::ForwardDiameter,
+                    depth: 30,
+                }
+            ),
+            "{:?}",
+            run.verdict
+        );
+        assert!(engine.backward_capped() > 0);
+        let (_, stats) = engine.floating_solver_stats().expect("proofs on");
+        (engine.backward_capped(), stats.conflicts, stats.decisions)
+    };
+    assert_eq!(run_once(), run_once());
 }

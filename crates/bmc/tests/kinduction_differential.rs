@@ -17,7 +17,7 @@
 
 use emm_aig::{Aig, Design, LatchInit, MemInit};
 use emm_bdd::{check_invariant, OracleVerdict, SymbolicOptions};
-use emm_bmc::{BmcEngine, BmcVerdict, KInduction, VerifyOptions};
+use emm_bmc::{BmcEngine, BmcVerdict, KInduction, ProofKind, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::image_filter::{ImageFilter, ImageFilterConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
@@ -75,6 +75,35 @@ fn random_mem_design(rng: &mut StdRng) -> Design {
     d
 }
 
+/// The bounded engine's backward check is k-induction's step query under
+/// a conflict cap, which can delay a proof but never advance it.
+fn assert_backward_proof_not_before(label: &str, k: usize, bounded: &BmcVerdict) {
+    if let BmcVerdict::Proof {
+        kind: ProofKind::BackwardInduction,
+        depth,
+    } = bounded
+    {
+        assert!(
+            k <= *depth,
+            "{label}: capped backward proof at {depth} before k-induction's {k}"
+        );
+    }
+}
+
+/// Runs the bounded engine with proofs on `prop` up to `max_depth` and
+/// checks it against k-induction's `Proved { k }`.
+fn bounded_agrees_with_induction(d: &Design, prop: usize, k: usize, max_depth: usize, label: &str) {
+    let verdict = BmcEngine::new(d, VerifyOptions::default().proofs(true))
+        .check(prop, max_depth)
+        .expect("bounded")
+        .verdict;
+    assert!(
+        !matches!(verdict, BmcVerdict::Counterexample(_)),
+        "{label}: bounded engine contradicts the induction proof: {verdict:?}"
+    );
+    assert_backward_proof_not_before(label, k, &verdict);
+}
+
 /// Checks one design against the BDD oracle and the bounded engine.
 fn cross_check(d: &Design, max_k: usize, label: &str) {
     let oracle = check_invariant(d, 0, SymbolicOptions::default()).expect("oracle runs");
@@ -84,7 +113,7 @@ fn cross_check(d: &Design, max_k: usize, label: &str) {
     let bounded_verdict = bounded.check(0, max_k).expect("bounded runs").verdict;
 
     match &ki_verdict {
-        BmcVerdict::Proved { .. } => {
+        BmcVerdict::Proved { k } => {
             assert!(
                 matches!(
                     oracle,
@@ -96,6 +125,7 @@ fn cross_check(d: &Design, max_k: usize, label: &str) {
                 !matches!(bounded_verdict, BmcVerdict::Counterexample(_)),
                 "{label}: k-induction proved but bounded found {bounded_verdict:?}"
             );
+            assert_backward_proof_not_before(label, *k, &bounded_verdict);
         }
         BmcVerdict::Counterexample(trace) => {
             let depth = trace.frames.len() - 1;
@@ -225,6 +255,13 @@ fn workload_properties_close_by_induction() {
     )
     .expect("oracle");
     assert!(oracle.holds(), "fifo no_overflow oracle: {oracle:?}");
+    bounded_agrees_with_induction(
+        &fifo.design,
+        fifo.no_overflow.0 as usize,
+        1,
+        10,
+        "fifo no_overflow",
+    );
 
     let lifo = Lifo::new(LifoConfig {
         addr_width: 2,
@@ -244,6 +281,7 @@ fn workload_properties_close_by_induction() {
         let oracle =
             check_invariant(&lifo.design, prop, SymbolicOptions::default()).expect("oracle");
         assert!(oracle.holds(), "lifo {name} oracle: {oracle:?}");
+        bounded_agrees_with_induction(&lifo.design, prop, 1, 10, name);
     }
 }
 
@@ -274,19 +312,8 @@ fn industry_proof_properties_close_by_induction() {
 
     // The bounded engine must agree these hold within the same window
     // (whether it closes them or merely finds no counterexample).
-    for (d, p, label) in [
-        (&ind2.design, ind2.invariant, "industry2"),
-        (&imf.design, prop, "image_filter"),
-    ] {
-        let run = BmcEngine::new(d, VerifyOptions::default().proofs(true))
-            .check(p, 10)
-            .expect("bounded");
-        assert!(
-            !matches!(run.verdict, BmcVerdict::Counterexample(_)),
-            "{label}: bounded engine contradicts the induction proof: {:?}",
-            run.verdict
-        );
-    }
+    bounded_agrees_with_induction(&ind2.design, ind2.invariant, 2, 10, "industry2");
+    bounded_agrees_with_induction(&imf.design, prop, 1, 10, "image_filter");
 }
 
 /// Table 1/2 agreement: on the quicksort workloads the two SAT engines
