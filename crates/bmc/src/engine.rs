@@ -29,6 +29,39 @@
 //! | BMC-2 (Fig. 2) | memories + EMM, `proofs: false` |
 //! | BMC-3 (Fig. 3) | memories + EMM, `proofs: true`, optionally PBA |
 //!
+//! ## Two contexts, two threads
+//!
+//! With proofs on, each bound runs as two jobs under
+//! [`std::thread::scope`]. The caller's thread extends the anchored
+//! context and runs the forward check, then, unless that answered UNSAT
+//! or `Unknown`, the counterexample check of a bound not yet cleared. A
+//! scoped thread extends the floating context and runs the backward
+//! check. Neither job reads the other's answers. After the join the
+//! answers are combined in the sequential loop's priority: an anchored
+//! encode trip, then a floating one; the forward check (UNSAT proves,
+//! `Unknown` ends the run); the backward check (UNSAT proves, an
+//! uncapped `Unknown` ends the run); and only then the counterexample
+//! check, with its group retirement, cleared bound, PBA reasons and
+//! trace. A panic on the scoped thread re-raises on the caller with its
+//! payload. With proofs off there is no floating context and nothing is
+//! spawned.
+//!
+//! The counterexample query is speculative at a bound that a
+//! termination check ends: the sequential loop would not have run it.
+//! Its group is retired and counted in
+//! [`BmcEngine::property_clauses_retired`], and its answer is dropped: no
+//! cleared bound, no trace. Only the terminal bound can speculate, so at
+//! every other bound each context runs exactly the sequential query
+//! sequence and the verdicts are the sequential ones.
+//!
+//! Each context polls its own [fork](ResourceGovernor::fork) of the
+//! engine's governor. A fork sees the engine governor's deadline and
+//! cancellation, but counts fault sites on its own counter and its own
+//! trip stays with it until the combine. So an armed fault trips at a
+//! point fixed by the context, not by the thread schedule, and a trip in
+//! one context's speculative query cannot cut the other's query short.
+//! A trip that ends the run cancels the engine's governor as well.
+//!
 //! ## Backward check schedule
 //!
 //! The backward check is a termination check: UNSAT proves the property,
@@ -38,9 +71,9 @@
 //! [`BmcEngine::check`] call, doubles after each query that hits it, and
 //! falls back to 16 after any SAT answer. A query that hits the cap while
 //! the governor is clear counts as "no proof at this bound" and the
-//! counterexample check runs as usual; a `solve_budget` conflict limit
-//! at or below the cap, or any governor trip, still ends the run
-//! [`BmcVerdict::Unknown`]. Once the backward query at bound `k` is
+//! counterexample check's answer counts as usual; a `solve_budget`
+//! conflict limit at or below the cap, or any governor trip, still ends
+//! the run [`BmcVerdict::Unknown`]. Once the backward query at bound `k` is
 //! UNSAT, so is every later one (the window at `k+1` contains a floating
 //! window of length `k`), so the capped queries after it are consecutive
 //! and the cap keeps doubling: a proof that needs `N` conflicts lands by
@@ -229,7 +262,9 @@ impl BmcVerdict {
 /// Wall-clock seconds per pipeline phase, reported in [`BmcRun`]. The
 /// rewrite and fraig entries cover the preprocessing that ran in
 /// [`BmcEngine::new`] (once per engine); encode and solve accumulate
-/// over the reported `check` call.
+/// over the reported `check` call. With proofs on, encode and solve are
+/// busy seconds summed over both contexts, which run on two threads, so
+/// together they may exceed [`BmcRun::elapsed`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseSeconds {
     /// Cut-based AIG rewriting ([`PipelineOptions::rewrite`](crate::PipelineOptions::rewrite)).
@@ -256,8 +291,8 @@ pub struct BmcRun {
     pub depth_reached: usize,
     /// Wall-clock time spent in this call.
     pub elapsed: Duration,
-    /// Wall-clock seconds per processed bound (encoding plus every solver
-    /// call at that bound), `per_bound_seconds[k]` for bound `k`. The
+    /// Wall-clock seconds per bound the loop entered (encoding plus every
+    /// solver call at that bound), `per_bound_seconds[k]` for bound `k`. The
     /// bench harness's `incremental` mode plots these against the
     /// restart-from-scratch baseline.
     pub per_bound_seconds: Vec<f64>,
@@ -304,11 +339,24 @@ pub(crate) struct Ctx {
     /// so gates are interned, swept, and lazily emitted.
     pub(crate) simplify: Option<Simplifier>,
     /// Per-EMM-slot count of init reads whose address cones have already
-    /// been materialized (so `ensure_depth` only touches new ones).
+    /// been materialized (so `extend_ctx_to` only touches new ones).
     init_reads_materialized: Vec<usize>,
+    /// The governor installed on this context's solver, sweeper and EMM
+    /// encoder, and polled between its frames.
+    governor: ResourceGovernor,
 }
 
 impl Ctx {
+    /// Installs `governor` on the solver, sweeper and EMM encoder.
+    pub(crate) fn set_governor(&mut self, governor: ResourceGovernor) {
+        self.solver.set_governor(governor.clone());
+        if let Some(simp) = &mut self.simplify {
+            simp.set_governor(governor.clone());
+        }
+        self.emm.set_governor(governor.clone());
+        self.governor = governor;
+    }
+
     /// Prepares `lit` for use as a solve assumption: resolves sweep
     /// substitutions and emits any still-lazy defining clauses.
     pub(crate) fn assumption(&mut self, lit: Lit) -> Lit {
@@ -333,6 +381,93 @@ impl Ctx {
             encode_seconds,
             solve_seconds,
         )
+    }
+}
+
+/// What one context answered at one bound (see `BmcEngine::run_bound`).
+#[derive(Default)]
+struct Answers {
+    /// The governor tripped before the context reached the bound.
+    encode: Option<ExhaustionReason>,
+    /// The LFP termination query, when it ran.
+    termination: Option<SolveResult>,
+    /// The counterexample query's still-open activation group and answer,
+    /// when it ran.
+    counterexample: Option<(Lit, SolveResult)>,
+    encode_seconds: f64,
+    solve_seconds: f64,
+}
+
+/// One context's share of a bound, fixed before the bound's threads
+/// start (see `BmcEngine::run_bound`).
+#[derive(Clone)]
+struct BoundJob {
+    depth: usize,
+    bad_bit: emm_aig::Bit,
+    budget: Budget,
+    /// Run the LFP termination query.
+    termination: bool,
+    /// Assume `¬bad_0 … ¬bad_{depth-1}, bad_depth` in it: the backward
+    /// check instead of the forward one.
+    step: bool,
+    /// Run the counterexample query, unless the termination query
+    /// answered `Unsat` or `Unknown`.
+    counterexample: bool,
+}
+
+impl BoundJob {
+    /// Extends `ctx` to the job's depth, sets its budget and runs its
+    /// queries. It commits nothing to the engine: the counterexample's
+    /// activation group comes back open.
+    fn run(self, model: &Design, ctx: &mut Ctx) -> Answers {
+        let i = self.depth;
+        let mut answers = Answers::default();
+        let encode_started = Instant::now();
+        answers.encode = BmcEngine::extend_ctx_to(model, ctx, i);
+        answers.encode_seconds = encode_started.elapsed().as_secs_f64();
+        if answers.encode.is_some() {
+            return answers;
+        }
+        ctx.solver.set_budget(self.budget);
+        if self.termination {
+            let mut assumptions = BmcEngine::base_assumptions(ctx);
+            if self.step {
+                for j in 0..i {
+                    let bad_j = ctx.unroller.lit(j, self.bad_bit);
+                    assumptions.push(ctx.assumption(!bad_j));
+                }
+                let bad_i = ctx.unroller.lit(i, self.bad_bit);
+                assumptions.push(ctx.assumption(bad_i));
+            }
+            let result = ctx.solve_lfp(
+                &assumptions,
+                &mut answers.encode_seconds,
+                &mut answers.solve_seconds,
+            );
+            answers.termination = Some(result);
+            if result != SolveResult::Sat {
+                return answers;
+            }
+        }
+        if self.counterexample {
+            let bad_i = ctx.unroller.lit(i, self.bad_bit);
+            let bad_i = ctx.assumption(bad_i);
+            // The bound's property clause lives in an activation group of
+            // its own: enforced through the group assumption while this
+            // bound is under test, physically retired the moment the bound
+            // is refuted — the solver's clause arena does not accumulate
+            // one dead property clause per bound the way satisfied-but-
+            // resident clauses would.
+            let group = ctx.solver.new_activation_group();
+            ctx.solver.add_clause_in_group(group, &[bad_i]);
+            let mut assumptions = BmcEngine::base_assumptions(ctx);
+            assumptions.push(group);
+            let solve_started = Instant::now();
+            let result = ctx.solver.solve_with(&assumptions);
+            answers.solve_seconds += solve_started.elapsed().as_secs_f64();
+            answers.counterexample = Some((group, result));
+        }
+        answers
     }
 }
 
@@ -373,7 +508,7 @@ pub struct BmcEngine<'d> {
     /// [`PipelineOptions::incremental`](crate::PipelineOptions::incremental)).
     prop_clauses_retired: u64,
     /// The property the termination (proof) queries have run for. Those
-    /// queries are bound-exact (see `process_bound`), so switching a
+    /// queries are bound-exact (see `run_bound`), so switching a
     /// proof-mode engine to a different property rebuilds the contexts —
     /// otherwise the new property's backward-induction checks could never
     /// run at the already-unrolled bounds and proofs would be missed.
@@ -491,10 +626,11 @@ impl<'d> BmcEngine<'d> {
             fraig_seconds,
         } = reduced;
         let governor = options.pipeline.governor.clone();
-        let anchored = Self::make_ctx(&model, &options, &governor, true);
+        let context_governor = || Self::context_governor(&governor, options.proofs);
+        let anchored = Self::make_ctx(&model, &options, &context_governor(), true);
         let floating = options
             .proofs
-            .then(|| Self::make_ctx(&model, &options, &governor, false));
+            .then(|| Self::make_ctx(&model, &options, &context_governor(), false));
         BmcEngine {
             design,
             model,
@@ -581,6 +717,7 @@ impl<'d> BmcEngine<'d> {
             lfp,
             simplify,
             init_reads_materialized,
+            governor: governor.clone(),
         }
     }
 
@@ -672,16 +809,32 @@ impl<'d> BmcEngine<'d> {
         &self.governor
     }
 
-    /// Installs `self.governor` on both contexts' solver, sweeper and
-    /// EMM encoder.
-    fn install_governor(&mut self) {
-        for ctx in std::iter::once(&mut self.anchored).chain(self.floating.as_mut()) {
-            ctx.solver.set_governor(self.governor.clone());
-            if let Some(simp) = &mut ctx.simplify {
-                simp.set_governor(self.governor.clone());
-            }
-            ctx.emm.set_governor(self.governor.clone());
+    /// The governor a context runs under: the engine's own with proofs
+    /// off, a [fork](ResourceGovernor::fork) of it with proofs on, where
+    /// the two contexts run on two threads (see the module docs' "Two
+    /// contexts, two threads").
+    fn context_governor(governor: &ResourceGovernor, proofs: bool) -> ResourceGovernor {
+        if proofs {
+            governor.fork()
+        } else {
+            governor.clone()
         }
+    }
+
+    /// Installs a fresh context governor on both contexts.
+    fn install_governor(&mut self) {
+        let (governor, proofs) = (&self.governor, self.options.proofs);
+        for ctx in std::iter::once(&mut self.anchored).chain(self.floating.as_mut()) {
+            ctx.set_governor(Self::context_governor(governor, proofs));
+        }
+    }
+
+    /// Polls every context's governor (each observes the engine's).
+    fn poll(&self) -> Option<ExhaustionReason> {
+        self.anchored
+            .governor
+            .poll()
+            .or_else(|| self.floating.as_ref().and_then(|f| f.governor.poll()))
     }
 
     /// Whether a context's EMM encoder aborted emission mid-frame: its
@@ -694,41 +847,32 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// The [`BmcVerdict::Unknown`] for the current resume state, with the
-    /// reason falling back to the governor's own trip cause.
+    /// reason falling back to the governors' own trip cause. A context
+    /// whose governor fork was cancelled cancels the engine's governor
+    /// too, so a tripped run stays tripped until the governor is replaced
+    /// or reset, with proofs on as with proofs off.
     fn unknown_verdict(&self, prop: usize, reason: Option<ExhaustionReason>) -> BmcVerdict {
+        let polled = self.poll();
+        if polled == Some(ExhaustionReason::Cancelled) {
+            self.governor.cancel();
+        }
         BmcVerdict::Unknown {
-            reason: reason
-                .or_else(|| self.governor.poll())
-                .unwrap_or(ExhaustionReason::Deadline),
+            reason: reason.or(polled).unwrap_or(ExhaustionReason::Deadline),
             deepest_clean_bound: self.cleared_depth.get(&prop).map(|&d| d as u32),
         }
     }
 
-    /// Extends every context to include frame `k`. Polls the governor
+    /// Extends one context to include frame `k` (shared with the
+    /// k-induction engine's step context). Polls the context's governor
     /// between frames (each completed unrolling is one
     /// [`FaultSite::Frame`] event) and stops early when it trips;
     /// `Some(reason)` means the depth was **not** reached. A trip between
-    /// frames leaves the contexts clean (no partial frame); a trip inside
-    /// the EMM encoder poisons them (see [`BmcEngine::poisoned`]).
-    fn ensure_depth(&mut self, k: usize) -> Option<ExhaustionReason> {
-        let model: &Design = &self.model;
-        let governor = self.governor.clone();
-        for ctx in std::iter::once(&mut self.anchored).chain(self.floating.as_mut()) {
-            if let Some(reason) = Self::extend_ctx_to(model, ctx, k, &governor) {
-                return Some(reason);
-            }
-        }
-        None
-    }
-
-    /// Extends one context to include frame `k` (shared with the
-    /// k-induction engine's step context — see [`BmcEngine::ensure_depth`]
-    /// for the governor and poisoning semantics).
+    /// frames leaves the context clean (no partial frame); a trip inside
+    /// the EMM encoder poisons it (see [`BmcEngine::poisoned`]).
     pub(crate) fn extend_ctx_to(
         model: &Design,
         ctx: &mut Ctx,
         k: usize,
-        governor: &ResourceGovernor,
     ) -> Option<ExhaustionReason> {
         let Ctx {
             solver,
@@ -738,6 +882,7 @@ impl<'d> BmcEngine<'d> {
             lfp,
             simplify,
             init_reads_materialized,
+            governor,
         } = ctx;
         while unroller.num_frames() <= k {
             if let Some(reason) = governor.poll() {
@@ -856,13 +1001,12 @@ impl<'d> BmcEngine<'d> {
         self.backward_cap = BACKWARD_CAP_FLOOR;
         // A context whose EMM encoder aborted mid-frame is under-
         // constrained (its SAT answers could be spurious); rebuild it
-        // before trusting anything. Otherwise just re-install the
-        // governor so the per-call deadline reaches every stage.
+        // before trusting anything. Either way, install fresh context
+        // governors so the per-call deadline reaches every stage.
         if self.poisoned() {
             self.rebuild_contexts();
-        } else {
-            self.install_governor();
         }
+        self.install_governor();
         // Encode against the model in force (possibly fraig-reduced);
         // interface structure (properties, latches, inputs, memories) is
         // identical to the original design.
@@ -884,22 +1028,14 @@ impl<'d> BmcEngine<'d> {
 
         for i in 0..=max_depth {
             let bound_started = Instant::now();
-            if let Some(reason) = self.governor.poll() {
+            if let Some(reason) = self.poll() {
                 let v = self.unknown_verdict(prop, Some(reason));
                 return self.finish(v, i, started, per_bound);
             }
             if !self.options.pipeline.incremental && self.anchored.unroller.num_frames() > 0 {
                 self.rebuild_contexts();
             }
-            let encode_started = Instant::now();
-            let encode_outcome = self.ensure_depth(i);
-            self.encode_seconds += encode_started.elapsed().as_secs_f64();
-            if let Some(reason) = encode_outcome {
-                let v = self.unknown_verdict(prop, Some(reason));
-                return self.finish(v, i, started, per_bound);
-            }
-            self.apply_budget(deadline);
-            let outcome = self.process_bound(prop, bad_bit, i)?;
+            let outcome = self.run_bound(prop, bad_bit, i, deadline)?;
             per_bound.push(bound_started.elapsed().as_secs_f64());
             if let Some(verdict) = outcome {
                 return self.finish(verdict, i, started, per_bound);
@@ -908,12 +1044,17 @@ impl<'d> BmcEngine<'d> {
         self.finish(BmcVerdict::BoundReached, max_depth, started, per_bound)
     }
 
-    /// Runs every solver query of bound `i`; `Some(verdict)` ends the run.
-    fn process_bound(
+    /// Runs bound `i`: extends both contexts to frame `i` and runs their
+    /// queries, the anchored context's on the caller's thread and the
+    /// floating context's on a scoped thread, then combines the answers
+    /// in the sequential loop's priority (see the module docs' "Two
+    /// contexts, two threads"). `Some(verdict)` ends the run.
+    fn run_bound(
         &mut self,
         prop: usize,
         bad_bit: emm_aig::Bit,
         i: usize,
+        deadline: Option<Instant>,
     ) -> Result<Option<BmcVerdict>, BmcError> {
         // The termination queries are *bound-exact*: `LFP_i` is "frames
         // 0..=i are pairwise distinct", and the LFP query enforces
@@ -925,90 +1066,105 @@ impl<'d> BmcEngine<'d> {
         // Those bounds already ran their termination checks at the exact
         // depth in the earlier call (and found nothing, or we would not be
         // here), so they are skipped, not re-approximated.
-        let bound_exact = self.anchored.unroller.num_frames() == i + 1;
-        if self.options.proofs && bound_exact {
-            // Forward termination: SAT(I ∧ LFP_i ∧ C_i).
-            let assumptions = Self::base_assumptions(&self.anchored);
-            let forward = self.anchored.solve_lfp(
-                &assumptions,
-                &mut self.encode_seconds,
-                &mut self.solve_seconds,
-            );
-            match forward {
-                SolveResult::Unsat => {
-                    return Ok(Some(BmcVerdict::Proof {
-                        kind: ProofKind::ForwardDiameter,
-                        depth: i,
-                    }));
-                }
-                SolveResult::Unknown => {
-                    let reason = self.anchored.solver.exhaustion_reason();
-                    return Ok(Some(self.unknown_verdict(prop, reason)));
-                }
-                SolveResult::Sat => {}
-            }
-            // Backward termination: SAT(LFP_i ∧ ¬P_i ∧ CP_i ∧ C_i).
-            let floating = self.floating.as_mut().expect("proofs on");
-            let mut assumptions = Self::base_assumptions(floating);
-            for j in 0..i {
-                let bad_j = floating.unroller.lit(j, bad_bit);
-                assumptions.push(floating.assumption(!bad_j));
-            }
-            let bad_i = floating.unroller.lit(i, bad_bit);
-            let bad_i = floating.assumption(bad_i);
-            assumptions.push(bad_i);
-            let backward = floating.solve_lfp(
-                &assumptions,
-                &mut self.encode_seconds,
-                &mut self.solve_seconds,
-            );
-            match backward {
-                SolveResult::Unsat => {
-                    return Ok(Some(BmcVerdict::Proof {
-                        kind: ProofKind::BackwardInduction,
-                        depth: i,
-                    }));
-                }
-                // No proof at this bound; the counterexample check runs.
-                SolveResult::Unknown if self.backward_hit_cap() => {
-                    self.backward_cap = self.backward_cap.saturating_mul(2);
-                    self.backward_capped += 1;
-                }
-                SolveResult::Unknown => {
-                    let reason = self
-                        .floating
-                        .as_ref()
-                        .expect("proofs on")
-                        .solver
-                        .exhaustion_reason();
-                    return Ok(Some(self.unknown_verdict(prop, reason)));
-                }
-                SolveResult::Sat => self.backward_cap = BACKWARD_CAP_FLOOR,
-            }
-        }
-
+        let termination = self.options.proofs && self.anchored.unroller.num_frames() <= i + 1;
         // Counterexample check: SAT(I ∧ ¬P_i ∧ C_i). A bound refuted in an
         // earlier `check` call stays refuted — the anchored formula only
         // grows (retired clauses are redundant) — so it is skipped.
-        if self.options.pipeline.incremental
-            && self.cleared_depth.get(&prop).is_some_and(|&d| i <= d)
-        {
-            return Ok(None);
+        let cleared = self.options.pipeline.incremental
+            && self.cleared_depth.get(&prop).is_some_and(|&d| i <= d);
+        // Forward termination SAT(I ∧ LFP_i ∧ C_i), then the
+        // counterexample check.
+        let forward = BoundJob {
+            depth: i,
+            bad_bit,
+            budget: self
+                .options
+                .pipeline
+                .solve_budget
+                .clone()
+                .with_earlier_deadline(deadline),
+            termination,
+            step: false,
+            counterexample: !cleared,
+        };
+        // Backward termination SAT(LFP_i ∧ ¬P_i ∧ CP_i ∧ C_i). The
+        // floating solver answers only this query, so its budget carries
+        // the schedule's cap.
+        let cap = forward
+            .budget
+            .max_conflicts
+            .map_or(self.backward_cap, |max| max.min(self.backward_cap));
+        let backward = BoundJob {
+            budget: Budget {
+                max_conflicts: Some(cap),
+                ..forward.budget.clone()
+            },
+            step: true,
+            counterexample: false,
+            ..forward.clone()
+        };
+        let BmcEngine {
+            model,
+            anchored,
+            floating,
+            ..
+        } = self;
+        let model: &Design = model;
+        let (forward, backward) = match floating {
+            Some(floating) => std::thread::scope(|s| {
+                let handle = s.spawn(move || backward.run(model, floating));
+                let forward = forward.run(model, anchored);
+                let backward = handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                (forward, backward)
+            }),
+            None => (forward.run(model, anchored), Answers::default()),
+        };
+        self.encode_seconds += forward.encode_seconds + backward.encode_seconds;
+        self.solve_seconds += forward.solve_seconds + backward.solve_seconds;
+
+        let ended = if let Some(reason) = forward.encode.or(backward.encode) {
+            Some(self.unknown_verdict(prop, Some(reason)))
+        } else {
+            match (forward.termination, backward.termination) {
+                (Some(SolveResult::Unsat), _) => Some(BmcVerdict::Proof {
+                    kind: ProofKind::ForwardDiameter,
+                    depth: i,
+                }),
+                (Some(SolveResult::Unknown), _) => {
+                    Some(self.unknown_verdict(prop, self.anchored.solver.exhaustion_reason()))
+                }
+                (_, Some(SolveResult::Unsat)) => Some(BmcVerdict::Proof {
+                    kind: ProofKind::BackwardInduction,
+                    depth: i,
+                }),
+                // No proof at this bound; the counterexample check counts.
+                (_, Some(SolveResult::Unknown)) if self.backward_hit_cap() => {
+                    self.backward_cap = self.backward_cap.saturating_mul(2);
+                    self.backward_capped += 1;
+                    None
+                }
+                (_, Some(SolveResult::Unknown)) => {
+                    let floating = self.floating.as_ref().expect("proofs on");
+                    Some(self.unknown_verdict(prop, floating.solver.exhaustion_reason()))
+                }
+                (_, Some(SolveResult::Sat)) => {
+                    self.backward_cap = BACKWARD_CAP_FLOOR;
+                    None
+                }
+                (_, None) => None,
+            }
+        };
+        let Some((group, result)) = forward.counterexample else {
+            return Ok(ended);
+        };
+        if ended.is_some() {
+            // A counterexample query the sequential loop would not have
+            // run: retire its group and drop its answer.
+            self.prop_clauses_retired += self.anchored.solver.retire_group(group) as u64;
+            return Ok(ended);
         }
-        let bad_i = self.anchored.unroller.lit(i, bad_bit);
-        let bad_i = self.anchored.assumption(bad_i);
-        // The bound's property clause lives in an activation group of its
-        // own: enforced through the group assumption while this bound is
-        // under test, physically retired the moment the bound is refuted —
-        // the solver's clause arena does not accumulate one dead property
-        // clause per bound the way satisfied-but-resident clauses would.
-        let group = self.anchored.solver.new_activation_group();
-        self.anchored.solver.add_clause_in_group(group, &[bad_i]);
-        let mut assumptions = Self::base_assumptions(&self.anchored);
-        assumptions.push(group);
-        let solve_started = Instant::now();
-        let result = self.anchored.solver.solve_with(&assumptions);
-        self.solve_seconds += solve_started.elapsed().as_secs_f64();
         match result {
             SolveResult::Sat => {
                 let trace = self.extract_trace(prop, i);
@@ -1043,18 +1199,19 @@ impl<'d> BmcEngine<'d> {
     /// Whether the backward query's `Unknown` came from the schedule's cap
     /// alone: the cap, not `solve_budget`, was the binding conflict limit,
     /// and neither the deadline, a cancellation nor a lifetime work cap of
-    /// the governor has tripped. Any other `Unknown` ends the run.
+    /// the floating context's governor has tripped. Any other `Unknown`
+    /// ends the run.
     fn backward_hit_cap(&self) -> bool {
-        let solver = &self.floating.as_ref().expect("proofs on").solver;
-        let stats = solver.stats();
+        let floating = self.floating.as_ref().expect("proofs on");
+        let stats = floating.solver.stats();
         self.options
             .pipeline
             .solve_budget
             .max_conflicts
             .is_none_or(|max| self.backward_cap < max)
-            && solver.exhaustion_reason() == Some(ExhaustionReason::ConflictLimit)
-            && self.governor.poll().is_none()
-            && self
+            && floating.solver.exhaustion_reason() == Some(ExhaustionReason::ConflictLimit)
+            && floating.governor.poll().is_none()
+            && floating
                 .governor
                 .check_counters(stats.conflicts, stats.propagations)
                 .is_none()
@@ -1063,12 +1220,14 @@ impl<'d> BmcEngine<'d> {
     /// Drops and recreates every context: fresh solvers, unrollers, EMM
     /// and LFP state (the restart-from-scratch baseline of
     /// [`PipelineOptions::incremental`](crate::PipelineOptions::incremental)` = false`).
+    /// Each context keeps its governor, fault count included.
     fn rebuild_contexts(&mut self) {
-        self.anchored = Self::make_ctx(&self.model, &self.options, &self.governor, true);
-        self.floating = self
-            .options
-            .proofs
-            .then(|| Self::make_ctx(&self.model, &self.options, &self.governor, false));
+        let governor = self.anchored.governor.clone();
+        self.anchored = Self::make_ctx(&self.model, &self.options, &governor, true);
+        if let Some(floating) = &mut self.floating {
+            let governor = floating.governor.clone();
+            *floating = Self::make_ctx(&self.model, &self.options, &governor, false);
+        }
         self.cleared_depth.clear();
     }
 
@@ -1129,27 +1288,6 @@ impl<'d> BmcEngine<'d> {
                     self.memory_reasons.insert(mi);
                 }
             }
-        }
-    }
-
-    fn apply_budget(&mut self, deadline: Option<Instant>) {
-        let budget = self
-            .options
-            .pipeline
-            .solve_budget
-            .clone()
-            .with_earlier_deadline(deadline);
-        self.anchored.solver.set_budget(budget.clone());
-        // The floating solver answers only the backward query, so its
-        // budget carries the schedule's cap.
-        if let Some(f) = &mut self.floating {
-            let cap = budget
-                .max_conflicts
-                .map_or(self.backward_cap, |max| max.min(self.backward_cap));
-            f.solver.set_budget(Budget {
-                max_conflicts: Some(cap),
-                ..budget
-            });
         }
     }
 

@@ -252,20 +252,12 @@ impl<'d> KInduction<'d> {
         self.options.pipeline.governor = governor.clone();
         self.governor = governor;
         self.base.set_governor(self.governor.clone());
-        self.install_step_governor();
+        self.step.set_governor(self.governor.clone());
     }
 
     /// The governor currently in force.
     pub fn governor(&self) -> &ResourceGovernor {
         &self.governor
-    }
-
-    fn install_step_governor(&mut self) {
-        self.step.solver.set_governor(self.governor.clone());
-        if let Some(simp) = &mut self.step.simplify {
-            simp.set_governor(self.governor.clone());
-        }
-        self.step.emm.set_governor(self.governor.clone());
     }
 
     /// Drops and recreates the step context (poisoned EMM emission or a
@@ -306,10 +298,10 @@ impl<'d> KInduction<'d> {
         if self.step.emm.interrupted() {
             self.rebuild_step();
         } else {
-            self.install_step_governor();
+            self.step.set_governor(self.governor.clone());
         }
         // Step queries are bound-exact over the single shared LFP
-        // activation (see `BmcEngine::process_bound`); a context unrolled
+        // activation (see `BmcEngine::run_bound`); a context unrolled
         // for another property cannot run this one's shallow steps.
         if self.step_prop.is_some_and(|p| p != prop) && self.step.unroller.num_frames() > 0 {
             self.rebuild_step();
@@ -385,8 +377,7 @@ impl<'d> KInduction<'d> {
         deadline: Option<Instant>,
     ) -> StepOutcome {
         let encode_started = Instant::now();
-        let outcome =
-            BmcEngine::extend_ctx_to(self.base.model(), &mut self.step, k, &self.governor);
+        let outcome = BmcEngine::extend_ctx_to(self.base.model(), &mut self.step, k);
         self.encode_seconds += encode_started.elapsed().as_secs_f64();
         if let Some(reason) = outcome {
             return StepOutcome::Exhausted(reason);

@@ -232,7 +232,10 @@ pub struct VerifyOptions {
     /// Worker threads for the parallel paths (the fraig sweep in
     /// preprocessing, and whatever driver consumes these options). `0`
     /// (the default) and `1` both run inline on the caller's thread; the
-    /// result is identical at every worker count.
+    /// result is identical at every worker count. The count does not
+    /// size the bound loop: with [`VerifyOptions::proofs`] on, each
+    /// bound's floating-context queries always run on a second thread
+    /// (see the `BmcEngine` module docs).
     pub workers: usize,
 }
 

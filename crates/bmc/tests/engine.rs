@@ -5,7 +5,7 @@ use emm_aig::{Design, LatchInit, MemInit, Word};
 use emm_bmc::{pba, BmcEngine, BmcVerdict, KInduction, ProofKind, VerifyOptions};
 use emm_core::{explicit_model, EmmOptions};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
-use emm_sat::{Budget, ExhaustionReason, ResourceGovernor};
+use emm_sat::{Budget, ExhaustionReason, ResourceGovernor, SolverStats};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -59,9 +59,8 @@ fn unreachable_state_proved_by_forward_diameter() {
     }
 }
 
-#[test]
-fn inductive_invariant_proved_backward() {
-    // Two toggles in lockstep: a == b is inductive; forward diameter is 2.
+/// Two toggles in lockstep: a == b is inductive; forward diameter is 2.
+fn lockstep_toggles() -> Design {
     let mut d = Design::new();
     let (_, a) = d.new_latch("a", LatchInit::Zero);
     let (_, b) = d.new_latch("b", LatchInit::Zero);
@@ -70,6 +69,12 @@ fn inductive_invariant_proved_backward() {
     let bad = d.aig.xor(a, b);
     d.add_property("lockstep", bad);
     d.check().expect("valid");
+    d
+}
+
+#[test]
+fn inductive_invariant_proved_backward() {
+    let d = lockstep_toggles();
     let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let run = engine.check(0, 10).expect("run");
     match run.verdict {
@@ -78,6 +83,41 @@ fn inductive_invariant_proved_backward() {
             assert!(depth <= 1);
         }
         other => panic!("expected proof, got {other:?}"),
+    }
+}
+
+/// At the bound the backward check proves, the anchored thread has
+/// already run that bound's counterexample query. The sequential loop
+/// would not have run it, so its answer is dropped, but its property
+/// group is retired and counted like every other one.
+#[test]
+fn speculative_counterexample_query_is_retired_and_never_committed() {
+    let d = lockstep_toggles();
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
+    for (call, retired) in [(1, 2), (2, 3)] {
+        let run = engine.check(0, 10).expect("run");
+        assert!(
+            matches!(
+                run.verdict,
+                BmcVerdict::Proof {
+                    kind: ProofKind::BackwardInduction,
+                    depth: 1,
+                }
+            ),
+            "call {call}: {:?}",
+            run.verdict
+        );
+        // Bound 0's refuted group, then one speculative bound-1 group per
+        // call: bound 1 was never committed as clean, so the second call
+        // runs its queries again.
+        assert_eq!(engine.property_clauses_retired(), retired, "call {call}");
+        let simplify = engine.simplify_stats().expect("simplify on");
+        let (_, solver) = engine.solver_stats();
+        assert_eq!(
+            solver.retired_clauses,
+            simplify.clauses_retired + engine.property_clauses_retired(),
+            "call {call}: every retired group is counted"
+        );
     }
 }
 
@@ -572,7 +612,9 @@ fn solve_budget_below_the_backward_floor_ends_the_run() {
 /// reports the same `ConflictLimit` as the schedule's cap, but it ends
 /// the run. The bounds whose capped backward query fell through still
 /// ran their counterexample check, so `deepest_clean_bound` is the bound
-/// before the trip, and raising the governor resumes to the proof.
+/// before the trip, and raising the governor resumes to the proof. The
+/// anchored thread may have refuted the trip bound's counterexample query
+/// meanwhile; that answer is speculative and must not be committed.
 #[test]
 fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
     let d = parked_counter_with_idle_state(32);
@@ -595,7 +637,10 @@ fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
         BmcVerdict::Unknown {
             reason: ExhaustionReason::ConflictLimit,
             deepest_clean_bound,
-        } => assert_eq!(deepest_clean_bound, Some(run.depth_reached as u32 - 1)),
+        } => {
+            assert_eq!(run.depth_reached, 13);
+            assert_eq!(deepest_clean_bound, Some(12));
+        }
         other => panic!("expected Unknown{{ConflictLimit}}, got {other:?}"),
     }
     engine.set_governor(ResourceGovernor::unlimited());
@@ -615,7 +660,8 @@ fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
 
 /// The Table 1 P1 proof closes at the cycle bound by the forward check
 /// while every backward query before it is capped or SAT, and the
-/// schedule is deterministic: two fresh runs spend the same search.
+/// schedule is deterministic: two fresh runs spend the same search in
+/// both contexts, although the two run on two threads.
 #[test]
 fn backward_schedule_keeps_the_forward_proof_and_is_deterministic() {
     let qs = QuickSort::new(QuickSortConfig {
@@ -640,8 +686,21 @@ fn backward_schedule_keeps_the_forward_proof_and_is_deterministic() {
             run.verdict
         );
         assert!(engine.backward_capped() > 0);
-        let (_, stats) = engine.floating_solver_stats().expect("proofs on");
-        (engine.backward_capped(), stats.conflicts, stats.decisions)
+        let search = |(vars, stats): (usize, SolverStats)| {
+            (
+                vars,
+                stats.conflicts,
+                stats.decisions,
+                stats.propagations,
+                stats.original_clauses,
+                stats.retired_clauses,
+            )
+        };
+        (
+            engine.backward_capped(),
+            search(engine.floating_solver_stats().expect("proofs on")),
+            search(engine.solver_stats()),
+        )
     };
     assert_eq!(run_once(), run_once());
 }

@@ -11,6 +11,10 @@
 //!
 //! The sweep is seeded and budget-free, so each (site, N) pair replays
 //! identically: a failure here is a deterministic repro, not a flake.
+//! With proofs on, the engine's anchored and floating contexts run each
+//! bound on two threads under two forks of the governor, so the N-th
+//! occurrence of a site counts per context, not across both; the
+//! proofs-on sweep runs every pair twice to pin that.
 //!
 //! The k-induction engine shares the governance contract: its sweeps at
 //! the bottom of this file assert the same no-flip/resume guarantees,
@@ -173,6 +177,61 @@ fn fault_sweep_on_random_designs_never_flips_verdicts() {
     ] {
         for n in [1, 7] {
             inject_and_resume(&d, 0, 6, true, &reference, site, n);
+            assert_fault_replays(&d, 0, 6, site, n);
+        }
+    }
+}
+
+/// With proofs on, the two contexts run each bound on two threads, and
+/// each counts fault sites on its own governor fork. A trip therefore
+/// lands at the same point of the same context on every run: two fresh
+/// engines end identically, whatever the thread schedule.
+fn assert_fault_replays(design: &Design, prop: usize, bound: usize, site: FaultSite, n: u64) {
+    let run_once = || {
+        let governor = ResourceGovernor::unlimited().with_fault(site, n);
+        let mut engine = BmcEngine::new(design, opts(governor, true));
+        let run = engine.check(prop, bound).expect("no spurious traces");
+        let clean = match run.verdict {
+            BmcVerdict::Unknown {
+                deepest_clean_bound,
+                ..
+            } => deepest_clean_bound,
+            _ => None,
+        };
+        (verdict_shape(&run.verdict), clean, run.depth_reached)
+    };
+    assert_eq!(
+        run_once(),
+        run_once(),
+        "fault ({site:?}, {n}) must replay identically with proofs on"
+    );
+}
+
+/// Each context counts fault sites on its own governor fork, so a frame
+/// fault armed at `n` trips at bound `n - 1` with proofs on, exactly as
+/// with proofs off (one anchored frame per bound). Counted across both
+/// contexts, it would trip at about half that depth.
+#[test]
+fn frame_fault_counts_per_context_with_proofs_on() {
+    let ind2 = Industry2::new(Industry2Config::small());
+    let prop = ind2.lookups[0];
+    for proofs in [false, true] {
+        for n in [2, 4] {
+            let governor = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, n);
+            let mut engine = BmcEngine::new(&ind2.design, opts(governor, proofs));
+            let run = engine.check(prop, 8).expect("run");
+            assert!(
+                matches!(
+                    run.verdict,
+                    BmcVerdict::Unknown {
+                        reason: ExhaustionReason::Cancelled,
+                        deepest_clean_bound: Some(d),
+                    } if d as u64 == n - 2
+                ),
+                "proofs {proofs}, n {n}: {:?}",
+                run.verdict
+            );
+            assert_eq!(run.depth_reached as u64, n - 1, "proofs {proofs}, n {n}");
         }
     }
 }
