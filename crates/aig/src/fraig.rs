@@ -1,10 +1,10 @@
 //! FRAIG — functionally reduced AIGs by simulate / refine / prove.
 //!
-//! The simplifying CNF sink (`emm-sat`) can only intern gates the unroller
-//! already chose to emit, and every sweep refutation there costs a solver
-//! model *during encoding*. This pass moves sweeping to where it is cheap
-//! and pays everywhere: the design's AIG, **once, before unrolling**, so a
-//! merged cone disappears from every time frame of every BMC context.
+//! The simplifying CNF sink (`emm-sat`) only interns structurally
+//! identical gates. This pass merges functionally equivalent cones where
+//! it is cheap and pays everywhere: the design's AIG, **once, before
+//! unrolling**, so a merged cone disappears from every time frame of every
+//! BMC context.
 //!
 //! The pass rebuilds the graph structurally, then runs the classic
 //! fraiging recipe in **rounds**:

@@ -16,8 +16,7 @@
 //! to the old level would pass unnoticed.
 //!
 //! In addition, `--require-modes` (a comma-separated list defaulting to
-//! every mode the `simplify` harness emits, `rewrite6_fraig` and
-//! `incremental` included)
+//! every mode the `simplify` harness emits, the same list CI passes)
 //! demands that each benchmark of **both** files carries every named
 //! mode — so a mode silently disappearing from the suite, or a stale
 //! baseline missing a newly-shipped mode, fails the gate instead of
@@ -187,8 +186,7 @@ fn main() -> ExitCode {
     let summary_path = arg_value("--summary");
     let required_modes: Vec<String> = arg_value("--require-modes")
         .unwrap_or_else(|| {
-            "naive,simplified,simplified_sweep,fraig,rewrite_fraig,rewrite6_fraig,incremental"
-                .to_string()
+            "naive,simplified,fraig,rewrite_fraig,rewrite6_fraig,incremental,kinduction".to_string()
         })
         .split(',')
         .map(|m| m.trim().to_string())

@@ -6,20 +6,19 @@
 //!
 //! For every workload the same property is checked once per mode — the
 //! naive seed encoding (`SimplifyConfig::disabled`), the simplifying sink
-//! (default config), the sink plus encode-time SAT sweeping, the
-//! AIG-level fraig pass on top of the default sink, cut-based rewriting
-//! ahead of fraig (the engine default, k = 4 cuts with global
-//! selection), wide-cut rewriting (`RewriteConfig::wide()`: k = 6
-//! cuts, `u64` truth tables) ahead of fraig, the `incremental`
-//! solver-lifecycle row (the sweeping sink solved bound-to-bound on one
-//! long-lived solver with clause retirement, against a
-//! restart-from-scratch leg of the same configuration), and the
+//! (default config), the AIG-level fraig pass on top of the default
+//! sink, cut-based rewriting ahead of fraig (the engine default, k = 4
+//! cuts with global selection), wide-cut rewriting
+//! (`RewriteConfig::wide()`: k = 6 cuts, `u64` truth tables) ahead of
+//! fraig, the `incremental` solver-lifecycle row (the default sink solved
+//! bound-to-bound on one long-lived solver with clause retirement,
+//! against a restart-from-scratch leg of the same configuration), and the
 //! `kinduction` row (the unbounded engine's interleaved base case and
 //! floating inductive step, recording per-depth seconds, step-query
 //! counts, and step-group retirement totals) — recording solver
 //! variable/clause counts at the deepest checked frame, wall time
 //! (per-bound for the incremental pair and the k loop), retired-clause
-//! totals, and the layers' cache / sweep / fraig / rewrite counters.
+//! totals, and the layers' cache / fraig / rewrite counters.
 //!
 //! A final `server` section measures `VerificationServer` batch
 //! throughput (jobs/sec) at pool sizes 1, 2, and 4 on the quicksort
@@ -100,10 +99,10 @@ struct KinductionExtras {
 /// retirement totals and the per-bound wall-clock comparison against the
 /// restart-from-scratch baseline (same config, `incremental: false`).
 struct IncrementalExtras {
-    /// Clauses physically retired by the anchored solver (sweep-merged
-    /// Tseitin triples + refuted per-bound property clauses).
+    /// Clauses physically retired by the anchored solver.
     retired_clauses: u64,
-    /// The property-clause share of `retired_clauses`.
+    /// Refuted per-bound property clauses retired by the engine; equals
+    /// `retired_clauses`, since nothing else is retired.
     property_clauses_retired: u64,
     /// Wall seconds per bound, incremental engine.
     per_bound_seconds: Vec<f64>,
@@ -135,15 +134,13 @@ fn exhaustion_name(v: &BmcVerdict) -> Option<String> {
     }
 }
 
-/// The eight measured encoder configurations.
+/// The seven measured encoder configurations.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// The seed encoding: no sink layer, no comparator cache, no fraig.
     Naive,
     /// The PR-1 sink: hashing + folding + lazy emission + cmp cache.
     Simplified,
-    /// The sink plus encode-time SAT sweeping.
-    SimplifiedSweep,
     /// AIG-level fraiging before unrolling, on top of the default sink.
     Fraig,
     /// The engine default: cut-based rewriting (k = 4, global
@@ -152,15 +149,14 @@ enum Mode {
     /// Wide-cut rewriting (`RewriteConfig::wide()`: k = 6 cuts over
     /// `u64` truth tables), then fraiging, then the default sink.
     Rewrite6Fraig,
-    /// The sweeping sink measured as a *solver lifecycle* row: one
-    /// long-lived solver across the bound loop with per-bound property
-    /// clauses retired on refutation and sweep-merged Tseitin triples
-    /// physically deleted, against a restart-from-scratch leg of the
-    /// same configuration (verdicts must agree; per-bound wall clock is
-    /// the headline number).
+    /// The `simplified` configuration measured as a *solver lifecycle*
+    /// row: one long-lived solver across the bound loop with per-bound
+    /// property clauses retired on refutation, against a
+    /// restart-from-scratch leg of the same configuration (verdicts must
+    /// agree; per-bound wall clock is the headline number).
     Incremental,
     /// The k-induction engine as its own lifecycle row: interleaved
-    /// base case and floating inductive step on the sweeping sink, with
+    /// base case and floating inductive step on the default sink, with
     /// per-depth step clauses retired through activation groups. The
     /// quicksort loop counter keeps the recurrence diameter far beyond
     /// the sort bound, so induction honestly reports `bound` on these
@@ -170,10 +166,9 @@ enum Mode {
 }
 
 impl Mode {
-    const ALL: [Mode; 8] = [
+    const ALL: [Mode; 7] = [
         Mode::Naive,
         Mode::Simplified,
-        Mode::SimplifiedSweep,
         Mode::Fraig,
         Mode::RewriteFraig,
         Mode::Rewrite6Fraig,
@@ -185,7 +180,6 @@ impl Mode {
         match self {
             Mode::Naive => "naive",
             Mode::Simplified => "simplified",
-            Mode::SimplifiedSweep => "simplified_sweep",
             Mode::Fraig => "fraig",
             Mode::RewriteFraig => "rewrite_fraig",
             Mode::Rewrite6Fraig => "rewrite6_fraig",
@@ -208,7 +202,6 @@ fn run_one(
         Mode::Simplified | Mode::Fraig | Mode::RewriteFraig | Mode::Rewrite6Fraig => {
             SimplifyConfig::default()
         }
-        Mode::SimplifiedSweep => SimplifyConfig::sweeping(),
         Mode::Incremental => unreachable!("dispatched to run_incremental"),
         Mode::Kinduction => unreachable!("dispatched to run_kinduction"),
     };
@@ -268,7 +261,7 @@ fn run_one(
     }
 }
 
-/// The `incremental` mode: the sweeping configuration solved
+/// The `incremental` mode: the `simplified` configuration solved
 /// bound-to-bound on one long-lived solver per context, then the same
 /// configuration again with `incremental: false` (every bound re-encodes
 /// and re-solves from scratch). The row's headline counts come from the
@@ -286,7 +279,6 @@ fn run_incremental(
             // The restart leg is deliberately quadratic; give it headroom so
             // the comparison ends in matching verdicts, not a timeout.
             .wall_limit(Some(if incremental { timeout } else { timeout * 5 }))
-            .simplify(SimplifyConfig::sweeping())
             .fraig(FraigConfig::disabled())
             .rewrite(RewriteConfig::disabled())
             .incremental(incremental)
@@ -329,7 +321,7 @@ fn run_incremental(
     }
 }
 
-/// The `kinduction` mode: the [`KInduction`] engine on the sweeping
+/// The `kinduction` mode: the [`KInduction`] engine on the default
 /// configuration, base case and floating inductive step interleaved up
 /// to a fixed depth cap. The headline `vars`/`clauses` come
 /// from the base-case solver (comparable to the anchored rows); the
@@ -343,12 +335,7 @@ fn run_kinduction(
     timeout: Duration,
 ) -> RunRecord {
     let started = Instant::now();
-    let mut engine = KInduction::new(
-        design,
-        VerifyOptions::default()
-            .simplify(SimplifyConfig::sweeping())
-            .wall_limit(Some(timeout)),
-    );
+    let mut engine = KInduction::new(design, VerifyOptions::default().wall_limit(Some(timeout)));
     let run = engine.check(prop, max_k).expect("bench run");
     let elapsed = started.elapsed();
     let (vars, solver_stats) = engine.base().solver_stats();
@@ -411,23 +398,16 @@ fn json_record(r: &RunRecord) -> String {
                 s,
                 ", \"simplify\": {{\"gate_queries\": {}, \"folded\": {}, \
                  \"cache_hits\": {}, \"gates_created\": {}, \"gates_emitted\": {}, \
-                 \"gates_elided\": {}, \"sweep_checks\": {}, \"sweep_merges\": {}, \
-                 \"sweep_refuted\": {}, \"clauses_dropped\": {}, \
-                 \"literals_stripped\": {}, \"clauses_retired\": {}, \
-                 \"interrupted\": {}}}",
+                 \"gates_elided\": {}, \"clauses_dropped\": {}, \
+                 \"literals_stripped\": {}}}",
                 st.gate_queries,
                 st.folded,
                 st.cache_hits,
                 st.gates_created,
                 st.gates_emitted,
                 st.gates_elided(),
-                st.sweep_checks,
-                st.sweep_merges,
-                st.sweep_refuted,
                 st.clauses_dropped,
                 st.literals_stripped,
-                st.clauses_retired,
-                st.interrupted,
             )
             .expect("write");
         }

@@ -132,11 +132,7 @@ pub fn dump_bmc_cnf(
     }
 
     let mut sink = VecSink::new();
-    let mut simplify = options
-        .pipeline
-        .simplify
-        .enabled
-        .then(|| Simplifier::new(options.pipeline.simplify));
+    let mut simplify = options.pipeline.simplify.enabled.then(Simplifier::new);
     let unroll_config = UnrollConfig {
         initial_state: true,
         latch_selectors: false,
@@ -178,9 +174,11 @@ pub fn dump_bmc_cnf(
     // Bad literal per frame, materialized so the lazily emitted cones
     // constrain them, then disjoined: SAT iff some frame reaches bad.
     let bad = design.properties()[property].bad;
-    let materialize = |lit: Lit, sink: &mut VecSink, simp: &mut Option<Simplifier>| match simp {
-        Some(simp) => simp.attach(sink).materialize(lit),
-        None => lit,
+    let materialize = |lit: Lit, sink: &mut VecSink, simp: &mut Option<Simplifier>| {
+        if let Some(simp) = simp {
+            simp.attach(sink).materialize(lit);
+        }
+        lit
     };
     let bad_lits: Vec<Lit> = (0..=depth)
         .map(|f| materialize(unroller.lit(f, bad), &mut sink, &mut simplify))

@@ -107,11 +107,9 @@
 //! The layer interns structurally identical gates across frames, folds
 //! constants, and defers a gate's Tseitin clauses until something actually
 //! references it (a dynamic cone-of-influence reduction at the literal
-//! level); SAT sweeping of simulation-signature-equal cones is available
-//! as an opt-in pass (`SimplifyConfig::sweeping`). Literals
-//! handed to the solver as *assumptions* bypass `add_clause`, so the
-//! engine materializes them first (see `Ctx::assumption`). Disable or
-//! tune the layer through
+//! level). Literals handed to the solver as *assumptions* bypass
+//! `add_clause`, so the engine materializes them first (see
+//! `Ctx::assumption`). Disable the layer through
 //! [`PipelineOptions::simplify`](crate::PipelineOptions::simplify); its
 //! effect is observable via [`BmcEngine::simplify_stats`] and
 //! [`BmcEngine::solver_stats`].
@@ -336,34 +334,31 @@ pub(crate) struct Ctx {
     pub(crate) lfp: Option<LfpBuilder>,
     /// Cross-frame simplification state, when enabled. All clause traffic
     /// from the unroller / EMM / LFP flows through `simplify.attach(solver)`
-    /// so gates are interned, swept, and lazily emitted.
+    /// so gates are interned and lazily emitted.
     pub(crate) simplify: Option<Simplifier>,
     /// Per-EMM-slot count of init reads whose address cones have already
     /// been materialized (so `extend_ctx_to` only touches new ones).
     init_reads_materialized: Vec<usize>,
-    /// The governor installed on this context's solver, sweeper and EMM
-    /// encoder, and polled between its frames.
+    /// The governor installed on this context's solver and EMM encoder,
+    /// and polled between its frames.
     governor: ResourceGovernor,
 }
 
 impl Ctx {
-    /// Installs `governor` on the solver, sweeper and EMM encoder.
+    /// Installs `governor` on the solver and EMM encoder.
     pub(crate) fn set_governor(&mut self, governor: ResourceGovernor) {
         self.solver.set_governor(governor.clone());
-        if let Some(simp) = &mut self.simplify {
-            simp.set_governor(governor.clone());
-        }
         self.emm.set_governor(governor.clone());
         self.governor = governor;
     }
 
-    /// Prepares `lit` for use as a solve assumption: resolves sweep
-    /// substitutions and emits any still-lazy defining clauses.
+    /// Prepares `lit` for use as a solve assumption: emits any still-lazy
+    /// defining clauses.
     pub(crate) fn assumption(&mut self, lit: Lit) -> Lit {
-        match &mut self.simplify {
-            Some(simp) => simp.attach(&mut self.solver).materialize(lit),
-            None => lit,
+        if let Some(simp) = &mut self.simplify {
+            simp.attach(&mut self.solver).materialize(lit);
         }
+        lit
     }
 
     /// Solves under `assumptions` with `LFP` enforced, adding pair rows
@@ -516,7 +511,7 @@ pub struct BmcEngine<'d> {
     /// The governor in force:
     /// [`PipelineOptions::governor`](crate::PipelineOptions::governor)
     /// with the current `check` call's wall-limit deadline min-combined
-    /// in. Installed on every context's solver, sweeper and EMM encoder.
+    /// in. Installed on every context's solver and EMM encoder.
     governor: ResourceGovernor,
     /// Wall time of the preprocessing phases (run once, in `new`).
     rewrite_seconds: f64,
@@ -662,11 +657,7 @@ impl<'d> BmcEngine<'d> {
     ) -> Ctx {
         let mut solver = Solver::new();
         solver.set_governor(governor.clone());
-        let mut simplify = options.pipeline.simplify.enabled.then(|| {
-            let mut s = Simplifier::new(options.pipeline.simplify);
-            s.set_governor(governor.clone());
-            s
-        });
+        let mut simplify = options.pipeline.simplify.enabled.then(Simplifier::new);
         let unroll_config = UnrollConfig {
             initial_state: anchored,
             latch_selectors: options.pba_discovery && anchored,
@@ -783,16 +774,17 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// Per-bound property clauses physically retired after their bound was
-    /// refuted. Together with the sweep-retired Tseitin clauses counted in
-    /// [`SimplifyStats::clauses_retired`](emm_sat::SimplifyStats) this
-    /// accounts for every retirement the anchored solver reports in
-    /// [`emm_sat::SolverStats::retired_clauses`].
+    /// refuted. These are the only clauses the anchored solver retires, so
+    /// in incremental mode this equals its
+    /// [`emm_sat::SolverStats::retired_clauses`]. Restart mode rebuilds the
+    /// solver at every bound, so there the solver counts only the last
+    /// bound's retirements while this total spans every bound.
     pub fn property_clauses_retired(&self) -> u64 {
         self.prop_clauses_retired
     }
 
     /// Replaces the pipeline governor on the engine and on every live
-    /// context (solvers, sweepers, EMM encoders). This is how a run that
+    /// context (solvers, EMM encoders). This is how a run that
     /// ended in [`BmcVerdict::Unknown`] is resumed: install a governor
     /// with raised (or no) limits and call [`BmcEngine::check`] again —
     /// in incremental mode the cleanly refuted bounds are skipped, not
@@ -1300,16 +1292,7 @@ impl<'d> BmcEngine<'d> {
         let ctx = &self.anchored;
         let solver = &ctx.solver;
         let design: &Design = &self.model;
-        // Read literals through the sweep substitutions: a merged gate's
-        // own variable is unconstrained once its retired definition left
-        // the solver, so only the representative carries the model value.
-        let model = |l: Lit| {
-            let l = match &ctx.simplify {
-                Some(simp) => simp.resolve(l),
-                None => l,
-            };
-            solver.model_value(l).unwrap_or(false)
-        };
+        let model = |l: Lit| solver.model_value(l).unwrap_or(false);
 
         let initial_latches: Vec<bool> = ctx
             .unroller

@@ -116,8 +116,7 @@ impl LfpBuilder {
 
     /// Solves `solver` under `assumptions` with `LFP` over every recorded
     /// frame enforced, emitting pair rows on demand (see the module docs).
-    /// Rows go through `simplify` when the context has one, and model
-    /// values are read through its sweep substitutions. The solver's
+    /// Rows go through `simplify` when the context has one. The solver's
     /// [`Budget`](emm_sat::Budget) applies to each `solve_with` round, not
     /// to the query as a whole. Time spent solving is added to
     /// `solve_seconds`, time spent checking models and emitting rows to
@@ -140,7 +139,7 @@ impl LfpBuilder {
                 return result;
             }
             let started = Instant::now();
-            let repeated = self.repeated_pairs(solver, simplify.as_deref());
+            let repeated = self.repeated_pairs(solver);
             let mut attached;
             let sink: &mut dyn CnfSink = match simplify.as_deref_mut() {
                 Some(simp) => {
@@ -163,15 +162,8 @@ impl LfpBuilder {
     /// as the same state: equal kept latches and no write enabled in
     /// frames `j..k`. Sorted by `k`, then `j`, so emission order (and
     /// with it every later solve) is deterministic.
-    fn repeated_pairs(
-        &self,
-        solver: &Solver,
-        simplify: Option<&Simplifier>,
-    ) -> Vec<(usize, usize)> {
-        let value = |l: Lit| {
-            let l = simplify.map_or(l, |s| s.resolve(l));
-            solver.model_value(l).unwrap_or(false)
-        };
+    fn repeated_pairs(&self, solver: &Solver) -> Vec<(usize, usize)> {
+        let value = |l: Lit| solver.model_value(l).unwrap_or(false);
         let states: Vec<Vec<bool>> = self
             .frames
             .iter()

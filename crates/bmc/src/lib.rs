@@ -34,8 +34,7 @@
 //! All encoders emit through [`emm_sat::CnfSink`], and the engine threads
 //! a simplifying sink ([`emm_sat::simplify`]) between them and the solver
 //! by default: cross-frame structural hashing, constant folding, and lazy
-//! gate emission, with SAT sweeping as an opt-in pass. See
-//! [`PipelineOptions::simplify`].
+//! gate emission. See [`PipelineOptions::simplify`].
 //!
 //! Before any unrolling, the engine also reduces a private copy of the
 //! design: cut-based rewriting ([`emm_aig::rewrite`]) restructures

@@ -63,8 +63,8 @@ pub struct PipelineOptions {
     /// EMM encoder options (selector granularity, encoding, eq. (6)).
     pub emm: EmmOptions,
     /// Circuit simplification on the unrolled formula (structural hashing,
-    /// SAT sweeping, lazy emission); see [`emm_sat::simplify`]. Enabled by
-    /// default; use [`SimplifyConfig::disabled`] for the naive encoding.
+    /// clause folding, lazy emission); see [`emm_sat::simplify`]. Enabled
+    /// by default; use [`SimplifyConfig::disabled`] for the naive encoding.
     pub simplify: SimplifyConfig,
     /// Cut-based AIG rewriting of the design before any unrolling (see
     /// [`emm_aig::rewrite`]): k-feasible cut cones are re-synthesized from
@@ -153,9 +153,9 @@ pub struct PipelineOptions {
     /// Pipeline-wide resource governor: a deadline, lifetime conflict /
     /// propagation caps, a solver memory ceiling, and a shared
     /// cooperative cancellation token, threaded through every stage —
-    /// the rewrite and fraig preprocessing in [`BmcEngine::new`], the
-    /// simplifying sink's SAT sweeper, the EMM constraint encoder, the
-    /// frame unrolling loop, and both incremental solvers. A trip
+    /// the rewrite and fraig preprocessing in [`BmcEngine::new`], the EMM
+    /// constraint encoder, the frame unrolling loop, and both incremental
+    /// solvers. A trip
     /// anywhere degrades gracefully: preprocessing returns its
     /// best-so-far reduction (with `interrupted` stats), and `check`
     /// returns [`BmcVerdict::Unknown`] naming the reason and the

@@ -220,7 +220,7 @@ impl Unroller {
 
     /// AND gate with literal-level constant folding; the gate itself goes
     /// through the sink, so a [`SimplifySink`](emm_sat::SimplifySink) can
-    /// additionally intern, sweep, or defer it.
+    /// additionally intern or defer it.
     fn encode_and<S: CnfSink + ?Sized>(&self, sink: &mut S, a: Lit, b: Lit) -> Lit {
         let tru = !self.const_false;
         let fal = self.const_false;

@@ -32,12 +32,11 @@ use emm_sat::{ExhaustionReason, FaultSite, ResourceGovernor, SimplifyConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-const ALL_SITES: [FaultSite; 8] = [
+const ALL_SITES: [FaultSite; 7] = [
     FaultSite::Conflict,
     FaultSite::RetiredClause,
     FaultSite::FraigCheck,
     FaultSite::FraigMerge,
-    FaultSite::SweepCheck,
     FaultSite::EmmComparator,
     FaultSite::RewriteIteration,
     FaultSite::Frame,
@@ -75,7 +74,7 @@ fn opts(governor: ResourceGovernor, proofs: bool) -> VerifyOptions {
     VerifyOptions::default()
         .proofs(proofs)
         .governor(governor)
-        .simplify(SimplifyConfig::sweeping())
+        .simplify(SimplifyConfig::default())
 }
 
 /// The random memory design family of the differential suites: a memory
@@ -171,7 +170,6 @@ fn fault_sweep_on_random_designs_never_flips_verdicts() {
     for site in [
         FaultSite::Conflict,
         FaultSite::RetiredClause,
-        FaultSite::SweepCheck,
         FaultSite::EmmComparator,
         FaultSite::Frame,
     ] {
@@ -318,11 +316,10 @@ fn resume_skips_cleanly_refuted_bounds() {
         14,
         "resume must continue from the deepest clean bound"
     );
-    let simplify = engine.simplify_stats().expect("simplify on");
     let (_, solver) = engine.solver_stats();
     assert_eq!(
         solver.retired_clauses,
-        simplify.clauses_retired + engine.property_clauses_retired(),
+        engine.property_clauses_retired(),
         "retirement accounting must survive a degrade/resume cycle"
     );
 }
@@ -395,7 +392,7 @@ fn pre_cancelled_run_returns_immediately_and_resets() {
 fn ki_opts(governor: ResourceGovernor) -> VerifyOptions {
     VerifyOptions::default()
         .governor(governor)
-        .simplify(SimplifyConfig::sweeping())
+        .simplify(SimplifyConfig::default())
 }
 
 /// Like [`inject_and_resume`], for the k-induction engine: the degraded
@@ -434,7 +431,6 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
     let sites = [
         FaultSite::Conflict,
         FaultSite::RetiredClause,
-        FaultSite::SweepCheck,
         FaultSite::EmmComparator,
         FaultSite::Frame,
     ];

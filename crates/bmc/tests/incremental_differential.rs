@@ -1,18 +1,16 @@
 //! Differential testing of bound-to-bound incremental solving: one
 //! long-lived solver per context, per-bound property clauses in
-//! activation groups retired on refutation, sweep-merged Tseitin
-//! definitions physically deleted — against the restart-from-scratch
-//! baseline (`VerifyOptions::default().incremental(false)`), which rebuilds
-//! every context at every bound.
+//! activation groups retired on refutation — against the
+//! restart-from-scratch baseline
+//! (`VerifyOptions::default().incremental(false)`), which rebuilds every
+//! context at every bound.
 //!
 //! Verdicts *and* counterexample traces must agree exactly: the
 //! incremental solver carries learned clauses, retired-clause holes, and
 //! activation-group state across bounds, and none of it may change what
 //! is reachable. The white-box accounting tests additionally pin the
-//! retirement bookkeeping: every clause the solver reports retired is
-//! either a swept gate's Tseitin clause (3 per merge, counted by the
-//! simplifier) or a refuted bound's property clause (counted by the
-//! engine).
+//! retirement bookkeeping: every clause the solver reports retired is a
+//! refuted bound's property clause, counted by the engine.
 
 use emm_aig::{Design, LatchInit, MemInit};
 use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
@@ -58,7 +56,7 @@ fn run(design: &Design, prop: usize, bound: usize, incremental: bool, proofs: bo
         VerifyOptions::default()
             .proofs(proofs)
             .incremental(incremental)
-            .simplify(SimplifyConfig::sweeping()),
+            .simplify(SimplifyConfig::default()),
     );
     engine
         .check(prop, bound)
@@ -164,9 +162,9 @@ fn random_mem_design(rng: &mut StdRng) -> Design {
     d
 }
 
-/// Randomized agreement sweep, proofs on and off, with the most
-/// aggressive simplifier configuration (sweeping + retirement) so the
-/// clause-deletion path is the one under differential test.
+/// Randomized agreement sweep, proofs on and off, with the default
+/// simplifying sink, so lazy emission and property-group retirement are
+/// the paths under differential test.
 #[test]
 fn incremental_agrees_on_random_designs() {
     let mut rng = StdRng::seed_from_u64(0x1BC5);
@@ -193,7 +191,7 @@ fn repeated_shallow_checks_match_one_deep_check() {
         let d = random_mem_design(&mut rng);
         let mut stepped = BmcEngine::new(
             &d,
-            VerifyOptions::default().simplify(SimplifyConfig::sweeping()),
+            VerifyOptions::default().simplify(SimplifyConfig::default()),
         );
         let mut verdict = None;
         for depth in 0..=6 {
@@ -297,12 +295,10 @@ fn property_switch_keeps_proofs_complete() {
 }
 
 /// White-box retirement accounting at the engine level: the solver's
-/// retired-clause total decomposes exactly into sweep-retired Tseitin
-/// clauses (counted by the simplifier) plus refuted-bound property
-/// clauses (counted by the engine), and a merge-rich workload retires
-/// the full three clauses per merge.
+/// retired-clause total is exactly the refuted-bound property clauses
+/// the engine counts.
 #[test]
-fn retired_clause_accounting_matches_sweep_merges() {
+fn retired_clause_accounting_matches_property_retirements() {
     let qs = QuickSort::new(QuickSortConfig {
         n: 3,
         addr_width: 4,
@@ -311,7 +307,7 @@ fn retired_clause_accounting_matches_sweep_merges() {
     });
     let mut engine = BmcEngine::new(
         &qs.design,
-        VerifyOptions::default().simplify(SimplifyConfig::sweeping()),
+        VerifyOptions::default().simplify(SimplifyConfig::default()),
     );
     let bound = 12;
     let run = engine.check(qs.p1.0 as usize, bound).expect("run");
@@ -320,19 +316,12 @@ fn retired_clause_accounting_matches_sweep_merges() {
         "P1 must hold this deep: {:?}",
         run.verdict
     );
-    let simplify = engine.simplify_stats().expect("simplify on");
     let (_, solver) = engine.solver_stats();
-    assert!(simplify.sweep_merges > 0, "workload must exercise sweeping");
-    assert_eq!(
-        simplify.clauses_retired,
-        3 * simplify.sweep_merges,
-        "every merge retires its full Tseitin triple"
-    );
     // Every refuted bound retired its property clause.
     assert_eq!(engine.property_clauses_retired(), (bound + 1) as u64);
     assert_eq!(
         solver.retired_clauses,
-        simplify.clauses_retired + engine.property_clauses_retired(),
+        engine.property_clauses_retired(),
         "solver-side retirements must be fully accounted for"
     );
 }
@@ -351,17 +340,17 @@ fn restart_mode_accounting_is_self_contained() {
         &qs.design,
         VerifyOptions::default()
             .incremental(false)
-            .simplify(SimplifyConfig::sweeping()),
+            .simplify(SimplifyConfig::default()),
     );
     let run = engine.check(qs.p1.0 as usize, 6).expect("run");
     assert!(matches!(run.verdict, BmcVerdict::BoundReached));
     // The last rebuilt context holds frames 0..=6 and exactly one
     // refuted bound's worth of property-clause retirement.
-    let simplify = engine.simplify_stats().expect("simplify on");
     let (_, solver) = engine.solver_stats();
     assert_eq!(
-        solver.retired_clauses,
-        simplify.clauses_retired + 1,
+        solver.retired_clauses, 1,
         "one property clause retired in the final context"
     );
+    // The engine's total spans every rebuilt context: one per bound.
+    assert_eq!(engine.property_clauses_retired(), 7);
 }

@@ -1,6 +1,6 @@
 //! Differential testing of the simplifying sink layer: BMC over random
 //! designs must produce identical verdicts with simplification enabled
-//! (structural hashing + SAT sweeping + lazy emission, the default) and
+//! (structural hashing + clause folding + lazy emission, the default) and
 //! disabled (the seed's naive per-frame Tseitin encoding).
 //!
 //! This is the soundness harness for `emm_sat::simplify` at the system
@@ -110,11 +110,9 @@ fn simplified_engine_agrees_with_naive_on_random_mem_designs() {
     let mut rng = StdRng::seed_from_u64(0x51313);
     for round in 0..25 {
         let d = random_mem_design(&mut rng);
-        // Use the most aggressive configuration (sweeping included) so the
-        // riskiest merge path is the one differentially tested.
         let mut simplified = BmcEngine::new(
             &d,
-            VerifyOptions::default().simplify(SimplifyConfig::sweeping()),
+            VerifyOptions::default().simplify(SimplifyConfig::default()),
         );
         let simp_run = simplified.check(0, 5).expect("simplified run");
         let mut naive = BmcEngine::new(
@@ -181,7 +179,7 @@ fn simplified_unrolling_is_equisatisfiable_per_frame() {
         let mut plain = Unroller::new(&d, &mut plain_solver, config.clone());
 
         let mut simp_solver = Solver::new();
-        let mut simp = Simplifier::new(SimplifyConfig::sweeping());
+        let mut simp = Simplifier::new();
         let mut sink = simp.attach(&mut simp_solver);
         let mut simplified = Unroller::new(&d, &mut sink, config);
 
@@ -189,7 +187,8 @@ fn simplified_unrolling_is_equisatisfiable_per_frame() {
             plain.extend(&d, &mut plain_solver);
             let mut sink = simp.attach(&mut simp_solver);
             simplified.extend(&d, &mut sink);
-            let bad = sink.materialize(simplified.lit(k, bad_bit));
+            let bad = simplified.lit(k, bad_bit);
+            sink.materialize(bad);
             let expect = plain_solver.solve_with(&[plain.lit(k, bad_bit)]);
             let got = simp_solver.solve_with(&[bad]);
             assert_eq!(expect, got, "round {round} depth {k}");

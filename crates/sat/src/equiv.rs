@@ -1,8 +1,7 @@
 //! Incremental cone-to-CNF equivalence oracle.
 //!
-//! SAT sweeping — whether over an unrolled formula
-//! ([`SimplifySink`](crate::SimplifySink)) or over a design's AIG before
-//! encoding (the fraig pass in `emm-aig`) — keeps asking one question:
+//! SAT sweeping — the fraig pass in `emm-aig`, over a design's AIG before
+//! encoding — keeps asking one question:
 //! *are these two gate outputs the same function of the shared inputs?*
 //! Answering it needs a solver that holds the Tseitin encoding of exactly
 //! the cones mentioned so far, grown incrementally so shared substructure

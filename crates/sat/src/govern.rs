@@ -4,12 +4,11 @@
 //! [`Budget`](crate::Budget) limits a *single solve call*; the
 //! [`ResourceGovernor`] governs the *whole verification pipeline*. One
 //! governor is threaded from `PipelineOptions` through the reduction passes
-//! (rewrite, fraig), the simplifying sink's SAT sweeper, the EMM
-//! constraint encoder, and both incremental solvers, so a job-level
-//! deadline or a dispatcher's cancellation request reaches every loop
-//! that can run long. The contract at every poll point is *graceful
-//! degradation*: a tripped governor makes the pass stop early and
-//! return its best-so-far result with honest stats, and makes the
+//! (rewrite, fraig), the EMM constraint encoder, and both incremental
+//! solvers, so a job-level deadline or a dispatcher's cancellation request
+//! reaches every loop that can run long. The contract at every poll point
+//! is *graceful degradation*: a tripped governor makes the pass stop early
+//! and return its best-so-far result with honest stats, and makes the
 //! solver return `Unknown` with a level-0-clean trail — never a wrong
 //! answer, never a corrupted state.
 //!
@@ -86,8 +85,6 @@ pub enum FaultSite {
     FraigCheck,
     /// A fraig merge committed.
     FraigMerge,
-    /// A sweep SAT equivalence check issued by the simplifying sink.
-    SweepCheck,
     /// An EMM address comparator encoded.
     EmmComparator,
     /// A rewrite fixpoint iteration completed.
@@ -281,7 +278,7 @@ impl ResourceGovernor {
 
     /// The cheap poll: cancellation flag, then deadline. This is what
     /// the pass-level loops (fraig candidates, rewrite iterations,
-    /// sweep credits, EMM comparators, frame unrolling) call.
+    /// EMM comparators, frame unrolling) call.
     #[inline]
     pub fn poll(&self) -> Option<ExhaustionReason> {
         if self.is_cancelled() {
@@ -398,10 +395,10 @@ mod tests {
 
     #[test]
     fn fault_counter_is_shared_between_clones() {
-        let gov = ResourceGovernor::unlimited().with_fault(FaultSite::SweepCheck, 2);
+        let gov = ResourceGovernor::unlimited().with_fault(FaultSite::EmmComparator, 2);
         let clone = gov.clone();
-        gov.note(FaultSite::SweepCheck);
-        clone.note(FaultSite::SweepCheck);
+        gov.note(FaultSite::EmmComparator);
+        clone.note(FaultSite::EmmComparator);
         assert!(gov.is_cancelled());
     }
 

@@ -28,8 +28,8 @@
 //!   bytes, and a cooperative cancellation token polled by every
 //!   long-running loop in the stack.
 //! * A **simplifying CNF sink** ([`SimplifySink`], module [`simplify`]):
-//!   cross-frame structural hashing, simulation-guided SAT sweeping, and
-//!   lazy gate emission between the BMC encoders and the solver.
+//!   cross-frame structural hashing, clause folding, and lazy gate
+//!   emission between the BMC encoders and the solver.
 //! * An incremental **cone-to-CNF equivalence oracle** ([`EquivOracle`]):
 //!   the solver-side half of AIG-level fraiging (`emm-aig`'s `fraig`
 //!   module) — callers encode just the cones a candidate equivalence

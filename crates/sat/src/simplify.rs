@@ -13,7 +13,7 @@
 //! EmmEncoder ┘
 //! ```
 //!
-//! [`SimplifySink`] implements [`CnfSink`] and applies three cooperating
+//! [`SimplifySink`] implements [`CnfSink`] and applies two cooperating
 //! optimizations to every [`CnfSink::add_and_gate`] request:
 //!
 //! 1. **Cross-frame structural hashing** — gates are interned in a hash
@@ -22,16 +22,7 @@
 //!    outputs at frame `k+1` reuse frame `k`'s next-state literals, a cone
 //!    whose inputs stabilize across frames collapses to a single copy, no
 //!    matter how deep the unrolling goes.
-//! 2. **Simulation-guided SAT sweeping** (opt-in,
-//!    [`SimplifyConfig::sweeping`]) — every literal carries a 64-bit
-//!    random-simulation signature (the gate output's value under 64 random
-//!    input patterns). Structurally *different* gates whose signatures
-//!    coincide are candidate equivalences; a bounded incremental SAT call
-//!    ([`CnfSink::prove_equiv`]) verifies the candidate, and on success the
-//!    new gate is merged into the older representative, sharing its whole
-//!    downstream cone. The checks spend solver time during encoding, which
-//!    is why the pass is not on by default.
-//! 3. **Lazy emission** — a gate's Tseitin clauses are withheld until the
+//! 2. **Lazy emission** — a gate's Tseitin clauses are withheld until the
 //!    gate's output is referenced by an emitted clause (or explicitly
 //!    [`SimplifySink::materialize`]d for use as an assumption). Logic
 //!    outside every property/constraint/memory cone costs zero clauses,
@@ -39,16 +30,18 @@
 //!
 //! Clause traffic is also filtered through the unit-literal store: clauses
 //! satisfied by a level-0 unit are dropped and false literals are stripped.
+//! Merging functionally equivalent (not just structurally identical) logic
+//! is the fraig pass's job, once on the design AIG before unrolling.
 //!
 //! All state lives in a [`Simplifier`], which persists across frames (that
 //! is what makes the hashing *cross-frame*); [`SimplifySink`] is a
 //! short-lived view pairing the state with the underlying sink:
 //!
 //! ```
-//! use emm_sat::{CnfSink, Simplifier, SimplifyConfig, Solver};
+//! use emm_sat::{CnfSink, Simplifier, Solver};
 //!
 //! let mut solver = Solver::new();
-//! let mut simp = Simplifier::new(SimplifyConfig::default());
+//! let mut simp = Simplifier::new();
 //! let mut sink = simp.attach(&mut solver);
 //! let a = sink.new_var().positive();
 //! let b = sink.new_var().positive();
@@ -58,9 +51,7 @@
 //! assert_eq!(simp.stats().cache_hits, 1);
 //! ```
 //!
-//! Soundness: folding and hashing are purely structural rewrites; sweeping
-//! merges only literals the solver itself proved equivalent under the
-//! clauses emitted so far, which stays entailed as the formula grows; lazy
+//! Soundness: folding and hashing are purely structural rewrites; lazy
 //! emission withholds only definitions of literals no emitted clause
 //! mentions, and a solver never sees a reference to a withheld definition.
 //! The result is equivalent to the naive encoding over the shared
@@ -68,93 +59,33 @@
 
 use std::collections::HashMap;
 
-use crate::clause::ClauseId;
-use crate::govern::{FaultSite, ResourceGovernor};
 use crate::lit::{Lit, Var};
 use crate::sink::CnfSink;
 
-/// Tunable knobs of the simplifying sink.
+/// Configuration of the simplifying sink: whether the pipeline installs
+/// one at all. Callers that honour it build a [`Simplifier`] only when
+/// [`SimplifyConfig::enabled`] is set and otherwise emit straight into the
+/// solver (the naive seed encoding).
 #[derive(Clone, Copy, Debug)]
 pub struct SimplifyConfig {
-    /// Master switch; when `false` the sink is a transparent passthrough.
-    /// When `true`, literal-level constant/identity folding of gates and
-    /// unit-literal learning are always active — they are the substrate
-    /// the optional passes below build on.
+    /// Route clause and gate traffic through a [`Simplifier`].
     pub enabled: bool,
-    /// Intern gates by canonical operand pair.
-    pub structural_hashing: bool,
-    /// Merge signature-equal gates after a bounded SAT equivalence check.
-    /// Off by default: the checks run incremental solver calls during
-    /// encoding, which costs wall-clock time that the extra merges rarely
-    /// win back on solve time — enable it (see [`SimplifyConfig::sweeping`])
-    /// when formula size (memory, clause count) is the binding constraint.
-    pub sat_sweeping: bool,
-    /// Conflict budget per sweeping implication check.
-    pub sweep_conflicts: u64,
-    /// Candidates tried per gate before giving up on a sweep merge.
-    pub max_sweep_candidates: usize,
-    /// Sweep credit pool for the simplifier's lifetime. A successful merge
-    /// costs 1 credit; a refuted or budget-exhausted check costs
-    /// [`SimplifyConfig::SWEEP_MISS_COST`] — refutations force the solver
-    /// to build a complete model, which is expensive on big formulas, so a
-    /// workload where sweeping does not pay burns out quickly while a
-    /// merge-rich one keeps sweeping.
-    pub sweep_credits: u64,
-    /// Signature-bucket size cap (bounds sweeping memory and work).
-    pub max_bucket: usize,
-    /// Withhold gate clauses until the gate output is referenced.
-    pub lazy_emission: bool,
-    /// Drop clauses satisfied by a known unit, strip false literals.
-    pub clause_folding: bool,
-    /// Physically retire the three Tseitin clauses of a gate the sweeping
-    /// pass merges away (via [`CnfSink::retire_clause`]). Sound because a
-    /// merge happens at the moment the gate is emitted, before any other
-    /// clause references its output, and the recorded substitution keeps
-    /// it unreferenced forever — the definition is a removable
-    /// definitional extension. Only effective together with
-    /// [`SimplifyConfig::sat_sweeping`] and a solver-backed sink.
-    pub retire_merged: bool,
 }
 
 impl Default for SimplifyConfig {
     fn default() -> SimplifyConfig {
-        SimplifyConfig {
-            enabled: true,
-            structural_hashing: true,
-            sat_sweeping: false,
-            sweep_conflicts: 16,
-            max_sweep_candidates: 2,
-            sweep_credits: 1024,
-            max_bucket: 16,
-            lazy_emission: true,
-            clause_folding: true,
-            retire_merged: true,
-        }
+        SimplifyConfig { enabled: true }
     }
 }
 
 impl SimplifyConfig {
-    /// Credits consumed by a sweep check that does not merge.
-    pub const SWEEP_MISS_COST: u64 = 32;
-
-    /// A configuration that disables every optimization (passthrough).
+    /// The naive encoding: no simplifying sink.
     pub fn disabled() -> SimplifyConfig {
-        SimplifyConfig {
-            enabled: false,
-            ..SimplifyConfig::default()
-        }
-    }
-
-    /// The default passes plus SAT sweeping (maximum formula reduction).
-    pub fn sweeping() -> SimplifyConfig {
-        SimplifyConfig {
-            sat_sweeping: true,
-            ..SimplifyConfig::default()
-        }
+        SimplifyConfig { enabled: false }
     }
 }
 
-/// Counters describing what the sink saved (and what sweeping cost).
+/// Counters describing what the sink saved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimplifyStats {
     /// `add_and_gate` requests received.
@@ -167,20 +98,6 @@ pub struct SimplifyStats {
     pub gates_created: u64,
     /// Gates whose Tseitin clauses were actually emitted.
     pub gates_emitted: u64,
-    /// Sweep equivalence checks attempted.
-    pub sweep_checks: u64,
-    /// Gates merged into an equivalent representative.
-    pub sweep_merges: u64,
-    /// Sweep candidates refuted by a distinguishing model.
-    pub sweep_refuted: u64,
-    /// Sweep checks abandoned on the conflict budget.
-    pub sweep_unknown: u64,
-    /// Sweep candidates skipped without a SAT call: duplicates of an
-    /// already-tried pair, or candidates whose signature a mid-call
-    /// refinement separated from the gate under test. Each skip is a
-    /// refutation-shaped check (and its [`SimplifyConfig::SWEEP_MISS_COST`]
-    /// credits) that the old re-queue behavior would have paid twice.
-    pub sweep_stale_skips: u64,
     /// Clauses received via `add_clause`.
     pub clauses_in: u64,
     /// Clauses forwarded to the inner sink (gate encodings excluded).
@@ -189,15 +106,6 @@ pub struct SimplifyStats {
     pub clauses_dropped: u64,
     /// False literals stripped from forwarded clauses.
     pub literals_stripped: u64,
-    /// Tseitin clauses of swept-away gates physically retired from the
-    /// solver (up to 3 per [`SimplifyStats::sweep_merges`]; fewer when the
-    /// solver dropped a clause at add time, e.g. satisfied at level 0).
-    pub clauses_retired: u64,
-    /// Sweeping was stopped early by the simplifier's
-    /// [`ResourceGovernor`] (deadline or cancellation). Hashing, folding,
-    /// and lazy emission keep working — they are pure rewrites — so the
-    /// encoding stays correct; only further SAT sweep checks are skipped.
-    pub interrupted: bool,
 }
 
 impl SimplifyStats {
@@ -213,60 +121,21 @@ impl SimplifyStats {
 /// to the solver with [`Simplifier::attach`] whenever clauses are emitted.
 #[derive(Debug, Default)]
 pub struct Simplifier {
-    config: SimplifyConfig,
     /// Structural-hash table: canonical `(a, b)` operand pair -> output.
     cache: HashMap<(Lit, Lit), Lit>,
     /// Gates created but not yet emitted: output var -> operands.
     pending: HashMap<Var, (Lit, Lit)>,
-    /// Sweep substitutions: merged output var -> representative literal.
-    repr: HashMap<Var, Lit>,
-    /// 64-bit random-simulation signature per variable.
-    sig: Vec<u64>,
-    /// Whether `sig[i]` has been assigned (zero is a legitimate value).
-    sig_set: Vec<bool>,
-    /// Emitted (live) gate outputs bucketed by signature.
-    buckets: HashMap<u64, Vec<Lit>>,
     /// Literals fixed by unit clauses: var -> forced value.
     units: HashMap<Var, bool>,
-    /// Sweep credits consumed so far (see [`SimplifyConfig::sweep_credits`]).
-    sweep_spent: u64,
     /// A literal known false, once one exists (for folding results).
     known_false: Option<Lit>,
-    /// Shared resource governor, polled before every sweep SAT check.
-    governor: ResourceGovernor,
     stats: SimplifyStats,
-}
-
-/// Mixes a variable index into a pseudorandom 64-bit pattern (SplitMix64
-/// finalizer). Signatures must be deterministic so differential runs and
-/// resumed sessions agree.
-fn input_signature(index: usize) -> u64 {
-    let mut z = (index as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl Simplifier {
     /// Creates an empty simplifier.
-    pub fn new(config: SimplifyConfig) -> Simplifier {
-        Simplifier {
-            config,
-            ..Simplifier::default()
-        }
-    }
-
-    /// The configuration this simplifier runs with.
-    pub fn config(&self) -> &SimplifyConfig {
-        &self.config
-    }
-
-    /// Installs a shared [`ResourceGovernor`]. It is polled before every
-    /// sweep equivalence check; a trip permanently stops SAT sweeping
-    /// (the pure structural passes continue) and sets
-    /// [`SimplifyStats::interrupted`].
-    pub fn set_governor(&mut self, governor: ResourceGovernor) {
-        self.governor = governor;
+    pub fn new() -> Simplifier {
+        Simplifier::default()
     }
 
     /// Counters accumulated so far.
@@ -279,61 +148,14 @@ impl Simplifier {
         SimplifySink { simp: self, inner }
     }
 
-    /// Resolves a literal through the sweep-substitution chains.
-    pub fn resolve(&self, mut lit: Lit) -> Lit {
-        while let Some(&rep) = self.repr.get(&lit.var()) {
-            lit = if lit.is_positive() { rep } else { !rep };
-        }
-        lit
-    }
-
-    /// The signature of `lit` (variable signature, sign-adjusted).
-    fn lit_sig(&mut self, lit: Lit) -> u64 {
-        let s = self.var_sig(lit.var());
-        if lit.is_negative() {
-            !s
-        } else {
-            s
-        }
-    }
-
-    /// The signature of `var`, assigning a random input signature on first
-    /// use (covers variables created directly on the inner sink). A
-    /// computed all-zero signature (deep AND chains, false units) is a
-    /// legitimate value, so assignedness is tracked separately in
-    /// `sig_set` rather than by a sentinel.
-    fn var_sig(&mut self, var: Var) -> u64 {
-        self.grow_sig(var);
-        if !self.sig_set[var.index()] {
-            self.sig[var.index()] = input_signature(var.index());
-            self.sig_set[var.index()] = true;
-        }
-        self.sig[var.index()]
-    }
-
-    fn set_var_sig(&mut self, var: Var, sig: u64) {
-        self.grow_sig(var);
-        self.sig[var.index()] = sig;
-        self.sig_set[var.index()] = true;
-    }
-
-    fn grow_sig(&mut self, var: Var) {
-        if self.sig.len() <= var.index() {
-            self.sig.resize(var.index() + 1, 0);
-            self.sig_set.resize(var.index() + 1, false);
-        }
-    }
-
     /// The forced value of `lit` under recorded unit clauses, if any.
     fn lit_value(&self, lit: Lit) -> Option<bool> {
         self.units.get(&lit.var()).map(|&v| v ^ lit.is_negative())
     }
 
-    /// Records a level-0 unit and aligns the variable's signature with it.
+    /// Records a level-0 unit.
     fn learn_unit(&mut self, lit: Lit) {
-        let value = lit.is_positive();
-        self.units.insert(lit.var(), value);
-        self.set_var_sig(lit.var(), if value { u64::MAX } else { 0 });
+        self.units.insert(lit.var(), lit.is_positive());
         if self.known_false.is_none() {
             self.known_false = Some(!lit);
         }
@@ -349,10 +171,10 @@ impl Simplifier {
 /// a gate's clauses until something references its output:
 ///
 /// ```
-/// use emm_sat::{CnfSink, Simplifier, SimplifyConfig, Solver};
+/// use emm_sat::{CnfSink, Simplifier, Solver};
 ///
 /// let mut solver = Solver::new();
-/// let mut simp = Simplifier::new(SimplifyConfig::default());
+/// let mut simp = Simplifier::new();
 /// let mut sink = simp.attach(&mut solver);
 /// let a = sink.new_var().positive();
 /// let b = sink.new_var().positive();
@@ -384,24 +206,18 @@ impl<S: CnfSink + ?Sized> SimplifySink<'_, S> {
         v.positive()
     }
 
-    /// Resolves `lit` and emits the Tseitin cones of every still-pending
-    /// gate it (transitively) depends on, returning the final resolved
-    /// literal. Use this before passing an encoder literal to the solver as
-    /// an **assumption** — assumptions bypass `add_clause`, so this is the
-    /// only way their defining clauses are guaranteed to exist.
-    pub fn materialize(&mut self, lit: Lit) -> Lit {
-        let lit = self.simp.resolve(lit);
-        if !self.simp.pending.contains_key(&lit.var()) {
-            return lit;
-        }
+    /// Emits the Tseitin cones of every still-pending gate `lit`
+    /// (transitively) depends on. Call this before passing an encoder
+    /// literal to the solver as an **assumption** — assumptions bypass
+    /// `add_clause`, so this is the only way their defining clauses are
+    /// guaranteed to exist.
+    pub fn materialize(&mut self, lit: Lit) {
         let mut stack: Vec<Var> = vec![lit.var()];
         while let Some(&v) = stack.last() {
             let Some(&(a, b)) = self.simp.pending.get(&v) else {
                 stack.pop();
                 continue;
             };
-            let a = self.simp.resolve(a);
-            let b = self.simp.resolve(b);
             let pa = self.simp.pending.contains_key(&a.var());
             let pb = self.simp.pending.contains_key(&b.var());
             if pa || pb {
@@ -417,215 +233,54 @@ impl<S: CnfSink + ?Sized> SimplifySink<'_, S> {
             self.emit_gate(v.positive(), a, b);
             stack.pop();
         }
-        self.simp.resolve(lit)
     }
 
-    /// Emits `out = a ∧ b` into the inner sink, then offers `out` to the
-    /// sweeping pass (which may record a substitution for future uses).
-    /// When the sweep merges `out` away the just-emitted Tseitin clauses
-    /// are retired again: at this instant they are the only clauses
-    /// mentioning `out`, and the substitution guarantees no later clause
-    /// ever will, so the definition is dead weight in the solver.
+    /// Emits `out = a ∧ b` into the inner sink.
     fn emit_gate(&mut self, out: Lit, a: Lit, b: Lit) {
-        let ids = [
-            self.inner.add_clause(&[!out, a]),
-            self.inner.add_clause(&[!out, b]),
-            self.inner.add_clause(&[out, !a, !b]),
-        ];
+        self.inner.add_clause(&[!out, a]);
+        self.inner.add_clause(&[!out, b]);
+        self.inner.add_clause(&[out, !a, !b]);
         self.simp.stats.gates_emitted += 1;
-        let sig = self.simp.lit_sig(a) & self.simp.lit_sig(b);
-        self.simp.set_var_sig(out.var(), sig);
-        // Degenerate signatures are useless as equivalence evidence: long
-        // AND chains drive signatures to all-zeros, so an all-zero bucket
-        // fills with unrelated gates and every membership test costs two
-        // SAT calls. Such gates neither join buckets nor get swept.
-        if sig == 0 || sig == u64::MAX {
-            return;
-        }
-        if self.simp.config.sat_sweeping && self.sweep(out, sig) {
-            if self.simp.config.retire_merged {
-                for id in ids.into_iter().flatten() {
-                    if self.inner.retire_clause(id) {
-                        self.simp.stats.clauses_retired += 1;
-                    }
-                }
-            }
-            return;
-        }
-        // A refuted sweep candidate refines every signature mid-call;
-        // re-read `out`'s so the bucket key matches its stored signature.
-        let sig = self.simp.lit_sig(out);
-        if sig == 0 || sig == u64::MAX {
-            return;
-        }
-        let bucket = self.simp.buckets.entry(sig).or_default();
-        if bucket.len() < self.simp.config.max_bucket {
-            bucket.push(out);
-        }
-    }
-
-    /// Tries to merge `out` into a signature-equal emitted gate; returns
-    /// `true` when a substitution was recorded.
-    ///
-    /// The candidate list is snapshotted from the buckets up front, but a
-    /// refuted check refines every signature mid-call, so later entries can
-    /// be *stale*: re-queued pairs (two bucket entries resolving to the same
-    /// representative) or candidates the fresh counterexample pattern
-    /// already separates from `out`. Both are skipped without a SAT call —
-    /// each skipped check would otherwise be a guaranteed refutation
-    /// charging [`SimplifyConfig::SWEEP_MISS_COST`] credits a second time
-    /// for information the refinement already extracted (see
-    /// [`SimplifyStats::sweep_stale_skips`]).
-    fn sweep(&mut self, out: Lit, sig: u64) -> bool {
-        let credits = self.simp.config.sweep_credits;
-        if self.simp.sweep_spent >= credits {
-            return false;
-        }
-        let mut candidates: Vec<Lit> = Vec::new();
-        if let Some(bucket) = self.simp.buckets.get(&sig) {
-            candidates.extend(bucket.iter().copied());
-        }
-        if let Some(bucket) = self.simp.buckets.get(&!sig) {
-            candidates.extend(bucket.iter().map(|&l| !l));
-        }
-        let budget = self.simp.config.sweep_conflicts;
-        let mut tried = 0usize;
-        let mut tried_vars: Vec<Var> = Vec::new();
-        for cand in candidates {
-            if tried >= self.simp.config.max_sweep_candidates || self.simp.sweep_spent >= credits {
-                break;
-            }
-            if self.simp.governor.poll().is_some() {
-                // Governor tripped: burn the remaining credit pool so no
-                // later gate re-enters the sweep. Merges recorded so far
-                // were proved, so the encoding stays sound.
-                self.simp.stats.interrupted = true;
-                self.simp.sweep_spent = credits;
-                break;
-            }
-            let cand = self.simp.resolve(cand);
-            if cand.var() == out.var() {
-                continue;
-            }
-            if tried_vars.contains(&cand.var()) {
-                self.simp.stats.sweep_stale_skips += 1;
-                continue;
-            }
-            if self.simp.lit_sig(cand) != self.simp.lit_sig(out) {
-                self.simp.stats.sweep_stale_skips += 1;
-                continue;
-            }
-            tried_vars.push(cand.var());
-            tried += 1;
-            self.simp.stats.sweep_checks += 1;
-            let answer = self.inner.prove_equiv(out, cand, budget);
-            self.simp.governor.note(FaultSite::SweepCheck);
-            match answer {
-                Some(true) => {
-                    self.simp.sweep_spent += 1;
-                    self.simp.stats.sweep_merges += 1;
-                    let rep = if out.is_positive() { cand } else { !cand };
-                    self.simp.repr.insert(out.var(), rep);
-                    return true;
-                }
-                Some(false) => {
-                    self.simp.sweep_spent += SimplifyConfig::SWEEP_MISS_COST;
-                    self.simp.stats.sweep_refuted += 1;
-                    // The distinguishing model is a genuine simulation
-                    // pattern; fold it into every signature so this (and
-                    // similar) false candidates separate from now on.
-                    self.refine_signatures();
-                }
-                None => {
-                    self.simp.sweep_spent += SimplifyConfig::SWEEP_MISS_COST;
-                    self.simp.stats.sweep_unknown += 1;
-                }
-            }
-        }
-        false
-    }
-
-    /// Shifts the latest model into every signature and re-buckets the
-    /// sweep candidates under their refined signatures. Each position of a
-    /// signature stays a real simulation pattern (the model satisfies every
-    /// emitted gate clause), so AND-consistency is preserved.
-    fn refine_signatures(&mut self) {
-        for (i, sig) in self.simp.sig.iter_mut().enumerate() {
-            if !self.simp.sig_set[i] {
-                continue;
-            }
-            if let Some(v) = self.inner.model_lit(Var::from_index(i).positive()) {
-                *sig = (*sig << 1) | (v as u64);
-            }
-        }
-        let mut members: Vec<Lit> = self.simp.buckets.drain().flat_map(|(_, v)| v).collect();
-        // HashMap drain order is randomized; sort so candidate order and
-        // max_bucket eviction stay deterministic across runs.
-        members.sort_unstable();
-        for m in members {
-            let s = self.simp.lit_sig(m);
-            if s == 0 || s == u64::MAX {
-                continue;
-            }
-            let bucket = self.simp.buckets.entry(s).or_default();
-            if bucket.len() < self.simp.config.max_bucket {
-                bucket.push(m);
-            }
-        }
     }
 }
 
 impl<S: CnfSink + ?Sized> CnfSink for SimplifySink<'_, S> {
     fn new_var(&mut self) -> Var {
-        let v = self.inner.new_var();
-        // Touch the signature so inputs get their random pattern now.
-        let _ = self.simp.var_sig(v);
-        v
+        self.inner.new_var()
     }
 
-    fn add_clause(&mut self, lits: &[Lit]) -> Option<ClauseId> {
-        if !self.simp.config.enabled {
-            return self.inner.add_clause(lits);
-        }
+    fn add_clause(&mut self, lits: &[Lit]) {
         self.simp.stats.clauses_in += 1;
-        // Fold on resolved literals first, materializing only the cones of
-        // clauses that actually survive — a cone referenced solely by
-        // dropped clauses stays pending (the point of lazy emission).
-        let mut resolved: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Fold first, materializing only the cones of clauses that
+        // actually survive — a cone referenced solely by dropped clauses
+        // stays pending (the point of lazy emission).
+        let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
         for &l in lits {
-            let l = self.simp.resolve(l);
-            if self.simp.config.clause_folding {
-                match self.simp.lit_value(l) {
-                    Some(true) => {
-                        self.simp.stats.clauses_dropped += 1;
-                        return None;
-                    }
-                    Some(false) => {
-                        self.simp.stats.literals_stripped += 1;
-                        continue;
-                    }
-                    None => {}
+            match self.simp.lit_value(l) {
+                Some(true) => {
+                    self.simp.stats.clauses_dropped += 1;
+                    return;
                 }
+                Some(false) => {
+                    self.simp.stats.literals_stripped += 1;
+                    continue;
+                }
+                None => {}
             }
-            resolved.push(l);
+            kept.push(l);
         }
-        for l in resolved.iter_mut() {
-            *l = self.materialize(*l);
+        for &l in &kept {
+            self.materialize(l);
         }
-        if resolved.len() == 1 {
-            self.simp.learn_unit(resolved[0]);
+        if kept.len() == 1 {
+            self.simp.learn_unit(kept[0]);
         }
         self.simp.stats.clauses_emitted += 1;
-        self.inner.add_clause(&resolved)
+        self.inner.add_clause(&kept);
     }
 
     fn add_and_gate(&mut self, a: Lit, b: Lit) -> Lit {
-        if !self.simp.config.enabled {
-            return self.inner.add_and_gate(a, b);
-        }
         self.simp.stats.gate_queries += 1;
-        let a = self.simp.resolve(a);
-        let b = self.simp.resolve(b);
         // Constant and identity folding at the literal level.
         let va = self.simp.lit_value(a);
         let vb = self.simp.lit_value(b);
@@ -651,31 +306,15 @@ impl<S: CnfSink + ?Sized> CnfSink for SimplifySink<'_, S> {
         }
         // Canonical operand order makes the table commutative.
         let key = if a.code() <= b.code() { (a, b) } else { (b, a) };
-        if self.simp.config.structural_hashing {
-            if let Some(&out) = self.simp.cache.get(&key) {
-                self.simp.stats.cache_hits += 1;
-                return self.simp.resolve(out);
-            }
+        if let Some(&out) = self.simp.cache.get(&key) {
+            self.simp.stats.cache_hits += 1;
+            return out;
         }
         let out = self.inner.new_var().positive();
         self.simp.stats.gates_created += 1;
-        let sig = self.simp.lit_sig(a) & self.simp.lit_sig(b);
-        self.simp.set_var_sig(out.var(), sig);
-        if self.simp.config.lazy_emission {
-            self.simp.pending.insert(out.var(), (a, b));
-        } else {
-            self.emit_gate(out, a, b);
-        }
-        if self.simp.config.structural_hashing {
-            self.simp.cache.insert(key, out);
-        }
+        self.simp.pending.insert(out.var(), (a, b));
+        self.simp.cache.insert(key, out);
         out
-    }
-
-    fn prove_equiv(&mut self, a: Lit, b: Lit, max_conflicts: u64) -> Option<bool> {
-        let a = self.materialize(a);
-        let b = self.materialize(b);
-        self.inner.prove_equiv(a, b, max_conflicts)
     }
 }
 
@@ -685,7 +324,7 @@ mod tests {
     use crate::solver::{SolveResult, Solver};
 
     fn setup() -> (Solver, Simplifier) {
-        (Solver::new(), Simplifier::new(SimplifyConfig::default()))
+        (Solver::new(), Simplifier::new())
     }
 
     #[test]
@@ -748,8 +387,7 @@ mod tests {
         let g1 = sink.add_and_gate(vars[0], vars[1]);
         let g2 = sink.add_and_gate(g1, vars[2]);
         let g3 = sink.add_and_gate(g2, vars[3]);
-        let m = sink.materialize(g3);
-        assert_eq!(m, g3);
+        sink.materialize(g3);
         assert_eq!(simp.stats().gates_emitted, 3);
         // The materialized literal behaves like the conjunction.
         for v in &vars {
@@ -757,82 +395,6 @@ mod tests {
         }
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.model_value(g3), Some(true));
-    }
-
-    #[test]
-    fn sweeping_merges_absorbed_gate() {
-        let mut s = Solver::new();
-        let mut simp = Simplifier::new(SimplifyConfig::sweeping());
-        let mut sink = simp.attach(&mut s);
-        let a = sink.new_var().positive();
-        let b = sink.new_var().positive();
-        let x = sink.add_and_gate(a, b);
-        sink.materialize(x);
-        // y = a ∧ (a ∧ b) is absorbed: equivalent to x, but a different
-        // structural key, so only sweeping can find it.
-        let y = sink.add_and_gate(a, x);
-        let my = sink.materialize(y);
-        assert_eq!(my, x, "sweep must substitute the representative");
-        assert_eq!(simp.stats().sweep_merges, 1);
-    }
-
-    /// A sweep merge retires the merged gate's three Tseitin clauses from
-    /// the solver, and the solver-side count matches the sink's.
-    #[test]
-    fn sweep_merge_retires_tseitin_clauses() {
-        let mut s = Solver::new();
-        let mut simp = Simplifier::new(SimplifyConfig::sweeping());
-        let mut sink = simp.attach(&mut s);
-        let a = sink.new_var().positive();
-        let b = sink.new_var().positive();
-        let x = sink.add_and_gate(a, b);
-        sink.materialize(x);
-        let y = sink.add_and_gate(a, x); // absorbed: y ≡ x
-        let my = sink.materialize(y);
-        assert_eq!(my, x);
-        assert_eq!(simp.stats().sweep_merges, 1);
-        assert_eq!(simp.stats().clauses_retired, 3);
-        assert_eq!(s.stats().retired_clauses, 3);
-        // The solver answers as if y's definition never existed; the
-        // representative's definition still constrains x.
-        s.add_clause(&[a]);
-        s.add_clause(&[b]);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.model_value(x), Some(true));
-    }
-
-    /// With `retire_merged` off the merged definitions stay resident
-    /// (the pre-retirement behavior, kept for differential comparison).
-    #[test]
-    fn retire_merged_can_be_disabled() {
-        let mut s = Solver::new();
-        let mut simp = Simplifier::new(SimplifyConfig {
-            retire_merged: false,
-            ..SimplifyConfig::sweeping()
-        });
-        let mut sink = simp.attach(&mut s);
-        let a = sink.new_var().positive();
-        let b = sink.new_var().positive();
-        let x = sink.add_and_gate(a, b);
-        sink.materialize(x);
-        let y = sink.add_and_gate(a, x);
-        sink.materialize(y);
-        assert_eq!(simp.stats().sweep_merges, 1);
-        assert_eq!(simp.stats().clauses_retired, 0);
-        assert_eq!(s.stats().retired_clauses, 0);
-    }
-
-    #[test]
-    fn disabled_config_is_passthrough() {
-        let mut s = Solver::new();
-        let mut simp = Simplifier::new(SimplifyConfig::disabled());
-        let mut sink = simp.attach(&mut s);
-        let a = sink.new_var().positive();
-        let b = sink.new_var().positive();
-        let g1 = sink.add_and_gate(a, b);
-        let g2 = sink.add_and_gate(b, a);
-        assert_ne!(g1, g2, "no hashing when disabled");
-        assert_eq!(s.stats().original_clauses, 6, "gates emitted eagerly");
     }
 
     #[test]
@@ -846,148 +408,13 @@ mod tests {
         sink.add_clause(&[!b]);
         let emitted_before = simp.stats().clauses_emitted;
         let mut sink = simp.attach(&mut s);
-        assert!(
-            sink.add_clause(&[a, c]).is_none(),
-            "satisfied clause dropped"
-        );
+        sink.add_clause(&[a, c]); // satisfied by a: dropped
         sink.add_clause(&[b, c]); // b stripped -> unit c
         assert_eq!(simp.stats().clauses_dropped, 1);
         assert_eq!(simp.stats().literals_stripped, 1);
         assert_eq!(simp.stats().clauses_emitted, emitted_before + 1);
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.model_value(c), Some(true));
-    }
-
-    /// Re-queue pinning (white-box): when a refuted check refines the
-    /// signatures mid-`sweep`, candidates the fresh counterexample pattern
-    /// already separates from the gate under test are skipped without a
-    /// second SAT call — the old behavior charged `SWEEP_MISS_COST` again
-    /// for a refutation the refinement had already performed. The bucket
-    /// collision is staged directly (signature collisions between
-    /// inequivalent gates arise from refinement shifts in long runs and
-    /// cannot be constructed through the public API deterministically).
-    #[test]
-    fn refuted_sweep_skips_refinement_separated_candidates() {
-        let mut s = Solver::new();
-        let mut simp = Simplifier::new(SimplifyConfig::sweeping());
-        let mut sink = simp.attach(&mut s);
-        let a = sink.new_var().positive();
-        let b = sink.new_var().positive();
-        let c = sink.new_var().positive();
-        let d = sink.new_var().positive();
-        let e = sink.new_var().positive();
-        let f = sink.new_var().positive();
-        let g1 = sink.add_and_gate(a, b);
-        let g1 = sink.materialize(g1);
-        let g2 = sink.add_and_gate(c, d);
-        let g2 = sink.materialize(g2);
-        // Pin g2 false in every model, so any distinguishing model for a
-        // true gate separates g2 as well.
-        sink.add_clause(&[!c]);
-        // Stage the collision: both emitted gates share one bucket under a
-        // common signature, and the next gate will land on it too.
-        let t = 0x0123_4567_89AB_CDEFu64;
-        simp.set_var_sig(g1.var(), t);
-        simp.set_var_sig(g2.var(), t);
-        simp.buckets.clear();
-        simp.buckets.insert(t, vec![g1, g2]);
-        simp.set_var_sig(e.var(), t);
-        simp.set_var_sig(f.var(), u64::MAX);
-        let mut sink = simp.attach(&mut s);
-        let g3 = sink.add_and_gate(e, f);
-        sink.materialize(g3);
-        let st = *simp.stats();
-        assert_eq!(st.sweep_checks, 1, "only the first candidate is checked");
-        assert_eq!(st.sweep_refuted, 1);
-        assert_eq!(st.sweep_merges, 0, "no merge across the counterexample");
-        assert_eq!(st.sweep_stale_skips, 1, "g2 separated by the refinement");
-        assert_eq!(
-            simp.sweep_spent,
-            SimplifyConfig::SWEEP_MISS_COST,
-            "the skipped candidate is not charged a second miss"
-        );
-    }
-
-    /// Re-queue pinning (white-box): two bucket entries resolving to the
-    /// same representative are one candidate pair, checked (and charged)
-    /// once.
-    #[test]
-    fn duplicate_bucket_entries_are_checked_once() {
-        let mut s = Solver::new();
-        let mut simp = Simplifier::new(SimplifyConfig::sweeping());
-        let mut sink = simp.attach(&mut s);
-        let a = sink.new_var().positive();
-        let b = sink.new_var().positive();
-        let e = sink.new_var().positive();
-        let f = sink.new_var().positive();
-        let g1 = sink.add_and_gate(a, b);
-        let g1 = sink.materialize(g1);
-        let t = 0x0123_4567_89AB_CDEFu64;
-        simp.set_var_sig(g1.var(), t);
-        simp.buckets.clear();
-        simp.buckets.insert(t, vec![g1, g1]);
-        simp.set_var_sig(e.var(), t);
-        simp.set_var_sig(f.var(), u64::MAX);
-        let mut sink = simp.attach(&mut s);
-        let g3 = sink.add_and_gate(e, f);
-        sink.materialize(g3);
-        let st = *simp.stats();
-        assert_eq!(st.sweep_checks, 1);
-        assert_eq!(st.sweep_stale_skips, 1, "the duplicate entry is deduped");
-        assert_eq!(simp.sweep_spent, SimplifyConfig::SWEEP_MISS_COST);
-    }
-
-    /// A cancelled governor stops sweeping (no SAT work) but leaves the
-    /// pure structural passes — and the encoding's correctness — intact.
-    #[test]
-    fn cancelled_governor_stops_sweeping() {
-        let mut s = Solver::new();
-        let mut simp = Simplifier::new(SimplifyConfig::sweeping());
-        let governor = ResourceGovernor::unlimited();
-        governor.cancel();
-        simp.set_governor(governor);
-        let mut sink = simp.attach(&mut s);
-        let a = sink.new_var().positive();
-        let b = sink.new_var().positive();
-        let x = sink.add_and_gate(a, b);
-        sink.materialize(x);
-        let y = sink.add_and_gate(a, x); // absorbed: only sweeping finds it
-        let my = sink.materialize(y);
-        assert_eq!(my, y, "no merge without a SAT proof");
-        assert_eq!(simp.stats().sweep_checks, 0);
-        assert!(simp.stats().interrupted);
-        // The formula is still the honest Tseitin encoding.
-        s.add_clause(&[a]);
-        s.add_clause(&[b]);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.model_value(y), Some(true));
-    }
-
-    /// The fault injector trips after the Nth sweep check: the Nth check's
-    /// merge stands, later candidates are left unswept.
-    #[test]
-    fn fault_injection_halts_after_nth_sweep_check() {
-        let mut s = Solver::new();
-        let mut simp = Simplifier::new(SimplifyConfig::sweeping());
-        simp.set_governor(ResourceGovernor::unlimited().with_fault(FaultSite::SweepCheck, 1));
-        let mut sink = simp.attach(&mut s);
-        let a = sink.new_var().positive();
-        let b = sink.new_var().positive();
-        let c = sink.new_var().positive();
-        let d = sink.new_var().positive();
-        let x = sink.add_and_gate(a, b);
-        sink.materialize(x);
-        let y = sink.add_and_gate(a, x); // check 1: merges, then trips
-        let my = sink.materialize(y);
-        let u = sink.add_and_gate(c, d);
-        sink.materialize(u);
-        let v = sink.add_and_gate(c, u); // would be check 2 — never issued
-        let mv = sink.materialize(v);
-        assert_eq!(my, x, "the pre-trip merge stands");
-        assert_eq!(mv, v, "the post-trip candidate is left alone");
-        assert_eq!(simp.stats().sweep_checks, 1);
-        assert_eq!(simp.stats().sweep_merges, 1);
-        assert!(simp.stats().interrupted);
     }
 
     /// Equisatisfiability spot check: a small gate pyramid behaves the same
@@ -997,7 +424,7 @@ mod tests {
         for assignment in 0u32..16 {
             let mut naive = Solver::new();
             let mut plain = Solver::new();
-            let mut simp = Simplifier::new(SimplifyConfig::default());
+            let mut simp = Simplifier::new();
 
             let build = |sink: &mut dyn CnfSink| -> (Vec<Lit>, Lit) {
                 let vars: Vec<Lit> = (0..4).map(|_| sink.new_var().positive()).collect();
@@ -1008,8 +435,8 @@ mod tests {
             };
             let (nv, nt) = build(&mut naive);
             let mut sink = simp.attach(&mut plain);
-            let (sv, st_raw) = build(&mut sink);
-            let st = sink.materialize(st_raw);
+            let (sv, st) = build(&mut sink);
+            sink.materialize(st);
 
             for (i, (&n, &s)) in nv.iter().zip(&sv).enumerate() {
                 let value = (assignment >> i) & 1 == 1;

@@ -10,7 +10,6 @@
 //! the interface ([`CnfSink::add_and_gate`]) so sizes can be accounted the
 //! way the paper reports them.
 
-use crate::clause::ClauseId;
 use crate::lit::{Lit, Var};
 use crate::solver::Solver;
 
@@ -19,8 +18,8 @@ pub trait CnfSink {
     /// Creates a fresh variable.
     fn new_var(&mut self) -> Var;
 
-    /// Adds a clause. Returns the clause id when the sink tracks ids.
-    fn add_clause(&mut self, lits: &[Lit]) -> Option<ClauseId>;
+    /// Adds a clause.
+    fn add_clause(&mut self, lits: &[Lit]);
 
     /// Adds a 2-input AND gate `out = a & b` and returns `out`.
     ///
@@ -44,34 +43,6 @@ pub trait CnfSink {
     fn assert_true(&mut self, lit: Lit) {
         self.add_clause(&[lit]);
     }
-
-    /// Attempts to decide whether the formula emitted so far entails
-    /// `a ≡ b`, spending at most `max_conflicts` conflicts per direction.
-    ///
-    /// Returns `Some(true)` when the equivalence is proved, `Some(false)`
-    /// when a distinguishing model exists, and `None` when the sink cannot
-    /// decide (the default: only solver-backed sinks can). This is the
-    /// oracle behind the SAT-sweeping pass of
-    /// [`SimplifySink`](crate::SimplifySink).
-    fn prove_equiv(&mut self, _a: Lit, _b: Lit, _max_conflicts: u64) -> Option<bool> {
-        None
-    }
-
-    /// Value of `lit` in the sink's most recent model, when the sink is
-    /// solver-backed and the last answer was SAT. Lets the sweeping pass
-    /// refine simulation signatures from distinguishing models.
-    fn model_lit(&self, _lit: Lit) -> Option<bool> {
-        None
-    }
-
-    /// Retires a previously added clause, when the sink supports clause
-    /// deletion (see [`Solver::retire_clause`] for the soundness
-    /// contract — the clause must be redundant). Returns `true` when the
-    /// clause was physically removed; the default (non-solver sinks)
-    /// retires nothing.
-    fn retire_clause(&mut self, _id: ClauseId) -> bool {
-        false
-    }
 }
 
 impl CnfSink for Solver {
@@ -79,20 +50,8 @@ impl CnfSink for Solver {
         Solver::new_var(self)
     }
 
-    fn add_clause(&mut self, lits: &[Lit]) -> Option<ClauseId> {
-        Solver::add_clause(self, lits)
-    }
-
-    fn prove_equiv(&mut self, a: Lit, b: Lit, max_conflicts: u64) -> Option<bool> {
-        Solver::prove_equiv(self, a, b, max_conflicts)
-    }
-
-    fn model_lit(&self, lit: Lit) -> Option<bool> {
-        self.model_value(lit)
-    }
-
-    fn retire_clause(&mut self, id: ClauseId) -> bool {
-        Solver::retire_clause(self, id)
+    fn add_clause(&mut self, lits: &[Lit]) {
+        Solver::add_clause(self, lits);
     }
 }
 
@@ -140,10 +99,9 @@ impl CnfSink for CountingSink {
         v
     }
 
-    fn add_clause(&mut self, lits: &[Lit]) -> Option<ClauseId> {
+    fn add_clause(&mut self, lits: &[Lit]) {
         self.clauses += 1;
         self.literals += lits.len();
-        None
     }
 
     fn add_and_gate(&mut self, a: Lit, b: Lit) -> Lit {
@@ -188,9 +146,8 @@ impl CnfSink for VecSink {
         v
     }
 
-    fn add_clause(&mut self, lits: &[Lit]) -> Option<ClauseId> {
+    fn add_clause(&mut self, lits: &[Lit]) {
         self.clauses.push(lits.to_vec());
-        None
     }
 }
 

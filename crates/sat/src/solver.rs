@@ -20,8 +20,7 @@
 //!   [`Solver::retire_group`]) — physical deletion of redundant original
 //!   clauses (watchers detached, level-0 reasons cleared, arena space
 //!   reclaimed by the mark-and-compact GC), which is how the incremental
-//!   BMC bound loop sheds refuted bounds' property clauses and how the
-//!   sweeping sink deletes the Tseitin triples of merged-away gates.
+//!   BMC bound loop sheds refuted bounds' property clauses.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -596,15 +595,15 @@ impl Solver {
     ///
     /// Learned clauses derived from the retired clause are **kept**, so the
     /// caller must only retire clauses that are *redundant* — entailed by
-    /// the clauses that remain. The two patterns the BMC stack uses:
+    /// the clauses that remain. Two such patterns:
     ///
     /// * the Tseitin definition of a variable no remaining clause
-    ///   references (a gate output substituted away by SAT sweeping) —
-    ///   definitional extensions can be removed because any model of the
-    ///   rest extends to the defined variable, which also repairs every
-    ///   learned clause over it;
+    ///   references — definitional extensions can be removed because any
+    ///   model of the rest extends to the defined variable, which also
+    ///   repairs every learned clause over it;
     /// * a clause satisfied by a level-0 unit (an activation-group clause
-    ///   after [`Solver::retire_group`] asserted the group literal false).
+    ///   after [`Solver::retire_group`] asserted the group literal false;
+    ///   this is the one the BMC stack uses).
     ///
     /// Retiring a clause that is *not* redundant weakens the formula and
     /// can change answers.
@@ -754,8 +753,8 @@ impl Solver {
     /// when the conflict budget ran out before an answer. The caller's
     /// [`Budget`] is saved and restored around the check, and the model /
     /// failed-assumption state of a previous solve is clobbered like any
-    /// other `solve_with` call — callers (SAT sweeping) run between
-    /// encoding and solving, where that state is dead.
+    /// other `solve_with` call — the caller ([`EquivOracle`](crate::EquivOracle),
+    /// for the fraig pass) owns a solver used for nothing else.
     pub fn prove_equiv(&mut self, a: Lit, b: Lit, max_conflicts: u64) -> Option<bool> {
         if a == b {
             return Some(true);
