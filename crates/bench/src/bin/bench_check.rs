@@ -4,13 +4,15 @@
 //!
 //! Every `(benchmark, mode)` row of the baseline must exist in the fresh
 //! file with the *same verdict* and with `clauses` and `vars` no more than
-//! `--tolerance-pct` (default 5%) above the baseline. Wall times are
+//! `--tolerance-pct` (default 5%) above the baseline. A row that carries
+//! the step solver's `step_clauses` and `step_vars` (the `kinduction`
+//! mode) has those gated by the same rule. Wall times are
 //! reported but never gated — CI machines are too noisy for that; counts
 //! are deterministic. Rows that only exist in the fresh file (new modes,
 //! new workloads) are listed as additions and pass.
 //!
 //! Improvements are not gated either, but they are not silent: a row
-//! whose clause or variable count *drops* by more than the tolerance is
+//! any of whose gated counts *drops* by more than the tolerance is
 //! flagged as a **stale baseline** — the win should be committed to
 //! `BENCH_simplify.json` rather than absorbed, or the next regression up
 //! to the old level would pass unnoticed.
@@ -66,6 +68,8 @@ struct Row {
     verdict: String,
     vars: u64,
     clauses: u64,
+    /// `step_vars` and `step_clauses`, on rows that report a step solver.
+    step: Option<(u64, u64)>,
 }
 
 /// Parses the `runs` records of a bench JSON into `(benchmark, mode)`-keyed
@@ -95,6 +99,7 @@ fn parse(path: &str) -> Result<BTreeMap<(String, String), Row>, String> {
                 verdict: verdict.to_string(),
                 vars,
                 clauses,
+                step: extract_u64(line, "step_vars").zip(extract_u64(line, "step_clauses")),
             },
         );
     }
@@ -266,37 +271,50 @@ fn main() -> ExitCode {
             }
         }
         let dc = pct(new.clauses, base.clauses);
-        if dc > tolerance {
-            problems.push(format!(
-                "clauses {} -> {} (+{dc:.1}%)",
-                base.clauses, new.clauses
-            ));
-        }
         let dv = pct(new.vars, base.vars);
-        if dv > tolerance {
-            problems.push(format!("vars {} -> {} (+{dv:.1}%)", base.vars, new.vars));
+        let mut counts = vec![
+            ("clauses", base.clauses, new.clauses),
+            ("vars", base.vars, new.vars),
+        ];
+        match (base.step, new.step) {
+            (Some((base_vars, base_clauses)), Some((vars, clauses))) => {
+                counts.push(("step_clauses", base_clauses, clauses));
+                counts.push(("step_vars", base_vars, vars));
+            }
+            (Some(_), None) => {
+                problems.push("step_vars/step_clauses missing from fresh run".to_string())
+            }
+            (None, _) => {}
         }
+        let mut improved = false;
+        let mut deltas = Vec::new();
+        for (name, base_count, new_count) in counts {
+            let delta = pct(new_count, base_count);
+            if delta > tolerance {
+                problems.push(format!("{name} {base_count} -> {new_count} (+{delta:.1}%)"));
+            }
+            improved |= delta < -tolerance;
+            deltas.push(format!("{name} {delta:+.1}%"));
+        }
+        let deltas = deltas.join(", ");
         let outcome = if !problems.is_empty() {
             Outcome::Fail(problems.join("; "))
-        } else if dc < -tolerance || dv < -tolerance {
+        } else if improved {
             Outcome::Stale
         } else {
             Outcome::Ok
         };
         let status = match &outcome {
             Outcome::Ok => {
-                println!(
-                    "  ok   {key}: {} (clauses {:+.1}%, vars {:+.1}%)",
-                    new.verdict, dc, dv
-                );
+                println!("  ok   {key}: {} ({deltas})", new.verdict);
                 "✅ ok".to_string()
             }
             Outcome::Stale => {
                 stale += 1;
                 println!(
-                    "  ok   {key}: {} (clauses {:+.1}%, vars {:+.1}%) — improvement beyond \
+                    "  ok   {key}: {} ({deltas}) — improvement beyond \
                      tolerance: stale baseline, refresh {baseline_path}",
-                    new.verdict, dc, dv
+                    new.verdict
                 );
                 "⚠️ stale baseline — refresh".to_string()
             }

@@ -15,7 +15,7 @@
 //! against a restart-from-scratch leg of the same configuration), and the
 //! `kinduction` row (the unbounded engine's interleaved base case and
 //! floating inductive step, recording per-depth seconds, step-query
-//! counts, and step-group retirement totals) — recording solver
+//! counts, and the step solver's footprint) — recording solver
 //! variable/clause counts at the deepest checked frame, wall time
 //! (per-bound for the incremental pair and the k loop), retired-clause
 //! totals, and the layers' cache / fraig / rewrite counters.
@@ -72,19 +72,16 @@ struct RunRecord {
 }
 
 /// The `kinduction` mode's extra measurements: the floating step
-/// context's solver footprint and the per-depth lifecycle counters. The
+/// context's solver footprint and the per-depth step counters. The
 /// headline `vars`/`clauses` columns stay the *base-case* solver's, so
 /// they remain comparable to the anchored rows; the step side lives
-/// here.
+/// here (and `bench_check` gates its `step_vars`/`step_clauses`).
 struct KinductionExtras {
     /// Depth ceiling handed to the engine (a fixed cap — see the
     /// dispatch site in `main`).
     max_k: usize,
     /// Step queries run to completion (SAT or UNSAT).
     step_queries: u64,
-    /// Clauses physically retired from per-depth step activation groups
-    /// (the group of depth `k` holds `k + 1` clauses, always retired).
-    step_clauses_retired: u64,
     /// Deepest depth where induction failed (step query SAT), if any.
     steps_failed: Option<usize>,
     /// Variable count of the step solver at exit.
@@ -359,7 +356,6 @@ fn run_kinduction(
         kinduction: Some(KinductionExtras {
             max_k,
             step_queries: engine.step_queries(),
-            step_clauses_retired: engine.step_clauses_retired(),
             steps_failed: engine.steps_failed(),
             step_vars,
             step_clauses: step_stats.original_clauses,
@@ -492,12 +488,10 @@ fn json_record(r: &RunRecord) -> String {
     if let Some(extra) = &r.kinduction {
         write!(
             s,
-            ", \"max_k\": {}, \"step_queries\": {}, \
-             \"step_clauses_retired\": {}, \"steps_failed\": {}, \
+            ", \"max_k\": {}, \"step_queries\": {}, \"steps_failed\": {}, \
              \"step_vars\": {}, \"step_clauses\": {}, \"per_k_seconds\": [{}]",
             extra.max_k,
             extra.step_queries,
-            extra.step_clauses_retired,
             match extra.steps_failed {
                 Some(k) => k.to_string(),
                 None => "null".to_string(),
@@ -653,12 +647,10 @@ fn main() {
                 }
                 if let Some(extra) = &r.kinduction {
                     println!(
-                        "{:>28} {:>16}  step: {} queries, {} clauses retired, \
-                         failed@{:?}, {} vars / {} clauses",
+                        "{:>28} {:>16}  step: {} queries, failed@{:?}, {} vars / {} clauses",
                         "",
                         "",
                         extra.step_queries,
-                        extra.step_clauses_retired,
                         extra.steps_failed,
                         extra.step_vars,
                         extra.step_clauses,

@@ -12,12 +12,17 @@
 //!   (whatever its declared reset value), because an induction window may
 //!   start in any reachable state; this is where the paper's precise
 //!   arbitrary-initial-state modeling (Section 4.2) is load-bearing.
+//!   The backward check is the simple-path induction step, so this
+//!   context and its query belong to `StepQuery`, which
+//!   [`crate::KInduction`] asks for its inductive step as well.
 //!
 //! Both contexts follow the **incremental solver lifecycle** (see the
 //! "Solver lifecycle" section of `docs/ARCHITECTURE.md`): one long-lived
-//! solver per context across the whole bound loop, per-bound property
-//! clauses under activation groups retired on refutation, and cleared
-//! counterexample bounds skipped on repeated [`BmcEngine::check`] calls.
+//! solver per context across the whole bound loop, the anchored
+//! context's per-bound property clauses under activation groups retired
+//! on refutation, the floating context's as plain assumptions, and
+//! cleared counterexample bounds skipped on repeated [`BmcEngine::check`]
+//! calls.
 //! The restart-from-scratch baseline is kept behind
 //! [`PipelineOptions::incremental`](crate::PipelineOptions::incremental)` = false`.
 //!
@@ -322,20 +327,19 @@ impl std::fmt::Display for BmcError {
 
 impl std::error::Error for BmcError {}
 
-/// One SAT context (solver + unroller + EMM + LFP + simplifier). Shared
-/// crate-internally with the [`crate::KInduction`] engine, whose step
-/// context is exactly the bounded engine's floating context.
-pub(crate) struct Ctx {
-    pub(crate) solver: Solver,
-    pub(crate) unroller: Unroller,
-    pub(crate) emm: EmmEncoder,
+/// One SAT context (solver + unroller + EMM + LFP + simplifier). The
+/// floating one lives inside [`StepQuery`].
+struct Ctx {
+    solver: Solver,
+    unroller: Unroller,
+    emm: EmmEncoder,
     /// Maps design memory index -> EMM encoder index (kept memories only).
-    pub(crate) emm_index: Vec<Option<usize>>,
-    pub(crate) lfp: Option<LfpBuilder>,
+    emm_index: Vec<Option<usize>>,
+    lfp: Option<LfpBuilder>,
     /// Cross-frame simplification state, when enabled. All clause traffic
     /// from the unroller / EMM / LFP flows through `simplify.attach(solver)`
     /// so gates are interned and lazily emitted.
-    pub(crate) simplify: Option<Simplifier>,
+    simplify: Option<Simplifier>,
     /// Per-EMM-slot count of init reads whose address cones have already
     /// been materialized (so `extend_ctx_to` only touches new ones).
     init_reads_materialized: Vec<usize>,
@@ -346,7 +350,7 @@ pub(crate) struct Ctx {
 
 impl Ctx {
     /// Installs `governor` on the solver and EMM encoder.
-    pub(crate) fn set_governor(&mut self, governor: ResourceGovernor) {
+    fn set_governor(&mut self, governor: ResourceGovernor) {
         self.solver.set_governor(governor.clone());
         self.emm.set_governor(governor.clone());
         self.governor = governor;
@@ -354,7 +358,7 @@ impl Ctx {
 
     /// Prepares `lit` for use as a solve assumption: emits any still-lazy
     /// defining clauses.
-    pub(crate) fn assumption(&mut self, lit: Lit) -> Lit {
+    fn assumption(&mut self, lit: Lit) -> Lit {
         if let Some(simp) = &mut self.simplify {
             simp.attach(&mut self.solver).materialize(lit);
         }
@@ -363,7 +367,7 @@ impl Ctx {
 
     /// Solves under `assumptions` with `LFP` enforced, adding pair rows
     /// on demand (see [`LfpBuilder::solve`]).
-    pub(crate) fn solve_lfp(
+    fn solve_lfp(
         &mut self,
         assumptions: &[Lit],
         encode_seconds: &mut f64,
@@ -379,12 +383,145 @@ impl Ctx {
     }
 }
 
-/// What one context answered at one bound (see `BmcEngine::run_bound`).
+/// The inductive-step query, shared by the backward termination check and
+/// [`crate::KInduction`]'s step: `SAT(LFP_k ∧ ¬bad_0 ∧ … ∧ ¬bad_{k-1} ∧
+/// bad_k)` on a floating context (frame 0 free, every memory
+/// arbitrary-init, LFP rows added on demand), owned here for its whole
+/// life together with the property it is unrolled for. The property
+/// literals are solve assumptions, so a query leaves no clause behind;
+/// frames, EMM constraints, LFP rows and learned clauses carry over.
+#[derive(Debug)]
+pub(crate) struct StepQuery {
+    ctx: Ctx,
+    /// The options the context is built from (LFP always on), kept for
+    /// rebuilds.
+    options: VerifyOptions,
+    /// The property of the most recent `switch_property` call. Step queries
+    /// are bound-exact over the one shared LFP activation: a context
+    /// unrolled for one property cannot answer another's shallower steps.
+    prop: Option<usize>,
+}
+
+/// What a [`StepQuery`] call answered.
+#[derive(Default)]
+pub(crate) struct StepAnswer {
+    /// The governor tripped before the context reached the depth.
+    pub(crate) encode: Option<ExhaustionReason>,
+    /// The step query's answer, when it ran.
+    pub(crate) result: Option<SolveResult>,
+    /// Why an `Unknown` answer stopped, as the solver reports it.
+    pub(crate) exhaustion: Option<ExhaustionReason>,
+    /// An `Unknown` answer stopped at a conflict limit of the budget alone:
+    /// the governor's deadline, cancellation and lifetime work caps were
+    /// all clear.
+    pub(crate) budget_conflicts: bool,
+    pub(crate) encode_seconds: f64,
+    pub(crate) solve_seconds: f64,
+}
+
+impl StepQuery {
+    /// Builds an empty step context for `model` under `governor`.
+    pub(crate) fn new(model: &Design, options: &VerifyOptions, governor: ResourceGovernor) -> Self {
+        let mut options = options.clone();
+        options.proofs = true;
+        StepQuery {
+            ctx: BmcEngine::make_ctx(model, &options, &governor, false),
+            options,
+            prop: None,
+        }
+    }
+
+    /// Extends the context to frames `0..=k` without querying (see
+    /// [`BmcEngine::extend_ctx_to`]).
+    pub(crate) fn extend(&mut self, model: &Design, k: usize) -> StepAnswer {
+        let started = Instant::now();
+        let encode = BmcEngine::extend_ctx_to(model, &mut self.ctx, k);
+        StepAnswer {
+            encode,
+            encode_seconds: started.elapsed().as_secs_f64(),
+            ..StepAnswer::default()
+        }
+    }
+
+    /// The step query at depth `k` under `budget`: extends the context to
+    /// frames `0..=k`, assumes `¬bad_0 … ¬bad_{k-1}, bad_k` next to the
+    /// selector assumptions, and solves with LFP enforced. UNSAT means no
+    /// simple path of `k` good states is followed by a bad one.
+    pub(crate) fn query(
+        &mut self,
+        model: &Design,
+        bad: emm_aig::Bit,
+        k: usize,
+        budget: Budget,
+    ) -> StepAnswer {
+        let mut answer = self.extend(model, k);
+        if answer.encode.is_some() {
+            return answer;
+        }
+        let ctx = &mut self.ctx;
+        ctx.solver.set_budget(budget);
+        let mut assumptions = BmcEngine::base_assumptions(ctx);
+        for j in 0..k {
+            let bad_j = ctx.unroller.lit(j, bad);
+            assumptions.push(ctx.assumption(!bad_j));
+        }
+        let bad_k = ctx.unroller.lit(k, bad);
+        assumptions.push(ctx.assumption(bad_k));
+        let result = ctx.solve_lfp(
+            &assumptions,
+            &mut answer.encode_seconds,
+            &mut answer.solve_seconds,
+        );
+        answer.result = Some(result);
+        answer.exhaustion = ctx.solver.exhaustion_reason();
+        let stats = ctx.solver.stats();
+        answer.budget_conflicts = answer.exhaustion == Some(ExhaustionReason::ConflictLimit)
+            && ctx.governor.poll().is_none()
+            && ctx
+                .governor
+                .check_counters(stats.conflicts, stats.propagations)
+                .is_none();
+        answer
+    }
+
+    /// Records `prop` as the property of the coming queries; `true` when
+    /// the previous queries were for another one, so the caller must
+    /// [rebuild](StepQuery::rebuild) before querying.
+    pub(crate) fn switch_property(&mut self, prop: usize) -> bool {
+        self.prop.replace(prop).is_some_and(|p| p != prop)
+    }
+
+    /// Whether the EMM encoder aborted emission mid-frame: the newest frame
+    /// is under-constrained, so no answer may be trusted until a rebuild.
+    pub(crate) fn poisoned(&self) -> bool {
+        self.ctx.emm.interrupted()
+    }
+
+    /// Drops and recreates the context, keeping its governor (fault count
+    /// included).
+    pub(crate) fn rebuild(&mut self, model: &Design) {
+        let governor = self.ctx.governor.clone();
+        self.ctx = BmcEngine::make_ctx(model, &self.options, &governor, false);
+    }
+
+    /// Installs `governor` on the solver and the EMM encoder.
+    pub(crate) fn set_governor(&mut self, governor: ResourceGovernor) {
+        self.ctx.set_governor(governor);
+    }
+
+    /// Variable count and raw CDCL statistics of the step solver.
+    pub(crate) fn stats(&self) -> (usize, SolverStats) {
+        (self.ctx.solver.num_vars(), *self.ctx.solver.stats())
+    }
+}
+
+/// What the anchored context answered at one bound (see
+/// `BmcEngine::run_bound`).
 #[derive(Default)]
 struct Answers {
     /// The governor tripped before the context reached the bound.
     encode: Option<ExhaustionReason>,
-    /// The LFP termination query, when it ran.
+    /// The forward termination query, when it ran.
     termination: Option<SolveResult>,
     /// The counterexample query's still-open activation group and answer,
     /// when it ran.
@@ -393,18 +530,14 @@ struct Answers {
     solve_seconds: f64,
 }
 
-/// One context's share of a bound, fixed before the bound's threads
-/// start (see `BmcEngine::run_bound`).
-#[derive(Clone)]
+/// The anchored context's share of a bound, fixed before the bound's
+/// threads start (see `BmcEngine::run_bound`).
 struct BoundJob {
     depth: usize,
     bad_bit: emm_aig::Bit,
     budget: Budget,
-    /// Run the LFP termination query.
+    /// Run the forward termination query.
     termination: bool,
-    /// Assume `¬bad_0 … ¬bad_{depth-1}, bad_depth` in it: the backward
-    /// check instead of the forward one.
-    step: bool,
     /// Run the counterexample query, unless the termination query
     /// answered `Unsat` or `Unknown`.
     counterexample: bool,
@@ -425,15 +558,7 @@ impl BoundJob {
         }
         ctx.solver.set_budget(self.budget);
         if self.termination {
-            let mut assumptions = BmcEngine::base_assumptions(ctx);
-            if self.step {
-                for j in 0..i {
-                    let bad_j = ctx.unroller.lit(j, self.bad_bit);
-                    assumptions.push(ctx.assumption(!bad_j));
-                }
-                let bad_i = ctx.unroller.lit(i, self.bad_bit);
-                assumptions.push(ctx.assumption(bad_i));
-            }
+            let assumptions = BmcEngine::base_assumptions(ctx);
             let result = ctx.solve_lfp(
                 &assumptions,
                 &mut answers.encode_seconds,
@@ -488,7 +613,8 @@ pub struct BmcEngine<'d> {
     fraig_stats: Option<FraigStats>,
     options: VerifyOptions,
     anchored: Ctx,
-    floating: Option<Ctx>,
+    /// The backward check's context; `None` with proofs off.
+    floating: Option<StepQuery>,
     /// Per property: deepest bound whose counterexample check is already
     /// UNSAT in the anchored solver. The formula only grows (retired
     /// clauses are redundant), so those answers are monotone and repeated
@@ -502,12 +628,6 @@ pub struct BmcEngine<'d> {
     /// was refuted (see
     /// [`PipelineOptions::incremental`](crate::PipelineOptions::incremental)).
     prop_clauses_retired: u64,
-    /// The property the termination (proof) queries have run for. Those
-    /// queries are bound-exact (see `run_bound`), so switching a
-    /// proof-mode engine to a different property rebuilds the contexts —
-    /// otherwise the new property's backward-induction checks could never
-    /// run at the already-unrolled bounds and proofs would be missed.
-    proofs_prop: Option<usize>,
     /// The governor in force:
     /// [`PipelineOptions::governor`](crate::PipelineOptions::governor)
     /// with the current `check` call's wall-limit deadline min-combined
@@ -625,7 +745,7 @@ impl<'d> BmcEngine<'d> {
         let anchored = Self::make_ctx(&model, &options, &context_governor(), true);
         let floating = options
             .proofs
-            .then(|| Self::make_ctx(&model, &options, &context_governor(), false));
+            .then(|| StepQuery::new(&model, &options, context_governor()));
         BmcEngine {
             design,
             model,
@@ -638,7 +758,6 @@ impl<'d> BmcEngine<'d> {
             latch_reasons: HashSet::new(),
             memory_reasons: HashSet::new(),
             prop_clauses_retired: 0,
-            proofs_prop: None,
             governor,
             rewrite_seconds,
             fraig_seconds,
@@ -649,7 +768,7 @@ impl<'d> BmcEngine<'d> {
         }
     }
 
-    pub(crate) fn make_ctx(
+    fn make_ctx(
         design: &Design,
         options: &VerifyOptions,
         governor: &ResourceGovernor,
@@ -756,9 +875,7 @@ impl<'d> BmcEngine<'d> {
     /// Raw CDCL statistics of the floating context's solver, which answers
     /// the backward termination queries; `None` with proofs off.
     pub fn floating_solver_stats(&self) -> Option<(usize, SolverStats)> {
-        self.floating
-            .as_ref()
-            .map(|f| (f.solver.num_vars(), *f.solver.stats()))
+        self.floating.as_ref().map(StepQuery::stats)
     }
 
     /// Backward termination queries abandoned at their conflict cap (see
@@ -816,8 +933,10 @@ impl<'d> BmcEngine<'d> {
     /// Installs a fresh context governor on both contexts.
     fn install_governor(&mut self) {
         let (governor, proofs) = (&self.governor, self.options.proofs);
-        for ctx in std::iter::once(&mut self.anchored).chain(self.floating.as_mut()) {
-            ctx.set_governor(Self::context_governor(governor, proofs));
+        self.anchored
+            .set_governor(Self::context_governor(governor, proofs));
+        if let Some(floating) = &mut self.floating {
+            floating.set_governor(Self::context_governor(governor, proofs));
         }
     }
 
@@ -826,7 +945,7 @@ impl<'d> BmcEngine<'d> {
         self.anchored
             .governor
             .poll()
-            .or_else(|| self.floating.as_ref().and_then(|f| f.governor.poll()))
+            .or_else(|| self.floating.as_ref().and_then(|f| f.ctx.governor.poll()))
     }
 
     /// Whether a context's EMM encoder aborted emission mid-frame: its
@@ -834,8 +953,7 @@ impl<'d> BmcEngine<'d> {
     /// can no longer be trusted and the contexts must be rebuilt before
     /// the next query.
     fn poisoned(&self) -> bool {
-        self.anchored.emm.interrupted()
-            || self.floating.as_ref().is_some_and(|f| f.emm.interrupted())
+        self.anchored.emm.interrupted() || self.floating.as_ref().is_some_and(StepQuery::poisoned)
     }
 
     /// The [`BmcVerdict::Unknown`] for the current resume state, with the
@@ -854,18 +972,14 @@ impl<'d> BmcEngine<'d> {
         }
     }
 
-    /// Extends one context to include frame `k` (shared with the
-    /// k-induction engine's step context). Polls the context's governor
+    /// Extends one context to include frame `k` (shared with
+    /// [`StepQuery`]). Polls the context's governor
     /// between frames (each completed unrolling is one
     /// [`FaultSite::Frame`] event) and stops early when it trips;
     /// `Some(reason)` means the depth was **not** reached. A trip between
     /// frames leaves the context clean (no partial frame); a trip inside
     /// the EMM encoder poisons it (see [`BmcEngine::poisoned`]).
-    pub(crate) fn extend_ctx_to(
-        model: &Design,
-        ctx: &mut Ctx,
-        k: usize,
-    ) -> Option<ExhaustionReason> {
+    fn extend_ctx_to(model: &Design, ctx: &mut Ctx, k: usize) -> Option<ExhaustionReason> {
         let Ctx {
             solver,
             unroller,
@@ -966,7 +1080,7 @@ impl<'d> BmcEngine<'d> {
 
     /// Base assumptions activating selectors (EMM memory/port selectors and
     /// PBA latch selectors) in a context.
-    pub(crate) fn base_assumptions(ctx: &Ctx) -> Vec<Lit> {
+    fn base_assumptions(ctx: &Ctx) -> Vec<Lit> {
         let mut a = ctx.emm.all_active_assumptions();
         a.extend_from_slice(ctx.unroller.latch_selectors());
         a
@@ -1005,17 +1119,16 @@ impl<'d> BmcEngine<'d> {
         let bad_bit = self.model.properties()[prop].bad;
         let mut per_bound: Vec<f64> = Vec::new();
 
-        if self.options.proofs {
-            // Termination queries are bound-exact, so a proof-mode engine
-            // reused for a *different* property starts its bound loop over
-            // on fresh contexts (the forward queries it ran for the old
-            // property say nothing about this one's backward inductions).
-            if self.proofs_prop.is_some_and(|p| p != prop)
-                && self.anchored.unroller.num_frames() > 0
-            {
-                self.rebuild_contexts();
-            }
-            self.proofs_prop = Some(prop);
+        // Termination queries are bound-exact (see `run_bound`), so a
+        // proof-mode engine reused for a *different* property starts its
+        // bound loop over on fresh contexts: otherwise the new property's
+        // backward checks could never run at the already-unrolled bounds.
+        if self
+            .floating
+            .as_mut()
+            .is_some_and(|f| f.switch_property(prop))
+        {
+            self.rebuild_contexts();
         }
 
         for i in 0..=max_depth {
@@ -1076,24 +1189,18 @@ impl<'d> BmcEngine<'d> {
                 .clone()
                 .with_earlier_deadline(deadline),
             termination,
-            step: false,
             counterexample: !cleared,
         };
-        // Backward termination SAT(LFP_i ∧ ¬P_i ∧ CP_i ∧ C_i). The
-        // floating solver answers only this query, so its budget carries
-        // the schedule's cap.
+        // Backward termination SAT(LFP_i ∧ ¬P_i ∧ CP_i ∧ C_i): the step
+        // query. The floating solver answers only this query, so its
+        // budget carries the schedule's cap.
         let cap = forward
             .budget
             .max_conflicts
             .map_or(self.backward_cap, |max| max.min(self.backward_cap));
-        let backward = BoundJob {
-            budget: Budget {
-                max_conflicts: Some(cap),
-                ..forward.budget.clone()
-            },
-            step: true,
-            counterexample: false,
-            ..forward.clone()
+        let budget = Budget {
+            max_conflicts: Some(cap),
+            ..forward.budget.clone()
         };
         let BmcEngine {
             model,
@@ -1104,14 +1211,20 @@ impl<'d> BmcEngine<'d> {
         let model: &Design = model;
         let (forward, backward) = match floating {
             Some(floating) => std::thread::scope(|s| {
-                let handle = s.spawn(move || backward.run(model, floating));
+                let handle = s.spawn(move || {
+                    if termination {
+                        floating.query(model, bad_bit, i, budget)
+                    } else {
+                        floating.extend(model, i)
+                    }
+                });
                 let forward = forward.run(model, anchored);
                 let backward = handle
                     .join()
                     .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                 (forward, backward)
             }),
-            None => (forward.run(model, anchored), Answers::default()),
+            None => (forward.run(model, anchored), StepAnswer::default()),
         };
         self.encode_seconds += forward.encode_seconds + backward.encode_seconds;
         self.solve_seconds += forward.solve_seconds + backward.solve_seconds;
@@ -1119,7 +1232,7 @@ impl<'d> BmcEngine<'d> {
         let ended = if let Some(reason) = forward.encode.or(backward.encode) {
             Some(self.unknown_verdict(prop, Some(reason)))
         } else {
-            match (forward.termination, backward.termination) {
+            match (forward.termination, backward.result) {
                 (Some(SolveResult::Unsat), _) => Some(BmcVerdict::Proof {
                     kind: ProofKind::ForwardDiameter,
                     depth: i,
@@ -1132,14 +1245,13 @@ impl<'d> BmcEngine<'d> {
                     depth: i,
                 }),
                 // No proof at this bound; the counterexample check counts.
-                (_, Some(SolveResult::Unknown)) if self.backward_hit_cap() => {
+                (_, Some(SolveResult::Unknown)) if self.backward_hit_cap(&backward) => {
                     self.backward_cap = self.backward_cap.saturating_mul(2);
                     self.backward_capped += 1;
                     None
                 }
                 (_, Some(SolveResult::Unknown)) => {
-                    let floating = self.floating.as_ref().expect("proofs on");
-                    Some(self.unknown_verdict(prop, floating.solver.exhaustion_reason()))
+                    Some(self.unknown_verdict(prop, backward.exhaustion))
                 }
                 (_, Some(SolveResult::Sat)) => {
                     self.backward_cap = BACKWARD_CAP_FLOOR;
@@ -1189,24 +1301,18 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// Whether the backward query's `Unknown` came from the schedule's cap
-    /// alone: the cap, not `solve_budget`, was the binding conflict limit,
-    /// and neither the deadline, a cancellation nor a lifetime work cap of
-    /// the floating context's governor has tripped. Any other `Unknown`
-    /// ends the run.
-    fn backward_hit_cap(&self) -> bool {
-        let floating = self.floating.as_ref().expect("proofs on");
-        let stats = floating.solver.stats();
-        self.options
-            .pipeline
-            .solve_budget
-            .max_conflicts
-            .is_none_or(|max| self.backward_cap < max)
-            && floating.solver.exhaustion_reason() == Some(ExhaustionReason::ConflictLimit)
-            && floating.governor.poll().is_none()
-            && floating
-                .governor
-                .check_counters(stats.conflicts, stats.propagations)
-                .is_none()
+    /// alone: the budget's conflict limit stopped it with the floating
+    /// context's governor clear (see [`StepAnswer::budget_conflicts`]), and
+    /// that limit was the cap, not `solve_budget`. Any other `Unknown` ends
+    /// the run.
+    fn backward_hit_cap(&self, backward: &StepAnswer) -> bool {
+        backward.budget_conflicts
+            && self
+                .options
+                .pipeline
+                .solve_budget
+                .max_conflicts
+                .is_none_or(|max| self.backward_cap < max)
     }
 
     /// Drops and recreates every context: fresh solvers, unrollers, EMM
@@ -1217,8 +1323,7 @@ impl<'d> BmcEngine<'d> {
         let governor = self.anchored.governor.clone();
         self.anchored = Self::make_ctx(&self.model, &self.options, &governor, true);
         if let Some(floating) = &mut self.floating {
-            let governor = floating.governor.clone();
-            *floating = Self::make_ctx(&self.model, &self.options, &governor, false);
+            floating.rebuild(&self.model);
         }
         self.cleared_depth.clear();
     }

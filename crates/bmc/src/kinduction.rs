@@ -27,24 +27,26 @@
 //! also makes the loop complete: at the recurrence diameter the step
 //! formula is unsatisfiable outright.
 //!
-//! Structurally, one solver lives across the whole `k` loop. Each
-//! depth's step clauses (`¬bad_0 … ¬bad_{k-1}, bad_k`) go into their own
-//! activation group; when the step fails (SAT) the group is physically
-//! retired ([`emm_sat::Solver::retire_group`]), so failed depths leave
-//! learned clauses behind but no dead property clauses. The
-//! [`ResourceGovernor`] is honored at every query — frame extension,
-//! base bounds and step solves all poll it — and a run that degrades to
-//! [`BmcVerdict::Unknown`] resumes exactly like the bounded engine:
-//! install a fresh governor ([`KInduction::set_governor`]) and call
-//! [`KInduction::check`] again; cleanly completed base bounds *and*
-//! cleanly failed step depths are skipped, not re-solved.
+//! The step is the bounded engine's backward termination check, asked
+//! by the same owner (`crate::engine::StepQuery`): one solver lives across
+//! the whole `k` loop, and each depth passes `¬bad_0 … ¬bad_{k-1}, bad_k`
+//! as solve assumptions, so a finished depth leaves learned clauses
+//! behind but no property clauses. Unlike the bounded engine, which caps
+//! each backward query, the step runs under the plain `solve_budget`: it
+//! is this engine's only proof route. The [`ResourceGovernor`] is honored
+//! at every query — frame extension, base bounds and step solves all poll
+//! it — and a run that degrades to [`BmcVerdict::Unknown`] resumes exactly
+//! like the bounded engine: install a fresh governor
+//! ([`KInduction::set_governor`]) and call [`KInduction::check`] again;
+//! cleanly completed base bounds *and* cleanly failed step depths are
+//! skipped, not re-solved.
 
 use std::time::Instant;
 
 use emm_aig::Design;
 use emm_sat::{ExhaustionReason, ResourceGovernor, SolveResult};
 
-use crate::engine::{BmcEngine, BmcError, BmcRun, BmcVerdict, Ctx, PhaseSeconds};
+use crate::engine::{BmcEngine, BmcError, BmcRun, BmcVerdict, PhaseSeconds, StepQuery};
 use crate::model::ReducedModel;
 use crate::options::VerifyOptions;
 
@@ -88,7 +90,7 @@ use crate::options::VerifyOptions;
 /// ```
 pub struct KInduction<'d> {
     base: BmcEngine<'d>,
-    step: Ctx,
+    step: StepQuery,
     /// The options as handed in (the base engine holds a proofs-off,
     /// wall-limit-free copy; the wall limit is applied here, once per
     /// `check`, so the whole interleaved loop shares one deadline).
@@ -96,11 +98,6 @@ pub struct KInduction<'d> {
     /// The governor in force: the configured one with the current call's
     /// wall-limit deadline min-combined in.
     governor: ResourceGovernor,
-    /// The property the step context has run for. Step queries are
-    /// bound-exact over the shared LFP activation, so switching
-    /// properties rebuilds the context (mirroring the bounded engine's
-    /// proof-mode property switch).
-    step_prop: Option<usize>,
     /// Deepest step depth that completed SAT (induction failed there).
     /// Monotone: a failed step stays failed — the step formula at `k+1`
     /// contains a copy of every shorter simple path — so resumed checks
@@ -108,9 +105,6 @@ pub struct KInduction<'d> {
     steps_failed: Option<usize>,
     /// Step queries that ran to completion (SAT or UNSAT).
     step_queries: u64,
-    /// Clauses physically retired from completed or abandoned step
-    /// groups (depth `k` contributes `k + 1`).
-    step_clauses_retired: u64,
     encode_seconds: f64,
     solve_seconds: f64,
     /// Preprocessing times and PBA reasons of the most recent base run,
@@ -169,16 +163,14 @@ impl<'d> KInduction<'d> {
 
     fn assemble(base: BmcEngine<'d>, options: VerifyOptions) -> KInduction<'d> {
         let governor = options.pipeline.governor.clone();
-        let step = Self::make_step_ctx(&base, &options, &governor);
+        let step = StepQuery::new(base.model(), &options, governor.clone());
         KInduction {
             base,
             step,
             options,
             governor,
-            step_prop: None,
             steps_failed: None,
             step_queries: 0,
-            step_clauses_retired: 0,
             encode_seconds: 0.0,
             solve_seconds: 0.0,
             rewrite_seconds: 0.0,
@@ -186,20 +178,6 @@ impl<'d> KInduction<'d> {
             latch_reasons: Vec::new(),
             memory_reasons: Vec::new(),
         }
-    }
-
-    /// Builds the floating step context: free initial state, every
-    /// memory arbitrary-init, LFP rows on (`proofs: true` only toggles
-    /// the LFP builder inside `make_ctx` — the embedded base engine
-    /// never sees it).
-    fn make_step_ctx(
-        base: &BmcEngine<'_>,
-        options: &VerifyOptions,
-        governor: &ResourceGovernor,
-    ) -> Ctx {
-        let mut step_options = options.clone();
-        step_options.proofs = true;
-        BmcEngine::make_ctx(base.model(), &step_options, governor, false)
     }
 
     /// The design under verification.
@@ -233,16 +211,9 @@ impl<'d> KInduction<'d> {
         self.steps_failed
     }
 
-    /// Clauses physically retired from completed or abandoned step
-    /// activation groups (the step group of depth `k` holds `k + 1`
-    /// clauses).
-    pub fn step_clauses_retired(&self) -> u64 {
-        self.step_clauses_retired
-    }
-
     /// Variable count and raw CDCL statistics of the step solver.
     pub fn step_solver_stats(&self) -> (usize, emm_sat::SolverStats) {
-        (self.step.solver.num_vars(), *self.step.solver.stats())
+        self.step.stats()
     }
 
     /// Replaces the pipeline governor on the base engine and the step
@@ -258,13 +229,6 @@ impl<'d> KInduction<'d> {
     /// The governor currently in force.
     pub fn governor(&self) -> &ResourceGovernor {
         &self.governor
-    }
-
-    /// Drops and recreates the step context (poisoned EMM emission or a
-    /// property switch); every failed-step record dies with it.
-    fn rebuild_step(&mut self) {
-        self.step = Self::make_step_ctx(&self.base, &self.options, &self.governor);
-        self.steps_failed = None;
     }
 
     /// Runs interleaved base case + inductive step for property `prop`
@@ -292,21 +256,15 @@ impl<'d> KInduction<'d> {
         self.base.set_governor(self.governor.clone());
         self.encode_seconds = 0.0;
         self.solve_seconds = 0.0;
-        // An EMM encoder that aborted mid-frame left the newest step
-        // frame under-constrained; rebuild before trusting any answer
-        // (the base engine does the same for its own contexts).
-        if self.step.emm.interrupted() {
-            self.rebuild_step();
-        } else {
-            self.step.set_governor(self.governor.clone());
+        // A step context poisoned by an aborted EMM frame, or unrolled
+        // for another property, starts over; every failed-step record
+        // dies with it.
+        let switched = self.step.switch_property(prop);
+        if switched || self.step.poisoned() {
+            self.step.rebuild(self.base.model());
+            self.steps_failed = None;
         }
-        // Step queries are bound-exact over the single shared LFP
-        // activation (see `BmcEngine::run_bound`); a context unrolled
-        // for another property cannot run this one's shallow steps.
-        if self.step_prop.is_some_and(|p| p != prop) && self.step.unroller.num_frames() > 0 {
-            self.rebuild_step();
-        }
-        self.step_prop = Some(prop);
+        self.step.set_governor(self.governor.clone());
 
         let bad_bit = self.base.model().properties()[prop].bad;
         let mut per_bound: Vec<f64> = Vec::new();
@@ -346,93 +304,36 @@ impl<'d> KInduction<'d> {
                 per_bound.push(bound_started.elapsed().as_secs_f64());
                 continue;
             }
-            match self.step_query(k, bad_bit, deadline) {
-                StepOutcome::Closed => {
-                    per_bound.push(bound_started.elapsed().as_secs_f64());
+            let budget = self
+                .options
+                .pipeline
+                .solve_budget
+                .clone()
+                .with_earlier_deadline(deadline);
+            let step = self.step.query(self.base.model(), bad_bit, k, budget);
+            self.encode_seconds += step.encode_seconds;
+            self.solve_seconds += step.solve_seconds;
+            per_bound.push(bound_started.elapsed().as_secs_f64());
+            match (step.encode, step.result) {
+                (None, Some(SolveResult::Unsat)) => {
+                    self.step_queries += 1;
                     return self.finish(BmcVerdict::Proved { k }, k, started, per_bound);
                 }
-                StepOutcome::Failed => {
+                (None, Some(SolveResult::Sat)) => {
+                    self.step_queries += 1;
                     self.steps_failed = Some(k);
-                    per_bound.push(bound_started.elapsed().as_secs_f64());
                 }
-                StepOutcome::Exhausted(reason) => {
-                    per_bound.push(bound_started.elapsed().as_secs_f64());
+                (encode, _) => {
+                    let reason = encode
+                        .or(step.exhaustion)
+                        .or_else(|| self.governor.poll())
+                        .unwrap_or(ExhaustionReason::Cancelled);
                     let v = self.unknown(reason, clean_base);
                     return self.finish(v, k, started, per_bound);
                 }
             }
         }
         self.finish(BmcVerdict::BoundReached, max_k, started, per_bound)
-    }
-
-    /// One inductive-step query at depth `k`: extend the floating
-    /// context to frames `0..=k`, post `¬bad_0 … ¬bad_{k-1}, bad_k` in a
-    /// fresh activation group, solve under the EMM selector assumptions
-    /// with `LFP` enforced, and retire the group once the query completes
-    /// (or is abandoned by the governor).
-    fn step_query(
-        &mut self,
-        k: usize,
-        bad_bit: emm_aig::Bit,
-        deadline: Option<Instant>,
-    ) -> StepOutcome {
-        let encode_started = Instant::now();
-        let outcome = BmcEngine::extend_ctx_to(self.base.model(), &mut self.step, k);
-        self.encode_seconds += encode_started.elapsed().as_secs_f64();
-        if let Some(reason) = outcome {
-            return StepOutcome::Exhausted(reason);
-        }
-        debug_assert_eq!(
-            self.step.unroller.num_frames(),
-            k + 1,
-            "step queries are bound-exact"
-        );
-        let budget = self
-            .options
-            .pipeline
-            .solve_budget
-            .clone()
-            .with_earlier_deadline(deadline);
-        self.step.solver.set_budget(budget);
-
-        let group = self.step.solver.new_activation_group();
-        for j in 0..k {
-            let bad_j = self.step.unroller.lit(j, bad_bit);
-            let bad_j = self.step.assumption(bad_j);
-            self.step.solver.add_clause_in_group(group, &[!bad_j]);
-        }
-        let bad_k = self.step.unroller.lit(k, bad_bit);
-        let bad_k = self.step.assumption(bad_k);
-        self.step.solver.add_clause_in_group(group, &[bad_k]);
-
-        let mut assumptions = BmcEngine::base_assumptions(&self.step);
-        assumptions.push(group);
-        let result = self.step.solve_lfp(
-            &assumptions,
-            &mut self.encode_seconds,
-            &mut self.solve_seconds,
-        );
-        // Every step group is transient: retired on completion (the
-        // learned clauses stay; the property clauses leave the arena)
-        // and on abandonment alike.
-        self.step_clauses_retired += self.step.solver.retire_group(group) as u64;
-        match result {
-            SolveResult::Unsat => {
-                self.step_queries += 1;
-                StepOutcome::Closed
-            }
-            SolveResult::Sat => {
-                self.step_queries += 1;
-                StepOutcome::Failed
-            }
-            SolveResult::Unknown => StepOutcome::Exhausted(
-                self.step
-                    .solver
-                    .exhaustion_reason()
-                    .or_else(|| self.governor.poll())
-                    .unwrap_or(ExhaustionReason::Cancelled),
-            ),
-        }
     }
 
     fn unknown(&self, reason: ExhaustionReason, clean_base: Option<u32>) -> BmcVerdict {
@@ -465,15 +366,4 @@ impl<'d> KInduction<'d> {
             },
         })
     }
-}
-
-/// Outcome of one inductive-step query.
-enum StepOutcome {
-    /// UNSAT — together with the clean base case this closes the
-    /// property.
-    Closed,
-    /// SAT — induction fails at this depth; try deeper.
-    Failed,
-    /// The governor or the solve budget ended the query.
-    Exhausted(ExhaustionReason),
 }

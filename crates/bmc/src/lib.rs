@@ -17,9 +17,8 @@
 //!   collection;
 //! * [`KInduction`] — unbounded proving by k-induction: the bounded
 //!   engine as the base case, interleaved with initial-state-free
-//!   inductive steps whose per-depth clauses live in their own solver
-//!   activation groups (select with
-//!   [`options::ProofEngine`] on the options surface);
+//!   inductive steps, the same query as the bounded engine's backward
+//!   check (select with [`options::ProofEngine`] on the options surface);
 //! * [`pba`] — stability-based abstraction discovery and iterative
 //!   abstraction (ref. \[10\]), with a parallel per-property dispatch
 //!   ([`pba::discover_all`]) on the work-stealing pool;

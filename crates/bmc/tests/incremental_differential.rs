@@ -13,7 +13,7 @@
 //! refuted bound's property clause, counted by the engine.
 
 use emm_aig::{Design, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcVerdict, VerifyOptions};
+use emm_bmc::{BmcEngine, BmcVerdict, KInduction, VerifyOptions};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
 use emm_sat::SimplifyConfig;
 use rand::rngs::StdRng;
@@ -261,7 +261,8 @@ fn repeated_checks_with_proofs_stay_sound() {
 #[test]
 fn property_switch_keeps_proofs_complete() {
     // Mod-5 counter: count==2 is reachable (cex), count==7 is not
-    // (proved at the diameter).
+    // (proved at the diameter), and count==5 has no predecessor at all
+    // (1-inductive).
     let mut d = Design::new();
     let count = d.new_latch_word("count", 3, LatchInit::Zero);
     let inc = d.aig.inc(&count);
@@ -273,6 +274,8 @@ fn property_switch_keeps_proofs_complete() {
     d.add_property("reaches2", reachable);
     let unreachable = d.aig.eq_const(&count, 7);
     d.add_property("reaches7", unreachable);
+    let orphan = d.aig.eq_const(&count, 5);
+    d.add_property("reaches5", orphan);
     d.check().expect("well-formed");
 
     let opts = || VerifyOptions::default().proofs(true);
@@ -291,6 +294,27 @@ fn property_switch_keeps_proofs_complete() {
         verdict_shape(&second),
         verdict_shape(&reference),
         "reused engine must not miss the proof: {second:?} vs {reference:?}"
+    );
+
+    // The same switch on the k-induction engine: its step context was
+    // unrolled for prop 0, and without a rebuild its shallow steps for
+    // prop 2 would run over the deeper unrolling.
+    let mut fresh = KInduction::new(&d, VerifyOptions::default());
+    let reference = fresh.check(2, 20).expect("fresh").verdict;
+    assert!(
+        matches!(reference, BmcVerdict::Proved { k: 1 }),
+        "count==5 is 1-inductive: {reference:?}"
+    );
+    let mut reused = KInduction::new(&d, VerifyOptions::default());
+    let first = reused.check(0, 20).expect("prop 0");
+    assert!(
+        first.verdict.is_counterexample() && first.depth_reached == 2,
+        "count==2 is reachable at depth 2: {first:?}"
+    );
+    let second = reused.check(2, 20).expect("prop 2").verdict;
+    assert!(
+        matches!(second, BmcVerdict::Proved { k: 1 }),
+        "reused k-induction must close where a fresh one does: {second:?}"
     );
 }
 
