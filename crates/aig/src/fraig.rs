@@ -230,7 +230,7 @@ pub struct ClassReport {
 pub type SweepTask<'a> = Box<dyn FnOnce() -> ClassReport + Send + 'a>;
 
 /// Executes a batch of independent candidate-class jobs. The pipeline's
-/// work-stealing pool (`emm_core::pool::Pool`) implements this; this
+/// shared-queue pool (`emm_core::pool::Pool`) implements this; this
 /// crate ships [`SequentialRunner`] so the pass is usable (and
 /// testable) without the pool crate, which sits above `emm-aig` in the
 /// dependency graph.

@@ -31,7 +31,7 @@
 //! same `cores` count, because throughput measured on different machines
 //! is not comparable — and when the fresh machine has at least 4 cores,
 //! the 4-worker row must clear 1.5× the 1-worker row (the core-scaling
-//! contract of the work-stealing pool).
+//! contract of the shared-queue pool).
 //!
 //! `--summary <path>` appends a per-row markdown diff table (verdict,
 //! clause/var deltas, status) plus a server-throughput table with a

@@ -1,9 +1,9 @@
 //! # emm-bench — the paper's experiment harness
 //!
 //! Binaries that regenerate each table / case study of *"Verification of
-//! Embedded Memory Systems using Efficient Memory Modeling"* (DATE 2005),
-//! plus Criterion micro-benchmarks. See `README.md` at the repository
-//! root for how to run and read the `simplify` suite and its CI gate.
+//! Embedded Memory Systems using Efficient Memory Modeling"* (DATE 2005).
+//! See `README.md` at the repository root for how to run and read the
+//! `simplify` suite and its CI gate.
 //!
 //! | Binary | Regenerates |
 //! |---|---|

@@ -21,7 +21,7 @@
 //!   check (select with [`options::ProofEngine`] on the options surface);
 //! * [`pba`] — stability-based abstraction discovery and iterative
 //!   abstraction (ref. \[10\]), with a parallel per-property dispatch
-//!   ([`pba::discover_all`]) on the work-stealing pool;
+//!   ([`pba::discover_all`]) on the shared-queue pool;
 //! * [`options`] — the configuration surface: the [`VerifyOptions`]
 //!   builder and the shared [`PipelineOptions`] data block it embeds;
 //! * [`model`] — [`ReducedModel`], the pre-reduced design handle that

@@ -7,7 +7,7 @@
 //! configuration are reduced **once** ([`ReducedModel`]), every job gets
 //! its own engine (own solver, own contexts) over the shared model with a
 //! [forked](emm_sat::ResourceGovernor::fork) governor, and the jobs are
-//! scheduled on the in-tree work-stealing [`Pool`]. Responses come back
+//! scheduled on the in-tree shared-queue [`Pool`]. Responses come back
 //! ordered by job id — the order of submission — so the output is
 //! identical at every worker count, fault injection included.
 //!

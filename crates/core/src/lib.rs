@@ -21,7 +21,7 @@
 //! live solver, a counting sink, or a CNF dump. The BMC driver that invokes
 //! it after every unrolling lives in the `emm-bmc` crate.
 //!
-//! The crate also hosts [`pool`] — the in-tree work-stealing thread pool
+//! The crate also hosts [`pool`] — the in-tree shared-queue thread pool
 //! the parallel verification paths (batched fraig sweeps, parallel PBA
 //! dispatch, the `emm-bmc` verification server) schedule their jobs on.
 

@@ -1,19 +1,20 @@
-//! An in-tree work-stealing thread pool for parallel verification jobs.
+//! An in-tree thread pool for batches of independent verification jobs.
 //!
 //! The container this crate builds in is offline, so no external
 //! executor (rayon, crossbeam) is available; this module implements the
 //! small slice of one the verification pipeline needs with nothing but
-//! `std::thread` and mutex-guarded deques:
+//! `std::thread` and one mutex-guarded job queue:
 //!
 //! * **Batch execution** — [`Pool::run`] takes a `Vec` of boxed jobs
 //!   and returns one [`JobResult`] per job, *in submission order*,
 //!   whatever order the workers finished in. Jobs may borrow from the
 //!   caller's stack (the batch runs under [`std::thread::scope`]).
-//! * **Work stealing** — each worker owns a deque seeded round-robin;
-//!   an overflow injector holds the rest. A worker drains its own deque
-//!   from the front, then the injector, then steals from the *back* of
-//!   a sibling's deque, so long-running jobs don't strand work behind
-//!   them.
+//! * **One shared queue** — the batch sits in a single queue; an idle
+//!   worker takes the next job in submission order and writes its
+//!   result into that job's slot, so a long-running job never strands
+//!   work behind it. Jobs are seconds-long SAT runs, not fine-grained
+//!   task trees, so the queue lock is never contended for long and
+//!   work stealing would buy nothing.
 //! * **Cooperative shutdown** — the pool carries a
 //!   [`ResourceGovernor`]; once its cancellation token trips, remaining
 //!   queued jobs are drained as [`JobResult::Skipped`] instead of
@@ -24,11 +25,11 @@
 //!   [`JobResult::Panicked`] with its message; sibling jobs and the
 //!   caller are unaffected.
 //! * **Deterministic single-thread fallback** — with one worker (the
-//!   default, and what `EMM_WORKERS=1` selects) the batch runs inline
-//!   on the caller's thread in submission order, with no threads
-//!   spawned at all. Differential tests lean on this: the parallel
-//!   paths must produce bit-identical results at every worker count,
-//!   and worker count 1 *is* the sequential reference.
+//!   default) the batch runs inline on the caller's thread in
+//!   submission order, with no threads spawned at all. Differential
+//!   tests lean on this: the parallel path must produce bit-identical
+//!   results at every worker count, and worker count 1 *is* the
+//!   sequential reference.
 //!
 //! The pool deliberately has no long-lived worker threads: each
 //! [`Pool::run`] call scopes its own. Verification batches are seconds
@@ -36,9 +37,7 @@
 //! lets jobs borrow the design/model being verified without `Arc`
 //! gymnastics.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use emm_aig::fraig::{ClassReport, SweepRunner, SweepTask};
@@ -48,9 +47,6 @@ use emm_sat::ResourceGovernor;
 /// `Send` so workers can execute it, `'env` so it may borrow from the
 /// caller's stack (the batch is scoped).
 pub type Job<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
-
-/// An index-tagged job queue (a worker deque or the shared injector).
-type JobQueue<'env, T> = Mutex<VecDeque<(usize, Job<'env, T>)>>;
 
 /// Outcome of one job of a [`Pool::run`] batch.
 #[derive(Debug)]
@@ -86,13 +82,11 @@ impl<T> JobResult<T> {
     }
 }
 
-/// Jobs seeded directly into each worker's deque before the remainder
-/// goes to the shared injector: enough to start every worker without a
-/// lock convoy on the injector, small enough that most of a big batch
-/// stays centrally available.
-const SEED_PER_WORKER: usize = 2;
+/// Why the pool's mutexes cannot be poisoned: jobs run outside every
+/// lock, and a panicking job is caught before its result is stored.
+const UNPOISONED: &str = "no pool lock is held while a job runs";
 
-/// The work-stealing pool. See the [module docs](self) for the design.
+/// The shared-queue pool. See the [module docs](self) for the design.
 ///
 /// # Examples
 ///
@@ -141,146 +135,52 @@ impl Pool {
         self
     }
 
-    /// A pool sized by the `EMM_WORKERS` environment variable (the CI
-    /// parallel matrix sets it); defaults to 1 — sequential — when
-    /// unset or unparsable.
-    pub fn from_env() -> Pool {
-        let workers = std::env::var("EMM_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1);
-        Pool::new(workers)
-    }
-
     /// The worker-thread count.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// The pool's shutdown governor.
-    pub fn governor(&self) -> &ResourceGovernor {
-        &self.governor
-    }
-
     /// Runs a batch of jobs and returns their results in submission
     /// order. Blocks until every job is done, skipped, or panicked.
     pub fn run<'env, T: Send>(&self, jobs: Vec<Job<'env, T>>) -> Vec<JobResult<T>> {
-        self.run_counted(jobs).0
-    }
-
-    /// [`Pool::run`] plus per-worker executed-job counts (index 0 is
-    /// the inline path's count on the sequential fallback). The counts
-    /// exist for the work-stealing unit tests; production callers use
-    /// [`Pool::run`].
-    fn run_counted<'env, T: Send>(
-        &self,
-        jobs: Vec<Job<'env, T>>,
-    ) -> (Vec<JobResult<T>>, Vec<usize>) {
         let n = jobs.len();
-        let workers = self.workers.min(n.max(1));
+        let workers = self.workers.min(n);
         if workers <= 1 {
             // Deterministic fallback: inline, submission order, no
-            // threads. Cancellation still drains the remainder.
-            let mut out = Vec::with_capacity(n);
-            let mut executed = 0usize;
-            for job in jobs {
-                if self.governor.is_cancelled() {
-                    out.push(JobResult::Skipped);
-                    continue;
-                }
-                executed += 1;
-                out.push(Self::execute(job));
-            }
-            return (out, vec![executed]);
+            // threads.
+            return jobs.into_iter().map(|job| self.execute(job)).collect();
         }
 
-        let deques: Vec<JobQueue<'env, T>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        let injector: JobQueue<'env, T> = Mutex::new(VecDeque::new());
-        {
-            let mut inj = injector.lock().unwrap();
-            for (idx, job) in jobs.into_iter().enumerate() {
-                if idx < workers * SEED_PER_WORKER {
-                    deques[idx % workers].lock().unwrap().push_back((idx, job));
-                } else {
-                    inj.push_back((idx, job));
-                }
-            }
-        }
+        let queue = Mutex::new(jobs.into_iter().enumerate());
         let results: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let remaining = AtomicUsize::new(n);
-        let executed: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
-
-        /// Own deque front, then the injector, then steal from the back
-        /// of a sibling's deque.
-        fn next_job<'env, T>(
-            deques: &[JobQueue<'env, T>],
-            injector: &JobQueue<'env, T>,
-            w: usize,
-        ) -> Option<(usize, Job<'env, T>)> {
-            if let Some(j) = deques[w].lock().unwrap().pop_front() {
-                return Some(j);
-            }
-            if let Some(j) = injector.lock().unwrap().pop_front() {
-                return Some(j);
-            }
-            for off in 1..deques.len() {
-                let victim = (w + off) % deques.len();
-                if let Some(j) = deques[victim].lock().unwrap().pop_back() {
-                    return Some(j);
-                }
-            }
-            None
-        }
-
         std::thread::scope(|s| {
-            for w in 0..workers {
-                let deques = &deques;
-                let injector = &injector;
-                let results = &results;
-                let remaining = &remaining;
-                let executed = &executed;
-                let governor = &self.governor;
-                s.spawn(move || loop {
-                    match next_job(deques, injector, w) {
-                        Some((idx, job)) => {
-                            let r = if governor.is_cancelled() {
-                                JobResult::Skipped
-                            } else {
-                                executed[w].fetch_add(1, Ordering::Relaxed);
-                                Self::execute(job)
-                            };
-                            *results[idx].lock().unwrap() = Some(r);
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        None => {
-                            // No queued work anywhere; in-flight jobs
-                            // on other workers cannot enqueue more, so
-                            // an empty batch counter means done.
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
+            for _ in 0..workers {
+                s.spawn(|| loop {
+                    // Bind the job first so the queue guard drops here,
+                    // not at the end of the job.
+                    let next = queue.lock().expect(UNPOISONED).next();
+                    let Some((idx, job)) = next else { break };
+                    let result = self.execute(job);
+                    *results[idx].lock().expect(UNPOISONED) = Some(result);
                 });
             }
         });
-
-        let out = results
+        results
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .unwrap()
-                    .expect("worker recorded every job")
+                    .expect(UNPOISONED)
+                    .expect("a worker ran every job")
             })
-            .collect();
-        let counts = executed.into_iter().map(|c| c.into_inner()).collect();
-        (out, counts)
+            .collect()
     }
 
-    /// Executes one job with panic containment.
-    fn execute<'env, T>(job: Job<'env, T>) -> JobResult<T> {
+    /// Executes one job with panic containment, or drains it as
+    /// [`JobResult::Skipped`] once the governor is cancelled.
+    fn execute<'env, T>(&self, job: Job<'env, T>) -> JobResult<T> {
+        if self.governor.is_cancelled() {
+            return JobResult::Skipped;
+        }
         match catch_unwind(AssertUnwindSafe(job)) {
             Ok(v) => JobResult::Done(v),
             Err(payload) => {
@@ -312,7 +212,7 @@ impl SweepRunner for Pool {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
     use super::*;
@@ -358,47 +258,48 @@ mod tests {
         assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
 
-    #[test]
-    fn work_is_stolen_from_a_busy_worker() {
-        /// Sleeps until `done` holds, giving up after 30 s so a broken
-        /// stealer fails the assertion below instead of hanging.
-        fn wait_for(done: impl Fn() -> bool) {
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while !done() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
+    /// Sleeps until `done` holds or 30 s pass, and reports whether it
+    /// held: a scheduling bug fails the caller's assertion instead of
+    /// hanging the suite.
+    fn wait_for(done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            if Instant::now() >= deadline {
+                return false;
             }
+            std::thread::sleep(Duration::from_millis(1));
         }
-        let pool = Pool::new(4);
-        // 8 jobs seed 2 per worker. Every other job first waits for job 0
-        // to start, which keeps each sibling inside its own first seeded
-        // job, so none can steal job 0 off worker 0's deque. Job 0 then
-        // holds worker 0 until the other seven have finished, so its
-        // second seeded job (job 4) can only run on a sibling that
-        // steals it.
-        let job0_started = AtomicBool::new(false);
+        true
+    }
+
+    #[test]
+    fn an_idle_worker_takes_the_next_job() {
+        let pool = Pool::new(2);
+        // Job 0 holds its worker until the other seven have finished, so
+        // the batch completes in time only if the second worker takes
+        // every later job as it falls idle: a static split of the batch
+        // would leave jobs queued behind job 0, and a queue lock held
+        // across a job would stop the second worker from taking any.
         let finished = AtomicUsize::new(0);
-        let (job0_started, finished) = (&job0_started, &finished);
-        let jobs: Vec<Job<'_, ()>> = (0..8)
+        let finished = &finished;
+        let jobs: Vec<Job<'_, &str>> = (0..8)
             .map(|i| {
                 boxed(move || {
-                    if i == 0 {
-                        job0_started.store(true, Ordering::Release);
-                        wait_for(|| finished.load(Ordering::Acquire) == 7);
-                    } else {
-                        wait_for(|| job0_started.load(Ordering::Acquire));
+                    if i > 0 {
                         finished.fetch_add(1, Ordering::AcqRel);
+                    } else if !wait_for(|| finished.load(Ordering::Acquire) == 7) {
+                        return "timed out";
                     }
+                    "done in time"
                 })
             })
             .collect();
-        let (results, executed) = pool.run_counted(jobs);
-        assert!(results.iter().all(JobResult::is_done));
-        assert_eq!(executed.iter().sum::<usize>(), 8);
-        assert!(
-            executed[0] < 2,
-            "worker 0 was seeded 2 jobs but slept through one; a sibling \
-             should have stolen it (executed: {executed:?})"
-        );
+        let results: Vec<_> = pool
+            .run(jobs)
+            .into_iter()
+            .map(JobResult::into_option)
+            .collect();
+        assert_eq!(results, vec![Some("done in time"); 8]);
     }
 
     #[test]
@@ -462,6 +363,46 @@ mod tests {
         assert!(
             cancelled.load(Ordering::Relaxed),
             "no job body may run after cancellation"
+        );
+    }
+
+    #[test]
+    fn cancellation_mid_batch_drains_the_queue_in_parallel() {
+        let governor = ResourceGovernor::unlimited();
+        let pool = Pool::new(2).with_governor(governor.clone());
+        // Job 0 occupies one worker until job 1 cancels the governor on
+        // the other, so no later job can be claimed before the
+        // cancellation. Job 0 itself may lose the race and be skipped.
+        let started: Vec<AtomicBool> = (0..16).map(|_| AtomicBool::new(false)).collect();
+        let (started, governor) = (&started, &governor);
+        let jobs: Vec<Job<'_, bool>> = (0..16)
+            .map(|i| {
+                boxed(move || {
+                    started[i].store(true, Ordering::Release);
+                    match i {
+                        0 => wait_for(|| governor.is_cancelled()),
+                        1 => {
+                            governor.cancel();
+                            true
+                        }
+                        _ => true,
+                    }
+                })
+            })
+            .collect();
+        let results = pool.run(jobs);
+        assert!(matches!(
+            results[0],
+            JobResult::Done(true) | JobResult::Skipped
+        ));
+        assert!(matches!(results[1], JobResult::Done(true)));
+        assert!(
+            results[2..].iter().all(JobResult::is_skipped),
+            "every job claimed after the cancellation is skipped: {results:?}"
+        );
+        assert!(
+            started[2..].iter().all(|s| !s.load(Ordering::Acquire)),
+            "no job body may start after the cancellation"
         );
     }
 

@@ -22,7 +22,7 @@
 //! fault-counter state: each concurrent job gets one fork, so a fault
 //! armed with [`ResourceGovernor::with_fault`] trips at the same event
 //! count inside every job regardless of worker count or scheduling
-//! order — the determinism contract the work-stealing pool relies on.
+//! order — the determinism contract the shared-queue pool relies on.
 //! A fork still *observes* its ancestors' cancellation (cancelling the
 //! parent stops every job), but cancelling a fork never propagates
 //! upward, so one exhausted job cannot take its siblings down.

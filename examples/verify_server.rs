@@ -2,7 +2,7 @@
 //!
 //! Builds one memory-backed design, queues every property of it (plus a
 //! repeat with a different depth budget) on the server, and runs the
-//! batch on the work-stealing pool. Requests sharing the design and
+//! batch on the shared-queue pool. Requests sharing the design and
 //! preprocessing configuration are reduced once; responses come back in
 //! submission order, bit-identical at every worker count.
 //!
@@ -45,13 +45,9 @@ fn build_design() -> Design {
 fn main() {
     let design = Arc::new(build_design());
 
-    // Size the pool from EMM_WORKERS (default 1). Responses are the
-    // same at every worker count; only the wall clock changes.
-    let workers = std::env::var("EMM_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let mut server = VerificationServer::new(workers);
+    // Two pool workers. Responses are the same at every worker count;
+    // only the wall clock changes.
+    let mut server = VerificationServer::new(2);
 
     for p in 0..design.properties().len() {
         server.submit(VerifyRequest {
