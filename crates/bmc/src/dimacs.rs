@@ -3,9 +3,9 @@
 //!
 //! [`dump_bmc_cnf`] runs the exact clause pipeline of [`crate::BmcEngine`]
 //! — [`Unroller`] unrolling, [`EmmEncoder`] memory constraints, and (when
-//! enabled) the cross-frame [`Simplifier`] — but
-//! targets a collecting [`VecSink`] instead of the in-tree CDCL solver.
-//! The result is a plain [`Cnf`] that is **satisfiable iff the selected
+//! enabled) the cross-frame [`Simplifier`] — but writes straight into a
+//! [`Cnf`], the flat clause store that is itself a [`CnfSink`], instead of
+//! the in-tree CDCL solver. The result is **satisfiable iff the selected
 //! property is falsifiable within the requested depth**, ready to be
 //! handed to any external DIMACS solver:
 //!
@@ -26,7 +26,7 @@ use emm_aig::Design;
 use emm_core::{EmmEncoder, MemoryShape};
 use emm_sat::dimacs::Cnf;
 use emm_sat::simplify::Simplifier;
-use emm_sat::{CnfSink, Lit, VecSink};
+use emm_sat::{CnfSink, Lit};
 
 use crate::options::VerifyOptions;
 use crate::unroll::{UnrollConfig, Unroller};
@@ -81,25 +81,25 @@ pub struct BmcCnf {
 impl BmcCnf {
     /// Variables in the instance.
     pub fn num_vars(&self) -> usize {
-        self.cnf.num_vars
+        self.cnf.num_vars()
     }
 
     /// Clauses in the instance.
     pub fn num_clauses(&self) -> usize {
-        self.cnf.clauses.len()
+        self.cnf.num_clauses()
     }
 
     /// Renders the instance as DIMACS text with a comment header that
     /// records what the instance means.
     pub fn to_dimacs(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "c emm-bmc dump: property {} through depth {}\n",
+        let what = format!(
+            "emm-bmc dump: property {} through depth {}",
             self.property, self.depth
-        ));
-        out.push_str("c satisfiable iff the property is falsifiable within the depth\n");
-        out.push_str(&self.cnf.to_dimacs());
-        out
+        );
+        self.cnf.to_dimacs_with_comments(&[
+            &what,
+            "satisfiable iff the property is falsifiable within the depth",
+        ])
     }
 }
 
@@ -131,7 +131,7 @@ pub fn dump_bmc_cnf(
         });
     }
 
-    let mut sink = VecSink::new();
+    let mut cnf = Cnf::new();
     let mut simplify = options.pipeline.simplify.enabled.then(Simplifier::new);
     let unroll_config = UnrollConfig {
         initial_state: true,
@@ -139,8 +139,8 @@ pub fn dump_bmc_cnf(
         kept_latches: None,
     };
     let mut unroller = match &mut simplify {
-        Some(simp) => Unroller::new(design, &mut simp.attach(&mut sink), unroll_config),
-        None => Unroller::new(design, &mut sink, unroll_config),
+        Some(simp) => Unroller::new(design, &mut simp.attach(&mut cnf), unroll_config),
+        None => Unroller::new(design, &mut cnf, unroll_config),
     };
     let shapes: Vec<MemoryShape> = design
         .memories()
@@ -166,39 +166,35 @@ pub fn dump_bmc_cnf(
     };
     for _ in 0..=depth {
         match &mut simplify {
-            Some(simp) => extend(&mut unroller, &mut emm, &mut simp.attach(&mut sink)),
-            None => extend(&mut unroller, &mut emm, &mut sink),
+            Some(simp) => extend(&mut unroller, &mut emm, &mut simp.attach(&mut cnf)),
+            None => extend(&mut unroller, &mut emm, &mut cnf),
         }
     }
 
     // Bad literal per frame, materialized so the lazily emitted cones
     // constrain them, then disjoined: SAT iff some frame reaches bad.
     let bad = design.properties()[property].bad;
-    let materialize = |lit: Lit, sink: &mut VecSink, simp: &mut Option<Simplifier>| {
+    let materialize = |lit: Lit, cnf: &mut Cnf, simp: &mut Option<Simplifier>| {
         if let Some(simp) = simp {
-            simp.attach(sink).materialize(lit);
+            simp.attach(cnf).materialize(lit);
         }
         lit
     };
     let bad_lits: Vec<Lit> = (0..=depth)
-        .map(|f| materialize(unroller.lit(f, bad), &mut sink, &mut simplify))
+        .map(|f| materialize(unroller.lit(f, bad), &mut cnf, &mut simplify))
         .collect();
-    sink.add_clause(&bad_lits);
+    cnf.add_clause(&bad_lits);
 
     // The EMM selector assumptions hold unconditionally in a dump.
     let assumptions: Vec<Lit> = emm
         .all_active_assumptions()
         .into_iter()
-        .map(|l| materialize(l, &mut sink, &mut simplify))
+        .map(|l| materialize(l, &mut cnf, &mut simplify))
         .collect();
     for &a in &assumptions {
-        sink.add_clause(&[a]);
+        cnf.add_clause(&[a]);
     }
 
-    let cnf = Cnf {
-        num_vars: sink.num_vars(),
-        clauses: sink.clauses,
-    };
     Ok(BmcCnf {
         cnf,
         property,
@@ -303,5 +299,39 @@ mod tests {
         let d = counter();
         let err = dump_bmc_cnf(&d, 3, 1, VerifyOptions::default()).unwrap_err();
         assert!(matches!(err, DumpDimacsError::PropertyOutOfRange { .. }));
+    }
+
+    /// Reference rendering of a dump: one `write!` per literal.
+    fn per_literal_dimacs(dump: &BmcCnf) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "c emm-bmc dump: property {} through depth {}",
+            dump.property, dump.depth
+        );
+        out.push_str("c satisfiable iff the property is falsifiable within the depth\n");
+        let _ = writeln!(out, "p cnf {} {}", dump.num_vars(), dump.num_clauses());
+        for clause in dump.cnf.clauses() {
+            for &l in clause {
+                let v = l.var().index() as i64 + 1;
+                let _ = write!(out, "{} ", if l.is_negative() { -v } else { v });
+            }
+            let _ = writeln!(out, "0");
+        }
+        out
+    }
+
+    #[test]
+    fn dimacs_text_matches_per_literal_rule() {
+        for simplify in [true, false] {
+            let mut options = VerifyOptions::default();
+            options.pipeline.simplify.enabled = simplify;
+            for (d, depth) in [(counter(), 5), (memory_echo(), 6)] {
+                let dump = dump_bmc_cnf(&d, 0, depth, options.clone()).expect("dump");
+                assert!(dump.cnf.clauses().flatten().any(|l| l.is_negative()));
+                assert_eq!(dump.to_dimacs(), per_literal_dimacs(&dump));
+            }
+        }
     }
 }

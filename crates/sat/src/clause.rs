@@ -88,14 +88,9 @@ impl ClauseDb {
         let off = cref.offset();
         let len = self.arena[off] as usize;
         let body = &self.arena[off + HEADER_WORDS..off + HEADER_WORDS + len];
-        // SAFETY-free cast: Lit is a transparent-by-construction wrapper over
-        // u32 codes; we reconstruct through the safe constructor instead.
-        // To avoid per-access allocation we transmute via bytemuck-like
-        // manual cast; since Lit is repr(Rust) we instead rely on identical
-        // layout being unspecified -- so we use the safe slice-of-u32 view
-        // and convert lazily. For performance we keep an unsafe cast here
-        // guarded by a compile-time size assertion.
-        const _: () = assert!(std::mem::size_of::<Lit>() == std::mem::size_of::<u32>());
+        // SAFETY: `body` is a bounds-checked slice of the arena, and `Lit`
+        // is `#[repr(transparent)]` over `u32`, so the same pointer and
+        // length form a valid `Lit` slice; every `u32` is a valid `Lit`.
         unsafe { std::slice::from_raw_parts(body.as_ptr() as *const Lit, len) }
     }
 
@@ -105,6 +100,7 @@ impl ClauseDb {
         let off = cref.offset();
         let len = self.arena[off] as usize;
         let body = &mut self.arena[off + HEADER_WORDS..off + HEADER_WORDS + len];
+        // SAFETY: as in `lits`.
         unsafe { std::slice::from_raw_parts_mut(body.as_mut_ptr() as *mut Lit, len) }
     }
 
@@ -115,7 +111,7 @@ impl ClauseDb {
     }
 
     /// Returns `true` if the arena holds no clauses.
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.arena.is_empty()
     }
@@ -127,8 +123,7 @@ impl ClauseDb {
     }
 
     /// Returns `true` if the clause has been deleted (awaiting GC).
-    #[inline]
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn is_deleted(&self, cref: ClauseRef) -> bool {
         self.arena[cref.offset() + 1] & FLAG_DELETED != 0
     }
@@ -200,20 +195,21 @@ impl ClauseDb {
     }
 
     /// Iterates over the references of all live clauses.
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn iter(&self) -> ClauseIter<'_> {
         ClauseIter { db: self, off: 0 }
     }
 }
 
 /// Iterator over live clause references; see [`ClauseDb::iter`].
+#[cfg(test)]
 #[derive(Debug)]
-#[allow(dead_code)]
 pub struct ClauseIter<'a> {
     db: &'a ClauseDb,
     off: usize,
 }
 
+#[cfg(test)]
 impl Iterator for ClauseIter<'_> {
     type Item = ClauseRef;
 
@@ -242,8 +238,10 @@ mod tests {
     #[test]
     fn alloc_and_read_back() {
         let mut db = ClauseDb::new();
+        assert!(db.is_empty());
         let a = db.alloc(&lits(&[1, 2, 3]), false);
         let b = db.alloc(&lits(&[4, 5]), true);
+        assert!(!db.is_empty());
         assert_eq!(db.lits(a), &lits(&[1, 2, 3])[..]);
         assert_eq!(db.lits(b), &lits(&[4, 5])[..]);
         assert_eq!(db.len(a), 3);

@@ -72,5 +72,5 @@ pub use equiv::EquivOracle;
 pub use govern::{ExhaustionReason, FaultSite, ResourceGovernor};
 pub use lit::{LBool, Lit, Var};
 pub use simplify::{Simplifier, SimplifyConfig, SimplifySink, SimplifyStats};
-pub use sink::{CnfSink, CountingSink, VecSink};
+pub use sink::{CnfSink, CountingSink};
 pub use solver::{Budget, SolveResult, Solver, SolverConfig, SolverStats};

@@ -9,6 +9,7 @@ use std::ops::Not;
 /// any other [`CnfSink`](crate::CnfSink)) and are only meaningful for the
 /// solver instance that created them.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(transparent)]
 pub struct Var(u32);
 
 impl Var {
@@ -63,6 +64,7 @@ impl fmt::Display for Var {
 /// assert_eq!((!p).var(), v);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(transparent)]
 pub struct Lit(u32);
 
 impl Lit {

@@ -119,16 +119,24 @@ impl SimplifyStats {
 ///
 /// One `Simplifier` accompanies one solver for the whole BMC run; attach it
 /// to the solver with [`Simplifier::attach`] whenever clauses are emitted.
+///
+/// The per-variable tables are dense vectors indexed by [`Var::index`] of
+/// the inner sink's variables, grown on first write; a variable past a
+/// table's end has no entry. Only the structural-hash key is hashed.
 #[derive(Debug, Default)]
 pub struct Simplifier {
     /// Structural-hash table: canonical `(a, b)` operand pair -> output.
     cache: HashMap<(Lit, Lit), Lit>,
     /// Gates created but not yet emitted: output var -> operands.
-    pending: HashMap<Var, (Lit, Lit)>,
+    pending: Vec<Option<(Lit, Lit)>>,
     /// Literals fixed by unit clauses: var -> forced value.
-    units: HashMap<Var, bool>,
+    units: Vec<Option<bool>>,
     /// A literal known false, once one exists (for folding results).
     known_false: Option<Lit>,
+    /// Scratch: the surviving literals of the clause being added.
+    kept: Vec<Lit>,
+    /// Scratch: the depth-first stack of [`SimplifySink::materialize`].
+    stack: Vec<Var>,
     stats: SimplifyStats,
 }
 
@@ -150,16 +158,30 @@ impl Simplifier {
 
     /// The forced value of `lit` under recorded unit clauses, if any.
     fn lit_value(&self, lit: Lit) -> Option<bool> {
-        self.units.get(&lit.var()).map(|&v| v ^ lit.is_negative())
+        let value = self.units.get(lit.var().index()).copied().flatten();
+        value.map(|v| v ^ lit.is_negative())
     }
 
     /// Records a level-0 unit.
     fn learn_unit(&mut self, lit: Lit) {
-        self.units.insert(lit.var(), lit.is_positive());
+        *slot(&mut self.units, lit.var()) = Some(lit.is_positive());
         if self.known_false.is_none() {
             self.known_false = Some(!lit);
         }
     }
+
+    /// The operands of `v`'s gate while it is still withheld.
+    fn pending(&self, v: Var) -> Option<(Lit, Lit)> {
+        self.pending.get(v.index()).copied().flatten()
+    }
+}
+
+/// The entry of `v` in a dense per-variable table, growing it to reach `v`.
+fn slot<T: Default>(table: &mut Vec<T>, v: Var) -> &mut T {
+    if v.index() >= table.len() {
+        table.resize_with(v.index() + 1, T::default);
+    }
+    &mut table[v.index()]
 }
 
 /// A [`CnfSink`] that simplifies gate and clause traffic on its way into
@@ -212,14 +234,18 @@ impl<S: CnfSink + ?Sized> SimplifySink<'_, S> {
     /// `add_clause`, so this is the only way their defining clauses are
     /// guaranteed to exist.
     pub fn materialize(&mut self, lit: Lit) {
-        let mut stack: Vec<Var> = vec![lit.var()];
+        if self.simp.pending(lit.var()).is_none() {
+            return;
+        }
+        let mut stack = std::mem::take(&mut self.simp.stack);
+        stack.push(lit.var());
         while let Some(&v) = stack.last() {
-            let Some(&(a, b)) = self.simp.pending.get(&v) else {
+            let Some((a, b)) = self.simp.pending(v) else {
                 stack.pop();
                 continue;
             };
-            let pa = self.simp.pending.contains_key(&a.var());
-            let pb = self.simp.pending.contains_key(&b.var());
+            let pa = self.simp.pending(a.var()).is_some();
+            let pb = self.simp.pending(b.var()).is_some();
             if pa || pb {
                 if pa {
                     stack.push(a.var());
@@ -229,10 +255,11 @@ impl<S: CnfSink + ?Sized> SimplifySink<'_, S> {
                 }
                 continue;
             }
-            self.simp.pending.remove(&v);
+            self.simp.pending[v.index()] = None;
             self.emit_gate(v.positive(), a, b);
             stack.pop();
         }
+        self.simp.stack = stack;
     }
 
     /// Emits `out = a ∧ b` into the inner sink.
@@ -254,11 +281,13 @@ impl<S: CnfSink + ?Sized> CnfSink for SimplifySink<'_, S> {
         // Fold first, materializing only the cones of clauses that
         // actually survive — a cone referenced solely by dropped clauses
         // stays pending (the point of lazy emission).
-        let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
+        let mut kept = std::mem::take(&mut self.simp.kept);
+        kept.clear();
         for &l in lits {
             match self.simp.lit_value(l) {
                 Some(true) => {
                     self.simp.stats.clauses_dropped += 1;
+                    self.simp.kept = kept;
                     return;
                 }
                 Some(false) => {
@@ -277,6 +306,7 @@ impl<S: CnfSink + ?Sized> CnfSink for SimplifySink<'_, S> {
         }
         self.simp.stats.clauses_emitted += 1;
         self.inner.add_clause(&kept);
+        self.simp.kept = kept;
     }
 
     fn add_and_gate(&mut self, a: Lit, b: Lit) -> Lit {
@@ -312,7 +342,7 @@ impl<S: CnfSink + ?Sized> CnfSink for SimplifySink<'_, S> {
         }
         let out = self.inner.new_var().positive();
         self.simp.stats.gates_created += 1;
-        self.simp.pending.insert(out.var(), (a, b));
+        *slot(&mut self.simp.pending, out.var()) = Some((a, b));
         self.simp.cache.insert(key, out);
         out
     }
@@ -321,6 +351,7 @@ impl<S: CnfSink + ?Sized> CnfSink for SimplifySink<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dimacs::Cnf;
     use crate::solver::{SolveResult, Solver};
 
     fn setup() -> (Solver, Simplifier) {
@@ -451,5 +482,62 @@ mod tests {
                 "assignment {assignment:04b}"
             );
         }
+    }
+
+    #[test]
+    fn materialize_outside_the_tables_is_a_no_op() {
+        let mut cnf = Cnf::new();
+        let mut simp = Simplifier::new();
+        let mut sink = simp.attach(&mut cnf);
+        let a = sink.new_var().positive();
+        let b = sink.new_var().positive();
+        let g = sink.add_and_gate(a, b);
+        // One past the pending table's end, and far beyond it.
+        let next = sink.new_var();
+        assert_eq!(next.index(), g.var().index() + 1);
+        sink.materialize(next.positive());
+        sink.materialize(Var::from_index(1 << 20).negative());
+        // A variable the simplifier never saw, below the table's end.
+        sink.materialize(a);
+        assert_eq!(cnf.num_clauses(), 0);
+        assert_eq!(simp.stats().gates_emitted, 0);
+        simp.attach(&mut cnf).materialize(!g);
+        assert_eq!(cnf.num_clauses(), 3);
+    }
+
+    #[test]
+    fn units_on_high_variables_grow_the_table() {
+        let mut cnf = Cnf::new();
+        let mut simp = Simplifier::new();
+        let mut sink = simp.attach(&mut cnf);
+        let a = sink.new_var().positive();
+        let high = Var::from_index(100_000).positive();
+        sink.add_clause(&[high]);
+        assert_eq!(sink.add_and_gate(high, a), a, "true operand folds away");
+        assert_eq!(sink.add_and_gate(a, !high), !high, "false annihilates");
+        sink.add_clause(&[!high, a]); // !high stripped: unit a
+        assert_eq!(simp.stats().folded, 2);
+        assert_eq!(simp.stats().literals_stripped, 1);
+        let clauses: Vec<&[Lit]> = cnf.clauses().collect();
+        assert_eq!(clauses, [&[high][..], &[a][..]]);
+    }
+
+    #[test]
+    fn commuted_gate_hits_after_emission() {
+        let mut cnf = Cnf::new();
+        let mut simp = Simplifier::new();
+        let mut sink = simp.attach(&mut cnf);
+        let a = sink.new_var().positive();
+        let b = sink.new_var().negative();
+        let g = sink.add_and_gate(a, b);
+        sink.add_clause(&[g]);
+        let emitted = cnf.num_clauses();
+        assert_eq!(emitted, 4, "3 Tseitin + 1 unit");
+        let mut sink = simp.attach(&mut cnf);
+        assert_eq!(sink.add_and_gate(b, a), g);
+        sink.add_clause(&[g, a]); // satisfied by the unit g: dropped
+        assert_eq!(cnf.num_clauses(), emitted, "no second emission");
+        assert_eq!(simp.stats().cache_hits, 1);
+        assert_eq!(simp.stats().gates_emitted, 1);
     }
 }

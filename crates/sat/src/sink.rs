@@ -2,7 +2,8 @@
 //!
 //! The EMM constraint generator (crate `emm-core`) is written against this
 //! trait so the same code can target a live [`Solver`](crate::Solver), a
-//! counting sink (for the paper's constraint-size formulas), or a CNF dump.
+//! counting sink (for the paper's constraint-size formulas), or a CNF dump
+//! ([`Cnf`](crate::dimacs::Cnf)).
 //!
 //! The paper's "hybrid representation" distinguishes constraints added as
 //! *CNF clauses* from those added as *2-input gates* (Section 3). A CNF-based
@@ -111,46 +112,6 @@ impl CnfSink for CountingSink {
     }
 }
 
-/// A sink that accumulates clauses into vectors (for tests and CNF dumps).
-#[derive(Debug, Default, Clone)]
-pub struct VecSink {
-    vars: usize,
-    /// All emitted clauses, gate encodings included.
-    pub clauses: Vec<Vec<Lit>>,
-}
-
-impl VecSink {
-    /// Creates an empty collecting sink.
-    pub fn new() -> VecSink {
-        VecSink::default()
-    }
-
-    /// Creates a collecting sink that already owns `vars` variables.
-    pub fn with_vars(vars: usize) -> VecSink {
-        VecSink {
-            vars,
-            clauses: Vec::new(),
-        }
-    }
-
-    /// Number of variables created.
-    pub fn num_vars(&self) -> usize {
-        self.vars
-    }
-}
-
-impl CnfSink for VecSink {
-    fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.vars);
-        self.vars += 1;
-        v
-    }
-
-    fn add_clause(&mut self, lits: &[Lit]) {
-        self.clauses.push(lits.to_vec());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,15 +157,5 @@ mod tests {
         assert_eq!(c.num_clauses(), 2);
         assert_eq!(c.num_gates(), 1);
         assert_eq!(c.num_literals(), 3);
-    }
-
-    #[test]
-    fn vec_sink_collects() {
-        let mut v = VecSink::new();
-        let a = v.new_var().positive();
-        let out = v.add_and_gate(a, a);
-        assert_eq!(v.clauses.len(), 3);
-        assert_eq!(v.num_vars(), 2);
-        assert!(out.is_positive());
     }
 }

@@ -1013,9 +1013,10 @@ impl Solver {
         let mut confl = confl;
         loop {
             self.bump_clause(confl);
-            let lits: Vec<Lit> = self.db.lits(confl).to_vec();
             let start = if p.is_some() { 1 } else { 0 };
-            for &q in &lits[start..] {
+            // Index the clause in place: `bump_var` needs `&mut self`.
+            for i in start..self.db.len(confl) {
+                let q = self.db.lits(confl)[i];
                 let v = q.var();
                 if self.seen[v.index()] == 0 {
                     let lvl = self.level[v.index()];
@@ -1094,8 +1095,7 @@ impl Solver {
         while let Some(l) = self.analyze_stack.pop() {
             let cref = self.reason[l.var().index()];
             debug_assert!(cref.is_valid());
-            let lits: Vec<Lit> = self.db.lits(cref).to_vec();
-            for &q in &lits[1..] {
+            for &q in &self.db.lits(cref)[1..] {
                 let v = q.var();
                 if self.seen[v.index()] == 0 {
                     let lvl = self.level[v.index()];
@@ -1289,29 +1289,24 @@ impl Solver {
             return;
         }
         // Walk backwards from !p through reasons.
-        self.analyze_final_walk(vec![!p]);
+        let mut stack = Vec::new();
+        mark_unseen(&self.level, &mut self.seen, &[!p], &mut stack);
+        self.analyze_final_walk(stack);
     }
 
     /// Conflict while all decisions are assumptions: failed set from the
     /// conflicting clause.
     fn analyze_final_conflict(&mut self, confl: ClauseRef) {
         self.conflict_set.clear();
-        let seeds: Vec<Lit> = self.db.lits(confl).to_vec();
-        self.analyze_final_walk(seeds);
+        let mut stack = Vec::new();
+        mark_unseen(&self.level, &mut self.seen, self.db.lits(confl), &mut stack);
+        self.analyze_final_walk(stack);
     }
 
-    /// Shared reason-graph walk for final conflicts. `seeds` are false
-    /// literals; assumption decisions reached are added to the conflict
-    /// set.
-    fn analyze_final_walk(&mut self, seeds: Vec<Lit>) {
-        let mut stack: Vec<Var> = Vec::new();
-        for l in &seeds {
-            let v = l.var();
-            if self.level[v.index()] > 0 && self.seen[v.index()] == 0 {
-                self.seen[v.index()] = 1;
-                stack.push(v);
-            }
-        }
+    /// Shared reason-graph walk for final conflicts. `stack` holds the
+    /// marked variables of the false seed literals; assumption decisions
+    /// reached are added to the conflict set.
+    fn analyze_final_walk(&mut self, mut stack: Vec<Var>) {
         let mut cleanup = stack.clone();
         while let Some(v) = stack.pop() {
             let r = self.reason[v.index()];
@@ -1323,24 +1318,28 @@ impl Solver {
                 self.conflict_set.push(lit);
                 continue;
             }
-            let lits: Vec<Lit> = self.db.lits(r).to_vec();
-            for q in lits {
-                let qv = q.var();
-                if qv == v {
-                    continue;
-                }
-                if self.level[qv.index()] > 0 && self.seen[qv.index()] == 0 {
-                    self.seen[qv.index()] = 1;
-                    cleanup.push(qv);
-                    stack.push(qv);
-                }
-            }
+            // `v` itself is already marked, so only its antecedents push.
+            let from = stack.len();
+            mark_unseen(&self.level, &mut self.seen, self.db.lits(r), &mut stack);
+            cleanup.extend_from_slice(&stack[from..]);
         }
         for v in cleanup {
             self.seen[v.index()] = 0;
         }
         self.conflict_set.sort_unstable_by_key(|l| l.code());
         self.conflict_set.dedup();
+    }
+}
+
+/// Marks every variable of `lits` assigned above level 0 and not yet
+/// `seen`, pushing it onto `stack` in clause order.
+fn mark_unseen(level: &[u32], seen: &mut [u8], lits: &[Lit], stack: &mut Vec<Var>) {
+    for l in lits {
+        let v = l.var();
+        if level[v.index()] > 0 && seen[v.index()] == 0 {
+            seen[v.index()] = 1;
+            stack.push(v);
+        }
     }
 }
 
