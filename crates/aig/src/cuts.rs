@@ -1,49 +1,45 @@
-//! K-feasible cut enumeration with truth tables.
+//! 4-feasible cut enumeration with truth tables.
 //!
 //! A *cut* of a node `n` is a set of nodes (the *leaves*) such that every
 //! path from an input to `n` passes through a leaf; the logic between the
 //! leaves and `n` — the cut's *cone* — computes `n` as a function of the
-//! leaves alone. Enumerating all cuts with at most `k` leaves (the
-//! *k-feasible* cuts) is the window-discovery step of cut-based rewriting
+//! leaves alone. Enumerating all cuts with at most four leaves (the
+//! *4-feasible* cuts) is the window-discovery step of cut-based rewriting
 //! ([`crate::rewrite`]): each cut's function, captured as a truth table,
 //! can be re-synthesized from scratch and compared against the cone it
 //! would replace.
 //!
 //! Cuts are computed bottom-up in one topological pass, exactly as in
 //! technology mappers: the cut set of an AND node is the pairwise merge of
-//! its fanins' cut sets (unions of at most `k` leaves), plus the *trivial
+//! its fanins' cut sets (unions of at most four leaves), plus the *trivial
 //! cut* `{n}` that lets `n` itself serve as a leaf of its fanouts. Each
 //! cut carries the truth table of the node over the cut leaves, maintained
 //! during the merge, so no separate window simulation is needed.
 //!
-//! Truth tables are stored as full 6-variable tables (`u64`), with leaf
-//! `i` bound to variable `i`; a cut with fewer than six leaves simply
-//! does not depend on the higher variables. [`MAX_CUT_SIZE`] caps `k` at 6.
+//! Truth tables are stored as full 4-variable tables (`u16`), with leaf
+//! `i` bound to variable `i`; a cut with fewer than four leaves simply
+//! does not depend on the higher variables.
 
 use crate::aig::{Aig, Node, NodeId};
 
-/// Hard upper bound on cut width: a `u64` truth table covers 6 variables.
-pub const MAX_CUT_SIZE: usize = 6;
+/// Cut width: at most four leaves per cut, so a `u16` table covers it.
+pub const MAX_CUT_SIZE: usize = 4;
 
-/// Truth tables of the six cut variables (`x0` is bit 0 of the position
+/// Non-trivial cuts kept per node (smallest leaf count first).
+const MAX_CUTS: usize = 8;
+
+/// Truth tables of the four cut variables (`x0` is bit 0 of the position
 /// index). `VAR_TT[i]` is the table of the projection onto leaf `i`.
-pub const VAR_TT: [u64; MAX_CUT_SIZE] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
+pub const VAR_TT: [u16; MAX_CUT_SIZE] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
 
-/// One k-feasible cut: sorted leaves plus the node's function over them.
+/// One 4-feasible cut: sorted leaves plus the node's function over them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cut {
     /// Leaf nodes, sorted ascending, at most [`MAX_CUT_SIZE`] of them.
     pub leaves: Vec<NodeId>,
     /// Truth table of the cut's root over the leaves (leaf `i` ↔ variable
     /// `i` of [`VAR_TT`]); independent of variables `>= leaves.len()`.
-    pub tt: u64,
+    pub tt: u16,
 }
 
 impl Cut {
@@ -61,44 +57,21 @@ impl Cut {
     }
 }
 
-/// Knobs of the enumeration.
-#[derive(Clone, Copy, Debug)]
-pub struct CutConfig {
-    /// Maximum leaves per cut (clamped to `2..=`[`MAX_CUT_SIZE`]).
-    pub cut_size: usize,
-    /// Non-trivial cuts kept per node (smallest-leaf-count first).
-    pub max_cuts: usize,
-}
-
-impl Default for CutConfig {
-    fn default() -> CutConfig {
-        CutConfig {
-            cut_size: MAX_CUT_SIZE,
-            max_cuts: 8,
-        }
-    }
-}
-
-/// Re-expresses `tt`, a table over `leaves`, as a table over `union`
-/// (which must contain every leaf). Both leaf slices are sorted.
-fn expand(tt: u64, leaves: &[NodeId], union: &[NodeId]) -> u64 {
-    if leaves.len() == union.len() {
+/// Re-expresses `tt`, a table over a cut's sorted leaves, as a table over
+/// a sorted union of `n` leaves in which leaf `i` sits at position
+/// `pos[i]`.
+fn expand(tt: u16, pos: &[usize], n: usize) -> u16 {
+    if pos.len() == n {
+        // Sorted leaves covering the whole union sit at their own index.
         return tt;
     }
-    // Position of each leaf variable inside the union.
-    let mut pos = [0usize; MAX_CUT_SIZE];
-    for (i, l) in leaves.iter().enumerate() {
-        pos[i] = union.iter().position(|u| u == l).expect("leaf in union");
-    }
-    // Only the low 2^|union| positions carry information — this is the
-    // hottest loop of the enumeration, so compute that block and fill
-    // the rest by doubling (the table is constant in variables above
-    // the union).
-    let n = union.len();
-    let mut out = 0u64;
+    // Only the low 2^n positions carry information — this is the hottest
+    // loop of the enumeration, so compute that block and fill the rest by
+    // doubling (the table is constant in variables above the union).
+    let mut out = 0u16;
     for p in 0..(1usize << n) {
         let mut q = 0usize;
-        for (i, &src) in pos.iter().enumerate().take(leaves.len()) {
+        for (i, &src) in pos.iter().enumerate() {
             q |= ((p >> src) & 1) << i;
         }
         out |= ((tt >> q) & 1) << p;
@@ -110,58 +83,51 @@ fn expand(tt: u64, leaves: &[NodeId], union: &[NodeId]) -> u64 {
 }
 
 /// Merges two operand cuts into a cut of the AND above them, or `None` if
-/// the union exceeds `k` leaves.
-fn merge(ca: &Cut, inv_a: bool, cb: &Cut, inv_b: bool, k: usize) -> Option<Cut> {
-    // Sorted union of the leaf sets.
-    let mut union: Vec<NodeId> = Vec::with_capacity(ca.leaves.len() + cb.leaves.len());
+/// the union exceeds [`MAX_CUT_SIZE`] leaves.
+fn merge(ca: &Cut, inv_a: bool, cb: &Cut, inv_b: bool) -> Option<Cut> {
+    // Sorted union of the leaf sets, recording where each operand leaf
+    // lands in it.
+    let mut union: Vec<NodeId> = Vec::with_capacity(MAX_CUT_SIZE);
+    let mut pos_a = [0usize; MAX_CUT_SIZE];
+    let mut pos_b = [0usize; MAX_CUT_SIZE];
     let (mut i, mut j) = (0, 0);
-    while i < ca.leaves.len() || j < cb.leaves.len() {
-        let next = match (ca.leaves.get(i), cb.leaves.get(j)) {
-            (Some(&a), Some(&b)) if a == b => {
-                i += 1;
-                j += 1;
-                a
-            }
-            (Some(&a), Some(&b)) if a < b => {
-                i += 1;
-                a
-            }
-            (Some(_), Some(&b)) => {
-                j += 1;
-                b
-            }
-            (Some(&a), None) => {
-                i += 1;
-                a
-            }
-            (None, Some(&b)) => {
-                j += 1;
-                b
-            }
-            (None, None) => unreachable!(),
+    loop {
+        let (next, from_a, from_b) = match (ca.leaves.get(i), cb.leaves.get(j)) {
+            (None, None) => break,
+            (Some(&a), Some(&b)) if a == b => (a, true, true),
+            (Some(&a), Some(&b)) if a < b => (a, true, false),
+            (Some(&a), None) => (a, true, false),
+            (_, Some(&b)) => (b, false, true),
         };
-        if union.len() == k {
+        if union.len() == MAX_CUT_SIZE {
             return None;
+        }
+        if from_a {
+            pos_a[i] = union.len();
+            i += 1;
+        }
+        if from_b {
+            pos_b[j] = union.len();
+            j += 1;
         }
         union.push(next);
     }
-    let ta = expand(ca.tt, &ca.leaves, &union) ^ if inv_a { u64::MAX } else { 0 };
-    let tb = expand(cb.tt, &cb.leaves, &union) ^ if inv_b { u64::MAX } else { 0 };
+    let n = union.len();
+    let ta = expand(ca.tt, &pos_a[..i], n) ^ if inv_a { u16::MAX } else { 0 };
+    let tb = expand(cb.tt, &pos_b[..j], n) ^ if inv_b { u16::MAX } else { 0 };
     Some(Cut {
         leaves: union,
         tt: ta & tb,
     })
 }
 
-/// Enumerates the k-feasible cuts of every node, indexed by node id.
+/// Enumerates the 4-feasible cuts of every node, indexed by node id.
 ///
-/// Each AND node's set contains its trivial cut plus at most
-/// [`CutConfig::max_cuts`] merged cuts, with dominated cuts (a superset of
-/// another cut's leaves) removed and smaller cuts preferred. Inputs get
-/// only their trivial cut; the constant node gets a single leafless cut
-/// with the all-false table.
-pub fn enumerate_cuts(aig: &Aig, config: &CutConfig) -> Vec<Vec<Cut>> {
-    let k = config.cut_size.clamp(2, MAX_CUT_SIZE);
+/// Each AND node's set contains its trivial cut plus at most eight merged
+/// cuts, with dominated cuts (a superset of another cut's leaves) removed
+/// and smaller cuts preferred. Inputs get only their trivial cut; the
+/// constant node gets a single leafless cut with the all-false table.
+pub fn enumerate_cuts(aig: &Aig) -> Vec<Vec<Cut>> {
     let mut all: Vec<Vec<Cut>> = Vec::with_capacity(aig.num_nodes());
     for (id, node) in aig.iter() {
         let cuts = match node {
@@ -174,7 +140,7 @@ pub fn enumerate_cuts(aig: &Aig, config: &CutConfig) -> Vec<Vec<Cut>> {
                 let mut cuts: Vec<Cut> = Vec::new();
                 for ca in &all[a.node().index()] {
                     for cb in &all[b.node().index()] {
-                        let Some(c) = merge(ca, a.is_inverted(), cb, b.is_inverted(), k) else {
+                        let Some(c) = merge(ca, a.is_inverted(), cb, b.is_inverted()) else {
                             continue;
                         };
                         if !cuts.contains(&c) {
@@ -190,7 +156,7 @@ pub fn enumerate_cuts(aig: &Aig, config: &CutConfig) -> Vec<Vec<Cut>> {
                     let dominated = kept
                         .iter()
                         .any(|d| d.leaves.iter().all(|l| c.leaves.contains(l)));
-                    if !dominated && kept.len() < config.max_cuts {
+                    if !dominated && kept.len() < MAX_CUTS {
                         kept.push(c);
                     }
                 }
@@ -219,8 +185,7 @@ mod tests {
 
     #[test]
     fn expand_is_identity_on_equal_sets() {
-        let l = vec![NodeId::FALSE];
-        assert_eq!(expand(0xAAAA, &l, &l), 0xAAAA);
+        assert_eq!(expand(0x1234, &[0, 1, 2, 3], 4), 0x1234);
     }
 
     #[test]
@@ -232,7 +197,7 @@ mod tests {
         let x = g.and(a, b);
         let y = g.and(!x, c);
         let z = g.and(x, !y);
-        let cuts = enumerate_cuts(&g, &CutConfig::default());
+        let cuts = enumerate_cuts(&g);
         // Every cut of every node must agree with concrete simulation on
         // all 8 input assignments.
         for p in 0..8u32 {
@@ -264,7 +229,7 @@ mod tests {
         let a = g.new_input();
         let b = g.new_input();
         let x = g.and(a, b);
-        let cuts = enumerate_cuts(&g, &CutConfig::default());
+        let cuts = enumerate_cuts(&g);
         assert!(cuts[x.node().index()]
             .iter()
             .any(|c| c.is_trivial(x.node())));
@@ -279,7 +244,7 @@ mod tests {
         for &i in &inputs {
             acc = g.and(acc, i);
         }
-        for cuts in enumerate_cuts(&g, &CutConfig::default()) {
+        for cuts in enumerate_cuts(&g) {
             for c in &cuts {
                 assert!(c.leaves.len() <= MAX_CUT_SIZE);
             }

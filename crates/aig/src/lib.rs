@@ -23,9 +23,9 @@
 //!   the signatures as guided patterns, and a final rewrite redirects
 //!   fanouts to class representatives and dead-strips merged cones. Knobs
 //!   live in [`FraigConfig`]; the BMC engine runs it by default.
-//! * [`rewrite`] — cut-based rewriting (with k-feasible cut enumeration in
-//!   [`cuts`], k ≤ 6 over `u64` truth tables): per-node cut functions are
-//!   canonicalized by a memoized semicanonical NPN form and
+//! * [`rewrite`] — cut-based rewriting (with 4-feasible cut enumeration
+//!   in [`cuts`] over `u16` truth tables): per-node cut functions are
+//!   canonicalized by a memoized exact NPN form and
 //!   re-synthesized from a recipe library wherever that strictly reduces
 //!   the AND count; accepted rewrites are chosen by a global
 //!   non-overlapping selection pass ([`select`]) so overlapping

@@ -46,10 +46,9 @@ pub fn format_fraig_stats(stats: &FraigStats) -> String {
 /// [`format_fraig_stats`] for the cut-based rewriting stage.
 pub fn format_rewrite_stats(stats: &RewriteStats) -> String {
     format!(
-        "rewrite(k={}): {} -> {} ANDs (-{}; {} rewrites, {} xor, {} mux) in {} iters, \
+        "rewrite: {} -> {} ANDs (-{}; {} rewrites, {} xor, {} mux) in {} iters, \
          {} cuts, {} candidates ({} zero-gain); select {} -> {} kept \
          ({} overlap-dropped, {} exchanges), {} NPN classes",
-        stats.cut_size,
         stats.ands_before,
         stats.ands_after,
         stats.ands_removed(),

@@ -4,30 +4,28 @@
 //! The [`fraig`](crate::fraig) pass can only merge cones that compute the
 //! *same* function; everything it leaves behind is structure the original
 //! word-level construction happened to choose. This pass attacks that
-//! structure directly: for every AND node it enumerates the k-feasible
-//! cuts (k ≤ 6, [`crate::cuts`]), takes each cut's truth table, and asks
-//! whether the function has a cheaper implementation than the cone it
-//! currently owns. Where the answer is yes — an XOR hiding in four ANDs, a
-//! mux built the long way, a cone whose function collapses onto fewer
-//! leaves, a sub-function another part of the graph already computes — the
-//! node is re-expressed over the cut leaves and the old cone dies.
+//! structure directly: for every AND node it enumerates the 4-feasible
+//! cuts ([`crate::cuts`]), takes each cut's truth table, and asks whether
+//! the function has a cheaper implementation than the cone it currently
+//! owns. Where the answer is yes — an XOR hiding in four ANDs, a mux built
+//! the long way, a cone whose function collapses onto fewer leaves, a
+//! sub-function another part of the graph already computes — the node is
+//! re-expressed over the cut leaves and the old cone dies.
 //!
 //! The mechanics per node:
 //!
 //! 1. **Cut truth tables** come from the enumeration itself (maintained
-//!    through the merges as 6-variable `u64` tables), so no window
+//!    through the merges as 4-variable `u16` tables), so no window
 //!    simulation is needed.
-//! 2. Each table is canonicalized by [`npn_semicanonical`] — a
-//!    signature-guided search over input permutations, input
-//!    complementations, and output complementation that enumerates only
-//!    the transforms compatible with the table's cofactor signatures
-//!    (exhausting all 720 × 64 × 2 six-variable transforms per lookup
-//!    would be two orders of magnitude more work). The canonical class is
+//! 2. Each table is canonicalized by [`npn_canonical`] — the exact NPN
+//!    form, the minimum image over all 4!·2⁴·2 = 768 input permutations,
+//!    input complementations and output complementations, which sorts the
+//!    65,536 tables into 222 classes (the scheme of ABC's `rewrite`,
+//!    Mishchenko, Chatterjee & Brayton, DAC 2006). The canonical class is
 //!    looked up in a **recipe library**: a per-pass memo of synthesized
 //!    implementations (AND/OR extraction, XOR and mux/Shannon
-//!    decomposition over the widened tables, computed once per class by
-//!    exhaustive-cost search and replayed for every later cone in the
-//!    class).
+//!    decomposition, computed once per class by exhaustive-cost search and
+//!    replayed for every later cone in the class).
 //! 3. The candidate is instantiated over the cut leaves where structural
 //!    hashing makes shared logic free, and its **measured** cost (nodes
 //!    actually added) is compared against what the replacement frees: the
@@ -49,79 +47,56 @@
 //! commit-time drift from structural sharing is bounded by the
 //! never-grows fixpoint guard).
 //!
-//! The pass repeats ([`RewriteConfig::max_iters`]) until an iteration
-//! stops strictly reducing the AND count; a non-improving iteration is
+//! The pass repeats (at most four iterations) until an iteration stops
+//! strictly reducing the AND count; a non-improving iteration is
 //! discarded, so the result is never larger than the input. Inputs are
 //! preserved index-for-index and everything outside the root cones is
-//! dead-stripped, exactly like the fraig rewrite, so
-//! [`rewrite_design`] can splice the result into a [`Design`] through the
-//! same interface-preserving substitution.
+//! dead-stripped, exactly like the fraig rewrite, so [`rewrite_design`]
+//! can splice the result into a [`Design`] through the same
+//! interface-preserving substitution.
 //!
 //! Soundness is purely local: a candidate implements the cut's truth
 //! table over the mapped leaf edges, and by induction every mapped edge
 //! computes the same function of the inputs as its source node, so the
 //! replacement is functionally identical — no solver involved. The
 //! property tests in `tests/rewrite_props.rs` check exactly this against
-//! word-parallel simulation, and `emm-bmc`'s `rewrite_differential.rs` /
-//! `rewrite6_differential.rs` check verdict preservation through full BMC.
+//! word-parallel simulation, and `emm-bmc`'s `rewrite_differential.rs`
+//! checks verdict preservation through full BMC.
 
 use std::collections::HashMap;
 
 use emm_sat::{FaultSite, ResourceGovernor};
 
 use crate::aig::{Aig, Bit, Node, NodeId};
-use crate::cuts::{enumerate_cuts, CutConfig, MAX_CUT_SIZE, VAR_TT};
+use crate::cuts::{enumerate_cuts, MAX_CUT_SIZE, VAR_TT};
 use crate::design::Design;
 use crate::select::{select_nonoverlapping, Selectable};
 
-/// Knobs of the rewriting pass.
+/// Fixpoint cap: rewriting repeats until an iteration stops strictly
+/// reducing the AND count, or this many iterations have run.
+const MAX_ITERS: usize = 4;
+
+/// Configuration of the rewriting pass: whether a pipeline runs it at
+/// all. The pass itself has no knobs — 4-input cuts, eight per node, at
+/// most four iterations — so [`rewrite_design`] always runs when called;
+/// pipelines such as the BMC engine's check [`RewriteConfig::enabled`]
+/// first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RewriteConfig {
-    /// Master switch (checked by [`rewrite_design`] callers such as the
-    /// BMC engine; the pass itself always runs when invoked directly).
+    /// Rewrite the design before unrolling.
     pub enabled: bool,
-    /// Cut width `k` (clamped to `2..=6`; a `u64` table covers 6 leaves).
-    /// The default stays at 4 — the fast configuration; use
-    /// [`RewriteConfig::wide`] for the full width.
-    pub cut_size: usize,
-    /// Non-trivial cuts kept per node during enumeration.
-    pub max_cuts: usize,
-    /// Fixpoint cap: rewriting repeats until an iteration stops strictly
-    /// reducing the AND count, or this many iterations have run.
-    pub max_iters: usize,
 }
 
 impl Default for RewriteConfig {
     fn default() -> RewriteConfig {
-        RewriteConfig {
-            enabled: true,
-            cut_size: 4,
-            max_cuts: 8,
-            max_iters: 4,
-        }
+        RewriteConfig { enabled: true }
     }
 }
 
 impl RewriteConfig {
     /// A configuration that turns the pass off entirely.
     pub fn disabled() -> RewriteConfig {
-        RewriteConfig {
-            enabled: false,
-            ..RewriteConfig::default()
-        }
-    }
-
-    /// The widest configuration: 6-input cuts (with a deeper cut list per
-    /// node, since wide cuts survive dominance pruning in greater
-    /// numbers). Slower than the default but sees redundancy no 4-input
-    /// window can expose; the bench harness measures it as the
-    /// `rewrite6_fraig` mode.
-    pub fn wide() -> RewriteConfig {
-        RewriteConfig {
-            cut_size: MAX_CUT_SIZE,
-            max_cuts: 16,
-            ..RewriteConfig::default()
-        }
+        RewriteConfig { enabled: false }
     }
 }
 
@@ -132,8 +107,6 @@ pub struct RewriteStats {
     pub ands_before: usize,
     /// AND gates in the rewritten graph.
     pub ands_after: usize,
-    /// The cut width the pass ran with (after clamping).
-    pub cut_size: usize,
     /// Committed fixpoint iterations (0 when nothing improved).
     pub iterations: usize,
     /// Accepted cone replacements.
@@ -202,12 +175,12 @@ impl RewriteResult {
 // ---------------------------------------------------------------------------
 
 /// An NPN transform: input negations, an input permutation, and an output
-/// negation, acting on 6-variable truth tables.
+/// negation, acting on 4-variable truth tables.
 ///
 /// Applied to a function `f`, the transform yields
-/// `g(y0..y5) = output_neg ⊕ f(x0..x5)` with `x_j = y_{perm[j]} ⊕ neg_j`
+/// `g(y0..y3) = output_neg ⊕ f(x0..x3)` with `x_j = y_{perm[j]} ⊕ neg_j`
 /// (where `neg_j` is bit `j` of `input_neg`). The identity transform has
-/// `perm = [0, 1, 2, 3, 4, 5]`, `input_neg = 0`, `output_neg = false`.
+/// `perm = [0, 1, 2, 3]`, `input_neg = 0`, `output_neg = false`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NpnTransform {
     /// Where each original input reads from: `x_j` comes from `y_{perm[j]}`.
@@ -218,10 +191,38 @@ pub struct NpnTransform {
     pub output_neg: bool,
 }
 
+/// The 24 permutations of four inputs, in lexicographic order.
+const PERMUTATIONS: [[u8; MAX_CUT_SIZE]; 24] = [
+    [0, 1, 2, 3],
+    [0, 1, 3, 2],
+    [0, 2, 1, 3],
+    [0, 2, 3, 1],
+    [0, 3, 1, 2],
+    [0, 3, 2, 1],
+    [1, 0, 2, 3],
+    [1, 0, 3, 2],
+    [1, 2, 0, 3],
+    [1, 2, 3, 0],
+    [1, 3, 0, 2],
+    [1, 3, 2, 0],
+    [2, 0, 1, 3],
+    [2, 0, 3, 1],
+    [2, 1, 0, 3],
+    [2, 1, 3, 0],
+    [2, 3, 0, 1],
+    [2, 3, 1, 0],
+    [3, 0, 1, 2],
+    [3, 0, 2, 1],
+    [3, 1, 0, 2],
+    [3, 1, 2, 0],
+    [3, 2, 0, 1],
+    [3, 2, 1, 0],
+];
+
 impl NpnTransform {
     /// The identity transform.
     pub const IDENTITY: NpnTransform = NpnTransform {
-        perm: [0, 1, 2, 3, 4, 5],
+        perm: PERMUTATIONS[0],
         input_neg: 0,
         output_neg: false,
     };
@@ -230,10 +231,9 @@ impl NpnTransform {
     ///
     /// Implemented with word-parallel table surgery — per-variable half
     /// swaps for the input negations, variable transpositions for the
-    /// permutation — so one application costs a dozen word operations
-    /// instead of a 64-position loop. Canonicalization applies transforms
-    /// by the thousand on symmetric tables; this is its inner loop.
-    pub fn apply(&self, tt: u64) -> u64 {
+    /// permutation — so one application costs a few word operations
+    /// instead of a 16-position loop.
+    pub fn apply(&self, tt: u16) -> u16 {
         // h(x) = f(x0 ⊕ n0, ..): flip each negated input's half-spaces.
         let mut out = tt;
         for j in 0..MAX_CUT_SIZE {
@@ -241,22 +241,7 @@ impl NpnTransform {
                 out = flip_var(out, j);
             }
         }
-        // g(y) = h(y_{perm[0]}, ..): relabel variable j -> perm[j] by
-        // transpositions, tracking where each logical variable sits.
-        let mut at = [0usize, 1, 2, 3, 4, 5];
-        let mut place = [0usize, 1, 2, 3, 4, 5];
-        for v in 0..MAX_CUT_SIZE {
-            let target = self.perm[v] as usize;
-            let p = place[v];
-            if p != target {
-                let w = at[target];
-                out = swap_vars(out, p, target);
-                at[p] = w;
-                at[target] = v;
-                place[v] = target;
-                place[w] = p;
-            }
-        }
+        out = permute(out, &self.perm);
         if self.output_neg {
             !out
         } else {
@@ -265,18 +250,38 @@ impl NpnTransform {
     }
 }
 
+/// The table of `g(y) = f(y_{perm[0]}, .., y_{perm[3]})`: relabels
+/// variable `j` as `perm[j]` by transpositions, tracking where each
+/// logical variable sits.
+fn permute(tt: u16, perm: &[u8; MAX_CUT_SIZE]) -> u16 {
+    let mut out = tt;
+    let mut at = [0usize, 1, 2, 3];
+    let mut place = [0usize, 1, 2, 3];
+    for v in 0..MAX_CUT_SIZE {
+        let target = perm[v] as usize;
+        let p = place[v];
+        if p != target {
+            let w = at[target];
+            out = swap_vars(out, p, target);
+            at[p] = w;
+            at[target] = v;
+            place[v] = target;
+            place[w] = p;
+        }
+    }
+    out
+}
+
 /// The table of `f` with variable `i` complemented: swaps the `x_i = 0`
 /// and `x_i = 1` half-spaces.
-fn flip_var(tt: u64, i: usize) -> u64 {
+fn flip_var(tt: u16, i: usize) -> u16 {
     let s = 1u32 << i;
     ((tt & VAR_TT[i]) >> s) | ((tt & !VAR_TT[i]) << s)
 }
 
-/// The table of `f` with variables `a` and `b` exchanged (relabeled).
-fn swap_vars(tt: u64, a: usize, b: usize) -> u64 {
-    if a == b {
-        return tt;
-    }
+/// The table of `f` with the distinct variables `a` and `b` exchanged
+/// (relabeled).
+fn swap_vars(tt: u16, a: usize, b: usize) -> u16 {
     let (a, b) = (a.min(b), a.max(b));
     // Positions with x_a = 1, x_b = 0 trade places with x_a = 0, x_b = 1;
     // the value distance between the paired positions is 2^b - 2^a.
@@ -286,191 +291,55 @@ fn swap_vars(tt: u64, a: usize, b: usize) -> u64 {
     (tt & !(ra | rb)) | ((tt & ra) << sh) | ((tt & rb) >> sh)
 }
 
-/// All permutations of `items` (recursive; at most 6! = 720 results).
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
-    if items.len() <= 1 {
-        return vec![items.to_vec()];
-    }
-    let mut out = Vec::new();
-    for i in 0..items.len() {
-        let mut rest = items.to_vec();
-        let x = rest.remove(i);
-        for mut p in permutations(&rest) {
-            p.insert(0, x);
-            out.push(p);
-        }
-    }
-    out
-}
-
-/// Cartesian product of per-group orders, concatenated in group order:
-/// every variable order that keeps the groups contiguous. A *collapsed*
-/// group (all members pairwise swap-symmetric in the table) contributes
-/// only its identity order — any other order's image is reproduced by a
-/// phase-mask relabeling the enumeration covers anyway.
-fn orders_of(groups: &[(Vec<usize>, bool)]) -> Vec<Vec<usize>> {
-    let mut acc: Vec<Vec<usize>> = vec![Vec::new()];
-    for (g, collapsed) in groups {
-        let perms = if *collapsed {
-            vec![g.clone()]
-        } else {
-            permutations(g)
-        };
-        let mut next = Vec::with_capacity(acc.len() * perms.len());
-        for a in &acc {
-            for p in &perms {
-                let mut v = a.clone();
-                v.extend_from_slice(p);
-                next.push(v);
-            }
-        }
-        acc = next;
-    }
-    acc
-}
-
-/// An order-invariant signature of the variable pair `(i, j)` in `g`: the
-/// sorted multiset of the four quadrant onset counts, packed into a
-/// `u32`. Invariant under complementing `i` or `j` (quadrants permute),
-/// under swapping them, and under any transform of the other variables
-/// (minterms move within quadrants).
-fn pair_sig(g: u64, i: usize, j: usize) -> u32 {
-    let mut q = [
-        (g & !VAR_TT[i] & !VAR_TT[j]).count_ones(),
-        (g & VAR_TT[i] & !VAR_TT[j]).count_ones(),
-        (g & !VAR_TT[i] & VAR_TT[j]).count_ones(),
-        (g & VAR_TT[i] & VAR_TT[j]).count_ones(),
-    ];
-    q.sort_unstable();
-    (q[0] << 24) | (q[1] << 16) | (q[2] << 8) | q[3]
-}
-
-/// Semicanonicalizes a 6-variable truth table under the NPN group:
-/// returns the minimum table over all transforms whose image satisfies
-/// the cofactor-signature normal form, together with the transform that
+/// The exact NPN canonical form of a 4-variable truth table: the minimum
+/// image over all 768 transforms, together with the transform that
 /// reaches it.
 ///
-/// The normal form constrains the *image*: its onset has at most 32
-/// minterms (output phase), each variable's onset-within-`x_i=1` is no
-/// larger than its onset-within-`x_i=0` (input phases), and variables are
-/// ordered by ascending onset count. Because the constraints mention the
-/// image alone, the constrained candidate set — and hence its minimum —
-/// depends only on the NPN class: **two tables have equal forms iff they
-/// are NPN-equivalent** (the form is itself a member of the input's
-/// class, reached by the returned transform, so equal forms can only
-/// come from one class), and the form is invariant under arbitrary
-/// input/output negations and permutations of the input table. The name
-/// follows the literature's signature-guided "semicanonical" technique;
-/// the complete enumeration of signature ties here makes the form exact,
-/// which the recipe library depends on — a cross-class cache collision
-/// would replay a recipe for the wrong function.
+/// Two tables have equal forms iff they are NPN-equivalent, which the
+/// recipe library depends on — a cross-class collision would replay a
+/// recipe for the wrong function. The search order fixes which transform
+/// is returned when several reach the minimum — and with it how the
+/// pass wires a recipe to the cut leaves, so the rewritten graph depends
+/// on it: output phase `false` before `true`, then permutations in
+/// lexicographic order, then input negation masks ascending; the first
+/// transform to reach the minimum wins. Per (phase, permutation) the 16 negation images are built from
+/// one another, each by a single variable flip: complementing `x_j`
+/// before the relabeling is complementing `y_{perm[j]}` after it.
 ///
-/// Signatures prune the search: only genuine phase/permutation ties are
-/// enumerated (first-order onset counts refined by pairwise quadrant
-/// signatures), and ties caused by a *symmetry* of the table — a
-/// variable whose complement fixes the table, a tie group every
-/// transposition of which fixes it — are collapsed outright, since the
-/// dropped transforms produce images another enumerated transform already
-/// reaches. A typical lookup applies a handful of transforms instead of
-/// all 92160; even XOR6, the maximally symmetric class, collapses to 128.
-pub fn npn_semicanonical(tt: u64) -> (u64, NpnTransform) {
-    if tt == 0 {
-        return (0, NpnTransform::IDENTITY);
-    }
-    if tt == u64::MAX {
-        return (
-            0,
-            NpnTransform {
-                output_neg: true,
-                ..NpnTransform::IDENTITY
-            },
-        );
-    }
-    let pc = tt.count_ones();
-    let out_choices: &[bool] = if pc < 32 {
-        &[false]
-    } else if pc > 32 {
-        &[true]
-    } else {
-        &[false, true]
-    };
-    let mut best: Option<(u64, NpnTransform)> = None;
-    for &out_neg in out_choices {
-        let g = if out_neg { !tt } else { tt };
-        // Per-variable phase normalization: the image must satisfy
-        // onset(x_i = 1) <= onset(x_i = 0); a tie leaves both phases open
-        // unless complementing the variable fixes the table, in which
-        // case the two phases yield identical images and one suffices.
-        // Input negation permutes minterms within the other variables'
-        // half-spaces, so these signatures are independent per variable.
-        let mut forced_neg = 0u8;
-        let mut tied_phase: Vec<usize> = Vec::new();
-        let mut key = [(0u32, [0u32; MAX_CUT_SIZE - 1]); MAX_CUT_SIZE];
-        for (i, &v) in VAR_TT.iter().enumerate() {
-            let c1 = (g & v).count_ones();
-            let c0 = (g & !v).count_ones();
-            key[i].0 = c0.min(c1);
-            if c1 > c0 {
-                forced_neg |= 1 << i;
-            } else if c1 == c0 && flip_var(g, i) != g {
-                tied_phase.push(i);
+/// # Examples
+///
+/// ```
+/// use emm_aig::cuts::VAR_TT;
+/// use emm_aig::rewrite::npn_canonical;
+///
+/// // x0 ∧ x1 and ¬x2 ∨ ¬x3 = ¬(x2 ∧ x3) are one class.
+/// let (and2, t) = npn_canonical(VAR_TT[0] & VAR_TT[1]);
+/// assert_eq!(npn_canonical(!(VAR_TT[2] & VAR_TT[3])).0, and2);
+/// assert_eq!(t.apply(VAR_TT[0] & VAR_TT[1]), and2);
+/// ```
+pub fn npn_canonical(tt: u16) -> (u16, NpnTransform) {
+    let mut best = (tt, NpnTransform::IDENTITY);
+    for output_neg in [false, true] {
+        let f = if output_neg { !tt } else { tt };
+        for perm in PERMUTATIONS {
+            let mut images = [permute(f, &perm); 1 << MAX_CUT_SIZE];
+            for mask in 1..images.len() {
+                let j = mask.trailing_zeros() as usize;
+                images[mask] = flip_var(images[mask & (mask - 1)], perm[j] as usize);
             }
-        }
-        // Second-order refinement: the sorted pairwise quadrant
-        // signatures split variables first-order counts cannot (e.g. the
-        // two live inputs of an XOR buried in a wider table vs. the
-        // unused ones — all share onset 16).
-        for (i, k) in key.iter_mut().enumerate() {
-            let mut s2: Vec<u32> = (0..MAX_CUT_SIZE)
-                .filter(|&j| j != i)
-                .map(|j| pair_sig(g, i, j))
-                .collect();
-            s2.sort_unstable();
-            k.1.copy_from_slice(&s2);
-        }
-        // Variable order: ascending key. Equal keys form tie groups whose
-        // internal orders must all be tried for the minimum to be exact —
-        // except when the group is fully swap-symmetric in `g`, where a
-        // single representative order covers the whole orbit.
-        let mut by_key: Vec<usize> = (0..MAX_CUT_SIZE).collect();
-        by_key.sort_by_key(|&i| (key[i], i));
-        let mut groups: Vec<(Vec<usize>, bool)> = Vec::new();
-        for &i in &by_key {
-            match groups.last_mut() {
-                Some((grp, _)) if key[grp[0]] == key[i] => grp.push(i),
-                _ => groups.push((vec![i], false)),
-            }
-        }
-        for (grp, collapsed) in &mut groups {
-            // Adjacent transpositions generate the full symmetric group,
-            // so checking consecutive pairs suffices.
-            *collapsed = grp.windows(2).all(|w| swap_vars(g, w[0], w[1]) == g);
-        }
-        for order in orders_of(&groups) {
-            let mut perm = [0u8; MAX_CUT_SIZE];
-            for (slot, &v) in order.iter().enumerate() {
-                perm[v] = slot as u8;
-            }
-            for mask in 0..(1u32 << tied_phase.len()) {
-                let mut input_neg = forced_neg;
-                for (b, &v) in tied_phase.iter().enumerate() {
-                    if (mask >> b) & 1 == 1 {
-                        input_neg |= 1 << v;
-                    }
-                }
-                let t = NpnTransform {
-                    perm,
-                    input_neg,
-                    output_neg: out_neg,
-                };
-                let cand = t.apply(tt);
-                if best.is_none_or(|(b, _)| cand < b) {
-                    best = Some((cand, t));
+            for (mask, &image) in images.iter().enumerate() {
+                if image < best.0 {
+                    let t = NpnTransform {
+                        perm,
+                        input_neg: mask as u8,
+                        output_neg,
+                    };
+                    best = (image, t);
                 }
             }
         }
     }
-    best.expect("every class has a signature-normal candidate")
+    best
 }
 
 // ---------------------------------------------------------------------------
@@ -478,7 +347,7 @@ pub fn npn_semicanonical(tt: u64) -> (u64, NpnTransform) {
 // ---------------------------------------------------------------------------
 
 /// A recipe reference: `(index << 1) | inverted`. Index 0 is constant
-/// false, 1..=6 are the canonical inputs, 7.. are recipe steps.
+/// false, 1..=4 are the canonical inputs, 5.. are recipe steps.
 type Ref = u16;
 
 const REF_FALSE: Ref = 0;
@@ -496,19 +365,19 @@ struct Recipe {
 }
 
 /// Cofactor of `tt` with variable `i` fixed to 0 (result independent of `i`).
-fn cof0(tt: u64, i: usize) -> u64 {
+fn cof0(tt: u16, i: usize) -> u16 {
     let lo = tt & !VAR_TT[i];
     lo | (lo << (1 << i))
 }
 
 /// Cofactor of `tt` with variable `i` fixed to 1.
-fn cof1(tt: u64, i: usize) -> u64 {
+fn cof1(tt: u16, i: usize) -> u16 {
     let hi = tt & VAR_TT[i];
     hi | (hi >> (1 << i))
 }
 
 /// Number of variables `tt` actually depends on.
-fn support_size(tt: u64) -> usize {
+fn support_size(tt: u16) -> usize {
     (0..MAX_CUT_SIZE)
         .filter(|&i| cof0(tt, i) != cof1(tt, i))
         .count()
@@ -519,34 +388,28 @@ fn support_size(tt: u64) -> usize {
 #[derive(Clone, Copy)]
 enum Plan {
     /// `f = x_i & sub`
-    AndPos(usize, u64),
+    AndPos(usize, u16),
     /// `f = !x_i & sub`
-    AndNeg(usize, u64),
+    AndNeg(usize, u16),
     /// `f = x_i | sub`
-    OrPos(usize, u64),
+    OrPos(usize, u16),
     /// `f = !x_i | sub`
-    OrNeg(usize, u64),
+    OrNeg(usize, u16),
     /// `f = x_i ⊕ sub`
-    Xor(usize, u64),
+    Xor(usize, u16),
     /// `f = x_i ? hi : lo` (Shannon)
-    Mux(usize, u64, u64),
+    Mux(usize, u16, u16),
 }
 
-/// Exhaustive-cost synthesizer over 6-variable truth tables, memoized.
+/// Exhaustive-cost synthesizer over 4-variable truth tables, memoized.
 #[derive(Default)]
 struct Synth {
-    cost_memo: HashMap<u64, u32>,
+    cost_memo: HashMap<u16, u32>,
 }
 
 impl Synth {
-    /// `Some(ref)` for tables free to implement (constants and literals).
-    fn free_ref(tt: u64) -> Option<Ref> {
-        if tt == 0 {
-            return Some(REF_FALSE);
-        }
-        if tt == u64::MAX {
-            return Some(REF_FALSE ^ 1);
-        }
+    /// `Some(ref)` for the tables of single literals.
+    fn literal_ref(tt: u16) -> Option<Ref> {
         for (i, &v) in VAR_TT.iter().enumerate() {
             if tt == v {
                 return Some(ref_var(i));
@@ -558,20 +421,16 @@ impl Synth {
         None
     }
 
-    /// Minimum AND count over the decompositions [`Plan`] explores.
-    fn cost(&mut self, tt: u64) -> u32 {
-        if Self::free_ref(tt).is_some() {
+    /// Minimum AND count over the decompositions [`Plan`] explores
+    /// (literals and constants are free).
+    fn cost(&mut self, tt: u16) -> u32 {
+        if Self::literal_ref(tt).is_some() {
             return 0;
         }
         if let Some(&c) = self.cost_memo.get(&tt) {
             return c;
         }
-        let best = self
-            .plans(tt)
-            .into_iter()
-            .map(|p| self.plan_cost(p))
-            .min()
-            .expect("non-free table has support");
+        let best = self.best_plan(tt).map_or(0, |(_, c)| c);
         self.cost_memo.insert(tt, best);
         best
     }
@@ -586,8 +445,22 @@ impl Synth {
         }
     }
 
-    /// Candidate decompositions of a non-free table.
-    fn plans(&self, tt: u64) -> Vec<Plan> {
+    /// The cheapest decomposition of `tt` and its cost, the first plan
+    /// winning ties; `None` exactly when `tt` depends on no variable,
+    /// i.e. is a constant.
+    fn best_plan(&mut self, tt: u16) -> Option<(Plan, u32)> {
+        let mut best: Option<(Plan, u32)> = None;
+        for plan in Self::plans(tt) {
+            let c = self.plan_cost(plan);
+            if best.is_none_or(|(_, b)| c < b) {
+                best = Some((plan, c));
+            }
+        }
+        best
+    }
+
+    /// Candidate decompositions of `tt`, one or more per support variable.
+    fn plans(tt: u16) -> Vec<Plan> {
         let mut plans = Vec::new();
         for i in 0..MAX_CUT_SIZE {
             let (c0, c1) = (cof0(tt, i), cof1(tt, i));
@@ -596,12 +469,12 @@ impl Synth {
             }
             if c0 == 0 {
                 plans.push(Plan::AndPos(i, c1));
-            } else if c0 == u64::MAX {
+            } else if c0 == u16::MAX {
                 plans.push(Plan::OrNeg(i, c1));
             }
             if c1 == 0 {
                 plans.push(Plan::AndNeg(i, c0));
-            } else if c1 == u64::MAX {
+            } else if c1 == u16::MAX {
                 plans.push(Plan::OrPos(i, c0));
             }
             if c0 == !c1 {
@@ -614,15 +487,15 @@ impl Synth {
 
     /// Synthesizes a recipe for `tt` following the cost argmin, sharing
     /// sub-functions (and their complements) within the recipe.
-    fn recipe(&mut self, tt: u64) -> Recipe {
+    fn recipe(&mut self, tt: u16) -> Recipe {
         let mut steps = Vec::new();
         let mut built = HashMap::new();
         let out = self.emit(tt, &mut steps, &mut built);
         Recipe { steps, out }
     }
 
-    fn emit(&mut self, tt: u64, steps: &mut Vec<(Ref, Ref)>, built: &mut HashMap<u64, Ref>) -> Ref {
-        if let Some(r) = Self::free_ref(tt) {
+    fn emit(&mut self, tt: u16, steps: &mut Vec<(Ref, Ref)>, built: &mut HashMap<u16, Ref>) -> Ref {
+        if let Some(r) = Self::literal_ref(tt) {
             return r;
         }
         if let Some(&r) = built.get(&tt) {
@@ -631,11 +504,10 @@ impl Synth {
         if let Some(&r) = built.get(&!tt) {
             return r ^ 1;
         }
-        let plan = self
-            .plans(tt)
-            .into_iter()
-            .min_by_key(|&p| self.plan_cost(p))
-            .expect("non-free table has support");
+        let Some((plan, _)) = self.best_plan(tt) else {
+            // No support: the constant `tt` names.
+            return REF_FALSE ^ Ref::from(tt != 0);
+        };
         let push = |steps: &mut Vec<(Ref, Ref)>, a: Ref, b: Ref| -> Ref {
             steps.push((a, b));
             ((steps.len() + MAX_CUT_SIZE) << 1) as Ref
@@ -705,14 +577,14 @@ fn instantiate(g: &mut Aig, recipe: &Recipe, ys: [Bit; MAX_CUT_SIZE]) -> Bit {
 }
 
 /// The per-pass recipe library: canonicalization cache plus synthesized
-/// implementations keyed by NPN-semicanonical table.
+/// implementations keyed by NPN-canonical table.
 struct NpnLibrary {
-    canon_cache: HashMap<u64, (u64, NpnTransform)>,
-    recipes: HashMap<u64, Recipe>,
+    canon_cache: HashMap<u16, (u16, NpnTransform)>,
+    recipes: HashMap<u16, Recipe>,
     synth: Synth,
     /// Canonical classes of XOR2/XOR3 and the 2:1 mux, for the stats.
-    xor_classes: [u64; 2],
-    mux_class: u64,
+    xor_classes: [u16; 2],
+    mux_class: u16,
 }
 
 impl NpnLibrary {
@@ -724,20 +596,20 @@ impl NpnLibrary {
             canon_cache: HashMap::new(),
             recipes: HashMap::new(),
             synth: Synth::default(),
-            xor_classes: [npn_semicanonical(xor2).0, npn_semicanonical(xor3).0],
-            mux_class: npn_semicanonical(mux).0,
+            xor_classes: [npn_canonical(xor2).0, npn_canonical(xor3).0],
+            mux_class: npn_canonical(mux).0,
         }
     }
 
-    fn canonical(&mut self, tt: u64) -> (u64, NpnTransform) {
+    fn canonical(&mut self, tt: u16) -> (u16, NpnTransform) {
         *self
             .canon_cache
             .entry(tt)
-            .or_insert_with(|| npn_semicanonical(tt))
+            .or_insert_with(|| npn_canonical(tt))
     }
 
     /// Recipe plus nominal AND cost for a canonical class.
-    fn recipe(&mut self, canon: u64) -> (Recipe, usize) {
+    fn recipe(&mut self, canon: u16) -> (Recipe, usize) {
         let synth = &mut self.synth;
         let r = self
             .recipes
@@ -751,7 +623,7 @@ impl NpnLibrary {
     fn build(
         &mut self,
         g: &mut Aig,
-        canon: u64,
+        canon: u16,
         t: &NpnTransform,
         leaves: &[Bit; MAX_CUT_SIZE],
     ) -> Bit {
@@ -877,7 +749,7 @@ fn fanout_refs(src: &Aig, roots: &[Bit]) -> Vec<u32> {
 struct Candidate {
     root: NodeId,
     leaves: Vec<NodeId>,
-    canon: u64,
+    canon: u16,
     t: NpnTransform,
     /// Nodes freed if the candidate is committed: root + MFFC interior.
     saved: Vec<NodeId>,
@@ -894,17 +766,10 @@ struct Candidate {
 fn rewrite_pass_global(
     src: &Aig,
     roots: &[Bit],
-    config: &RewriteConfig,
     lib: &mut NpnLibrary,
     stats: &mut RewriteStats,
 ) -> (Aig, Vec<Bit>, u64) {
-    let cuts = enumerate_cuts(
-        src,
-        &CutConfig {
-            cut_size: config.cut_size,
-            max_cuts: config.max_cuts,
-        },
-    );
+    let cuts = enumerate_cuts(src);
     stats.cuts_enumerated += cuts.iter().map(|c| c.len() as u64).sum::<u64>();
     let mut refs = fanout_refs(src, roots);
 
@@ -1081,7 +946,7 @@ fn compact_from_roots(
 /// hashing can see it. The 2-leaf cut's truth table can:
 ///
 /// ```
-/// use emm_aig::rewrite::{rewrite_aig, RewriteConfig};
+/// use emm_aig::rewrite::rewrite_aig;
 /// use emm_aig::Aig;
 ///
 /// let mut g = Aig::new();
@@ -1090,13 +955,13 @@ fn compact_from_roots(
 /// let t = g.and(a, b);
 /// let e = g.and(a, !b);
 /// let f = g.or(t, e); // ≡ a, built as three ANDs
-/// let r = rewrite_aig(&g, &[f], &RewriteConfig::default());
+/// let r = rewrite_aig(&g, &[f]);
 /// assert_eq!(r.map_bit(f), r.map_bit(a));
 /// assert_eq!(r.aig.num_ands(), 0);
 /// assert_eq!(r.stats.rewrites, 1);
 /// ```
-pub fn rewrite_aig(aig: &Aig, roots: &[Bit], config: &RewriteConfig) -> RewriteResult {
-    rewrite_aig_governed(aig, roots, config, &ResourceGovernor::unlimited())
+pub fn rewrite_aig(aig: &Aig, roots: &[Bit]) -> RewriteResult {
+    rewrite_aig_governed(aig, roots, &ResourceGovernor::unlimited())
 }
 
 /// [`rewrite_aig`] under a shared [`ResourceGovernor`].
@@ -1109,18 +974,16 @@ pub fn rewrite_aig(aig: &Aig, roots: &[Bit], config: &RewriteConfig) -> RewriteR
 pub fn rewrite_aig_governed(
     aig: &Aig,
     roots: &[Bit],
-    config: &RewriteConfig,
     governor: &ResourceGovernor,
 ) -> RewriteResult {
     let mut stats = RewriteStats {
         ands_before: aig.num_ands(),
-        cut_size: config.cut_size.clamp(2, MAX_CUT_SIZE),
         ..RewriteStats::default()
     };
     let mut lib = NpnLibrary::new();
     let mut result_aig = aig.clone();
     let mut result_map: Vec<Bit> = aig.iter().map(|(id, _)| Bit::new(id, false)).collect();
-    for iter in 0..config.max_iters.max(1) {
+    for iter in 0..MAX_ITERS {
         if governor.poll().is_some() {
             stats.interrupted = true;
             break;
@@ -1128,7 +991,7 @@ pub fn rewrite_aig_governed(
         governor.note(FaultSite::RewriteIteration);
         let roots_cur: Vec<Bit> = roots.iter().map(|&r| apply(&result_map, r)).collect();
         let (g2, pmap, accepted) =
-            rewrite_pass_global(&result_aig, &roots_cur, config, &mut lib, &mut stats);
+            rewrite_pass_global(&result_aig, &roots_cur, &mut lib, &mut stats);
         if g2.num_ands() >= result_aig.num_ands() {
             // A non-improving iteration is discarded: the pass never grows
             // the graph, and equal size means the fixpoint is reached.
@@ -1164,7 +1027,7 @@ pub fn rewrite_aig_governed(
 /// # Examples
 ///
 /// ```
-/// use emm_aig::rewrite::{rewrite_design, RewriteConfig};
+/// use emm_aig::rewrite::rewrite_design;
 /// use emm_aig::{Design, LatchInit};
 ///
 /// let mut d = Design::new();
@@ -1178,27 +1041,22 @@ pub fn rewrite_aig_governed(
 /// d.add_property("p", bad);
 /// d.check().expect("well-formed");
 ///
-/// let stats = rewrite_design(&mut d, &RewriteConfig::default());
+/// let stats = rewrite_design(&mut d);
 /// assert!(stats.ands_after < stats.ands_before);
 /// d.check().expect("still well-formed");
 /// ```
-pub fn rewrite_design(design: &mut Design, config: &RewriteConfig) -> RewriteStats {
-    rewrite_design_governed(design, config, &ResourceGovernor::unlimited())
+pub fn rewrite_design(design: &mut Design) -> RewriteStats {
+    rewrite_design_governed(design, &ResourceGovernor::unlimited())
 }
 
 /// [`rewrite_design`] under a shared [`ResourceGovernor`] — see
 /// [`rewrite_aig_governed`] for the degradation contract.
-pub fn rewrite_design_governed(
-    design: &mut Design,
-    config: &RewriteConfig,
-    governor: &ResourceGovernor,
-) -> RewriteStats {
+pub fn rewrite_design_governed(design: &mut Design, governor: &ResourceGovernor) -> RewriteStats {
     if design.check().is_err() {
         return RewriteStats::default();
     }
     let roots = design.reduction_roots();
-    let RewriteResult { aig, stats, map } =
-        rewrite_aig_governed(&design.aig, &roots, config, governor);
+    let RewriteResult { aig, stats, map } = rewrite_aig_governed(&design.aig, &roots, governor);
     design.replace_aig(aig, &mut |b| apply(&map, b));
     stats
 }
@@ -1209,19 +1067,58 @@ mod tests {
     use crate::design::LatchInit;
     use crate::sim::{eval_combinational, Simulator};
 
-    /// Evaluates a tt at an assignment given as 6 bits.
-    fn tt_at(tt: u64, p: usize) -> bool {
+    /// Evaluates a tt at an assignment given as 4 bits.
+    fn tt_at(tt: u16, p: usize) -> bool {
         (tt >> p) & 1 == 1
     }
 
-    /// A random permutation of `0..6` drawn from an xorshift state.
+    /// A random permutation of `0..4` drawn from an xorshift state.
     fn random_perm(next: &mut impl FnMut() -> u64) -> [u8; MAX_CUT_SIZE] {
-        let mut perm = [0u8, 1, 2, 3, 4, 5];
+        let mut perm = [0u8, 1, 2, 3];
         for i in (1..MAX_CUT_SIZE).rev() {
             let j = (next() % (i as u64 + 1)) as usize;
             perm.swap(i, j);
         }
         perm
+    }
+
+    /// Every transform, in the order [`npn_canonical`] searches them.
+    fn all_transforms() -> Vec<NpnTransform> {
+        let mut out = Vec::with_capacity(768);
+        for output_neg in [false, true] {
+            for perm in PERMUTATIONS {
+                for input_neg in 0..16u8 {
+                    out.push(NpnTransform {
+                        perm,
+                        input_neg,
+                        output_neg,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// A fixed sample of tables: the special classes plus pseudo-random
+    /// ones.
+    fn sample_tables() -> Vec<u16> {
+        let xor2 = VAR_TT[0] ^ VAR_TT[1];
+        let mux = (VAR_TT[2] & VAR_TT[1]) | (!VAR_TT[2] & VAR_TT[0]);
+        let mut tables = vec![
+            0,
+            u16::MAX,
+            xor2,
+            xor2 ^ VAR_TT[2] ^ VAR_TT[3],
+            mux,
+            0x8000,
+            1,
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..40 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            tables.push((state >> 48) as u16);
+        }
+        tables
     }
 
     /// A cancelled governor stops the fixpoint before the first
@@ -1236,7 +1133,7 @@ mod tests {
         let f = g.or(t, e); // ≡ a: rewritable, but the governor says no
         let governor = ResourceGovernor::unlimited();
         governor.cancel();
-        let r = rewrite_aig_governed(&g, &[f], &RewriteConfig::default(), &governor);
+        let r = rewrite_aig_governed(&g, &[f], &governor);
         assert!(r.stats.interrupted);
         assert_eq!(r.stats.iterations, 0);
         assert_eq!(r.stats.rewrites, 0);
@@ -1255,7 +1152,7 @@ mod tests {
         let e = g.and(a, !b);
         let f = g.or(t, e); // ≡ a
         let governor = ResourceGovernor::unlimited().with_fault(FaultSite::RewriteIteration, 1);
-        let r = rewrite_aig_governed(&g, &[f], &RewriteConfig::default(), &governor);
+        let r = rewrite_aig_governed(&g, &[f], &governor);
         assert!(r.stats.interrupted, "a second iteration was refused");
         assert_eq!(r.stats.iterations, 1, "the first iteration committed");
         assert_eq!(r.map_bit(f), r.map_bit(a), "its rewrite survives");
@@ -1264,9 +1161,9 @@ mod tests {
 
     #[test]
     fn cofactors_agree_with_semantics() {
-        let tt = 0x1234_5678_9ABC_DEF0u64;
+        let tt = 0x9ABCu16;
         for i in 0..MAX_CUT_SIZE {
-            for p in 0..64usize {
+            for p in 0..16usize {
                 let p0 = p & !(1 << i);
                 let p1 = p | (1 << i);
                 assert_eq!(tt_at(cof0(tt, i), p), tt_at(tt, p0));
@@ -1278,34 +1175,31 @@ mod tests {
     #[test]
     fn support_size_counts_dependent_variables() {
         assert_eq!(support_size(0), 0);
-        assert_eq!(support_size(u64::MAX), 0);
+        assert_eq!(support_size(u16::MAX), 0);
         assert_eq!(support_size(VAR_TT[3]), 1);
-        assert_eq!(support_size(VAR_TT[0] & VAR_TT[5]), 2);
-        let all = VAR_TT.iter().fold(u64::MAX, |a, &v| a & v);
-        assert_eq!(support_size(all), 6);
+        assert_eq!(support_size(VAR_TT[0] & VAR_TT[3]), 2);
+        let all = VAR_TT.iter().fold(u16::MAX, |a, &v| a & v);
+        assert_eq!(support_size(all), 4);
     }
 
     #[test]
     fn npn_transform_identity() {
-        assert_eq!(
-            NpnTransform::IDENTITY.apply(0xBEEF_FACE_0123_4567),
-            0xBEEF_FACE_0123_4567
-        );
+        assert_eq!(NpnTransform::IDENTITY.apply(0xBEEF), 0xBEEF);
     }
 
     #[test]
     fn fast_apply_matches_positional_reference() {
         // The word-parallel apply against the direct per-position
         // definition of the transform semantics.
-        fn reference(t: &NpnTransform, tt: u64) -> u64 {
-            let mut out = 0u64;
-            for p in 0..64u32 {
+        fn reference(t: &NpnTransform, tt: u16) -> u16 {
+            let mut out = 0u16;
+            for p in 0..16u32 {
                 let mut q = 0u32;
                 for j in 0..MAX_CUT_SIZE {
                     let bit = ((p >> t.perm[j]) & 1) ^ ((t.input_neg as u32 >> j) & 1);
                     q |= bit << j;
                 }
-                out |= (((tt >> q) & 1) ^ t.output_neg as u64) << p;
+                out |= (((tt >> q) & 1) ^ t.output_neg as u16) << p;
             }
             out
         }
@@ -1317,74 +1211,78 @@ mod tests {
             state
         };
         for _ in 0..200 {
-            let tt = next();
+            let tt = next() as u16;
             let t = NpnTransform {
                 perm: random_perm(&mut next),
-                input_neg: (next() % 64) as u8,
+                input_neg: (next() % 16) as u8,
                 output_neg: next() % 2 == 1,
             };
-            assert_eq!(t.apply(tt), reference(&t, tt), "{t:?} on {tt:#018x}");
+            assert_eq!(t.apply(tt), reference(&t, tt), "{t:?} on {tt:#06x}");
         }
     }
 
+    /// All 65,536 tables fall into exactly the 222 NPN classes of four
+    /// variables, and each returned transform reaches its form.
     #[test]
-    fn semicanonical_is_invariant_under_transforms() {
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
+    fn canonical_forms_are_the_222_npn_classes() {
+        let mut forms = std::collections::HashSet::new();
+        for tt in 0..=u16::MAX {
+            let (canon, t) = npn_canonical(tt);
+            assert_eq!(
+                t.apply(tt),
+                canon,
+                "transform reaches the form of {tt:#06x}"
+            );
+            assert!(canon <= tt, "the form is the minimum image");
+            forms.insert(canon);
+        }
+        assert_eq!(forms.len(), 222);
+    }
+
+    /// Every one of the 768 transforms of a table has the table's form.
+    #[test]
+    fn canonical_form_is_invariant_under_every_transform() {
+        let transforms = all_transforms();
+        for tt in sample_tables() {
+            let canon = npn_canonical(tt).0;
+            for t in &transforms {
+                assert_eq!(npn_canonical(t.apply(tt)).0, canon, "{t:?} on {tt:#06x}");
+            }
+        }
+    }
+
+    /// The search returns the first transform, in the documented order,
+    /// that reaches the minimum: the same answer as a plain scan of all
+    /// 768 transforms with a strict comparison.
+    #[test]
+    fn canonical_search_follows_the_documented_order() {
+        let transforms = all_transforms();
+        for tt in sample_tables() {
+            let mut best = (tt, transforms[0]);
+            for t in &transforms {
+                let image = t.apply(tt);
+                if image < best.0 {
+                    best = (image, *t);
+                }
+            }
+            assert_eq!(npn_canonical(tt), best, "{tt:#06x}");
+        }
+        assert_eq!(npn_canonical(0), (0, NpnTransform::IDENTITY));
+        let ones = NpnTransform {
+            output_neg: true,
+            ..NpnTransform::IDENTITY
         };
-        for _ in 0..40 {
-            let tt = next();
-            let (canon, t) = npn_semicanonical(tt);
-            assert_eq!(t.apply(tt), canon, "transform reaches the canonical");
-            // Any random transform of tt must canonicalize identically.
-            let rt = NpnTransform {
-                perm: random_perm(&mut next),
-                input_neg: (next() % 64) as u8,
-                output_neg: next() % 2 == 1,
-            };
-            assert_eq!(npn_semicanonical(rt.apply(tt)).0, canon);
-        }
-    }
-
-    #[test]
-    fn semicanonical_handles_symmetric_tables() {
-        // Fully symmetric classes hit the worst-case tie enumeration;
-        // invariance must still hold. XOR6 is the canonical stress case.
-        let xor6 = VAR_TT.iter().fold(0u64, |a, &v| a ^ v);
-        let (canon, t) = npn_semicanonical(xor6);
-        assert_eq!(t.apply(xor6), canon);
-        assert_eq!(npn_semicanonical(!xor6).0, canon, "phase-flipped XOR6");
-        let and6 = VAR_TT.iter().fold(u64::MAX, |a, &v| a & v);
-        let (canon_and, t_and) = npn_semicanonical(and6);
-        assert_eq!(t_and.apply(and6), canon_and);
-        // OR6 = !AND6 over complemented inputs: same class.
-        let or6 = VAR_TT.iter().fold(0u64, |a, &v| a | v);
-        assert_eq!(npn_semicanonical(or6).0, canon_and);
-        // Constants take the fast path.
-        assert_eq!(npn_semicanonical(0).0, 0);
-        assert_eq!(npn_semicanonical(u64::MAX).0, 0);
+        assert_eq!(npn_canonical(u16::MAX), (0, ones));
     }
 
     #[test]
     fn recipes_implement_their_tables() {
-        // Synthesize a spread of tables, instantiate over fresh inputs,
-        // and check against direct evaluation.
+        // Synthesize a spread of tables (constants included), instantiate
+        // over fresh inputs, and check against direct evaluation.
         let mut synth = Synth::default();
-        let mut state = 0xD1B54A32D192ED03u64;
-        let mut tables: Vec<u64> = (0..40)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                state
-            })
-            .collect();
-        let xor2 = VAR_TT[0] ^ VAR_TT[1];
-        let xor6 = VAR_TT.iter().fold(0u64, |a, &v| a ^ v);
-        let mux = (VAR_TT[2] & VAR_TT[1]) | (!VAR_TT[2] & VAR_TT[0]);
-        tables.extend([xor2, xor6, mux, 0x8000_0000_0000_0000, u64::MAX - 1, 1]);
+        let and4 = VAR_TT.iter().fold(u16::MAX, |a, &v| a & v);
+        let mut tables = sample_tables();
+        tables.extend([and4, !and4, VAR_TT[2], !VAR_TT[1]]);
         for tt in tables {
             let recipe = synth.recipe(tt);
             // Sub-function sharing inside a recipe can beat the no-sharing
@@ -1396,13 +1294,13 @@ mod tests {
                 *y = g.new_input();
             }
             let out = instantiate(&mut g, &recipe, ys);
-            for p in 0..64usize {
+            for p in 0..16usize {
                 let inputs: Vec<bool> = (0..MAX_CUT_SIZE).map(|i| (p >> i) & 1 == 1).collect();
                 let values = eval_combinational(&g, &inputs);
                 assert_eq!(
                     out.apply(values[out.node().index()]),
                     tt_at(tt, p),
-                    "tt {tt:#018x} at {p}"
+                    "tt {tt:#06x} at {p}"
                 );
             }
         }
@@ -1411,24 +1309,21 @@ mod tests {
     #[test]
     fn npn_build_undoes_the_transform() {
         let mut lib = NpnLibrary::new();
-        let mut state = 0xA076_1D64_78BD_642Fu64;
-        for _ in 0..40 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let tt = state;
-            let (canon, t) = npn_semicanonical(tt);
+        for tt in sample_tables() {
+            let (canon, t) = npn_canonical(tt);
             let mut g = Aig::new();
             let mut leaves = [Aig::FALSE; MAX_CUT_SIZE];
             for l in leaves.iter_mut() {
                 *l = g.new_input();
             }
             let out = lib.build(&mut g, canon, &t, &leaves);
-            for p in 0..64usize {
+            for p in 0..16usize {
                 let inputs: Vec<bool> = (0..MAX_CUT_SIZE).map(|i| (p >> i) & 1 == 1).collect();
                 let values = eval_combinational(&g, &inputs);
                 assert_eq!(
                     out.apply(values[out.node().index()]),
                     tt_at(tt, p),
-                    "tt {tt:#018x} at {p}"
+                    "tt {tt:#06x} at {p}"
                 );
             }
         }
@@ -1443,8 +1338,9 @@ mod tests {
         assert_eq!(synth.cost(mux), 3, "2:1 mux");
         assert_eq!(synth.cost(xor2 ^ VAR_TT[2]), 6, "3-input XOR");
         assert_eq!(synth.cost(VAR_TT[0] & VAR_TT[1]), 1, "2-input AND");
-        let and6 = VAR_TT.iter().fold(u64::MAX, |a, &v| a & v);
-        assert_eq!(synth.cost(and6), 5, "6-input AND");
+        let and4 = VAR_TT.iter().fold(u16::MAX, |a, &v| a & v);
+        assert_eq!(synth.cost(and4), 3, "4-input AND");
+        assert_eq!(synth.cost(0), 0, "constant");
     }
 
     #[test]
@@ -1456,52 +1352,9 @@ mod tests {
         let x = g.and(a, b);
         let y = g.and(a, !b);
         let z = g.and(x, y);
-        let r = rewrite_aig(&g, &[z], &RewriteConfig::default());
+        let r = rewrite_aig(&g, &[z]);
         assert_eq!(r.map_bit(z), Aig::FALSE);
         assert_eq!(r.aig.num_ands(), 0);
-    }
-
-    #[test]
-    fn wide_cuts_collapse_shannon_bloat() {
-        // f = mux(a, g1, g2) where g1 and g2 are the *same* 4-input AND
-        // built with different association, so strash cannot share them:
-        // the true function is b∧c∧d∧e (3 ANDs), but every window of at
-        // most 4 leaves sees only irreducible structure — a path through
-        // `a` escapes any 4-cut that could expose the redundancy. Only a
-        // 5-input cut {a,b,c,d,e} reveals that the mux arms are equal.
-        let build = |g: &mut Aig| {
-            let a = g.new_input();
-            let b = g.new_input();
-            let c = g.new_input();
-            let d = g.new_input();
-            let e = g.new_input();
-            let de = g.and(d, e);
-            let cde = g.and(c, de);
-            let g1 = g.and(b, cde);
-            let bc = g.and(b, c);
-            let bcd = g.and(bc, d);
-            let g2 = g.and(bcd, e);
-            g.mux(a, g1, g2)
-        };
-        let mut g = Aig::new();
-        let f = build(&mut g);
-        assert_eq!(g.num_ands(), 9);
-
-        // Narrow cuts may chip away at the associations but cannot beat
-        // the full collapse the 5-leaf window performs in one step.
-        let narrow = rewrite_aig(&g, &[f], &RewriteConfig::default());
-        let wide = rewrite_aig(&g, &[f], &RewriteConfig::wide());
-        assert!(narrow.aig.num_ands() >= wide.aig.num_ands());
-        assert_eq!(wide.aig.num_ands(), 3, "b∧c∧d∧e");
-        assert!(wide.stats.rewrites >= 1);
-        // Semantics: f == b∧c∧d∧e on all 32 assignments.
-        for p in 0..32usize {
-            let inputs: Vec<bool> = (0..5).map(|i| (p >> i) & 1 == 1).collect();
-            let values = eval_combinational(&wide.aig, &inputs);
-            let mapped = wide.map_bit(f);
-            let expect = inputs[1] && inputs[2] && inputs[3] && inputs[4];
-            assert_eq!(mapped.apply(values[mapped.node().index()]), expect, "{p}");
-        }
     }
 
     #[test]
@@ -1515,22 +1368,20 @@ mod tests {
         d.add_property("p", bad);
         d.check().expect("valid");
 
-        for config in [RewriteConfig::default(), RewriteConfig::wide()] {
-            let mut rewritten = d.clone();
-            let stats = rewrite_design(&mut rewritten, &config);
-            assert!(stats.ands_after <= stats.ands_before);
-            rewritten.check().expect("still well-formed");
+        let mut rewritten = d.clone();
+        let stats = rewrite_design(&mut rewritten);
+        assert!(stats.ands_after <= stats.ands_before);
+        rewritten.check().expect("still well-formed");
 
-            let mut sim_a = Simulator::new(&d);
-            let mut sim_b = Simulator::new(&rewritten);
-            let mut state = 0x5DEECE66Du64;
-            for cycle in 0..50 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
-                let inputs: Vec<bool> = (0..4).map(|k| (state >> (16 + k)) & 1 == 1).collect();
-                let ra = sim_a.step(&inputs);
-                let rb = sim_b.step(&inputs);
-                assert_eq!(ra.property_bad, rb.property_bad, "cycle {cycle}");
-            }
+        let mut sim_a = Simulator::new(&d);
+        let mut sim_b = Simulator::new(&rewritten);
+        let mut state = 0x5DEECE66Du64;
+        for cycle in 0..50 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
+            let inputs: Vec<bool> = (0..4).map(|k| (state >> (16 + k)) & 1 == 1).collect();
+            let ra = sim_a.step(&inputs);
+            let rb = sim_b.step(&inputs);
+            assert_eq!(ra.property_bad, rb.property_bad, "cycle {cycle}");
         }
     }
 
@@ -1538,7 +1389,7 @@ mod tests {
     fn malformed_design_is_left_alone() {
         let mut d = Design::new();
         d.new_latch("dangling", LatchInit::Zero);
-        let stats = rewrite_design(&mut d, &RewriteConfig::default());
+        let stats = rewrite_design(&mut d);
         assert_eq!(stats, RewriteStats::default());
     }
 
@@ -1551,7 +1402,7 @@ mod tests {
         let c = g.new_input();
         let x = g.and(a, b);
         let y = g.and(x, c);
-        let r = rewrite_aig(&g, &[y], &RewriteConfig::default());
+        let r = rewrite_aig(&g, &[y]);
         assert_eq!(r.aig.num_ands(), 2);
         assert_eq!(r.stats.iterations, 0);
     }

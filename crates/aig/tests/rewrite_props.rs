@@ -1,13 +1,12 @@
-//! Property tests for cut enumeration, NPN semicanonicalization, and the
-//! cut-based rewriting pass: on random graphs, rewriting must preserve
-//! combinational semantics exactly (checked with the word-parallel
-//! simulator) under both the default and the wide (k = 6, global
-//! selection) configurations, never grow the graph, k = 6 cut truth
-//! tables must agree with word-parallel simulation, and semicanonical
-//! forms must be invariant under every NPN transform.
+//! Property tests for cut enumeration and the cut-based rewriting pass:
+//! on random graphs, rewriting must preserve combinational semantics
+//! exactly (checked with the word-parallel simulator) and never grow the
+//! graph, and 4-input cut truth tables must agree with word-parallel
+//! simulation. The exact NPN form is checked exhaustively by the unit
+//! tests in `rewrite.rs`.
 
-use emm_aig::cuts::{enumerate_cuts, CutConfig, MAX_CUT_SIZE};
-use emm_aig::rewrite::{npn_semicanonical, rewrite_aig, NpnTransform, RewriteConfig};
+use emm_aig::cuts::{enumerate_cuts, MAX_CUT_SIZE};
+use emm_aig::rewrite::rewrite_aig;
 use emm_aig::sim::eval_combinational_words;
 use emm_aig::{Aig, Bit};
 use proptest::collection::vec;
@@ -63,19 +62,9 @@ fn word_of(values: &[u64], words: usize, bit: Bit, w: usize) -> u64 {
     }
 }
 
-/// A random permutation of `0..6` derived from a seed.
-fn seeded_perm(seed: u64) -> [u8; MAX_CUT_SIZE] {
-    let mut perm = [0u8, 1, 2, 3, 4, 5];
-    for i in (1..MAX_CUT_SIZE).rev() {
-        let j = (mix(seed ^ i as u64) % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
-    }
-    perm
-}
-
-/// Checks one rewriting configuration against word-parallel simulation.
-fn check_rewrite_preserves(g: &Aig, roots: &[Bit], config: &RewriteConfig, seed: u64) {
-    let r = rewrite_aig(g, roots, config);
+/// Checks the rewriting pass against word-parallel simulation.
+fn check_rewrite_preserves(g: &Aig, roots: &[Bit], seed: u64) {
+    let r = rewrite_aig(g, roots);
     assert!(r.stats.ands_after <= r.stats.ands_before);
     let words = 2usize;
     let values_old = eval_combinational_words(g, &input_words(g, words, seed), words);
@@ -87,8 +76,7 @@ fn check_rewrite_preserves(g: &Aig, roots: &[Bit], config: &RewriteConfig, seed:
             assert_eq!(
                 word_of(&values_old, words, root, w),
                 word_of(&values_new, words, mapped, w),
-                "k={} root {} word {}",
-                config.cut_size,
+                "root {} word {}",
                 i,
                 w
             );
@@ -100,8 +88,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Rewriting preserves the function of every root on 128 patterns of
-    /// word-parallel simulation, and never grows the graph — under both
-    /// the default configuration and the wide k = 6 configuration.
+    /// word-parallel simulation, and never grows the graph.
     #[test]
     fn rewrite_preserves_combinational_semantics(
         num_inputs in 2usize..8,
@@ -111,12 +98,12 @@ proptest! {
         let (g, edges) = build_graph(num_inputs, &ops);
         // The last few edges are the roots whose functions must survive.
         let roots: Vec<Bit> = edges.iter().rev().take(4).copied().collect();
-        check_rewrite_preserves(&g, &roots, &RewriteConfig::default(), seed);
-        check_rewrite_preserves(&g, &roots, &RewriteConfig::wide(), seed);
+        check_rewrite_preserves(&g, &roots, seed);
     }
 
-    /// Every enumerated cut's truth table — k = 6, `u64` tables — agrees
-    /// with word-parallel simulation of the graph on every node.
+    /// Every enumerated cut's truth table — at most 4 leaves, `u16`
+    /// tables — agrees with word-parallel simulation of the graph on
+    /// every node.
     #[test]
     fn cut_truth_tables_agree_with_simulation(
         num_inputs in 2usize..8,
@@ -124,8 +111,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (g, _) = build_graph(num_inputs, &ops);
-        let config = CutConfig { cut_size: MAX_CUT_SIZE, max_cuts: 8 };
-        let cuts = enumerate_cuts(&g, &config);
+        let cuts = enumerate_cuts(&g);
         let words = 1usize;
         let values = eval_combinational_words(&g, &input_words(&g, words, seed), words);
         for (nid, node_cuts) in cuts.iter().enumerate() {
@@ -138,62 +124,12 @@ proptest! {
                         q |= (((values[l.index()] >> p) & 1) as usize) << i;
                     }
                     prop_assert_eq!(
-                        (cut.tt >> q) & 1,
+                        u64::from((cut.tt >> q) & 1),
                         (values[nid] >> p) & 1,
                         "node {} cut {:?} pattern {}", nid, &cut.leaves, p
                     );
                 }
             }
         }
-    }
-
-    /// Semicanonical forms are invariant under arbitrary input/output
-    /// negations and permutations, and the returned transform actually
-    /// reaches the semicanonical table.
-    #[test]
-    fn semicanonical_is_transform_invariant(
-        tt in any::<u64>(),
-        perm_seed in any::<u64>(),
-        input_neg in 0u8..64,
-        output_neg in any::<bool>(),
-    ) {
-        let (canon, reached_by) = npn_semicanonical(tt);
-        prop_assert_eq!(reached_by.apply(tt), canon);
-        let t = NpnTransform {
-            perm: seeded_perm(perm_seed),
-            input_neg,
-            output_neg,
-        };
-        let transformed = t.apply(tt);
-        prop_assert_eq!(
-            npn_semicanonical(transformed).0, canon,
-            "tt {:#018x} transformed {:#018x}", tt, transformed
-        );
-    }
-
-    /// Narrow-support functions hiding in wide tables: a table depending
-    /// on few variables must canonicalize identically however the unused
-    /// variables are permuted or negated — the shape every cut with fewer
-    /// than six leaves produces.
-    #[test]
-    fn semicanonical_ignores_unused_variables(
-        low_tt in any::<u16>(),
-        perm_seed in any::<u64>(),
-        input_neg in 0u8..64,
-    ) {
-        // Expand a 4-variable table to 6 variables (x4/x5 unused).
-        let mut tt = 0u64;
-        for p in 0..64usize {
-            if (low_tt >> (p & 15)) & 1 == 1 {
-                tt |= 1 << p;
-            }
-        }
-        let (canon, _) = npn_semicanonical(tt);
-        let t = NpnTransform {
-            perm: seeded_perm(perm_seed),
-            input_neg,
-            output_neg: false,
-        };
-        prop_assert_eq!(npn_semicanonical(t.apply(tt)).0, canon);
     }
 }

@@ -191,7 +191,7 @@ fn main() -> ExitCode {
     let summary_path = arg_value("--summary");
     let required_modes: Vec<String> = arg_value("--require-modes")
         .unwrap_or_else(|| {
-            "naive,simplified,fraig,rewrite_fraig,rewrite6_fraig,incremental,kinduction".to_string()
+            "naive,simplified,fraig,rewrite_fraig,incremental,kinduction".to_string()
         })
         .split(',')
         .map(|m| m.trim().to_string())

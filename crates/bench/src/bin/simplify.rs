@@ -7,12 +7,11 @@
 //! For every workload the same property is checked once per mode — the
 //! naive seed encoding (`SimplifyConfig::disabled`), the simplifying sink
 //! (default config), the AIG-level fraig pass on top of the default
-//! sink, cut-based rewriting ahead of fraig (the engine default, k = 4
-//! cuts with global selection), wide-cut rewriting
-//! (`RewriteConfig::wide()`: k = 6 cuts, `u64` truth tables) ahead of
-//! fraig, the `incremental` solver-lifecycle row (the default sink solved
-//! bound-to-bound on one long-lived solver with clause retirement,
-//! against a restart-from-scratch leg of the same configuration), and the
+//! sink, cut-based rewriting ahead of fraig (the engine default, 4-input
+//! cuts with global selection), the `incremental` solver-lifecycle row
+//! (the default sink solved bound-to-bound on one long-lived solver with
+//! clause retirement, against a restart-from-scratch leg of the same
+//! configuration), and the
 //! `kinduction` row (the unbounded engine's interleaved base case and
 //! floating inductive step, recording per-depth seconds, step-query
 //! counts, and the step solver's footprint) — recording solver
@@ -131,7 +130,7 @@ fn exhaustion_name(v: &BmcVerdict) -> Option<String> {
     }
 }
 
-/// The seven measured encoder configurations.
+/// The six measured encoder configurations.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// The seed encoding: no sink layer, no comparator cache, no fraig.
@@ -140,12 +139,9 @@ enum Mode {
     Simplified,
     /// AIG-level fraiging before unrolling, on top of the default sink.
     Fraig,
-    /// The engine default: cut-based rewriting (k = 4, global
+    /// The engine default: cut-based rewriting (4-input cuts, global
     /// selection), then fraiging, then the default sink.
     RewriteFraig,
-    /// Wide-cut rewriting (`RewriteConfig::wide()`: k = 6 cuts over
-    /// `u64` truth tables), then fraiging, then the default sink.
-    Rewrite6Fraig,
     /// The `simplified` configuration measured as a *solver lifecycle*
     /// row: one long-lived solver across the bound loop with per-bound
     /// property clauses retired on refutation, against a
@@ -163,12 +159,11 @@ enum Mode {
 }
 
 impl Mode {
-    const ALL: [Mode; 7] = [
+    const ALL: [Mode; 6] = [
         Mode::Naive,
         Mode::Simplified,
         Mode::Fraig,
         Mode::RewriteFraig,
-        Mode::Rewrite6Fraig,
         Mode::Incremental,
         Mode::Kinduction,
     ];
@@ -179,7 +174,6 @@ impl Mode {
             Mode::Simplified => "simplified",
             Mode::Fraig => "fraig",
             Mode::RewriteFraig => "rewrite_fraig",
-            Mode::Rewrite6Fraig => "rewrite6_fraig",
             Mode::Incremental => "incremental",
             Mode::Kinduction => "kinduction",
         }
@@ -196,23 +190,21 @@ fn run_one(
 ) -> RunRecord {
     let simplify = match mode {
         Mode::Naive => SimplifyConfig::disabled(),
-        Mode::Simplified | Mode::Fraig | Mode::RewriteFraig | Mode::Rewrite6Fraig => {
-            SimplifyConfig::default()
-        }
+        Mode::Simplified | Mode::Fraig | Mode::RewriteFraig => SimplifyConfig::default(),
         Mode::Incremental => unreachable!("dispatched to run_incremental"),
         Mode::Kinduction => unreachable!("dispatched to run_kinduction"),
     };
     // Only the fraig-and-later modes run the AIG-level passes, so the
     // other rows keep their historical meaning as a trajectory.
-    let fraig = if matches!(mode, Mode::Fraig | Mode::RewriteFraig | Mode::Rewrite6Fraig) {
+    let fraig = if matches!(mode, Mode::Fraig | Mode::RewriteFraig) {
         FraigConfig::default()
     } else {
         FraigConfig::disabled()
     };
-    let rewrite = match mode {
-        Mode::RewriteFraig => RewriteConfig::default(),
-        Mode::Rewrite6Fraig => RewriteConfig::wide(),
-        _ => RewriteConfig::disabled(),
+    let rewrite = if mode == Mode::RewriteFraig {
+        RewriteConfig::default()
+    } else {
+        RewriteConfig::disabled()
     };
     // The naive baseline must be the *seed* encoding: the comparator cache
     // is part of the PR-1 optimizations, so it is switched off together
@@ -439,7 +431,7 @@ fn json_record(r: &RunRecord) -> String {
             write!(
                 s,
                 ", \"rewrite\": {{\"ands_before\": {}, \"ands_after\": {}, \
-                 \"cut_size\": {}, \"iterations\": {}, \"rewrites\": {}, \
+                 \"iterations\": {}, \"rewrites\": {}, \
                  \"xor_rewrites\": {}, \"mux_rewrites\": {}, \
                  \"cuts_enumerated\": {}, \"candidates_tried\": {}, \
                  \"zero_gain_skipped\": {}, \"candidates_collected\": {}, \
@@ -447,7 +439,6 @@ fn json_record(r: &RunRecord) -> String {
                  \"npn_classes\": {}, \"interrupted\": {}}}",
                 st.ands_before,
                 st.ands_after,
-                st.cut_size,
                 st.iterations,
                 st.rewrites,
                 st.xor_rewrites,

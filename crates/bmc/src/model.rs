@@ -60,7 +60,7 @@ impl<'d> ReducedModel<'d> {
             if rewrite.enabled {
                 let model = reduced.get_or_insert_with(|| design.clone());
                 let t = Instant::now();
-                rewrite_stats = Some(rewrite_design_governed(model, rewrite, governor));
+                rewrite_stats = Some(rewrite_design_governed(model, governor));
                 rewrite_seconds = t.elapsed().as_secs_f64();
             }
             if fraig.enabled {

@@ -17,11 +17,12 @@
 //! use emm_aig::{FraigConfig, RewriteConfig};
 //!
 //! let options = VerifyOptions::default()
-//!     .rewrite(RewriteConfig::wide())
+//!     .rewrite(RewriteConfig::disabled())
 //!     .fraig(FraigConfig::default())
 //!     .incremental(true)
 //!     .proofs(true);
 //! assert!(options.proofs);
+//! assert!(!options.pipeline.rewrite.enabled);
 //! ```
 //!
 //! [`BmcEngine`]: crate::BmcEngine
@@ -67,17 +68,15 @@ pub struct PipelineOptions {
     /// by default; use [`SimplifyConfig::disabled`] for the naive encoding.
     pub simplify: SimplifyConfig,
     /// Cut-based AIG rewriting of the design before any unrolling (see
-    /// [`emm_aig::rewrite`]): k-feasible cut cones are re-synthesized from
-    /// NPN-canonical implementations wherever that strictly reduces the
-    /// AND count, with accepted rewrites chosen by a global
+    /// [`emm_aig::rewrite`]): 4-input cut cones are re-synthesized from
+    /// exact NPN-canonical implementations wherever that strictly reduces
+    /// the AND count, with accepted rewrites chosen by a global
     /// non-overlapping selection over their fanout-free cones. Runs
     /// **before** the fraig pass — rewriting restructures inequivalent
     /// logic, and its rebuild hands fraig a freshly strashed graph.
-    /// Enabled by default (4-input cuts); the knobs thread straight
-    /// through: `RewriteConfig { cut_size, max_cuts, .. }`, with
-    /// [`RewriteConfig::wide`] for 6-input `u64`-table cuts (the bench
-    /// harness's `rewrite6_fraig` mode) and [`RewriteConfig::disabled`]
-    /// for the unrewritten netlist. Like fraiging, the pass is
+    /// Enabled by default; the pass has no other knob, and
+    /// [`RewriteConfig::disabled`] keeps the unrewritten netlist. Like
+    /// fraiging, the pass is
     /// deterministic, runs inside [`BmcEngine::new`], and multi-engine
     /// drivers should pre-reduce once instead (see [`crate::pba`]).
     ///

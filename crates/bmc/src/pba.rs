@@ -35,10 +35,11 @@ use crate::options::{PipelineOptions, VerifyOptions};
 ///     .stability_depth(5)
 ///     .max_depth(50)
 ///     .pipeline(PipelineOptions {
-///         rewrite: RewriteConfig::wide(),
+///         rewrite: RewriteConfig::disabled(),
 ///         ..PipelineOptions::default()
 ///     });
 /// assert_eq!(config.stability_depth, 5);
+/// assert!(!config.pipeline.rewrite.enabled);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PbaConfig {

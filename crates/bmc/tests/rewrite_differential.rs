@@ -4,8 +4,8 @@
 //! disabled.
 //!
 //! This is the system-level soundness harness for `emm_aig::rewrite`, in
-//! the style of `fraig_differential.rs`: randomized memory and latch
-//! designs, exact verdict agreement required, and — because
+//! the style of `fraig_differential.rs`: randomized memory, latch and
+//! Shannon-bloated designs, exact verdict agreement required, and — because
 //! `validate_traces` stays on — every counterexample found on the reduced
 //! model is re-simulated against the *original* design, so an unsound
 //! cone replacement surfaces as a hard `SpuriousTrace` error, not just a
@@ -114,6 +114,65 @@ fn random_latch_design(rng: &mut StdRng) -> Design {
     d
 }
 
+/// A random memory-free sequential design with Shannon bloat in its
+/// property cone: the same multi-bit reduction of the state built with
+/// two different associations behind a mux. The arms are equal
+/// functions of different shapes, so strash keeps both cones, and with
+/// four or five state bits no 4-input window spans the selector plus
+/// every reduced bit — the rewrite must stay sound on cones it can only
+/// partly see.
+fn shannon_bloat_design(rng: &mut StdRng) -> Design {
+    let w = rng.random_range(3..=5usize);
+    let mut d = Design::new();
+    let s = d.new_latch_word("s", w, LatchInit::Zero);
+    let i = d.new_input_word("i", w);
+    let mixed = if rng.random_bool(0.5) {
+        d.aig.word_xor(&s, &i)
+    } else {
+        d.aig.add(&s, &i)
+    };
+    let next = if rng.random_bool(0.5) {
+        mixed.clone()
+    } else {
+        let sel = d.new_input("sel");
+        let inc = d.aig.inc(&s);
+        d.aig.mux_word(sel, &inc, &mixed)
+    };
+    d.set_next_word(&s, &next);
+    // Reduce `s` left-to-right and right-to-left, then mux the two on a
+    // fresh input.
+    let bits = s.bits();
+    let mut fwd = bits[0];
+    for &b in &bits[1..] {
+        fwd = if rng.random_bool(0.5) {
+            d.aig.and(fwd, b)
+        } else {
+            d.aig.xor(fwd, b)
+        };
+    }
+    let mut bwd = bits[w - 1];
+    for &b in bits[..w - 1].iter().rev() {
+        bwd = if rng.random_bool(0.5) {
+            d.aig.and(b, bwd)
+        } else {
+            d.aig.xor(b, bwd)
+        };
+    }
+    let sel2 = d.new_input("bloat_sel");
+    let arm = d.aig.mux(sel2, fwd, bwd);
+    let target = rng.random_range(1..(1u64 << w));
+    let cmp = if rng.random_bool(0.5) {
+        let k = d.aig.const_word(target, w);
+        d.aig.ult(&s, &k)
+    } else {
+        d.aig.eq_const(&s, target)
+    };
+    let bad = d.aig.and(cmp, arm);
+    d.add_property("p", bad);
+    d.check().expect("valid");
+    d
+}
+
 fn verdict_shape(v: &BmcVerdict) -> (u8, usize) {
     match v {
         BmcVerdict::Proof { depth, .. } => (0, *depth),
@@ -124,34 +183,46 @@ fn verdict_shape(v: &BmcVerdict) -> (u8, usize) {
     }
 }
 
-/// Engine-level agreement on random memory designs (falsification mode);
-/// traces from the rewritten model must validate on the original design.
+/// Checks `design` to `bound` with rewriting on and off, and requires the
+/// same verdict; traces from the rewritten model must validate on the
+/// original design.
+fn assert_rewrite_agrees(design: &Design, proofs: bool, bound: usize, round: usize) {
+    let mut rewritten = BmcEngine::new(design, VerifyOptions::default().proofs(proofs));
+    let rewrite_run = rewritten.check(0, bound).expect("rewritten run");
+    let mut plain = BmcEngine::new(
+        design,
+        VerifyOptions::default()
+            .proofs(proofs)
+            .rewrite(RewriteConfig::disabled()),
+    );
+    let plain_run = plain.check(0, bound).expect("plain run");
+    assert_eq!(
+        verdict_shape(&rewrite_run.verdict),
+        verdict_shape(&plain_run.verdict),
+        "round {round}: verdicts diverge: {:?} vs {:?}",
+        rewrite_run.verdict,
+        plain_run.verdict
+    );
+    let stats = rewritten.rewrite_stats().expect("pass ran");
+    assert!(stats.ands_after <= stats.ands_before, "round {round}");
+}
+
+/// Engine-level agreement in falsification mode, on random memory designs
+/// and on Shannon-bloated latch designs.
 #[test]
 fn rewrite_engine_agrees_with_unrewritten_on_random_mem_designs() {
     let mut rng = StdRng::seed_from_u64(0x2E581);
     for round in 0..25 {
-        let d = random_mem_design(&mut rng);
-        let mut rewritten = BmcEngine::new(&d, VerifyOptions::default());
-        let rewrite_run = rewritten.check(0, 5).expect("rewritten run");
-        let mut plain = BmcEngine::new(
-            &d,
-            VerifyOptions::default().rewrite(RewriteConfig::disabled()),
-        );
-        let plain_run = plain.check(0, 5).expect("plain run");
-        assert_eq!(
-            verdict_shape(&rewrite_run.verdict),
-            verdict_shape(&plain_run.verdict),
-            "round {round}: verdicts diverge: {:?} vs {:?}",
-            rewrite_run.verdict,
-            plain_run.verdict
-        );
-        let stats = rewritten.rewrite_stats().expect("pass ran");
-        assert!(stats.ands_after <= stats.ands_before, "round {round}");
+        assert_rewrite_agrees(&random_mem_design(&mut rng), false, 5, round);
+    }
+    let mut rng = StdRng::seed_from_u64(0x6E581);
+    for round in 0..8 {
+        assert_rewrite_agrees(&shannon_bloat_design(&mut rng), false, 5, round);
     }
 }
 
 /// Agreement with induction proofs enabled (floating context included),
-/// also crossing rewrite-only against fraig-only configurations.
+/// on random latch, memory and Shannon-bloated designs.
 #[test]
 fn rewrite_proof_engine_agrees_on_random_designs() {
     let mut rng = StdRng::seed_from_u64(0x2E582);
@@ -161,22 +232,11 @@ fn rewrite_proof_engine_agrees_on_random_designs() {
         } else {
             random_mem_design(&mut rng)
         };
-        let mut rewritten = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
-        let rewrite_run = rewritten.check(0, 6).expect("rewritten run");
-        let mut plain = BmcEngine::new(
-            &d,
-            VerifyOptions::default()
-                .proofs(true)
-                .rewrite(RewriteConfig::disabled()),
-        );
-        let plain_run = plain.check(0, 6).expect("plain run");
-        assert_eq!(
-            verdict_shape(&rewrite_run.verdict),
-            verdict_shape(&plain_run.verdict),
-            "round {round}: verdicts diverge: {:?} vs {:?}",
-            rewrite_run.verdict,
-            plain_run.verdict
-        );
+        assert_rewrite_agrees(&d, true, 6, round);
+    }
+    let mut rng = StdRng::seed_from_u64(0x6E582);
+    for round in 0..6 {
+        assert_rewrite_agrees(&shannon_bloat_design(&mut rng), true, 6, round);
     }
 }
 
@@ -189,7 +249,7 @@ fn rewrite_shrinks_redundant_designs() {
     for _ in 0..10 {
         let mut d = random_latch_design(&mut rng);
         let before = d.num_gates();
-        let stats = rewrite_design(&mut d, &RewriteConfig::default());
+        let stats = rewrite_design(&mut d);
         d.check().expect("rewrite keeps the design well-formed");
         assert_eq!(stats.ands_before, before);
         assert_eq!(stats.ands_after, d.num_gates());

@@ -113,6 +113,12 @@ impl Cnf {
                             line: lineno + 1,
                             message: "bad variable count".into(),
                         })?;
+                if vars > Var::LIMIT {
+                    return Err(ParseDimacsError {
+                        line: lineno + 1,
+                        message: format!("{vars} variables exceed the limit of {}", Var::LIMIT),
+                    });
+                }
                 declared_vars = Some(vars);
                 cnf.num_vars = vars;
                 continue;
@@ -126,6 +132,15 @@ impl Cnf {
                     cnf.close_clause();
                 } else {
                     let idx = v.unsigned_abs() as usize - 1;
+                    if idx >= Var::LIMIT {
+                        return Err(ParseDimacsError {
+                            line: lineno + 1,
+                            message: format!(
+                                "literal {v} exceeds the limit of {} vars",
+                                Var::LIMIT
+                            ),
+                        });
+                    }
                     if let Some(dv) = declared_vars {
                         if idx >= dv {
                             return Err(ParseDimacsError {
@@ -256,6 +271,16 @@ mod tests {
     #[test]
     fn parse_rejects_overflow_literal() {
         assert!(Cnf::parse("p cnf 1 1\n2 0\n").is_err());
+        // Indices and declared counts past what a `Var` can name are
+        // errors, not silently truncated variables.
+        assert!(Cnf::parse("p cnf 5000000000 1\n4294967297 0\n").is_err());
+        assert!(Cnf::parse("p cnf 5000000000 0\n").is_err());
+        assert!(Cnf::parse("4294967297 0\n").is_err());
+        assert!(Cnf::parse("-2147483648 0\n").is_err());
+        // The last index a `Var` can name still parses.
+        let cnf = Cnf::parse("2147483647 0\n").expect("in range");
+        assert_eq!(cnf.num_vars(), Var::LIMIT);
+        assert!(Cnf::parse("p cnf 2147483647 0\n").is_ok());
     }
 
     #[test]

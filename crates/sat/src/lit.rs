@@ -13,10 +13,15 @@ use std::ops::Not;
 pub struct Var(u32);
 
 impl Var {
-    /// Creates a variable from its dense index.
+    /// How many variables a `Var` can name: valid indices are below this
+    /// (a [`Lit`] packs the index and the sign into one `u32`).
+    pub const LIMIT: usize = (u32::MAX / 2) as usize;
+
+    /// Creates a variable from its dense index, which must be below
+    /// [`Var::LIMIT`].
     #[inline]
     pub fn from_index(index: usize) -> Var {
-        debug_assert!(index < (u32::MAX / 2) as usize, "variable index overflow");
+        debug_assert!(index < Var::LIMIT, "variable index overflow");
         Var(index as u32)
     }
 
