@@ -68,7 +68,7 @@ use std::collections::HashMap;
 use emm_sat::{FaultSite, ResourceGovernor};
 
 use crate::aig::{Aig, Bit, Node, NodeId};
-use crate::cuts::{enumerate_cuts, MAX_CUT_SIZE, VAR_TT};
+use crate::cuts::{enumerate_cuts, swap_vars, Cut, MAX_CUT_SIZE, VAR_TT};
 use crate::design::Design;
 use crate::select::{select_nonoverlapping, Selectable};
 
@@ -277,18 +277,6 @@ fn permute(tt: u16, perm: &[u8; MAX_CUT_SIZE]) -> u16 {
 fn flip_var(tt: u16, i: usize) -> u16 {
     let s = 1u32 << i;
     ((tt & VAR_TT[i]) >> s) | ((tt & !VAR_TT[i]) << s)
-}
-
-/// The table of `f` with the distinct variables `a` and `b` exchanged
-/// (relabeled).
-fn swap_vars(tt: u16, a: usize, b: usize) -> u16 {
-    let (a, b) = (a.min(b), a.max(b));
-    // Positions with x_a = 1, x_b = 0 trade places with x_a = 0, x_b = 1;
-    // the value distance between the paired positions is 2^b - 2^a.
-    let sh = (1u32 << b) - (1u32 << a);
-    let ra = VAR_TT[a] & !VAR_TT[b];
-    let rb = !VAR_TT[a] & VAR_TT[b];
-    (tt & !(ra | rb)) | ((tt & ra) << sh) | ((tt & rb) >> sh)
 }
 
 /// The exact NPN canonical form of a 4-variable truth table: the minimum
@@ -554,9 +542,10 @@ impl Synth {
     }
 }
 
-/// Replays a recipe into a graph over concrete canonical-input edges.
-fn instantiate(g: &mut Aig, recipe: &Recipe, ys: [Bit; MAX_CUT_SIZE]) -> Bit {
-    let mut vals: Vec<Bit> = Vec::with_capacity(1 + MAX_CUT_SIZE + recipe.steps.len());
+/// Replays a recipe into a graph over concrete canonical-input edges,
+/// using `vals` (cleared first) for the edge of every recipe reference.
+fn instantiate(g: &mut Aig, recipe: &Recipe, ys: [Bit; MAX_CUT_SIZE], vals: &mut Vec<Bit>) -> Bit {
+    vals.clear();
     vals.push(Aig::FALSE);
     vals.extend_from_slice(&ys);
     let resolve = |vals: &[Bit], r: Ref| -> Bit {
@@ -568,12 +557,12 @@ fn instantiate(g: &mut Aig, recipe: &Recipe, ys: [Bit; MAX_CUT_SIZE]) -> Bit {
         }
     };
     for &(a, b) in &recipe.steps {
-        let x = resolve(&vals, a);
-        let y = resolve(&vals, b);
+        let x = resolve(vals, a);
+        let y = resolve(vals, b);
         let r = g.and(x, y);
         vals.push(r);
     }
-    resolve(&vals, recipe.out)
+    resolve(vals, recipe.out)
 }
 
 /// The per-pass recipe library: canonicalization cache plus synthesized
@@ -585,6 +574,8 @@ struct NpnLibrary {
     /// Canonical classes of XOR2/XOR3 and the 2:1 mux, for the stats.
     xor_classes: [u16; 2],
     mux_class: u16,
+    /// Scratch of [`instantiate`], reused by every build.
+    vals: Vec<Bit>,
 }
 
 impl NpnLibrary {
@@ -598,6 +589,7 @@ impl NpnLibrary {
             synth: Synth::default(),
             xor_classes: [npn_canonical(xor2).0, npn_canonical(xor3).0],
             mux_class: npn_canonical(mux).0,
+            vals: Vec::new(),
         }
     }
 
@@ -608,14 +600,15 @@ impl NpnLibrary {
             .or_insert_with(|| npn_canonical(tt))
     }
 
-    /// Recipe plus nominal AND cost for a canonical class.
-    fn recipe(&mut self, canon: u16) -> (Recipe, usize) {
+    /// The recipe of a canonical class, synthesized on first use, plus
+    /// the scratch [`instantiate`] replays it with.
+    fn recipe(&mut self, canon: u16) -> (&Recipe, &mut Vec<Bit>) {
         let synth = &mut self.synth;
-        let r = self
+        let recipe = self
             .recipes
             .entry(canon)
             .or_insert_with(|| synth.recipe(canon));
-        (r.clone(), r.steps.len())
+        (recipe, &mut self.vals)
     }
 
     /// Builds the canonical class's implementation over mapped cut leaves,
@@ -627,7 +620,6 @@ impl NpnLibrary {
         t: &NpnTransform,
         leaves: &[Bit; MAX_CUT_SIZE],
     ) -> Bit {
-        let (recipe, _) = self.recipe(canon);
         // g(y) = out_neg ⊕ f(x), x_j = y_{perm[j]} ⊕ neg_j, hence
         // f(leaves) = out_neg ⊕ g(y) with y_{perm[j]} = leaves[j] ⊕ neg_j.
         let mut ys = [Aig::FALSE; MAX_CUT_SIZE];
@@ -635,7 +627,8 @@ impl NpnLibrary {
             let e = if (t.input_neg >> j) & 1 == 1 { !e } else { e };
             ys[t.perm[j] as usize] = e;
         }
-        let r = instantiate(g, &recipe, ys);
+        let (recipe, vals) = self.recipe(canon);
+        let r = instantiate(g, recipe, ys, vals);
         if t.output_neg {
             !r
         } else {
@@ -658,8 +651,8 @@ fn apply(map: &[Bit], bit: Bit) -> Bit {
 }
 
 /// What the candidate edge still reaches, from a walk over graph `g`
-/// starting at `cand`: the number of `freed` nodes it keeps alive, and
-/// the pre-existing non-freed nodes it depends on.
+/// starting at `cand`: the number of freed nodes (`walk.freed`) it keeps
+/// alive, and the pre-existing non-freed nodes it depends on.
 ///
 /// A structural-hash hit on a node the replacement was credited with
 /// freeing (the root's default AND, its MFFC interior) means that node
@@ -675,11 +668,20 @@ fn apply(map: &[Bit], bit: Bit) -> Bit {
 /// Pre-existing nodes outside the freed set cannot lead to one: an MFFC
 /// interior node's every fanout lies inside the cone by construction, so
 /// no outside cone reaches it. Each reachable node counts once.
-fn cone_references(g: &Aig, cand: Bit, new_from: usize, freed: &[NodeId]) -> (i64, Vec<NodeId>) {
+///
+/// Returns the kept-alive count and leaves the reads in `walk.reads`.
+fn cone_references(g: &Aig, cand: Bit, new_from: usize, walk: &mut Walk) -> i64 {
     let mut alive = 0i64;
-    let mut reads: Vec<NodeId> = Vec::new();
-    let mut seen: Vec<NodeId> = Vec::new();
-    let mut stack = vec![cand.node()];
+    let Walk {
+        freed,
+        reads,
+        seen,
+        stack,
+    } = walk;
+    reads.clear();
+    seen.clear();
+    stack.clear();
+    stack.push(cand.node());
     while let Some(m) = stack.pop() {
         if seen.contains(&m) {
             continue;
@@ -698,17 +700,26 @@ fn cone_references(g: &Aig, cand: Bit, new_from: usize, freed: &[NodeId]) -> (i6
             stack.push(b.node());
         }
     }
-    (alive, reads)
+    alive
 }
 
 /// The maximal fanout-free cone of `n` w.r.t. `leaves`, excluding `n`
 /// itself: the AND nodes strictly between the leaves and `n` whose every
 /// fanout (parents and roots, per `refs`) stays inside the cone — the
 /// nodes that die if `n` stops referencing them. Restores `refs`.
-fn mffc_interior(aig: &Aig, refs: &mut [u32], n: NodeId, leaves: &[NodeId]) -> Vec<NodeId> {
-    let mut interior: Vec<NodeId> = Vec::new();
-    let mut undone: Vec<NodeId> = Vec::new();
-    let mut stack = vec![n];
+///
+/// Leaves the cone in `walk.freed`, in discovery order.
+fn mffc_interior(aig: &Aig, refs: &mut [u32], n: NodeId, leaves: &[NodeId], walk: &mut Walk) {
+    let Walk {
+        freed: interior,
+        seen: undone,
+        stack,
+        ..
+    } = walk;
+    interior.clear();
+    undone.clear();
+    stack.clear();
+    stack.push(n);
     while let Some(m) = stack.pop() {
         if let Node::And(a, b) = aig.node(m) {
             for c in [a.node(), b.node()] {
@@ -724,10 +735,20 @@ fn mffc_interior(aig: &Aig, refs: &mut [u32], n: NodeId, leaves: &[NodeId]) -> V
             }
         }
     }
-    for c in undone {
+    for c in undone.iter() {
         refs[c.index()] += 1;
     }
-    interior
+}
+
+/// Buffers the candidate loop reuses for every cut: the freed set and the
+/// reads of the candidate under measurement, and the work lists of the
+/// walks that compute them.
+#[derive(Default)]
+struct Walk {
+    freed: Vec<NodeId>,
+    reads: Vec<NodeId>,
+    seen: Vec<NodeId>,
+    stack: Vec<NodeId>,
 }
 
 /// Fanout reference counts on `src`, with `roots` counted as fanouts.
@@ -745,10 +766,21 @@ fn fanout_refs(src: &Aig, roots: &[Bit]) -> Vec<u32> {
     refs
 }
 
+/// The edges a replacement over `cut` is built on: `edge` of each leaf's
+/// plain edge, with unused positions constant false.
+fn leaf_edges(cut: &Cut, edge: impl Fn(Bit) -> Bit) -> [Bit; MAX_CUT_SIZE] {
+    let mut edges = [Aig::FALSE; MAX_CUT_SIZE];
+    for (e, &l) in edges.iter_mut().zip(cut.leaves()) {
+        *e = edge(Bit::new(l, false));
+    }
+    edges
+}
+
 /// A positive-gain replacement candidate awaiting global selection.
 struct Candidate {
     root: NodeId,
-    leaves: Vec<NodeId>,
+    /// The cut the replacement is built over (leaves inline).
+    cut: Cut,
     canon: u16,
     t: NpnTransform,
     /// Nodes freed if the candidate is committed: root + MFFC interior.
@@ -779,42 +811,41 @@ fn rewrite_pass_global(
     // independent). Every positive-gain candidate is offered to the
     // solver — same-root alternatives conflict through the shared root
     // claim, letting selection fall back to a narrower cut when a wide
-    // cut's larger MFFC collides with a neighbor's.
+    // cut's larger MFFC collides with a neighbor's. Measurement reuses
+    // one set of walk buffers and replays the class recipe in place, so
+    // only a collected candidate allocates (its freed set and reads).
     let mut trial = src.clone();
     let mut cands: Vec<Candidate> = Vec::new();
+    let mut walk = Walk::default();
     for (id, node) in src.iter() {
         if !matches!(node, Node::And(..)) {
             continue;
         }
         for cut in &cuts[id.index()] {
-            if cut.is_trivial(id) || cut.leaves.is_empty() {
+            if cut.is_trivial(id) || cut.leaves().is_empty() {
                 continue;
             }
             stats.candidates_tried += 1;
-            let mut freed = mffc_interior(src, &mut refs, id, &cut.leaves);
-            freed.push(id);
-            let saved = freed.len() as i64;
+            mffc_interior(src, &mut refs, id, cut.leaves(), &mut walk);
+            walk.freed.push(id);
+            let saved = walk.freed.len() as i64;
             if support_size(cut.tt).saturating_sub(1) as i64 >= saved + 2 {
                 stats.zero_gain_skipped += 1;
                 continue;
             }
             let (canon, t) = lib.canonical(cut.tt);
-            let (_, nominal) = lib.recipe(canon);
+            let nominal = lib.recipe(canon).0.steps.len();
             if nominal as i64 >= saved + 2 {
                 stats.zero_gain_skipped += 1;
                 continue;
             }
-            let mut leaf_edges = [Aig::FALSE; MAX_CUT_SIZE];
-            for (i, l) in cut.leaves.iter().enumerate() {
-                leaf_edges[i] = Bit::new(*l, false);
-            }
             let before = trial.num_nodes();
-            let cand_bit = lib.build(&mut trial, canon, &t, &leaf_edges);
+            let cand_bit = lib.build(&mut trial, canon, &t, &leaf_edges(cut, |l| l));
             let added = (trial.num_nodes() - before) as i64;
             // Freed nodes the candidate still references won't die (their
             // savings are discounted); other pre-existing nodes it
             // references become selection reads.
-            let (alive, reads) = cone_references(&trial, cand_bit, before, &freed);
+            let alive = cone_references(&trial, cand_bit, before, &mut walk);
             trial.truncate(before);
             let gain = saved - alive - added;
             if gain <= 0 || cand_bit.node() == id {
@@ -823,11 +854,11 @@ fn rewrite_pass_global(
             }
             cands.push(Candidate {
                 root: id,
-                leaves: cut.leaves.clone(),
+                cut: *cut,
                 canon,
                 t,
-                saved: freed,
-                reads,
+                saved: walk.freed.clone(),
+                reads: walk.reads.clone(),
                 gain,
             });
         }
@@ -872,13 +903,16 @@ fn rewrite_pass_global(
     let (picked, sel) = select_nonoverlapping(&items, 2 * src.num_nodes());
     stats.select_dropped += sel.dropped_overlap as u64;
     stats.exchange_swaps += sel.exchange_swaps as u64;
-    let chosen: HashMap<NodeId, &Candidate> = cands
+    let mut chosen: Vec<Option<&Candidate>> = vec![None; src.num_nodes()];
+    for c in cands
         .iter()
         .zip(&picked)
         .filter(|(_, &p)| p)
-        .map(|(c, _)| (c.root, c))
-        .collect();
-    stats.reuse_preferred += chosen.values().filter(|c| !c.reads.is_empty()).count() as u64;
+        .map(|(c, _)| c)
+    {
+        chosen[c.root.index()] = Some(c);
+        stats.reuse_preferred += u64::from(!c.reads.is_empty());
+    }
 
     // Phase 3 — commit: one topological rebuild applying exactly the
     // selected rewrites (instantiated over already-rebuilt leaves, where
@@ -891,11 +925,7 @@ fn rewrite_pass_global(
             Node::Const => Aig::FALSE,
             Node::Input(_) => g2.new_input(),
             Node::And(a, b) => {
-                if let Some(c) = chosen.get(&id) {
-                    let mut leaf_edges = [Aig::FALSE; MAX_CUT_SIZE];
-                    for (i, l) in c.leaves.iter().enumerate() {
-                        leaf_edges[i] = apply(&map, Bit::new(*l, false));
-                    }
+                if let Some(c) = chosen[id.index()] {
                     accepted += 1;
                     stats.rewrites += 1;
                     if lib.xor_classes.contains(&c.canon) {
@@ -903,7 +933,8 @@ fn rewrite_pass_global(
                     } else if c.canon == lib.mux_class {
                         stats.mux_rewrites += 1;
                     }
-                    lib.build(&mut g2, c.canon, &c.t, &leaf_edges)
+                    let leaves = leaf_edges(&c.cut, |l| apply(&map, l));
+                    lib.build(&mut g2, c.canon, &c.t, &leaves)
                 } else {
                     let fa = apply(&map, a);
                     let fb = apply(&map, b);
@@ -1293,7 +1324,7 @@ mod tests {
             for y in ys.iter_mut() {
                 *y = g.new_input();
             }
-            let out = instantiate(&mut g, &recipe, ys);
+            let out = instantiate(&mut g, &recipe, ys, &mut Vec::new());
             for p in 0..16usize {
                 let inputs: Vec<bool> = (0..MAX_CUT_SIZE).map(|i| (p >> i) & 1 == 1).collect();
                 let values = eval_combinational(&g, &inputs);

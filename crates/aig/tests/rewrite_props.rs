@@ -116,17 +116,17 @@ proptest! {
         let values = eval_combinational_words(&g, &input_words(&g, words, seed), words);
         for (nid, node_cuts) in cuts.iter().enumerate() {
             for cut in node_cuts {
-                prop_assert!(cut.leaves.len() <= MAX_CUT_SIZE);
+                prop_assert!(cut.leaves().len() <= MAX_CUT_SIZE);
                 for p in 0..64usize {
                     // Pattern p of the single simulation word.
                     let mut q = 0usize;
-                    for (i, l) in cut.leaves.iter().enumerate() {
+                    for (i, l) in cut.leaves().iter().enumerate() {
                         q |= (((values[l.index()] >> p) & 1) as usize) << i;
                     }
                     prop_assert_eq!(
                         u64::from((cut.tt >> q) & 1),
                         (values[nid] >> p) & 1,
-                        "node {} cut {:?} pattern {}", nid, &cut.leaves, p
+                        "node {} cut {:?} pattern {}", nid, cut.leaves(), p
                     );
                 }
             }

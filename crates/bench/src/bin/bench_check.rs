@@ -1,12 +1,22 @@
 //! CI bench-regression gate: diffs a fresh `BENCH_simplify.json` against
-//! the committed baseline and fails on verdict changes or clause/variable
-//! count regressions beyond a tolerance.
+//! the committed baseline and fails on verdict changes, clause/variable
+//! count regressions beyond a tolerance, or any change of a reduction
+//! counter.
 //!
 //! Every `(benchmark, mode)` row of the baseline must exist in the fresh
 //! file with the *same verdict* and with `clauses` and `vars` no more than
 //! `--tolerance-pct` (default 5%) above the baseline. A row that carries
 //! the step solver's `step_clauses` and `step_vars` (the `kinduction`
-//! mode) has those gated by the same rule. Wall times are
+//! mode) has those gated by the same rule.
+//!
+//! The row's `simplify`, `fraig` and `rewrite` counter objects (e.g.
+//! `gates_elided`, `merges`, `rewrites`, `npn_classes`) are deterministic,
+//! so they are gated for **exact** equality, field by field: any changed,
+//! added or removed field fails, and so does a fresh row that lacks an
+//! object the baseline row has (or carries one the baseline lacks).
+//! `null` on both sides is equal, and a `seconds` field inside an object
+//! is never compared. A deliberate change to the reduction passes
+//! therefore refreshes the baseline in the same change. Wall times are
 //! reported but never gated — CI machines are too noisy for that; counts
 //! are deterministic. Rows that only exist in the fresh file (new modes,
 //! new workloads) are listed as additions and pass.
@@ -63,6 +73,12 @@ fn arg_value(name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// A run record's `(benchmark, mode)`.
+type RowKey = (String, String);
+
+/// The reduction counter objects a run record may carry.
+const COUNTER_OBJECTS: [&str; 3] = ["simplify", "fraig", "rewrite"];
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Row {
     verdict: String,
@@ -70,38 +86,88 @@ struct Row {
     clauses: u64,
     /// `step_vars` and `step_clauses`, on rows that report a step solver.
     step: Option<(u64, u64)>,
+    /// The non-`null` counter objects, by name: each field's value as
+    /// written, `seconds` left out.
+    counters: BTreeMap<&'static str, BTreeMap<String, String>>,
+}
+
+/// The fields of the flat object `"key": {...}` in a record line, values
+/// as written and `seconds` left out; `None` for `null` or no such key.
+fn extract_object(record: &str, key: &str) -> Option<BTreeMap<String, String>> {
+    let needle = format!("\"{key}\": {{");
+    let start = record.find(&needle)? + needle.len();
+    let end = start + record[start..].find('}')?;
+    let fields = record[start..end].split(", ").filter_map(|field| {
+        let (name, value) = field.split_once(": ")?;
+        let name = name.trim().trim_matches('"');
+        (name != "seconds").then(|| (name.to_string(), value.trim().to_string()))
+    });
+    Some(fields.collect())
+}
+
+/// The `(benchmark, mode)` key and row of one line, `Ok(None)` for lines
+/// that are not run records.
+fn parse_record(line: &str) -> Result<Option<(RowKey, Row)>, String> {
+    let (Some(benchmark), Some(mode)) = (extract_str(line, "benchmark"), extract_str(line, "mode"))
+    else {
+        return Ok(None);
+    };
+    // Summary records carry reduction percentages, not counts; only run
+    // records have a verdict.
+    let Some(verdict) = extract_str(line, "verdict") else {
+        return Ok(None);
+    };
+    let (Some(vars), Some(clauses)) = (extract_u64(line, "vars"), extract_u64(line, "clauses"))
+    else {
+        return Err(format!("run record without vars/clauses: {line}"));
+    };
+    let row = Row {
+        verdict: verdict.to_string(),
+        vars,
+        clauses,
+        step: extract_u64(line, "step_vars").zip(extract_u64(line, "step_clauses")),
+        counters: COUNTER_OBJECTS
+            .into_iter()
+            .filter_map(|name| Some((name, extract_object(line, name)?)))
+            .collect(),
+    };
+    Ok(Some(((benchmark.to_string(), mode.to_string()), row)))
+}
+
+/// Every difference between the counter objects of a baseline row and a
+/// fresh one, as `object.field base -> fresh` (or a missing object).
+fn counter_diffs(base: &Row, fresh: &Row) -> Vec<String> {
+    let mut diffs = Vec::new();
+    for name in COUNTER_OBJECTS {
+        match (base.counters.get(name), fresh.counters.get(name)) {
+            (None, None) => {}
+            (Some(_), None) => diffs.push(format!("{name} counters missing from fresh run")),
+            (None, Some(_)) => diffs.push(format!("{name} counters not in baseline")),
+            (Some(b), Some(f)) => {
+                let fields: std::collections::BTreeSet<&String> =
+                    b.keys().chain(f.keys()).collect();
+                for field in fields {
+                    let (old, new) = (b.get(field), f.get(field));
+                    if old != new {
+                        let show = |v: Option<&String>| v.map_or("—".to_string(), String::clone);
+                        diffs.push(format!("{name}.{field} {} -> {}", show(old), show(new)));
+                    }
+                }
+            }
+        }
+    }
+    diffs
 }
 
 /// Parses the `runs` records of a bench JSON into `(benchmark, mode)`-keyed
 /// rows. The format is the harness's own: one record per line.
-fn parse(path: &str) -> Result<BTreeMap<(String, String), Row>, String> {
+fn parse(path: &str) -> Result<BTreeMap<RowKey, Row>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut rows = BTreeMap::new();
     for line in text.lines() {
-        let Some(benchmark) = extract_str(line, "benchmark") else {
-            continue;
-        };
-        let Some(mode) = extract_str(line, "mode") else {
-            continue;
-        };
-        // Summary records carry reduction percentages, not counts; only
-        // run records have a verdict.
-        let Some(verdict) = extract_str(line, "verdict") else {
-            continue;
-        };
-        let (Some(vars), Some(clauses)) = (extract_u64(line, "vars"), extract_u64(line, "clauses"))
-        else {
-            return Err(format!("{path}: run record without vars/clauses: {line}"));
-        };
-        rows.insert(
-            (benchmark.to_string(), mode.to_string()),
-            Row {
-                verdict: verdict.to_string(),
-                vars,
-                clauses,
-                step: extract_u64(line, "step_vars").zip(extract_u64(line, "step_clauses")),
-            },
-        );
+        if let Some((key, row)) = parse_record(line).map_err(|e| format!("{path}: {e}"))? {
+            rows.insert(key, row);
+        }
     }
     if rows.is_empty() {
         return Err(format!("{path}: no run records found"));
@@ -285,6 +351,10 @@ fn main() -> ExitCode {
                 problems.push("step_vars/step_clauses missing from fresh run".to_string())
             }
             (None, _) => {}
+        }
+        let diffs = counter_diffs(base, new);
+        if !diffs.is_empty() {
+            problems.push(format!("counters changed: {}", diffs.join(", ")));
         }
         let mut improved = false;
         let mut deltas = Vec::new();
@@ -483,4 +553,57 @@ fn main() -> ExitCode {
         println!("bench_check: pass");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASE: &str = r#"{"benchmark": "table1_n3", "mode": "rewrite_fraig", "verdict": "proof@30", "seconds": 0.331, "vars": 29554, "clauses": 109508, "simplify": {"gate_queries": 19586, "folded": 1630}, "fraig": null, "rewrite": {"ands_before": 903, "rewrites": 100, "npn_classes": 37, "seconds": 0.012, "interrupted": false}}"#;
+
+    fn row(line: &str) -> Row {
+        parse_record(line)
+            .expect("well-formed")
+            .expect("a run record")
+            .1
+    }
+
+    #[test]
+    fn identical_counters_pass_and_seconds_are_ignored() {
+        let fresh = BASE
+            .replace("\"seconds\": 0.331", "\"seconds\": 0.5")
+            .replace("\"seconds\": 0.012", "\"seconds\": 0.02");
+        assert!(counter_diffs(&row(BASE), &row(&fresh)).is_empty());
+        assert_eq!(row(BASE).counters.len(), 2, "null is no object");
+    }
+
+    #[test]
+    fn one_changed_counter_fails() {
+        let fresh = BASE.replace("\"rewrites\": 100", "\"rewrites\": 101");
+        assert_eq!(
+            counter_diffs(&row(BASE), &row(&fresh)),
+            vec!["rewrite.rewrites 100 -> 101".to_string()]
+        );
+    }
+
+    #[test]
+    fn missing_or_added_objects_fail() {
+        let dropped = BASE.replace(
+            "\"simplify\": {\"gate_queries\": 19586, \"folded\": 1630}",
+            "\"simplify\": null",
+        );
+        assert_eq!(
+            counter_diffs(&row(BASE), &row(&dropped)),
+            vec!["simplify counters missing from fresh run".to_string()]
+        );
+        assert_eq!(
+            counter_diffs(&row(&dropped), &row(BASE)),
+            vec!["simplify counters not in baseline".to_string()]
+        );
+        let extra_field = BASE.replace("\"folded\": 1630", "\"folded\": 1630, \"merged\": 0");
+        assert_eq!(
+            counter_diffs(&row(BASE), &row(&extra_field)),
+            vec!["simplify.merged — -> 0".to_string()]
+        );
+    }
 }
