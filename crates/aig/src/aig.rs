@@ -5,8 +5,10 @@
 //! reports gate counts in ("~9K 2-input gates"). Node ids are created in
 //! topological order, so a single forward pass evaluates the whole graph.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::ops::Not;
 
 /// A node index in an [`Aig`].
@@ -106,8 +108,59 @@ pub enum Node {
 #[derive(Clone, Debug)]
 pub struct Aig {
     nodes: Vec<Node>,
-    strash: HashMap<(Bit, Bit), NodeId>,
+    strash: HashMap<u64, NodeId, StrashHasher>,
     num_inputs: u32,
+}
+
+/// The structural-hash key of `x & y`: both operand codes packed into
+/// one word (operands in canonical order).
+#[inline]
+fn strash_key(x: Bit, y: Bit) -> u64 {
+    (u64::from(x.0) << 32) | u64::from(y.0)
+}
+
+/// Hashes the packed strash key with one folded multiply (the full
+/// 128-bit product's halves XORed), which mixes every key bit into both
+/// the low bits that pick a bucket and the high bits of the tag, where
+/// the default keyed SipHash runs several mixing rounds per key. The
+/// seed is drawn from [`RandomState`] once per table, so a parsed model
+/// cannot choose keys that collide.
+#[derive(Clone, Debug)]
+struct StrashHasher(u64);
+
+impl Default for StrashHasher {
+    fn default() -> StrashHasher {
+        StrashHasher(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for StrashHasher {
+    type Hasher = StrashHash;
+
+    #[inline]
+    fn build_hasher(&self) -> StrashHash {
+        StrashHash(self.0)
+    }
+}
+
+/// The per-lookup state of [`StrashHasher`]: the seed, then the hash.
+struct StrashHash(u64);
+
+impl Hasher for StrashHash {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(key ^ self.0) * u128::from(0x9E37_79B9_7F4A_7C15 ^ self.0);
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("strash keys are hashed as one u64")
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Default for Aig {
@@ -127,7 +180,7 @@ impl Aig {
     pub fn new() -> Aig {
         Aig {
             nodes: vec![Node::Const],
-            strash: HashMap::new(),
+            strash: HashMap::default(),
             num_inputs: 0,
         }
     }
@@ -195,12 +248,13 @@ impl Aig {
         }
         // Canonical operand order for hashing.
         let (x, y) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        if let Some(&id) = self.strash.get(&(x, y)) {
+        let key = strash_key(x, y);
+        if let Some(&id) = self.strash.get(&key) {
             return Bit::new(id, false);
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node::And(x, y));
-        self.strash.insert((x, y), id);
+        self.strash.insert(key, id);
         Bit::new(id, false)
     }
 
@@ -275,7 +329,7 @@ impl Aig {
         while self.nodes.len() > len {
             match self.nodes.pop().expect("len checked") {
                 Node::And(a, b) => {
-                    self.strash.remove(&(a, b));
+                    self.strash.remove(&strash_key(a, b));
                 }
                 other => unreachable!("truncate may only remove AND nodes, found {other:?}"),
             }

@@ -136,7 +136,7 @@ use crate::options::VerifyOptions;
 use crate::unroll::{UnrollConfig, Unroller};
 
 /// A frozen abstraction (from PBA discovery or elsewhere).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AbstractionSpec {
     /// Latches to keep (`len == design.num_latches()`).
     pub kept_latches: Vec<bool>,

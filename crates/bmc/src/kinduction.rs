@@ -134,7 +134,7 @@ impl<'d> KInduction<'d> {
     /// wrong length.
     pub fn new(design: &'d Design, options: VerifyOptions) -> KInduction<'d> {
         let base = BmcEngine::new(design, Self::base_options(&options));
-        Self::assemble(base, options)
+        Self::with_base(base, options)
     }
 
     /// Creates an engine over an already-reduced model (see
@@ -147,7 +147,7 @@ impl<'d> KInduction<'d> {
     /// wrong length.
     pub fn with_model(reduced: &'d ReducedModel<'_>, options: VerifyOptions) -> KInduction<'d> {
         let base = BmcEngine::with_model(reduced, Self::base_options(&options));
-        Self::assemble(base, options)
+        Self::with_base(base, options)
     }
 
     /// The embedded bounded engine's options: proofs off (the step query
@@ -161,7 +161,14 @@ impl<'d> KInduction<'d> {
         o
     }
 
-    fn assemble(base: BmcEngine<'d>, options: VerifyOptions) -> KInduction<'d> {
+    /// Creates an engine whose base case continues on `base`: a bounded
+    /// engine configured as [`KInduction::base_options`]`(&options)`,
+    /// apart from its governor, which every `check` replaces. Bounds
+    /// `base` already refuted are skipped through its resume contract,
+    /// so the verification server hands a bounded request's engine on to
+    /// the k-induction request for the same property (see
+    /// [`crate::server`]).
+    pub(crate) fn with_base(base: BmcEngine<'d>, options: VerifyOptions) -> KInduction<'d> {
         let governor = options.pipeline.governor.clone();
         let step = StepQuery::new(base.model(), &options, governor.clone());
         KInduction {

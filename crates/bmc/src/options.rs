@@ -342,4 +342,43 @@ impl VerifyOptions {
         self.workers = workers;
         self
     }
+
+    /// Whether `self` and `other` agree on every option except
+    /// [`PipelineOptions::proof_engine`]. Their governors must set the
+    /// same limits; each may keep its own cancellation token.
+    pub(crate) fn agrees_except_engine(&self, other: &VerifyOptions) -> bool {
+        let VerifyOptions {
+            pipeline:
+                PipelineOptions {
+                    emm,
+                    simplify,
+                    rewrite,
+                    fraig,
+                    incremental,
+                    solve_budget,
+                    wall_limit,
+                    governor,
+                    proof_engine: _,
+                },
+            proofs,
+            validate_traces,
+            abstraction,
+            pba_discovery,
+            workers,
+        } = self;
+        let p = &other.pipeline;
+        *emm == p.emm
+            && *simplify == p.simplify
+            && *rewrite == p.rewrite
+            && *fraig == p.fraig
+            && *incremental == p.incremental
+            && *solve_budget == p.solve_budget
+            && *wall_limit == p.wall_limit
+            && governor.same_limits(&p.governor)
+            && *proofs == other.proofs
+            && *validate_traces == other.validate_traces
+            && *abstraction == other.abstraction
+            && *pba_discovery == other.pba_discovery
+            && *workers == other.workers
+    }
 }

@@ -11,6 +11,21 @@
 //! ordered by job id — the order of submission — so the output is
 //! identical at every worker count, fault injection included.
 //!
+//! A property asked under both engines shares its **base case** too. A
+//! [`ProofEngine::KInduction`] request is paired with the first unpaired
+//! [`ProofEngine::Bounded`] request on the same design `Arc` and property
+//! when, once each budget is applied, the two agree on the solve budget
+//! and every option but the proving engine, the bounded side has proofs
+//! off and no wall limit, and neither governor arms a fault. The pair
+//! runs as one pool job: the bounded check first, then a [`KInduction`]
+//! whose base case continues on the bounded run's engine — exactly the
+//! proofs-off engine it would have built — so the refuted bounds are
+//! skipped and only the step queries (and any deeper bounds) are solved.
+//! A bounded run that ended `Unknown` hands nothing on. The verdicts and
+//! depths are those of standalone engines; a k-induction response's
+//! `elapsed_seconds` counts only its own part. Every other request is a
+//! job of its own.
+//!
 //! After a batch, [`stats`](VerificationServer::stats) reports the
 //! throughput ([`ServerStats::jobs_per_sec`]); the bench harness records
 //! it per worker count in the `server` section of `BENCH_simplify.json`
@@ -49,7 +64,7 @@ use emm_aig::Design;
 use emm_core::{Job, JobResult, Pool};
 use emm_sat::{Budget, ExhaustionReason};
 
-use crate::engine::{BmcEngine, BmcVerdict};
+use crate::engine::{BmcEngine, BmcRun, BmcVerdict};
 use crate::kinduction::KInduction;
 use crate::model::ReducedModel;
 use crate::options::{ProofEngine, VerifyOptions};
@@ -105,7 +120,9 @@ pub struct VerifyResponse {
     pub verdict: BmcVerdict,
     /// Last depth the job fully processed.
     pub depth_reached: usize,
-    /// Wall-clock seconds the job spent checking.
+    /// Wall-clock seconds the job spent checking. A k-induction request
+    /// paired with a bounded one (see the module docs) counts only its
+    /// own part, after the bounded check it continues from.
     pub elapsed_seconds: f64,
     /// An engine error or worker panic, when one occurred.
     pub error: Option<String>,
@@ -200,45 +217,47 @@ impl VerificationServer {
             }));
         }
 
-        let jobs: Vec<Job<'_, JobOutput>> = requests
+        let units = units(&requests);
+        let jobs: Vec<Job<'_, Vec<JobOutput>>> = units
             .iter()
-            .zip(&group_of)
-            .map(|(req, &g)| {
-                let reduced = &groups[g].2;
-                Box::new(move || Self::run_one(reduced, req)) as Job<'_, _>
+            .map(|unit| {
+                let reduced = &groups[group_of[unit[0]]].2;
+                let unit = unit.iter().map(|&id| &requests[id]);
+                Box::new(move || Self::run_unit(reduced, unit)) as Job<'_, _>
             })
             .collect();
         let results = self.pool.run(jobs);
 
-        let responses: Vec<VerifyResponse> = results
-            .into_iter()
-            .enumerate()
-            .map(|(id, result)| match result {
-                JobResult::Done((verdict, depth_reached, elapsed_seconds, error)) => {
-                    VerifyResponse {
-                        id,
-                        verdict,
-                        depth_reached,
-                        elapsed_seconds,
-                        error,
+        let mut responses: Vec<VerifyResponse> = Vec::with_capacity(requests.len());
+        for (unit, result) in units.iter().zip(results) {
+            let mut respond = |id, (verdict, depth_reached, elapsed_seconds, error)| {
+                responses.push(VerifyResponse {
+                    id,
+                    verdict,
+                    depth_reached,
+                    elapsed_seconds,
+                    error,
+                })
+            };
+            match result {
+                JobResult::Done(outputs) => {
+                    for (&id, output) in unit.iter().zip(outputs) {
+                        respond(id, output);
                     }
                 }
-                JobResult::Skipped => VerifyResponse {
-                    id,
-                    verdict: cancelled_verdict(),
-                    depth_reached: 0,
-                    elapsed_seconds: 0.0,
-                    error: None,
-                },
-                JobResult::Panicked(msg) => VerifyResponse {
-                    id,
-                    verdict: cancelled_verdict(),
-                    depth_reached: 0,
-                    elapsed_seconds: 0.0,
-                    error: Some(msg),
-                },
-            })
-            .collect();
+                JobResult::Skipped => {
+                    for &id in unit {
+                        respond(id, (cancelled_verdict(), 0, 0.0, None));
+                    }
+                }
+                JobResult::Panicked(msg) => {
+                    for &id in unit {
+                        respond(id, (cancelled_verdict(), 0, 0.0, Some(msg.clone())));
+                    }
+                }
+            }
+        }
+        responses.sort_unstable_by_key(|r| r.id);
 
         let elapsed = started.elapsed().as_secs_f64();
         self.stats = ServerStats {
@@ -259,43 +278,204 @@ impl VerificationServer {
         self.stats
     }
 
-    fn run_one(reduced: &ReducedModel<'_>, req: &VerifyRequest) -> JobOutput {
-        let options = req
-            .options
-            .clone()
-            .governor(req.options.pipeline.governor.fork())
-            .solve_budget(req.budget.solve.clone())
-            .wall_limit(req.budget.wall_limit);
-        let started = Instant::now();
-        // Dispatch on the configured proving engine: the bounded BMC
-        // loop, or the unbounded k-induction closure.
-        let checked =
-            match options.pipeline.proof_engine {
-                ProofEngine::Bounded => BmcEngine::with_model(reduced, options)
-                    .check(req.property, req.budget.max_depth),
-                ProofEngine::KInduction => KInduction::with_model(reduced, options)
-                    .check(req.property, req.budget.max_depth),
+    /// Runs one unit's requests in order on fresh engines over the
+    /// shared model, except that a k-induction request continues on the
+    /// engine of the bounded request before it. Only a bounded run that
+    /// ended cleanly (bound reached or a counterexample) is handed on: a
+    /// bound left `Unknown` would be re-asked from another solver state
+    /// than a standalone k-induction run meets.
+    fn run_unit<'a>(
+        reduced: &ReducedModel<'_>,
+        unit: impl Iterator<Item = &'a VerifyRequest>,
+    ) -> Vec<JobOutput> {
+        let mut base: Option<BmcEngine<'_>> = None;
+        unit.map(|req| {
+            let options = job_options(req).governor(req.options.pipeline.governor.fork());
+            let started = Instant::now();
+            let checked = match options.pipeline.proof_engine {
+                ProofEngine::Bounded => {
+                    let engine = base.insert(BmcEngine::with_model(reduced, options));
+                    let run = engine.check(req.property, req.budget.max_depth);
+                    if !matches!(
+                        run,
+                        Ok(BmcRun {
+                            verdict: BmcVerdict::BoundReached | BmcVerdict::Counterexample(_),
+                            ..
+                        })
+                    ) {
+                        base = None;
+                    }
+                    run
+                }
+                ProofEngine::KInduction => match base.take() {
+                    Some(engine) => KInduction::with_base(engine, options),
+                    None => KInduction::with_model(reduced, options),
+                }
+                .check(req.property, req.budget.max_depth),
             };
-        match checked {
-            Ok(run) => (
-                run.verdict,
-                run.depth_reached,
-                started.elapsed().as_secs_f64(),
-                None,
-            ),
-            Err(e) => (
-                cancelled_verdict(),
-                0,
-                started.elapsed().as_secs_f64(),
-                Some(e.to_string()),
-            ),
+            let elapsed_seconds = started.elapsed().as_secs_f64();
+            match checked {
+                Ok(run) => (run.verdict, run.depth_reached, elapsed_seconds, None),
+                Err(e) => (cancelled_verdict(), 0, elapsed_seconds, Some(e.to_string())),
+            }
+        })
+        .collect()
+    }
+}
+
+/// Splits a batch into pool jobs, each a list of request ids in run
+/// order. A k-induction request takes the first untaken bounded request
+/// whose engine is its base case (see [`shares_base`]), and the pair
+/// runs as one job, bounded side first. Every other request is a unit
+/// of its own. Units are ordered by their first request.
+fn units(requests: &[VerifyRequest]) -> Vec<Vec<usize>> {
+    let mut twin: Vec<Option<usize>> = vec![None; requests.len()];
+    let mut taken: Vec<bool> = vec![false; requests.len()];
+    for (k, req) in requests.iter().enumerate() {
+        if let Some(b) =
+            (0..requests.len()).find(|&b| twin[b].is_none() && shares_base(&requests[b], req))
+        {
+            twin[b] = Some(k);
+            taken[k] = true;
         }
     }
+    (0..requests.len())
+        .filter(|&id| !taken[id])
+        .map(|id| std::iter::once(id).chain(twin[id]).collect())
+        .collect()
+}
+
+/// A request's options with its budget applied: the solve budget and
+/// the wall limit. The job forks the governor on top.
+fn job_options(req: &VerifyRequest) -> VerifyOptions {
+    req.options
+        .clone()
+        .solve_budget(req.budget.solve.clone())
+        .wall_limit(req.budget.wall_limit)
+}
+
+/// Whether the k-induction request `kinduction` may continue on the
+/// engine of the bounded request `bounded`: same design and property,
+/// every option but the proving engine equal once the budgets are
+/// applied, proofs off, no wall limit, and no armed fault injector.
+/// The bounded engine is then exactly the base case
+/// [`KInduction::with_model`] would build (proofs off, no wall limit),
+/// and its governor's fault counter cannot be shifted by frames the
+/// other request unrolled.
+fn shares_base(bounded: &VerifyRequest, kinduction: &VerifyRequest) -> bool {
+    if !Arc::ptr_eq(&bounded.design, &kinduction.design)
+        || bounded.property != kinduction.property
+        || bounded.options.pipeline.proof_engine != ProofEngine::Bounded
+        || kinduction.options.pipeline.proof_engine != ProofEngine::KInduction
+    {
+        return false;
+    }
+    let (b, k) = (job_options(bounded), job_options(kinduction));
+    !b.proofs
+        && b.pipeline.wall_limit.is_none()
+        && !b.pipeline.governor.is_armed()
+        && b.agrees_except_engine(&k)
 }
 
 fn cancelled_verdict() -> BmcVerdict {
     BmcVerdict::Unknown {
         reason: ExhaustionReason::Cancelled,
         deepest_clean_bound: None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use emm_aig::LatchInit;
+    use emm_sat::{FaultSite, ResourceGovernor};
+
+    fn counter() -> Arc<Design> {
+        let mut d = Design::new();
+        let count = d.new_latch_word("count", 3, LatchInit::Zero);
+        let next = d.aig.inc(&count);
+        d.set_next_word(&count, &next);
+        let bad = d.aig.eq_const(&count, 5);
+        d.add_property("reaches5", bad);
+        let one = d.aig.eq_const(&count, 1);
+        d.add_property("reaches1", one);
+        d.check().expect("well-formed");
+        Arc::new(d)
+    }
+
+    fn request(design: &Arc<Design>, property: usize, engine: ProofEngine) -> VerifyRequest {
+        VerifyRequest {
+            design: Arc::clone(design),
+            property,
+            budget: VerifyBudget::default(),
+            options: VerifyOptions::default().proof_engine(engine),
+        }
+    }
+
+    #[test]
+    fn each_kinduction_request_pairs_with_one_bounded_twin() {
+        let d = counter();
+        let mut deeper = request(&d, 0, ProofEngine::KInduction);
+        deeper.budget.max_depth = 50;
+        let requests = [
+            deeper,
+            request(&d, 0, ProofEngine::Bounded),
+            request(&d, 1, ProofEngine::Bounded),
+            request(&d, 1, ProofEngine::KInduction),
+            request(&d, 0, ProofEngine::KInduction),
+        ];
+        assert_eq!(units(&requests), vec![vec![1, 0], vec![2, 3], vec![4]]);
+    }
+
+    #[test]
+    fn requests_that_must_not_share_run_alone() {
+        let d = counter();
+        let same_content = Arc::new(d.as_ref().clone());
+        let armed = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 5);
+        type Vary = fn(&mut VerifyRequest, &mut VerifyRequest);
+        let variants: [(&str, Vary); 8] = [
+            ("bounded proofs on", |b, _| b.options.proofs = true),
+            ("proofs on both sides", |b, k| {
+                b.options.proofs = true;
+                k.options.proofs = true;
+            }),
+            ("bounded wall limit", |b, _| {
+                b.budget.wall_limit = Some(Duration::from_secs(60))
+            }),
+            ("k-induction wall limit", |_, k| {
+                k.budget.wall_limit = Some(Duration::from_secs(60))
+            }),
+            ("differing solve budgets", |b, _| {
+                b.budget.solve = Budget::conflicts(1 << 20)
+            }),
+            ("differing options", |_, k| {
+                k.options.validate_traces = false
+            }),
+            ("other property", |_, k| k.property = 1),
+            ("both bounded", |_, k| {
+                k.options.pipeline.proof_engine = ProofEngine::Bounded
+            }),
+        ];
+        for (what, vary) in variants {
+            let (mut b, mut k) = (
+                request(&d, 0, ProofEngine::Bounded),
+                request(&d, 0, ProofEngine::KInduction),
+            );
+            vary(&mut b, &mut k);
+            assert_eq!(units(&[b, k]), vec![vec![0], vec![1]], "{what}");
+        }
+        for armed_side in [0, 1] {
+            let mut pair = [
+                request(&d, 0, ProofEngine::Bounded),
+                request(&d, 0, ProofEngine::KInduction),
+            ];
+            pair[armed_side].options.pipeline.governor = armed.clone();
+            assert_eq!(units(&pair), vec![vec![0], vec![1]], "armed fault");
+        }
+        let apart = [
+            request(&d, 0, ProofEngine::Bounded),
+            request(&same_content, 0, ProofEngine::KInduction),
+        ];
+        assert_eq!(units(&apart), vec![vec![0], vec![1]], "another design");
     }
 }

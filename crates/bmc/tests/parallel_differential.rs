@@ -9,15 +9,18 @@
 //! 1/2/4 (and 0 for the shared reduction); worker count 1 is the
 //! pool's inline sequential reference.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use emm_aig::{fraig_design_governed, Design, FraigConfig, LatchInit, RewriteConfig};
 use emm_bmc::pba::{self, PbaConfig};
 use emm_bmc::{
-    PipelineOptions, ReducedModel, VerificationServer, VerifyBudget, VerifyOptions, VerifyRequest,
+    BmcEngine, BmcVerdict, KInduction, ModelSource, PipelineOptions, ProofEngine, ReducedModel,
+    VerificationServer, VerifyBudget, VerifyOptions, VerifyRequest,
 };
 use emm_core::Pool;
-use emm_sat::{FaultSite, ResourceGovernor};
+use emm_designs::gen::{random_design, GenConfig};
+use emm_sat::{Budget, FaultSite, ResourceGovernor};
 
 /// A counter design with redundant logic (fraig fodder) and a mix of
 /// reachable and unreachable properties.
@@ -189,9 +192,18 @@ fn response_keys(responses: &[emm_bmc::VerifyResponse]) -> Vec<(usize, String, u
 }
 
 fn submit_batch(server: &mut VerificationServer, governor: &ResourceGovernor) {
+    for request in batch_requests(governor, &[ProofEngine::Bounded]) {
+        server.submit(request);
+    }
+}
+
+/// The batch of [`submit_batch`], each request once per engine in
+/// `engines` (consecutive ids), all on one pair of design `Arc`s.
+fn batch_requests(governor: &ResourceGovernor, engines: &[ProofEngine]) -> Vec<VerifyRequest> {
     let counter = Arc::new(redundant_counter());
     let memory = Arc::new(memory_design());
     let options = VerifyOptions::default().governor(governor.clone());
+    let mut requests = Vec::new();
     for (design, property, max_depth) in [
         (Arc::clone(&counter), 0usize, 16usize),
         (Arc::clone(&counter), 1, 8),
@@ -199,16 +211,55 @@ fn submit_batch(server: &mut VerificationServer, governor: &ResourceGovernor) {
         (Arc::clone(&memory), 1, 10),
         (counter, 0, 6),
     ] {
-        server.submit(VerifyRequest {
-            design,
-            property,
-            budget: VerifyBudget {
-                max_depth,
-                ..VerifyBudget::default()
-            },
-            options: options.clone(),
-        });
+        for &engine in engines {
+            requests.push(VerifyRequest {
+                design: Arc::clone(&design),
+                property,
+                budget: VerifyBudget {
+                    max_depth,
+                    ..VerifyBudget::default()
+                },
+                options: options.clone().proof_engine(engine),
+            });
+        }
     }
+    requests
+}
+
+/// Responses flattened as by [`response_keys`], without the ids.
+type Answers = Vec<(String, usize, bool)>;
+
+/// Runs `requests` as one batch on `workers` threads.
+fn run_batch(workers: usize, requests: Vec<VerifyRequest>) -> Answers {
+    let mut server = VerificationServer::new(workers);
+    for request in requests {
+        server.submit(request);
+    }
+    response_keys(&server.run())
+        .into_iter()
+        .map(|(_, verdict, depth, error)| (verdict, depth, error))
+        .collect()
+}
+
+/// The flattened responses of one batch with `requests(&[Bounded,
+/// KInduction])`, and those of one batch per engine, interleaved into
+/// the same order.
+fn mixed_and_single(
+    workers: usize,
+    requests: impl Fn(&[ProofEngine]) -> Vec<VerifyRequest>,
+) -> (Answers, Answers) {
+    let mixed = run_batch(
+        workers,
+        requests(&[ProofEngine::Bounded, ProofEngine::KInduction]),
+    );
+    let bounded = run_batch(workers, requests(&[ProofEngine::Bounded]));
+    let kinduction = run_batch(workers, requests(&[ProofEngine::KInduction]));
+    let single = bounded
+        .into_iter()
+        .zip(kinduction)
+        .flat_map(|(b, k)| [b, k])
+        .collect();
+    (mixed, single)
 }
 
 #[test]
@@ -238,6 +289,25 @@ fn server_fault_injection_is_deterministic() {
     }
     assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");
     assert_eq!(outcomes[0], outcomes[2], "1 vs 4 workers diverged");
+
+    // Both engines per request in one batch: an armed fault forbids
+    // sharing an engine, so every response equals the same request's in
+    // a single-engine batch, at every worker count.
+    let mut mixed_outcomes = Vec::new();
+    for workers in [1usize, 2, 4] {
+        let governor = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 5);
+        let (mixed, single) = mixed_and_single(workers, |e| batch_requests(&governor, e));
+        assert_eq!(mixed, single, "{workers} workers: mixed batch diverged");
+        mixed_outcomes.push(mixed);
+    }
+    assert_eq!(
+        mixed_outcomes[0], mixed_outcomes[1],
+        "mixed: 1 vs 2 workers diverged"
+    );
+    assert_eq!(
+        mixed_outcomes[0], mixed_outcomes[2],
+        "mixed: 1 vs 4 workers diverged"
+    );
 }
 
 #[test]
@@ -308,5 +378,205 @@ fn server_kinduction_matches_direct_engine_across_worker_counts() {
             outcomes[0][i].2, direct.depth_reached,
             "job {i}: depth reached diverged"
         );
+    }
+}
+
+/// A corpus file, loaded through the frontend.
+fn corpus(name: &str) -> Arc<Design> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../corpus")
+        .join(name);
+    ModelSource::from_path(&path)
+        .load()
+        .unwrap_or_else(|e| panic!("cannot load {}: {e}", path.display()))
+}
+
+/// A verdict's class and depth. Two engines that find a counterexample
+/// at the same bound may find different traces, so a trace is checked
+/// by replay instead.
+fn outcome(verdict: &BmcVerdict) -> String {
+    match verdict {
+        BmcVerdict::Counterexample(trace) => format!("cex@{}", trace.depth()),
+        other => format!("{other:?}"),
+    }
+}
+
+/// One job of a mixed-engine batch.
+struct MixedJob {
+    design: Arc<Design>,
+    property: usize,
+    engine: ProofEngine,
+    max_depth: usize,
+    solve: Budget,
+}
+
+/// Corpus files plus seeded generated designs, every property under both
+/// engines in one batch. Most pairs share the bounded engine as the
+/// k-induction base case.
+fn mixed_jobs() -> Vec<MixedJob> {
+    let job = |design: &Arc<Design>, property, engine, max_depth, solve: &Budget| MixedJob {
+        design: Arc::clone(design),
+        property,
+        engine,
+        max_depth,
+        solve: solve.clone(),
+    };
+    let mut designs = vec![
+        corpus("gen_s7.aag"),
+        corpus("image_filter_l4.btor2"),
+        corpus("lifo_a2d2.btor2"),
+    ];
+    designs.extend((1..=3).map(|seed| Arc::new(random_design(&GenConfig::btor2_guarded(), seed))));
+    let mut jobs = Vec::new();
+    for (d, design) in designs.iter().enumerate() {
+        for property in 0..design.properties().len() {
+            // Unequal depths on two image-filter pairs: k-induction goes
+            // past the bounded run's last bound to its counterexample
+            // (p3, cex@7), or stops short of the bounded run's (p0,
+            // cex@4).
+            let depths = match (d, property) {
+                (1, 3) => [4, 12],
+                (1, 0) => [10, 3],
+                _ => [10, 10],
+            };
+            let mut pair = [ProofEngine::Bounded, ProofEngine::KInduction]
+                .into_iter()
+                .zip(depths)
+                .map(|(engine, max_depth)| {
+                    job(design, property, engine, max_depth, &Budget::unlimited())
+                })
+                .collect::<Vec<_>>();
+            // Submission order does not decide the pairing.
+            if d % 2 == 1 {
+                pair.reverse();
+            }
+            jobs.extend(pair);
+        }
+    }
+    // A pair on a 3-conflict budget: the bounded run ends `Unknown` at
+    // bound 3, where a standalone k-induction base case gives up too.
+    let tight = Budget::conflicts(3);
+    jobs.push(job(&designs[1], 0, ProofEngine::Bounded, 10, &tight));
+    jobs.push(job(&designs[1], 0, ProofEngine::KInduction, 10, &tight));
+    jobs
+}
+
+#[test]
+fn server_mixed_engine_batches_match_standalone_engines() {
+    let jobs = mixed_jobs();
+    let options = |engine| VerifyOptions::default().proof_engine(engine);
+    let standalone: Vec<(String, usize)> =
+        jobs.iter()
+            .map(|job| {
+                let pipeline = PipelineOptions::default();
+                let reduced = ReducedModel::reduce(
+                    &job.design,
+                    &pipeline.rewrite,
+                    &pipeline.fraig,
+                    &pipeline.governor,
+                    0,
+                );
+                let options = options(job.engine).solve_budget(job.solve.clone());
+                let run =
+                    match job.engine {
+                        ProofEngine::Bounded => BmcEngine::with_model(&reduced, options)
+                            .check(job.property, job.max_depth),
+                        ProofEngine::KInduction => KInduction::with_model(&reduced, options)
+                            .check(job.property, job.max_depth),
+                    }
+                    .expect("standalone run");
+                (outcome(&run.verdict), run.depth_reached)
+            })
+            .collect();
+    let found = |engine, prefix: &str| {
+        jobs.iter()
+            .zip(&standalone)
+            .any(|(job, (verdict, _))| job.engine == engine && verdict.starts_with(prefix))
+    };
+    assert!(
+        found(ProofEngine::Bounded, "cex@"),
+        "a bounded run finds a cex"
+    );
+    assert!(
+        found(ProofEngine::KInduction, "Proved"),
+        "a k-induction run proves"
+    );
+    assert!(
+        found(ProofEngine::Bounded, "Unknown"),
+        "a bounded run gives up"
+    );
+
+    for workers in [1usize, 2, 4] {
+        let mut server = VerificationServer::new(workers);
+        for job in &jobs {
+            server.submit(VerifyRequest {
+                design: Arc::clone(&job.design),
+                property: job.property,
+                budget: VerifyBudget {
+                    max_depth: job.max_depth,
+                    solve: job.solve.clone(),
+                    wall_limit: None,
+                },
+                options: options(job.engine),
+            });
+        }
+        let responses = server.run();
+        assert_eq!(responses.len(), jobs.len());
+        for (id, ((job, response), expected)) in
+            jobs.iter().zip(&responses).zip(&standalone).enumerate()
+        {
+            let label = format!(
+                "{workers} workers, job {id} ({:?} p{})",
+                job.engine, job.property
+            );
+            assert_eq!(response.id, id, "{label}");
+            assert_eq!(response.error, None, "{label}");
+            assert_eq!(
+                (outcome(&response.verdict), response.depth_reached),
+                *expected,
+                "{label}: diverged from the standalone engine"
+            );
+            if let BmcVerdict::Counterexample(trace) = &response.verdict {
+                assert_eq!(trace.property, job.property, "{label}");
+                trace
+                    .validate(&job.design)
+                    .unwrap_or_else(|e| panic!("{label}: trace does not replay: {e}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn server_pairs_that_must_not_share_match_single_engine_batches() {
+    // A mixed batch whose pairs may not share an engine (proofs on, a
+    // wall limit, differing solve budgets) answers every request exactly
+    // as a single-engine batch does. An armed fault is covered by
+    // `server_fault_injection_is_deterministic`.
+    type Vary = fn(&mut VerifyRequest);
+    let variants: [(&str, Vary); 4] = [
+        ("bounded proofs on", |r| {
+            if r.options.pipeline.proof_engine == ProofEngine::Bounded {
+                r.options.proofs = true;
+            }
+        }),
+        ("proofs on both sides", |r| r.options.proofs = true),
+        ("wall limit", |r| {
+            r.budget.wall_limit = Some(std::time::Duration::from_secs(600))
+        }),
+        ("differing solve budgets", |r| {
+            if r.options.pipeline.proof_engine == ProofEngine::Bounded {
+                r.budget.solve = Budget::conflicts(1 << 20);
+            }
+        }),
+    ];
+    let governor = ResourceGovernor::unlimited();
+    for (what, vary) in variants {
+        let varied = |engines: &[ProofEngine]| {
+            let mut requests = batch_requests(&governor, engines);
+            requests.iter_mut().for_each(vary);
+            requests
+        };
+        let (mixed, single) = mixed_and_single(2, varied);
+        assert_eq!(mixed, single, "{what}: mixed batch diverged");
     }
 }

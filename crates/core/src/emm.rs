@@ -66,7 +66,7 @@ pub enum ForwardingEncoding {
 }
 
 /// Encoder options.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EmmOptions {
     /// Abstraction selector granularity.
     pub selectors: SelectorGranularity,

@@ -205,6 +205,29 @@ impl ResourceGovernor {
         self.memory_limit
     }
 
+    /// Whether the fault injector is armed ([`ResourceGovernor::with_fault`]).
+    pub fn is_armed(&self) -> bool {
+        self.fault.is_some()
+    }
+
+    /// Whether `other` sets the same limits and fault arming: the two
+    /// differ at most in their cancellation and fault-counter state.
+    pub fn same_limits(&self, other: &ResourceGovernor) -> bool {
+        (
+            self.deadline,
+            self.max_conflicts,
+            self.max_propagations,
+            self.memory_limit,
+            self.fault,
+        ) == (
+            other.deadline,
+            other.max_conflicts,
+            other.max_propagations,
+            other.memory_limit,
+            other.fault,
+        )
+    }
+
     /// Derives a child governor for one parallel job: same limits and
     /// fault arming, but a *fresh* cancellation flag and fault counter.
     ///

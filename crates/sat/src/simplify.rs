@@ -66,7 +66,7 @@ use crate::sink::CnfSink;
 /// one at all. Callers that honour it build a [`Simplifier`] only when
 /// [`SimplifyConfig::enabled`] is set and otherwise emit straight into the
 /// solver (the naive seed encoding).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimplifyConfig {
     /// Route clause and gate traffic through a [`Simplifier`].
     pub enabled: bool,

@@ -106,7 +106,7 @@ impl SolverConfig {
 /// When a limit is exceeded the solver returns [`SolveResult::Unknown`],
 /// mirroring the paper's time-limited experimental methodology (Table 1
 /// reports `>3hr` timeouts for explicit memory modeling).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Maximum conflicts for this call, counted from the start of the
     /// call (`None` = unlimited).

@@ -35,29 +35,46 @@ fn main() {
     println!("image_filter_l4 p0: {verdict:?} at depth {depth}");
     assert!(verdict.is_counterexample(), "p0 is a reachable property");
 
-    // Then the batch path: every property of every corpus file.
+    // Then the batch path: every property of every corpus file, plus
+    // unbounded proofs of the FIFO/LIFO invariants by k-induction in the
+    // same batch. Each file is loaded once, so a k-induction request
+    // shares its design with the bounded request for the same property:
+    // the server runs the two as one job, and the k-induction base case
+    // reuses the bounded run's refuted bounds.
     let budget = VerifyBudget {
         max_depth: 10,
         ..VerifyBudget::default()
     };
+    let inductive = VerifyOptions::default().proof_engine(ProofEngine::KInduction);
     let mut server = VerificationServer::new(2);
     let mut labels = Vec::new();
+    let mut induction_ids = Vec::new();
     for path in &files {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let ids = server
-            .submit_model(
-                &ModelSource::from_path(path),
-                &budget,
-                &VerifyOptions::default(),
-            )
+        let design = ModelSource::from_path(path)
+            .load()
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        for prop in 0..ids.len() {
-            labels.push(format!("{name}:p{prop}"));
+        let source = ModelSource::Design(design);
+        let ids = server
+            .submit_model(&source, &budget, &VerifyOptions::default())
+            .expect("a loaded design always submits");
+        labels.extend(
+            ids.iter()
+                .enumerate()
+                .map(|(prop, &id)| (id, format!("{name}:p{prop}"))),
+        );
+        if matches!(name.as_str(), "fifo_a2d2.btor2" | "lifo_a2d2.btor2") {
+            induction_ids.extend(
+                server
+                    .submit_model(&source, &budget, &inductive)
+                    .expect("a loaded design always submits"),
+            );
         }
     }
     let responses = server.run();
     let mut cex = 0;
-    for (label, r) in labels.iter().zip(&responses) {
+    for (id, label) in &labels {
+        let r = &responses[*id];
         assert!(r.error.is_none(), "{label}: job error {:?}", r.error);
         println!("  {label}: {:?} (depth {})", r.verdict, r.depth_reached);
         if r.verdict.is_counterexample() {
@@ -75,24 +92,14 @@ fn main() {
     // The image filter's reachable property bank guarantees witnesses.
     assert!(cex > 0, "corpus must contain reachable properties");
 
-    // Unbounded proofs from the same files: the FIFO/LIFO invariants
-    // close under k-induction — same submit_model call, different
-    // ProofEngine on the options.
-    let inductive = VerifyOptions::default().proof_engine(ProofEngine::KInduction);
-    let mut server = VerificationServer::new(2);
-    for name in ["fifo_a2d2.btor2", "lifo_a2d2.btor2"] {
-        server
-            .submit_model(&ModelSource::from_path(dir.join(name)), &budget, &inductive)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-    }
-    let responses = server.run();
     let mut proved = 0;
-    for r in &responses {
-        println!("  induction job {}: {:?}", r.id, r.verdict);
+    for &id in &induction_ids {
+        let r = &responses[id];
+        assert!(r.error.is_none(), "induction job {id}: error {:?}", r.error);
+        println!("  induction job {id}: {:?}", r.verdict);
         assert!(
             !r.verdict.is_counterexample(),
-            "job {}: an invariant workload produced a counterexample",
-            r.id
+            "job {id}: an invariant workload produced a counterexample"
         );
         if matches!(r.verdict, emm_verif::bmc::BmcVerdict::Proved { .. }) {
             proved += 1;
@@ -103,6 +110,6 @@ fn main() {
     assert!(proved >= 2, "expected the inductive invariants to close");
     println!(
         "{proved}/{} invariants proved by k-induction",
-        responses.len()
+        induction_ids.len()
     );
 }
