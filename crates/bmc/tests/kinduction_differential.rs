@@ -17,7 +17,7 @@
 
 use emm_aig::{Aig, Design, LatchInit, MemInit};
 use emm_bdd::{check_invariant, OracleVerdict, SymbolicOptions};
-use emm_bmc::{BmcEngine, BmcVerdict, KInduction, ProofKind, VerifyOptions};
+use emm_bmc::{BmcEngine, BmcVerdict, KInduction, ProofEngine, ProofKind, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::image_filter::{ImageFilter, ImageFilterConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
@@ -368,4 +368,77 @@ fn quicksort_agreement_with_bounded_engine() {
         !matches!(ki, BmcVerdict::Counterexample(_)),
         "clean quicksort refuted by k-induction: {ki:?}"
     );
+}
+
+/// One k-induction job's per-context counters on the default options:
+/// the base case's conflicts, then the step solver's conflicts,
+/// variables and original clauses, and the completed step queries. The
+/// base case's query sequence is the proofs-off bounded loop's, one
+/// counterexample query per bound, so the base conflicts are read from a
+/// `BmcEngine` built with `ProofEngine::KInduction` and run to the depth
+/// the k-induction run reached.
+fn job_counters(d: &Design, prop: usize, max_k: usize) -> (BmcVerdict, [u64; 5]) {
+    let mut ki = KInduction::new(d, VerifyOptions::default());
+    let run = ki.check(prop, max_k).expect("kinduction");
+    let (step_vars, step) = ki.step_solver_stats();
+    let mut base = BmcEngine::new(
+        d,
+        VerifyOptions::default().proof_engine(ProofEngine::KInduction),
+    );
+    base.check(prop, run.depth_reached).expect("base case");
+    let counters = [
+        base.solver_stats().1.conflicts,
+        step.conflicts,
+        step_vars as u64,
+        step.original_clauses,
+        ki.step_queries(),
+    ];
+    (run.verdict, counters)
+}
+
+/// Pins the per-context counters of k-induction jobs that end
+/// `BoundReached` (quicksort, AW=6 DW=4, `max_k` 20) and `Proved` (fifo
+/// `no_overflow` at `k = 1`). Each job runs twice: its base case and its
+/// step run on two threads, and the counters must not depend on their
+/// schedule.
+#[test]
+fn kinduction_counters_are_pinned() {
+    // (n, property, [base conflicts, step conflicts, step vars, step
+    // clauses, step queries])
+    let pinned = [
+        (3, "p1", [99, 654, 21515, 79223, 21]),
+        (3, "p2", [90, 720, 21515, 80609, 21]),
+        (4, "p1", [210, 406, 21557, 79283, 21]),
+        (4, "p2", [848, 696, 21557, 80732, 21]),
+    ];
+    for (n, name, expected) in pinned {
+        let qs = QuickSort::new(QuickSortConfig {
+            n,
+            addr_width: 6,
+            data_width: 4,
+            bug: Bug::None,
+        });
+        let prop = if name == "p1" { qs.p1.0 } else { qs.p2.0 } as usize;
+        for _ in 0..2 {
+            let (verdict, counters) = job_counters(&qs.design, prop, 20);
+            assert!(
+                matches!(verdict, BmcVerdict::BoundReached),
+                "quicksort n={n} {name}: {verdict:?}"
+            );
+            assert_eq!(counters, expected, "quicksort n={n} {name}");
+        }
+    }
+
+    let fifo = Fifo::new(FifoConfig {
+        addr_width: 2,
+        data_width: 2,
+    });
+    for _ in 0..2 {
+        let (verdict, counters) = job_counters(&fifo.design, fifo.no_overflow.0 as usize, 10);
+        assert!(
+            matches!(verdict, BmcVerdict::Proved { k: 1 }),
+            "fifo no_overflow: {verdict:?}"
+        );
+        assert_eq!(counters, [0, 4, 151, 210, 2], "fifo no_overflow");
+    }
 }
