@@ -12,8 +12,9 @@
 //!   the verdict, depth, wall time, and the anchored solver's
 //!   variable/clause counts (what the encoders actually emitted under
 //!   the default simplifying pipeline);
-//! * `induction` — the [`KInduction`] engine over the same depth budget
-//!   (base-case solver counts, comparable to the bounded row).
+//! * `induction` — the [`BmcEngine`] under the k-induction schedule over
+//!   the same depth budget (base-case solver counts, comparable to the
+//!   bounded row).
 //!
 //! The whole corpus is then replayed through [`VerificationServer`]
 //! batches at pool sizes 1 and 4 via
@@ -46,7 +47,8 @@ use emm_aig::btor2::write_btor2;
 use emm_aig::Design;
 use emm_bench::ServerRow;
 use emm_bmc::{
-    BmcEngine, BmcVerdict, KInduction, ModelSource, VerificationServer, VerifyBudget, VerifyOptions,
+    BmcEngine, BmcVerdict, ModelSource, ProofEngine, VerificationServer, VerifyBudget,
+    VerifyOptions,
 };
 use emm_core::explicit_model;
 use emm_designs::fifo::{Fifo, FifoConfig};
@@ -239,10 +241,11 @@ fn run_rows(name: &str, design: &Arc<Design>, max_depth: usize, timeout: Duratio
         });
 
         let started = Instant::now();
-        let mut engine = KInduction::new(design.as_ref(), options(timeout));
+        let induction = options(timeout).proof_engine(ProofEngine::KInduction);
+        let mut engine = BmcEngine::new(design.as_ref(), induction);
         let run = engine.check(prop, max_depth).expect("induction check");
         let seconds = started.elapsed().as_secs_f64();
-        let (vars, stats) = engine.base().solver_stats();
+        let (vars, stats) = engine.solver_stats();
         rows.push(Row {
             benchmark,
             mode: "induction",
@@ -251,7 +254,7 @@ fn run_rows(name: &str, design: &Arc<Design>, max_depth: usize, timeout: Duratio
             seconds,
             vars,
             clauses: stats.original_clauses,
-            emm_clauses: engine.base().emm_stats().clauses,
+            emm_clauses: engine.emm_stats().clauses,
         });
     }
     rows

@@ -12,9 +12,9 @@
 //! (the default sink solved bound-to-bound on one long-lived solver with
 //! clause retirement, against a restart-from-scratch leg of the same
 //! configuration), and the
-//! `kinduction` row (the unbounded engine's interleaved base case and
-//! floating inductive step, recording per-depth seconds, step-query
-//! counts, and the step solver's footprint) — recording solver
+//! `kinduction` row (the k-induction schedule's base case and floating
+//! inductive step, recording per-depth seconds, step-query counts, and
+//! the step solver's footprint) — recording solver
 //! variable/clause counts at the deepest checked frame, wall time
 //! (per-bound for the incremental pair and the k loop), retired-clause
 //! totals, and the layers' cache / fraig / rewrite counters.
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use emm_aig::{FraigConfig, RewriteConfig};
 use emm_bench::{secs, ServerRow};
 use emm_bmc::{
-    BmcEngine, BmcVerdict, KInduction, VerificationServer, VerifyBudget, VerifyOptions,
+    BmcEngine, BmcVerdict, ProofEngine, VerificationServer, VerifyBudget, VerifyOptions,
     VerifyRequest,
 };
 use emm_designs::quicksort::{QuickSort, QuickSortConfig};
@@ -81,13 +81,11 @@ struct KinductionExtras {
     max_k: usize,
     /// Step queries run to completion (SAT or UNSAT).
     step_queries: u64,
-    /// Deepest depth where induction failed (step query SAT), if any.
-    steps_failed: Option<usize>,
     /// Variable count of the step solver at exit.
     step_vars: usize,
     /// Clause count of the step solver at exit.
     step_clauses: u64,
-    /// Wall seconds per interleaved base-bound/step-depth iteration.
+    /// Wall seconds per bound (base case and step together).
     per_k_seconds: Vec<f64>,
 }
 
@@ -310,9 +308,9 @@ fn run_incremental(
     }
 }
 
-/// The `kinduction` mode: the [`KInduction`] engine on the default
-/// configuration, base case and floating inductive step interleaved up
-/// to a fixed depth cap. The headline `vars`/`clauses` come
+/// The `kinduction` mode: the [`BmcEngine`] under the k-induction
+/// schedule on the default configuration, base case and floating
+/// inductive step up to a fixed depth cap. The headline `vars`/`clauses` come
 /// from the base-case solver (comparable to the anchored rows); the
 /// step solver's footprint and the per-depth lifecycle counters go into
 /// the extras.
@@ -324,12 +322,17 @@ fn run_kinduction(
     timeout: Duration,
 ) -> RunRecord {
     let started = Instant::now();
-    let mut engine = KInduction::new(design, VerifyOptions::default().wall_limit(Some(timeout)));
+    let options = VerifyOptions::default()
+        .wall_limit(Some(timeout))
+        .proof_engine(ProofEngine::KInduction);
+    let mut engine = BmcEngine::new(design, options);
     let run = engine.check(prop, max_k).expect("bench run");
     let elapsed = started.elapsed();
-    let (vars, solver_stats) = engine.base().solver_stats();
-    let emm = engine.base().emm_stats();
-    let (step_vars, step_stats) = engine.step_solver_stats();
+    let (vars, solver_stats) = engine.solver_stats();
+    let emm = engine.emm_stats();
+    let (step_vars, step_stats) = engine
+        .floating_solver_stats()
+        .expect("the k-induction schedule has a floating context");
     RunRecord {
         benchmark: benchmark.to_string(),
         mode: Mode::Kinduction.name(),
@@ -341,14 +344,13 @@ fn run_kinduction(
         clauses: solver_stats.original_clauses,
         emm_clauses: emm.clauses,
         cmp_cache_hits: emm.cmp_cache_hits,
-        simplify: engine.base().simplify_stats(),
+        simplify: engine.simplify_stats(),
         fraig: None,
         rewrite: None,
         incremental: None,
         kinduction: Some(KinductionExtras {
             max_k,
             step_queries: engine.step_queries(),
-            steps_failed: engine.steps_failed(),
             step_vars,
             step_clauses: step_stats.original_clauses,
             per_k_seconds: run.per_bound_seconds,
@@ -479,14 +481,10 @@ fn json_record(r: &RunRecord) -> String {
     if let Some(extra) = &r.kinduction {
         write!(
             s,
-            ", \"max_k\": {}, \"step_queries\": {}, \"steps_failed\": {}, \
+            ", \"max_k\": {}, \"step_queries\": {}, \
              \"step_vars\": {}, \"step_clauses\": {}, \"per_k_seconds\": [{}]",
             extra.max_k,
             extra.step_queries,
-            match extra.steps_failed {
-                Some(k) => k.to_string(),
-                None => "null".to_string(),
-            },
             extra.step_vars,
             extra.step_clauses,
             extra
@@ -638,13 +636,8 @@ fn main() {
                 }
                 if let Some(extra) = &r.kinduction {
                     println!(
-                        "{:>28} {:>16}  step: {} queries, failed@{:?}, {} vars / {} clauses",
-                        "",
-                        "",
-                        extra.step_queries,
-                        extra.steps_failed,
-                        extra.step_vars,
-                        extra.step_clauses,
+                        "{:>28} {:>16}  step: {} queries, {} vars / {} clauses",
+                        "", "", extra.step_queries, extra.step_vars, extra.step_clauses,
                     );
                 }
                 records.push(r);

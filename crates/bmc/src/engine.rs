@@ -13,8 +13,7 @@
 //!   start in any reachable state; this is where the paper's precise
 //!   arbitrary-initial-state modeling (Section 4.2) is load-bearing.
 //!   The backward check is the simple-path induction step, so this
-//!   context and its query belong to `StepQuery`, which
-//!   [`crate::KInduction`] asks for its inductive step as well.
+//!   context and its query belong to `StepQuery`.
 //!
 //! Both contexts follow the **incremental solver lifecycle** (see the
 //! "Solver lifecycle" section of `docs/ARCHITECTURE.md`): one long-lived
@@ -34,30 +33,79 @@
 //! | BMC-2 (Fig. 2) | memories + EMM, `proofs: false` |
 //! | BMC-3 (Fig. 3) | memories + EMM, `proofs: true`, optionally PBA |
 //!
+//! ## Two schedules
+//!
+//! [`PipelineOptions::proof_engine`](crate::PipelineOptions::proof_engine)
+//! selects what the bound loop asks at each bound `k`:
+//!
+//! * [`ProofEngine::Bounded`] (the default) is the table above: the
+//!   counterexample check, and with proofs on the forward check plus the
+//!   backward check under the capped schedule below. A proof is
+//!   [`BmcVerdict::Proof`] (`proof@k`).
+//! * [`ProofEngine::KInduction`] is k-induction (Sheeran, Singh &
+//!   Stålmarck, FMCAD 2000; Eén & Sörensson, BMC 2003), and ignores
+//!   [`VerifyOptions::proofs`]. The anchored context asks only the
+//!   counterexample check (the **base case**) and carries no LFP builder;
+//!   the floating context always exists and asks the backward check (the
+//!   **inductive step**) under the plain `solve_budget`, because it is
+//!   this schedule's only proof route. A step UNSAT at `k` over a clean
+//!   base case returns [`BmcVerdict::Proved`]`{ k }`. [`crate::KInduction`]
+//!   is a thin handle on an engine with this schedule.
+//!
+//! `Proved { k }` is unbounded: the property holds in **all** reachable
+//! states. The step query at `k` asks for a simple path `s_0 … s_k` with
+//! `¬bad` at `s_0 … s_{k-1}` and `bad` at `s_k`, from any state. The
+//! shortest path from the initial state to a reachable bad state is
+//! loop-free and has a `¬bad` prefix; the base case rules out those of
+//! length ≤ `k`, and any longer one has a suffix of length `k` that
+//! would satisfy the step query. The simple-path (LFP) rows come from
+//! the same [`LfpBuilder`] the termination checks use, derived from the
+//! latch state of the EMM encoding and added on demand when a model
+//! repeats a pair's state (Eén & Sörensson's lazy simple-path
+//! refinement), so the step answers exactly as with every row present.
+//! Without them k-induction is incomplete, since a lasso of good states
+//! could extend forever; with them the step formula is unsatisfiable
+//! outright at the recurrence diameter. The step at `k+1` contains a
+//! copy of every shorter simple path, so a failed (SAT) step stays
+//! failed, and a resumed call skips the depths already asked (see
+//! `BmcEngine::run_bound`).
+//!
 //! ## Two contexts, two threads
 //!
-//! With proofs on, each bound runs as two jobs under
+//! With a floating context, each bound runs as two jobs under
 //! [`std::thread::scope`]. The caller's thread extends the anchored
 //! context and runs the forward check, then, unless that answered UNSAT
 //! or `Unknown`, the counterexample check of a bound not yet cleared. A
 //! scoped thread extends the floating context and runs the backward
-//! check. Neither job reads the other's answers. After the join the
-//! answers are combined in the sequential loop's priority: an anchored
-//! encode trip, then a floating one; the forward check (UNSAT proves,
-//! `Unknown` ends the run); the backward check (UNSAT proves, an
-//! uncapped `Unknown` ends the run); and only then the counterexample
-//! check, with its group retirement, cleared bound, PBA reasons and
-//! trace. A panic on the scoped thread re-raises on the caller with its
-//! payload. With proofs off there is no floating context and nothing is
-//! spawned.
+//! check. Neither job reads the other's answers. Only a bound that
+//! unrolls a new anchored frame overlaps the two. At any other bound the
+//! anchored queries, if any, re-ask a bound an earlier call unrolled (a
+//! cleared bound of an engine handed on by the verification server, its
+//! counterexample bound, a resumed bound) on a warm solver. There both
+//! jobs run on the caller's thread, the anchored one first, and the
+//! floating one only if the anchored answers leave the bound open: no
+//! spawn, and no speculative query. After the jobs the answers are
+//! combined in the sequential loop's
+//! priority: an anchored encode trip, then a floating one. Under the
+//! bounded schedule the forward check comes next (UNSAT proves, `Unknown`
+//! ends the run), then the backward check (UNSAT proves, an uncapped
+//! `Unknown` ends the run), and only then the counterexample check, with
+//! its group retirement, cleared bound, PBA reasons and trace. Under
+//! k-induction the counterexample check comes first and the step after
+//! it (UNSAT proves, `Unknown` ends the run). A panic on the scoped
+//! thread re-raises on the caller with its payload. With proofs off
+//! under the bounded schedule there is no floating context and nothing
+//! is spawned.
 //!
-//! The counterexample query is speculative at a bound that a
-//! termination check ends: the sequential loop would not have run it.
-//! Its group is retired and counted in
+//! The query the combine ranks last is speculative at a bound that the
+//! other one ends: the sequential loop would not have run it. A
+//! speculative counterexample query's group is retired and counted in
 //! [`BmcEngine::property_clauses_retired`], and its answer is dropped: no
-//! cleared bound, no trace. Only the terminal bound can speculate, so at
-//! every other bound each context runs exactly the sequential query
-//! sequence and the verdicts are the sequential ones.
+//! cleared bound, no trace. A speculative step's answer is dropped too,
+//! though it still counts in [`BmcEngine::step_queries`]. Only the
+//! terminal bound can speculate, so at every other bound each context
+//! runs exactly the sequential query sequence and the verdicts are the
+//! sequential ones.
 //!
 //! Each context polls its own [fork](ResourceGovernor::fork) of the
 //! engine's governor. A fork sees the engine governor's deadline and
@@ -69,24 +117,24 @@
 //!
 //! ## Backward check schedule
 //!
-//! The backward check is a termination check: UNSAT proves the property,
-//! SAT only says "no proof at this bound". Giving up on it can delay a
-//! proof but never yields a wrong verdict, so each backward query runs
-//! under a deterministic conflict cap. The cap starts at 16 in every
-//! [`BmcEngine::check`] call, doubles after each query that hits it, and
-//! falls back to 16 after any SAT answer. A query that hits the cap while
-//! the governor is clear counts as "no proof at this bound" and the
-//! counterexample check's answer counts as usual; a `solve_budget`
-//! conflict limit at or below the cap, or any governor trip, still ends
-//! the run [`BmcVerdict::Unknown`]. Once the backward query at bound `k` is
-//! UNSAT, so is every later one (the window at `k+1` contains a floating
-//! window of length `k`), so the capped queries after it are consecutive
-//! and the cap keeps doubling: a proof that needs `N` conflicts lands by
-//! bound `k + ⌈log2(N/16)⌉` if the depth limit allows.
-//! [`BmcEngine::backward_capped`] counts the abandoned queries. The
-//! forward check stays uncapped because it is the one that closes the
-//! paper's proofs at the cycle bound, and [`crate::KInduction`]'s step
-//! query stays uncapped because it is that engine's only proof route.
+//! Under the bounded schedule the backward check is a termination check:
+//! UNSAT proves the property, SAT only says "no proof at this bound".
+//! Giving up on it can delay a proof but never yields a wrong verdict, so
+//! each backward query runs under a deterministic conflict cap. The cap
+//! starts at 16 in every [`BmcEngine::check`] call, doubles after each
+//! query that hits it, and falls back to 16 after any SAT answer. A query
+//! that hits the cap while the governor is clear counts as "no proof at
+//! this bound" and the counterexample check's answer counts as usual; a
+//! `solve_budget` conflict limit at or below the cap, or any governor
+//! trip, still ends the run [`BmcVerdict::Unknown`]. Once the backward
+//! query at bound `k` is UNSAT, so is every later one (the window at
+//! `k+1` contains a floating window of length `k`), so the capped queries
+//! after it are consecutive and the cap keeps doubling: a proof that
+//! needs `N` conflicts lands by bound `k + ⌈log2(N/16)⌉` if the depth
+//! limit allows. [`BmcEngine::backward_capped`] counts the abandoned
+//! queries. The forward check stays uncapped because it is the one that
+//! closes the paper's proofs at the cycle bound, and the k-induction step
+//! stays uncapped because it is that schedule's only proof route.
 //!
 //! ## The preprocessing and simplifying pipeline
 //!
@@ -132,7 +180,7 @@ use emm_sat::{
 
 use crate::lfp::LfpBuilder;
 use crate::model::ReducedModel;
-use crate::options::VerifyOptions;
+use crate::options::{ProofEngine, VerifyOptions};
 use crate::unroll::{UnrollConfig, Unroller};
 
 /// A frozen abstraction (from PBA discovery or elsewhere).
@@ -217,11 +265,11 @@ pub enum BmcVerdict {
     /// A real counterexample (witness) of the given trace.
     Counterexample(Trace),
     /// The property holds in all reachable states, closed *unboundedly*
-    /// by the [`KInduction`](crate::KInduction) engine: the base case is
-    /// counterexample-free up to `k` and the simple-path inductive step
-    /// at depth `k` is unsatisfiable. Distinct from [`BmcVerdict::Proof`]
-    /// (`proof@k`), which records a bounded termination criterion inside
-    /// the bounded engine's depth budget.
+    /// by the k-induction schedule ([`ProofEngine::KInduction`]): the base
+    /// case is counterexample-free up to `k` and the simple-path inductive
+    /// step at depth `k` is unsatisfiable. Distinct from
+    /// [`BmcVerdict::Proof`] (`proof@k`), which records a bounded
+    /// termination criterion inside the bounded schedule's depth budget.
     Proved {
         /// The induction depth that closed the property.
         k: usize,
@@ -315,12 +363,26 @@ pub struct BmcRun {
 pub enum BmcError {
     /// A counterexample failed re-simulation — an internal soundness bug.
     SpuriousTrace(String),
+    /// The checked property index is not one of the design's.
+    PropertyOutOfRange {
+        /// The requested property index.
+        property: usize,
+        /// How many properties the design has.
+        available: usize,
+    },
 }
 
 impl std::fmt::Display for BmcError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BmcError::SpuriousTrace(msg) => write!(f, "spurious counterexample trace: {msg}"),
+            BmcError::PropertyOutOfRange {
+                property,
+                available,
+            } => write!(
+                f,
+                "property {property} out of range: the design has {available} (0..{available})"
+            ),
         }
     }
 }
@@ -383,8 +445,8 @@ impl Ctx {
     }
 }
 
-/// The inductive-step query, shared by the backward termination check and
-/// [`crate::KInduction`]'s step: `SAT(LFP_k ∧ ¬bad_0 ∧ … ∧ ¬bad_{k-1} ∧
+/// The inductive-step query, the backward termination check of both
+/// schedules: `SAT(LFP_k ∧ ¬bad_0 ∧ … ∧ ¬bad_{k-1} ∧
 /// bad_k)` on a floating context (frame 0 free, every memory
 /// arbitrary-init, LFP rows added on demand), owned here for its whole
 /// life together with the property it is unrolled for. The property
@@ -393,13 +455,14 @@ impl Ctx {
 #[derive(Debug)]
 pub(crate) struct StepQuery {
     ctx: Ctx,
-    /// The options the context is built from (LFP always on), kept for
-    /// rebuilds.
+    /// The options the context is built from, kept for rebuilds.
     options: VerifyOptions,
     /// The property of the most recent `switch_property` call. Step queries
     /// are bound-exact over the one shared LFP activation: a context
     /// unrolled for one property cannot answer another's shallower steps.
     prop: Option<usize>,
+    /// Queries answered SAT or UNSAT, over rebuilds too.
+    answered: u64,
 }
 
 /// What a [`StepQuery`] call answered.
@@ -422,12 +485,11 @@ pub(crate) struct StepAnswer {
 impl StepQuery {
     /// Builds an empty step context for `model` under `governor`.
     pub(crate) fn new(model: &Design, options: &VerifyOptions, governor: ResourceGovernor) -> Self {
-        let mut options = options.clone();
-        options.proofs = true;
         StepQuery {
-            ctx: BmcEngine::make_ctx(model, &options, &governor, false),
-            options,
+            ctx: BmcEngine::make_ctx(model, options, &governor, false),
+            options: options.clone(),
             prop: None,
+            answered: 0,
         }
     }
 
@@ -473,6 +535,7 @@ impl StepQuery {
             &mut answer.solve_seconds,
         );
         answer.result = Some(result);
+        self.answered += u64::from(result != SolveResult::Unknown);
         answer.exhaustion = ctx.solver.exhaustion_reason();
         let stats = ctx.solver.stats();
         answer.budget_conflicts = answer.exhaustion == Some(ExhaustionReason::ConflictLimit)
@@ -509,6 +572,11 @@ impl StepQuery {
         self.ctx.set_governor(governor);
     }
 
+    /// Frames unrolled so far.
+    fn frames(&self) -> usize {
+        self.ctx.unroller.num_frames()
+    }
+
     /// Variable count and raw CDCL statistics of the step solver.
     pub(crate) fn stats(&self) -> (usize, SolverStats) {
         (self.ctx.solver.num_vars(), *self.ctx.solver.stats())
@@ -541,6 +609,21 @@ struct BoundJob {
     /// Run the counterexample query, unless the termination query
     /// answered `Unsat` or `Unknown`.
     counterexample: bool,
+}
+
+impl Answers {
+    /// Whether these answers end the bound whatever the floating context
+    /// answers (see the combine in `BmcEngine::run_bound`): an encode
+    /// trip, a forward query that did not answer SAT, or under k-induction
+    /// a counterexample query that did not refute the bound.
+    fn decides(&self, induction: bool) -> bool {
+        self.encode.is_some()
+            || self.termination.is_some_and(|r| r != SolveResult::Sat)
+            || induction
+                && self
+                    .counterexample
+                    .is_some_and(|(_, r)| r != SolveResult::Unsat)
+    }
 }
 
 impl BoundJob {
@@ -613,7 +696,8 @@ pub struct BmcEngine<'d> {
     fraig_stats: Option<FraigStats>,
     options: VerifyOptions,
     anchored: Ctx,
-    /// The backward check's context; `None` with proofs off.
+    /// The backward check's context; `None` with proofs off under the
+    /// bounded schedule.
     floating: Option<StepQuery>,
     /// Per property: deepest bound whose counterexample check is already
     /// UNSAT in the anchored solver. The formula only grows (retired
@@ -741,11 +825,10 @@ impl<'d> BmcEngine<'d> {
             fraig_seconds,
         } = reduced;
         let governor = options.pipeline.governor.clone();
-        let context_governor = || Self::context_governor(&governor, options.proofs);
+        let two = options.proofs || Self::induction(&options);
+        let context_governor = || Self::context_governor(&governor, two);
         let anchored = Self::make_ctx(&model, &options, &context_governor(), true);
-        let floating = options
-            .proofs
-            .then(|| StepQuery::new(&model, &options, context_governor()));
+        let floating = two.then(|| StepQuery::new(&model, &options, context_governor()));
         BmcEngine {
             design,
             model,
@@ -766,6 +849,18 @@ impl<'d> BmcEngine<'d> {
             backward_cap: BACKWARD_CAP_FLOOR,
             backward_capped: 0,
         }
+    }
+
+    /// Whether `options` select the k-induction schedule (see the module
+    /// docs' "Two schedules").
+    fn induction(options: &VerifyOptions) -> bool {
+        options.pipeline.proof_engine == ProofEngine::KInduction
+    }
+
+    /// Whether the anchored context runs forward termination checks:
+    /// proofs on under the bounded schedule.
+    fn forward_checks(options: &VerifyOptions) -> bool {
+        options.proofs && !Self::induction(options)
     }
 
     fn make_ctx(
@@ -815,8 +910,9 @@ impl<'d> BmcEngine<'d> {
         }
         let mut emm = EmmEncoder::new(&shapes, options.pipeline.emm);
         emm.set_governor(governor.clone());
-        let lfp = options
-            .proofs
+        // The floating context always needs LFP; the anchored one only for
+        // the bounded schedule's forward check.
+        let lfp = (!anchored || Self::forward_checks(options))
             .then(|| LfpBuilder::new(&mut solver, design.num_latches(), kept_latches.as_deref()));
         let init_reads_materialized = vec![0; shapes.len()];
         Ctx {
@@ -873,9 +969,16 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// Raw CDCL statistics of the floating context's solver, which answers
-    /// the backward termination queries; `None` with proofs off.
+    /// the backward termination queries (the k-induction step); `None`
+    /// with proofs off under the bounded schedule.
     pub fn floating_solver_stats(&self) -> Option<(usize, SolverStats)> {
         self.floating.as_ref().map(StepQuery::stats)
+    }
+
+    /// Backward termination queries (k-induction steps) answered SAT or
+    /// UNSAT over the engine's life, speculative ones included.
+    pub fn step_queries(&self) -> u64 {
+        self.floating.as_ref().map_or(0, |f| f.answered)
     }
 
     /// Backward termination queries abandoned at their conflict cap (see
@@ -918,12 +1021,12 @@ impl<'d> BmcEngine<'d> {
         &self.governor
     }
 
-    /// The governor a context runs under: the engine's own with proofs
-    /// off, a [fork](ResourceGovernor::fork) of it with proofs on, where
-    /// the two contexts run on two threads (see the module docs' "Two
-    /// contexts, two threads").
-    fn context_governor(governor: &ResourceGovernor, proofs: bool) -> ResourceGovernor {
-        if proofs {
+    /// The governor a context runs under: the engine's own for a lone
+    /// anchored context, a [fork](ResourceGovernor::fork) of it when there
+    /// are `two` contexts, which run on two threads (see the module docs'
+    /// "Two contexts, two threads").
+    fn context_governor(governor: &ResourceGovernor, two: bool) -> ResourceGovernor {
+        if two {
             governor.fork()
         } else {
             governor.clone()
@@ -932,12 +1035,26 @@ impl<'d> BmcEngine<'d> {
 
     /// Installs a fresh context governor on both contexts.
     fn install_governor(&mut self) {
-        let (governor, proofs) = (&self.governor, self.options.proofs);
+        let (governor, two) = (&self.governor, self.floating.is_some());
         self.anchored
-            .set_governor(Self::context_governor(governor, proofs));
+            .set_governor(Self::context_governor(governor, two));
         if let Some(floating) = &mut self.floating {
-            floating.set_governor(Self::context_governor(governor, proofs));
+            floating.set_governor(Self::context_governor(governor, two));
         }
+    }
+
+    /// Continues this engine, built with proofs off under the bounded
+    /// schedule, under the k-induction schedule with `governor`: attaches
+    /// a floating context. The other options must be the ones a
+    /// k-induction engine would be built with, so bounds this engine
+    /// already refuted are skipped through the resume contract. The
+    /// verification server hands a bounded request's engine on this way
+    /// to the k-induction request for the same property.
+    pub(crate) fn attach_step(&mut self, governor: ResourceGovernor) {
+        debug_assert!(self.floating.is_none(), "the engine has a floating context");
+        self.options.pipeline.proof_engine = ProofEngine::KInduction;
+        self.floating = Some(StepQuery::new(&self.model, &self.options, governor.clone()));
+        self.set_governor(governor);
     }
 
     /// Polls every context's governor (each observes the engine's).
@@ -1087,13 +1204,23 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// Checks property `prop` up to `max_depth` (inclusive), following the
-    /// loop structure of Fig. 1/Fig. 3.
+    /// loop structure of Fig. 1/Fig. 3, or of k-induction (see the module
+    /// docs' "Two schedules").
     ///
     /// # Errors
     ///
-    /// [`BmcError::SpuriousTrace`] if a counterexample fails re-simulation
-    /// (an internal bug, surfaced rather than silently returned).
+    /// [`BmcError::PropertyOutOfRange`] if `prop` is not one of the
+    /// design's properties; [`BmcError::SpuriousTrace`] if a
+    /// counterexample fails re-simulation (an internal bug, surfaced
+    /// rather than silently returned).
     pub fn check(&mut self, prop: usize, max_depth: usize) -> Result<BmcRun, BmcError> {
+        let available = self.model.properties().len();
+        if prop >= available {
+            return Err(BmcError::PropertyOutOfRange {
+                property: prop,
+                available,
+            });
+        }
         let started = Instant::now();
         let deadline = self.options.pipeline.wall_limit.map(|d| started + d);
         // The governor in force for this call: the configured one with
@@ -1151,9 +1278,10 @@ impl<'d> BmcEngine<'d> {
 
     /// Runs bound `i`: extends both contexts to frame `i` and runs their
     /// queries, the anchored context's on the caller's thread and the
-    /// floating context's on a scoped thread, then combines the answers
-    /// in the sequential loop's priority (see the module docs' "Two
-    /// contexts, two threads"). `Some(verdict)` ends the run.
+    /// floating context's beside them on a scoped thread or after them,
+    /// then combines the answers in the sequential loop's priority (see
+    /// the module docs' "Two contexts, two threads"). `Some(verdict)` ends
+    /// the run.
     fn run_bound(
         &mut self,
         prop: usize,
@@ -1163,15 +1291,24 @@ impl<'d> BmcEngine<'d> {
     ) -> Result<Option<BmcVerdict>, BmcError> {
         // The termination queries are *bound-exact*: `LFP_i` is "frames
         // 0..=i are pairwise distinct", and the LFP query enforces
-        // distinctness over every frame unrolled so far. On a
-        // repeated `check` call the contexts may already be unrolled past
-        // `i`; re-running the bound-`i` query then would assume LFP over
+        // distinctness over every frame its context has unrolled. On a
+        // repeated `check` call a context may already be unrolled past
+        // `i`; re-running its bound-`i` query then would assume LFP over
         // the *deeper* unrolling and could report a spurious proof (e.g.
         // an absorbing bad state cannot extend to more distinct frames).
-        // Those bounds already ran their termination checks at the exact
-        // depth in the earlier call (and found nothing, or we would not be
-        // here), so they are skipped, not re-approximated.
-        let termination = self.options.proofs && self.anchored.unroller.num_frames() <= i + 1;
+        // The context asked that query at the exact depth in the earlier
+        // call (and found nothing, or we would not be here), so it is
+        // skipped, not re-approximated.
+        let termination =
+            Self::forward_checks(&self.options) && self.anchored.unroller.num_frames() <= i + 1;
+        let step = self.floating.as_ref().is_some_and(|f| f.frames() <= i + 1);
+        // The contexts overlap only at a bound that unrolls a new anchored
+        // frame. Otherwise the anchored queries, if any, re-ask a bound an
+        // earlier call unrolled (a handed-on engine's counterexample bound,
+        // a resumed bound) on a warm solver: they run first, and the
+        // floating job runs after them only if their answers leave the
+        // bound open.
+        let overlap = self.anchored.unroller.num_frames() <= i;
         // Counterexample check: SAT(I ∧ ¬P_i ∧ C_i). A bound refuted in an
         // earlier `check` call stays refuted — the anchored formula only
         // grows (retired clauses are redundant) — so it is skipped.
@@ -1192,15 +1329,20 @@ impl<'d> BmcEngine<'d> {
             counterexample: !cleared,
         };
         // Backward termination SAT(LFP_i ∧ ¬P_i ∧ CP_i ∧ C_i): the step
-        // query. The floating solver answers only this query, so its
-        // budget carries the schedule's cap.
-        let cap = forward
-            .budget
-            .max_conflicts
-            .map_or(self.backward_cap, |max| max.min(self.backward_cap));
-        let budget = Budget {
-            max_conflicts: Some(cap),
-            ..forward.budget.clone()
+        // query. The floating solver answers only this query, so under
+        // the bounded schedule its budget carries the cap.
+        let induction = Self::induction(&self.options);
+        let budget = if induction {
+            forward.budget.clone()
+        } else {
+            let cap = forward
+                .budget
+                .max_conflicts
+                .map_or(self.backward_cap, |max| max.min(self.backward_cap));
+            Budget {
+                max_conflicts: Some(cap),
+                ..forward.budget.clone()
+            }
         };
         let BmcEngine {
             model,
@@ -1210,65 +1352,104 @@ impl<'d> BmcEngine<'d> {
         } = self;
         let model: &Design = model;
         let (forward, backward) = match floating {
-            Some(floating) => std::thread::scope(|s| {
-                let handle = s.spawn(move || {
-                    if termination {
+            None => (forward.run(model, anchored), StepAnswer::default()),
+            Some(floating) => {
+                let floating_job = move || {
+                    if step {
                         floating.query(model, bad_bit, i, budget)
                     } else {
                         floating.extend(model, i)
                     }
-                });
-                let forward = forward.run(model, anchored);
-                let backward = handle
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                (forward, backward)
-            }),
-            None => (forward.run(model, anchored), StepAnswer::default()),
+                };
+                if overlap {
+                    std::thread::scope(|s| {
+                        let handle = s.spawn(floating_job);
+                        let forward = forward.run(model, anchored);
+                        let backward = handle
+                            .join()
+                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                        (forward, backward)
+                    })
+                } else {
+                    let forward = forward.run(model, anchored);
+                    let backward = if forward.decides(induction) {
+                        StepAnswer::default()
+                    } else {
+                        floating_job()
+                    };
+                    (forward, backward)
+                }
+            }
         };
         self.encode_seconds += forward.encode_seconds + backward.encode_seconds;
         self.solve_seconds += forward.solve_seconds + backward.solve_seconds;
 
-        let ended = if let Some(reason) = forward.encode.or(backward.encode) {
+        let mut ended = if let Some(reason) = forward.encode.or(backward.encode) {
             Some(self.unknown_verdict(prop, Some(reason)))
         } else {
-            match (forward.termination, backward.result) {
-                (Some(SolveResult::Unsat), _) => Some(BmcVerdict::Proof {
+            match forward.termination {
+                Some(SolveResult::Unsat) => Some(BmcVerdict::Proof {
                     kind: ProofKind::ForwardDiameter,
                     depth: i,
                 }),
-                (Some(SolveResult::Unknown), _) => {
+                Some(SolveResult::Unknown) => {
                     Some(self.unknown_verdict(prop, self.anchored.solver.exhaustion_reason()))
                 }
-                (_, Some(SolveResult::Unsat)) => Some(BmcVerdict::Proof {
-                    kind: ProofKind::BackwardInduction,
-                    depth: i,
-                }),
-                // No proof at this bound; the counterexample check counts.
-                (_, Some(SolveResult::Unknown)) if self.backward_hit_cap(&backward) => {
-                    self.backward_cap = self.backward_cap.saturating_mul(2);
-                    self.backward_capped += 1;
-                    None
-                }
-                (_, Some(SolveResult::Unknown)) => {
-                    Some(self.unknown_verdict(prop, backward.exhaustion))
-                }
-                (_, Some(SolveResult::Sat)) => {
-                    self.backward_cap = BACKWARD_CAP_FLOOR;
-                    None
-                }
-                (_, None) => None,
+                _ if induction => None,
+                _ => self.settle_step(prop, i, &backward),
             }
         };
-        let Some((group, result)) = forward.counterexample else {
-            return Ok(ended);
-        };
-        if ended.is_some() {
-            // A counterexample query the sequential loop would not have
-            // run: retire its group and drop its answer.
-            self.prop_clauses_retired += self.anchored.solver.retire_group(group) as u64;
-            return Ok(ended);
+        if let Some((group, result)) = forward.counterexample {
+            if ended.is_some() {
+                // A counterexample query the sequential loop would not
+                // have run: retire its group and drop its answer.
+                self.prop_clauses_retired += self.anchored.solver.retire_group(group) as u64;
+            } else {
+                ended = self.settle_counterexample(prop, i, group, result)?;
+            }
         }
+        // Under k-induction the step ranks after the base case.
+        if induction && ended.is_none() {
+            ended = self.settle_step(prop, i, &backward);
+        }
+        Ok(ended)
+    }
+
+    /// The backward query's share of a bound's verdict: UNSAT proves,
+    /// `Unknown` ends the run unless it hit the bounded schedule's cap.
+    fn settle_step(&mut self, prop: usize, i: usize, backward: &StepAnswer) -> Option<BmcVerdict> {
+        match backward.result? {
+            SolveResult::Unsat if Self::induction(&self.options) => {
+                Some(BmcVerdict::Proved { k: i })
+            }
+            SolveResult::Unsat => Some(BmcVerdict::Proof {
+                kind: ProofKind::BackwardInduction,
+                depth: i,
+            }),
+            // No proof at this bound; the counterexample check counts.
+            SolveResult::Unknown if self.backward_hit_cap(backward) => {
+                self.backward_cap = self.backward_cap.saturating_mul(2);
+                self.backward_capped += 1;
+                None
+            }
+            SolveResult::Unknown => Some(self.unknown_verdict(prop, backward.exhaustion)),
+            SolveResult::Sat => {
+                self.backward_cap = BACKWARD_CAP_FLOOR;
+                None
+            }
+        }
+    }
+
+    /// The counterexample query's share of a bound's verdict, with its
+    /// still-open activation `group`: a validated trace, or `Unknown`, or
+    /// (UNSAT) the bound cleared and its group retired.
+    fn settle_counterexample(
+        &mut self,
+        prop: usize,
+        i: usize,
+        group: Lit,
+        result: SolveResult,
+    ) -> Result<Option<BmcVerdict>, BmcError> {
         match result {
             SolveResult::Sat => {
                 let trace = self.extract_trace(prop, i);
@@ -1300,13 +1481,15 @@ impl<'d> BmcEngine<'d> {
         }
     }
 
-    /// Whether the backward query's `Unknown` came from the schedule's cap
-    /// alone: the budget's conflict limit stopped it with the floating
-    /// context's governor clear (see [`StepAnswer::budget_conflicts`]), and
-    /// that limit was the cap, not `solve_budget`. Any other `Unknown` ends
-    /// the run.
+    /// Whether the backward query's `Unknown` came from the bounded
+    /// schedule's cap alone: the budget's conflict limit stopped it with
+    /// the floating context's governor clear (see
+    /// [`StepAnswer::budget_conflicts`]), and that limit was the cap, not
+    /// `solve_budget`. Any other `Unknown` ends the run, and so does every
+    /// `Unknown` of the uncapped k-induction step.
     fn backward_hit_cap(&self, backward: &StepAnswer) -> bool {
-        backward.budget_conflicts
+        !Self::induction(&self.options)
+            && backward.budget_conflicts
             && self
                 .options
                 .pipeline

@@ -12,9 +12,8 @@
 //! * [`ModelSource::load`] parses it into an `Arc<Design>` ready for
 //!   [`VerifyRequest`] submission or a direct
 //!   [`BmcEngine`] construction;
-//! * [`ModelSource::verify`] is the one-call path: load, then dispatch
-//!   on [`ProofEngine`] exactly like a
-//!   server worker would;
+//! * [`ModelSource::verify`] is the one-call path: load, then check on
+//!   one [`BmcEngine`] exactly like a server worker would;
 //! * [`VerificationServer::submit_model`](crate::VerificationServer::submit_model)
 //!   loads a source **once** and queues every property of the design as
 //!   its own job, sharing the pre-reduction across them.
@@ -38,8 +37,7 @@ use emm_aig::btor2::{read_btor2, ParseBtor2Error};
 use emm_aig::Design;
 
 use crate::engine::{BmcEngine, BmcVerdict};
-use crate::kinduction::KInduction;
-use crate::options::{ProofEngine, VerifyOptions};
+use crate::options::VerifyOptions;
 use crate::server::{VerificationServer, VerifyBudget, VerifyRequest};
 
 /// A frontend file format.
@@ -192,11 +190,10 @@ impl ModelSource {
         }
     }
 
-    /// Loads the source and checks one property with the engine
-    /// [`VerifyOptions::pipeline`] selects ([`ProofEngine::Bounded`] or
-    /// [`ProofEngine::KInduction`]), returning the verdict and the depth
-    /// reached — the same dispatch a
-    /// [`VerificationServer`] worker runs.
+    /// Loads the source and checks one property under the schedule
+    /// [`PipelineOptions::proof_engine`](crate::PipelineOptions::proof_engine)
+    /// selects, returning the verdict and the depth reached — the same
+    /// check a [`VerificationServer`] worker runs.
     ///
     /// # Errors
     ///
@@ -218,15 +215,9 @@ impl ModelSource {
         let options = options
             .solve_budget(budget.solve.clone())
             .wall_limit(budget.wall_limit);
-        let checked = match options.pipeline.proof_engine {
-            ProofEngine::Bounded => {
-                BmcEngine::new(&design, options).check(property, budget.max_depth)
-            }
-            ProofEngine::KInduction => {
-                KInduction::new(&design, options).check(property, budget.max_depth)
-            }
-        };
-        let run = checked.map_err(|e| FrontendError::Engine(e.to_string()))?;
+        let run = BmcEngine::new(&design, options)
+            .check(property, budget.max_depth)
+            .map_err(|e| FrontendError::Engine(e.to_string()))?;
         Ok((run.verdict, run.depth_reached))
     }
 }
@@ -264,6 +255,7 @@ impl VerificationServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::ProofEngine;
     use emm_aig::{Design, LatchInit};
 
     fn counter_btor2() -> String {

@@ -14,11 +14,10 @@
 //! * [`BmcEngine`] — the paper's BMC-1 / BMC-2 / BMC-3 loops: witness
 //!   search, forward-diameter and backward-induction proofs, counterexample
 //!   extraction with re-simulation, and proof-based-abstraction reason
-//!   collection;
-//! * [`KInduction`] — unbounded proving by k-induction: the bounded
-//!   engine as the base case, interleaved with initial-state-free
-//!   inductive steps, the same query as the bounded engine's backward
-//!   check (select with [`options::ProofEngine`] on the options surface);
+//!   collection; and, as a second schedule of the same bound loop
+//!   ([`options::ProofEngine`]), unbounded proving by k-induction;
+//! * [`KInduction`] — a handle that builds an engine with the
+//!   k-induction schedule;
 //! * [`pba`] — stability-based abstraction discovery and iterative
 //!   abstraction (ref. \[10\]), with a parallel per-property dispatch
 //!   ([`pba::discover_all`]) on the shared-queue pool;

@@ -35,22 +35,26 @@ use emm_sat::{Budget, ResourceGovernor, SimplifyConfig};
 
 use crate::engine::AbstractionSpec;
 
-/// Which proving engine a driver dispatches to when proofs are requested.
+/// Which schedule [`crate::BmcEngine`]'s bound loop runs.
 ///
-/// The default, [`ProofEngine::Bounded`], is the paper's BMC loop in
-/// [`crate::BmcEngine`]: bound-exact termination checks that report
-/// `proof@k` ([`crate::BmcVerdict::Proof`]) — a proof *up to the
-/// completeness threshold reached within the depth budget*.
-/// [`ProofEngine::KInduction`] selects [`crate::KInduction`], which
-/// interleaves the same base-case loop with an initial-state-free
-/// inductive step and can close a property outright as
-/// [`crate::BmcVerdict::Proved`], independent of any depth budget.
+/// The default, [`ProofEngine::Bounded`], is the paper's BMC loop:
+/// counterexample checks and, with [`VerifyOptions::proofs`] on,
+/// bound-exact termination checks that report `proof@k`
+/// ([`crate::BmcVerdict::Proof`]) — a proof *up to the completeness
+/// threshold reached within the depth budget*.
+/// [`ProofEngine::KInduction`] asks the same counterexample checks as
+/// its base case and an uncapped initial-state-free inductive step at
+/// every bound, and can close a property outright as
+/// [`crate::BmcVerdict::Proved`], independent of any depth budget. It
+/// ignores [`VerifyOptions::proofs`]: the step is always asked and the
+/// forward check never. [`crate::KInduction`] builds an engine with this
+/// schedule. See the `BmcEngine` module docs' "Two schedules".
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ProofEngine {
     /// The bounded engine's BMC-1/BMC-3 termination checks (`proof@k`).
     #[default]
     Bounded,
-    /// Interleaved base case + inductive step (`Proved { k }`).
+    /// Base case + inductive step at every bound (`Proved { k }`).
     KInduction,
 }
 
@@ -113,7 +117,8 @@ pub struct PipelineOptions {
     /// EMM, LFP, simplifier — from scratch at each bound, re-encoding
     /// frames `0..=k` and solving cold: the paper-era baseline, kept for
     /// differential testing and for the bench harness's `incremental`
-    /// mode (which measures one against the other).
+    /// mode (which measures one against the other). Under
+    /// [`ProofEngine::KInduction`] that includes the step context.
     ///
     /// # Examples
     ///
@@ -168,8 +173,7 @@ pub struct PipelineOptions {
     /// [`BmcEngine::set_governor`]: crate::BmcEngine::set_governor
     /// [`BmcVerdict::Unknown`]: crate::BmcVerdict::Unknown
     pub governor: ResourceGovernor,
-    /// Which proving engine drivers dispatch to when proofs are
-    /// requested (see [`ProofEngine`]).
+    /// Which schedule the engine's bound loop runs (see [`ProofEngine`]).
     pub proof_engine: ProofEngine,
 }
 
@@ -217,6 +221,7 @@ pub struct VerifyOptions {
     pub pipeline: PipelineOptions,
     /// Run the induction-style termination checks (BMC-1/BMC-3). When
     /// `false` the engine is the falsification-only BMC-2 of Fig. 2.
+    /// Ignored under [`ProofEngine::KInduction`].
     pub proofs: bool,
     /// Validate counterexample traces by re-simulation before returning
     /// them (on by default; a failure indicates an engine bug).
@@ -232,9 +237,9 @@ pub struct VerifyOptions {
     /// preprocessing, and whatever driver consumes these options). `0`
     /// (the default) and `1` both run inline on the caller's thread; the
     /// result is identical at every worker count. The count does not
-    /// size the bound loop: with [`VerifyOptions::proofs`] on, each
-    /// bound's floating-context queries always run on a second thread
-    /// (see the `BmcEngine` module docs).
+    /// size the bound loop: with [`VerifyOptions::proofs`] on or under
+    /// [`ProofEngine::KInduction`], each bound's floating-context queries
+    /// run on a second thread (see the `BmcEngine` module docs).
     pub workers: usize,
 }
 
@@ -306,7 +311,7 @@ impl VerifyOptions {
         self
     }
 
-    /// Selects the proving engine drivers dispatch to.
+    /// Selects the bound-loop schedule (see [`ProofEngine`]).
     pub fn proof_engine(mut self, engine: ProofEngine) -> Self {
         self.pipeline.proof_engine = engine;
         self

@@ -19,7 +19,7 @@ use emm_core::{Job, JobResult, Pool};
 
 use crate::engine::{AbstractionSpec, BmcEngine, BmcVerdict};
 use crate::model::ReducedModel;
-use crate::options::{PipelineOptions, VerifyOptions};
+use crate::options::{PipelineOptions, ProofEngine, VerifyOptions};
 
 /// PBA discovery configuration: the two discovery knobs plus the shared
 /// [`PipelineOptions`] block every engine the drivers construct inherits
@@ -149,10 +149,13 @@ pub fn discover_within(
     within: Option<&AbstractionSpec>,
 ) -> Result<PbaDiscovery, crate::BmcError> {
     let started = std::time::Instant::now();
+    // Discovery is the proofs-off bounded loop whatever schedule the
+    // proof attempt runs.
     let mut engine = BmcEngine::new(
         design,
         VerifyOptions::default()
             .pipeline(config.pipeline.clone())
+            .proof_engine(ProofEngine::Bounded)
             .validate_traces(false)
             .abstraction(within.cloned())
             .pba_discovery(true),
@@ -307,17 +310,10 @@ pub fn discover_and_prove(
             .proofs(true)
             .validate_traces(false)
             .abstraction(Some(disc.abstraction.clone()));
-        // The proof attempt honors the configured proving engine: the
-        // bounded termination checks, or the k-induction closure (which
-        // supports frozen abstractions through the same masks).
-        let run = match config.pipeline.proof_engine {
-            crate::options::ProofEngine::Bounded => {
-                BmcEngine::new(design, proof_options).check(prop, proof_depth)?
-            }
-            crate::options::ProofEngine::KInduction => {
-                crate::KInduction::new(design, proof_options).check(prop, proof_depth)?
-            }
-        };
+        // The proof attempt runs the configured schedule: the bounded
+        // termination checks, or the k-induction closure (which supports
+        // frozen abstractions through the same masks).
+        let run = BmcEngine::new(design, proof_options).check(prop, proof_depth)?;
         match run.verdict {
             crate::BmcVerdict::Counterexample(ref trace)
                 if rounds < max_rounds && trace.depth() > disc.depth_reached =>

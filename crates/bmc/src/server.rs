@@ -11,20 +11,21 @@
 //! ordered by job id — the order of submission — so the output is
 //! identical at every worker count, fault injection included.
 //!
-//! A property asked under both engines shares its **base case** too. A
+//! A property asked under both schedules shares its **base case** too. A
 //! [`ProofEngine::KInduction`] request is paired with the first unpaired
 //! [`ProofEngine::Bounded`] request on the same design `Arc` and property
 //! when, once each budget is applied, the two agree on the solve budget
-//! and every option but the proving engine, the bounded side has proofs
-//! off and no wall limit, and neither governor arms a fault. The pair
-//! runs as one pool job: the bounded check first, then a [`KInduction`]
-//! whose base case continues on the bounded run's engine — exactly the
-//! proofs-off engine it would have built — so the refuted bounds are
-//! skipped and only the step queries (and any deeper bounds) are solved.
-//! A bounded run that ended `Unknown` hands nothing on. The verdicts and
-//! depths are those of standalone engines; a k-induction response's
-//! `elapsed_seconds` counts only its own part. Every other request is a
-//! job of its own.
+//! and every option but the schedule, the bounded side has proofs off and
+//! no wall limit, and neither governor arms a fault. The pair runs as one
+//! pool job: the bounded check first, then the same engine continues
+//! under the k-induction schedule with a floating context attached. Its
+//! anchored context is exactly the base case a k-induction engine would
+//! build, so the refuted bounds are skipped and only the step queries
+//! (and any deeper bounds) are solved. At the bounds the bounded run
+//! unrolled, the step runs on the worker's own thread after the base
+//! case. A bounded run that ended `Unknown` hands nothing on. The verdicts and depths are those of standalone engines;
+//! a k-induction response's `elapsed_seconds` counts only its own part.
+//! Every other request is a job of its own.
 //!
 //! After a batch, [`stats`](VerificationServer::stats) reports the
 //! throughput ([`ServerStats::jobs_per_sec`]); the bench harness records
@@ -65,7 +66,6 @@ use emm_core::{Job, JobResult, Pool};
 use emm_sat::{Budget, ExhaustionReason};
 
 use crate::engine::{BmcEngine, BmcRun, BmcVerdict};
-use crate::kinduction::KInduction;
 use crate::model::ReducedModel;
 use crate::options::{ProofEngine, VerifyOptions};
 
@@ -278,41 +278,36 @@ impl VerificationServer {
         self.stats
     }
 
-    /// Runs one unit's requests in order on fresh engines over the
-    /// shared model, except that a k-induction request continues on the
-    /// engine of the bounded request before it. Only a bounded run that
-    /// ended cleanly (bound reached or a counterexample) is handed on: a
-    /// bound left `Unknown` would be re-asked from another solver state
-    /// than a standalone k-induction run meets.
+    /// Runs one unit's requests in order, the first on a fresh engine
+    /// over the shared model. A unit is one request or a bounded request
+    /// and its k-induction twin (see [`units`]); the twin continues on the
+    /// bounded request's engine. Only a run that ended cleanly (bound
+    /// reached or a counterexample) is handed on: a bound left `Unknown`
+    /// would be re-asked from another solver state than a standalone
+    /// k-induction run meets.
     fn run_unit<'a>(
         reduced: &ReducedModel<'_>,
         unit: impl Iterator<Item = &'a VerifyRequest>,
     ) -> Vec<JobOutput> {
-        let mut base: Option<BmcEngine<'_>> = None;
+        let mut handed: Option<BmcEngine<'_>> = None;
         unit.map(|req| {
             let options = job_options(req).governor(req.options.pipeline.governor.fork());
             let started = Instant::now();
-            let checked = match options.pipeline.proof_engine {
-                ProofEngine::Bounded => {
-                    let engine = base.insert(BmcEngine::with_model(reduced, options));
-                    let run = engine.check(req.property, req.budget.max_depth);
-                    if !matches!(
-                        run,
-                        Ok(BmcRun {
-                            verdict: BmcVerdict::BoundReached | BmcVerdict::Counterexample(_),
-                            ..
-                        })
-                    ) {
-                        base = None;
-                    }
-                    run
+            let mut engine = match handed.take() {
+                Some(mut engine) => {
+                    engine.attach_step(options.pipeline.governor);
+                    engine
                 }
-                ProofEngine::KInduction => match base.take() {
-                    Some(engine) => KInduction::with_base(engine, options),
-                    None => KInduction::with_model(reduced, options),
-                }
-                .check(req.property, req.budget.max_depth),
+                None => BmcEngine::with_model(reduced, options),
             };
+            let checked = engine.check(req.property, req.budget.max_depth);
+            if let Ok(BmcRun {
+                verdict: BmcVerdict::BoundReached | BmcVerdict::Counterexample(_),
+                ..
+            }) = checked
+            {
+                handed = Some(engine);
+            }
             let elapsed_seconds = started.elapsed().as_secs_f64();
             match checked {
                 Ok(run) => (run.verdict, run.depth_reached, elapsed_seconds, None),
@@ -358,10 +353,9 @@ fn job_options(req: &VerifyRequest) -> VerifyOptions {
 /// engine of the bounded request `bounded`: same design and property,
 /// every option but the proving engine equal once the budgets are
 /// applied, proofs off, no wall limit, and no armed fault injector.
-/// The bounded engine is then exactly the base case
-/// [`KInduction::with_model`] would build (proofs off, no wall limit),
-/// and its governor's fault counter cannot be shifted by frames the
-/// other request unrolled.
+/// The bounded engine's anchored context is then exactly the base case
+/// a k-induction engine would build, and its governor's fault counter
+/// cannot be shifted by frames the other request unrolled.
 fn shares_base(bounded: &VerifyRequest, kinduction: &VerifyRequest) -> bool {
     if !Arc::ptr_eq(&bounded.design, &kinduction.design)
         || bounded.property != kinduction.property
@@ -409,6 +403,25 @@ mod tests {
             property,
             budget: VerifyBudget::default(),
             options: VerifyOptions::default().proof_engine(engine),
+        }
+    }
+
+    #[test]
+    fn out_of_range_property_is_an_error_response() {
+        let d = counter();
+        let mut server = VerificationServer::new(2);
+        for engine in [ProofEngine::Bounded, ProofEngine::KInduction] {
+            server.submit(request(&d, 2, engine));
+        }
+        for response in server.run() {
+            let error = response
+                .error
+                .expect("an out-of-range property is an error");
+            assert!(
+                error.contains("property 2 out of range") && error.contains("0..2"),
+                "{error}"
+            );
+            assert!(response.verdict.is_unknown());
         }
     }
 

@@ -2,7 +2,7 @@
 //! explicit-model agreement, arbitrary initial memory state, and PBA.
 
 use emm_aig::{Design, LatchInit, MemInit, Word};
-use emm_bmc::{pba, BmcEngine, BmcVerdict, KInduction, ProofKind, VerifyOptions};
+use emm_bmc::{pba, BmcEngine, BmcError, BmcVerdict, KInduction, ProofKind, VerifyOptions};
 use emm_core::{explicit_model, EmmOptions};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
 use emm_sat::{Budget, ExhaustionReason, ResourceGovernor, SolverStats};
@@ -702,4 +702,27 @@ fn backward_schedule_keeps_the_forward_proof_and_is_deterministic() {
         )
     };
     assert_eq!(run_once(), run_once());
+}
+
+/// A property index past the design's last one is an error under both
+/// schedules, named with the range, and leaves the engine usable.
+#[test]
+fn out_of_range_property_is_an_error() {
+    let d = emm_designs::gen::random_design(&emm_designs::gen::GenConfig::aiger(), 7);
+    assert_eq!(d.properties().len(), 3);
+    let mut bounded = BmcEngine::new(&d, VerifyOptions::default());
+    let mut induction = KInduction::new(&d, VerifyOptions::default());
+    for err in [bounded.check(3, 3), induction.check(3, 3)] {
+        match err {
+            Err(
+                e @ BmcError::PropertyOutOfRange {
+                    property: 3,
+                    available: 3,
+                },
+            ) => assert!(e.to_string().contains("0..3"), "{e}"),
+            other => panic!("expected PropertyOutOfRange, got {other:?}"),
+        }
+    }
+    assert!(bounded.check(0, 3).is_ok());
+    assert!(induction.check(0, 3).is_ok());
 }
