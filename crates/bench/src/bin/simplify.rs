@@ -146,13 +146,13 @@ enum Mode {
     /// restart-from-scratch leg of the same configuration (verdicts must
     /// agree; per-bound wall clock is the headline number).
     Incremental,
-    /// The k-induction engine as its own lifecycle row: interleaved
-    /// base case and floating inductive step on the default sink, with
-    /// per-depth step clauses retired through activation groups. The
-    /// quicksort loop counter keeps the recurrence diameter far beyond
-    /// the sort bound, so induction honestly reports `bound` on these
-    /// workloads — the row pins the step context's encoding cost and
-    /// the per-depth retirement totals, not a closure.
+    /// The k-induction schedule as its own lifecycle row: base case and
+    /// floating inductive step on the default sink, the step's property
+    /// literals passed as solve assumptions. The quicksort loop counter
+    /// keeps the recurrence diameter far beyond the sort bound, so
+    /// induction honestly reports `bound` on these workloads — the row
+    /// pins the step context's encoding cost and query count, not a
+    /// closure.
     Kinduction,
 }
 
