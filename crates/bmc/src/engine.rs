@@ -572,11 +572,6 @@ impl StepQuery {
         self.ctx.set_governor(governor);
     }
 
-    /// Frames unrolled so far.
-    fn frames(&self) -> usize {
-        self.ctx.unroller.num_frames()
-    }
-
     /// Variable count and raw CDCL statistics of the step solver.
     pub(crate) fn stats(&self) -> (usize, SolverStats) {
         (self.ctx.solver.num_vars(), *self.ctx.solver.stats())
@@ -1301,7 +1296,10 @@ impl<'d> BmcEngine<'d> {
         // skipped, not re-approximated.
         let termination =
             Self::forward_checks(&self.options) && self.anchored.unroller.num_frames() <= i + 1;
-        let step = self.floating.as_ref().is_some_and(|f| f.frames() <= i + 1);
+        let step = self
+            .floating
+            .as_ref()
+            .is_some_and(|f| f.ctx.unroller.num_frames() <= i + 1);
         // The contexts overlap only at a bound that unrolls a new anchored
         // frame. Otherwise the anchored queries, if any, re-ask a bound an
         // earlier call unrolled (a handed-on engine's counterexample bound,
