@@ -72,48 +72,45 @@
 //!
 //! ## Two contexts, two threads
 //!
-//! With a floating context, each bound runs as two jobs under
-//! [`std::thread::scope`]. The caller's thread extends the anchored
+//! Under the bounded schedule with proofs on, each bound runs as two jobs
+//! under [`std::thread::scope`]. The caller's thread extends the anchored
 //! context and runs the forward check, then, unless that answered UNSAT
 //! or `Unknown`, the counterexample check of a bound not yet cleared. A
 //! scoped thread extends the floating context and runs the backward
-//! check. Neither job reads the other's answers. Only a bound that
-//! unrolls a new anchored frame overlaps the two. At any other bound the
-//! anchored queries, if any, re-ask a bound an earlier call unrolled (a
-//! cleared bound of an engine handed on by the verification server, its
-//! counterexample bound, a resumed bound) on a warm solver. There both
-//! jobs run on the caller's thread, the anchored one first, and the
-//! floating one only if the anchored answers leave the bound open: no
-//! spawn, and no speculative query. After the jobs the answers are
-//! combined in the sequential loop's
-//! priority: an anchored encode trip, then a floating one. Under the
-//! bounded schedule the forward check comes next (UNSAT proves, `Unknown`
-//! ends the run), then the backward check (UNSAT proves, an uncapped
-//! `Unknown` ends the run), and only then the counterexample check, with
-//! its group retirement, cleared bound, PBA reasons and trace. Under
-//! k-induction the counterexample check comes first and the step after
-//! it (UNSAT proves, `Unknown` ends the run). A panic on the scoped
-//! thread re-raises on the caller with its payload. With proofs off
-//! under the bounded schedule there is no floating context and nothing
-//! is spawned.
+//! check. Neither job reads the other's answers. After the join the
+//! answers are combined in the sequential loop's priority: an anchored
+//! encode trip, then a floating one; the forward check (UNSAT proves,
+//! `Unknown` ends the run); the backward check (UNSAT proves, an
+//! uncapped `Unknown` ends the run); and only then the counterexample
+//! check, with its group retirement, cleared bound, PBA reasons and
+//! trace. A panic on the scoped thread re-raises on the caller with its
+//! payload. With proofs off there is no floating context and nothing is
+//! spawned.
 //!
-//! The query the combine ranks last is speculative at a bound that the
-//! other one ends: the sequential loop would not have run it. A
-//! speculative counterexample query's group is retired and counted in
+//! The counterexample query is speculative at a bound that a
+//! termination check ends: the sequential loop would not have run it.
+//! Its group is retired and counted in
 //! [`BmcEngine::property_clauses_retired`], and its answer is dropped: no
-//! cleared bound, no trace. A speculative step's answer is dropped too,
-//! though it still counts in [`BmcEngine::step_queries`]. Only the
-//! terminal bound can speculate, so at every other bound each context
-//! runs exactly the sequential query sequence and the verdicts are the
-//! sequential ones.
+//! cleared bound, no trace. Only the terminal bound can speculate, so at
+//! every other bound each context runs exactly the sequential query
+//! sequence and the verdicts are the sequential ones.
 //!
-//! Each context polls its own [fork](ResourceGovernor::fork) of the
-//! engine's governor. A fork sees the engine governor's deadline and
-//! cancellation, but counts fault sites on its own counter and its own
-//! trip stays with it until the combine. So an armed fault trips at a
+//! Each of the two contexts polls its own [fork](ResourceGovernor::fork)
+//! of the engine's governor. A fork sees the engine governor's deadline
+//! and cancellation, but counts fault sites on its own counter and its
+//! own trip stays with it until the combine. So an armed fault trips at a
 //! point fixed by the context, not by the thread schedule, and a trip in
 //! one context's speculative query cannot cut the other's query short.
 //! A trip that ends the run cancels the engine's governor as well.
+//!
+//! Under k-induction a bound runs on the caller's thread alone: the base
+//! case first (extend the anchored context, then the counterexample check
+//! of a bound not yet cleared), and the step only if the base case left
+//! the bound open. The combine keeps that order: an anchored encode trip,
+//! the counterexample check, then the step's encode trip and answer
+//! (UNSAT proves, `Unknown` ends the run). Nothing is speculative, so
+//! both contexts see exactly the sequential query sequence, and both poll
+//! the engine's governor itself, one fault counter for the two.
 //!
 //! ## Backward check schedule
 //!
@@ -461,6 +458,10 @@ pub(crate) struct StepQuery {
     /// are bound-exact over the one shared LFP activation: a context
     /// unrolled for one property cannot answer another's shallower steps.
     prop: Option<usize>,
+    /// The deepest bound whose query answered SAT in this context. The
+    /// context only grows, so that answer stands and a resumed call does
+    /// not ask it again.
+    failed: Option<usize>,
     /// Queries answered SAT or UNSAT, over rebuilds too.
     answered: u64,
 }
@@ -489,8 +490,16 @@ impl StepQuery {
             ctx: BmcEngine::make_ctx(model, options, &governor, false),
             options: options.clone(),
             prop: None,
+            failed: None,
             answered: 0,
         }
+    }
+
+    /// Whether the query at bound `k` is still to be asked: the context is
+    /// not unrolled past frame `k` (see `BmcEngine::run_bound`) and its
+    /// query at `k` has not answered SAT already.
+    pub(crate) fn open_at(&self, k: usize) -> bool {
+        self.ctx.unroller.num_frames() <= k + 1 && self.failed.is_none_or(|d| d < k)
     }
 
     /// Extends the context to frames `0..=k` without querying (see
@@ -536,6 +545,9 @@ impl StepQuery {
         );
         answer.result = Some(result);
         self.answered += u64::from(result != SolveResult::Unknown);
+        if result == SolveResult::Sat {
+            self.failed = Some(k);
+        }
         answer.exhaustion = ctx.solver.exhaustion_reason();
         let stats = ctx.solver.stats();
         answer.budget_conflicts = answer.exhaustion == Some(ExhaustionReason::ConflictLimit)
@@ -565,6 +577,7 @@ impl StepQuery {
     pub(crate) fn rebuild(&mut self, model: &Design) {
         let governor = self.ctx.governor.clone();
         self.ctx = BmcEngine::make_ctx(model, &self.options, &governor, false);
+        self.failed = None;
     }
 
     /// Installs `governor` on the solver and the EMM encoder.
@@ -607,17 +620,14 @@ struct BoundJob {
 }
 
 impl Answers {
-    /// Whether these answers end the bound whatever the floating context
-    /// answers (see the combine in `BmcEngine::run_bound`): an encode
-    /// trip, a forward query that did not answer SAT, or under k-induction
-    /// a counterexample query that did not refute the bound.
-    fn decides(&self, induction: bool) -> bool {
-        self.encode.is_some()
-            || self.termination.is_some_and(|r| r != SolveResult::Sat)
-            || induction
-                && self
-                    .counterexample
-                    .is_some_and(|(_, r)| r != SolveResult::Unsat)
+    /// Whether the k-induction base case left the bound open: the context
+    /// reached the bound and the counterexample query, if it ran, refuted
+    /// it. Only then does the step run (see `BmcEngine::run_bound`).
+    fn leave_open(&self) -> bool {
+        self.encode.is_none()
+            && self
+                .counterexample
+                .is_none_or(|(_, r)| r == SolveResult::Unsat)
     }
 }
 
@@ -820,10 +830,11 @@ impl<'d> BmcEngine<'d> {
             fraig_seconds,
         } = reduced;
         let governor = options.pipeline.governor.clone();
-        let two = options.proofs || Self::induction(&options);
+        let two = Self::forward_checks(&options);
         let context_governor = || Self::context_governor(&governor, two);
         let anchored = Self::make_ctx(&model, &options, &context_governor(), true);
-        let floating = two.then(|| StepQuery::new(&model, &options, context_governor()));
+        let floating = (options.proofs || Self::induction(&options))
+            .then(|| StepQuery::new(&model, &options, context_governor()));
         BmcEngine {
             design,
             model,
@@ -853,7 +864,9 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// Whether the anchored context runs forward termination checks:
-    /// proofs on under the bounded schedule.
+    /// proofs on under the bounded schedule. Exactly then a bound runs its
+    /// two contexts on two threads (see the module docs' "Two contexts,
+    /// two threads").
     fn forward_checks(options: &VerifyOptions) -> bool {
         options.proofs && !Self::induction(options)
     }
@@ -971,7 +984,7 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// Backward termination queries (k-induction steps) answered SAT or
-    /// UNSAT over the engine's life, speculative ones included.
+    /// UNSAT over the engine's life.
     pub fn step_queries(&self) -> u64 {
         self.floating.as_ref().map_or(0, |f| f.answered)
     }
@@ -1016,10 +1029,10 @@ impl<'d> BmcEngine<'d> {
         &self.governor
     }
 
-    /// The governor a context runs under: the engine's own for a lone
-    /// anchored context, a [fork](ResourceGovernor::fork) of it when there
-    /// are `two` contexts, which run on two threads (see the module docs'
-    /// "Two contexts, two threads").
+    /// The governor a context runs under: a [fork](ResourceGovernor::fork)
+    /// of the engine's when a bound runs `two` contexts on two threads,
+    /// the engine's own otherwise (see the module docs' "Two contexts,
+    /// two threads").
     fn context_governor(governor: &ResourceGovernor, two: bool) -> ResourceGovernor {
         if two {
             governor.fork()
@@ -1030,7 +1043,7 @@ impl<'d> BmcEngine<'d> {
 
     /// Installs a fresh context governor on both contexts.
     fn install_governor(&mut self) {
-        let (governor, two) = (&self.governor, self.floating.is_some());
+        let (governor, two) = (&self.governor, Self::forward_checks(&self.options));
         self.anchored
             .set_governor(Self::context_governor(governor, two));
         if let Some(floating) = &mut self.floating {
@@ -1060,14 +1073,6 @@ impl<'d> BmcEngine<'d> {
             .or_else(|| self.floating.as_ref().and_then(|f| f.ctx.governor.poll()))
     }
 
-    /// Whether a context's EMM encoder aborted emission mid-frame: its
-    /// most recent frame is under-constrained, so its satisfiable answers
-    /// can no longer be trusted and the contexts must be rebuilt before
-    /// the next query.
-    fn poisoned(&self) -> bool {
-        self.anchored.emm.interrupted() || self.floating.as_ref().is_some_and(StepQuery::poisoned)
-    }
-
     /// The [`BmcVerdict::Unknown`] for the current resume state, with the
     /// reason falling back to the governors' own trip cause. A context
     /// whose governor fork was cancelled cancels the engine's governor
@@ -1090,7 +1095,7 @@ impl<'d> BmcEngine<'d> {
     /// [`FaultSite::Frame`] event) and stops early when it trips;
     /// `Some(reason)` means the depth was **not** reached. A trip between
     /// frames leaves the context clean (no partial frame); a trip inside
-    /// the EMM encoder poisons it (see [`BmcEngine::poisoned`]).
+    /// the EMM encoder poisons it (see `BmcEngine::check`).
     fn extend_ctx_to(model: &Design, ctx: &mut Ctx, k: usize) -> Option<ExhaustionReason> {
         let Ctx {
             solver,
@@ -1228,30 +1233,37 @@ impl<'d> BmcEngine<'d> {
         self.solve_seconds = 0.0;
         self.backward_cap = BACKWARD_CAP_FLOOR;
         // A context whose EMM encoder aborted mid-frame is under-
-        // constrained (its SAT answers could be spurious); rebuild it
-        // before trusting anything. Either way, install fresh context
-        // governors so the per-call deadline reaches every stage.
-        if self.poisoned() {
+        // constrained (its SAT answers could be spurious), and termination
+        // queries are bound-exact (see `run_bound`): a floating context
+        // unrolled for a *different* property could never ask the new
+        // one's backward checks at the bounds it already passed. Such a
+        // context is rebuilt before anything is trusted. Under the bounded
+        // schedule both contexts start over together; under k-induction
+        // the anchored context carries no LFP and no property of its own,
+        // so it keeps its cleared bounds unless it is poisoned itself.
+        let anchored_stale = self.anchored.emm.interrupted();
+        let floating_stale = self
+            .floating
+            .as_mut()
+            .is_some_and(|f| f.switch_property(prop) | f.poisoned());
+        if !Self::induction(&self.options) && (anchored_stale || floating_stale) {
             self.rebuild_contexts();
+        } else {
+            if anchored_stale {
+                self.rebuild_anchored();
+            }
+            if let Some(floating) = self.floating.as_mut().filter(|_| floating_stale) {
+                floating.rebuild(&self.model);
+            }
         }
+        // Fresh context governors carry the per-call deadline to every
+        // stage.
         self.install_governor();
         // Encode against the model in force (possibly fraig-reduced);
         // interface structure (properties, latches, inputs, memories) is
         // identical to the original design.
         let bad_bit = self.model.properties()[prop].bad;
         let mut per_bound: Vec<f64> = Vec::new();
-
-        // Termination queries are bound-exact (see `run_bound`), so a
-        // proof-mode engine reused for a *different* property starts its
-        // bound loop over on fresh contexts: otherwise the new property's
-        // backward checks could never run at the already-unrolled bounds.
-        if self
-            .floating
-            .as_mut()
-            .is_some_and(|f| f.switch_property(prop))
-        {
-            self.rebuild_contexts();
-        }
 
         for i in 0..=max_depth {
             let bound_started = Instant::now();
@@ -1273,10 +1285,10 @@ impl<'d> BmcEngine<'d> {
 
     /// Runs bound `i`: extends both contexts to frame `i` and runs their
     /// queries, the anchored context's on the caller's thread and the
-    /// floating context's beside them on a scoped thread or after them,
-    /// then combines the answers in the sequential loop's priority (see
-    /// the module docs' "Two contexts, two threads"). `Some(verdict)` ends
-    /// the run.
+    /// floating context's beside them on a scoped thread (bounded
+    /// schedule) or after them (k-induction), then combines the answers in
+    /// the sequential loop's priority (see the module docs' "Two
+    /// contexts, two threads"). `Some(verdict)` ends the run.
     fn run_bound(
         &mut self,
         prop: usize,
@@ -1296,17 +1308,7 @@ impl<'d> BmcEngine<'d> {
         // skipped, not re-approximated.
         let termination =
             Self::forward_checks(&self.options) && self.anchored.unroller.num_frames() <= i + 1;
-        let step = self
-            .floating
-            .as_ref()
-            .is_some_and(|f| f.ctx.unroller.num_frames() <= i + 1);
-        // The contexts overlap only at a bound that unrolls a new anchored
-        // frame. Otherwise the anchored queries, if any, re-ask a bound an
-        // earlier call unrolled (a handed-on engine's counterexample bound,
-        // a resumed bound) on a warm solver: they run first, and the
-        // floating job runs after them only if their answers leave the
-        // bound open.
-        let overlap = self.anchored.unroller.num_frames() <= i;
+        let step = self.floating.as_ref().is_some_and(|f| f.open_at(i));
         // Counterexample check: SAT(I ∧ ¬P_i ∧ C_i). A bound refuted in an
         // earlier `check` call stays refuted — the anchored formula only
         // grows (retired clauses are redundant) — so it is skipped.
@@ -1359,7 +1361,16 @@ impl<'d> BmcEngine<'d> {
                         floating.extend(model, i)
                     }
                 };
-                if overlap {
+                if induction {
+                    // The base case first, the step only over a clean one.
+                    let forward = forward.run(model, anchored);
+                    let backward = if forward.leave_open() {
+                        floating_job()
+                    } else {
+                        StepAnswer::default()
+                    };
+                    (forward, backward)
+                } else {
                     std::thread::scope(|s| {
                         let handle = s.spawn(floating_job);
                         let forward = forward.run(model, anchored);
@@ -1368,21 +1379,20 @@ impl<'d> BmcEngine<'d> {
                             .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
                         (forward, backward)
                     })
-                } else {
-                    let forward = forward.run(model, anchored);
-                    let backward = if forward.decides(induction) {
-                        StepAnswer::default()
-                    } else {
-                        floating_job()
-                    };
-                    (forward, backward)
                 }
             }
         };
         self.encode_seconds += forward.encode_seconds + backward.encode_seconds;
         self.solve_seconds += forward.solve_seconds + backward.solve_seconds;
 
-        let mut ended = if let Some(reason) = forward.encode.or(backward.encode) {
+        // Under k-induction the step ran only over a clean base case, so
+        // its encode trip ranks after the counterexample (`settle_step`).
+        let encode = if induction {
+            forward.encode
+        } else {
+            forward.encode.or(backward.encode)
+        };
+        let mut ended = if let Some(reason) = encode {
             Some(self.unknown_verdict(prop, Some(reason)))
         } else {
             match forward.termination {
@@ -1413,9 +1423,13 @@ impl<'d> BmcEngine<'d> {
         Ok(ended)
     }
 
-    /// The backward query's share of a bound's verdict: UNSAT proves,
-    /// `Unknown` ends the run unless it hit the bounded schedule's cap.
+    /// The backward query's share of a bound's verdict: an encode trip
+    /// ends the run, UNSAT proves, `Unknown` ends the run unless it hit
+    /// the bounded schedule's cap.
     fn settle_step(&mut self, prop: usize, i: usize, backward: &StepAnswer) -> Option<BmcVerdict> {
+        if let Some(reason) = backward.encode {
+            return Some(self.unknown_verdict(prop, Some(reason)));
+        }
         match backward.result? {
             SolveResult::Unsat if Self::induction(&self.options) => {
                 Some(BmcVerdict::Proved { k: i })
@@ -1501,11 +1515,17 @@ impl<'d> BmcEngine<'d> {
     /// [`PipelineOptions::incremental`](crate::PipelineOptions::incremental)` = false`).
     /// Each context keeps its governor, fault count included.
     fn rebuild_contexts(&mut self) {
-        let governor = self.anchored.governor.clone();
-        self.anchored = Self::make_ctx(&self.model, &self.options, &governor, true);
+        self.rebuild_anchored();
         if let Some(floating) = &mut self.floating {
             floating.rebuild(&self.model);
         }
+    }
+
+    /// Drops and recreates the anchored context and forgets its cleared
+    /// bounds, keeping its governor.
+    fn rebuild_anchored(&mut self) {
+        let governor = self.anchored.governor.clone();
+        self.anchored = Self::make_ctx(&self.model, &self.options, &governor, true);
         self.cleared_depth.clear();
     }
 

@@ -21,11 +21,10 @@
 //! under the k-induction schedule with a floating context attached. Its
 //! anchored context is exactly the base case a k-induction engine would
 //! build, so the refuted bounds are skipped and only the step queries
-//! (and any deeper bounds) are solved. At the bounds the bounded run
-//! unrolled, the step runs on the worker's own thread after the base
-//! case. A bounded run that ended `Unknown` hands nothing on. The verdicts and depths are those of standalone engines;
-//! a k-induction response's `elapsed_seconds` counts only its own part.
-//! Every other request is a job of its own.
+//! (and any deeper bounds) are solved. A bounded run that ended `Unknown`
+//! hands nothing on. The verdicts and depths are those of standalone
+//! engines; a k-induction response's `elapsed_seconds` counts only its
+//! own part. Every other request is a job of its own.
 //!
 //! After a batch, [`stats`](VerificationServer::stats) reports the
 //! throughput ([`ServerStats::jobs_per_sec`]); the bench harness records

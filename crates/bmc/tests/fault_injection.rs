@@ -459,11 +459,8 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
         matches!(reference, BmcVerdict::Proved { k: 1 }),
         "fifo no_overflow is 1-inductive: {reference:?}"
     );
-    // The base case and the step count their events on separate governor
-    // forks, and the proof closes at the second frame of each, so the
-    // second event is the latest one every site but `RetiredClause` reaches.
     for site in sites {
-        for n in [1, 2] {
+        for n in [1, 4] {
             ki_inject_and_resume(&fifo.design, prop, 6, &reference, site, n);
         }
     }
@@ -471,20 +468,17 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
 
 /// Step-side resumability regression (white-box): a frame-site fault
 /// interrupts the k-induction loop after some inductive steps failed
-/// cleanly; the resumed check must skip those step depths. The base case
-/// and the step poll separate governor forks, each counting its own
-/// frames, so the 3rd frame event trips both contexts at bound 2. The
-/// pin: a clean close at `k = 2` with every depth queried exactly once
-/// takes `3` queries across the degrade/resume cycle combined;
-/// re-running a skipped depth would inflate the count. The step's
-/// property literals are solve assumptions, so the step solver never
-/// retires a clause.
+/// cleanly; the resumed check must skip those step depths. The pin: a
+/// clean close at `k = 2` with every depth queried exactly once takes
+/// `3` queries across the degrade/resume cycle combined; re-running a
+/// skipped depth would inflate the count. The step's property literals
+/// are solve assumptions, so the step solver never retires a clause.
 #[test]
 fn kinduction_resume_skips_completed_step_depths() {
     let ind2 = Industry2::new(Industry2Config::small());
     let prop = ind2.invariant;
     // Reference: closes at k = 2 (see the differential suite).
-    let governor = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 3);
+    let governor = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 5);
     let mut engine = KInduction::new(&ind2.design, ki_opts(governor));
     let degraded = engine.check(prop, 10).expect("run").verdict;
     let BmcVerdict::Unknown {
@@ -492,13 +486,13 @@ fn kinduction_resume_skips_completed_step_depths() {
         deepest_clean_bound,
     } = degraded
     else {
-        panic!("the 3rd frame event must interrupt the loop, got {degraded:?}");
+        panic!("the 5th frame event must interrupt the loop, got {degraded:?}");
     };
     assert_eq!(reason, ExhaustionReason::Cancelled);
     assert_eq!(
         deepest_clean_bound,
         Some(1),
-        "bounds 0 and 1 completed before the trip"
+        "the base case and the step of bounds 0 and 1 completed before the trip"
     );
     engine.set_governor(ResourceGovernor::unlimited());
     let resumed = engine.check(prop, 10).expect("resume").verdict;
@@ -516,6 +510,52 @@ fn kinduction_resume_skips_completed_step_depths() {
         engine.step_solver_stats().1.retired_clauses,
         0,
         "step queries assume their property literals; none is a clause"
+    );
+}
+
+/// At a k-induction counterexample bound the step never runs, and nothing
+/// the step side does can take the counterexample away. The base case
+/// and the step poll one fault counter, a bound's frame events come in
+/// that order, and a fault armed at the frame event the step would take
+/// at the counterexample bound `c` (the `2c + 2`-th) must leave the
+/// counterexample standing. Either run asks one step per bound below `c`.
+#[test]
+fn kinduction_counterexample_bound_runs_no_step() {
+    let qs = QuickSort::new(QuickSortConfig {
+        n: 3,
+        addr_width: 4,
+        data_width: 3,
+        bug: Bug::InvertedComparison,
+    });
+    let prop = qs.p1.0 as usize;
+    let bound = qs.cycle_bound();
+    let mut engine = KInduction::new(&qs.design, ki_opts(ResourceGovernor::unlimited()));
+    let reference = engine.check(prop, bound).expect("reference").verdict;
+    let BmcVerdict::Counterexample(trace) = &reference else {
+        panic!("P1 must fail under the inverted comparison: {reference:?}");
+    };
+    let c = trace.frames.len() - 1;
+    assert!(
+        c > 0,
+        "the counterexample needs a step-checked bound before it"
+    );
+    assert_eq!(
+        engine.step_queries(),
+        c as u64,
+        "one step per bound below {c}"
+    );
+    let governor = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 2 * c as u64 + 2);
+    let mut engine = KInduction::new(&qs.design, ki_opts(governor));
+    let verdict = engine.check(prop, bound).expect("run").verdict;
+    assert_eq!(
+        verdict_shape(&verdict),
+        verdict_shape(&reference),
+        "{verdict:?}"
+    );
+    assert_eq!(
+        engine.step_queries(),
+        c as u64,
+        "one step per bound below {c}"
     );
 }
 

@@ -372,35 +372,29 @@ fn quicksort_agreement_with_bounded_engine() {
 
 /// One k-induction job's per-context counters on the default options:
 /// the base case's conflicts, then the step solver's conflicts,
-/// variables and original clauses, and the completed step queries. The
-/// base case's query sequence is the proofs-off bounded loop's, one
-/// counterexample query per bound, so the base conflicts are read from a
-/// `BmcEngine` built with `ProofEngine::KInduction` and run to the depth
-/// the k-induction run reached.
+/// variables and original clauses, and the completed step queries, all
+/// read from the engine that ran the job.
 fn job_counters(d: &Design, prop: usize, max_k: usize) -> (BmcVerdict, [u64; 5]) {
-    let mut ki = KInduction::new(d, VerifyOptions::default());
-    let run = ki.check(prop, max_k).expect("kinduction");
-    let (step_vars, step) = ki.step_solver_stats();
-    let mut base = BmcEngine::new(
+    let mut engine = BmcEngine::new(
         d,
         VerifyOptions::default().proof_engine(ProofEngine::KInduction),
     );
-    base.check(prop, run.depth_reached).expect("base case");
+    let run = engine.check(prop, max_k).expect("kinduction");
+    let (step_vars, step) = engine.floating_solver_stats().expect("a step context");
     let counters = [
-        base.solver_stats().1.conflicts,
+        engine.solver_stats().1.conflicts,
         step.conflicts,
         step_vars as u64,
         step.original_clauses,
-        ki.step_queries(),
+        engine.step_queries(),
     ];
     (run.verdict, counters)
 }
 
 /// Pins the per-context counters of k-induction jobs that end
 /// `BoundReached` (quicksort, AW=6 DW=4, `max_k` 20) and `Proved` (fifo
-/// `no_overflow` at `k = 1`). Each job runs twice: its base case and its
-/// step run on two threads, and the counters must not depend on their
-/// schedule.
+/// `no_overflow` at `k = 1`). Each job runs twice and must read the same
+/// counters both times.
 #[test]
 fn kinduction_counters_are_pinned() {
     // (n, property, [base conflicts, step conflicts, step vars, step
