@@ -10,8 +10,8 @@
 //! fraiging recipe in **rounds**:
 //!
 //! 1. **Simulate** — every node carries a multi-word signature
-//!    ([`FraigConfig::sim_words`] × 64 pseudorandom input patterns,
-//!    deterministic in [`FraigConfig::seed`]), computed incrementally as
+//!    (256 pseudorandom input patterns, deterministic in a fixed seed),
+//!    computed incrementally as
 //!    the graph is rebuilt. Equal (or complementary) signatures are the
 //!    only evidence considered, so candidate classes are found without
 //!    any solver work. The constant node seeds the all-zero class, which
@@ -20,7 +20,7 @@
 //!    [`SweepRunner`]: its members are checked against the class leader
 //!    (the oldest node) by a private incremental [`emm_sat::EquivOracle`]
 //!    that encodes only the two cones' Tseitin clauses, each query
-//!    bounded by [`FraigConfig::sat_conflicts`]. Jobs are pure functions
+//!    bounded by 48 conflicts per direction. Jobs are pure functions
 //!    of the round's snapshot, and their merges commit at a barrier in
 //!    canonical class order.
 //! 3. **Refine** — a refuted pair yields a distinguishing model, which is
@@ -31,7 +31,7 @@
 //!    signatures.
 //!
 //! Rounds stop when one neither merges nor refutes anything, or when
-//! [`FraigConfig::max_checks`] is spent. The pass finishes with a
+//! [`MAX_CHECKS`] checks are spent. The pass finishes with a
 //! rewrite: a fresh graph is rebuilt in the old topological order with
 //! every fanout redirected to class representatives, inputs preserved
 //! index-for-index, and merged or unreferenced cones dead-stripped.
@@ -53,14 +53,14 @@
 //! counterexamples against the *original* design.
 //!
 //! ```
-//! use emm_aig::{Aig, fraig::{fraig_aig, FraigConfig}};
+//! use emm_aig::{Aig, fraig::fraig_aig};
 //!
 //! let mut g = Aig::new();
 //! let a = g.new_input();
 //! let b = g.new_input();
 //! let x = g.and(a, b);
 //! let y = g.and(a, x); // absorbed: a ∧ (a ∧ b) ≡ x, structurally distinct
-//! let r = fraig_aig(&g, &[x, y], &FraigConfig::default());
+//! let r = fraig_aig(&g, &[x, y]);
 //! assert_eq!(r.map_bit(x), r.map_bit(y));
 //! assert_eq!(r.stats.merges, 1);
 //! assert_eq!(r.aig.num_ands(), 1);
@@ -74,45 +74,54 @@ use crate::aig::{Aig, Bit, Node, NodeId};
 use crate::design::Design;
 use crate::sim::eval_combinational_words;
 
-/// Knobs of the fraig pass.
+/// Total SAT equivalence checks across the pass (hard cap; the pass
+/// degrades to pure structural reduction once exhausted).
+pub const MAX_CHECKS: u64 = 4096;
+
+/// Conflict budget per equivalence-check direction.
+const SAT_CONFLICTS: u64 = 48;
+
+/// Seed of the deterministic input patterns.
+const SEED: u64 = 0x00E5_AD8F_F12A_9001;
+
+/// The sweep's size caps; the pass runs under [`CAPS`].
+#[derive(Clone, Copy, Debug)]
+struct Caps {
+    /// Signature width in 64-bit words: `64 * sim_words` random patterns.
+    sim_words: usize,
+    /// Total SAT equivalence checks across the pass.
+    max_checks: u64,
+    /// Candidate-class size cap (bounds memory and worst-case checks).
+    max_bucket: usize,
+}
+
+const CAPS: Caps = Caps {
+    sim_words: 4,
+    max_checks: MAX_CHECKS,
+    max_bucket: 8,
+};
+
+/// Configuration of the fraig pass: whether a pipeline runs it at all.
+/// The pass itself has fixed caps (at most [`MAX_CHECKS`] checks of 48
+/// conflicts per direction, 256 random patterns, classes of at most 8),
+/// so [`fraig_design`] always runs when called; pipelines such as the BMC
+/// engine's check [`FraigConfig::enabled`] first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FraigConfig {
-    /// Master switch (checked by [`fraig_design`] callers such as the BMC
-    /// engine; the pass itself always runs when invoked directly).
+    /// Fraig the design before unrolling.
     pub enabled: bool,
-    /// Signature width in 64-bit words: `64 * sim_words` random patterns.
-    pub sim_words: usize,
-    /// Conflict budget per equivalence-check direction.
-    pub sat_conflicts: u64,
-    /// Total SAT equivalence checks across the pass (hard cap; the pass
-    /// degrades to pure structural reduction once exhausted).
-    pub max_checks: u64,
-    /// Candidate-class size cap (bounds memory and worst-case checks).
-    pub max_bucket: usize,
-    /// Seed of the deterministic input patterns.
-    pub seed: u64,
 }
 
 impl Default for FraigConfig {
     fn default() -> FraigConfig {
-        FraigConfig {
-            enabled: true,
-            sim_words: 4,
-            sat_conflicts: 48,
-            max_checks: 4096,
-            max_bucket: 8,
-            seed: 0x00E5_AD8F_F12A_9001,
-        }
+        FraigConfig { enabled: true }
     }
 }
 
 impl FraigConfig {
     /// A configuration that turns the pass off entirely.
     pub fn disabled() -> FraigConfig {
-        FraigConfig {
-            enabled: false,
-            ..FraigConfig::default()
-        }
+        FraigConfig { enabled: false }
     }
 }
 
@@ -140,12 +149,11 @@ pub struct FraigStats {
     pub cex_patterns: u64,
     /// Simulation patterns used (initial random plus counterexamples).
     pub sim_patterns: u64,
-    /// Nodes a candidate class refused because it was already at
-    /// [`FraigConfig::max_bucket`], counted once per round. A refused
-    /// cone stays a live representative and is re-offered next round,
-    /// once merges or refinement have shrunk its class; a non-zero
-    /// count at the end means raising `max_bucket`/`max_checks` could
-    /// find more merges.
+    /// Nodes a candidate class refused because it was already at its
+    /// size cap, counted once per round. A refused cone stays a live
+    /// representative and is re-offered next round, once merges or
+    /// refinement have shrunk its class; a non-zero count at the end
+    /// means larger classes or more checks could find more merges.
     pub buckets_truncated: u64,
     /// The pass was interrupted by its [`ResourceGovernor`] (deadline or
     /// cancellation) and degraded to structural reduction for the
@@ -277,7 +285,7 @@ impl SweepRunner for SequentialRunner {
 /// nodes with one function; the pass proves and merges them:
 ///
 /// ```
-/// use emm_aig::fraig::{fraig_aig, FraigConfig};
+/// use emm_aig::fraig::fraig_aig;
 /// use emm_aig::Aig;
 ///
 /// let mut g = Aig::new();
@@ -285,15 +293,14 @@ impl SweepRunner for SequentialRunner {
 /// let b = g.new_input();
 /// let x = g.and(a, b);
 /// let y = g.and(a, x);
-/// let r = fraig_aig(&g, &[x, y], &FraigConfig::default());
+/// let r = fraig_aig(&g, &[x, y]);
 /// assert_eq!(r.map_bit(x), r.map_bit(y));
 /// assert_eq!(r.aig.num_ands(), 1);
 /// ```
-pub fn fraig_aig(aig: &Aig, roots: &[Bit], config: &FraigConfig) -> FraigResult {
+pub fn fraig_aig(aig: &Aig, roots: &[Bit]) -> FraigResult {
     fraig_aig_governed(
         aig,
         roots,
-        config,
         &ResourceGovernor::unlimited(),
         &SequentialRunner,
     )
@@ -320,11 +327,21 @@ pub fn fraig_aig(aig: &Aig, roots: &[Bit], config: &FraigConfig) -> FraigResult 
 pub fn fraig_aig_governed(
     aig: &Aig,
     roots: &[Bit],
-    config: &FraigConfig,
     governor: &ResourceGovernor,
     runner: &dyn SweepRunner,
 ) -> FraigResult {
-    let mut w = config.sim_words.max(1);
+    sweep(aig, roots, CAPS, governor, runner)
+}
+
+/// [`fraig_aig_governed`] under `caps`.
+fn sweep(
+    aig: &Aig,
+    roots: &[Bit],
+    caps: Caps,
+    governor: &ResourceGovernor,
+    runner: &dyn SweepRunner,
+) -> FraigResult {
+    let mut w = caps.sim_words.max(1);
     let mut stats = FraigStats {
         sim_patterns: 64 * w as u64,
         ands_before: aig.num_ands(),
@@ -342,7 +359,7 @@ pub fn fraig_aig_governed(
             Node::Input(i) => {
                 let b = g1.new_input();
                 for k in 0..w {
-                    sig.push(mix(config.seed ^ mix((i as u64) << 8 | k as u64)));
+                    sig.push(mix(SEED ^ mix((i as u64) << 8 | k as u64)));
                 }
                 b
             }
@@ -375,7 +392,7 @@ pub fn fraig_aig_governed(
             stats.interrupted = true;
             break;
         }
-        let budget_left = config.max_checks.saturating_sub(stats.sat_checks);
+        let budget_left = caps.max_checks.saturating_sub(stats.sat_checks);
         if budget_left == 0 {
             break;
         }
@@ -393,7 +410,7 @@ pub fn fraig_aig_governed(
                 class_order.push(key);
                 Vec::new()
             });
-            if class.len() < config.max_bucket {
+            if class.len() < caps.max_bucket {
                 class.push(lit);
             } else {
                 stats.buckets_truncated += 1;
@@ -430,9 +447,7 @@ pub fn fraig_aig_governed(
             .map(|(class, &budget)| {
                 let class = class.clone();
                 let job_gov = governor.fork().disarmed();
-                let config = *config;
-                Box::new(move || sweep_class(g1_ref, &class, budget, &config, &job_gov))
-                    as SweepTask<'_>
+                Box::new(move || sweep_class(g1_ref, &class, budget, &job_gov)) as SweepTask<'_>
             })
             .collect();
         let reports = runner.run_sweep(tasks);
@@ -562,13 +577,8 @@ pub fn fraig_aig_governed(
 /// structure between them shrinks. A design that fails
 /// [`Design::check`] is returned unchanged (zeroed stats), since
 /// next-state functions must exist to be preserved.
-pub fn fraig_design(design: &mut Design, config: &FraigConfig) -> FraigStats {
-    fraig_design_governed(
-        design,
-        config,
-        &ResourceGovernor::unlimited(),
-        &SequentialRunner,
-    )
+pub fn fraig_design(design: &mut Design) -> FraigStats {
+    fraig_design_governed(design, &ResourceGovernor::unlimited(), &SequentialRunner)
 }
 
 /// [`fraig_design`] under a shared [`ResourceGovernor`] and a
@@ -576,7 +586,6 @@ pub fn fraig_design(design: &mut Design, config: &FraigConfig) -> FraigStats {
 /// determinism contracts.
 pub fn fraig_design_governed(
     design: &mut Design,
-    config: &FraigConfig,
     governor: &ResourceGovernor,
     runner: &dyn SweepRunner,
 ) -> FraigStats {
@@ -584,8 +593,7 @@ pub fn fraig_design_governed(
         return FraigStats::default();
     }
     let roots = design.reduction_roots();
-    let FraigResult { aig, stats, map } =
-        fraig_aig_governed(&design.aig, &roots, config, governor, runner);
+    let FraigResult { aig, stats, map } = fraig_aig_governed(&design.aig, &roots, governor, runner);
     design.replace_aig(aig, &mut |b| apply(&map, b));
     stats
 }
@@ -705,13 +713,7 @@ fn encode_cone(g: &Aig, oracle: &mut EquivOracle, bit: Bit) -> Lit {
 /// with a private oracle, up to `budget` checks. Pure function of its
 /// arguments — no shared mutable state — which is what makes the
 /// barrier commit order the only thing that matters for determinism.
-fn sweep_class(
-    g: &Aig,
-    class: &[Bit],
-    budget: u64,
-    config: &FraigConfig,
-    job_gov: &ResourceGovernor,
-) -> ClassReport {
+fn sweep_class(g: &Aig, class: &[Bit], budget: u64, job_gov: &ResourceGovernor) -> ClassReport {
     let mut oracle = EquivOracle::new();
     oracle.set_governor(job_gov.clone());
     let mut report = ClassReport::default();
@@ -727,7 +729,7 @@ fn sweep_class(
         }
         let la = encode_cone(g, &mut oracle, member);
         let lb = encode_cone(g, &mut oracle, leader);
-        match oracle.prove_equiv(la, lb, config.sat_conflicts) {
+        match oracle.prove_equiv(la, lb, SAT_CONFLICTS) {
             Some(true) => report.checks.push(SweepOutcome::Proved { member, leader }),
             Some(false) => {
                 // Distinguishing pattern: model values where encoded,
@@ -742,9 +744,8 @@ fn sweep_class(
                 for (id, node) in g.iter() {
                     if let Node::Input(i) = node {
                         let modeled = oracle.lit(id.index()).and_then(|l| oracle.model_lit(l));
-                        pattern[i as usize] = modeled.unwrap_or_else(|| {
-                            mix(config.seed ^ salt ^ id.index() as u64) & 1 == 1
-                        });
+                        pattern[i as usize] = modeled
+                            .unwrap_or_else(|| mix(SEED ^ salt ^ id.index() as u64) & 1 == 1);
                     }
                 }
                 report.checks.push(SweepOutcome::Refuted { pattern });
@@ -774,7 +775,7 @@ mod tests {
         // from each other.
         let left = g.and(a, x);
         let right = g.and(x, b);
-        let r = fraig_aig(&g, &[x, left, right], &FraigConfig::default());
+        let r = fraig_aig(&g, &[x, left, right]);
         assert_eq!(r.map_bit(x), r.map_bit(left));
         assert_eq!(r.map_bit(x), r.map_bit(right));
         assert_eq!(r.aig.num_ands(), 1);
@@ -790,7 +791,7 @@ mod tests {
         let x = g.and(a, b);
         let y = g.and(a, !b);
         let z = g.and(x, y);
-        let r = fraig_aig(&g, &[z], &FraigConfig::default());
+        let r = fraig_aig(&g, &[z]);
         assert_eq!(r.map_bit(z), Aig::FALSE);
         assert_eq!(r.stats.const_merges, 1);
         assert_eq!(r.aig.num_ands(), 0, "the whole cone dead-strips");
@@ -810,7 +811,7 @@ mod tests {
         for &i in &inputs {
             acc = g.and(acc, i);
         }
-        let r = fraig_aig(&g, &[acc], &FraigConfig::default());
+        let r = fraig_aig(&g, &[acc]);
         assert_ne!(r.map_bit(acc), Aig::FALSE, "not constant");
         assert_eq!(r.aig.num_ands(), 15, "chain preserved");
         assert!(r.stats.refuted >= 1, "candidates were SAT-refuted");
@@ -833,7 +834,7 @@ mod tests {
         for &i in inputs.iter().rev() {
             right = g.and(right, i);
         }
-        let r = fraig_aig(&g, &[left, right], &FraigConfig::default());
+        let r = fraig_aig(&g, &[left, right]);
         assert_eq!(
             r.map_bit(left),
             r.map_bit(right),
@@ -894,12 +895,12 @@ mod tests {
             pairs.push((x, y));
         }
         let roots: Vec<Bit> = pairs.iter().flat_map(|&(x, y)| [x, y]).collect();
-        let config = FraigConfig {
+        let caps = Caps {
             sim_words: 64,
-            ..FraigConfig::default()
+            ..CAPS
         };
         let runner = RecordingRunner::default();
-        let r = fraig_aig_governed(&g, &roots, &config, &ResourceGovernor::unlimited(), &runner);
+        let r = sweep(&g, &roots, caps, &ResourceGovernor::unlimited(), &runner);
         let rounds = runner.0.into_inner();
         assert!(
             rounds[0].len() > 64,
@@ -968,20 +969,23 @@ mod tests {
         let b = g.new_input();
         let x = g.and(a, b);
         let y = g.and(a, x);
-        let r = fraig_aig(
+        let caps = Caps {
+            max_checks: 0,
+            ..CAPS
+        };
+        let r = sweep(
             &g,
             &[x, y],
-            &FraigConfig {
-                max_checks: 0,
-                ..FraigConfig::default()
-            },
+            caps,
+            &ResourceGovernor::unlimited(),
+            &SequentialRunner,
         );
         assert_eq!(r.stats.sat_checks, 0);
         assert_ne!(r.map_bit(x), r.map_bit(y), "no proof, no merge");
         assert_eq!(r.aig.num_ands(), 2);
     }
 
-    /// Pin the bucket-cap counter: with `max_bucket: 1` every class is a
+    /// Pin the bucket-cap counter: with a class size cap of 1 every class is a
     /// singleton, so no check runs, and every signature-equal node after
     /// the first is refused by its class and must be counted, not
     /// silently skipped.
@@ -994,11 +998,12 @@ mod tests {
         // Two absorbed rebuilds of x: same function, same signature.
         let left = g.and(a, x);
         let right = g.and(x, b);
-        let config = FraigConfig {
+        let caps = Caps {
             max_bucket: 1,
-            ..FraigConfig::default()
+            ..CAPS
         };
-        let r = fraig_aig(&g, &[x, left, right], &config);
+        let governor = ResourceGovernor::unlimited();
+        let r = sweep(&g, &[x, left, right], caps, &governor, &SequentialRunner);
         assert_eq!(r.stats.sat_checks, 0, "singleton classes need no check");
         assert_eq!(r.stats.merges, 0);
         assert_eq!(
@@ -1006,7 +1011,7 @@ mod tests {
             "left and right both hit the full class"
         );
         // An uncapped run of the same graph records no truncation.
-        let r = fraig_aig(&g, &[x, left, right], &FraigConfig::default());
+        let r = fraig_aig(&g, &[x, left, right]);
         assert_eq!(r.stats.buckets_truncated, 0);
     }
 
@@ -1028,11 +1033,12 @@ mod tests {
         let u = g.and(c, d);
         let v = g.and(c, u); // ≡ u
         let t = g.and(z, e); // fanout of the refused cone
-        let config = FraigConfig {
+        let caps = Caps {
             max_bucket: 2,
-            ..FraigConfig::default()
+            ..CAPS
         };
-        let r = fraig_aig(&g, &[x, y, z, u, v, t], &config);
+        let governor = ResourceGovernor::unlimited();
+        let r = sweep(&g, &[x, y, z, u, v, t], caps, &governor, &SequentialRunner);
         assert_eq!(r.stats.buckets_truncated, 1, "round 1 refused z");
         assert_eq!(r.stats.merges, 3, "z merged in round 2");
         assert_eq!(r.map_bit(y), r.map_bit(x));
@@ -1054,13 +1060,7 @@ mod tests {
         let y = g.and(a, x);
         let governor = ResourceGovernor::unlimited();
         governor.cancel();
-        let r = fraig_aig_governed(
-            &g,
-            &[x, y],
-            &FraigConfig::default(),
-            &governor,
-            &SequentialRunner,
-        );
+        let r = fraig_aig_governed(&g, &[x, y], &governor, &SequentialRunner);
         assert!(r.stats.interrupted);
         assert_eq!(r.stats.sat_checks, 0, "no SAT work under cancellation");
         assert_eq!(r.stats.merges, 0);
@@ -1087,13 +1087,7 @@ mod tests {
         let roots = [x, y, u, v, w];
         let run = || {
             let governor = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
-            fraig_aig_governed(
-                &g,
-                &roots,
-                &FraigConfig::default(),
-                &governor,
-                &SequentialRunner,
-            )
+            fraig_aig_governed(&g, &roots, &governor, &SequentialRunner)
         };
         let r = run();
         assert_eq!(r.stats.sat_checks, 2, "halted right after the 2nd check");
@@ -1128,7 +1122,7 @@ mod tests {
         d.check().expect("valid");
 
         let mut fraiged = d.clone();
-        let stats = fraig_design(&mut fraiged, &FraigConfig::default());
+        let stats = fraig_design(&mut fraiged);
         assert!(stats.ands_after <= stats.ands_before);
         fraiged.check().expect("still well-formed");
         assert_eq!(fraiged.num_latches(), d.num_latches());
@@ -1156,7 +1150,7 @@ mod tests {
         let mut d = Design::new();
         d.new_latch("dangling", LatchInit::Zero);
         let gates = d.num_gates();
-        let stats = fraig_design(&mut d, &FraigConfig::default());
+        let stats = fraig_design(&mut d);
         assert_eq!(stats, FraigStats::default());
         assert_eq!(d.num_gates(), gates);
     }

@@ -21,8 +21,8 @@
 //!   classes are confirmed by bounded incremental SAT checks
 //!   ([`emm_sat::EquivOracle`]), refutation models are appended to
 //!   the signatures as guided patterns, and a final rewrite redirects
-//!   fanouts to class representatives and dead-strips merged cones. Knobs
-//!   live in [`FraigConfig`]; the BMC engine runs it by default.
+//!   fanouts to class representatives and dead-strips merged cones. Its
+//!   caps are constants; the BMC engine runs it by default.
 //! * [`rewrite`] — cut-based rewriting (with 4-feasible cut enumeration
 //!   in [`cuts`] over `u16` truth tables): per-node cut functions are
 //!   canonicalized by a memoized exact NPN form and

@@ -9,10 +9,10 @@
 //! property is falsifiable within the requested depth**, ready to be
 //! handed to any external DIMACS solver:
 //!
-//! * every environment constraint is asserted at every frame (the
-//!   unroller does this itself);
-//! * the EMM encoder's active assumptions (exclusivity selectors) become
-//!   unit clauses — a standalone instance has no assumption interface;
+//! * the query assumptions become unit clauses — a standalone instance
+//!   has no assumption interface: the EMM encoder's active assumptions
+//!   (exclusivity selectors) and the guards of every frame's environment
+//!   constraints, so every constraint holds at every frame;
 //! * the per-frame bad literals are materialized through the simplifier
 //!   (emitting any lazily held gate clauses) and disjoined into one
 //!   final clause.
@@ -74,7 +74,8 @@ pub struct BmcCnf {
     /// The materialized bad literal per frame `0..=depth`; their
     /// disjunction is the last clause of [`BmcCnf::cnf`].
     pub bad_lits: Vec<Lit>,
-    /// The EMM assumptions asserted as unit clauses.
+    /// The query assumptions asserted as unit clauses: the EMM selectors,
+    /// then the constraint guards of frames `0..=depth`.
     pub assumptions: Vec<Lit>,
 }
 
@@ -185,10 +186,11 @@ pub fn dump_bmc_cnf(
         .collect();
     cnf.add_clause(&bad_lits);
 
-    // The EMM selector assumptions hold unconditionally in a dump.
+    // The query assumptions hold unconditionally in a dump.
     let assumptions: Vec<Lit> = emm
         .all_active_assumptions()
         .into_iter()
+        .chain(unroller.constraint_guards(depth).iter().copied())
         .map(|l| materialize(l, &mut cnf, &mut simplify))
         .collect();
     for &a in &assumptions {
@@ -276,6 +278,26 @@ mod tests {
             run.verdict,
             BmcVerdict::BoundReached | BmcVerdict::Proof { .. }
         ));
+    }
+
+    /// The constraint holds at every frame of a dump: `held` copies the
+    /// constrained-low input, so it never rises.
+    #[test]
+    fn constrained_dump_matches_engine_verdicts() {
+        let mut d = Design::new();
+        let input = d.new_input("in");
+        let (_, held) = d.new_latch("held", LatchInit::Zero);
+        d.set_next(held, input);
+        d.add_constraint(!input);
+        d.add_property("held", held);
+        d.check().expect("well-formed");
+        assert_eq!(solve_dump(&d, 4), SolveResult::Unsat);
+        let dump = dump_bmc_cnf(&d, 0, 4, VerifyOptions::default()).expect("dump");
+        assert_eq!(dump.assumptions.len(), 5, "one guard per frame");
+        let run = BmcEngine::new(&d, VerifyOptions::default())
+            .check(0, 4)
+            .expect("check");
+        assert!(matches!(run.verdict, BmcVerdict::BoundReached));
     }
 
     #[test]

@@ -25,6 +25,22 @@
 //! The restart-from-scratch baseline is kept behind
 //! [`PipelineOptions::incremental`](crate::PipelineOptions::incremental)` = false`.
 //!
+//! ## Queries scoped by bound
+//!
+//! A query at bound `i` asks exactly the bound-`i` formula, however deep
+//! its context is unrolled. It assumes the guards of the environment
+//! constraints of frames `0..=i` only ([`Unroller::constraint_guards`]),
+//! and a termination check enforces `LFP_i` over frames `0..=i` only
+//! ([`LfpBuilder::solve`]). Nothing else in a later frame can rule out an
+//! earlier frame's behaviour: latch transitions are functions, and the EMM
+//! constraints of a frame only define that frame's read data. So frames,
+//! EMM constraints, LFP rows and learnt clauses do not depend on the
+//! property: the property enters as assumptions and retired groups only,
+//! and both contexts carry over between `check` calls for any property
+//! and any depth. A context is rebuilt only when its EMM encoder stopped
+//! mid-frame (the frame is then under-constrained) and, at every bound,
+//! in restart mode.
+//!
 //! The engine configurations map to the paper's algorithms:
 //!
 //! | Paper | Configuration |
@@ -65,10 +81,10 @@
 //! refinement), so the step answers exactly as with every row present.
 //! Without them k-induction is incomplete, since a lasso of good states
 //! could extend forever; with them the step formula is unsatisfiable
-//! outright at the recurrence diameter. The step at `k+1` contains a
-//! copy of every shorter simple path, so a failed (SAT) step stays
-//! failed, and a resumed call skips the depths already asked (see
-//! `BmcEngine::run_bound`).
+//! outright at the recurrence diameter. A satisfying path of the step at
+//! `k` has a suffix of every shorter length, so a failed (SAT) step fails
+//! at every shallower depth too, and a later call for the same property
+//! skips the depths already asked (see `BmcEngine::run_bound`).
 //!
 //! ## Two contexts, two threads
 //!
@@ -424,10 +440,11 @@ impl Ctx {
         lit
     }
 
-    /// Solves under `assumptions` with `LFP` enforced, adding pair rows
-    /// on demand (see [`LfpBuilder::solve`]).
+    /// Solves under `assumptions` with `LFP_bound` enforced, adding pair
+    /// rows on demand (see [`LfpBuilder::solve`]).
     fn solve_lfp(
         &mut self,
+        bound: usize,
         assumptions: &[Lit],
         encode_seconds: &mut f64,
         solve_seconds: &mut f64,
@@ -435,6 +452,7 @@ impl Ctx {
         self.lfp.as_mut().expect("proofs on").solve(
             &mut self.solver,
             self.simplify.as_mut(),
+            bound,
             assumptions,
             encode_seconds,
             solve_seconds,
@@ -446,22 +464,20 @@ impl Ctx {
 /// schedules: `SAT(LFP_k ∧ ¬bad_0 ∧ … ∧ ¬bad_{k-1} ∧
 /// bad_k)` on a floating context (frame 0 free, every memory
 /// arbitrary-init, LFP rows added on demand), owned here for its whole
-/// life together with the property it is unrolled for. The property
-/// literals are solve assumptions, so a query leaves no clause behind;
-/// frames, EMM constraints, LFP rows and learned clauses carry over.
+/// life. The property literals are solve assumptions, so a query leaves
+/// no clause behind, and the query at `k` asks frames `0..=k` only:
+/// frames, EMM constraints, LFP rows and learned clauses carry over
+/// between bounds and properties alike.
 #[derive(Debug)]
 pub(crate) struct StepQuery {
     ctx: Ctx,
     /// The options the context is built from, kept for rebuilds.
     options: VerifyOptions,
-    /// The property of the most recent `switch_property` call. Step queries
-    /// are bound-exact over the one shared LFP activation: a context
-    /// unrolled for one property cannot answer another's shallower steps.
-    prop: Option<usize>,
-    /// The deepest bound whose query answered SAT in this context. The
-    /// context only grows, so that answer stands and a resumed call does
-    /// not ask it again.
-    failed: Option<usize>,
+    /// Per property: the deepest bound whose query answered SAT. A
+    /// satisfying path at `k` has a suffix of every shorter length, so the
+    /// queries at and below it stay SAT and a resumed call does not ask
+    /// them again.
+    failed: HashMap<usize, usize>,
     /// Queries answered SAT or UNSAT, over rebuilds too.
     answered: u64,
 }
@@ -489,17 +505,15 @@ impl StepQuery {
         StepQuery {
             ctx: BmcEngine::make_ctx(model, options, &governor, false),
             options: options.clone(),
-            prop: None,
-            failed: None,
+            failed: HashMap::new(),
             answered: 0,
         }
     }
 
-    /// Whether the query at bound `k` is still to be asked: the context is
-    /// not unrolled past frame `k` (see `BmcEngine::run_bound`) and its
-    /// query at `k` has not answered SAT already.
-    pub(crate) fn open_at(&self, k: usize) -> bool {
-        self.ctx.unroller.num_frames() <= k + 1 && self.failed.is_none_or(|d| d < k)
+    /// Whether the query for `prop` at bound `k` is still to be asked: no
+    /// query for `prop` at `k` or deeper has answered SAT.
+    pub(crate) fn open_at(&self, prop: usize, k: usize) -> bool {
+        self.failed.get(&prop).is_none_or(|&d| d < k)
     }
 
     /// Extends the context to frames `0..=k` without querying (see
@@ -514,14 +528,15 @@ impl StepQuery {
         }
     }
 
-    /// The step query at depth `k` under `budget`: extends the context to
-    /// frames `0..=k`, assumes `¬bad_0 … ¬bad_{k-1}, bad_k` next to the
-    /// selector assumptions, and solves with LFP enforced. UNSAT means no
-    /// simple path of `k` good states is followed by a bad one.
+    /// The step query for `prop` at depth `k` under `budget`: extends the
+    /// context to frames `0..=k`, assumes `¬bad_0 … ¬bad_{k-1}, bad_k` next
+    /// to the bound's base assumptions, and solves with `LFP_k` enforced.
+    /// UNSAT means no simple path of `k` good states is followed by a bad
+    /// one.
     pub(crate) fn query(
         &mut self,
         model: &Design,
-        bad: emm_aig::Bit,
+        prop: usize,
         k: usize,
         budget: Budget,
     ) -> StepAnswer {
@@ -529,9 +544,10 @@ impl StepQuery {
         if answer.encode.is_some() {
             return answer;
         }
+        let bad = model.properties()[prop].bad;
         let ctx = &mut self.ctx;
         ctx.solver.set_budget(budget);
-        let mut assumptions = BmcEngine::base_assumptions(ctx);
+        let mut assumptions = BmcEngine::base_assumptions(ctx, k);
         for j in 0..k {
             let bad_j = ctx.unroller.lit(j, bad);
             assumptions.push(ctx.assumption(!bad_j));
@@ -539,6 +555,7 @@ impl StepQuery {
         let bad_k = ctx.unroller.lit(k, bad);
         assumptions.push(ctx.assumption(bad_k));
         let result = ctx.solve_lfp(
+            k,
             &assumptions,
             &mut answer.encode_seconds,
             &mut answer.solve_seconds,
@@ -546,7 +563,7 @@ impl StepQuery {
         answer.result = Some(result);
         self.answered += u64::from(result != SolveResult::Unknown);
         if result == SolveResult::Sat {
-            self.failed = Some(k);
+            self.failed.insert(prop, k);
         }
         answer.exhaustion = ctx.solver.exhaustion_reason();
         let stats = ctx.solver.stats();
@@ -557,13 +574,6 @@ impl StepQuery {
                 .check_counters(stats.conflicts, stats.propagations)
                 .is_none();
         answer
-    }
-
-    /// Records `prop` as the property of the coming queries; `true` when
-    /// the previous queries were for another one, so the caller must
-    /// [rebuild](StepQuery::rebuild) before querying.
-    pub(crate) fn switch_property(&mut self, prop: usize) -> bool {
-        self.prop.replace(prop).is_some_and(|p| p != prop)
     }
 
     /// Whether the EMM encoder aborted emission mid-frame: the newest frame
@@ -577,7 +587,7 @@ impl StepQuery {
     pub(crate) fn rebuild(&mut self, model: &Design) {
         let governor = self.ctx.governor.clone();
         self.ctx = BmcEngine::make_ctx(model, &self.options, &governor, false);
-        self.failed = None;
+        self.failed.clear();
     }
 
     /// Installs `governor` on the solver and the EMM encoder.
@@ -646,8 +656,9 @@ impl BoundJob {
         }
         ctx.solver.set_budget(self.budget);
         if self.termination {
-            let assumptions = BmcEngine::base_assumptions(ctx);
+            let assumptions = BmcEngine::base_assumptions(ctx, i);
             let result = ctx.solve_lfp(
+                i,
                 &assumptions,
                 &mut answers.encode_seconds,
                 &mut answers.solve_seconds,
@@ -668,7 +679,7 @@ impl BoundJob {
             // resident clauses would.
             let group = ctx.solver.new_activation_group();
             ctx.solver.add_clause_in_group(group, &[bad_i]);
-            let mut assumptions = BmcEngine::base_assumptions(ctx);
+            let mut assumptions = BmcEngine::base_assumptions(ctx, i);
             assumptions.push(group);
             let solve_started = Instant::now();
             let result = ctx.solver.solve_with(&assumptions);
@@ -1195,17 +1206,21 @@ impl<'d> BmcEngine<'d> {
         }
     }
 
-    /// Base assumptions activating selectors (EMM memory/port selectors and
-    /// PBA latch selectors) in a context.
-    fn base_assumptions(ctx: &Ctx) -> Vec<Lit> {
+    /// Base assumptions of a query at `bound` in a context: the selectors
+    /// (EMM memory/port selectors and PBA latch selectors) and the guards
+    /// of the environment constraints of frames `0..=bound`.
+    fn base_assumptions(ctx: &Ctx, bound: usize) -> Vec<Lit> {
         let mut a = ctx.emm.all_active_assumptions();
         a.extend_from_slice(ctx.unroller.latch_selectors());
+        a.extend_from_slice(ctx.unroller.constraint_guards(bound));
         a
     }
 
     /// Checks property `prop` up to `max_depth` (inclusive), following the
     /// loop structure of Fig. 1/Fig. 3, or of k-induction (see the module
-    /// docs' "Two schedules").
+    /// docs' "Two schedules"). Calls may name any property and depth in any
+    /// order: each query asks exactly the formula of its bound (see
+    /// "Queries scoped by bound").
     ///
     /// # Errors
     ///
@@ -1233,28 +1248,15 @@ impl<'d> BmcEngine<'d> {
         self.solve_seconds = 0.0;
         self.backward_cap = BACKWARD_CAP_FLOOR;
         // A context whose EMM encoder aborted mid-frame is under-
-        // constrained (its SAT answers could be spurious), and termination
-        // queries are bound-exact (see `run_bound`): a floating context
-        // unrolled for a *different* property could never ask the new
-        // one's backward checks at the bounds it already passed. Such a
-        // context is rebuilt before anything is trusted. Under the bounded
-        // schedule both contexts start over together; under k-induction
-        // the anchored context carries no LFP and no property of its own,
-        // so it keeps its cleared bounds unless it is poisoned itself.
-        let anchored_stale = self.anchored.emm.interrupted();
-        let floating_stale = self
-            .floating
-            .as_mut()
-            .is_some_and(|f| f.switch_property(prop) | f.poisoned());
-        if !Self::induction(&self.options) && (anchored_stale || floating_stale) {
-            self.rebuild_contexts();
-        } else {
-            if anchored_stale {
-                self.rebuild_anchored();
-            }
-            if let Some(floating) = self.floating.as_mut().filter(|_| floating_stale) {
-                floating.rebuild(&self.model);
-            }
+        // constrained (its SAT answers could be spurious), so it is rebuilt
+        // before anything is trusted. Every other context carries over: a
+        // query at bound `i` asks the bound-`i` formula whatever property
+        // or depth the context was unrolled for.
+        if self.anchored.emm.interrupted() {
+            self.rebuild_anchored();
+        }
+        if let Some(floating) = self.floating.as_mut().filter(|f| f.poisoned()) {
+            floating.rebuild(&self.model);
         }
         // Fresh context governors carry the per-call deadline to every
         // stage.
@@ -1296,19 +1298,13 @@ impl<'d> BmcEngine<'d> {
         i: usize,
         deadline: Option<Instant>,
     ) -> Result<Option<BmcVerdict>, BmcError> {
-        // The termination queries are *bound-exact*: `LFP_i` is "frames
-        // 0..=i are pairwise distinct", and the LFP query enforces
-        // distinctness over every frame its context has unrolled. On a
-        // repeated `check` call a context may already be unrolled past
-        // `i`; re-running its bound-`i` query then would assume LFP over
-        // the *deeper* unrolling and could report a spurious proof (e.g.
-        // an absorbing bad state cannot extend to more distinct frames).
-        // The context asked that query at the exact depth in the earlier
-        // call (and found nothing, or we would not be here), so it is
-        // skipped, not re-approximated.
+        // The forward query is property-independent, and an anchored
+        // context unrolled past `i` asked it at `i` in an earlier call and
+        // got SAT (UNSAT or `Unknown` ends a run at its bound). That answer
+        // stands, so the query is skipped as a cached one.
         let termination =
             Self::forward_checks(&self.options) && self.anchored.unroller.num_frames() <= i + 1;
-        let step = self.floating.as_ref().is_some_and(|f| f.open_at(i));
+        let step = self.floating.as_ref().is_some_and(|f| f.open_at(prop, i));
         // Counterexample check: SAT(I ∧ ¬P_i ∧ C_i). A bound refuted in an
         // earlier `check` call stays refuted — the anchored formula only
         // grows (retired clauses are redundant) — so it is skipped.
@@ -1356,7 +1352,7 @@ impl<'d> BmcEngine<'d> {
             Some(floating) => {
                 let floating_job = move || {
                     if step {
-                        floating.query(model, bad_bit, i, budget)
+                        floating.query(model, prop, i, budget)
                     } else {
                         floating.extend(model, i)
                     }

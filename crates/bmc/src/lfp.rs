@@ -4,12 +4,19 @@
 //!
 //! `LFP_i` states that the system states at frames `0..=i` are pairwise
 //! distinct. Its pair rows are added permanently to the solver but
-//! *activated* by a single shared assumption literal: counterexample
-//! checks on the same solver simply do not assume it. (Unlike the
-//! per-bound property clauses, which a refuted bound retires via
-//! `emm_sat::Solver::retire_group`, LFP rows stay useful at every later
-//! bound, so a single never-retired activation literal is the right
-//! granularity.)
+//! *activated* by an assumption literal, so counterexample checks on the
+//! same solver simply do not assume it.
+//!
+//! ## Scoped by bound
+//!
+//! A query at bound `i` enforces exactly `LFP_i`, however many frames its
+//! context has unrolled: [`LfpBuilder::solve`] reads repeated pairs from
+//! frames `0..=i` only, and a row whose later frame lies past `i` would
+//! constrain the bound's frames through the transition relation. When
+//! such rows exist, `solve` retires the activation literal (asserts its
+//! negation, which satisfies every row it guards) and draws a fresh one.
+//! The rows a query needs come back on demand. A run whose bound only
+//! grows never holds a row past its bound, so it never retires.
 //!
 //! ## Rows on demand
 //!
@@ -58,8 +65,11 @@ use emm_sat::{CnfSink, Lit, Simplifier, SolveResult, Solver};
 /// Incremental builder of pairwise-distinct-state constraints.
 #[derive(Debug)]
 pub struct LfpBuilder {
-    /// Shared activation literal, assumed by [`LfpBuilder::solve`].
+    /// Activation literal of the live rows, assumed by
+    /// [`LfpBuilder::solve`].
     activation: Lit,
+    /// The latest frame any live row mentions.
+    deepest_row: Option<usize>,
     /// Latch literals per recorded frame (already filtered to kept latches).
     frames: Vec<Vec<Lit>>,
     /// Write-activity literals per recorded frame: an enabled write at
@@ -90,6 +100,7 @@ impl LfpBuilder {
         };
         LfpBuilder {
             activation: sink.new_var().positive(),
+            deepest_row: None,
             frames: Vec::new(),
             write_frames: Vec::new(),
             kept_positions,
@@ -114,9 +125,10 @@ impl LfpBuilder {
         self.frames[k].iter().chain(&self.write_frames[k]).copied()
     }
 
-    /// Solves `solver` under `assumptions` with `LFP` over every recorded
-    /// frame enforced, emitting pair rows on demand (see the module docs).
-    /// Rows go through `simplify` when the context has one. The solver's
+    /// Solves `solver` under `assumptions` with `LFP_bound` (frames
+    /// `0..=bound` pairwise distinct) enforced, emitting pair rows on
+    /// demand and retiring rows past `bound` (see the module docs). Rows
+    /// go through `simplify` when the context has one. The solver's
     /// [`Budget`](emm_sat::Budget) applies to each `solve_with` round, not
     /// to the query as a whole. Time spent solving is added to
     /// `solve_seconds`, time spent checking models and emitting rows to
@@ -125,10 +137,16 @@ impl LfpBuilder {
         &mut self,
         solver: &mut Solver,
         mut simplify: Option<&mut Simplifier>,
+        bound: usize,
         assumptions: &[Lit],
         encode_seconds: &mut f64,
         solve_seconds: &mut f64,
     ) -> SolveResult {
+        if self.deepest_row.is_some_and(|k| k > bound) {
+            solver.add_clause(&[!self.activation]);
+            self.activation = solver.new_var().positive();
+            self.deepest_row = None;
+        }
         let mut assumptions = assumptions.to_vec();
         assumptions.push(self.activation);
         loop {
@@ -139,7 +157,7 @@ impl LfpBuilder {
                 return result;
             }
             let started = Instant::now();
-            let repeated = self.repeated_pairs(solver);
+            let repeated = self.repeated_pairs(solver, bound);
             let mut attached;
             let sink: &mut dyn CnfSink = match simplify.as_deref_mut() {
                 Some(simp) => {
@@ -150,6 +168,7 @@ impl LfpBuilder {
             };
             for &(j, k) in &repeated {
                 self.add_pair(sink, j, k);
+                self.deepest_row = self.deepest_row.max(Some(k));
             }
             *encode_seconds += started.elapsed().as_secs_f64();
             if repeated.is_empty() {
@@ -158,19 +177,17 @@ impl LfpBuilder {
         }
     }
 
-    /// Every frame pair `(j, k)`, `j < k`, that the solver's model shows
-    /// as the same state: equal kept latches and no write enabled in
-    /// frames `j..k`. Sorted by `k`, then `j`, so emission order (and
-    /// with it every later solve) is deterministic.
-    fn repeated_pairs(&self, solver: &Solver) -> Vec<(usize, usize)> {
+    /// Every frame pair `(j, k)`, `j < k <= bound`, that the solver's
+    /// model shows as the same state: equal kept latches and no write
+    /// enabled in frames `j..k`. Sorted by `k`, then `j`, so emission
+    /// order (and with it every later solve) is deterministic.
+    fn repeated_pairs(&self, solver: &Solver, bound: usize) -> Vec<(usize, usize)> {
         let value = |l: Lit| solver.model_value(l).unwrap_or(false);
-        let states: Vec<Vec<bool>> = self
-            .frames
+        let states: Vec<Vec<bool>> = self.frames[..=bound]
             .iter()
             .map(|f| f.iter().map(|&l| value(l)).collect())
             .collect();
-        let wrote: Vec<bool> = self
-            .write_frames
+        let wrote: Vec<bool> = self.write_frames[..bound]
             .iter()
             .map(|ws| ws.iter().any(|&l| value(l)))
             .collect();
@@ -224,9 +241,10 @@ mod tests {
     use crate::unroll::{UnrollConfig, Unroller};
     use emm_aig::{Design, LatchInit};
 
-    /// Solves with `LFP` enforced on a bare solver, timings discarded.
-    fn solve_lfp(lfp: &mut LfpBuilder, s: &mut Solver) -> SolveResult {
-        lfp.solve(s, None, &[], &mut 0.0, &mut 0.0)
+    /// Solves with `LFP_bound` enforced on a bare solver, timings
+    /// discarded.
+    fn solve_lfp(lfp: &mut LfpBuilder, s: &mut Solver, bound: usize) -> SolveResult {
+        lfp.solve(s, None, bound, &[], &mut 0.0, &mut 0.0)
     }
 
     /// A modulo-`m` counter design over `width` bits.
@@ -264,7 +282,7 @@ mod tests {
         for k in 0..8usize {
             u.extend(&d, &mut s);
             lfp.add_frame(&u.latch_lits(&d, k), &[]);
-            let result = solve_lfp(&mut lfp, &mut s);
+            let result = solve_lfp(&mut lfp, &mut s, k);
             let expect = if (k as u64) < modulo {
                 SolveResult::Sat
             } else {
@@ -292,7 +310,7 @@ mod tests {
             u.extend(&d, &mut s);
             lfp.add_frame(&u.latch_lits(&d, k), &[]);
         }
-        assert_eq!(solve_lfp(&mut lfp, &mut s), SolveResult::Unsat);
+        assert_eq!(solve_lfp(&mut lfp, &mut s, 5), SolveResult::Unsat);
         assert_eq!(s.solve(), SolveResult::Sat, "plain model stays satisfiable");
     }
 
@@ -326,6 +344,6 @@ mod tests {
             lfp.add_frame(&u.latch_lits(&d, k), &[]);
         }
         // The toggle alone has 2 states; 3 frames must repeat.
-        assert_eq!(solve_lfp(&mut lfp, &mut s), SolveResult::Unsat);
+        assert_eq!(solve_lfp(&mut lfp, &mut s, 3), SolveResult::Unsat);
     }
 }

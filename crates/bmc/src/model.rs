@@ -67,7 +67,7 @@ impl<'d> ReducedModel<'d> {
                 let model = reduced.get_or_insert_with(|| design.clone());
                 let t = Instant::now();
                 let pool = Pool::new(workers).with_governor(governor.clone());
-                fraig_stats = Some(fraig_design_governed(model, fraig, governor, &pool));
+                fraig_stats = Some(fraig_design_governed(model, governor, &pool));
                 fraig_seconds = t.elapsed().as_secs_f64();
             }
         }

@@ -39,7 +39,7 @@ use crate::engine::AbstractionSpec;
 ///
 /// The default, [`ProofEngine::Bounded`], is the paper's BMC loop:
 /// counterexample checks and, with [`VerifyOptions::proofs`] on,
-/// bound-exact termination checks that report `proof@k`
+/// termination checks that report `proof@k`
 /// ([`crate::BmcVerdict::Proof`]) — a proof *up to the completeness
 /// threshold reached within the depth budget*.
 /// [`ProofEngine::KInduction`] asks the same counterexample checks as
@@ -48,7 +48,10 @@ use crate::engine::AbstractionSpec;
 /// [`crate::BmcVerdict::Proved`], independent of any depth budget. It
 /// ignores [`VerifyOptions::proofs`]: the step is always asked and the
 /// forward check never. [`crate::KInduction`] builds an engine with this
-/// schedule. See the `BmcEngine` module docs' "Two schedules".
+/// schedule. Under either schedule every query asks exactly the formula
+/// of its bound, so one engine checks any property to any depth in any
+/// order. See the `BmcEngine` module docs' "Two schedules" and "Queries
+/// scoped by bound".
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ProofEngine {
     /// The bounded engine's BMC-1/BMC-3 termination checks (`proof@k`).
@@ -96,8 +99,9 @@ pub struct PipelineOptions {
     ///
     /// The pass runs inside [`BmcEngine::new`], *before* any
     /// [`PipelineOptions::wall_limit`] deadline exists; its cost is
-    /// bounded by the deterministic [`FraigConfig`] caps (`max_checks`,
-    /// `sat_conflicts`) instead. Callers constructing many engines over
+    /// bounded by the pass's fixed deterministic caps instead
+    /// ([`emm_aig::fraig::MAX_CHECKS`] equivalence checks of 48 conflicts
+    /// per direction). Callers constructing many engines over
     /// the same design (abstraction loops) should fraig once and disable
     /// it per engine, as [`crate::pba`] does.
     ///

@@ -24,6 +24,13 @@
 //! * **frozen abstraction** (`kept_latches`) — latches outside the kept set
 //!   become pseudo-primary inputs outright (fresh unconstrained variables
 //!   per frame), the paper's reduced model.
+//!
+//! Environment constraints are the one part of a frame that can rule out
+//! behaviour of earlier frames (a constraint over a latch constrains the
+//! previous frame's next-state logic). Each frame's constraints are
+//! therefore guarded by a literal of that frame, and a query at bound `i`
+//! assumes the guards of frames `0..=i` ([`Unroller::constraint_guards`]),
+//! so frames unrolled past the bound leave its answer alone.
 
 use emm_aig::{Bit, Design, InputKind, LatchInit, Node, Word};
 use emm_core::{MemoryFrameLits, PortLits};
@@ -59,6 +66,9 @@ pub struct Unroller {
     frames: Vec<Vec<Lit>>,
     /// Selector literal per latch (selector mode only).
     latch_sel: Vec<Lit>,
+    /// `guards[k]` guards the environment constraints of frame `k`; empty
+    /// for a design without constraints.
+    guards: Vec<Lit>,
 }
 
 impl Unroller {
@@ -97,6 +107,7 @@ impl Unroller {
             const_false: cf,
             frames: Vec::new(),
             latch_sel,
+            guards: Vec::new(),
         }
     }
 
@@ -108,6 +119,13 @@ impl Unroller {
     /// Per-latch selector literals (selector mode only, else empty).
     pub fn latch_selectors(&self) -> &[Lit] {
         &self.latch_sel
+    }
+
+    /// The literals guarding the environment constraints of frames
+    /// `0..=bound` (those unrolled so far): a query at `bound` assumes
+    /// them. Empty for a design without constraints.
+    pub fn constraint_guards(&self, bound: usize) -> &[Lit] {
+        &self.guards[..self.guards.len().min(bound + 1)]
     }
 
     /// Literal of `bit` at `frame`.
@@ -210,10 +228,15 @@ impl Unroller {
             map.push(lit);
         }
         self.frames.push(map);
-        // Environment constraints hold at every frame.
-        for &c in design.constraints() {
-            let l = self.lit(k, c);
-            sink.add_clause(&[l]);
+        // Environment constraints hold at every frame, under the frame's
+        // guard.
+        if !design.constraints().is_empty() {
+            let guard = sink.new_var().positive();
+            for &c in design.constraints() {
+                let l = self.lit(k, c);
+                sink.add_clause(&[!guard, l]);
+            }
+            self.guards.push(guard);
         }
         k
     }
@@ -411,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn constraints_asserted_every_frame() {
+    fn constraints_hold_under_their_frame_guards() {
         // Constraint: input stays 0. Property: input is 1.
         let mut d = Design::new();
         let i = d.new_input("i");
@@ -430,7 +453,13 @@ mod tests {
         for k in 0..3 {
             u.extend(&d, &mut s);
             let bad = u.lit(k, d.properties()[0].bad);
-            assert_eq!(s.solve_with(&[bad]), SolveResult::Unsat, "depth {k}");
+            let mut assumptions = u.constraint_guards(k).to_vec();
+            assert_eq!(assumptions.len(), k + 1);
+            assumptions.push(bad);
+            assert_eq!(s.solve_with(&assumptions), SolveResult::Unsat, "depth {k}");
+            // Only the guarded frames are constrained.
+            assert_eq!(s.solve_with(&[bad]), SolveResult::Sat, "depth {k}");
         }
+        assert_eq!(u.constraint_guards(0).len(), 1);
     }
 }

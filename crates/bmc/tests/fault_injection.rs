@@ -397,7 +397,7 @@ fn ki_opts(governor: ResourceGovernor) -> VerifyOptions {
 
 /// Like [`inject_and_resume`], for the k-induction engine: the degraded
 /// run must stay sound and the same engine must resume to the reference
-/// verdict under an unlimited governor.
+/// verdict under an unlimited governor. Returns the degraded verdict.
 fn ki_inject_and_resume(
     design: &Design,
     prop: usize,
@@ -405,7 +405,7 @@ fn ki_inject_and_resume(
     reference: &BmcVerdict,
     site: FaultSite,
     n: u64,
-) {
+) -> BmcVerdict {
     let context = format!("kinduction fault ({site:?}, {n})");
     let governor = ResourceGovernor::unlimited().with_fault(site, n);
     let mut engine = KInduction::new(design, ki_opts(governor));
@@ -420,6 +420,30 @@ fn ki_inject_and_resume(
          verdict, got {:?} (reference {reference:?})",
         resumed.verdict
     );
+    degraded.verdict
+}
+
+/// A memory design whose only counterexample is at depth 5: the read port
+/// returns 3 while the free-running counter `t` reads 5. Every bound
+/// below 5 is refuted by the base case and left open by the step.
+fn deep_counterexample_design() -> Design {
+    let mut d = Design::new();
+    let mem = d.add_memory("m", 2, 2, MemInit::Zero);
+    let t = d.new_latch_word("t", 3, LatchInit::Zero);
+    let next_t = d.aig.inc(&t);
+    d.set_next_word(&t, &next_t);
+    let wa = d.new_input_word("wa", 2);
+    let we = d.new_input("we");
+    let wd = d.new_input_word("wd", 2);
+    d.add_write_port(mem, wa, we, wd);
+    let ra = d.new_input_word("ra", 2);
+    let rd = d.add_read_port(mem, ra, emm_aig::Aig::TRUE);
+    let three = d.aig.eq_const(&rd, 3);
+    let five = d.aig.eq_const(&t, 5);
+    let bad = d.aig.and(three, five);
+    d.add_property("p", bad);
+    d.check().expect("valid");
+    d
 }
 
 /// Full (site, N) sweep over the k-induction engine: the random design
@@ -463,6 +487,34 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
         for n in [1, 4] {
             ki_inject_and_resume(&fifo.design, prop, 6, &reference, site, n);
         }
+    }
+    // A deep workload: the random design above ends `cex@0`, before most
+    // armed faults trip. Here every site has an armed fault that trips
+    // after the base case has cleared bound 3, so the degraded run and its
+    // resume cover a k-induction run past its first frames.
+    let deep = deep_counterexample_design();
+    let reference = {
+        let mut engine = KInduction::new(&deep, ki_opts(ResourceGovernor::unlimited()));
+        engine.check(0, 6).expect("reference").verdict
+    };
+    assert_eq!(verdict_shape(&reference), (1, 6), "cex@5: {reference:?}");
+    for site in sites {
+        let deepest = [2, 4, 6, 8, 16, 24]
+            .into_iter()
+            .filter_map(
+                |n| match ki_inject_and_resume(&deep, 0, 6, &reference, site, n) {
+                    BmcVerdict::Unknown {
+                        deepest_clean_bound,
+                        ..
+                    } => deepest_clean_bound,
+                    _ => None,
+                },
+            )
+            .max();
+        assert!(
+            deepest >= Some(3),
+            "{site:?}: some armed fault must trip past bound 3, got {deepest:?}"
+        );
     }
 }
 

@@ -11,6 +11,7 @@
 //! merge surfaces as a hard `SpuriousTrace` error, not just a flaky
 //! disagreement.
 
+use emm_aig::fraig::MAX_CHECKS;
 use emm_aig::{fraig_design, Design, FraigConfig, LatchInit, MemInit, RewriteConfig};
 use emm_bmc::{BmcEngine, BmcVerdict, ReducedModel, VerifyOptions};
 use emm_designs::quicksort::{QuickSort, QuickSortConfig};
@@ -179,7 +180,7 @@ fn fraig_shrinks_redundant_designs() {
     for _ in 0..10 {
         let mut d = random_latch_design(&mut rng);
         let before = d.num_gates();
-        let stats = fraig_design(&mut d, &FraigConfig::default());
+        let stats = fraig_design(&mut d);
         d.check().expect("rewrite keeps the design well-formed");
         assert_eq!(stats.ands_before, before);
         assert_eq!(stats.ands_after, d.num_gates());
@@ -201,19 +202,18 @@ fn fraig_shrinks_redundant_designs() {
 #[test]
 fn paper_quicksort_reduces_without_spending_the_check_budget() {
     let qs = QuickSort::new(QuickSortConfig::paper(3));
-    let fraig = FraigConfig::default();
     for workers in [0, 1] {
         let reduced = ReducedModel::reduce(
             &qs.design,
             &RewriteConfig::default(),
-            &fraig,
+            &FraigConfig::default(),
             &ResourceGovernor::unlimited(),
             workers,
         );
         let stats = reduced.fraig_stats().expect("fraig ran");
         assert_eq!(reduced.model().num_gates(), 1735, "{workers} workers");
         assert!(
-            stats.sat_checks < fraig.max_checks,
+            stats.sat_checks < MAX_CHECKS,
             "{workers} workers: {} checks spent",
             stats.sat_checks
         );

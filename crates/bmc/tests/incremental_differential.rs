@@ -13,7 +13,8 @@
 //! refuted bound's property clause, counted by the engine.
 
 use emm_aig::{Design, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcVerdict, KInduction, VerifyOptions};
+use emm_bmc::{BmcEngine, BmcVerdict, KInduction, ProofEngine, VerifyOptions};
+use emm_designs::gen::{random_design, GenConfig};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
 use emm_sat::SimplifyConfig;
 use rand::rngs::StdRng;
@@ -253,11 +254,11 @@ fn repeated_checks_with_proofs_stay_sound() {
 }
 
 /// Regression: a proof-mode engine reused for a *different* property
-/// must match fresh-engine verdicts. The termination queries are
-/// bound-exact, so the engine rebuilds its contexts on a property
-/// switch — without that, the second property's backward-induction
-/// checks could never run at the already-unrolled bounds and the proof
-/// would be silently missed (BoundReached instead of Proof).
+/// must match fresh-engine verdicts. Its contexts are already unrolled
+/// past the second property's shallow bounds, and every query there must
+/// still ask its own bound's formula: a step skipped there, or asked over
+/// the deeper unrolling, would miss the proof (BoundReached instead of
+/// Proof) or report it at the wrong depth.
 #[test]
 fn property_switch_keeps_proofs_complete() {
     // Mod-5 counter: count==2 is reachable (cex), count==7 is not
@@ -377,4 +378,149 @@ fn restart_mode_accounting_is_self_contained() {
     );
     // The engine's total spans every rebuilt context: one per bound.
     assert_eq!(engine.property_clauses_retired(), 7);
+}
+
+/// Constraint `!s`, a latch `s' = in`, a latch `t' = 1` that is 0 at frame
+/// 0, and a 3-bit counter that keeps the forward check open past bound 5.
+/// `p0` (`count == 7`) is first reachable at depth 7 and stays open
+/// through bound 5 under every schedule. `p1` (`in & !t`) fails at depth
+/// 0, and only there: frame 1's constraint forces `in@0 = 0`, so a
+/// bound-0 query that also enforces it misses the counterexample.
+fn shallow_cex_behind_deeper_constraints() -> Design {
+    let mut d = Design::new();
+    let input = d.new_input("in");
+    let (_, s) = d.new_latch("s", LatchInit::Zero);
+    d.set_next(s, input);
+    let (_, t) = d.new_latch("t", LatchInit::Zero);
+    d.set_next(t, emm_aig::Aig::TRUE);
+    let count = d.new_latch_word("count", 3, LatchInit::Zero);
+    let next = d.aig.inc(&count);
+    d.set_next_word(&count, &next);
+    d.add_constraint(!s);
+    let seven = d.aig.eq_const(&count, 7);
+    d.add_property("p0", seven);
+    let bad = d.aig.and(input, !t);
+    d.add_property("p1", bad);
+    d.check().expect("well-formed");
+    d
+}
+
+/// Regression: a bound-`i` query asks the bound-`i` formula however deep
+/// its context is unrolled. After `check(p0, 5)` the contexts hold frames
+/// 0..=5, and the constraints of frames 1..=5 must not take part in
+/// `p1`'s bound-0 query, under either schedule, proofs on or off.
+#[test]
+fn deeper_frames_constraints_do_not_hide_a_shallow_counterexample() {
+    let d = shallow_cex_behind_deeper_constraints();
+    for (name, options) in schedules() {
+        let mut engine = BmcEngine::new(&d, options);
+        let first = engine.check(0, 5).expect("p0").verdict;
+        assert!(
+            matches!(first, BmcVerdict::BoundReached),
+            "{name}: p0 stays open through bound 5: {first:?}"
+        );
+        match engine.check(1, 5).expect("p1").verdict {
+            BmcVerdict::Counterexample(trace) => {
+                assert_eq!(trace.frames.len(), 1, "{name}: p1 fails at depth 0");
+                trace.validate(&d).expect("the trace replays");
+            }
+            other => panic!("{name}: p1 fails at depth 0, got {other:?}"),
+        }
+    }
+}
+
+/// The three bound-loop configurations: k-induction, and the bounded
+/// schedule with proofs off and on.
+fn schedules() -> [(&'static str, VerifyOptions); 3] {
+    [
+        (
+            "k-induction",
+            VerifyOptions::default().proof_engine(ProofEngine::KInduction),
+        ),
+        (
+            "bounded, proofs off",
+            VerifyOptions::default().proofs(false),
+        ),
+        ("bounded, proofs on", VerifyOptions::default().proofs(true)),
+    ]
+}
+
+/// Property-switch differential on generated designs with memories and
+/// an environment constraint: for every ordered property pair `(p, q)`
+/// and depths `d1 > d2`, `check(p, d1)` then `check(q, d2)` on one engine
+/// gives a fresh engine's `check(q, d2)` verdict kind and depth, under
+/// every schedule. Counterexamples are validated. Most generated
+/// properties are decided at bound 0, so the sweep keeps designs with a
+/// property that a fresh bounded run leaves open past it, and adds the
+/// hand-built design whose `p0` stays open through bound 5.
+#[test]
+fn property_switch_matches_fresh_engines() {
+    let config = GenConfig {
+        max_inputs: 2,
+        max_latches: 6,
+        constraint_probability: 1.0,
+        ..GenConfig::btor2_guarded()
+    };
+    let open_past_bound_zero = |d: &Design| {
+        (0..d.properties().len()).any(|p| {
+            let mut engine = BmcEngine::new(d, VerifyOptions::default().proofs(true));
+            engine.check(p, 5).expect("probe").depth_reached > 0
+        })
+    };
+    let mut designs: Vec<Design> = (0..)
+        .map(|seed| random_design(&config, seed))
+        .filter(|d| !d.memories().is_empty() && d.properties().len() > 1)
+        .filter(open_past_bound_zero)
+        .take(6)
+        .collect();
+    designs.push(shallow_cex_behind_deeper_constraints());
+    for (di, d) in designs.iter().enumerate() {
+        let props = d.properties().len();
+        for (name, options) in schedules() {
+            for (d1, d2) in [(3, 1), (5, 1), (5, 3)] {
+                for p in 0..props {
+                    for q in 0..props {
+                        let mut reused = BmcEngine::new(d, options.clone());
+                        reused.check(p, d1).expect("first check");
+                        let second = reused.check(q, d2).expect("second check").verdict;
+                        let mut fresh = BmcEngine::new(d, options.clone());
+                        let reference = fresh.check(q, d2).expect("fresh check").verdict;
+                        let context = format!("design {di}, {name}, p{p}@{d1} then p{q}@{d2}");
+                        assert_eq!(
+                            verdict_shape(&second),
+                            verdict_shape(&reference),
+                            "{context}: reused {second:?} vs fresh {reference:?}"
+                        );
+                        if let BmcVerdict::Counterexample(trace) = &second {
+                            trace.validate(d).expect("the trace replays");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A property switch keeps every context: neither the anchored nor the
+/// floating solver is rebuilt, so neither loses variables, even when the
+/// second check stops far shallower than the first.
+#[test]
+fn property_switch_rebuilds_no_context() {
+    let d = shallow_cex_behind_deeper_constraints();
+    for (name, options) in schedules() {
+        let mut engine = BmcEngine::new(&d, options);
+        engine.check(0, 5).expect("p0");
+        let anchored = engine.solver_stats().0;
+        let floating = engine.floating_solver_stats().map(|(vars, _)| vars);
+        engine.check(1, 5).expect("p1");
+        assert!(
+            engine.solver_stats().0 >= anchored,
+            "{name}: the anchored context was rebuilt"
+        );
+        assert!(
+            engine.floating_solver_stats().map(|(vars, _)| vars) >= floating,
+            "{name}: the floating context was rebuilt"
+        );
+        assert_eq!(engine.depth(), 6, "{name}: the anchored frames stay");
+    }
 }

@@ -5,7 +5,8 @@
 //! same system state — equal kept-latch valuations with no enabled
 //! memory write in any frame between them. Frames forced equal by
 //! simulation must violate the uniqueness clauses; pairwise-distinct
-//! (or write-separated) frames must satisfy them.
+//! (or write-separated) frames must satisfy them. A query at a bound
+//! counts only the frames up to it.
 
 use emm_aig::{Design, LatchInit, MemInit, Simulator};
 use emm_bmc::{LfpBuilder, UnrollConfig, Unroller};
@@ -81,12 +82,18 @@ proptest! {
             assumptions.push(if writes[f] { w } else { !w });
             lfp.add_frame(&latch_lits, &[w]);
         }
-        let expected = if expect_unsat(&states, &writes[..states.len()]) {
-            SolveResult::Unsat
-        } else {
-            SolveResult::Sat
-        };
-        prop_assert_eq!(lfp.solve(&mut s, None, &assumptions, &mut 0.0, &mut 0.0), expected);
+        // The deepest bound first, then every shallower one: a query at
+        // `bound` enforces LFP over frames `0..=bound` only, whatever rows
+        // the deeper queries left behind.
+        for bound in (0..states.len()).rev() {
+            let expected = if expect_unsat(&states[..=bound], &writes[..=bound]) {
+                SolveResult::Unsat
+            } else {
+                SolveResult::Sat
+            };
+            let result = lfp.solve(&mut s, None, bound, &assumptions, &mut 0.0, &mut 0.0);
+            prop_assert_eq!(result, expected, "bound {}", bound);
+        }
     }
 
     /// Design-level check: unroll the gated counter floating (no initial
@@ -137,6 +144,7 @@ proptest! {
         } else {
             SolveResult::Sat
         };
-        prop_assert_eq!(lfp.solve(&mut s, None, &assumptions, &mut 0.0, &mut 0.0), expected);
+        let bound = steps.len() - 1;
+        prop_assert_eq!(lfp.solve(&mut s, None, bound, &assumptions, &mut 0.0, &mut 0.0), expected);
     }
 }

@@ -119,7 +119,7 @@ fn pooled_fraig_fault_injection_is_bit_identical() {
         let governor = ResourceGovernor::unlimited().with_fault(FaultSite::FraigCheck, 2);
         let mut model = base.clone();
         let pool = Pool::new(workers);
-        let stats = fraig_design_governed(&mut model, &FraigConfig::default(), &governor, &pool);
+        let stats = fraig_design_governed(&mut model, &governor, &pool);
         outcomes.push((stats, model.num_gates()));
     }
     assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");

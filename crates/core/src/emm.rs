@@ -20,8 +20,8 @@
 //! where `s_{i,k,p,r} = E_{i,k,p,r} ∧ WE_{i,p}`. Once the SAT solver decides
 //! some `S_{i,k,p,r} = 1`, every other matching pair is implied invalid
 //! immediately — the property the paper credits for the speedup over a naive
-//! encoding (provided here too, as [`ForwardingEncoding::Direct`], for
-//! ablation).
+//! encoding (provided here too, as [`ForwardingEncoding::Direct`], the
+//! reference the exclusive chain is tested against).
 //!
 //! For memories with **arbitrary initial contents** (Section 4.2), each read
 //! access gets a fresh symbolic word `V_{k,r}`; `PS_{0,k,0,r}` is exactly the
@@ -60,8 +60,10 @@ pub enum ForwardingEncoding {
     #[default]
     Exclusive,
     /// A direct implication encoding of eq. (3) without the one-hot
-    /// exclusivity signals; used by the ablation benchmark to measure what
-    /// the exclusivity constraints buy (the comparison in \[18\]).
+    /// exclusivity signals (the naive side of the comparison in \[18\]).
+    /// No pipeline selects it: it is the reference that
+    /// `encodings_are_equivalent` (`crates/core/tests/emm_semantics.rs`)
+    /// checks the exclusive chain against.
     Direct,
 }
 

@@ -73,4 +73,4 @@ pub use govern::{ExhaustionReason, FaultSite, ResourceGovernor};
 pub use lit::{LBool, Lit, Var};
 pub use simplify::{Simplifier, SimplifyConfig, SimplifySink, SimplifyStats};
 pub use sink::{CnfSink, CountingSink};
-pub use solver::{Budget, SolveResult, Solver, SolverConfig, SolverStats};
+pub use solver::{Budget, SolveResult, Solver, SolverStats};

@@ -30,76 +30,16 @@ use crate::govern::{ExhaustionReason, FaultSite, ResourceGovernor};
 use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
 
-/// Tunable solver parameters.
-///
-/// Every field is public, so struct-literal construction with
-/// `..SolverConfig::default()` works as well as the chainable builder
-/// methods:
-///
-/// ```
-/// use emm_sat::SolverConfig;
-///
-/// let literal = SolverConfig { restart_base: 50, ..SolverConfig::default() };
-/// let built = SolverConfig::default().restart_base(50);
-/// assert_eq!(literal.restart_base, built.restart_base);
-/// ```
-#[derive(Clone, Debug)]
-pub struct SolverConfig {
-    /// Multiplicative VSIDS decay applied per conflict (0 < d < 1).
-    pub var_decay: f64,
-    /// Multiplicative clause-activity decay applied per conflict.
-    pub clause_decay: f64,
-    /// Conflicts in the first Luby restart interval.
-    pub restart_base: u64,
-    /// Learned clauses kept before the first database reduction.
-    pub first_reduce: u64,
-    /// Additional learned clauses allowed after each reduction.
-    pub reduce_increment: u64,
-}
-
-impl Default for SolverConfig {
-    fn default() -> SolverConfig {
-        SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            restart_base: 100,
-            first_reduce: 4000,
-            reduce_increment: 1500,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// Sets the multiplicative VSIDS decay applied per conflict.
-    pub fn var_decay(mut self, d: f64) -> SolverConfig {
-        self.var_decay = d;
-        self
-    }
-
-    /// Sets the multiplicative clause-activity decay per conflict.
-    pub fn clause_decay(mut self, d: f64) -> SolverConfig {
-        self.clause_decay = d;
-        self
-    }
-
-    /// Sets the conflict count of the first Luby restart interval.
-    pub fn restart_base(mut self, n: u64) -> SolverConfig {
-        self.restart_base = n;
-        self
-    }
-
-    /// Sets the learned-clause count before the first DB reduction.
-    pub fn first_reduce(mut self, n: u64) -> SolverConfig {
-        self.first_reduce = n;
-        self
-    }
-
-    /// Sets the learned-clause allowance added after each reduction.
-    pub fn reduce_increment(mut self, n: u64) -> SolverConfig {
-        self.reduce_increment = n;
-        self
-    }
-}
+/// Multiplicative VSIDS decay applied per conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Multiplicative clause-activity decay applied per conflict.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Conflicts in the first Luby restart interval.
+const RESTART_BASE: u64 = 100;
+/// Learned clauses kept before the first database reduction.
+const FIRST_REDUCE: u64 = 4000;
+/// Additional learned clauses allowed after each reduction.
+const REDUCE_INCREMENT: u64 = 1500;
 
 /// Resource limits for a single [`Solver::solve_with`] call.
 ///
@@ -236,7 +176,6 @@ struct Watcher {
 /// ```
 #[derive(Debug)]
 pub struct Solver {
-    config: SolverConfig,
     db: ClauseDb,
     /// `watches[p.code()]`: clauses that must be inspected when `p` becomes true
     /// (i.e. clauses in which `!p` is one of the two watched literals).
@@ -286,16 +225,9 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates a solver with default configuration.
+    /// Creates an empty solver.
     pub fn new() -> Solver {
-        Solver::with_config(SolverConfig::default())
-    }
-
-    /// Creates a solver with the given configuration.
-    pub fn with_config(config: SolverConfig) -> Solver {
-        let first_reduce = config.first_reduce;
         Solver {
-            config,
             db: ClauseDb::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
@@ -321,7 +253,7 @@ impl Solver {
             budget: Budget::unlimited(),
             governor: ResourceGovernor::unlimited(),
             exhaustion: None,
-            reduce_limit: first_reduce,
+            reduce_limit: FIRST_REDUCE,
             id_refs: Vec::new(),
             groups: HashMap::new(),
         }
@@ -567,7 +499,7 @@ impl Solver {
         let conflicts_at_start = self.stats.conflicts;
         let mut restart_count = 0u64;
         let result = loop {
-            let max_conflicts = luby(restart_count) * self.config.restart_base;
+            let max_conflicts = luby(restart_count) * RESTART_BASE;
             restart_count += 1;
             match self.search(max_conflicts, assumptions, conflicts_at_start) {
                 SearchOutcome::Sat => break SolveResult::Sat,
@@ -825,7 +757,7 @@ impl Solver {
                 self.decay_activities();
                 if self.stats.learned_clauses > self.reduce_limit {
                     self.reduce_db();
-                    self.reduce_limit += self.config.reduce_increment;
+                    self.reduce_limit += REDUCE_INCREMENT;
                     // A GC point: the arena was just compacted, so the
                     // accounted bytes reflect live clauses only.
                     if let Some(reason) = self.memory_tripped() {
@@ -1187,8 +1119,8 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
-        self.cla_inc /= self.config.clause_decay;
+        self.var_inc /= VAR_DECAY;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     /// Removes roughly half of the learned clauses (worst LBD/activity
@@ -1599,11 +1531,8 @@ mod tests {
     /// watch lists, so drive enough conflicts to trigger them first.
     #[test]
     fn watcher_blockers_stay_within_their_clause() {
-        let mut s = Solver::with_config(SolverConfig {
-            first_reduce: 50,
-            reduce_increment: 50,
-            ..SolverConfig::default()
-        });
+        let mut s = Solver::new();
+        s.reduce_limit = 50;
         pigeonhole(&mut s, 8, 7);
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(s.stats.deleted_clauses > 0, "reduction must have run");
