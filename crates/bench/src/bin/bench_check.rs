@@ -43,9 +43,13 @@
 //! the 4-worker row must clear 1.5× the 1-worker row (the core-scaling
 //! contract of the shared-queue pool).
 //!
+//! A row's `conflicts` (the corpus rows' search effort) is informational:
+//! its delta is printed and shown in the summary table, never gated,
+//! because a change to the solver's search moves it by design.
+//!
 //! `--summary <path>` appends a per-row markdown diff table (verdict,
-//! clause/var deltas, status) plus a server-throughput table with a
-//! jobs/sec column to the given file — pass
+//! clause/var deltas, conflict delta, status) plus a server-throughput
+//! table with a jobs/sec column to the given file — pass
 //! `"$GITHUB_STEP_SUMMARY"` in CI to render the whole diff on the run's
 //! summary page instead of burying it in the log.
 //!
@@ -86,6 +90,8 @@ struct Row {
     clauses: u64,
     /// `step_vars` and `step_clauses`, on rows that report a step solver.
     step: Option<(u64, u64)>,
+    /// `conflicts`, on rows that report search effort (informational).
+    conflicts: Option<u64>,
     /// The non-`null` counter objects, by name: each field's value as
     /// written, `seconds` left out.
     counters: BTreeMap<&'static str, BTreeMap<String, String>>,
@@ -126,6 +132,7 @@ fn parse_record(line: &str) -> Result<Option<(RowKey, Row)>, String> {
         vars,
         clauses,
         step: extract_u64(line, "step_vars").zip(extract_u64(line, "step_clauses")),
+        conflicts: extract_u64(line, "conflicts"),
         counters: COUNTER_OBJECTS
             .into_iter()
             .filter_map(|name| Some((name, extract_object(line, name)?)))
@@ -283,13 +290,13 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     let mut stale = 0usize;
     let mut table = String::from(
-        "| benchmark / mode | verdict | clauses | Δ clauses | vars | Δ vars | status |\n\
-         |---|---|---:|---:|---:|---:|---|\n",
+        "| benchmark / mode | verdict | clauses | Δ clauses | vars | Δ vars | Δ conflicts | status |\n\
+         |---|---|---:|---:|---:|---:|---:|---|\n",
     );
     for (b, m) in check_required_modes("baseline", &baseline, &required_modes) {
         let _ = writeln!(
             table,
-            "| {b} / {m} | — | — | — | — | — | ❌ missing from baseline |"
+            "| {b} / {m} | — | — | — | — | — | — | ❌ missing from baseline |"
         );
         failures += 1;
     }
@@ -300,7 +307,7 @@ fn main() -> ExitCode {
     for (b, m) in &missing_fresh {
         let _ = writeln!(
             table,
-            "| {b} / {m} | — | — | — | — | — | ❌ missing from fresh run |"
+            "| {b} / {m} | — | — | — | — | — | — | ❌ missing from fresh run |"
         );
         failures += 1;
     }
@@ -313,7 +320,7 @@ fn main() -> ExitCode {
                 println!("  FAIL {key}: row missing from fresh run");
                 let _ = writeln!(
                     table,
-                    "| {benchmark} / {mode} | {} | {} | — | {} | — | ❌ missing from fresh run |",
+                    "| {benchmark} / {mode} | {} | {} | — | {} | — | — | ❌ missing from fresh run |",
                     base.verdict, base.clauses, base.vars
                 );
                 failures += 1;
@@ -366,6 +373,15 @@ fn main() -> ExitCode {
             improved |= delta < -tolerance;
             deltas.push(format!("{name} {delta:+.1}%"));
         }
+        // Search effort is reported, not gated.
+        let dconf = match (base.conflicts, new.conflicts) {
+            (Some(b), Some(f)) => {
+                let delta = pct(f, b);
+                deltas.push(format!("conflicts {delta:+.1}% (not gated)"));
+                format!("{delta:+.1}%")
+            }
+            _ => "—".to_string(),
+        };
         let deltas = deltas.join(", ");
         let outcome = if !problems.is_empty() {
             Outcome::Fail(problems.join("; "))
@@ -396,7 +412,7 @@ fn main() -> ExitCode {
         };
         let _ = writeln!(
             table,
-            "| {benchmark} / {mode} | {} | {} → {} | {dc:+.1}% | {} → {} | {dv:+.1}% | {status} |",
+            "| {benchmark} / {mode} | {} | {} → {} | {dc:+.1}% | {} → {} | {dv:+.1}% | {dconf} | {status} |",
             new.verdict, base.clauses, new.clauses, base.vars, new.vars
         );
     }
@@ -405,7 +421,7 @@ fn main() -> ExitCode {
             println!("  new  {}/{}: not in baseline (allowed)", key.0, key.1);
             let _ = writeln!(
                 table,
-                "| {} / {} | {} | {} | — | {} | — | new (not in baseline) |",
+                "| {} / {} | {} | {} | — | {} | — | — | new (not in baseline) |",
                 key.0, key.1, row.verdict, row.clauses, row.vars
             );
         }
@@ -575,6 +591,18 @@ mod tests {
             .replace("\"seconds\": 0.012", "\"seconds\": 0.02");
         assert!(counter_diffs(&row(BASE), &row(&fresh)).is_empty());
         assert_eq!(row(BASE).counters.len(), 2, "null is no object");
+    }
+
+    #[test]
+    fn conflicts_are_read_but_are_no_counter() {
+        let line = BASE.replace(
+            "\"clauses\": 109508",
+            "\"clauses\": 109508, \"conflicts\": 940",
+        );
+        let fresh = line.replace("\"conflicts\": 940", "\"conflicts\": 764");
+        assert_eq!(row(&line).conflicts, Some(940));
+        assert_eq!(row(BASE).conflicts, None);
+        assert!(counter_diffs(&row(&line), &row(&fresh)).is_empty());
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   the same depth budget (base-case solver counts, comparable to the
 //!   bounded row).
 //!
+//! Both rows also record `conflicts`, the search effort of the job: the
+//! anchored solver's conflicts plus the floating (step) solver's, when
+//! the job has one.
+//!
 //! The whole corpus is then replayed through [`VerificationServer`]
 //! batches at pool sizes 1 and 4 via
 //! [`submit_model`](VerificationServer::submit_model): the verdicts must
@@ -89,6 +93,15 @@ struct Row {
     vars: usize,
     clauses: u64,
     emm_clauses: usize,
+    conflicts: u64,
+}
+
+/// Conflicts of both of `engine`'s contexts (see [`Row`]'s `conflicts`).
+fn conflicts(engine: &BmcEngine) -> u64 {
+    let floating = engine
+        .floating_solver_stats()
+        .map_or(0, |(_, stats)| stats.conflicts);
+    engine.solver_stats().1.conflicts + floating
 }
 
 /// Writes the golden corpus files into `dir`.
@@ -238,6 +251,7 @@ fn run_rows(name: &str, design: &Arc<Design>, max_depth: usize, timeout: Duratio
             vars,
             clauses: stats.original_clauses,
             emm_clauses: engine.emm_stats().clauses,
+            conflicts: conflicts(&engine),
         });
 
         let started = Instant::now();
@@ -255,6 +269,7 @@ fn run_rows(name: &str, design: &Arc<Design>, max_depth: usize, timeout: Duratio
             vars,
             clauses: stats.original_clauses,
             emm_clauses: engine.emm_stats().clauses,
+            conflicts: conflicts(&engine),
         });
     }
     rows
@@ -395,7 +410,7 @@ fn main() {
                 format!(
                     "    {{\"benchmark\": \"{}\", \"mode\": \"{}\", \"verdict\": \"{}\", \
                      \"depth\": {}, \"seconds\": {:.3}, \"vars\": {}, \"clauses\": {}, \
-                     \"emm_clauses\": {}}}",
+                     \"emm_clauses\": {}, \"conflicts\": {}}}",
                     r.benchmark,
                     r.mode,
                     r.verdict,
@@ -403,7 +418,8 @@ fn main() {
                     r.seconds,
                     r.vars,
                     r.clauses,
-                    r.emm_clauses
+                    r.emm_clauses,
+                    r.conflicts
                 )
             })
             .collect::<Vec<_>>()

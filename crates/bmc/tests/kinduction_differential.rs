@@ -15,9 +15,13 @@
 //!   are known-inductive must close as `Proved { k }` at the expected
 //!   depth.
 
+use std::path::Path;
+
 use emm_aig::{Aig, Design, LatchInit, MemInit};
 use emm_bdd::{check_invariant, OracleVerdict, SymbolicOptions};
-use emm_bmc::{BmcEngine, BmcVerdict, KInduction, ProofEngine, ProofKind, VerifyOptions};
+use emm_bmc::{
+    BmcEngine, BmcVerdict, KInduction, ModelSource, ProofEngine, ProofKind, VerifyOptions,
+};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::image_filter::{ImageFilter, ImageFilterConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
@@ -434,5 +438,60 @@ fn kinduction_counters_are_pinned() {
             "fifo no_overflow: {verdict:?}"
         );
         assert_eq!(counters, [0, 4, 151, 210, 2], "fifo no_overflow");
+    }
+}
+
+/// One bounded-schedule job's conflicts on the default options with
+/// `proofs` as given: the anchored context's, then the floating
+/// context's (0 with proofs off), both read from the engine that ran it.
+fn bounded_job_conflicts(
+    d: &Design,
+    prop: usize,
+    max_depth: usize,
+    proofs: bool,
+) -> (BmcVerdict, [u64; 2]) {
+    let mut engine = BmcEngine::new(d, VerifyOptions::default().proofs(proofs));
+    let run = engine.check(prop, max_depth).expect("bounded");
+    let floating = engine
+        .floating_solver_stats()
+        .map_or(0, |(_, stats)| stats.conflicts);
+    (run.verdict, [engine.solver_stats().1.conflicts, floating])
+}
+
+/// Pins the per-context conflicts of bounded jobs: the paper's Table 1/2
+/// quicksort proofs (AW=6 DW=4 N=3, proofs on, to the cycle bound), whose
+/// anchored context alternates forward and counterexample queries, and
+/// the corpus fifo `p1` (bounded, proofs off, depth 10), whose anchored
+/// context asks only UNSAT counterexample queries. Each job runs twice
+/// and must read the same counters both times.
+#[test]
+fn bounded_counters_are_pinned() {
+    // (property, [anchored conflicts, floating conflicts])
+    let pinned = [("p1", [417, 889]), ("p2", [523, 883])];
+    let qs = QuickSort::new(QuickSortConfig {
+        n: 3,
+        addr_width: 6,
+        data_width: 4,
+        bug: Bug::None,
+    });
+    for (name, expected) in pinned {
+        let prop = if name == "p1" { qs.p1.0 } else { qs.p2.0 } as usize;
+        for _ in 0..2 {
+            let (verdict, conflicts) =
+                bounded_job_conflicts(&qs.design, prop, qs.cycle_bound(), true);
+            assert!(verdict.is_proof(), "quicksort n=3 {name}: {verdict:?}");
+            assert_eq!(conflicts, expected, "quicksort n=3 {name}");
+        }
+    }
+
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/fifo_a2d2.btor2");
+    let fifo = ModelSource::from_path(&path).load().expect("corpus fifo");
+    for _ in 0..2 {
+        let (verdict, conflicts) = bounded_job_conflicts(&fifo, 1, 10, false);
+        assert!(
+            matches!(verdict, BmcVerdict::BoundReached),
+            "fifo_a2d2 p1: {verdict:?}"
+        );
+        assert_eq!(conflicts, [6555, 0], "fifo_a2d2 p1");
     }
 }
