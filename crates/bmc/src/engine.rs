@@ -41,6 +41,19 @@
 //! mid-frame (the frame is then under-constrained) and, at every bound,
 //! in restart mode.
 //!
+//! ## Phase policy
+//!
+//! One long-lived solver answers several kinds of query, and the solver's
+//! phase saving would hand each query the phases the previous one left,
+//! whatever its kind. The anchored context's counterexample query
+//! (`bad_i`, UNSAT until a bug shows up) runs through
+//! [`Solver::solve_with_default_phases`] instead: it searches from the
+//! default phase and drops the phases it saves. So the forward check at
+//! bound `i+1` starts from the bound-`i` forward model, as if the
+//! counterexample query had not run. Every other query (forward,
+//! backward / step, LFP refinement rounds) keeps plain phase saving. This
+//! is the one policy under both schedules and in restart mode.
+//!
 //! The engine configurations map to the paper's algorithms:
 //!
 //! | Paper | Configuration |
@@ -681,8 +694,11 @@ impl BoundJob {
             ctx.solver.add_clause_in_group(group, &[bad_i]);
             let mut assumptions = BmcEngine::base_assumptions(ctx, i);
             assumptions.push(group);
+            // Searched from the default phase, leaving the forward
+            // check's saved phases for the next bound (see the module
+            // docs' "Phase policy").
             let solve_started = Instant::now();
-            let result = ctx.solver.solve_with(&assumptions);
+            let result = ctx.solver.solve_with_default_phases(&assumptions);
             answers.solve_seconds += solve_started.elapsed().as_secs_f64();
             answers.counterexample = Some((group, result));
         }

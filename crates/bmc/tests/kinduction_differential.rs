@@ -404,10 +404,10 @@ fn kinduction_counters_are_pinned() {
     // (n, property, [base conflicts, step conflicts, step vars, step
     // clauses, step queries])
     let pinned = [
-        (3, "p1", [99, 654, 21515, 79223, 21]),
-        (3, "p2", [90, 720, 21515, 80609, 21]),
-        (4, "p1", [210, 406, 21557, 79283, 21]),
-        (4, "p2", [848, 696, 21557, 80732, 21]),
+        (3, "p1", [94, 654, 21515, 79223, 21]),
+        (3, "p2", [86, 720, 21515, 80609, 21]),
+        (4, "p1", [596, 406, 21557, 79283, 21]),
+        (4, "p2", [1055, 696, 21557, 80732, 21]),
     ];
     for (n, name, expected) in pinned {
         let qs = QuickSort::new(QuickSortConfig {
@@ -467,7 +467,7 @@ fn bounded_job_conflicts(
 #[test]
 fn bounded_counters_are_pinned() {
     // (property, [anchored conflicts, floating conflicts])
-    let pinned = [("p1", [417, 889]), ("p2", [523, 883])];
+    let pinned = [("p1", [385, 889]), ("p2", [379, 883])];
     let qs = QuickSort::new(QuickSortConfig {
         n: 3,
         addr_width: 6,
@@ -492,6 +492,6 @@ fn bounded_counters_are_pinned() {
             matches!(verdict, BmcVerdict::BoundReached),
             "fifo_a2d2 p1: {verdict:?}"
         );
-        assert_eq!(conflicts, [6555, 0], "fifo_a2d2 p1");
+        assert_eq!(conflicts, [5189, 0], "fifo_a2d2 p1");
     }
 }

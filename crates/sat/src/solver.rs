@@ -8,6 +8,13 @@
 //! analysis with recursive clause minimization, VSIDS branching with phase
 //! saving, Luby restarts, and activity/LBD-driven learned-clause reduction.
 //!
+//! Phase saving (Pipatsrisawat & Darwiche, SAT 2007) decides each
+//! variable with the value it last had, so every query starts from the
+//! phases the previous query left. [`Solver::solve_with_default_phases`]
+//! is the one exception: it searches from the default phase (`false`)
+//! and leaves the saved phases as they were, for a caller that asks
+//! queries of different kinds on one solver.
+//!
 //! Two features are specifically in service of the EMM/BMC stack built
 //! on top (see the `emm-bmc` crate):
 //!
@@ -191,6 +198,9 @@ pub struct Solver {
     cla_inc: f64,
     order: VarHeap,
     polarity: Vec<bool>,
+    /// The saved phases while [`Solver::solve_with_default_phases`] runs;
+    /// kept between calls so the stash allocates only when it grows.
+    stashed_polarity: Vec<bool>,
     learnts: Vec<ClauseRef>,
     /// Permanently unsatisfiable (an empty clause was derived at level 0).
     ok: bool,
@@ -241,6 +251,7 @@ impl Solver {
             cla_inc: 1.0,
             order: VarHeap::new(),
             polarity: Vec::new(),
+            stashed_polarity: Vec::new(),
             learnts: Vec::new(),
             ok: true,
             seen: Vec::new(),
@@ -518,6 +529,45 @@ impl Solver {
         result
     }
 
+    /// [`Solver::solve_with`] searching from the default phase: every
+    /// variable is first decided `false`, as in a fresh solver, and the
+    /// phases this search saves are dropped when it returns. The saved
+    /// phases are then exactly those the previous call left, so the next
+    /// [`Solver::solve_with`] starts where it would have without this
+    /// call. Learnt clauses, activities and statistics carry over as
+    /// usual.
+    ///
+    /// This is the phase policy of a query whose kind does not profit
+    /// from the models of other queries on the same solver, such as the
+    /// incremental BMC's UNSAT counterexample queries between its forward
+    /// termination checks.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use emm_sat::{SolveResult, Solver};
+    /// let mut s = Solver::new();
+    /// let x = s.new_var().positive();
+    /// // `x` is forced true once, and plain solving keeps that phase.
+    /// assert_eq!(s.solve_with(&[x]), SolveResult::Sat);
+    /// assert_eq!(s.solve(), SolveResult::Sat);
+    /// assert_eq!(s.model_value(x), Some(true));
+    /// // The default phase decides `x` false ...
+    /// assert_eq!(s.solve_with_default_phases(&[]), SolveResult::Sat);
+    /// assert_eq!(s.model_value(x), Some(false));
+    /// // ... and the saved phase is back for the next query.
+    /// assert_eq!(s.solve(), SolveResult::Sat);
+    /// assert_eq!(s.model_value(x), Some(true));
+    /// ```
+    pub fn solve_with_default_phases(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.stashed_polarity.clear();
+        self.stashed_polarity.extend_from_slice(&self.polarity);
+        self.polarity.fill(false);
+        let result = self.solve_with(assumptions);
+        std::mem::swap(&mut self.polarity, &mut self.stashed_polarity);
+        result
+    }
+
     /// Retires (physically deletes) an original clause: its watchers are
     /// removed, its arena space is reclaimed by the next garbage
     /// collection, and propagation never sees it again. Returns `true` if
@@ -705,11 +755,6 @@ impl Solver {
         };
         self.set_budget(saved);
         result
-    }
-
-    /// Suggested initial phase for `var` when it is next decided.
-    pub fn set_polarity(&mut self, var: Var, positive: bool) {
-        self.polarity[var.index()] = positive;
     }
 
     /// Returns `true` if an empty clause has been derived (formula UNSAT
@@ -1516,6 +1561,38 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Sat);
         let after: Vec<_> = v.iter().map(|&l| s.model_value(l)).collect();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn default_phase_query_leaves_saved_phases_alone() {
+        let (mut s, mut fresh) = (Solver::new(), Solver::new());
+        pigeonhole(&mut s, 6, 6);
+        pigeonhole(&mut fresh, 6, 6);
+        // Closing hole 0 (variable `6 * pigeon`) leaves PHP(6,5): refuted
+        // only after real search.
+        let closed: Vec<Lit> = (0..6).map(|i| Var::from_index(6 * i).negative()).collect();
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(fresh.solve(), SolveResult::Sat);
+        let model = |s: &Solver| -> Vec<_> {
+            (0..s.num_vars())
+                .map(|i| s.model_value(Var::from_index(i).positive()))
+                .collect()
+        };
+        let first = model(&s);
+        assert_eq!(first, model(&fresh));
+
+        let phases = s.polarity.clone();
+        let conflicts = s.stats().conflicts;
+        assert_eq!(s.solve_with_default_phases(&closed), SolveResult::Unsat);
+        assert!(s.stats().conflicts > conflicts, "the refutation searched");
+        assert_eq!(s.polarity, phases, "saved phases restored");
+
+        // The next query finds the model it would have found without the
+        // intervening one.
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(fresh.solve(), SolveResult::Sat);
+        assert_eq!(model(&s), model(&fresh));
+        assert_eq!(model(&s), first);
     }
 
     #[test]
