@@ -97,45 +97,67 @@
 //! outright at the recurrence diameter. A satisfying path of the step at
 //! `k` has a suffix of every shorter length, so a failed (SAT) step fails
 //! at every shallower depth too, and a later call for the same property
-//! skips the depths already asked (see `BmcEngine::run_bound`).
+//! skips the depths already asked (see `StepQuery::open_at`).
 //!
 //! ## Two contexts, two threads
 //!
-//! Under the bounded schedule with proofs on, each bound runs as two jobs
-//! under [`std::thread::scope`]. The caller's thread extends the anchored
-//! context and runs the forward check, then, unless that answered UNSAT
-//! or `Unknown`, the counterexample check of a bound not yet cleared. A
-//! scoped thread extends the floating context and runs the backward
-//! check. Neither job reads the other's answers. After the join the
-//! answers are combined in the sequential loop's priority: an anchored
-//! encode trip, then a floating one; the forward check (UNSAT proves,
-//! `Unknown` ends the run); the backward check (UNSAT proves, an
-//! uncapped `Unknown` ends the run); and only then the counterexample
-//! check, with its group retirement, cleared bound, PBA reasons and
-//! trace. A panic on the scoped thread re-raises on the caller with its
-//! payload. With proofs off there is no floating context and nothing is
-//! spawned.
+//! Under the bounded schedule with proofs on, a [`BmcEngine::check`] call
+//! runs the floating context on one scoped **step worker** thread for the
+//! whole call, beside the anchored context on the caller's thread.
+//! Nothing is joined per bound:
 //!
-//! The counterexample query is speculative at a bound that a
-//! termination check ends: the sequential loop would not have run it.
-//! Its group is retired and counted in
-//! [`BmcEngine::property_clauses_retired`], and its answer is dropped: no
-//! cleared bound, no trace. Only the terminal bound can speculate, so at
-//! every other bound each context runs exactly the sequential query
-//! sequence and the verdicts are the sequential ones.
+//! * At bound `i` the anchored context polls its governor, hands `i` to
+//!   the worker over a channel, extends itself and runs the forward check
+//!   and then, unless that answered UNSAT or `Unknown`, the counterexample
+//!   check of a bound not yet cleared. It retires that query's group at
+//!   once unless it answered SAT.
+//! * The worker answers the backward check of each bound in the order it
+//!   is handed them, so it starts bound `i` only after the anchored
+//!   context has started it. It keeps the cap of "Backward check
+//!   schedule" for the call and stops after an answer that ends the run.
+//! * The anchored context starts bound `i` only once the backward answers
+//!   of bounds `..= i - 1 - LEAD` are in, with `LEAD = 2`. It reads no
+//!   other answer while it runs, so where it stops does not depend on the
+//!   thread schedule.
+//!
+//! When both have stopped and the worker is joined, the run settles at
+//! the lowest bound that ends it, in the sequential loop's priority at
+//! that bound: a governor poll trip; an anchored encode trip, then a
+//! floating one; the forward check (UNSAT proves, `Unknown` ends the
+//! run); the backward check (UNSAT proves, an uncapped `Unknown` ends the
+//! run); and only then the counterexample check and its trace. Each bound
+//! below it commits its effects in order: restart mode's forgetting, PBA
+//! reasons, the cleared bound. A panic on the worker re-raises on the
+//! caller with its payload. With proofs off there is no floating context
+//! and nothing is spawned.
+//!
+//! Each context asks exactly the queries the sequential loop would ask
+//! it, up to the bound where the run ends, so a run the anchored context
+//! ends has the sequential verdict and the sequential counters in both
+//! contexts. The speculative work is all anchored: the counterexample
+//! query at a bound a termination check ends, and the bounds the
+//! anchored context runs past the bound where the worker's answer ends
+//! the run, at most `LEAD` of them. Their groups are still retired at once and
+//! counted in [`BmcEngine::property_clauses_retired`], so the anchored
+//! search does not depend on the worker's answers, but their answers are
+//! dropped: no cleared bound, no PBA reason, no trace. Their frames stay
+//! in the context ([`BmcEngine::depth`]). That is the trade-off: a verdict
+//! the backward check reaches waits for up to `LEAD` extra anchored
+//! bounds, and in exchange the counters do not depend on the thread
+//! schedule while neither context waits for the other at every bound.
 //!
 //! Each of the two contexts polls its own [fork](ResourceGovernor::fork)
 //! of the engine's governor. A fork sees the engine governor's deadline
 //! and cancellation, but counts fault sites on its own counter and its
-//! own trip stays with it until the combine. So an armed fault trips at a
-//! point fixed by the context, not by the thread schedule, and a trip in
-//! one context's speculative query cannot cut the other's query short.
-//! A trip that ends the run cancels the engine's governor as well.
+//! own trip stays with it until the run settles. So an armed fault trips
+//! at a point fixed by the context, not by the thread schedule, and a
+//! trip in one context's speculative query cannot cut the other's query
+//! short. A trip that ends the run cancels the engine's governor as well.
 //!
 //! Under k-induction a bound runs on the caller's thread alone: the base
 //! case first (extend the anchored context, then the counterexample check
 //! of a bound not yet cleared), and the step only if the base case left
-//! the bound open. The combine keeps that order: an anchored encode trip,
+//! the bound open. The settle keeps that order: an anchored encode trip,
 //! the counterexample check, then the step's encode trip and answer
 //! (UNSAT proves, `Unknown` ends the run). Nothing is speculative, so
 //! both contexts see exactly the sequential query sequence, and both poll
@@ -195,6 +217,7 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use emm_aig::{Design, FraigStats, RewriteStats, Trace};
@@ -339,9 +362,11 @@ impl BmcVerdict {
 /// Wall-clock seconds per pipeline phase, reported in [`BmcRun`]. The
 /// rewrite and fraig entries cover the preprocessing that ran in
 /// [`BmcEngine::new`] (once per engine); encode and solve accumulate
-/// over the reported `check` call. With proofs on, encode and solve are
-/// busy seconds summed over both contexts, which run on two threads, so
-/// together they may exceed [`BmcRun::elapsed`].
+/// over the reported `check` call. Encode and solve are busy seconds
+/// summed over both contexts, speculative bounds included. With proofs
+/// on the contexts run on two threads, so together the two may exceed
+/// [`BmcRun::elapsed`], and neither counts the anchored thread's waits
+/// for the step worker (see [`BmcRun::per_bound_seconds`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseSeconds {
     /// Cut-based AIG rewriting ([`PipelineOptions::rewrite`](crate::PipelineOptions::rewrite)).
@@ -368,9 +393,14 @@ pub struct BmcRun {
     pub depth_reached: usize,
     /// Wall-clock time spent in this call.
     pub elapsed: Duration,
-    /// Wall-clock seconds per bound the loop entered (encoding plus every
-    /// solver call at that bound), `per_bound_seconds[k]` for bound `k`. The
-    /// bench harness's `incremental` mode plots these against the
+    /// Wall-clock seconds of the anchored thread per bound it entered,
+    /// `per_bound_seconds[k]` for bound `k`: its encoding and solver
+    /// calls at that bound plus, with proofs on, its waits for the step
+    /// worker's answers. The last entry also holds the wait for the
+    /// worker to finish. With proofs on the anchored context can enter up
+    /// to two bounds past `depth_reached` (see the engine module docs'
+    /// "Two contexts, two threads"), and those bounds have entries too.
+    /// The bench harness's `incremental` mode plots these against the
     /// restart-from-scratch baseline.
     pub per_bound_seconds: Vec<f64>,
     /// Latch reasons accumulated by PBA discovery (latch indices),
@@ -498,6 +528,9 @@ pub(crate) struct StepQuery {
 /// What a [`StepQuery`] call answered.
 #[derive(Default)]
 pub(crate) struct StepAnswer {
+    /// The step worker's governor poll before the bound tripped, so
+    /// nothing ran at the bound (see [`StepQuery::backward`]).
+    pub(crate) poll: Option<ExhaustionReason>,
     /// The governor tripped before the context reached the depth.
     pub(crate) encode: Option<ExhaustionReason>,
     /// The step query's answer, when it ran.
@@ -508,8 +541,26 @@ pub(crate) struct StepAnswer {
     /// the governor's deadline, cancellation and lifetime work caps were
     /// all clear.
     pub(crate) budget_conflicts: bool,
+    /// The bounded schedule's cap, not `solve_budget`, stopped an
+    /// `Unknown` answer: no proof at this bound, and the run goes on.
+    pub(crate) capped: bool,
     pub(crate) encode_seconds: f64,
     pub(crate) solve_seconds: f64,
+}
+
+impl StepAnswer {
+    /// Whether this answer ends the run at its bound, whatever the
+    /// anchored context answered there: a trip, a proof, or an `Unknown`
+    /// that is not the cap's.
+    fn ends(&self) -> bool {
+        self.poll.is_some()
+            || self.encode.is_some()
+            || match self.result {
+                Some(SolveResult::Unsat) => true,
+                Some(SolveResult::Unknown) => !self.capped,
+                _ => false,
+            }
+    }
 }
 
 impl StepQuery {
@@ -595,11 +646,84 @@ impl StepQuery {
         self.ctx.emm.interrupted()
     }
 
+    /// The step query at `k` while it is still open (see
+    /// [`StepQuery::open_at`]), else only the extension to frames `0..=k`.
+    fn step(&mut self, model: &Design, prop: usize, k: usize, budget: Budget) -> StepAnswer {
+        if self.open_at(prop, k) {
+            self.query(model, prop, k, budget)
+        } else {
+            self.extend(model, k)
+        }
+    }
+
+    /// The bounded schedule's backward check at bound `k` under the
+    /// conflict cap `cap` (see the module docs' "Backward check
+    /// schedule"): polls the governor, rebuilds the context first when
+    /// restart mode rebuilt the anchored one for the bound, then asks the
+    /// step, and moves the cap on from the answer.
+    fn backward(
+        &mut self,
+        model: &Design,
+        prop: usize,
+        k: usize,
+        rebuild: bool,
+        budget: &Budget,
+        cap: &mut u64,
+    ) -> StepAnswer {
+        if let Some(reason) = self.ctx.governor.poll() {
+            return StepAnswer {
+                poll: Some(reason),
+                ..StepAnswer::default()
+            };
+        }
+        if rebuild {
+            self.rebuild(model);
+        }
+        let capped = Budget {
+            max_conflicts: Some(budget.max_conflicts.map_or(*cap, |max| max.min(*cap))),
+            ..budget.clone()
+        };
+        let mut answer = self.step(model, prop, k, capped);
+        match answer.result {
+            Some(SolveResult::Unknown)
+                if answer.budget_conflicts && budget.max_conflicts.is_none_or(|max| *cap < max) =>
+            {
+                answer.capped = true;
+                *cap = cap.saturating_mul(2);
+            }
+            Some(SolveResult::Sat) => *cap = BACKWARD_CAP_FLOOR,
+            _ => {}
+        }
+        answer
+    }
+
+    /// The step worker of a bounded `check` with proofs on: answers the
+    /// backward check of every `(bound, rebuild)` the anchored context
+    /// sends, in order, and stops after an answer that ends the run or
+    /// once the anchored context closes the channel. The cap starts at the
+    /// floor in every call.
+    fn serve(
+        &mut self,
+        model: &Design,
+        prop: usize,
+        budget: &Budget,
+        bounds: Receiver<(usize, bool)>,
+        answers: Sender<StepAnswer>,
+    ) {
+        let mut cap = BACKWARD_CAP_FLOOR;
+        for (k, rebuild) in bounds {
+            let answer = self.backward(model, prop, k, rebuild, budget, &mut cap);
+            let ends = answer.ends();
+            if answers.send(answer).is_err() || ends {
+                return;
+            }
+        }
+    }
+
     /// Drops and recreates the context, keeping its governor (fault count
     /// included).
     pub(crate) fn rebuild(&mut self, model: &Design) {
-        let governor = self.ctx.governor.clone();
-        self.ctx = BmcEngine::make_ctx(model, &self.options, &governor, false);
+        BmcEngine::remake(model, &self.options, &mut self.ctx, false);
         self.failed.clear();
     }
 
@@ -614,23 +738,34 @@ impl StepQuery {
     }
 }
 
-/// What the anchored context answered at one bound (see
-/// `BmcEngine::run_bound`).
+/// What the anchored context did at one bound of a `check` call (see
+/// `CheckCall::run_anchored`). Its effects on the engine wait for the
+/// bound to settle.
 #[derive(Default)]
 struct Answers {
+    /// The context's governor tripped before the bound, so nothing ran.
+    poll: Option<ExhaustionReason>,
+    /// Restart mode rebuilt the context for the bound.
+    rebuilt: bool,
     /// The governor tripped before the context reached the bound.
     encode: Option<ExhaustionReason>,
     /// The forward termination query, when it ran.
     termination: Option<SolveResult>,
-    /// The counterexample query's still-open activation group and answer,
-    /// when it ran.
+    /// The counterexample query's activation group and answer, when it
+    /// ran. The group is retired already unless the answer is `Sat`.
     counterexample: Option<(Lit, SolveResult)>,
+    /// Why an `Unknown` answer stopped, as the solver reports it.
+    exhaustion: Option<ExhaustionReason>,
+    /// PBA's latch and memory reasons of a refuted counterexample query.
+    reasons: Option<(Vec<usize>, Vec<usize>)>,
     encode_seconds: f64,
     solve_seconds: f64,
+    /// The anchored thread's wall seconds at the bound, waits included.
+    seconds: f64,
 }
 
-/// The anchored context's share of a bound, fixed before the bound's
-/// threads start (see `BmcEngine::run_bound`).
+/// The anchored context's share of a bound, fixed before it runs (see
+/// `CheckCall::run_anchored`).
 struct BoundJob {
     depth: usize,
     bad_bit: emm_aig::Bit,
@@ -643,9 +778,16 @@ struct BoundJob {
 }
 
 impl Answers {
+    /// Whether the anchored context's answers end the run at this bound.
+    fn ends(&self) -> bool {
+        self.poll.is_some()
+            || self.termination.is_some_and(|r| r != SolveResult::Sat)
+            || !self.leave_open()
+    }
+
     /// Whether the k-induction base case left the bound open: the context
     /// reached the bound and the counterexample query, if it ran, refuted
-    /// it. Only then does the step run (see `BmcEngine::run_bound`).
+    /// it. Only then does the step run (see `CheckCall::run_anchored`).
     fn leave_open(&self) -> bool {
         self.encode.is_none()
             && self
@@ -656,16 +798,15 @@ impl Answers {
 
 impl BoundJob {
     /// Extends `ctx` to the job's depth, sets its budget and runs its
-    /// queries. It commits nothing to the engine: the counterexample's
-    /// activation group comes back open.
-    fn run(self, model: &Design, ctx: &mut Ctx) -> Answers {
+    /// queries into `answers`. The counterexample's activation group comes
+    /// back open.
+    fn run(self, model: &Design, ctx: &mut Ctx, answers: &mut Answers) {
         let i = self.depth;
-        let mut answers = Answers::default();
         let encode_started = Instant::now();
         answers.encode = BmcEngine::extend_ctx_to(model, ctx, i);
         answers.encode_seconds = encode_started.elapsed().as_secs_f64();
         if answers.encode.is_some() {
-            return answers;
+            return;
         }
         ctx.solver.set_budget(self.budget);
         if self.termination {
@@ -678,7 +819,8 @@ impl BoundJob {
             );
             answers.termination = Some(result);
             if result != SolveResult::Sat {
-                return answers;
+                answers.exhaustion = ctx.solver.exhaustion_reason();
+                return;
             }
         }
         if self.counterexample {
@@ -701,8 +843,140 @@ impl BoundJob {
             let result = ctx.solver.solve_with_default_phases(&assumptions);
             answers.solve_seconds += solve_started.elapsed().as_secs_f64();
             answers.counterexample = Some((group, result));
+            answers.exhaustion = ctx.solver.exhaustion_reason();
         }
-        answers
+    }
+}
+
+/// Where a `check` call's step queries run (see the module docs' "Two
+/// contexts, two threads").
+enum Step<'a> {
+    /// Proofs off under the bounded schedule: no floating context.
+    None,
+    /// K-induction: on the anchored thread, after a clean base case.
+    Inline(&'a mut StepQuery),
+    /// The bounded schedule with proofs on: the step worker's channel
+    /// ends, bounds out and answers in.
+    Worker {
+        bounds: Sender<(usize, bool)>,
+        answers: Receiver<StepAnswer>,
+    },
+}
+
+/// The fixed inputs of one `check` call.
+struct CheckCall {
+    prop: usize,
+    bad_bit: emm_aig::Bit,
+    max_depth: usize,
+    /// `solve_budget` with the call's deadline.
+    budget: Budget,
+    /// The deepest bound already refuted for `prop` whose counterexample
+    /// query is skipped (incremental mode only).
+    cleared: Option<usize>,
+}
+
+impl CheckCall {
+    /// The anchored context's bound loop. At each bound it waits for the
+    /// step answers it must have (see `LEAD`), polls its governor, hands
+    /// the bound to the step, runs the forward and counterexample queries
+    /// and retires a counterexample group that did not answer `Sat`. It
+    /// stops after a bound that ends the run from either side, and returns
+    /// what it did at every bound it entered with every step answer.
+    /// Nothing is committed to the engine here: `BmcEngine::settle` does
+    /// that for the bounds that settle.
+    fn run_anchored(
+        &self,
+        model: &Design,
+        options: &VerifyOptions,
+        ctx: &mut Ctx,
+        retired: &mut u64,
+        mut step: Step<'_>,
+    ) -> (Vec<Answers>, Vec<StepAnswer>) {
+        let mut log: Vec<Answers> = Vec::new();
+        let mut steps: Vec<StepAnswer> = Vec::new();
+        for i in 0..=self.max_depth {
+            let started = Instant::now();
+            if let Step::Worker { answers, .. } = &step {
+                // Bound `i` starts once the answers for `..= i - 1 - LEAD`
+                // are in. The loop reads no answer beyond those, so where
+                // it stops does not depend on the thread schedule.
+                while steps.len() + LEAD < i {
+                    let Ok(answer) = answers.recv() else { break };
+                    steps.push(answer);
+                }
+                if steps.len() + LEAD < i || steps.last().is_some_and(StepAnswer::ends) {
+                    break;
+                }
+            }
+            let mut answers = Answers {
+                poll: ctx.governor.poll(),
+                ..Answers::default()
+            };
+            let mut ends = answers.poll.is_some();
+            if !ends {
+                answers.rebuilt = !options.pipeline.incremental && ctx.unroller.num_frames() > 0;
+                if answers.rebuilt {
+                    BmcEngine::remake(model, options, ctx, true);
+                    if let Step::Inline(floating) = &mut step {
+                        floating.rebuild(model);
+                    }
+                }
+                if let Step::Worker { bounds, .. } = &step {
+                    // Fails only once the worker has stopped on an
+                    // answer that ends the run at an earlier bound.
+                    let _ = bounds.send((i, answers.rebuilt));
+                }
+                // The forward query is property-independent. A context
+                // unrolled past `i` asked it at `i` in an earlier call and
+                // got SAT, since UNSAT or `Unknown` ends this loop at its
+                // bound. That answer stands, so the query is skipped as a
+                // cached one.
+                BoundJob {
+                    depth: i,
+                    bad_bit: self.bad_bit,
+                    budget: self.budget.clone(),
+                    termination: BmcEngine::forward_checks(options)
+                        && ctx.unroller.num_frames() <= i + 1,
+                    counterexample: self.cleared.is_none_or(|d| i > d),
+                }
+                .run(model, ctx, &mut answers);
+                ends = answers.ends();
+                if let Step::Inline(floating) = &mut step {
+                    if answers.leave_open() {
+                        let answer = floating.step(model, self.prop, i, self.budget.clone());
+                        ends |= answer.ends();
+                        steps.push(answer);
+                    }
+                }
+                // A refuted or abandoned bound's group is retired at once,
+                // whether or not the bound settles, so the context's search
+                // does not depend on the step's answers.
+                if let Some((group, result)) = answers.counterexample {
+                    if result == SolveResult::Unsat && options.pba_discovery {
+                        answers.reasons = Some(BmcEngine::reasons(ctx));
+                    }
+                    if result != SolveResult::Sat {
+                        *retired += ctx.solver.retire_group(group) as u64;
+                    }
+                }
+            }
+            answers.seconds = started.elapsed().as_secs_f64();
+            log.push(answers);
+            if ends {
+                break;
+            }
+        }
+        if let Step::Worker { bounds, answers } = step {
+            // The worker answers every bound it was sent unless it ends
+            // the run first; the wait counts to the last bound entered.
+            drop(bounds);
+            let wait = Instant::now();
+            steps.extend(answers);
+            if let Some(last) = log.last_mut() {
+                last.seconds += wait.elapsed().as_secs_f64();
+            }
+        }
+        (log, steps)
     }
 }
 
@@ -752,22 +1026,20 @@ pub struct BmcEngine<'d> {
     /// Wall time of the preprocessing phases (run once, in `new`).
     rewrite_seconds: f64,
     fraig_seconds: f64,
-    /// Encode/solve wall time accumulated over the current `check` call.
-    encode_seconds: f64,
-    solve_seconds: f64,
-    /// Conflict cap of the next backward termination query (see the
-    /// module docs' "Backward check schedule"). Reset at the start of
-    /// every `check`, which precedes every context rebuild but the
-    /// per-bound one of restart mode; that one keeps the cap, so a hard
-    /// backward proof is delayed, not lost, in both modes.
-    backward_cap: u64,
     /// Backward queries abandoned at their cap, over the engine's life.
     backward_capped: u64,
 }
 
 /// Conflict cap of the first backward query of a `check` call and of the
-/// first one after a satisfiable answer.
+/// first one after a satisfiable answer. The step worker keeps the cap
+/// for the whole call, so restart mode's per-bound rebuilds keep it too
+/// and a hard backward proof is delayed, not lost, in both modes.
 const BACKWARD_CAP_FLOOR: u64 = 16;
+
+/// How far the anchored context runs ahead of the step worker: it starts
+/// bound `i` once the backward answers for bounds `..= i - 1 - LEAD` are
+/// in (see the module docs' "Two contexts, two threads").
+const LEAD: usize = 2;
 
 impl<'d> BmcEngine<'d> {
     /// Creates an engine for `design`.
@@ -877,9 +1149,6 @@ impl<'d> BmcEngine<'d> {
             governor,
             rewrite_seconds,
             fraig_seconds,
-            encode_seconds: 0.0,
-            solve_seconds: 0.0,
-            backward_cap: BACKWARD_CAP_FLOOR,
             backward_capped: 0,
         }
     }
@@ -891,9 +1160,9 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// Whether the anchored context runs forward termination checks:
-    /// proofs on under the bounded schedule. Exactly then a bound runs its
-    /// two contexts on two threads (see the module docs' "Two contexts,
-    /// two threads").
+    /// proofs on under the bounded schedule. Exactly then a `check` call
+    /// runs its two contexts on two threads (see the module docs' "Two
+    /// contexts, two threads").
     fn forward_checks(options: &VerifyOptions) -> bool {
         options.proofs && !Self::induction(options)
     }
@@ -1023,7 +1292,9 @@ impl<'d> BmcEngine<'d> {
         self.backward_capped
     }
 
-    /// Frames currently unrolled in the anchored context.
+    /// Frames currently unrolled in the anchored context. With proofs on,
+    /// a run the backward check ends at bound `b` leaves up to `b + 3`
+    /// (see the module docs' "Two contexts, two threads").
     pub fn depth(&self) -> usize {
         self.anchored.unroller.num_frames()
     }
@@ -1057,8 +1328,8 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// The governor a context runs under: a [fork](ResourceGovernor::fork)
-    /// of the engine's when a bound runs `two` contexts on two threads,
-    /// the engine's own otherwise (see the module docs' "Two contexts,
+    /// of the engine's when a `check` call runs `two` contexts on two
+    /// threads, the engine's own otherwise (see the module docs' "Two contexts,
     /// two threads").
     fn context_governor(governor: &ResourceGovernor, two: bool) -> ResourceGovernor {
         if two {
@@ -1260,9 +1531,6 @@ impl<'d> BmcEngine<'d> {
             Some(dl) => self.options.pipeline.governor.clone().with_deadline(dl),
             None => self.options.pipeline.governor.clone(),
         };
-        self.encode_seconds = 0.0;
-        self.solve_seconds = 0.0;
-        self.backward_cap = BACKWARD_CAP_FLOOR;
         // A context whose EMM encoder aborted mid-frame is under-
         // constrained (its SAT answers could be spurious), so it is rebuilt
         // before anything is trusted. Every other context carries over: a
@@ -1280,169 +1548,175 @@ impl<'d> BmcEngine<'d> {
         // Encode against the model in force (possibly fraig-reduced);
         // interface structure (properties, latches, inputs, memories) is
         // identical to the original design.
-        let bad_bit = self.model.properties()[prop].bad;
-        let mut per_bound: Vec<f64> = Vec::new();
-
-        for i in 0..=max_depth {
-            let bound_started = Instant::now();
-            if let Some(reason) = self.poll() {
-                let v = self.unknown_verdict(prop, Some(reason));
-                return self.finish(v, i, started, per_bound);
-            }
-            if !self.options.pipeline.incremental && self.anchored.unroller.num_frames() > 0 {
-                self.rebuild_contexts();
-            }
-            let outcome = self.run_bound(prop, bad_bit, i, deadline)?;
-            per_bound.push(bound_started.elapsed().as_secs_f64());
-            if let Some(verdict) = outcome {
-                return self.finish(verdict, i, started, per_bound);
-            }
-        }
-        self.finish(BmcVerdict::BoundReached, max_depth, started, per_bound)
-    }
-
-    /// Runs bound `i`: extends both contexts to frame `i` and runs their
-    /// queries, the anchored context's on the caller's thread and the
-    /// floating context's beside them on a scoped thread (bounded
-    /// schedule) or after them (k-induction), then combines the answers in
-    /// the sequential loop's priority (see the module docs' "Two
-    /// contexts, two threads"). `Some(verdict)` ends the run.
-    fn run_bound(
-        &mut self,
-        prop: usize,
-        bad_bit: emm_aig::Bit,
-        i: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Option<BmcVerdict>, BmcError> {
-        // The forward query is property-independent, and an anchored
-        // context unrolled past `i` asked it at `i` in an earlier call and
-        // got SAT (UNSAT or `Unknown` ends a run at its bound). That answer
-        // stands, so the query is skipped as a cached one.
-        let termination =
-            Self::forward_checks(&self.options) && self.anchored.unroller.num_frames() <= i + 1;
-        let step = self.floating.as_ref().is_some_and(|f| f.open_at(prop, i));
-        // Counterexample check: SAT(I ∧ ¬P_i ∧ C_i). A bound refuted in an
-        // earlier `check` call stays refuted — the anchored formula only
-        // grows (retired clauses are redundant) — so it is skipped.
-        let cleared = self.options.pipeline.incremental
-            && self.cleared_depth.get(&prop).is_some_and(|&d| i <= d);
-        // Forward termination SAT(I ∧ LFP_i ∧ C_i), then the
-        // counterexample check.
-        let forward = BoundJob {
-            depth: i,
-            bad_bit,
+        let call = CheckCall {
+            prop,
+            bad_bit: self.model.properties()[prop].bad,
+            max_depth,
             budget: self
                 .options
                 .pipeline
                 .solve_budget
                 .clone()
                 .with_earlier_deadline(deadline),
-            termination,
-            counterexample: !cleared,
-        };
-        // Backward termination SAT(LFP_i ∧ ¬P_i ∧ CP_i ∧ C_i): the step
-        // query. The floating solver answers only this query, so under
-        // the bounded schedule its budget carries the cap.
-        let induction = Self::induction(&self.options);
-        let budget = if induction {
-            forward.budget.clone()
-        } else {
-            let cap = forward
-                .budget
-                .max_conflicts
-                .map_or(self.backward_cap, |max| max.min(self.backward_cap));
-            Budget {
-                max_conflicts: Some(cap),
-                ..forward.budget.clone()
-            }
+            // A bound refuted in an earlier `check` call stays refuted —
+            // the anchored formula only grows (retired clauses are
+            // redundant) — so its counterexample query is skipped.
+            cleared: self
+                .options
+                .pipeline
+                .incremental
+                .then(|| self.cleared_depth.get(&prop).copied())
+                .flatten(),
         };
         let BmcEngine {
             model,
+            options,
             anchored,
             floating,
+            prop_clauses_retired: retired,
             ..
         } = self;
         let model: &Design = model;
-        let (forward, backward) = match floating {
-            None => (forward.run(model, anchored), StepAnswer::default()),
-            Some(floating) => {
-                let floating_job = move || {
-                    if step {
-                        floating.query(model, prop, i, budget)
-                    } else {
-                        floating.extend(model, i)
-                    }
-                };
-                if induction {
-                    // The base case first, the step only over a clean one.
-                    let forward = forward.run(model, anchored);
-                    let backward = if forward.leave_open() {
-                        floating_job()
-                    } else {
-                        StepAnswer::default()
-                    };
-                    (forward, backward)
-                } else {
-                    std::thread::scope(|s| {
-                        let handle = s.spawn(floating_job);
-                        let forward = forward.run(model, anchored);
-                        let backward = handle
-                            .join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                        (forward, backward)
-                    })
-                }
+        let (log, steps) = match floating {
+            Some(floating) if Self::forward_checks(options) => std::thread::scope(|s| {
+                let (bounds, bound_rx) = mpsc::channel();
+                let (answer_tx, answers) = mpsc::channel();
+                let budget = &call.budget;
+                let worker =
+                    s.spawn(move || floating.serve(model, prop, budget, bound_rx, answer_tx));
+                let step = Step::Worker { bounds, answers };
+                let ran = call.run_anchored(model, options, anchored, retired, step);
+                worker
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                ran
+            }),
+            floating => {
+                let step = floating.as_mut().map_or(Step::None, Step::Inline);
+                call.run_anchored(model, options, anchored, retired, step)
             }
         };
-        self.encode_seconds += forward.encode_seconds + backward.encode_seconds;
-        self.solve_seconds += forward.solve_seconds + backward.solve_seconds;
+        let (verdict, depth) = self.settle(&call, &log, &steps)?;
+        let mut latch_reasons: Vec<usize> = self.latch_reasons.iter().copied().collect();
+        latch_reasons.sort_unstable();
+        let mut memory_reasons: Vec<usize> = self.memory_reasons.iter().copied().collect();
+        memory_reasons.sort_unstable();
+        Ok(BmcRun {
+            verdict,
+            depth_reached: depth,
+            elapsed: started.elapsed(),
+            per_bound_seconds: log.iter().map(|a| a.seconds).collect(),
+            latch_reasons,
+            memory_reasons,
+            phase_seconds: PhaseSeconds {
+                rewrite: self.rewrite_seconds,
+                fraig: self.fraig_seconds,
+                encode: log.iter().map(|a| a.encode_seconds).sum::<f64>()
+                    + steps.iter().map(|s| s.encode_seconds).sum::<f64>(),
+                solve: log.iter().map(|a| a.solve_seconds).sum::<f64>()
+                    + steps.iter().map(|s| s.solve_seconds).sum::<f64>(),
+                inprocess: 0.0,
+            },
+        })
+    }
 
-        // Under k-induction the step ran only over a clean base case, so
-        // its encode trip ranks after the counterexample (`settle_step`).
+    /// Settles a `check` call from what each context did: walks the
+    /// bounds in order, commits each bound's effects (restart mode's
+    /// forgetting, PBA reasons, the cleared bound), and stops at the
+    /// lowest bound that ends the run, in the sequential loop's priority
+    /// at that bound (see the module docs' "Two contexts, two threads").
+    /// Returns the verdict and its bound.
+    fn settle(
+        &mut self,
+        call: &CheckCall,
+        log: &[Answers],
+        steps: &[StepAnswer],
+    ) -> Result<(BmcVerdict, usize), BmcError> {
+        for (i, answers) in log.iter().enumerate() {
+            let Some(verdict) = self.settle_bound(call.prop, i, answers, steps.get(i))? else {
+                continue;
+            };
+            // A counterexample the verdict does not report is speculative:
+            // retire its group, which only the last bound can hold open.
+            if !verdict.is_counterexample() {
+                if let Some((group, SolveResult::Sat)) = log.last().and_then(|a| a.counterexample) {
+                    self.prop_clauses_retired += self.anchored.solver.retire_group(group) as u64;
+                }
+            }
+            return Ok((verdict, i));
+        }
+        Ok((BmcVerdict::BoundReached, call.max_depth))
+    }
+
+    /// One bound's verdict, in the sequential loop's priority: a poll
+    /// trip; an encode trip (the anchored context's first); the forward
+    /// check (UNSAT proves, `Unknown` ends the run); the backward check;
+    /// and only then the counterexample check. Under k-induction the step
+    /// ran only over a clean base case, so its encode trip and answer rank
+    /// after the counterexample check. `Some(verdict)` ends the run.
+    fn settle_bound(
+        &mut self,
+        prop: usize,
+        i: usize,
+        answers: &Answers,
+        step: Option<&StepAnswer>,
+    ) -> Result<Option<BmcVerdict>, BmcError> {
+        if let Some(reason) = answers.poll.or(step.and_then(|s| s.poll)) {
+            return Ok(Some(self.unknown_verdict(prop, Some(reason))));
+        }
+        if answers.rebuilt {
+            self.cleared_depth.clear();
+        }
+        let induction = Self::induction(&self.options);
         let encode = if induction {
-            forward.encode
+            answers.encode
         } else {
-            forward.encode.or(backward.encode)
+            answers.encode.or(step.and_then(|s| s.encode))
         };
-        let mut ended = if let Some(reason) = encode {
-            Some(self.unknown_verdict(prop, Some(reason)))
-        } else {
-            match forward.termination {
-                Some(SolveResult::Unsat) => Some(BmcVerdict::Proof {
+        if let Some(reason) = encode {
+            return Ok(Some(self.unknown_verdict(prop, Some(reason))));
+        }
+        match answers.termination {
+            Some(SolveResult::Unsat) => {
+                return Ok(Some(BmcVerdict::Proof {
                     kind: ProofKind::ForwardDiameter,
                     depth: i,
-                }),
-                Some(SolveResult::Unknown) => {
-                    Some(self.unknown_verdict(prop, self.anchored.solver.exhaustion_reason()))
-                }
-                _ if induction => None,
-                _ => self.settle_step(prop, i, &backward),
+                }))
             }
-        };
-        if let Some((group, result)) = forward.counterexample {
-            if ended.is_some() {
-                // A counterexample query the sequential loop would not
-                // have run: retire its group and drop its answer.
-                self.prop_clauses_retired += self.anchored.solver.retire_group(group) as u64;
-            } else {
-                ended = self.settle_counterexample(prop, i, group, result)?;
+            Some(SolveResult::Unknown) => {
+                return Ok(Some(self.unknown_verdict(prop, answers.exhaustion)))
+            }
+            _ => {}
+        }
+        if !induction {
+            if let Some(verdict) = self.settle_step(prop, i, step) {
+                return Ok(Some(verdict));
             }
         }
-        // Under k-induction the step ranks after the base case.
-        if induction && ended.is_none() {
-            ended = self.settle_step(prop, i, &backward);
+        if let Some(verdict) = self.settle_counterexample(prop, i, answers)? {
+            return Ok(Some(verdict));
         }
-        Ok(ended)
+        Ok(if induction {
+            self.settle_step(prop, i, step)
+        } else {
+            None
+        })
     }
 
     /// The backward query's share of a bound's verdict: an encode trip
     /// ends the run, UNSAT proves, `Unknown` ends the run unless it hit
     /// the bounded schedule's cap.
-    fn settle_step(&mut self, prop: usize, i: usize, backward: &StepAnswer) -> Option<BmcVerdict> {
-        if let Some(reason) = backward.encode {
+    fn settle_step(
+        &mut self,
+        prop: usize,
+        i: usize,
+        step: Option<&StepAnswer>,
+    ) -> Option<BmcVerdict> {
+        let step = step?;
+        if let Some(reason) = step.encode {
             return Some(self.unknown_verdict(prop, Some(reason)));
         }
-        match backward.result? {
+        match step.result? {
             SolveResult::Unsat if Self::induction(&self.options) => {
                 Some(BmcVerdict::Proved { k: i })
             }
@@ -1451,29 +1725,27 @@ impl<'d> BmcEngine<'d> {
                 depth: i,
             }),
             // No proof at this bound; the counterexample check counts.
-            SolveResult::Unknown if self.backward_hit_cap(backward) => {
-                self.backward_cap = self.backward_cap.saturating_mul(2);
+            SolveResult::Unknown if step.capped => {
                 self.backward_capped += 1;
                 None
             }
-            SolveResult::Unknown => Some(self.unknown_verdict(prop, backward.exhaustion)),
-            SolveResult::Sat => {
-                self.backward_cap = BACKWARD_CAP_FLOOR;
-                None
-            }
+            SolveResult::Unknown => Some(self.unknown_verdict(prop, step.exhaustion)),
+            SolveResult::Sat => None,
         }
     }
 
-    /// The counterexample query's share of a bound's verdict, with its
-    /// still-open activation `group`: a validated trace, or `Unknown`, or
-    /// (UNSAT) the bound cleared and its group retired.
+    /// The counterexample query's share of a bound's verdict: a validated
+    /// trace, or `Unknown`, or (UNSAT) the bound cleared and its PBA
+    /// reasons committed.
     fn settle_counterexample(
         &mut self,
         prop: usize,
         i: usize,
-        group: Lit,
-        result: SolveResult,
+        answers: &Answers,
     ) -> Result<Option<BmcVerdict>, BmcError> {
+        let Some((_, result)) = answers.counterexample else {
+            return Ok(None);
+        };
         match result {
             SolveResult::Sat => {
                 let trace = self.extract_trace(prop, i);
@@ -1484,20 +1756,14 @@ impl<'d> BmcEngine<'d> {
                 }
                 Ok(Some(BmcVerdict::Counterexample(trace)))
             }
-            SolveResult::Unknown => {
-                // The bound was *not* refuted: leave `cleared_depth`
-                // alone (a resumed check re-runs this bound) but retire
-                // the bound's property clause so the abandoned group
-                // does not linger in the clause arena.
-                self.prop_clauses_retired += self.anchored.solver.retire_group(group) as u64;
-                let reason = self.anchored.solver.exhaustion_reason();
-                Ok(Some(self.unknown_verdict(prop, reason)))
-            }
+            // The bound was *not* refuted: `cleared_depth` stays, so a
+            // resumed check re-runs this bound.
+            SolveResult::Unknown => Ok(Some(self.unknown_verdict(prop, answers.exhaustion))),
             SolveResult::Unsat => {
-                if self.options.pba_discovery {
-                    self.collect_reasons();
+                if let Some((latches, memories)) = &answers.reasons {
+                    self.latch_reasons.extend(latches);
+                    self.memory_reasons.extend(memories);
                 }
-                self.prop_clauses_retired += self.anchored.solver.retire_group(group) as u64;
                 let d = self.cleared_depth.entry(prop).or_insert(i);
                 *d = (*d).max(i);
                 Ok(None)
@@ -1505,100 +1771,34 @@ impl<'d> BmcEngine<'d> {
         }
     }
 
-    /// Whether the backward query's `Unknown` came from the bounded
-    /// schedule's cap alone: the budget's conflict limit stopped it with
-    /// the floating context's governor clear (see
-    /// [`StepAnswer::budget_conflicts`]), and that limit was the cap, not
-    /// `solve_budget`. Any other `Unknown` ends the run, and so does every
-    /// `Unknown` of the uncapped k-induction step.
-    fn backward_hit_cap(&self, backward: &StepAnswer) -> bool {
-        !Self::induction(&self.options)
-            && backward.budget_conflicts
-            && self
-                .options
-                .pipeline
-                .solve_budget
-                .max_conflicts
-                .is_none_or(|max| self.backward_cap < max)
-    }
-
-    /// Drops and recreates every context: fresh solvers, unrollers, EMM
-    /// and LFP state (the restart-from-scratch baseline of
-    /// [`PipelineOptions::incremental`](crate::PipelineOptions::incremental)` = false`).
-    /// Each context keeps its governor, fault count included.
-    fn rebuild_contexts(&mut self) {
-        self.rebuild_anchored();
-        if let Some(floating) = &mut self.floating {
-            floating.rebuild(&self.model);
-        }
+    /// Replaces `ctx` with an empty context of the same kind, keeping its
+    /// governor (fault count included).
+    fn remake(model: &Design, options: &VerifyOptions, ctx: &mut Ctx, anchored: bool) {
+        *ctx = Self::make_ctx(model, options, &ctx.governor, anchored);
     }
 
     /// Drops and recreates the anchored context and forgets its cleared
     /// bounds, keeping its governor.
     fn rebuild_anchored(&mut self) {
-        let governor = self.anchored.governor.clone();
-        self.anchored = Self::make_ctx(&self.model, &self.options, &governor, true);
+        Self::remake(&self.model, &self.options, &mut self.anchored, true);
         self.cleared_depth.clear();
     }
 
-    /// Assembles a [`BmcRun`] from the engine's accumulated state.
-    fn finish(
-        &self,
-        verdict: BmcVerdict,
-        depth: usize,
-        started: Instant,
-        per_bound_seconds: Vec<f64>,
-    ) -> Result<BmcRun, BmcError> {
-        let mut lrv: Vec<usize> = self.latch_reasons.iter().copied().collect();
-        lrv.sort_unstable();
-        let mut mrv: Vec<usize> = self.memory_reasons.iter().copied().collect();
-        mrv.sort_unstable();
-        Ok(BmcRun {
-            verdict,
-            depth_reached: depth,
-            elapsed: started.elapsed(),
-            per_bound_seconds,
-            latch_reasons: lrv,
-            memory_reasons: mrv,
-            phase_seconds: PhaseSeconds {
-                rewrite: self.rewrite_seconds,
-                fraig: self.fraig_seconds,
-                encode: self.encode_seconds,
-                solve: self.solve_seconds,
-                inprocess: 0.0,
-            },
-        })
-    }
-
     /// Latch/memory reasons from the failed assumptions of the most recent
-    /// UNSAT answer of the anchored solver (`Get_Latch_Reasons(U_Core)`),
-    /// accumulated into the engine-lifetime reason sets.
-    fn collect_reasons(&mut self) {
-        let failed: HashSet<Lit> = self
-            .anchored
-            .solver
-            .failed_assumptions()
-            .iter()
-            .copied()
+    /// UNSAT answer of the anchored solver (`Get_Latch_Reasons(U_Core)`):
+    /// latch indices and design memory indices.
+    fn reasons(ctx: &Ctx) -> (Vec<usize>, Vec<usize>) {
+        let failed: HashSet<Lit> = ctx.solver.failed_assumptions().iter().copied().collect();
+        let latches = (ctx.unroller.latch_selectors().iter().enumerate())
+            .filter(|(_, sel)| failed.contains(sel))
+            .map(|(li, _)| li)
             .collect();
-        for (li, &sel) in self.anchored.unroller.latch_selectors().iter().enumerate() {
-            if failed.contains(&sel) {
-                self.latch_reasons.insert(li);
-            }
-        }
-        for (enc_idx, _port, sel) in self.anchored.emm.selectors() {
-            if failed.contains(&sel) {
-                // Map encoder index back to design memory index.
-                if let Some(mi) = self
-                    .anchored
-                    .emm_index
-                    .iter()
-                    .position(|s| *s == Some(enc_idx))
-                {
-                    self.memory_reasons.insert(mi);
-                }
-            }
-        }
+        let memories = (ctx.emm.selectors().into_iter())
+            .filter(|(_, _, sel)| failed.contains(sel))
+            // Map encoder index back to design memory index.
+            .filter_map(|(enc_idx, _, _)| ctx.emm_index.iter().position(|s| *s == Some(enc_idx)))
+            .collect();
+        (latches, memories)
     }
 
     /// Builds a [`Trace`] from the anchored solver's model at depth `i`.

@@ -4,6 +4,7 @@
 use emm_aig::{Design, LatchInit, MemInit, Word};
 use emm_bmc::{pba, BmcEngine, BmcError, BmcVerdict, KInduction, ProofKind, VerifyOptions};
 use emm_core::{explicit_model, EmmOptions};
+use emm_designs::gen::{random_design, GenConfig};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
 use emm_sat::{Budget, ExhaustionReason, ResourceGovernor, SolverStats};
 use rand::rngs::StdRng;
@@ -708,7 +709,7 @@ fn backward_schedule_keeps_the_forward_proof_and_is_deterministic() {
 /// schedules, named with the range, and leaves the engine usable.
 #[test]
 fn out_of_range_property_is_an_error() {
-    let d = emm_designs::gen::random_design(&emm_designs::gen::GenConfig::aiger(), 7);
+    let d = random_design(&GenConfig::aiger(), 7);
     assert_eq!(d.properties().len(), 3);
     let mut bounded = BmcEngine::new(&d, VerifyOptions::default());
     let mut induction = KInduction::new(&d, VerifyOptions::default());
@@ -725,4 +726,145 @@ fn out_of_range_property_is_an_error() {
     }
     assert!(bounded.check(0, 3).is_ok());
     assert!(induction.check(0, 3).is_ok());
+}
+
+/// A verdict by kind and bound.
+fn verdict_name(verdict: &BmcVerdict) -> String {
+    match verdict {
+        BmcVerdict::Counterexample(trace) => format!("cex@{}", trace.depth() - 1),
+        BmcVerdict::Proof { kind, depth } => format!("{kind:?}@{depth}"),
+        other => format!("{other:?}"),
+    }
+}
+
+/// What one proofs-on bounded `check` on a fresh engine answered, and
+/// everything in it the thread schedule could move: the verdict,
+/// `depth_reached`, `deepest_clean_bound`, each context's (vars,
+/// conflicts, decisions, propagations), the retired property groups,
+/// the capped backward queries and the anchored frames.
+type Scheduled = (
+    String,
+    usize,
+    Option<u32>,
+    [u64; 4],
+    [u64; 4],
+    u64,
+    u64,
+    usize,
+);
+
+fn scheduled_check(d: &Design, prop: usize, max_depth: usize) -> Scheduled {
+    let mut engine = BmcEngine::new(d, VerifyOptions::default().proofs(true));
+    let run = engine.check(prop, max_depth).expect("run");
+    let clean = match run.verdict {
+        BmcVerdict::Unknown {
+            deepest_clean_bound,
+            ..
+        } => deepest_clean_bound,
+        _ => None,
+    };
+    let search = |(vars, stats): (usize, SolverStats)| {
+        [
+            vars as u64,
+            stats.conflicts,
+            stats.decisions,
+            stats.propagations,
+        ]
+    };
+    (
+        verdict_name(&run.verdict),
+        run.depth_reached,
+        clean,
+        search(engine.solver_stats()),
+        search(engine.floating_solver_stats().expect("proofs on")),
+        engine.property_clauses_retired(),
+        engine.backward_capped(),
+        engine.depth(),
+    )
+}
+
+/// The anchored context runs up to two bounds past the backward answers
+/// it has, so a run the backward check ends at bound `b` leaves it
+/// unrolled through `b + 2`; a run the anchored context ends stops at
+/// its own bound. Each context's queries depend on its own answers
+/// only, so twenty fresh engines agree on the verdict and on every
+/// counter of both contexts, whichever check ends the run.
+#[test]
+fn step_worker_schedule_is_deterministic() {
+    let deep = random_design(&GenConfig::deep(), 0);
+    let cases = [
+        (
+            parked_counter_with_idle_state(32),
+            0,
+            "BackwardInduction@15",
+            18,
+        ),
+        (mod_counter(4, 5, 9), 0, "ForwardDiameter@5", 6),
+        (mod_counter(4, 12, 7), 0, "cex@7", 8),
+        (deep, 1, "cex@7", 8),
+    ];
+    for (d, prop, verdict, depth) in cases {
+        let first = scheduled_check(&d, prop, 60);
+        assert_eq!((first.0.as_str(), first.7), (verdict, depth), "{verdict}");
+        for engine in 1..20 {
+            assert_eq!(
+                scheduled_check(&d, prop, 60),
+                first,
+                "{verdict}: engine {engine}"
+            );
+        }
+    }
+}
+
+/// The bounds the anchored context ran past a backward proof are never
+/// committed as cleared: the resume point stays the bound before the
+/// proof, and a deeper second check asks their counterexample queries
+/// again and proves the property as a fresh engine does. (A reused
+/// floating context can close its capped proof a few bounds later.)
+#[test]
+fn speculative_bounds_are_never_committed() {
+    let d = parked_counter_with_idle_state(32);
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
+    let run = engine.check(0, 40).expect("run");
+    assert_eq!(verdict_name(&run.verdict), "BackwardInduction@15");
+    assert_eq!(engine.depth(), 18, "two speculative bounds past the proof");
+    let cancelled = ResourceGovernor::unlimited();
+    cancelled.cancel();
+    engine.set_governor(cancelled);
+    let run = engine.check(0, 40).expect("cancelled");
+    assert!(
+        matches!(
+            run.verdict,
+            BmcVerdict::Unknown {
+                reason: ExhaustionReason::Cancelled,
+                deepest_clean_bound: Some(14),
+            }
+        ),
+        "{:?}",
+        run.verdict
+    );
+    engine.set_governor(ResourceGovernor::unlimited());
+    let retired = engine.property_clauses_retired();
+    let second = engine.check(0, 60).expect("deeper check").verdict;
+    let fresh = BmcEngine::new(&d, VerifyOptions::default().proofs(true))
+        .check(0, 60)
+        .expect("fresh check")
+        .verdict;
+    for verdict in [&second, &fresh] {
+        assert!(
+            matches!(
+                verdict,
+                BmcVerdict::Proof {
+                    kind: ProofKind::BackwardInduction,
+                    depth,
+                } if *depth >= 15
+            ),
+            "{verdict:?}"
+        );
+    }
+    assert_eq!(
+        engine.property_clauses_retired() - retired,
+        engine.depth() as u64 - 15,
+        "every counterexample query from bound 15 on runs again"
+    );
 }

@@ -452,7 +452,10 @@ fn schedules() -> [(&'static str, VerifyOptions); 3] {
 /// every schedule. Counterexamples are validated. Most generated
 /// properties are decided at bound 0, so the sweep keeps designs with a
 /// property that a fresh bounded run leaves open past it, and adds the
-/// hand-built design whose `p0` stays open through bound 5.
+/// hand-built design whose `p0` stays open through bound 5. The
+/// [`GenConfig::deep`] designs keep their properties open past bound 3,
+/// so they also switch between depths 8 and 5, where the anchored context
+/// of a proofs-on run has run bounds past the backward answers it has.
 #[test]
 fn property_switch_matches_fresh_engines() {
     let config = GenConfig {
@@ -474,10 +477,22 @@ fn property_switch_matches_fresh_engines() {
         .take(6)
         .collect();
     designs.push(shallow_cex_behind_deeper_constraints());
+    let shallow = designs.len();
+    designs.extend(
+        (0..)
+            .map(|seed| random_design(&GenConfig::deep(), seed))
+            .filter(|d| d.properties().len() > 1)
+            .take(3),
+    );
     for (di, d) in designs.iter().enumerate() {
         let props = d.properties().len();
+        let depths: &[(usize, usize)] = if di < shallow {
+            &[(3, 1), (5, 1), (5, 3)]
+        } else {
+            &[(5, 3), (8, 5)]
+        };
         for (name, options) in schedules() {
-            for (d1, d2) in [(3, 1), (5, 1), (5, 3)] {
+            for &(d1, d2) in depths {
                 for p in 0..props {
                     for q in 0..props {
                         let mut reused = BmcEngine::new(d, options.clone());

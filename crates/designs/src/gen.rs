@@ -18,6 +18,10 @@
 //! * [`GenConfig::btor2_guarded`] — memories with random read/write
 //!   enables, exercising the oracle-input lowering.
 //!
+//! [`GenConfig::deep`] adds a free-running counter to the guarded shape
+//! that gates every property, for the engine suites that need properties
+//! still open several bounds deep.
+//!
 //! Sizes are intentionally small (a handful of latches, address widths
 //! ≤ 2) so the differential suites can afford BDD-oracle cross-checks
 //! on hundreds of seeds.
@@ -50,6 +54,11 @@ pub struct GenConfig {
     pub max_properties: usize,
     /// Probability of adding one environment constraint.
     pub constraint_probability: f64,
+    /// Width of a free-running counter that gates every property: each
+    /// `bad` also needs the counter at a value drawn from `4..2^width`.
+    /// `0` adds no counter and draws nothing for it; other widths below 3
+    /// count as 3.
+    pub counter_width: usize,
 }
 
 impl GenConfig {
@@ -65,6 +74,7 @@ impl GenConfig {
             const_true_read_enables: true,
             max_properties: 3,
             constraint_probability: 0.25,
+            counter_width: 0,
         }
     }
 
@@ -80,6 +90,7 @@ impl GenConfig {
             const_true_read_enables: true,
             max_properties: 3,
             constraint_probability: 0.25,
+            counter_width: 0,
         }
     }
 
@@ -89,6 +100,19 @@ impl GenConfig {
         GenConfig {
             const_true_read_enables: false,
             ..GenConfig::btor2()
+        }
+    }
+
+    /// [`GenConfig::btor2_guarded`] designs whose properties stay open
+    /// for several bounds: a 3-bit counter gates every property, so no
+    /// counterexample exists before bound 4 and the forward check cannot
+    /// close before the counter has taken all of its values. There is no
+    /// environment constraint, which could rule out the initial state.
+    pub fn deep() -> GenConfig {
+        GenConfig {
+            constraint_probability: 0.0,
+            counter_width: 3,
+            ..GenConfig::btor2_guarded()
         }
     }
 }
@@ -205,9 +229,21 @@ pub fn random_design(config: &GenConfig, seed: u64) -> Design {
         d.set_next(out, pick(&mut rng, &pool));
     }
 
+    let counter = (config.counter_width > 0).then(|| {
+        let counter = d.new_latch_word("ctr", config.counter_width.max(3), LatchInit::Zero);
+        let next = d.aig.inc(&counter);
+        d.set_next_word(&counter, &next);
+        counter
+    });
     let num_props = rng.random_range(1..=config.max_properties.max(1));
     for p in 0..num_props {
-        d.add_property(&format!("p{p}"), pick(&mut rng, &pool));
+        let mut bad = pick(&mut rng, &pool);
+        if let Some(counter) = &counter {
+            let at = rng.random_range(4..1u64 << counter.width());
+            let hit = d.aig.eq_const(counter, at);
+            bad = d.aig.and(bad, hit);
+        }
+        d.add_property(&format!("p{p}"), bad);
     }
     if rng.random_bool(config.constraint_probability) {
         d.add_constraint(pick(&mut rng, &pool));
@@ -252,5 +288,24 @@ mod tests {
             }
         }
         assert!(saw_memory, "memory shape never generated a memory");
+    }
+
+    #[test]
+    fn deep_shape_adds_only_the_counter() {
+        for seed in 0..50 {
+            let deep = random_design(&GenConfig::deep(), seed);
+            let guarded = random_design(&GenConfig::btor2_guarded(), seed);
+            assert_eq!(deep.num_latches(), guarded.num_latches() + 3, "seed {seed}");
+            assert_eq!(
+                deep.memories().len(),
+                guarded.memories().len(),
+                "seed {seed}"
+            );
+            assert_eq!(
+                deep.properties().len(),
+                guarded.properties().len(),
+                "seed {seed}"
+            );
+        }
     }
 }

@@ -212,6 +212,9 @@ pub struct Solver {
     model: Vec<LBool>,
     /// Failed assumptions from the last UNSAT-under-assumptions answer.
     conflict_set: Vec<Lit>,
+    /// The clause [`Solver::add_clause`] sorts, kept between calls so it
+    /// allocates only when a longer clause arrives.
+    clause_scratch: Vec<Lit>,
     stats: SolverStats,
     next_clause_id: u32,
     budget: Budget,
@@ -259,6 +262,7 @@ impl Solver {
             analyze_clear: Vec::new(),
             model: Vec::new(),
             conflict_set: Vec::new(),
+            clause_scratch: Vec::new(),
             stats: SolverStats::default(),
             next_clause_id: 1,
             budget: Budget::unlimited(),
@@ -320,7 +324,16 @@ impl Solver {
             // Already UNSAT; accept and ignore.
             return None;
         }
-        let mut sorted: Vec<Lit> = lits.to_vec();
+        let mut sorted = std::mem::take(&mut self.clause_scratch);
+        sorted.clear();
+        sorted.extend_from_slice(lits);
+        let id = self.add_sorted(&mut sorted);
+        self.clause_scratch = sorted;
+        id
+    }
+
+    /// [`Solver::add_clause`] on a copy of the clause it may reorder.
+    fn add_sorted(&mut self, sorted: &mut Vec<Lit>) -> Option<ClauseId> {
         sorted.sort_unstable();
         sorted.dedup();
         // Tautology check: p and !p adjacent after sort.
@@ -362,7 +375,7 @@ impl Solver {
                 return Some(id);
             }
             // Unit under level-0 assignment.
-            let cref = self.db.alloc(&sorted, false);
+            let cref = self.db.alloc(sorted, false);
             self.register_ref(id, cref);
             if sorted.len() >= 2 {
                 self.attach(cref);
@@ -373,7 +386,7 @@ impl Solver {
             }
             return Some(id);
         }
-        let cref = self.db.alloc(&sorted, false);
+        let cref = self.db.alloc(sorted, false);
         self.register_ref(id, cref);
         self.attach(cref);
         Some(id)
