@@ -894,8 +894,8 @@ impl CheckCall {
     ) -> (Vec<Answers>, Vec<StepAnswer>) {
         let mut log: Vec<Answers> = Vec::new();
         let mut steps: Vec<StepAnswer> = Vec::new();
+        let mut bound_end = Instant::now();
         for i in 0..=self.max_depth {
-            let started = Instant::now();
             if let Step::Worker { answers, .. } = &step {
                 // Bound `i` starts once the answers for `..= i - 1 - LEAD`
                 // are in. The loop reads no answer beyond those, so where
@@ -912,8 +912,8 @@ impl CheckCall {
                 poll: ctx.governor.poll(),
                 ..Answers::default()
             };
-            let mut ends = answers.poll.is_some();
-            if !ends {
+            let mut step_ends = false;
+            if answers.poll.is_none() {
                 answers.rebuilt = !options.pipeline.incremental && ctx.unroller.num_frames() > 0;
                 if answers.rebuilt {
                     BmcEngine::remake(model, options, ctx, true);
@@ -940,11 +940,10 @@ impl CheckCall {
                     counterexample: self.cleared.is_none_or(|d| i > d),
                 }
                 .run(model, ctx, &mut answers);
-                ends = answers.ends();
                 if let Step::Inline(floating) = &mut step {
                     if answers.leave_open() {
                         let answer = floating.step(model, self.prop, i, self.budget.clone());
-                        ends |= answer.ends();
+                        step_ends = answer.ends();
                         steps.push(answer);
                     }
                 }
@@ -960,7 +959,9 @@ impl CheckCall {
                     }
                 }
             }
-            answers.seconds = started.elapsed().as_secs_f64();
+            answers.seconds = bound_end.elapsed().as_secs_f64();
+            bound_end = Instant::now();
+            let ends = answers.ends() || step_ends;
             log.push(answers);
             if ends {
                 break;
@@ -968,13 +969,13 @@ impl CheckCall {
         }
         if let Step::Worker { bounds, answers } = step {
             // The worker answers every bound it was sent unless it ends
-            // the run first; the wait counts to the last bound entered.
+            // the run first.
             drop(bounds);
-            let wait = Instant::now();
             steps.extend(answers);
-            if let Some(last) = log.last_mut() {
-                last.seconds += wait.elapsed().as_secs_f64();
-            }
+        }
+        // The waits after the last bound entered count to it.
+        if let Some(last) = log.last_mut() {
+            last.seconds += bound_end.elapsed().as_secs_f64();
         }
         (log, steps)
     }
