@@ -124,6 +124,9 @@ pub struct Simulator<'a> {
     mem_state: Vec<HashMap<u64, u64>>,
     /// Node values from the most recent step.
     node_values: Vec<bool>,
+    /// Dense input index -> position among the free inputs (`usize::MAX`
+    /// for latch and read-data inputs).
+    free_pos: Vec<usize>,
     cycle: u64,
 }
 
@@ -142,12 +145,17 @@ impl<'a> Simulator<'a> {
             .iter()
             .map(|l| matches!(l.init, crate::design::LatchInit::One))
             .collect();
+        let mut free_pos = vec![usize::MAX; design.num_inputs()];
+        for (pos, &idx) in design.free_inputs().iter().enumerate() {
+            free_pos[idx as usize] = pos;
+        }
         Simulator {
             design,
             config,
             latch_state,
             mem_state: vec![HashMap::new(); design.memories().len()],
             node_values: vec![false; design.aig.num_nodes()],
+            free_pos,
             cycle: 0,
         }
     }
@@ -258,11 +266,6 @@ impl<'a> Simulator<'a> {
             design.free_inputs().len(),
             free_inputs.len()
         );
-        // Map dense input index -> free input position.
-        let mut free_pos = vec![usize::MAX; design.num_inputs()];
-        for (pos, &idx) in design.free_inputs().iter().enumerate() {
-            free_pos[idx as usize] = pos;
-        }
         // Forward pass in topological (id) order. Read-data pseudo-inputs
         // are resolved on the fly: their address/enable cones were built
         // before the port, so those nodes are already evaluated.
@@ -270,7 +273,7 @@ impl<'a> Simulator<'a> {
             let v = match node {
                 Node::Const => false,
                 Node::Input(i) => match design.input_kind(i as usize) {
-                    InputKind::Free => free_inputs[free_pos[i as usize]],
+                    InputKind::Free => free_inputs[self.free_pos[i as usize]],
                     InputKind::Latch(l) => self.latch_state[l.0 as usize],
                     InputKind::ReadData(mem, port, bit) => {
                         let m = design.memory(mem);
@@ -375,14 +378,9 @@ impl Trace {
         self.frames.len()
     }
 
-    /// Replays the trace; returns `Ok(())` if the property's `bad` condition
-    /// holds in the final cycle and no environment constraint is violated.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first divergence: a violated constraint
-    /// mid-trace or the property not failing at the final frame.
-    pub fn validate(&self, design: &Design) -> Result<(), String> {
+    /// A simulator of `design` in the trace's initial state: its initial
+    /// latch values and memory seeds installed, no cycle run yet.
+    pub fn start<'a>(&self, design: &'a Design) -> Simulator<'a> {
         let mut sim = Simulator::new(design);
         for (l, &v) in self.initial_latches.iter().enumerate() {
             sim.set_latch(l, v);
@@ -392,6 +390,18 @@ impl Trace {
                 sim.seed_memory(MemoryId(mi as u32), addr, word);
             }
         }
+        sim
+    }
+
+    /// Replays the trace; returns `Ok(())` if the property's `bad` condition
+    /// holds in the final cycle and no environment constraint is violated.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first divergence: a violated constraint
+    /// mid-trace or the property not failing at the final frame.
+    pub fn validate(&self, design: &Design) -> Result<(), String> {
+        let mut sim = self.start(design);
         let empty: Vec<Vec<u64>> = Vec::new();
         let mut last: Option<StepReport> = None;
         for (k, frame) in self.frames.iter().enumerate() {

@@ -62,6 +62,22 @@ use std::time::Instant;
 
 use emm_sat::{CnfSink, Lit, Simplifier, SolveResult, Solver};
 
+/// The frames `j < k` whose state frame `k` repeats: `states[j] ==
+/// states[k]` (the kept latches) and no write enabled in frames `j..k`
+/// (`wrote[j..k]`). This is the one definition of a repeated pair, read
+/// from a solver model by [`LfpBuilder::solve`] and from a concrete run
+/// by the engine's simulated forward answer. Reads `states[..=k]` and
+/// `wrote[..k]`.
+pub(crate) fn repeats<'a, S: PartialEq>(
+    states: &'a [S],
+    wrote: &[bool],
+    k: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    // A write at frame w < k separates every frame j <= w from k.
+    let first = wrote[..k].iter().rposition(|&w| w).map_or(0, |w| w + 1);
+    (first..k).filter(move |&j| states[j] == states[k])
+}
+
 /// Incremental builder of pairwise-distinct-state constraints.
 #[derive(Debug)]
 pub struct LfpBuilder {
@@ -191,17 +207,9 @@ impl LfpBuilder {
             .iter()
             .map(|ws| ws.iter().any(|&l| value(l)))
             .collect();
-        let mut pairs = Vec::new();
-        for k in 1..states.len() {
-            // A write at frame w < k separates every frame j <= w from k.
-            let first = (0..k).rev().find(|&j| wrote[j]).map_or(0, |j| j + 1);
-            pairs.extend(
-                (first..k)
-                    .filter(|&j| states[j] == states[k])
-                    .map(|j| (j, k)),
-            );
-        }
-        pairs
+        (1..states.len())
+            .flat_map(|k| repeats(&states, &wrote, k).map(move |j| (j, k)))
+            .collect()
     }
 
     /// The states at frames `j < k` must differ in some kept latch, or an

@@ -1,7 +1,7 @@
 //! End-to-end tests of the BMC engine: proofs, counterexamples, EMM vs
 //! explicit-model agreement, arbitrary initial memory state, and PBA.
 
-use emm_aig::{Design, LatchInit, MemInit, Word};
+use emm_aig::{Design, LatchInit, MemInit, Trace, Word};
 use emm_bmc::{pba, BmcEngine, BmcError, BmcVerdict, KInduction, ProofKind, VerifyOptions};
 use emm_core::{explicit_model, EmmOptions};
 use emm_designs::gen::{random_design, GenConfig};
@@ -819,8 +819,7 @@ fn step_worker_schedule_is_deterministic() {
 /// The bounds the anchored context ran past a backward proof are never
 /// committed as cleared: the resume point stays the bound before the
 /// proof, and a deeper second check asks their counterexample queries
-/// again and proves the property as a fresh engine does. (A reused
-/// floating context can close its capped proof a few bounds later.)
+/// again and proves the property at the bound a fresh engine does.
 #[test]
 fn speculative_bounds_are_never_committed() {
     let d = parked_counter_with_idle_state(32);
@@ -856,8 +855,8 @@ fn speculative_bounds_are_never_committed() {
                 verdict,
                 BmcVerdict::Proof {
                     kind: ProofKind::BackwardInduction,
-                    depth,
-                } if *depth >= 15
+                    depth: 15,
+                }
             ),
             "{verdict:?}"
         );
@@ -867,4 +866,200 @@ fn speculative_bounds_are_never_committed() {
         engine.depth() as u64 - 15,
         "every counterexample query from bound 15 on runs again"
     );
+}
+
+/// A second `check` of a property the backward check proved answers at
+/// the proof's bound, as a fresh engine does: the floating context
+/// remembers the lowest bound whose step query answered UNSAT, and every
+/// query above it is UNSAT too.
+#[test]
+fn repeated_check_proves_where_a_fresh_engine_does() {
+    for (bad_at, proof) in [(32, "BackwardInduction@15"), (34, "BackwardInduction@25")] {
+        let d = parked_counter_with_idle_state(bad_at);
+        let fresh = BmcEngine::new(&d, VerifyOptions::default().proofs(true))
+            .check(0, 60)
+            .expect("fresh");
+        assert_eq!(verdict_name(&fresh.verdict), proof, "bad_at {bad_at}");
+        let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
+        for call in 0..2 {
+            let run = engine.check(0, 60).expect("run");
+            assert_eq!(
+                verdict_name(&run.verdict),
+                proof,
+                "bad_at {bad_at}, call {call}"
+            );
+        }
+    }
+}
+
+/// Replays `witness` on `d` from its initial state and checks that it is
+/// a run the forward check may be answered SAT from: no environment
+/// constraint violated, no write race, and no frame repeating an earlier
+/// one (every latch equal, no write enabled in between). Returns its
+/// frame count.
+fn assert_loop_free_run(d: &Design, witness: &Trace, label: &str) -> usize {
+    let mut sim = witness.start(d);
+    let mut states: Vec<Vec<bool>> = Vec::new();
+    let mut first = 0;
+    for (k, inputs) in witness.frames.iter().enumerate() {
+        let state: Vec<bool> = (0..d.num_latches()).map(|l| sim.latch(l)).collect();
+        assert!(
+            !states[first..].contains(&state),
+            "{label}: frame {k} repeats an earlier state"
+        );
+        states.push(state);
+        let report = sim.step_with_disabled_reads(inputs, &witness.disabled_reads[k]);
+        assert!(
+            report.violated_constraints.is_empty(),
+            "{label}: frame {k} violates {:?}",
+            report.violated_constraints
+        );
+        assert!(report.write_races.is_empty(), "{label}: race at frame {k}");
+        let wrote = (d.memories().iter())
+            .flat_map(|m| &m.write_ports)
+            .any(|wp| sim.value(wp.en));
+        if wrote {
+            first = k + 1;
+        }
+    }
+    witness.frames.len()
+}
+
+/// Checks `prop` one bound per call up to `max_depth` on one proofs-on
+/// engine, and after every call that simulated a forward answer replays
+/// the kept witness on the design as handed in. A call to depth `d` asks
+/// the forward checks of bounds `d - 1` (its context already holds that
+/// frame) and `d`, so the witness covers bound `d - 1`, and bound `d` too
+/// unless the call ended there. Returns the first verdict that ends the
+/// run and the count of simulated answers.
+fn replay_every_simulated_answer(
+    d: &Design,
+    prop: usize,
+    max_depth: usize,
+    label: &str,
+) -> (String, u64) {
+    let mut engine = BmcEngine::new(d, VerifyOptions::default().proofs(true));
+    for depth in 0..=max_depth {
+        let simulated = engine.forward_simulated();
+        let run = engine.check(prop, depth).expect("run");
+        let open = matches!(run.verdict, BmcVerdict::BoundReached);
+        if engine.forward_simulated() > simulated {
+            let witness = engine
+                .forward_witness()
+                .expect("a simulated answer keeps its run");
+            let frames = assert_loop_free_run(d, witness, &format!("{label} bound {depth}"));
+            let covered = if open { depth + 1 } else { depth };
+            assert!(
+                frames >= covered,
+                "{label}: {frames} frames at bound {depth}"
+            );
+        }
+        if !open {
+            return (verdict_name(&run.verdict), engine.forward_simulated());
+        }
+    }
+    ("BoundReached".to_string(), engine.forward_simulated())
+}
+
+/// Most forward checks of the paper's quicksort proofs are answered by
+/// simulating the last witness one frame further, every such answer keeps
+/// a witness that replays loop-free on the design as handed in (not the
+/// reduced copy the solver encodes), and the proofs stay at the cycle
+/// bound. The same holds on `GenConfig::deep` designs.
+#[test]
+fn simulated_forward_answers_keep_a_replayable_witness() {
+    let qs = QuickSort::new(QuickSortConfig {
+        n: 3,
+        addr_width: 6,
+        data_width: 4,
+        bug: Bug::None,
+    });
+    for (name, prop) in [("p1", qs.p1.0), ("p2", qs.p2.0)] {
+        let prop = prop as usize;
+        let mut engine = BmcEngine::new(&qs.design, VerifyOptions::default().proofs(true));
+        let run = engine.check(prop, qs.cycle_bound()).expect("run");
+        assert_eq!(verdict_name(&run.verdict), "ForwardDiameter@30", "{name}");
+        // Bounds 0..=30 ask 31 forward checks.
+        assert!(
+            engine.forward_simulated() >= 25,
+            "{name}: {} of 31 forward checks simulated",
+            engine.forward_simulated()
+        );
+        let witness = engine.forward_witness().expect("the last witness");
+        assert_eq!(
+            assert_loop_free_run(&qs.design, witness, name),
+            30,
+            "{name}"
+        );
+        let (verdict, _) = replay_every_simulated_answer(&qs.design, prop, qs.cycle_bound(), name);
+        assert_eq!(verdict, "ForwardDiameter@30", "{name}, one bound per call");
+    }
+    let mut simulated = 0;
+    for seed in 0..3 {
+        let d = random_design(&GenConfig::deep(), seed);
+        for prop in 0..d.properties().len() {
+            let label = format!("deep seed {seed} prop {prop}");
+            let fresh = BmcEngine::new(&d, VerifyOptions::default().proofs(true))
+                .check(prop, 12)
+                .expect("fresh");
+            let (verdict, answers) = replay_every_simulated_answer(&d, prop, 12, &label);
+            if fresh.verdict.is_counterexample() {
+                assert_eq!(verdict, verdict_name(&fresh.verdict), "{label}");
+            }
+            simulated += answers;
+        }
+    }
+    assert!(simulated > 0, "the deep designs simulate forward answers");
+}
+
+/// A free-running mod-5 counter has no inputs, so the witness extends by
+/// simulation at bounds 1 to 4 and stops at the repeat: the solver answers
+/// bound 0 and the proof at the diameter, where it always did.
+#[test]
+fn witness_stops_extending_at_the_repeat() {
+    let d = mod_counter(4, 5, 9);
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
+    let run = engine.check(0, 30).expect("run");
+    assert_eq!(verdict_name(&run.verdict), "ForwardDiameter@5");
+    assert_eq!(engine.forward_simulated(), 4);
+    let witness = engine.forward_witness().expect("the last witness");
+    assert_eq!(
+        assert_loop_free_run(&d, witness, "mod 5"),
+        5,
+        "bounds 0..=4"
+    );
+}
+
+/// Input `x` must differ from its previous value (latch `p`), so a frame
+/// that repeats the previous frame's inputs always breaks the constraint.
+/// A 3-bit counter `c` advances every cycle and `p` toggles with it, so
+/// `p == c[0]` in all 8 reachable states, and `bad` is the unreachable
+/// `c == 7 ∧ ¬p`.
+fn alternating_input_counter() -> Design {
+    let mut d = Design::new();
+    let (_, p) = d.new_latch("p", LatchInit::Zero);
+    let x = d.new_input("x");
+    d.set_next(p, x);
+    let alternates = d.aig.xor(x, p);
+    d.add_constraint(alternates);
+    let c = d.new_latch_word("c", 3, LatchInit::Zero);
+    let next = d.aig.inc(&c);
+    d.set_next_word(&c, &next);
+    let seven = d.aig.eq_const(&c, 7);
+    let bad = d.aig.and(seven, !p);
+    d.add_property("p_tracks_c", bad);
+    d.check().expect("valid");
+    d
+}
+
+/// Where the repeated inputs break an environment constraint, no forward
+/// check is simulated: the solver answers every one, and the proof lands
+/// at the reachable diameter.
+#[test]
+fn broken_constraint_falls_back_to_the_solver() {
+    let d = alternating_input_counter();
+    let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
+    let run = engine.check(0, 30).expect("run");
+    assert_eq!(verdict_name(&run.verdict), "ForwardDiameter@8");
+    assert_eq!(engine.forward_simulated(), 0);
 }

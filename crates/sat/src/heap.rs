@@ -58,6 +58,14 @@ impl VarHeap {
         self.sift_up(idx, activity);
     }
 
+    /// Removes every variable.
+    pub fn clear(&mut self) {
+        for &v in &self.heap {
+            self.position[v as usize] = NOT_IN_HEAP;
+        }
+        self.heap.clear();
+    }
+
     /// Removes and returns the variable with maximal activity.
     pub fn pop_max(&mut self, activity: &[f64]) -> Option<Var> {
         if self.heap.is_empty() {
@@ -163,6 +171,20 @@ mod tests {
         }
         activity[0] = 10.0;
         heap.update(Var::from_index(0), &activity);
+        assert_eq!(heap.pop_max(&activity), Some(Var::from_index(0)));
+    }
+
+    #[test]
+    fn clear_empties_and_allows_reinsertion() {
+        let activity = vec![1.0, 2.0];
+        let mut heap = VarHeap::new();
+        heap.grow_to(2);
+        heap.insert(Var::from_index(0), &activity);
+        heap.insert(Var::from_index(1), &activity);
+        heap.clear();
+        assert!(heap.is_empty());
+        assert!(!heap.contains(Var::from_index(0)));
+        heap.insert(Var::from_index(0), &activity);
         assert_eq!(heap.pop_max(&activity), Some(Var::from_index(0)));
     }
 

@@ -770,6 +770,31 @@ impl Solver {
         result
     }
 
+    /// Rebuilds the decision order from every unassigned variable,
+    /// inserted in descending index order: the order in which backtracking
+    /// re-queues a trail that assigned the variables in creation order.
+    ///
+    /// A satisfiable query assigns every variable and re-queues them all
+    /// when it backtracks. A caller that answers a query without the
+    /// solver (from a model it already holds) calls this instead, so the
+    /// queries that follow break activity ties by creation order, which in
+    /// a BMC unrolling is time-frame order, rather than by the order
+    /// earlier queries' partial searches left. Activities, phases and
+    /// clauses are untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called while the solver is not at decision level zero.
+    pub fn requeue_by_index(&mut self) {
+        assert_eq!(self.decision_level(), 0, "re-queue at level 0 only");
+        self.order.clear();
+        for v in (0..self.num_vars()).rev() {
+            if self.assigns[v].is_undef() {
+                self.order.insert(Var::from_index(v), &self.activity);
+            }
+        }
+    }
+
     /// Returns `true` if an empty clause has been derived (formula UNSAT
     /// regardless of assumptions).
     pub fn is_ok(&self) -> bool {
@@ -1364,6 +1389,22 @@ mod tests {
 
     fn vars(s: &mut Solver, n: usize) -> Vec<Lit> {
         (0..n).map(|_| s.new_var().positive()).collect()
+    }
+
+    /// The re-queue holds exactly the unassigned variables, and a query
+    /// after it answers as before.
+    #[test]
+    fn requeue_holds_the_unassigned_variables() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 4);
+        s.add_clause(&[v[1]]);
+        s.add_clause(&[!v[0], v[2], v[3]]);
+        assert_eq!(s.solve_with(&[v[0], !v[2]]), SolveResult::Sat);
+        s.requeue_by_index();
+        assert_eq!(s.order.len(), 3, "the level-0 unit stays out");
+        assert!(!s.order.contains(v[1].var()));
+        assert_eq!(s.solve_with(&[v[0], !v[2]]), SolveResult::Sat);
+        assert_eq!(s.model_value(v[3]), Some(true));
     }
 
     #[test]
