@@ -356,4 +356,33 @@ mod tests {
             }
         }
     }
+
+    /// 64-bit FNV-1a of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The text of the paper's quicksort dump (N=3, AW=6, DW=4, P1 to the
+    /// cycle bound) is pinned by its hash: any drift in the encoders, the
+    /// simplifier or the DIMACS writer changes it.
+    #[test]
+    fn quicksort_dimacs_text_is_pinned() {
+        use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
+        let qs = QuickSort::new(QuickSortConfig {
+            n: 3,
+            addr_width: 6,
+            data_width: 4,
+            bug: Bug::None,
+        });
+        let dump =
+            dump_bmc_cnf(&qs.design, qs.p1.0 as usize, 30, VerifyOptions::default()).expect("dump");
+        let text = dump.to_dimacs();
+        assert_eq!(
+            (dump.num_vars(), dump.num_clauses(), text.len()),
+            (35_611, 124_489, 2_486_160)
+        );
+        assert_eq!(fnv1a(text.as_bytes()), 0xc8dd_580e_662c_5199);
+    }
 }

@@ -4,7 +4,8 @@
 //! [`VerifyRequest`]s (a design, a property, a [`VerifyBudget`], and the
 //! [`VerifyOptions`] to run with) and then [`run`](VerificationServer::run)
 //! the whole queue: requests sharing a design and preprocessing
-//! configuration are reduced **once** ([`ReducedModel`]), every job gets
+//! configuration are reduced **once** ([`ReducedModel`], the distinct
+//! reductions run as one pool batch ahead of the jobs), every job gets
 //! its own engine (own solver, own contexts) over the shared model with a
 //! [forked](emm_sat::ResourceGovernor::fork) governor, and the jobs are
 //! scheduled on the in-tree shared-queue [`Pool`]. Responses come back
@@ -191,36 +192,57 @@ impl VerificationServer {
         let requests = std::mem::take(&mut self.queue);
 
         // Shared pre-reduction: one ReducedModel per distinct (design,
-        // rewrite config, fraig config) combination, resolved in
-        // submission order so the grouping is deterministic. The worker
-        // count does not change the reduction, so it is not part of the key.
-        let mut groups: Vec<(*const Design, &VerifyRequest, ReducedModel<'_>)> = Vec::new();
+        // rewrite config, fraig config) combination, grouped in submission
+        // order so the grouping is deterministic. The worker count does not
+        // change the reduction, so it is not part of the key. The
+        // reductions run as one pool batch, in group order, before the
+        // jobs; one the pool skips (cancelled governor) leaves the design
+        // unreduced, and then the pool skips every job too.
+        let mut leaders: Vec<&VerifyRequest> = Vec::new();
         let mut group_of: Vec<usize> = Vec::with_capacity(requests.len());
         for req in &requests {
-            let key = Arc::as_ptr(&req.design);
-            let found = groups.iter().position(|(ptr, leader, _)| {
-                *ptr == key
+            let found = leaders.iter().position(|leader| {
+                Arc::ptr_eq(&leader.design, &req.design)
                     && leader.options.pipeline.rewrite == req.options.pipeline.rewrite
                     && leader.options.pipeline.fraig == req.options.pipeline.fraig
             });
             group_of.push(found.unwrap_or_else(|| {
-                let reduced = ReducedModel::reduce(
-                    &req.design,
-                    &req.options.pipeline.rewrite,
-                    &req.options.pipeline.fraig,
-                    &req.options.pipeline.governor,
-                    req.options.workers,
-                );
-                groups.push((key, req, reduced));
-                groups.len() - 1
+                leaders.push(req);
+                leaders.len() - 1
             }));
         }
+        let reductions: Vec<Job<'_, ReducedModel<'_>>> = leaders
+            .iter()
+            .map(|&req| {
+                Box::new(move || {
+                    let pipeline = &req.options.pipeline;
+                    ReducedModel::reduce(
+                        &req.design,
+                        &pipeline.rewrite,
+                        &pipeline.fraig,
+                        &pipeline.governor,
+                        req.options.workers,
+                    )
+                }) as Job<'_, _>
+            })
+            .collect();
+        let reduced: Vec<ReducedModel<'_>> = self
+            .pool
+            .run(reductions)
+            .into_iter()
+            .zip(&leaders)
+            .map(|(result, req)| match result {
+                JobResult::Done(reduced) => reduced,
+                JobResult::Skipped => ReducedModel::unreduced(&req.design),
+                JobResult::Panicked(msg) => panic!("design reduction panicked: {msg}"),
+            })
+            .collect();
 
         let units = units(&requests);
         let jobs: Vec<Job<'_, Vec<JobOutput>>> = units
             .iter()
             .map(|unit| {
-                let reduced = &groups[group_of[unit[0]]].2;
+                let reduced = &reduced[group_of[unit[0]]];
                 let unit = unit.iter().map(|&id| &requests[id]);
                 Box::new(move || Self::run_unit(reduced, unit)) as Job<'_, _>
             })

@@ -298,6 +298,77 @@ fn random_mem_design(rng: &mut StdRng) -> Design {
     d
 }
 
+/// A memory of address width `aw` and data width `dw`, written at a free
+/// address with free data every cycle. With `delayed`, the next cycle reads
+/// the address just written and compares with the data just written, which
+/// always match; otherwise it reads a fresh address and compares with fresh
+/// data, which can differ whenever the word is not empty.
+fn echo_memory(aw: usize, dw: usize, delayed: bool) -> Design {
+    let mut d = Design::new();
+    let mem = d.add_memory("m", aw, dw, MemInit::Zero);
+    let addr = d.new_input_word("addr", aw);
+    let data = d.new_input_word("data", dw);
+    let (_, seen) = d.new_latch("seen", LatchInit::Zero);
+    d.set_next(seen, emm_aig::Aig::TRUE);
+    let addr_r = d.new_latch_word("addr_r", aw, LatchInit::Zero);
+    let data_r = d.new_latch_word("data_r", dw, LatchInit::Zero);
+    d.set_next_word(&addr_r, &addr);
+    d.set_next_word(&data_r, &data);
+    d.add_write_port(mem, addr.clone(), emm_aig::Aig::TRUE, data.clone());
+    let (read_addr, expected) = if delayed {
+        (addr_r, data_r)
+    } else {
+        (addr, data)
+    };
+    let read = d.add_read_port(mem, read_addr, emm_aig::Aig::TRUE);
+    let eq = d.aig.eq_word(&read, &expected);
+    let bad = d.aig.and(seen, !eq);
+    d.add_property("mismatch", bad);
+    d.check().expect("valid");
+    d
+}
+
+/// Zero-width memories encode: the EMM engine, the DIMACS dump and the
+/// explicit model agree on every echo design, the delayed echo never
+/// mismatches, and a reachable mismatch gives a counterexample that
+/// replays on the design.
+#[test]
+fn zero_width_memories_agree_with_dump_and_explicit_model() {
+    let depth = 4;
+    for (aw, dw) in [(0, 2), (2, 0), (0, 0)] {
+        for delayed in [true, false] {
+            let d = echo_memory(aw, dw, delayed);
+            let case = format!("aw={aw} dw={dw} delayed={delayed}");
+            let run = BmcEngine::new(&d, VerifyOptions::default())
+                .check(0, depth)
+                .expect("emm run");
+            let (expl, _) = explicit_model(&d);
+            let expl_run = BmcEngine::new(&expl, VerifyOptions::default())
+                .check(0, depth)
+                .expect("explicit run");
+            let dump = emm_bmc::dump_bmc_cnf(&d, 0, depth, VerifyOptions::default()).expect("dump");
+            let dump_sat = dump.cnf.to_solver().solve() == emm_sat::SolveResult::Sat;
+            let reachable = !delayed && dw > 0;
+            match (&run.verdict, &expl_run.verdict) {
+                (BmcVerdict::Counterexample(a), BmcVerdict::Counterexample(b)) => {
+                    assert!(reachable, "{case}: unexpected counterexample");
+                    assert_eq!(a.depth(), b.depth(), "{case}");
+                    a.validate(&d).expect("EMM trace replays on the design");
+                    b.validate(&expl).expect("explicit trace replays");
+                }
+                (BmcVerdict::Counterexample(_), _) | (_, BmcVerdict::Counterexample(_)) => {
+                    panic!(
+                        "{case}: EMM {:?} vs explicit {:?}",
+                        run.verdict, expl_run.verdict
+                    )
+                }
+                _ => assert!(!reachable, "{case}: mismatch not found"),
+            }
+            assert_eq!(dump_sat, reachable, "{case}: dump disagrees");
+        }
+    }
+}
+
 #[test]
 fn emm_agrees_with_explicit_model_on_random_designs() {
     let mut rng = StdRng::seed_from_u64(0xD47E2005);

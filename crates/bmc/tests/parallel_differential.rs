@@ -381,6 +381,92 @@ fn server_kinduction_matches_direct_engine_across_worker_counts() {
     }
 }
 
+/// Requests over many reduction groups: corpus files, generated designs,
+/// two `Arc`s of one design, and one design under three preprocessing
+/// configurations. The server reduces each group once, as one pool batch.
+fn reduction_group_requests() -> Vec<VerifyRequest> {
+    let counter = Arc::new(redundant_counter());
+    let mut designs = vec![
+        corpus("gen_s7.aag"),
+        corpus("image_filter_l4.btor2"),
+        corpus("lifo_a2d2.btor2"),
+        Arc::new(memory_design()),
+        Arc::clone(&counter),
+        Arc::new(redundant_counter()),
+    ];
+    designs.extend((1..=3).map(|seed| Arc::new(random_design(&GenConfig::btor2_guarded(), seed))));
+    let mut no_rewrite = VerifyOptions::default();
+    no_rewrite.pipeline.rewrite = RewriteConfig::disabled();
+    let mut no_fraig = VerifyOptions::default();
+    no_fraig.pipeline.fraig.enabled = false;
+    let mut requests = Vec::new();
+    let mut request = |design: &Arc<Design>, property, options: &VerifyOptions| {
+        requests.push(VerifyRequest {
+            design: Arc::clone(design),
+            property,
+            budget: VerifyBudget {
+                max_depth: 8,
+                ..VerifyBudget::default()
+            },
+            options: options.clone(),
+        })
+    };
+    for design in &designs {
+        for property in 0..design.properties().len() {
+            request(design, property, &VerifyOptions::default());
+        }
+    }
+    request(&counter, 1, &no_rewrite);
+    request(&counter, 0, &no_fraig);
+    request(&counter, 1, &VerifyOptions::default());
+    requests
+}
+
+/// The server's pooled reductions give every request the model a
+/// standalone engine reduces for itself, at every worker count; under a
+/// cancelled pool governor every reduction and job is skipped alike.
+#[test]
+fn server_pooled_reductions_match_standalone_engines() {
+    let requests = reduction_group_requests();
+    let standalone: Vec<(String, usize, bool)> = requests
+        .iter()
+        .map(|req| {
+            let run = BmcEngine::new(&req.design, req.options.clone())
+                .check(req.property, req.budget.max_depth)
+                .expect("standalone check");
+            (format!("{:?}", run.verdict), run.depth_reached, false)
+        })
+        .collect();
+    for workers in [1usize, 2, 4] {
+        assert_eq!(
+            run_batch(workers, requests.clone()),
+            standalone,
+            "{workers} workers diverged from standalone engines"
+        );
+
+        let cancelled = ResourceGovernor::unlimited();
+        cancelled.cancel();
+        let mut server = VerificationServer::with_pool(Pool::new(workers).with_governor(cancelled));
+        for request in requests.clone() {
+            server.submit(request);
+        }
+        for response in server.run() {
+            assert!(
+                matches!(
+                    response.verdict,
+                    BmcVerdict::Unknown {
+                        reason: emm_sat::ExhaustionReason::Cancelled,
+                        deepest_clean_bound: None,
+                    }
+                ),
+                "{workers} workers: job {} ran under a cancelled pool",
+                response.id
+            );
+            assert!(response.error.is_none());
+        }
+    }
+}
+
 /// A corpus file, loaded through the frontend.
 fn corpus(name: &str) -> Arc<Design> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))

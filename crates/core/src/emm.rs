@@ -230,16 +230,10 @@ pub struct EmmEncoder {
 impl EmmEncoder {
     /// Creates an encoder for memories of the given shapes.
     ///
-    /// # Panics
-    ///
-    /// Panics if any shape has a zero address or data width.
+    /// A zero width is well defined: empty addresses compare equal, so a
+    /// memory of address width 0 holds one word, and an empty data word
+    /// adds no forwarding clauses.
     pub fn new(shapes: &[MemoryShape], options: EmmOptions) -> EmmEncoder {
-        for s in shapes {
-            assert!(
-                s.addr_width > 0 && s.data_width > 0,
-                "degenerate memory shape"
-            );
-        }
         EmmEncoder {
             options,
             mems: shapes

@@ -154,15 +154,26 @@ impl Pool {
         let queue = Mutex::new(jobs.into_iter().enumerate());
         let results: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    // Bind the job first so the queue guard drops here,
-                    // not at the end of the job.
-                    let next = queue.lock().expect(UNPOISONED).next();
-                    let Some((idx, job)) = next else { break };
-                    let result = self.execute(job);
-                    *results[idx].lock().expect(UNPOISONED) = Some(result);
-                });
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(|| loop {
+                        // Bind the job first so the queue guard drops
+                        // here, not at the end of the job.
+                        let next = queue.lock().expect(UNPOISONED).next();
+                        let Some((idx, job)) = next else { break };
+                        let result = self.execute(job);
+                        *results[idx].lock().expect(UNPOISONED) = Some(result);
+                    })
+                })
+                .collect();
+            // Join explicitly: the scope alone returns once the closures
+            // end, while the threads may still be exiting. A worker hands
+            // its malloc arena back only on exit, so a batch started right
+            // after this one could otherwise find no free arena, make a
+            // new one and keep it for the rest of the process.
+            for handle in handles {
+                // Jobs run under catch_unwind, so a worker cannot panic.
+                handle.join().expect("a pool worker does not panic");
             }
         });
         results
