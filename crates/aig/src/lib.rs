@@ -86,5 +86,5 @@ pub use rewrite::{
     rewrite_aig, rewrite_aig_governed, rewrite_design, rewrite_design_governed, RewriteConfig,
     RewriteResult, RewriteStats,
 };
-pub use sim::{SimConfig, Simulator, StepReport, Trace};
+pub use sim::{LaneReport, LaneSimulator, SimConfig, Simulator, StepReport, Trace};
 pub use word::Word;

@@ -12,10 +12,14 @@
 //!   lets the caller choose via [`SimConfig::disabled_read_value`]);
 //! * at most one write port may update a location per cycle (the paper's
 //!   no-data-race assumption); violations are reported.
+//!
+//! [`LaneSimulator`] runs 64 random floating runs at once on the same
+//! semantics, for the BMC engine's simulated step answers; its lanes
+//! replay on [`Simulator`] through [`LaneSimulator::trace`].
 
 use std::collections::HashMap;
 
-use crate::aig::{Aig, Node};
+use crate::aig::{Aig, Bit, Node};
 use crate::design::{Design, InputKind, MemInit, MemoryId};
 use crate::word::Word;
 
@@ -64,26 +68,49 @@ pub fn eval_combinational_words(aig: &Aig, inputs: &[u64], words: usize) -> Vec<
         inputs.len()
     );
     let mut values = vec![0u64; aig.num_nodes() * words];
+    eval_words(aig, words, &mut values, |i, base, values| {
+        let src = i as usize * words;
+        values[base..base + words].copy_from_slice(&inputs[src..src + words]);
+    });
+    values
+}
+
+/// The one word-parallel evaluation kernel, behind
+/// [`eval_combinational_words`] (and so fraig's signatures) and the
+/// [`LaneSimulator`]: one pass over the nodes in id order, `words` words
+/// per node in `values`. Input node `i` at `values[base..base + words]`
+/// is filled by `input(i, base, values)`, which may read every node
+/// evaluated before it.
+fn eval_words(
+    aig: &Aig,
+    words: usize,
+    values: &mut [u64],
+    mut input: impl FnMut(u32, usize, &mut [u64]),
+) {
     for (id, node) in aig.iter() {
         let base = id.index() * words;
         match node {
-            Node::Const => {}
-            Node::Input(i) => {
-                let src = i as usize * words;
-                values[base..base + words].copy_from_slice(&inputs[src..src + words]);
-            }
+            Node::Const => values[base..base + words].fill(0),
+            Node::Input(i) => input(i, base, values),
             Node::And(a, b) => {
                 let (na, nb) = (a.node().index() * words, b.node().index() * words);
-                let (ia, ib) = (a.is_inverted(), b.is_inverted());
+                let (ma, mb) = (invert_mask(a), invert_mask(b));
                 for w in 0..words {
-                    let va = values[na + w] ^ if ia { u64::MAX } else { 0 };
-                    let vb = values[nb + w] ^ if ib { u64::MAX } else { 0 };
-                    values[base + w] = va & vb;
+                    values[base + w] = (values[na + w] ^ ma) & (values[nb + w] ^ mb);
                 }
             }
         }
     }
-    values
+}
+
+/// All ones for an inverted edge, else zero: XOR it into a node's word to
+/// read the edge.
+fn invert_mask(bit: Bit) -> u64 {
+    if bit.is_inverted() {
+        u64::MAX
+    } else {
+        0
+    }
 }
 
 /// Configuration of a [`Simulator`].
@@ -435,6 +462,291 @@ impl Trace {
             }
         }
     }
+}
+
+/// Runs a [`LaneSimulator`] carries at once, one per bit of a word.
+pub const LANES: usize = 64;
+
+/// Domains of the words a [`LaneSimulator`] draws (see [`draw`]).
+const LATCH: u64 = 1;
+const INPUT: u64 = 2;
+const MEMORY: u64 = 3;
+const DISABLED: u64 = 4;
+
+/// A word drawn from `seed` at `coords`: splitmix64's finalizer folded
+/// over the coordinates, so every coordinate tuple draws its own word and
+/// nothing needs to be stored to draw it again.
+pub fn draw(seed: u64, coords: &[u64]) -> u64 {
+    coords.iter().fold(mix(seed), |h, &c| {
+        mix(h ^ c.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    })
+}
+
+/// splitmix64's finalizer, a bijection on 64-bit words.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// What one [`LaneSimulator`] cycle did, one bit per lane. A dead lane's
+/// bits read 0.
+#[derive(Clone, Debug, Default)]
+pub struct LaneReport {
+    /// Per property, the lanes where `bad` holds.
+    pub bad: Vec<u64>,
+    /// The lanes that violate some environment constraint.
+    pub violated: u64,
+    /// The lanes where two write ports of one memory wrote one address.
+    pub raced: u64,
+    /// Per memory, the lanes where some write port fired.
+    pub wrote: Vec<u64>,
+}
+
+/// [`LANES`] runs of a design at once, each from a random state with
+/// arbitrary memory contents, whatever the declared inits: every latch
+/// starts random, and every cycle draws random free inputs and random
+/// values on disabled read ports. Every value is drawn from the seed by
+/// [`draw`]. A memory word a lane has not written reads
+/// `draw(seed, lane, memory, address)` on its first read and keeps it, so
+/// a memory costs only the words the run touches, at any address width.
+///
+/// The combinational core runs through the same word kernel as
+/// [`eval_combinational_words`], one word per node. Memory reads and
+/// writes are per lane, on the same semantics as [`Simulator`]: reads see
+/// the contents before the cycle's writes, and of two writes to one
+/// address in one cycle the higher-numbered port wins and the race is
+/// reported. [`LaneSimulator::trace`] turns a lane's run into a [`Trace`]
+/// the scalar simulator replays. A [killed](LaneSimulator::kill) lane no
+/// longer reads or writes its memories.
+#[derive(Clone, Debug)]
+pub struct LaneSimulator<'a> {
+    design: &'a Design,
+    seed: u64,
+    /// Per latch, its value in every lane.
+    latches: Vec<u64>,
+    /// Per lane and memory (`lane * memories + memory`), every word the
+    /// lane wrote or read.
+    words: Vec<HashMap<u64, u64>>,
+    /// Per lane and memory, the words read before any write to them: the
+    /// lane's initial contents, as far as its run looked.
+    seeds: Vec<Vec<(u64, u64)>>,
+    /// Node values from the most recent step.
+    values: Vec<u64>,
+    /// Dense input index -> position among the free inputs.
+    free_pos: Vec<usize>,
+    /// Per memory, the flat index of its first read port.
+    first_port: Vec<usize>,
+    /// Per flat read port, the cycle its data was last fetched at and the
+    /// data of every lane.
+    fetched: Vec<(u64, [u64; LANES])>,
+    dead: u64,
+    cycle: u64,
+}
+
+impl<'a> LaneSimulator<'a> {
+    /// Starts [`LANES`] runs of `design` drawn from `seed`, none killed.
+    pub fn new(design: &'a Design, seed: u64) -> LaneSimulator<'a> {
+        let mut free_pos = vec![usize::MAX; design.num_inputs()];
+        for (pos, &idx) in design.free_inputs().iter().enumerate() {
+            free_pos[idx as usize] = pos;
+        }
+        let mut first_port = Vec::with_capacity(design.memories().len());
+        let mut ports = 0;
+        for m in design.memories() {
+            first_port.push(ports);
+            ports += m.read_ports.len();
+        }
+        let slots = LANES * design.memories().len();
+        LaneSimulator {
+            design,
+            seed,
+            latches: (0..design.num_latches() as u64)
+                .map(|l| draw(seed, &[LATCH, l]))
+                .collect(),
+            words: vec![HashMap::new(); slots],
+            seeds: vec![Vec::new(); slots],
+            values: vec![0; design.aig.num_nodes()],
+            free_pos,
+            first_port,
+            fetched: vec![(u64::MAX, [0; LANES]); ports],
+            dead: 0,
+            cycle: 0,
+        }
+    }
+
+    /// The lanes not killed.
+    pub fn live(&self) -> u64 {
+        !self.dead
+    }
+
+    /// Kills the lanes in `lanes`: from the next cycle on they touch no
+    /// memory and report nothing.
+    pub fn kill(&mut self, lanes: u64) {
+        self.dead |= lanes;
+    }
+
+    /// The current value of a latch in every lane.
+    pub fn latch(&self, latch: usize) -> u64 {
+        self.latches[latch]
+    }
+
+    /// A memory word of `lane` as the next cycle would read it, or `None`
+    /// while the lane has neither written nor read it.
+    pub fn memory_word(&self, lane: usize, mem: MemoryId, addr: u64) -> Option<u64> {
+        let slot = lane * self.design.memories().len() + mem.0 as usize;
+        self.words[slot].get(&addr).copied()
+    }
+
+    /// Memory words held over every lane and memory: the words the runs
+    /// touched, never a memory's whole address space.
+    pub fn stored_words(&self) -> usize {
+        self.words.iter().map(HashMap::len).sum()
+    }
+
+    /// Executes one cycle in every live lane.
+    pub fn step(&mut self) -> LaneReport {
+        let design = self.design;
+        let memories = design.memories();
+        let live = !self.dead;
+        let (seed, cycle) = (self.seed, self.cycle);
+        let LaneSimulator {
+            latches,
+            words,
+            seeds,
+            values,
+            free_pos,
+            first_port,
+            fetched,
+            ..
+        } = self;
+        eval_words(&design.aig, 1, values, |i, base, values| {
+            values[base] = match design.input_kind(i as usize) {
+                InputKind::Free => draw(seed, &[INPUT, cycle, free_pos[i as usize] as u64]),
+                InputKind::Latch(l) => latches[l.0 as usize],
+                InputKind::ReadData(mem, port, bit) => {
+                    let flat = first_port[mem.0 as usize] + port as usize;
+                    let (at, data) = &mut fetched[flat];
+                    if *at != cycle {
+                        *at = cycle;
+                        let m = design.memory(mem);
+                        let rp = &m.read_ports[port as usize];
+                        let en = edge(values, rp.en) & live;
+                        let mask = word_mask(m.data_width);
+                        for (lane, word) in data.iter_mut().enumerate() {
+                            *word = if en >> lane & 1 == 1 {
+                                let addr = lane_word(values, &rp.addr, lane);
+                                let slot = lane * memories.len() + mem.0 as usize;
+                                *words[slot].entry(addr).or_insert_with(|| {
+                                    let word =
+                                        draw(seed, &[MEMORY, lane as u64, mem.0 as u64, addr])
+                                            & mask;
+                                    seeds[slot].push((addr, word));
+                                    word
+                                })
+                            } else if live >> lane & 1 == 1 {
+                                draw(seed, &[DISABLED, cycle, lane as u64, flat as u64]) & mask
+                            } else {
+                                0
+                            };
+                        }
+                    }
+                    (0..LANES).fold(0, |w, lane| w | (data[lane] >> bit & 1) << lane)
+                }
+            };
+        });
+        let values = &self.values;
+        let mut report = LaneReport {
+            bad: (design.properties().iter())
+                .map(|p| edge(values, p.bad) & live)
+                .collect(),
+            violated: (design.constraints().iter()).fold(0, |v, &c| v | !edge(values, c)) & live,
+            ..LaneReport::default()
+        };
+        // Commit memory writes (visible next cycle); detect races.
+        let mut written = Vec::new();
+        for (mi, m) in memories.iter().enumerate() {
+            let enables: Vec<u64> = (m.write_ports.iter())
+                .map(|wp| edge(values, wp.en) & live)
+                .collect();
+            let wrote = enables.iter().fold(0, |w, &en| w | en);
+            for lane in (0..LANES).filter(|&lane| wrote >> lane & 1 == 1) {
+                written.clear();
+                for (wp, en) in m.write_ports.iter().zip(&enables) {
+                    if en >> lane & 1 == 1 {
+                        let addr = lane_word(values, &wp.addr, lane);
+                        if written.contains(&addr) {
+                            report.raced |= 1 << lane;
+                        }
+                        written.push(addr);
+                        let data = lane_word(values, &wp.data, lane);
+                        self.words[lane * memories.len() + mi].insert(addr, data);
+                    }
+                }
+            }
+            report.wrote.push(wrote);
+        }
+        self.latches = (design.latches().iter())
+            .map(|l| edge(values, l.next.expect("checked design")))
+            .collect();
+        self.cycle += 1;
+        report
+    }
+
+    /// The first `frames` cycles of `lane` as a [`Trace`] for `property`:
+    /// its initial latches, the words its run read before writing them as
+    /// memory seeds, and every cycle's free inputs and disabled-read
+    /// values. [`Trace::start`] and [`Simulator::step_with_disabled_reads`]
+    /// replay it.
+    pub fn trace(&self, lane: usize, frames: usize, property: usize) -> Trace {
+        let design = self.design;
+        let bit = |word: u64| word >> lane & 1 == 1;
+        let memories = design.memories();
+        Trace {
+            initial_latches: (0..design.num_latches() as u64)
+                .map(|l| bit(draw(self.seed, &[LATCH, l])))
+                .collect(),
+            frames: (0..frames as u64)
+                .map(|c| {
+                    (0..design.free_inputs().len() as u64)
+                        .map(|pos| bit(draw(self.seed, &[INPUT, c, pos])))
+                        .collect()
+                })
+                .collect(),
+            memory_seeds: (0..memories.len())
+                .map(|mi| {
+                    let mut seeds = self.seeds[lane * memories.len() + mi].clone();
+                    seeds.sort_unstable();
+                    seeds
+                })
+                .collect(),
+            disabled_reads: (0..frames as u64)
+                .map(|c| {
+                    (memories.iter().zip(&self.first_port))
+                        .map(|(m, &first)| {
+                            (first..first + m.read_ports.len())
+                                .map(|flat| {
+                                    let coords = [DISABLED, c, lane as u64, flat as u64];
+                                    draw(self.seed, &coords) & word_mask(m.data_width)
+                                })
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect(),
+            property,
+        }
+    }
+}
+
+/// The word of edge `bit` in `values`, one bit per lane.
+fn edge(values: &[u64], bit: Bit) -> u64 {
+    values[bit.node().index()] ^ invert_mask(bit)
+}
+
+/// The value of `word` in `lane`.
+fn lane_word(values: &[u64], word: &Word, lane: usize) -> u64 {
+    (word.bits().iter().enumerate()).fold(0, |w, (i, &b)| w | (edge(values, b) >> lane & 1) << i)
 }
 
 fn word_mask(width: usize) -> u64 {

@@ -108,6 +108,64 @@
 //! it quicksort N=4's inverted-comparison P1 needs about 2.5 times the
 //! anchored conflicts.
 //!
+//! ## Simulated step answers
+//!
+//! The backward check and the k-induction step ask one query,
+//! `SAT(LFP_k ∧ ¬bad_0 ∧ … ∧ ¬bad_{k-1} ∧ bad_k ∧ C_k)` on the floating
+//! context, and it is SAT at every bound before the one that proves.
+//! `StepQuery` answers it SAT without the solver, and without extending
+//! the floating context, from a **floating bank** kept per property: the
+//! deepest frame `m` at which a random floating run first showed `bad`.
+//!
+//! * **Suffixes.** Take a run over frames `0..=m` with `¬bad` at frames
+//!   `0..m` and `bad` at `m` that is race-free, meets every environment
+//!   constraint and repeats no frame under LFP's rule. For every `k ≤ m`
+//!   its frames `m-k..=m` start in some state, keep every rule (they are
+//!   a subset of the frames), and end in the first `bad`. That suffix is
+//!   a model of the step query at `k`, the simple-path witness
+//!   k-induction asks for (Eén & Sörensson, BMC 2003). So one run answers
+//!   every bound up to `m`.
+//! * **Every memory arbitrary.** The floating context leaves frame 0
+//!   free: every latch and every memory's contents, whatever its declared
+//!   init (the paper's Section 4.2), since a window may start in any
+//!   state. A suffix starts wherever its run had got to, so the runs
+//!   start anywhere too: random latches, and memory words drawn on their
+//!   first read, whatever the declared init. Every frame draws random
+//!   free inputs and random values on disabled read ports, which the
+//!   encoding leaves free as well.
+//! * **The reduced model.** The floating context encodes the reduced
+//!   model, and the bank simulates that model. Rewriting and fraiging
+//!   keep the interface (latches, inputs, memories and their ports) and
+//!   every function a latch, port, property or constraint reads from it,
+//!   so the reduced model has exactly the design's runs and gives the
+//!   same answers, at a lower cost per step.
+//! * **Rules and runs.** A run keeps the forward witness's rules, written
+//!   once in `SimplePath::push`: it stops at a violated constraint, at
+//!   a write race, or at a frame that repeats an earlier one over the
+//!   kept latches and kept writes. Runs go in batches of [`LANES`]
+//!   through the [`LaneSimulator`], which steps all of them with one
+//!   word per AIG node. Before the bank accepts a batch's deepest run it
+//!   replays that run once on the scalar [`Simulator`].
+//! * **Budget.** Batches are drawn on demand, each with a seed of its
+//!   own. A query the bank does not cover draws batches until the bank
+//!   covers its bound or the property's allowance is spent, polling the
+//!   governor before each. The allowance is one batch at first; it
+//!   doubles after every solver SAT answer, up to 16 batches (1,024
+//!   runs), and falls back to one after UNSAT. A run takes at most twice
+//!   the frames of the `check` call's deepest bound, and at most 1,024.
+//!
+//! The bank only ever answers SAT, and UNSAT always comes from the
+//! solver, so every proof, `Proved { k }` and their depths rest on the
+//! solver alone. A SAT answer only says "no proof at this bound", so even
+//! a wrong bank answer could only delay a proof, never produce one. A
+//! bank answer raises the `failed` bound and moves the backward cap as a
+//! solver SAT answer does. It leaves the floating solver untouched, so
+//! the solver's later queries start from a different state, and a
+//! bounded backward proof may land at another bound. On the quicksort
+//! Table 1/2 proofs (N=3, AW=6, DW=4) the bank answers 28 of P1's 31
+//! backward checks and all 31 of P2's. [`BmcEngine::backward_simulated`]
+//! counts the bank answers.
+//!
 //! The engine configurations map to the paper's algorithms:
 //!
 //! | Paper | Configuration |
@@ -154,7 +212,8 @@
 //! skips the depths already asked (see `StepQuery::open_at`). Likewise a
 //! step UNSAT at `k` is UNSAT at every deeper bound, so the floating
 //! context remembers the lowest such bound per property and answers the
-//! queries from it on without the solver.
+//! queries from it on without the solver; the bounds below it were asked
+//! before it without a proof, and a later call does not ask them again.
 //!
 //! ## Two contexts, two threads
 //!
@@ -172,6 +231,10 @@
 //!   is handed them, so it starts bound `i` only after the anchored
 //!   context has started it. It keeps the cap of "Backward check
 //!   schedule" for the call and stops after an answer that ends the run.
+//!   It extends the floating context only for the queries it hands the
+//!   solver: a bound the floating bank covers ("Simulated step answers")
+//!   leaves the context as it is, and on the quicksort Table 1/2 proofs
+//!   the context reaches frame 5 for P1 and stays empty for P2.
 //! * The anchored context starts bound `i` only once the backward answers
 //!   of bounds `..= i - 1 - LEAD` are in, with `LEAD = 2`. It reads no
 //!   other answer while it runs, so where it stops does not depend on the
@@ -277,14 +340,15 @@ use std::collections::{HashMap, HashSet};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
-use emm_aig::{Design, FraigStats, RewriteStats, Simulator, Trace};
+use emm_aig::sim::{draw, LANES};
+use emm_aig::{Design, FraigStats, LaneSimulator, RewriteStats, Simulator, StepReport, Trace};
 use emm_core::{EmmEncoder, MemoryShape, SelectorGranularity};
 use emm_sat::{
     Budget, CnfSink, ExhaustionReason, FaultSite, Lit, ResourceGovernor, Simplifier, SimplifyStats,
     SolveResult, Solver, SolverStats,
 };
 
-use crate::lfp::{repeats, LfpBuilder};
+use crate::lfp::{LfpBuilder, SimplePath};
 use crate::model::ReducedModel;
 use crate::options::{ProofEngine, VerifyOptions};
 use crate::unroll::{UnrollConfig, Unroller};
@@ -435,7 +499,8 @@ pub struct PhaseSeconds {
     /// forward witness after a solver SAT answer.
     pub encode: f64,
     /// SAT solving (all termination and counterexample queries), forward
-    /// checks answered by simulation included.
+    /// checks answered by simulation and step queries answered by the
+    /// floating bank (its batches included) too.
     pub solve: f64,
     /// Always 0: the solver has no inprocessing pass. Kept only because
     /// the repository benchmark (`benchmark/`) reads it; dropped with the
@@ -562,6 +627,113 @@ impl Ctx {
     }
 }
 
+/// What a simulated run compares and checks, fixed by the abstraction:
+/// the latches LFP compares ([`LfpBuilder`]'s kept positions) and the
+/// memories whose writes separate frames.
+#[derive(Debug)]
+struct Kept {
+    latches: Vec<usize>,
+    memories: Vec<usize>,
+}
+
+impl Kept {
+    fn new(design: &Design, abstraction: Option<&AbstractionSpec>) -> Self {
+        let kept = |mask: Option<&Vec<bool>>, len: usize| -> Vec<usize> {
+            (0..len).filter(|&i| mask.is_none_or(|m| m[i])).collect()
+        };
+        Kept {
+            latches: kept(abstraction.map(|a| &a.kept_latches), design.num_latches()),
+            memories: kept(
+                abstraction.map(|a| &a.kept_memories),
+                design.memories().len(),
+            ),
+        }
+    }
+
+    /// Steps `sim` through one frame of `design` with `inputs` and the
+    /// `disabled` read values, and extends `path` with the frame under
+    /// [`SimplePath::push`]'s rules. The frame's report when it joined.
+    fn step(
+        &self,
+        design: &Design,
+        sim: &mut Simulator<'_>,
+        path: &mut SimplePath<Vec<bool>>,
+        inputs: &[bool],
+        disabled: &[Vec<u64>],
+    ) -> Option<StepReport> {
+        let state = self.latches.iter().map(|&l| sim.latch(l)).collect();
+        let report = sim.step_with_disabled_reads(inputs, disabled);
+        let memories = design.memories();
+        let wrote = (self.memories.iter())
+            .flat_map(|&m| &memories[m].write_ports)
+            .any(|wp| sim.value(wp.en));
+        let clean = report.violated_constraints.is_empty() && report.write_races.is_empty();
+        path.push(clean, state, wrote).then_some(report)
+    }
+
+    /// Runs one batch of [`LANES`] random floating runs of `model` drawn
+    /// from `seed`, each for at most `frames` frames and ended by the
+    /// first frame that shows `prop`'s `bad` or fails to join its
+    /// [`SimplePath`]. Returns the deepest frame at which a run showed
+    /// `bad`, once that run has replayed on the scalar [`Simulator`].
+    fn deepest_run(&self, model: &Design, prop: usize, seed: u64, frames: usize) -> Option<usize> {
+        let mut sim = LaneSimulator::new(model, seed);
+        let mut paths: Vec<SimplePath<Vec<u64>>> = (0..LANES).map(|_| SimplePath::new()).collect();
+        let words = self.latches.len().div_ceil(64);
+        let mut deepest: Option<(usize, usize)> = None;
+        for frame in 0..frames {
+            let live = sim.live();
+            if live == 0 {
+                break;
+            }
+            let mut states = vec![vec![0u64; words]; LANES];
+            for (j, &l) in self.latches.iter().enumerate() {
+                let word = sim.latch(l);
+                for (lane, state) in states.iter_mut().enumerate() {
+                    state[j / 64] |= (word >> lane & 1) << (j % 64);
+                }
+            }
+            let report = sim.step();
+            let wrote = (self.memories.iter()).fold(0, |w, &m| w | report.wrote[m]);
+            let mut stop = if frame + 1 == frames { u64::MAX } else { 0 };
+            for (lane, state) in states.into_iter().enumerate() {
+                let bit = 1u64 << lane;
+                if live & bit == 0 {
+                    continue;
+                }
+                let clean = (report.violated | report.raced) & bit == 0;
+                if !paths[lane].push(clean, state, wrote & bit != 0) {
+                    stop |= bit;
+                } else if report.bad[prop] & bit != 0 {
+                    if deepest.is_none_or(|(d, _)| d < frame) {
+                        deepest = Some((frame, lane));
+                    }
+                    stop |= bit;
+                }
+            }
+            sim.kill(stop);
+        }
+        let (depth, lane) = deepest?;
+        self.replays(model, &sim.trace(lane, depth + 1, prop))
+            .then_some(depth)
+    }
+
+    /// Whether `trace` replays on the scalar [`Simulator`] as a run the
+    /// bank may answer from: every frame joins its [`SimplePath`], and
+    /// `bad` shows at the last frame only.
+    fn replays(&self, model: &Design, trace: &Trace) -> bool {
+        let mut sim = trace.start(model);
+        let mut path = SimplePath::new();
+        let last = trace.frames.len() - 1;
+        (trace.frames.iter().zip(&trace.disabled_reads))
+            .enumerate()
+            .all(|(k, (inputs, disabled))| {
+                self.step(model, &mut sim, &mut path, inputs, disabled)
+                    .is_some_and(|report| report.property_bad[trace.property] == (k == last))
+            })
+    }
+}
+
 /// A concrete run of the design as handed in that answers the forward
 /// check `SAT(I ∧ LFP_i ∧ C_i)` at every bound `i` it covers (see the
 /// module docs' "Simulated forward answers"): from the initial state
@@ -574,10 +746,8 @@ struct ForwardRun<'d> {
     /// The run's initial state and the inputs and disabled-read values of
     /// every frame; `trace.frames.len()` frames.
     trace: Trace,
-    /// The kept latches' values per frame.
-    states: Vec<Vec<bool>>,
-    /// Per frame, whether a kept memory's write fired.
-    wrote: Vec<bool>,
+    /// The run's frames as LFP sees them.
+    path: SimplePath<Vec<bool>>,
 }
 
 /// The anchored context's last forward witness, the model-level state of
@@ -586,10 +756,7 @@ struct ForwardRun<'d> {
 #[derive(Debug)]
 struct ForwardWitness<'d> {
     design: &'d Design,
-    /// The latches LFP compares ([`LfpBuilder`]'s kept positions).
-    kept_latches: Vec<usize>,
-    /// The memories whose writes separate frames for LFP.
-    kept_memories: Vec<usize>,
+    kept: Kept,
     run: Option<ForwardRun<'d>>,
     /// Forward checks answered by the run, over the engine's life.
     simulated: u64,
@@ -597,16 +764,9 @@ struct ForwardWitness<'d> {
 
 impl<'d> ForwardWitness<'d> {
     fn new(design: &'d Design, abstraction: Option<&AbstractionSpec>) -> Self {
-        let kept = |mask: Option<&Vec<bool>>, len: usize| -> Vec<usize> {
-            (0..len).filter(|&i| mask.is_none_or(|m| m[i])).collect()
-        };
         ForwardWitness {
             design,
-            kept_latches: kept(abstraction.map(|a| &a.kept_latches), design.num_latches()),
-            kept_memories: kept(
-                abstraction.map(|a| &a.kept_memories),
-                design.memories().len(),
-            ),
+            kept: Kept::new(design, abstraction),
             run: None,
             simulated: 0,
         }
@@ -638,8 +798,7 @@ impl<'d> ForwardWitness<'d> {
         self.run = Some(ForwardRun {
             sim: trace.start(self.design),
             trace,
-            states: Vec::new(),
-            wrote: Vec::new(),
+            path: SimplePath::new(),
         });
         for (inputs, disabled) in frames.into_iter().zip(disabled_reads) {
             if !self.push(inputs, disabled) {
@@ -649,37 +808,128 @@ impl<'d> ForwardWitness<'d> {
         }
     }
 
-    /// Simulates the run's next frame and appends it when it is
-    /// race-free, meets every environment constraint and repeats no
-    /// earlier frame; otherwise leaves the run as it was. One simulator
-    /// step plus a scan of the earlier frames' kept latches.
+    /// Simulates the run's next frame and appends it when it joins the
+    /// run's [`SimplePath`]; otherwise leaves the run as it was. One
+    /// simulator step plus a scan of the earlier frames' kept latches.
     fn push(&mut self, inputs: Vec<bool>, disabled: Vec<Vec<u64>>) -> bool {
         let Some(run) = &mut self.run else {
             return false;
         };
-        let k = run.states.len();
         let mut sim = run.sim.clone();
-        run.states
-            .push(self.kept_latches.iter().map(|&l| sim.latch(l)).collect());
-        let report = sim.step_with_disabled_reads(&inputs, &disabled);
-        let memories = self.design.memories();
-        run.wrote.push(
-            (self.kept_memories.iter())
-                .flat_map(|&m| &memories[m].write_ports)
-                .any(|wp| sim.value(wp.en)),
-        );
-        let kept = report.violated_constraints.is_empty()
-            && report.write_races.is_empty()
-            && repeats(&run.states, &run.wrote, k).next().is_none();
+        let report = self
+            .kept
+            .step(self.design, &mut sim, &mut run.path, &inputs, &disabled);
+        let kept = report.is_some();
         if kept {
             run.sim = sim;
             run.trace.frames.push(inputs);
             run.trace.disabled_reads.push(disabled);
-        } else {
-            run.states.pop();
-            run.wrote.pop();
         }
         kept
+    }
+}
+
+/// Seed of the floating bank's first batch for every property; batch `b`
+/// of property `p` draws from `draw(BANK_SEED, [p, b])`.
+const BANK_SEED: u64 = 0x5eed_f10a_7b4e_0001;
+
+/// Most batches of [`LANES`] runs one uncovered step query may draw (see
+/// the module docs' "Simulated step answers").
+const BANK_ALLOWANCE: u64 = 16;
+
+/// How many times the frames of a `check` call's deepest bound a floating
+/// run may take. A run whose first `bad` lies past the call's depth still
+/// answers every bound of it through its suffixes, and on quicksort N=3
+/// P1 twice the cycle bound triples the runs that reach frame 30.
+const BANK_FRAMES: usize = 2;
+
+/// The most frames a floating run takes, whatever the call's depth, so a
+/// batch's time and its runs' recorded states stay bounded.
+const BANK_MAX_FRAMES: usize = 1024;
+
+/// The floating bank's record of one property.
+#[derive(Clone, Copy, Debug)]
+struct Banked {
+    /// The deepest frame at which an accepted run first showed `bad`: the
+    /// bank answers the step query SAT at every bound up to it.
+    depth: Option<usize>,
+    /// Batches drawn so far, the next batch's index.
+    drawn: u64,
+    /// Batches the next uncovered query may draw.
+    allowance: u64,
+}
+
+/// The floating context's bank of random floating runs (see the module
+/// docs' "Simulated step answers"), per property. It depends on the model
+/// and the abstraction only, so it outlives context rebuilds and `check`
+/// calls.
+#[derive(Debug)]
+struct FloatingBank {
+    kept: Kept,
+    seed: u64,
+    props: HashMap<usize, Banked>,
+    /// Step queries the bank answered, over the engine's life.
+    simulated: u64,
+}
+
+impl FloatingBank {
+    fn new(model: &Design, abstraction: Option<&AbstractionSpec>) -> Self {
+        FloatingBank {
+            kept: Kept::new(model, abstraction),
+            seed: BANK_SEED,
+            props: HashMap::new(),
+            simulated: 0,
+        }
+    }
+
+    /// Whether the bank answers the step query for `prop` at `k` SAT.
+    /// While it does not cover `k`, it draws batches of runs of up to
+    /// [`BANK_FRAMES`] times `max_depth + 1` frames (at most
+    /// [`BANK_MAX_FRAMES`]), as many as the property's allowance, and
+    /// polls `governor` before each.
+    fn covers(
+        &mut self,
+        model: &Design,
+        prop: usize,
+        k: usize,
+        max_depth: usize,
+        governor: &ResourceGovernor,
+    ) -> bool {
+        let banked = self.props.entry(prop).or_insert(Banked {
+            depth: None,
+            drawn: 0,
+            allowance: 1,
+        });
+        let frames = (max_depth.saturating_add(1))
+            .saturating_mul(BANK_FRAMES)
+            .min(BANK_MAX_FRAMES);
+        let mut batches = 0;
+        while banked.depth.is_none_or(|d| d < k)
+            && batches < banked.allowance
+            && governor.poll().is_none()
+        {
+            let seed = draw(self.seed, &[prop as u64, banked.drawn]);
+            banked.drawn += 1;
+            batches += 1;
+            let depth = self.kept.deepest_run(model, prop, seed, frames);
+            banked.depth = banked.depth.max(depth);
+        }
+        let covers = banked.depth.is_some_and(|d| d >= k);
+        self.simulated += u64::from(covers);
+        covers
+    }
+
+    /// Moves `prop`'s allowance on from a solver answer to a query the
+    /// bank did not cover: it doubles after SAT, up to
+    /// [`BANK_ALLOWANCE`], and falls back to one batch after UNSAT.
+    fn solved(&mut self, prop: usize, result: SolveResult) {
+        if let Some(banked) = self.props.get_mut(&prop) {
+            match result {
+                SolveResult::Sat => banked.allowance = (2 * banked.allowance).min(BANK_ALLOWANCE),
+                SolveResult::Unsat => banked.allowance = 1,
+                SolveResult::Unknown => {}
+            }
+        }
     }
 }
 
@@ -705,8 +955,10 @@ pub(crate) struct StepQuery {
     /// window at `k+1` contains a floating window of length `k`, so the
     /// queries above it are UNSAT too and are answered without the solver.
     proved: HashMap<usize, usize>,
-    /// Queries answered SAT or UNSAT, over rebuilds too.
+    /// Solver queries answered SAT or UNSAT, over rebuilds too.
     answered: u64,
+    /// Random floating runs that answer SAT queries without the solver.
+    bank: FloatingBank,
 }
 
 /// What a [`StepQuery`] call answered.
@@ -756,40 +1008,32 @@ impl StepQuery {
             failed: HashMap::new(),
             proved: HashMap::new(),
             answered: 0,
+            bank: FloatingBank::new(model, options.abstraction.as_ref()),
         }
     }
 
     /// Whether the query for `prop` at bound `k` is still to be asked: no
-    /// query for `prop` at `k` or deeper has answered SAT.
-    pub(crate) fn open_at(&self, prop: usize, k: usize) -> bool {
-        self.failed.get(&prop).is_none_or(|&d| d < k)
-    }
-
-    /// Extends the context to frames `0..=k` without querying (see
-    /// [`BmcEngine::extend_ctx_to`]).
-    pub(crate) fn extend(&mut self, model: &Design, k: usize) -> StepAnswer {
-        let started = Instant::now();
-        let encode = BmcEngine::extend_ctx_to(model, &mut self.ctx, k);
-        StepAnswer {
-            encode,
-            encode_seconds: started.elapsed().as_secs_f64(),
-            ..StepAnswer::default()
-        }
+    /// query for `prop` at `k` or deeper has answered SAT, and none has
+    /// answered UNSAT. From the lowest UNSAT bound on the answer is UNSAT,
+    /// and every bound below it was asked before it without a proof, so
+    /// asking one again could only move the proof away from where a fresh
+    /// engine finds it.
+    fn open_at(&self, prop: usize, k: usize) -> bool {
+        self.failed.get(&prop).is_none_or(|&d| d < k) && !self.proved.contains_key(&prop)
     }
 
     /// The step query for `prop` at depth `k` under `budget`: extends the
-    /// context to frames `0..=k`, assumes `¬bad_0 … ¬bad_{k-1}, bad_k` next
-    /// to the bound's base assumptions, and solves with `LFP_k` enforced.
-    /// UNSAT means no simple path of `k` good states is followed by a bad
-    /// one.
-    pub(crate) fn query(
-        &mut self,
-        model: &Design,
-        prop: usize,
-        k: usize,
-        budget: Budget,
-    ) -> StepAnswer {
-        let mut answer = self.extend(model, k);
+    /// context to frames `0..=k` (see [`BmcEngine::extend_ctx_to`]),
+    /// assumes `¬bad_0 … ¬bad_{k-1}, bad_k` next to the bound's base
+    /// assumptions, and solves with `LFP_k` enforced. UNSAT means no simple
+    /// path of `k` good states is followed by a bad one.
+    fn query(&mut self, model: &Design, prop: usize, k: usize, budget: Budget) -> StepAnswer {
+        let started = Instant::now();
+        let mut answer = StepAnswer {
+            encode: BmcEngine::extend_ctx_to(model, &mut self.ctx, k),
+            encode_seconds: started.elapsed().as_secs_f64(),
+            ..StepAnswer::default()
+        };
         if answer.encode.is_some() {
             return answer;
         }
@@ -838,33 +1082,59 @@ impl StepQuery {
     }
 
     /// The step query at `k` while it is still open (see
-    /// [`StepQuery::open_at`]), else only the extension to frames `0..=k`;
-    /// UNSAT without a query at or above a bound already proved.
-    fn step(&mut self, model: &Design, prop: usize, k: usize, budget: Budget) -> StepAnswer {
+    /// [`StepQuery::open_at`]), answered SAT by the bank when it covers
+    /// `k` (see [`FloatingBank::covers`]) and by the solver otherwise;
+    /// nothing at a bound no longer open; UNSAT without a query at or
+    /// above a bound already proved.
+    fn step(
+        &mut self,
+        model: &Design,
+        prop: usize,
+        k: usize,
+        max_depth: usize,
+        budget: Budget,
+    ) -> StepAnswer {
         if self.proved.get(&prop).is_some_and(|&d| d <= k) {
-            StepAnswer {
+            return StepAnswer {
                 result: Some(SolveResult::Unsat),
                 ..StepAnswer::default()
-            }
-        } else if self.open_at(prop, k) {
-            self.query(model, prop, k, budget)
-        } else {
-            self.extend(model, k)
+            };
         }
+        if !self.open_at(prop, k) {
+            return StepAnswer::default();
+        }
+        let started = Instant::now();
+        if self
+            .bank
+            .covers(model, prop, k, max_depth, &self.ctx.governor)
+        {
+            self.failed.insert(prop, k);
+            return StepAnswer {
+                result: Some(SolveResult::Sat),
+                solve_seconds: started.elapsed().as_secs_f64(),
+                ..StepAnswer::default()
+            };
+        }
+        let drawn = started.elapsed().as_secs_f64();
+        let mut answer = self.query(model, prop, k, budget);
+        answer.solve_seconds += drawn;
+        if let Some(result) = answer.result {
+            self.bank.solved(prop, result);
+        }
+        answer
     }
 
-    /// The bounded schedule's backward check at bound `k` under the
-    /// conflict cap `cap` (see the module docs' "Backward check
+    /// The bounded schedule's backward check of `call` at bound `k` under
+    /// the conflict cap `cap` (see the module docs' "Backward check
     /// schedule"): polls the governor, rebuilds the context first when
     /// restart mode rebuilt the anchored one for the bound, then asks the
     /// step, and moves the cap on from the answer.
     fn backward(
         &mut self,
         model: &Design,
-        prop: usize,
+        call: &CheckCall,
         k: usize,
         rebuild: bool,
-        budget: &Budget,
         cap: &mut u64,
     ) -> StepAnswer {
         if let Some(reason) = self.ctx.governor.poll() {
@@ -876,11 +1146,12 @@ impl StepQuery {
         if rebuild {
             self.rebuild(model);
         }
+        let budget = &call.budget;
         let capped = Budget {
             max_conflicts: Some(budget.max_conflicts.map_or(*cap, |max| max.min(*cap))),
             ..budget.clone()
         };
-        let mut answer = self.step(model, prop, k, capped);
+        let mut answer = self.step(model, call.prop, k, call.max_depth, capped);
         match answer.result {
             Some(SolveResult::Unknown)
                 if answer.budget_conflicts && budget.max_conflicts.is_none_or(|max| *cap < max) =>
@@ -902,14 +1173,13 @@ impl StepQuery {
     fn serve(
         &mut self,
         model: &Design,
-        prop: usize,
-        budget: &Budget,
+        call: &CheckCall,
         bounds: Receiver<(usize, bool)>,
         answers: Sender<StepAnswer>,
     ) {
         let mut cap = BACKWARD_CAP_FLOOR;
         for (k, rebuild) in bounds {
-            let answer = self.backward(model, prop, k, rebuild, budget, &mut cap);
+            let answer = self.backward(model, call, k, rebuild, &mut cap);
             let ends = answer.ends();
             if answers.send(answer).is_err() || ends {
                 return;
@@ -1168,7 +1438,8 @@ impl CheckCall {
                 .run(model, ctx, forward, &mut answers);
                 if let Step::Inline(floating) = &mut step {
                     if answers.leave_open() {
-                        let answer = floating.step(model, self.prop, i, self.budget.clone());
+                        let answer =
+                            floating.step(model, self.prop, i, self.max_depth, self.budget.clone());
                         step_ends = answer.ends();
                         steps.push(answer);
                     }
@@ -1524,6 +1795,14 @@ impl<'d> BmcEngine<'d> {
         self.backward_capped
     }
 
+    /// Backward termination queries (k-induction steps) answered SAT from
+    /// the floating bank of random runs instead of by the solver (see the
+    /// module docs' "Simulated step answers"), under both schedules, over
+    /// the engine's life.
+    pub fn backward_simulated(&self) -> u64 {
+        self.floating.as_ref().map_or(0, |f| f.bank.simulated)
+    }
+
     /// Forward termination checks answered SAT by simulating the last
     /// forward witness instead of by the solver (see the module docs'
     /// "Simulated forward answers"), over the engine's life.
@@ -1833,9 +2112,8 @@ impl<'d> BmcEngine<'d> {
             Some(floating) if Self::forward_checks(options) => std::thread::scope(|s| {
                 let (bounds, bound_rx) = mpsc::channel();
                 let (answer_tx, answers) = mpsc::channel();
-                let budget = &call.budget;
-                let worker =
-                    s.spawn(move || floating.serve(model, prop, budget, bound_rx, answer_tx));
+                let call = &call;
+                let worker = s.spawn(move || floating.serve(model, call, bound_rx, answer_tx));
                 let step = Step::Worker { bounds, answers };
                 let ran = call.run_anchored(model, options, anchored, forward, retired, step);
                 worker
@@ -2139,6 +2417,146 @@ impl<'d> BmcEngine<'d> {
             memory_seeds,
             disabled_reads,
             property: prop,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use emm_aig::LatchInit;
+    use emm_designs::gen::{random_design, GenConfig};
+    use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
+
+    /// A 6-bit `count` that climbs to 29 and then advances only on input
+    /// `go`, `bad` at `count == bad_at`, beside a mod-5 counter on input
+    /// `en` that only the simple-path constraints see (the engine
+    /// integration tests' backward-proved family).
+    fn parked_counter_with_idle_state(bad_at: u64) -> Design {
+        let mut d = Design::new();
+        let count = d.new_latch_word("count", 6, LatchInit::Zero);
+        let inc = d.aig.inc(&count);
+        let parked = d.aig.eq_const(&count, 29);
+        let thirty = d.aig.const_word(30, 6);
+        let reachable = d.aig.ult(&count, &thirty);
+        let go = d.new_input("go");
+        let climb = d.aig.mux_word(parked, &count, &inc);
+        let stall = d.aig.mux_word(go, &inc, &count);
+        let next = d.aig.mux_word(reachable, &climb, &stall);
+        d.set_next_word(&count, &next);
+        let c = d.new_latch_word("c", 3, LatchInit::Zero);
+        let c_inc = d.aig.inc(&c);
+        let wrap = d.aig.eq_const(&c, 4);
+        let zero = d.aig.const_word(0, 3);
+        let c_step = d.aig.mux_word(wrap, &zero, &c_inc);
+        let en = d.new_input("en");
+        let c_next = d.aig.mux_word(en, &c_step, &c);
+        d.set_next_word(&c, &c_next);
+        let bad = d.aig.eq_const(&count, bad_at);
+        d.add_property("p", bad);
+        d.check().expect("valid");
+        d
+    }
+
+    fn quicksort(n: usize, bug: Bug) -> QuickSort {
+        QuickSort::new(QuickSortConfig {
+            n,
+            addr_width: 6,
+            data_width: 4,
+            bug,
+        })
+    }
+
+    /// Checks `prop` of `d` to `max_depth` under each schedule, then asks
+    /// a fresh step context the solver's answer at every bound the bank
+    /// answered: each must be SAT. Returns the bank answers per schedule.
+    fn bank_answers_are_sat(d: &Design, prop: usize, max_depth: usize, label: &str) -> [u64; 2] {
+        [ProofEngine::Bounded, ProofEngine::KInduction].map(|schedule| {
+            let options = VerifyOptions::default().proofs(true).proof_engine(schedule);
+            let mut engine = BmcEngine::new(d, options.clone());
+            let run = engine.check(prop, max_depth).expect("run");
+            let floating = engine.floating.as_ref().expect("a floating context");
+            let banked = floating.bank.props.get(&prop).and_then(|b| b.depth);
+            let asked = run.depth_reached.min(max_depth);
+            let covered = banked.map_or(0, |depth| depth.min(asked) + 1);
+            let mut fresh = StepQuery::new(engine.model(), &options, ResourceGovernor::unlimited());
+            for k in 0..covered {
+                let answer = fresh.query(engine.model(), prop, k, Budget::default());
+                assert_eq!(
+                    answer.result,
+                    Some(SolveResult::Sat),
+                    "{label}, {schedule:?}: the bank answered bound {k}"
+                );
+            }
+            let simulated = engine.backward_simulated();
+            assert!(
+                simulated <= covered as u64,
+                "{label}, {schedule:?}: {simulated} bank answers, {covered} bounds covered"
+            );
+            simulated
+        })
+    }
+
+    /// Every step query the floating bank answers is one the solver
+    /// answers SAT, under both schedules.
+    #[test]
+    fn bank_answers_only_satisfiable_step_queries() {
+        for p2 in [false, true] {
+            let qs = quicksort(3, Bug::None);
+            let prop = if p2 { qs.p2.0 } else { qs.p1.0 } as usize;
+            let simulated =
+                bank_answers_are_sat(&qs.design, prop, 30, &format!("quicksort p2={p2}"));
+            assert!(simulated.iter().all(|&s| s >= 25), "p2={p2}: {simulated:?}");
+        }
+        for seed in 0..3 {
+            let d = random_design(&GenConfig::deep(), seed);
+            for prop in 0..d.properties().len() {
+                bank_answers_are_sat(&d, prop, 10, &format!("deep seed {seed} p{prop}"));
+            }
+        }
+        for bad_at in [32, 34] {
+            let d = parked_counter_with_idle_state(bad_at);
+            let simulated = bank_answers_are_sat(&d, 0, 60, &format!("parked {bad_at}"));
+            assert!(
+                simulated.iter().all(|&s| s > 0),
+                "parked {bad_at}: {simulated:?}"
+            );
+        }
+    }
+
+    /// The committed bank seed is not a lucky one: from each of 8 other
+    /// seeds a full allowance of batches reaches frame 30 on the Table 1/2
+    /// quicksort properties and on both bug-hunt designs.
+    #[test]
+    fn bank_reaches_frame_30_from_other_seeds() {
+        let designs = [
+            (quicksort(3, Bug::None), false),
+            (quicksort(3, Bug::None), true),
+            (quicksort(4, Bug::InvertedComparison), false),
+            (quicksort(4, Bug::MissingEmptyCheck), true),
+        ];
+        for (qs, p2) in &designs {
+            let prop = if *p2 { qs.p2.0 } else { qs.p1.0 } as usize;
+            for seed in 1..=8 {
+                let mut bank = FloatingBank::new(&qs.design, None);
+                bank.seed = draw(BANK_SEED, &[seed]);
+                bank.props.insert(
+                    prop,
+                    Banked {
+                        depth: None,
+                        drawn: 0,
+                        allowance: BANK_ALLOWANCE,
+                    },
+                );
+                let governor = ResourceGovernor::unlimited();
+                assert!(
+                    bank.covers(&qs.design, prop, 30, qs.cycle_bound(), &governor),
+                    "n={} p2={p2} seed {seed}: depth {:?} after {} batches",
+                    qs.config.n,
+                    bank.props[&prop].depth,
+                    bank.props[&prop].drawn,
+                );
+            }
         }
     }
 }

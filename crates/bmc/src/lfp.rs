@@ -66,9 +66,8 @@ use emm_sat::{CnfSink, Lit, Simplifier, SolveResult, Solver};
 /// states[k]` (the kept latches) and no write enabled in frames `j..k`
 /// (`wrote[j..k]`). This is the one definition of a repeated pair, read
 /// from a solver model by [`LfpBuilder::solve`] and from a concrete run
-/// by the engine's simulated forward answer. Reads `states[..=k]` and
-/// `wrote[..k]`.
-pub(crate) fn repeats<'a, S: PartialEq>(
+/// by [`SimplePath::push`]. Reads `states[..=k]` and `wrote[..k]`.
+fn repeats<'a, S: PartialEq>(
     states: &'a [S],
     wrote: &[bool],
     k: usize,
@@ -76,6 +75,47 @@ pub(crate) fn repeats<'a, S: PartialEq>(
     // A write at frame w < k separates every frame j <= w from k.
     let first = wrote[..k].iter().rposition(|&w| w).map_or(0, |w| w + 1);
     (first..k).filter(move |&j| states[j] == states[k])
+}
+
+/// A concrete run's frames as LFP sees them: per frame the kept latches'
+/// values (`S`, in any representation with equality) and whether a kept
+/// memory's write fired. [`SimplePath::push`] holds the rules a simulated
+/// run must keep to be a model of a termination or step query, written
+/// once for the engine's forward witness and its floating bank.
+#[derive(Clone, Debug)]
+pub(crate) struct SimplePath<S> {
+    states: Vec<S>,
+    wrote: Vec<bool>,
+}
+
+impl<S: PartialEq> SimplePath<S> {
+    /// A path of no frames.
+    pub(crate) fn new() -> Self {
+        SimplePath {
+            states: Vec::new(),
+            wrote: Vec::new(),
+        }
+    }
+
+    /// Appends the next frame, its kept-latch `state` and whether a kept
+    /// write fired in it, when the frame is `clean` (it met every
+    /// environment constraint and raced no write) and repeats no earlier
+    /// frame under [`repeats`]. Otherwise leaves the path as it was.
+    /// Returns whether the frame joined.
+    pub(crate) fn push(&mut self, clean: bool, state: S, wrote: bool) -> bool {
+        if !clean {
+            return false;
+        }
+        let k = self.states.len();
+        self.states.push(state);
+        self.wrote.push(wrote);
+        let joined = repeats(&self.states, &self.wrote, k).next().is_none();
+        if !joined {
+            self.states.pop();
+            self.wrote.pop();
+        }
+        joined
+    }
 }
 
 /// Incremental builder of pairwise-distinct-state constraints.

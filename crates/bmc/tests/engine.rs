@@ -616,11 +616,13 @@ fn parked_counter_with_idle_state(bad_at: u64) -> Design {
 /// through LFP rows, which are added on demand after a model check, so
 /// the engine must constrain them every frame or that check reads
 /// unconstrained values. `KInduction`'s uncapped step query closes at
-/// the first inductive depth; the bounded engine's capped backward check
-/// needs 352 and 859 conflicts there and lands one bound later.
+/// the first inductive depth. The bounded engine's capped backward check
+/// lands later: its cap falls back to the floor after every SAT answer,
+/// the floating bank's included, so the hard queries near the first
+/// inductive depth start from a small cap.
 #[test]
 fn lfp_counts_state_outside_every_cone() {
-    for (bad_at, ki_depth, bounded_depth) in [(32, 14, 15), (34, 24, 25)] {
+    for (bad_at, ki_depth, bounded_depth) in [(32, 14, 18), (34, 24, 27)] {
         let d = parked_counter_with_idle_state(bad_at);
         let run = BmcEngine::new(&d, VerifyOptions::default().proofs(true))
             .check(0, 60)
@@ -709,8 +711,8 @@ fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
             reason: ExhaustionReason::ConflictLimit,
             deepest_clean_bound,
         } => {
-            assert_eq!(run.depth_reached, 13);
-            assert_eq!(deepest_clean_bound, Some(12));
+            assert_eq!(run.depth_reached, 11);
+            assert_eq!(deepest_clean_bound, Some(10));
         }
         other => panic!("expected Unknown{{ConflictLimit}}, got {other:?}"),
     }
@@ -732,48 +734,58 @@ fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
 /// The Table 1 P1 proof closes at the cycle bound by the forward check
 /// while every backward query before it is capped or SAT, and the
 /// schedule is deterministic: two fresh runs spend the same search in
-/// both contexts, although the two run on two threads.
+/// both contexts, although the two run on two threads. At AW=6 DW=4 the
+/// floating bank answers most backward queries; at AW=3 DW=3 its runs
+/// leave some P2 bounds to the solver, whose capped queries fall
+/// through to the forward proof.
 #[test]
 fn backward_schedule_keeps_the_forward_proof_and_is_deterministic() {
-    let qs = QuickSort::new(QuickSortConfig {
-        n: 3,
-        addr_width: 6,
-        data_width: 4,
-        bug: Bug::None,
-    });
-    let bound = qs.cycle_bound();
-    let run_once = || {
-        let mut engine = BmcEngine::new(&qs.design, VerifyOptions::default().proofs(true));
-        let run = engine.check(qs.p1.0 as usize, bound).expect("run");
-        assert!(
-            matches!(
-                run.verdict,
-                BmcVerdict::Proof {
-                    kind: ProofKind::ForwardDiameter,
-                    depth: 30,
-                }
-            ),
-            "{:?}",
-            run.verdict
-        );
-        assert!(engine.backward_capped() > 0);
-        let search = |(vars, stats): (usize, SolverStats)| {
+    for (addr_width, data_width, p2) in [(6, 4, false), (3, 3, true)] {
+        let qs = QuickSort::new(QuickSortConfig {
+            n: 3,
+            addr_width,
+            data_width,
+            bug: Bug::None,
+        });
+        let prop = if p2 { qs.p2.0 } else { qs.p1.0 } as usize;
+        let run_once = || {
+            let mut engine = BmcEngine::new(&qs.design, VerifyOptions::default().proofs(true));
+            let run = engine.check(prop, qs.cycle_bound()).expect("run");
+            assert!(
+                matches!(
+                    run.verdict,
+                    BmcVerdict::Proof {
+                        kind: ProofKind::ForwardDiameter,
+                        depth: 30,
+                    }
+                ),
+                "AW={addr_width}: {:?}",
+                run.verdict
+            );
+            let search = |(vars, stats): (usize, SolverStats)| {
+                (
+                    vars,
+                    stats.conflicts,
+                    stats.decisions,
+                    stats.propagations,
+                    stats.original_clauses,
+                    stats.retired_clauses,
+                )
+            };
             (
-                vars,
-                stats.conflicts,
-                stats.decisions,
-                stats.propagations,
-                stats.original_clauses,
-                stats.retired_clauses,
+                engine.backward_capped(),
+                engine.backward_simulated(),
+                search(engine.floating_solver_stats().expect("proofs on")),
+                search(engine.solver_stats()),
             )
         };
-        (
-            engine.backward_capped(),
-            search(engine.floating_solver_stats().expect("proofs on")),
-            search(engine.solver_stats()),
-        )
-    };
-    assert_eq!(run_once(), run_once());
+        let first = run_once();
+        assert!(first.1 > 0, "AW={addr_width}: the bank answers");
+        if p2 {
+            assert!(first.0 > 0, "AW={addr_width}: capped queries fall through");
+        }
+        assert_eq!(run_once(), first, "AW={addr_width}");
+    }
 }
 
 /// A property index past the design's last one is an error under both
@@ -812,7 +824,8 @@ fn verdict_name(verdict: &BmcVerdict) -> String {
 /// everything in it the thread schedule could move: the verdict,
 /// `depth_reached`, `deepest_clean_bound`, each context's (vars,
 /// conflicts, decisions, propagations), the retired property groups,
-/// the capped backward queries and the anchored frames.
+/// the capped and the simulated backward queries and the anchored
+/// frames.
 type Scheduled = (
     String,
     usize,
@@ -820,7 +833,7 @@ type Scheduled = (
     [u64; 4],
     [u64; 4],
     u64,
-    u64,
+    [u64; 2],
     usize,
 );
 
@@ -849,7 +862,7 @@ fn scheduled_check(d: &Design, prop: usize, max_depth: usize) -> Scheduled {
         search(engine.solver_stats()),
         search(engine.floating_solver_stats().expect("proofs on")),
         engine.property_clauses_retired(),
-        engine.backward_capped(),
+        [engine.backward_capped(), engine.backward_simulated()],
         engine.depth(),
     )
 }
@@ -867,8 +880,8 @@ fn step_worker_schedule_is_deterministic() {
         (
             parked_counter_with_idle_state(32),
             0,
-            "BackwardInduction@15",
-            18,
+            "BackwardInduction@18",
+            21,
         ),
         (mod_counter(4, 5, 9), 0, "ForwardDiameter@5", 6),
         (mod_counter(4, 12, 7), 0, "cex@7", 8),
@@ -896,8 +909,8 @@ fn speculative_bounds_are_never_committed() {
     let d = parked_counter_with_idle_state(32);
     let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let run = engine.check(0, 40).expect("run");
-    assert_eq!(verdict_name(&run.verdict), "BackwardInduction@15");
-    assert_eq!(engine.depth(), 18, "two speculative bounds past the proof");
+    assert_eq!(verdict_name(&run.verdict), "BackwardInduction@18");
+    assert_eq!(engine.depth(), 21, "two speculative bounds past the proof");
     let cancelled = ResourceGovernor::unlimited();
     cancelled.cancel();
     engine.set_governor(cancelled);
@@ -907,7 +920,7 @@ fn speculative_bounds_are_never_committed() {
             run.verdict,
             BmcVerdict::Unknown {
                 reason: ExhaustionReason::Cancelled,
-                deepest_clean_bound: Some(14),
+                deepest_clean_bound: Some(17),
             }
         ),
         "{:?}",
@@ -926,7 +939,7 @@ fn speculative_bounds_are_never_committed() {
                 verdict,
                 BmcVerdict::Proof {
                     kind: ProofKind::BackwardInduction,
-                    depth: 15,
+                    depth: 18,
                 }
             ),
             "{verdict:?}"
@@ -934,18 +947,19 @@ fn speculative_bounds_are_never_committed() {
     }
     assert_eq!(
         engine.property_clauses_retired() - retired,
-        engine.depth() as u64 - 15,
-        "every counterexample query from bound 15 on runs again"
+        engine.depth() as u64 - 18,
+        "every counterexample query from bound 18 on runs again"
     );
 }
 
 /// A second `check` of a property the backward check proved answers at
 /// the proof's bound, as a fresh engine does: the floating context
-/// remembers the lowest bound whose step query answered UNSAT, and every
-/// query above it is UNSAT too.
+/// remembers the lowest bound whose step query answered UNSAT, every
+/// query above it is UNSAT too, and the bounds below it, asked before
+/// without a proof, are not asked again.
 #[test]
 fn repeated_check_proves_where_a_fresh_engine_does() {
-    for (bad_at, proof) in [(32, "BackwardInduction@15"), (34, "BackwardInduction@25")] {
+    for (bad_at, proof) in [(32, "BackwardInduction@18"), (34, "BackwardInduction@27")] {
         let d = parked_counter_with_idle_state(bad_at);
         let fresh = BmcEngine::new(&d, VerifyOptions::default().proofs(true))
             .check(0, 60)

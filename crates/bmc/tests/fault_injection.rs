@@ -24,7 +24,7 @@
 use std::time::{Duration, Instant};
 
 use emm_aig::{Design, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcVerdict, KInduction, VerifyOptions};
+use emm_bmc::{BmcEngine, BmcVerdict, KInduction, ProofEngine, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
@@ -395,6 +395,11 @@ fn ki_opts(governor: ResourceGovernor) -> VerifyOptions {
         .simplify(SimplifyConfig::default())
 }
 
+/// [`ki_opts`] for a [`BmcEngine`] built with the k-induction schedule.
+fn ki_engine_opts(governor: ResourceGovernor) -> VerifyOptions {
+    ki_opts(governor).proof_engine(ProofEngine::KInduction)
+}
+
 /// Like [`inject_and_resume`], for the k-induction engine: the degraded
 /// run must stay sound and the same engine must resume to the reference
 /// verdict under an unlimited governor. Returns the degraded verdict.
@@ -520,18 +525,22 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
 
 /// Step-side resumability regression (white-box): a frame-site fault
 /// interrupts the k-induction loop after some inductive steps failed
-/// cleanly; the resumed check must skip those step depths. The pin: a
-/// clean close at `k = 2` with every depth queried exactly once takes
-/// `3` queries across the degrade/resume cycle combined; re-running a
-/// skipped depth would inflate the count. The step's property literals
-/// are solve assumptions, so the step solver never retires a clause.
+/// cleanly; the resumed check must skip those step depths. The floating
+/// bank answers the steps of bounds 0 and 1 without a frame event, so
+/// the 5th frame event falls while the step of bound 2 extends the
+/// floating context, after the base case of bounds 0..=2. The pin: a
+/// clean close at `k = 2` answers every depth exactly once across the
+/// degrade/resume cycle, two from the bank and one solver query;
+/// re-running a skipped depth would inflate either count. The step's
+/// property literals are solve assumptions, so the step solver never
+/// retires a clause.
 #[test]
 fn kinduction_resume_skips_completed_step_depths() {
     let ind2 = Industry2::new(Industry2Config::small());
     let prop = ind2.invariant;
     // Reference: closes at k = 2 (see the differential suite).
     let governor = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 5);
-    let mut engine = KInduction::new(&ind2.design, ki_opts(governor));
+    let mut engine = BmcEngine::new(&ind2.design, ki_engine_opts(governor));
     let degraded = engine.check(prop, 10).expect("run").verdict;
     let BmcVerdict::Unknown {
         reason,
@@ -543,8 +552,14 @@ fn kinduction_resume_skips_completed_step_depths() {
     assert_eq!(reason, ExhaustionReason::Cancelled);
     assert_eq!(
         deepest_clean_bound,
-        Some(1),
-        "the base case and the step of bounds 0 and 1 completed before the trip"
+        Some(2),
+        "the base case of bounds 0..=2 and the steps of bounds 0 and 1 \
+         completed before the trip"
+    );
+    assert_eq!(
+        (engine.step_queries(), engine.backward_simulated()),
+        (0, 2),
+        "the bank answered the steps of bounds 0 and 1"
     );
     engine.set_governor(ResourceGovernor::unlimited());
     let resumed = engine.check(prop, 10).expect("resume").verdict;
@@ -553,24 +568,26 @@ fn kinduction_resume_skips_completed_step_depths() {
         "the invariant is 2-inductive: {resumed:?}"
     );
     assert_eq!(
-        engine.step_queries(),
-        3,
-        "each step depth 0..=2 must be queried exactly once across the \
+        (engine.step_queries(), engine.backward_simulated()),
+        (1, 2),
+        "each step depth 0..=2 must be answered exactly once across the \
          degrade/resume cycle"
     );
+    let (_, step) = engine.floating_solver_stats().expect("a step context");
     assert_eq!(
-        engine.step_solver_stats().1.retired_clauses,
-        0,
+        step.retired_clauses, 0,
         "step queries assume their property literals; none is a clause"
     );
 }
 
 /// At a k-induction counterexample bound the step never runs, and nothing
 /// the step side does can take the counterexample away. The base case
-/// and the step poll one fault counter, a bound's frame events come in
-/// that order, and a fault armed at the frame event the step would take
-/// at the counterexample bound `c` (the `2c + 2`-th) must leave the
-/// counterexample standing. Either run asks one step per bound below `c`.
+/// and the step poll one fault counter. The floating bank answers the
+/// step of every bound below the counterexample bound `c` without a
+/// frame event, so the base case's `c + 1` frame events are all the run
+/// takes, and a fault armed at the next one (the `c + 2`-th) must leave
+/// the counterexample standing. Either run answers one step per bound
+/// below `c`, every one from the bank.
 #[test]
 fn kinduction_counterexample_bound_runs_no_step() {
     let qs = QuickSort::new(QuickSortConfig {
@@ -581,23 +598,20 @@ fn kinduction_counterexample_bound_runs_no_step() {
     });
     let prop = qs.p1.0 as usize;
     let bound = qs.cycle_bound();
-    let mut engine = KInduction::new(&qs.design, ki_opts(ResourceGovernor::unlimited()));
+    let mut engine = BmcEngine::new(&qs.design, ki_engine_opts(ResourceGovernor::unlimited()));
     let reference = engine.check(prop, bound).expect("reference").verdict;
     let BmcVerdict::Counterexample(trace) = &reference else {
         panic!("P1 must fail under the inverted comparison: {reference:?}");
     };
     let c = trace.frames.len() - 1;
-    assert!(
-        c > 0,
-        "the counterexample needs a step-checked bound before it"
-    );
+    assert_eq!(c, 19, "the counterexample bound");
     assert_eq!(
-        engine.step_queries(),
-        c as u64,
+        (engine.step_queries(), engine.backward_simulated()),
+        (0, c as u64),
         "one step per bound below {c}"
     );
-    let governor = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, 2 * c as u64 + 2);
-    let mut engine = KInduction::new(&qs.design, ki_opts(governor));
+    let governor = ResourceGovernor::unlimited().with_fault(FaultSite::Frame, c as u64 + 2);
+    let mut engine = BmcEngine::new(&qs.design, ki_engine_opts(governor));
     let verdict = engine.check(prop, bound).expect("run").verdict;
     assert_eq!(
         verdict_shape(&verdict),
@@ -605,8 +619,8 @@ fn kinduction_counterexample_bound_runs_no_step() {
         "{verdict:?}"
     );
     assert_eq!(
-        engine.step_queries(),
-        c as u64,
+        (engine.step_queries(), engine.backward_simulated()),
+        (0, c as u64),
         "one step per bound below {c}"
     );
 }

@@ -376,9 +376,10 @@ fn quicksort_agreement_with_bounded_engine() {
 
 /// One k-induction job's per-context counters on the default options:
 /// the base case's conflicts, then the step solver's conflicts,
-/// variables and original clauses, and the completed step queries, all
-/// read from the engine that ran the job.
-fn job_counters(d: &Design, prop: usize, max_k: usize) -> (BmcVerdict, [u64; 5]) {
+/// variables and original clauses, the completed step queries and the
+/// steps the floating bank answered, all read from the engine that ran
+/// the job.
+fn job_counters(d: &Design, prop: usize, max_k: usize) -> (BmcVerdict, [u64; 6]) {
     let mut engine = BmcEngine::new(
         d,
         VerifyOptions::default().proof_engine(ProofEngine::KInduction),
@@ -391,6 +392,7 @@ fn job_counters(d: &Design, prop: usize, max_k: usize) -> (BmcVerdict, [u64; 5])
         step_vars as u64,
         step.original_clauses,
         engine.step_queries(),
+        engine.backward_simulated(),
     ];
     (run.verdict, counters)
 }
@@ -402,12 +404,12 @@ fn job_counters(d: &Design, prop: usize, max_k: usize) -> (BmcVerdict, [u64; 5])
 #[test]
 fn kinduction_counters_are_pinned() {
     // (n, property, [base conflicts, step conflicts, step vars, step
-    // clauses, step queries])
+    // clauses, step queries, simulated steps])
     let pinned = [
-        (3, "p1", [94, 654, 21515, 79223, 21]),
-        (3, "p2", [86, 720, 21515, 80609, 21]),
-        (4, "p1", [596, 406, 21557, 79283, 21]),
-        (4, "p2", [1055, 696, 21557, 80732, 21]),
+        (3, "p1", [94, 31, 5541, 15929, 4, 17]),
+        (3, "p2", [86, 0, 2, 1, 0, 21]),
+        (4, "p1", [596, 32, 5555, 15947, 4, 17]),
+        (4, "p2", [1055, 0, 2, 1, 0, 21]),
     ];
     for (n, name, expected) in pinned {
         let qs = QuickSort::new(QuickSortConfig {
@@ -437,7 +439,7 @@ fn kinduction_counters_are_pinned() {
             matches!(verdict, BmcVerdict::Proved { k: 1 }),
             "fifo no_overflow: {verdict:?}"
         );
-        assert_eq!(counters, [0, 4, 151, 210, 2], "fifo no_overflow");
+        assert_eq!(counters, [0, 5, 151, 210, 1, 1], "fifo no_overflow");
     }
 }
 
@@ -461,14 +463,16 @@ fn bounded_job_conflicts(
 /// Pins the per-context conflicts of bounded jobs: the paper's Table 1/2
 /// quicksort proofs (AW=6 DW=4 N=3, proofs on, to the cycle bound), whose
 /// anchored context alternates forward and counterexample queries (most
-/// forward checks answered by simulating the last forward witness), and
+/// forward checks answered by simulating the last forward witness) and
+/// whose floating context solves only the few backward queries the
+/// floating bank does not cover, and
 /// the corpus fifo `p1` (bounded, proofs off, depth 10), whose anchored
 /// context asks only UNSAT counterexample queries. Each job runs twice
 /// and must read the same counters both times.
 #[test]
 fn bounded_counters_are_pinned() {
     // (property, [anchored conflicts, floating conflicts])
-    let pinned = [("p1", [363, 889]), ("p2", [326, 883])];
+    let pinned = [("p1", [363, 23]), ("p2", [326, 0])];
     let qs = QuickSort::new(QuickSortConfig {
         n: 3,
         addr_width: 6,

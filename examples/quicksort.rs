@@ -38,8 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match run.verdict {
             BmcVerdict::Proof { kind, depth } => {
                 println!(
-                    "{name}: proved by {kind:?} at D={depth} in {:?}",
-                    run.elapsed
+                    "{name}: proved by {kind:?} at D={depth} in {:?} \
+                     ({} forward and {} backward checks answered by simulation)",
+                    run.elapsed,
+                    engine.forward_simulated(),
+                    engine.backward_simulated(),
                 );
             }
             other => panic!("{name}: unexpected verdict {other:?}"),
