@@ -215,73 +215,32 @@
 //! queries from it on without the solver; the bounds below it were asked
 //! before it without a proof, and a later call does not ask them again.
 //!
-//! ## Two contexts, two threads
+//! ## One bound loop
 //!
-//! Under the bounded schedule with proofs on, a [`BmcEngine::check`] call
-//! runs the floating context on one scoped **step worker** thread for the
-//! whole call, beside the anchored context on the caller's thread.
-//! Nothing is joined per bound:
+//! A [`BmcEngine::check`] call is one loop over the bounds on the
+//! caller's thread, under both schedules, as in Eén & Sörensson's
+//! sequential loop (BMC 2003). At bound `i` it polls the governor, in
+//! restart mode rebuilds both contexts, and extends the anchored context
+//! to frame `i`. Then the bounded schedule asks
 //!
-//! * At bound `i` the anchored context polls its governor, hands `i` to
-//!   the worker over a channel, extends itself and runs the forward check
-//!   and then, unless that answered UNSAT or `Unknown`, the counterexample
-//!   check of a bound not yet cleared. It retires that query's group at
-//!   once unless it answered SAT.
-//! * The worker answers the backward check of each bound in the order it
-//!   is handed them, so it starts bound `i` only after the anchored
-//!   context has started it. It keeps the cap of "Backward check
-//!   schedule" for the call and stops after an answer that ends the run.
-//!   It extends the floating context only for the queries it hands the
-//!   solver: a bound the floating bank covers ("Simulated step answers")
-//!   leaves the context as it is, and on the quicksort Table 1/2 proofs
-//!   the context reaches frame 5 for P1 and stays empty for P2.
-//! * The anchored context starts bound `i` only once the backward answers
-//!   of bounds `..= i - 1 - LEAD` are in, with `LEAD = 2`. It reads no
-//!   other answer while it runs, so where it stops does not depend on the
-//!   thread schedule.
+//! 1. with proofs on, the forward check: UNSAT proves, `Unknown` ends the
+//!    run;
+//! 2. with proofs on, the backward check under the cap of "Backward check
+//!    schedule": UNSAT proves, an uncapped `Unknown` ends the run;
+//! 3. the counterexample check of a bound not yet cleared: SAT ends the
+//!    run with a validated trace, `Unknown` ends it, UNSAT clears the
+//!    bound.
 //!
-//! When both have stopped and the worker is joined, the run settles at
-//! the lowest bound that ends it, in the sequential loop's priority at
-//! that bound: a governor poll trip; an anchored encode trip, then a
-//! floating one; the forward check (UNSAT proves, `Unknown` ends the
-//! run); the backward check (UNSAT proves, an uncapped `Unknown` ends the
-//! run); and only then the counterexample check and its trace. Each bound
-//! below it commits its effects in order: restart mode's forgetting, PBA
-//! reasons, the cleared bound. A panic on the worker re-raises on the
-//! caller with its payload. With proofs off there is no floating context
-//! and nothing is spawned.
+//! K-induction asks the counterexample check (the base case) and then,
+//! over a clean base case, the step: UNSAT proves, `Unknown` ends the
+//! run.
 //!
-//! Each context asks exactly the queries the sequential loop would ask
-//! it, up to the bound where the run ends, so a run the anchored context
-//! ends has the sequential verdict and the sequential counters in both
-//! contexts. The speculative work is all anchored: the counterexample
-//! query at a bound a termination check ends, and the bounds the
-//! anchored context runs past the bound where the worker's answer ends
-//! the run, at most `LEAD` of them. Their groups are still retired at once and
-//! counted in [`BmcEngine::property_clauses_retired`], so the anchored
-//! search does not depend on the worker's answers, but their answers are
-//! dropped: no cleared bound, no PBA reason, no trace. Their frames stay
-//! in the context ([`BmcEngine::depth`]). That is the trade-off: a verdict
-//! the backward check reaches waits for up to `LEAD` extra anchored
-//! bounds, and in exchange the counters do not depend on the thread
-//! schedule while neither context waits for the other at every bound.
-//!
-//! Each of the two contexts polls its own [fork](ResourceGovernor::fork)
-//! of the engine's governor. A fork sees the engine governor's deadline
-//! and cancellation, but counts fault sites on its own counter and its
-//! own trip stays with it until the run settles. So an armed fault trips
-//! at a point fixed by the context, not by the thread schedule, and a
-//! trip in one context's speculative query cannot cut the other's query
-//! short. A trip that ends the run cancels the engine's governor as well.
-//!
-//! Under k-induction a bound runs on the caller's thread alone: the base
-//! case first (extend the anchored context, then the counterexample check
-//! of a bound not yet cleared), and the step only if the base case left
-//! the bound open. The settle keeps that order: an anchored encode trip,
-//! the counterexample check, then the step's encode trip and answer
-//! (UNSAT proves, `Unknown` ends the run). Nothing is speculative, so
-//! both contexts see exactly the sequential query sequence, and both poll
-//! the engine's governor itself, one fault counter for the two.
+//! The loop stops at the first answer that ends the run, so no query runs
+//! past the verdict. Each answer is committed as it arrives: a refuted or
+//! abandoned bound's property group is retired at once, its PBA reasons
+//! are collected, and the bound is recorded as cleared. Both contexts
+//! hold clones of the engine's governor, so they share its deadline, its
+//! cancellation and one fault counter.
 //!
 //! ## Backward check schedule
 //!
@@ -337,7 +296,6 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use emm_aig::sim::{draw, LANES};
@@ -483,11 +441,9 @@ impl BmcVerdict {
 /// Wall-clock seconds per pipeline phase, reported in [`BmcRun`]. The
 /// rewrite and fraig entries cover the preprocessing that ran in
 /// [`BmcEngine::new`] (once per engine); encode and solve accumulate
-/// over the reported `check` call. Encode and solve are busy seconds
-/// summed over both contexts, speculative bounds included. With proofs
-/// on the contexts run on two threads, so together the two may exceed
-/// [`BmcRun::elapsed`], and neither counts the anchored thread's waits
-/// for the step worker (see [`BmcRun::per_bound_seconds`]).
+/// over the reported `check` call, summed over both contexts. The bound
+/// loop runs on the caller's thread, so encode plus solve is at most
+/// [`BmcRun::elapsed`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseSeconds {
     /// Cut-based AIG rewriting ([`PipelineOptions::rewrite`](crate::PipelineOptions::rewrite)).
@@ -517,13 +473,9 @@ pub struct BmcRun {
     pub depth_reached: usize,
     /// Wall-clock time spent in this call.
     pub elapsed: Duration,
-    /// Wall-clock seconds of the anchored thread per bound it entered,
-    /// `per_bound_seconds[k]` for bound `k`: its encoding and solver
-    /// calls at that bound plus, with proofs on, its waits for the step
-    /// worker's answers. The last entry also holds the wait for the
-    /// worker to finish. With proofs on the anchored context can enter up
-    /// to two bounds past `depth_reached` (see the engine module docs'
-    /// "Two contexts, two threads"), and those bounds have entries too.
+    /// Wall-clock seconds per bound, `per_bound_seconds[k]` for bound
+    /// `k`: both contexts' encoding and solver calls at that bound. One
+    /// entry per bound the loop entered, so `depth_reached + 1` of them.
     /// The bench harness's `incremental` mode plots these against the
     /// restart-from-scratch baseline.
     pub per_bound_seconds: Vec<f64>,
@@ -964,8 +916,8 @@ pub(crate) struct StepQuery {
 /// What a [`StepQuery`] call answered.
 #[derive(Default)]
 pub(crate) struct StepAnswer {
-    /// The step worker's governor poll before the bound tripped, so
-    /// nothing ran at the bound (see [`StepQuery::backward`]).
+    /// The governor's poll before the backward check tripped, so the
+    /// check did not run (see [`StepQuery::backward`]).
     pub(crate) poll: Option<ExhaustionReason>,
     /// The governor tripped before the context reached the depth.
     pub(crate) encode: Option<ExhaustionReason>,
@@ -982,21 +934,6 @@ pub(crate) struct StepAnswer {
     pub(crate) capped: bool,
     pub(crate) encode_seconds: f64,
     pub(crate) solve_seconds: f64,
-}
-
-impl StepAnswer {
-    /// Whether this answer ends the run at its bound, whatever the
-    /// anchored context answered there: a trip, a proof, or an `Unknown`
-    /// that is not the cap's.
-    fn ends(&self) -> bool {
-        self.poll.is_some()
-            || self.encode.is_some()
-            || match self.result {
-                Some(SolveResult::Unsat) => true,
-                Some(SolveResult::Unknown) => !self.capped,
-                _ => false,
-            }
-    }
 }
 
 impl StepQuery {
@@ -1126,15 +1063,13 @@ impl StepQuery {
 
     /// The bounded schedule's backward check of `call` at bound `k` under
     /// the conflict cap `cap` (see the module docs' "Backward check
-    /// schedule"): polls the governor, rebuilds the context first when
-    /// restart mode rebuilt the anchored one for the bound, then asks the
-    /// step, and moves the cap on from the answer.
+    /// schedule"): polls the governor, asks the step, and moves the cap
+    /// on from the answer.
     fn backward(
         &mut self,
         model: &Design,
         call: &CheckCall,
         k: usize,
-        rebuild: bool,
         cap: &mut u64,
     ) -> StepAnswer {
         if let Some(reason) = self.ctx.governor.poll() {
@@ -1142,9 +1077,6 @@ impl StepQuery {
                 poll: Some(reason),
                 ..StepAnswer::default()
             };
-        }
-        if rebuild {
-            self.rebuild(model);
         }
         let budget = &call.budget;
         let capped = Budget {
@@ -1163,28 +1095,6 @@ impl StepQuery {
             _ => {}
         }
         answer
-    }
-
-    /// The step worker of a bounded `check` with proofs on: answers the
-    /// backward check of every `(bound, rebuild)` the anchored context
-    /// sends, in order, and stops after an answer that ends the run or
-    /// once the anchored context closes the channel. The cap starts at the
-    /// floor in every call.
-    fn serve(
-        &mut self,
-        model: &Design,
-        call: &CheckCall,
-        bounds: Receiver<(usize, bool)>,
-        answers: Sender<StepAnswer>,
-    ) {
-        let mut cap = BACKWARD_CAP_FLOOR;
-        for (k, rebuild) in bounds {
-            let answer = self.backward(model, call, k, rebuild, &mut cap);
-            let ends = answer.ends();
-            if answers.send(answer).is_err() || ends {
-                return;
-            }
-        }
     }
 
     /// Drops and recreates the context, keeping its governor (fault count
@@ -1206,157 +1116,6 @@ impl StepQuery {
     }
 }
 
-/// What the anchored context did at one bound of a `check` call (see
-/// `CheckCall::run_anchored`). Its effects on the engine wait for the
-/// bound to settle.
-#[derive(Default)]
-struct Answers {
-    /// The context's governor tripped before the bound, so nothing ran.
-    poll: Option<ExhaustionReason>,
-    /// Restart mode rebuilt the context for the bound.
-    rebuilt: bool,
-    /// The governor tripped before the context reached the bound.
-    encode: Option<ExhaustionReason>,
-    /// The forward termination query, when it ran.
-    termination: Option<SolveResult>,
-    /// The counterexample query's activation group and answer, when it
-    /// ran. The group is retired already unless the answer is `Sat`.
-    counterexample: Option<(Lit, SolveResult)>,
-    /// Why an `Unknown` answer stopped, as the solver reports it.
-    exhaustion: Option<ExhaustionReason>,
-    /// PBA's latch and memory reasons of a refuted counterexample query.
-    reasons: Option<(Vec<usize>, Vec<usize>)>,
-    encode_seconds: f64,
-    solve_seconds: f64,
-    /// The anchored thread's wall seconds at the bound, waits included.
-    seconds: f64,
-}
-
-/// The anchored context's share of a bound, fixed before it runs (see
-/// `CheckCall::run_anchored`).
-struct BoundJob {
-    depth: usize,
-    prop: usize,
-    bad_bit: emm_aig::Bit,
-    budget: Budget,
-    /// Run the forward termination query.
-    termination: bool,
-    /// Run the counterexample query, unless the termination query
-    /// answered `Unsat` or `Unknown`.
-    counterexample: bool,
-}
-
-impl Answers {
-    /// Whether the anchored context's answers end the run at this bound.
-    fn ends(&self) -> bool {
-        self.poll.is_some()
-            || self.termination.is_some_and(|r| r != SolveResult::Sat)
-            || !self.leave_open()
-    }
-
-    /// Whether the k-induction base case left the bound open: the context
-    /// reached the bound and the counterexample query, if it ran, refuted
-    /// it. Only then does the step run (see `CheckCall::run_anchored`).
-    fn leave_open(&self) -> bool {
-        self.encode.is_none()
-            && self
-                .counterexample
-                .is_none_or(|(_, r)| r == SolveResult::Unsat)
-    }
-}
-
-impl BoundJob {
-    /// Extends `ctx` to the job's depth, sets its budget and runs its
-    /// queries into `answers`. The forward query is answered by `forward`
-    /// when its run covers the bound, and a solver SAT answer refreshes
-    /// that run. The counterexample's activation group comes back open.
-    fn run(
-        self,
-        model: &Design,
-        ctx: &mut Ctx,
-        forward: &mut ForwardWitness<'_>,
-        answers: &mut Answers,
-    ) {
-        let i = self.depth;
-        let encode_started = Instant::now();
-        answers.encode = BmcEngine::extend_ctx_to(model, ctx, i);
-        answers.encode_seconds = encode_started.elapsed().as_secs_f64();
-        if answers.encode.is_some() {
-            return;
-        }
-        ctx.solver.set_budget(self.budget);
-        if self.termination {
-            let started = Instant::now();
-            let simulated = forward.answers(i);
-            if simulated {
-                // Leave the variable order as a solved query would (see
-                // the module docs' "Simulated forward answers").
-                ctx.solver.requeue_by_index();
-            }
-            answers.solve_seconds += started.elapsed().as_secs_f64();
-            let result = if simulated {
-                SolveResult::Sat
-            } else {
-                let assumptions = BmcEngine::base_assumptions(ctx, i);
-                let result = ctx.solve_lfp(
-                    i,
-                    &assumptions,
-                    &mut answers.encode_seconds,
-                    &mut answers.solve_seconds,
-                );
-                if result == SolveResult::Sat {
-                    let refresh = Instant::now();
-                    forward.refresh(BmcEngine::extract_trace(model, ctx, self.prop, i));
-                    answers.encode_seconds += refresh.elapsed().as_secs_f64();
-                }
-                result
-            };
-            answers.termination = Some(result);
-            if result != SolveResult::Sat {
-                answers.exhaustion = ctx.solver.exhaustion_reason();
-                return;
-            }
-        }
-        if self.counterexample {
-            let bad_i = ctx.unroller.lit(i, self.bad_bit);
-            let bad_i = ctx.assumption(bad_i);
-            // The bound's property clause lives in an activation group of
-            // its own: enforced through the group assumption while this
-            // bound is under test, physically retired the moment the bound
-            // is refuted — the solver's clause arena does not accumulate
-            // one dead property clause per bound the way satisfied-but-
-            // resident clauses would.
-            let group = ctx.solver.new_activation_group();
-            ctx.solver.add_clause_in_group(group, &[bad_i]);
-            let mut assumptions = BmcEngine::base_assumptions(ctx, i);
-            assumptions.push(group);
-            // Searched from the default phase, leaving the forward
-            // check's saved phases for the next bound (see the module
-            // docs' "Phase policy").
-            let solve_started = Instant::now();
-            let result = ctx.solver.solve_with_default_phases(&assumptions);
-            answers.solve_seconds += solve_started.elapsed().as_secs_f64();
-            answers.counterexample = Some((group, result));
-            answers.exhaustion = ctx.solver.exhaustion_reason();
-        }
-    }
-}
-
-/// Where a `check` call's step queries run (see the module docs' "Two
-/// contexts, two threads").
-enum Step<'a> {
-    /// Proofs off under the bounded schedule: no floating context.
-    None,
-    /// K-induction: on the anchored thread, after a clean base case.
-    Inline(&'a mut StepQuery),
-    /// The bounded schedule with proofs on: the step worker's channel
-    /// ends, bounds out and answers in.
-    Worker {
-        bounds: Sender<(usize, bool)>,
-        answers: Receiver<StepAnswer>,
-    },
-}
-
 /// The fixed inputs of one `check` call.
 struct CheckCall {
     prop: usize,
@@ -1367,115 +1126,6 @@ struct CheckCall {
     /// The deepest bound already refuted for `prop` whose counterexample
     /// query is skipped (incremental mode only).
     cleared: Option<usize>,
-}
-
-impl CheckCall {
-    /// The anchored context's bound loop. At each bound it waits for the
-    /// step answers it must have (see `LEAD`), polls its governor, hands
-    /// the bound to the step, runs the forward and counterexample queries
-    /// and retires a counterexample group that did not answer `Sat`. It
-    /// stops after a bound that ends the run from either side, and returns
-    /// what it did at every bound it entered with every step answer.
-    /// Nothing is committed to the engine here: `BmcEngine::settle` does
-    /// that for the bounds that settle.
-    fn run_anchored(
-        &self,
-        model: &Design,
-        options: &VerifyOptions,
-        ctx: &mut Ctx,
-        forward: &mut ForwardWitness<'_>,
-        retired: &mut u64,
-        mut step: Step<'_>,
-    ) -> (Vec<Answers>, Vec<StepAnswer>) {
-        let mut log: Vec<Answers> = Vec::new();
-        let mut steps: Vec<StepAnswer> = Vec::new();
-        let mut bound_end = Instant::now();
-        for i in 0..=self.max_depth {
-            if let Step::Worker { answers, .. } = &step {
-                // Bound `i` starts once the answers for `..= i - 1 - LEAD`
-                // are in. The loop reads no answer beyond those, so where
-                // it stops does not depend on the thread schedule.
-                while steps.len() + LEAD < i {
-                    let Ok(answer) = answers.recv() else { break };
-                    steps.push(answer);
-                }
-                if steps.len() + LEAD < i || steps.last().is_some_and(StepAnswer::ends) {
-                    break;
-                }
-            }
-            let mut answers = Answers {
-                poll: ctx.governor.poll(),
-                ..Answers::default()
-            };
-            let mut step_ends = false;
-            if answers.poll.is_none() {
-                answers.rebuilt = !options.pipeline.incremental && ctx.unroller.num_frames() > 0;
-                if answers.rebuilt {
-                    BmcEngine::remake(model, options, ctx, true);
-                    if let Step::Inline(floating) = &mut step {
-                        floating.rebuild(model);
-                    }
-                }
-                if let Step::Worker { bounds, .. } = &step {
-                    // Fails only once the worker has stopped on an
-                    // answer that ends the run at an earlier bound.
-                    let _ = bounds.send((i, answers.rebuilt));
-                }
-                // The forward query is property-independent. A context
-                // unrolled past `i` asked it at `i` in an earlier call and
-                // got SAT, since UNSAT or `Unknown` ends this loop at its
-                // bound. That answer stands, so the query is skipped as a
-                // cached one.
-                BoundJob {
-                    depth: i,
-                    prop: self.prop,
-                    bad_bit: self.bad_bit,
-                    budget: self.budget.clone(),
-                    termination: BmcEngine::forward_checks(options)
-                        && ctx.unroller.num_frames() <= i + 1,
-                    counterexample: self.cleared.is_none_or(|d| i > d),
-                }
-                .run(model, ctx, forward, &mut answers);
-                if let Step::Inline(floating) = &mut step {
-                    if answers.leave_open() {
-                        let answer =
-                            floating.step(model, self.prop, i, self.max_depth, self.budget.clone());
-                        step_ends = answer.ends();
-                        steps.push(answer);
-                    }
-                }
-                // A refuted or abandoned bound's group is retired at once,
-                // whether or not the bound settles, so the context's search
-                // does not depend on the step's answers.
-                if let Some((group, result)) = answers.counterexample {
-                    if result == SolveResult::Unsat && options.pba_discovery {
-                        answers.reasons = Some(BmcEngine::reasons(ctx));
-                    }
-                    if result != SolveResult::Sat {
-                        *retired += ctx.solver.retire_group(group) as u64;
-                    }
-                }
-            }
-            answers.seconds = bound_end.elapsed().as_secs_f64();
-            bound_end = Instant::now();
-            let ends = answers.ends() || step_ends;
-            log.push(answers);
-            if ends {
-                break;
-            }
-        }
-        if let Step::Worker { bounds, answers } = step {
-            // The worker answers every bound it was sent unless it ends
-            // the run first.
-            drop(bounds);
-            steps.extend(answers);
-        }
-        // The waits after the last bound entered count to it.
-        if let Some(last) = log.last_mut() {
-            last.seconds += bound_end.elapsed().as_secs_f64();
-        }
-        (log, steps)
-    }
 }
 
 impl std::fmt::Debug for Ctx {
@@ -1532,15 +1182,10 @@ pub struct BmcEngine<'d> {
 }
 
 /// Conflict cap of the first backward query of a `check` call and of the
-/// first one after a satisfiable answer. The step worker keeps the cap
-/// for the whole call, so restart mode's per-bound rebuilds keep it too
+/// first one after a satisfiable answer. The cap lives in the `check`
+/// call's bound loop, so restart mode's per-bound rebuilds keep it too
 /// and a hard backward proof is delayed, not lost, in both modes.
 const BACKWARD_CAP_FLOOR: u64 = 16;
-
-/// How far the anchored context runs ahead of the step worker: it starts
-/// bound `i` once the backward answers for bounds `..= i - 1 - LEAD` are
-/// in (see the module docs' "Two contexts, two threads").
-const LEAD: usize = 2;
 
 impl<'d> BmcEngine<'d> {
     /// Creates an engine for `design`.
@@ -1630,11 +1275,9 @@ impl<'d> BmcEngine<'d> {
             fraig_seconds,
         } = reduced;
         let governor = options.pipeline.governor.clone();
-        let two = Self::forward_checks(&options);
-        let context_governor = || Self::context_governor(&governor, two);
-        let anchored = Self::make_ctx(&model, &options, &context_governor(), true);
+        let anchored = Self::make_ctx(&model, &options, &governor, true);
         let floating = (options.proofs || Self::induction(&options))
-            .then(|| StepQuery::new(&model, &options, context_governor()));
+            .then(|| StepQuery::new(&model, &options, governor.clone()));
         let forward = ForwardWitness::new(design, options.abstraction.as_ref());
         BmcEngine {
             design,
@@ -1662,10 +1305,9 @@ impl<'d> BmcEngine<'d> {
         options.pipeline.proof_engine == ProofEngine::KInduction
     }
 
-    /// Whether the anchored context runs forward termination checks:
-    /// proofs on under the bounded schedule. Exactly then a `check` call
-    /// runs its two contexts on two threads (see the module docs' "Two
-    /// contexts, two threads").
+    /// Whether the anchored context runs forward termination checks, and
+    /// the floating one the capped backward check: proofs on under the
+    /// bounded schedule.
     fn forward_checks(options: &VerifyOptions) -> bool {
         options.proofs && !Self::induction(options)
     }
@@ -1822,9 +1464,7 @@ impl<'d> BmcEngine<'d> {
         self.forward.run.as_ref().map(|run| &run.trace)
     }
 
-    /// Frames currently unrolled in the anchored context. With proofs on,
-    /// a run the backward check ends at bound `b` leaves up to `b + 3`
-    /// (see the module docs' "Two contexts, two threads").
+    /// Frames currently unrolled in the anchored context.
     pub fn depth(&self) -> usize {
         self.anchored.unroller.num_frames()
     }
@@ -1857,25 +1497,11 @@ impl<'d> BmcEngine<'d> {
         &self.governor
     }
 
-    /// The governor a context runs under: a [fork](ResourceGovernor::fork)
-    /// of the engine's when a `check` call runs `two` contexts on two
-    /// threads, the engine's own otherwise (see the module docs' "Two contexts,
-    /// two threads").
-    fn context_governor(governor: &ResourceGovernor, two: bool) -> ResourceGovernor {
-        if two {
-            governor.fork()
-        } else {
-            governor.clone()
-        }
-    }
-
-    /// Installs a fresh context governor on both contexts.
+    /// Installs the engine's governor on both contexts.
     fn install_governor(&mut self) {
-        let (governor, two) = (&self.governor, Self::forward_checks(&self.options));
-        self.anchored
-            .set_governor(Self::context_governor(governor, two));
+        self.anchored.set_governor(self.governor.clone());
         if let Some(floating) = &mut self.floating {
-            floating.set_governor(Self::context_governor(governor, two));
+            floating.set_governor(self.governor.clone());
         }
     }
 
@@ -1893,26 +1519,13 @@ impl<'d> BmcEngine<'d> {
         self.set_governor(governor);
     }
 
-    /// Polls every context's governor (each observes the engine's).
-    fn poll(&self) -> Option<ExhaustionReason> {
-        self.anchored
-            .governor
-            .poll()
-            .or_else(|| self.floating.as_ref().and_then(|f| f.ctx.governor.poll()))
-    }
-
     /// The [`BmcVerdict::Unknown`] for the current resume state, with the
-    /// reason falling back to the governors' own trip cause. A context
-    /// whose governor fork was cancelled cancels the engine's governor
-    /// too, so a tripped run stays tripped until the governor is replaced
-    /// or reset, with proofs on as with proofs off.
+    /// reason falling back to the governor's own trip cause.
     fn unknown_verdict(&self, prop: usize, reason: Option<ExhaustionReason>) -> BmcVerdict {
-        let polled = self.poll();
-        if polled == Some(ExhaustionReason::Cancelled) {
-            self.governor.cancel();
-        }
         BmcVerdict::Unknown {
-            reason: reason.or(polled).unwrap_or(ExhaustionReason::Deadline),
+            reason: reason
+                .or_else(|| self.governor.poll())
+                .unwrap_or(ExhaustionReason::Deadline),
             deepest_clean_bound: self.cleared_depth.get(&prop).map(|&d| d as u32),
         }
     }
@@ -2072,8 +1685,8 @@ impl<'d> BmcEngine<'d> {
         if let Some(floating) = self.floating.as_mut().filter(|f| f.poisoned()) {
             floating.rebuild(&self.model);
         }
-        // Fresh context governors carry the per-call deadline to every
-        // stage.
+        // Both contexts take the governor with the per-call deadline to
+        // every stage.
         self.install_governor();
         // Encode against the model in force (possibly fraig-reduced);
         // interface structure (properties, latches, inputs, memories) is
@@ -2098,35 +1711,24 @@ impl<'d> BmcEngine<'d> {
                 .then(|| self.cleared_depth.get(&prop).copied())
                 .flatten(),
         };
-        let BmcEngine {
-            model,
-            options,
-            anchored,
-            floating,
-            prop_clauses_retired: retired,
-            forward,
-            ..
-        } = self;
-        let model: &Design = model;
-        let (log, steps) = match floating {
-            Some(floating) if Self::forward_checks(options) => std::thread::scope(|s| {
-                let (bounds, bound_rx) = mpsc::channel();
-                let (answer_tx, answers) = mpsc::channel();
-                let call = &call;
-                let worker = s.spawn(move || floating.serve(model, call, bound_rx, answer_tx));
-                let step = Step::Worker { bounds, answers };
-                let ran = call.run_anchored(model, options, anchored, forward, retired, step);
-                worker
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-                ran
-            }),
-            floating => {
-                let step = floating.as_mut().map_or(Step::None, Step::Inline);
-                call.run_anchored(model, options, anchored, forward, retired, step)
-            }
+        let mut phase_seconds = PhaseSeconds {
+            rewrite: self.rewrite_seconds,
+            fraig: self.fraig_seconds,
+            ..PhaseSeconds::default()
         };
-        let (verdict, depth) = self.settle(&call, &log, &steps)?;
+        let mut per_bound_seconds = Vec::new();
+        let mut cap = BACKWARD_CAP_FLOOR;
+        let mut ended = None;
+        for i in 0..=max_depth {
+            let bound_started = Instant::now();
+            let verdict = self.bound(&call, i, &mut cap, &mut phase_seconds)?;
+            per_bound_seconds.push(bound_started.elapsed().as_secs_f64());
+            if let Some(verdict) = verdict {
+                ended = Some((verdict, i));
+                break;
+            }
+        }
+        let (verdict, depth) = ended.unwrap_or((BmcVerdict::BoundReached, max_depth));
         let mut latch_reasons: Vec<usize> = self.latch_reasons.iter().copied().collect();
         latch_reasons.sort_unstable();
         let mut memory_reasons: Vec<usize> = self.memory_reasons.iter().copied().collect();
@@ -2135,118 +1737,124 @@ impl<'d> BmcEngine<'d> {
             verdict,
             depth_reached: depth,
             elapsed: started.elapsed(),
-            per_bound_seconds: log.iter().map(|a| a.seconds).collect(),
+            per_bound_seconds,
             latch_reasons,
             memory_reasons,
-            phase_seconds: PhaseSeconds {
-                rewrite: self.rewrite_seconds,
-                fraig: self.fraig_seconds,
-                encode: log.iter().map(|a| a.encode_seconds).sum::<f64>()
-                    + steps.iter().map(|s| s.encode_seconds).sum::<f64>(),
-                solve: log.iter().map(|a| a.solve_seconds).sum::<f64>()
-                    + steps.iter().map(|s| s.solve_seconds).sum::<f64>(),
-                inprocess: 0.0,
-            },
+            phase_seconds,
         })
     }
 
-    /// Settles a `check` call from what each context did: walks the
-    /// bounds in order, commits each bound's effects (restart mode's
-    /// forgetting, PBA reasons, the cleared bound), and stops at the
-    /// lowest bound that ends the run, in the sequential loop's priority
-    /// at that bound (see the module docs' "Two contexts, two threads").
-    /// Returns the verdict and its bound.
-    fn settle(
+    /// Bound `i` of a `check` call (see the module docs' "One bound
+    /// loop"), with the backward check under the conflict cap `cap`.
+    /// Commits each answer as it arrives and returns `Some(verdict)` when
+    /// one ends the run.
+    fn bound(
         &mut self,
         call: &CheckCall,
-        log: &[Answers],
-        steps: &[StepAnswer],
-    ) -> Result<(BmcVerdict, usize), BmcError> {
-        for (i, answers) in log.iter().enumerate() {
-            let Some(verdict) = self.settle_bound(call.prop, i, answers, steps.get(i))? else {
-                continue;
-            };
-            // A counterexample the verdict does not report is speculative:
-            // retire its group, which only the last bound can hold open.
-            if !verdict.is_counterexample() {
-                if let Some((group, SolveResult::Sat)) = log.last().and_then(|a| a.counterexample) {
-                    self.prop_clauses_retired += self.anchored.solver.retire_group(group) as u64;
-                }
-            }
-            return Ok((verdict, i));
-        }
-        Ok((BmcVerdict::BoundReached, call.max_depth))
-    }
-
-    /// One bound's verdict, in the sequential loop's priority: a poll
-    /// trip; an encode trip (the anchored context's first); the forward
-    /// check (UNSAT proves, `Unknown` ends the run); the backward check;
-    /// and only then the counterexample check. Under k-induction the step
-    /// ran only over a clean base case, so its encode trip and answer rank
-    /// after the counterexample check. `Some(verdict)` ends the run.
-    fn settle_bound(
-        &mut self,
-        prop: usize,
         i: usize,
-        answers: &Answers,
-        step: Option<&StepAnswer>,
+        cap: &mut u64,
+        phases: &mut PhaseSeconds,
     ) -> Result<Option<BmcVerdict>, BmcError> {
-        if let Some(reason) = answers.poll.or(step.and_then(|s| s.poll)) {
+        let prop = call.prop;
+        if let Some(reason) = self.governor.poll() {
             return Ok(Some(self.unknown_verdict(prop, Some(reason))));
         }
-        if answers.rebuilt {
-            self.cleared_depth.clear();
+        if !self.options.pipeline.incremental && self.anchored.unroller.num_frames() > 0 {
+            self.rebuild_anchored();
+            if let Some(floating) = &mut self.floating {
+                floating.rebuild(&self.model);
+            }
         }
-        let induction = Self::induction(&self.options);
-        let encode = if induction {
-            answers.encode
-        } else {
-            answers.encode.or(step.and_then(|s| s.encode))
-        };
+        // The forward query is property-independent. A context unrolled
+        // past `i` asked it at `i` in an earlier call and got SAT, since
+        // UNSAT or `Unknown` ends the run at its bound. That answer
+        // stands, so the query is skipped as a cached one.
+        let forward =
+            Self::forward_checks(&self.options) && self.anchored.unroller.num_frames() <= i + 1;
+        let started = Instant::now();
+        let encode = Self::extend_ctx_to(&self.model, &mut self.anchored, i);
+        phases.encode += started.elapsed().as_secs_f64();
         if let Some(reason) = encode {
             return Ok(Some(self.unknown_verdict(prop, Some(reason))));
         }
-        match answers.termination {
-            Some(SolveResult::Unsat) => {
-                return Ok(Some(BmcVerdict::Proof {
-                    kind: ProofKind::ForwardDiameter,
-                    depth: i,
-                }))
+        self.anchored.solver.set_budget(call.budget.clone());
+        if forward {
+            match self.forward_check(prop, i, phases) {
+                SolveResult::Sat => {}
+                SolveResult::Unsat => {
+                    return Ok(Some(BmcVerdict::Proof {
+                        kind: ProofKind::ForwardDiameter,
+                        depth: i,
+                    }))
+                }
+                SolveResult::Unknown => {
+                    let reason = self.anchored.solver.exhaustion_reason();
+                    return Ok(Some(self.unknown_verdict(prop, reason)));
+                }
             }
-            Some(SolveResult::Unknown) => {
-                return Ok(Some(self.unknown_verdict(prop, answers.exhaustion)))
-            }
-            _ => {}
         }
-        if !induction {
-            if let Some(verdict) = self.settle_step(prop, i, step) {
+        let induction = Self::induction(&self.options);
+        if let Some(floating) = self.floating.as_mut().filter(|_| !induction) {
+            let answer = floating.backward(&self.model, call, i, cap);
+            if let Some(verdict) = self.step_verdict(prop, i, &answer, phases) {
                 return Ok(Some(verdict));
             }
         }
-        if let Some(verdict) = self.settle_counterexample(prop, i, answers)? {
-            return Ok(Some(verdict));
+        if call.cleared.is_none_or(|d| i > d) {
+            if let Some(verdict) = self.counterexample(call, i, phases)? {
+                return Ok(Some(verdict));
+            }
         }
-        Ok(if induction {
-            self.settle_step(prop, i, step)
-        } else {
-            None
-        })
+        if let Some(floating) = self.floating.as_mut().filter(|_| induction) {
+            let answer = floating.step(&self.model, prop, i, call.max_depth, call.budget.clone());
+            return Ok(self.step_verdict(prop, i, &answer, phases));
+        }
+        Ok(None)
     }
 
-    /// The backward query's share of a bound's verdict: an encode trip
-    /// ends the run, UNSAT proves, `Unknown` ends the run unless it hit
-    /// the bounded schedule's cap.
-    fn settle_step(
+    /// The forward termination check at bound `i`: answered SAT by the
+    /// forward witness when its run covers the bound, by the solver
+    /// otherwise, and a solver SAT answer refreshes that run.
+    fn forward_check(&mut self, prop: usize, i: usize, phases: &mut PhaseSeconds) -> SolveResult {
+        let ctx = &mut self.anchored;
+        let started = Instant::now();
+        let simulated = self.forward.answers(i);
+        if simulated {
+            // Leave the variable order as a solved query would (see the
+            // module docs' "Simulated forward answers").
+            ctx.solver.requeue_by_index();
+        }
+        phases.solve += started.elapsed().as_secs_f64();
+        if simulated {
+            return SolveResult::Sat;
+        }
+        let assumptions = Self::base_assumptions(ctx, i);
+        let result = ctx.solve_lfp(i, &assumptions, &mut phases.encode, &mut phases.solve);
+        if result == SolveResult::Sat {
+            let refresh = Instant::now();
+            self.forward
+                .refresh(Self::extract_trace(&self.model, ctx, prop, i));
+            phases.encode += refresh.elapsed().as_secs_f64();
+        }
+        result
+    }
+
+    /// The verdict a backward or step answer gives at bound `i`, if it
+    /// ends the run: a trip, a proof, or an `Unknown` that is not the
+    /// bounded schedule's cap.
+    fn step_verdict(
         &mut self,
         prop: usize,
         i: usize,
-        step: Option<&StepAnswer>,
+        answer: &StepAnswer,
+        phases: &mut PhaseSeconds,
     ) -> Option<BmcVerdict> {
-        let step = step?;
-        if let Some(reason) = step.encode {
+        phases.encode += answer.encode_seconds;
+        phases.solve += answer.solve_seconds;
+        if let Some(reason) = answer.poll.or(answer.encode) {
             return Some(self.unknown_verdict(prop, Some(reason)));
         }
-        match step.result? {
+        match answer.result? {
             SolveResult::Unsat if Self::induction(&self.options) => {
                 Some(BmcVerdict::Proved { k: i })
             }
@@ -2255,50 +1863,67 @@ impl<'d> BmcEngine<'d> {
                 depth: i,
             }),
             // No proof at this bound; the counterexample check counts.
-            SolveResult::Unknown if step.capped => {
+            SolveResult::Unknown if answer.capped => {
                 self.backward_capped += 1;
                 None
             }
-            SolveResult::Unknown => Some(self.unknown_verdict(prop, step.exhaustion)),
+            SolveResult::Unknown => Some(self.unknown_verdict(prop, answer.exhaustion)),
             SolveResult::Sat => None,
         }
     }
 
-    /// The counterexample query's share of a bound's verdict: a validated
-    /// trace, or `Unknown`, or (UNSAT) the bound cleared and its PBA
-    /// reasons committed.
-    fn settle_counterexample(
+    /// The counterexample check at bound `i`: a validated trace, or
+    /// `Unknown`, or (UNSAT) the bound cleared with its PBA reasons. A
+    /// group that did not answer SAT is retired at once.
+    fn counterexample(
         &mut self,
-        prop: usize,
+        call: &CheckCall,
         i: usize,
-        answers: &Answers,
+        phases: &mut PhaseSeconds,
     ) -> Result<Option<BmcVerdict>, BmcError> {
-        let Some((_, result)) = answers.counterexample else {
-            return Ok(None);
-        };
-        match result {
-            SolveResult::Sat => {
-                let trace = Self::extract_trace(&self.model, &self.anchored, prop, i);
-                if self.options.validate_traces && self.options.abstraction.is_none() {
-                    trace
-                        .validate(self.design)
-                        .map_err(BmcError::SpuriousTrace)?;
-                }
-                Ok(Some(BmcVerdict::Counterexample(trace)))
+        let ctx = &mut self.anchored;
+        let bad_i = ctx.unroller.lit(i, call.bad_bit);
+        let bad_i = ctx.assumption(bad_i);
+        // The bound's property clause lives in an activation group of its
+        // own: enforced through the group assumption while this bound is
+        // under test, physically retired the moment the bound is refuted
+        // — the solver's clause arena does not accumulate one dead
+        // property clause per bound the way satisfied-but-resident
+        // clauses would.
+        let group = ctx.solver.new_activation_group();
+        ctx.solver.add_clause_in_group(group, &[bad_i]);
+        let mut assumptions = Self::base_assumptions(ctx, i);
+        assumptions.push(group);
+        // Searched from the default phase, leaving the forward check's
+        // saved phases for the next bound (see the module docs' "Phase
+        // policy").
+        let started = Instant::now();
+        let result = ctx.solver.solve_with_default_phases(&assumptions);
+        phases.solve += started.elapsed().as_secs_f64();
+        if result == SolveResult::Sat {
+            let trace = Self::extract_trace(&self.model, ctx, call.prop, i);
+            if self.options.validate_traces && self.options.abstraction.is_none() {
+                trace
+                    .validate(self.design)
+                    .map_err(BmcError::SpuriousTrace)?;
             }
+            return Ok(Some(BmcVerdict::Counterexample(trace)));
+        }
+        let exhaustion = ctx.solver.exhaustion_reason();
+        if result == SolveResult::Unsat && self.options.pba_discovery {
+            let (latches, memories) = Self::reasons(ctx);
+            self.latch_reasons.extend(latches);
+            self.memory_reasons.extend(memories);
+        }
+        self.prop_clauses_retired += ctx.solver.retire_group(group) as u64;
+        if result == SolveResult::Unknown {
             // The bound was *not* refuted: `cleared_depth` stays, so a
             // resumed check re-runs this bound.
-            SolveResult::Unknown => Ok(Some(self.unknown_verdict(prop, answers.exhaustion))),
-            SolveResult::Unsat => {
-                if let Some((latches, memories)) = &answers.reasons {
-                    self.latch_reasons.extend(latches);
-                    self.memory_reasons.extend(memories);
-                }
-                let d = self.cleared_depth.entry(prop).or_insert(i);
-                *d = (*d).max(i);
-                Ok(None)
-            }
+            return Ok(Some(self.unknown_verdict(call.prop, exhaustion)));
         }
+        let d = self.cleared_depth.entry(call.prop).or_insert(i);
+        *d = (*d).max(i);
+        Ok(None)
     }
 
     /// Replaces `ctx` with an empty context of the same kind, keeping its
@@ -2336,7 +1961,7 @@ impl<'d> BmcEngine<'d> {
     /// forward check.
     ///
     /// The trace is expressed over the *interface* (free inputs, latches,
-    /// memories), which the fraig rewrite preserves exactly, so it replays
+    /// memories), which the fraig rewrite keeps exactly, so it replays
     /// on the original design as-is.
     fn extract_trace(design: &Design, ctx: &Ctx, prop: usize, depth: usize) -> Trace {
         let solver = &ctx.solver;

@@ -241,9 +241,8 @@ pub struct VerifyOptions {
     /// preprocessing, and whatever driver consumes these options). `0`
     /// (the default) and `1` both run inline on the caller's thread; the
     /// result is identical at every worker count. The count does not
-    /// size the bound loop: with [`VerifyOptions::proofs`] on under
-    /// [`ProofEngine::Bounded`], each bound's floating-context queries
-    /// always run on a second thread (see the `BmcEngine` module docs).
+    /// size the bound loop, which always runs on the caller's thread
+    /// (see the `BmcEngine` module docs).
     pub workers: usize,
 }
 

@@ -87,15 +87,14 @@ fn inductive_invariant_proved_backward() {
     }
 }
 
-/// At the bound the backward check proves, the anchored thread has
-/// already run that bound's counterexample query. The sequential loop
-/// would not have run it, so its answer is dropped, but its property
-/// group is retired and counted like every other one.
+/// No counterexample query runs at a bound the backward check proves:
+/// the first call retires bound 0's refuted group only, and the second
+/// call, with bound 0 cleared and bound 1 proved, retires none.
 #[test]
-fn speculative_counterexample_query_is_retired_and_never_committed() {
+fn no_counterexample_query_runs_at_a_backward_proved_bound() {
     let d = lockstep_toggles();
     let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
-    for (call, retired) in [(1, 2), (2, 3)] {
+    for (call, retired) in [(1, 1), (2, 1)] {
         let run = engine.check(0, 10).expect("run");
         assert!(
             matches!(
@@ -108,9 +107,6 @@ fn speculative_counterexample_query_is_retired_and_never_committed() {
             "call {call}: {:?}",
             run.verdict
         );
-        // Bound 0's refuted group, then one speculative bound-1 group per
-        // call: bound 1 was never committed as clean, so the second call
-        // runs its queries again.
         assert_eq!(engine.property_clauses_retired(), retired, "call {call}");
         let (_, solver) = engine.solver_stats();
         assert_eq!(
@@ -686,8 +682,7 @@ fn solve_budget_below_the_backward_floor_ends_the_run() {
 /// the run. The bounds whose capped backward query fell through still
 /// ran their counterexample check, so `deepest_clean_bound` is the bound
 /// before the trip, and raising the governor resumes to the proof. The
-/// anchored thread may have refuted the trip bound's counterexample query
-/// meanwhile; that answer is speculative and must not be committed.
+/// trip bound's counterexample query never runs, so it is not cleared.
 #[test]
 fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
     let d = parked_counter_with_idle_state(32);
@@ -734,10 +729,9 @@ fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
 /// The Table 1 P1 proof closes at the cycle bound by the forward check
 /// while every backward query before it is capped or SAT, and the
 /// schedule is deterministic: two fresh runs spend the same search in
-/// both contexts, although the two run on two threads. At AW=6 DW=4 the
-/// floating bank answers most backward queries; at AW=3 DW=3 its runs
-/// leave some P2 bounds to the solver, whose capped queries fall
-/// through to the forward proof.
+/// both contexts. At AW=6 DW=4 the floating bank answers most backward
+/// queries; at AW=3 DW=3 its runs leave some P2 bounds to the solver,
+/// whose capped queries fall through to the forward proof.
 #[test]
 fn backward_schedule_keeps_the_forward_proof_and_is_deterministic() {
     for (addr_width, data_width, p2) in [(6, 4, false), (3, 3, true)] {
@@ -821,12 +815,12 @@ fn verdict_name(verdict: &BmcVerdict) -> String {
 }
 
 /// What one proofs-on bounded `check` on a fresh engine answered, and
-/// everything in it the thread schedule could move: the verdict,
+/// every counter a nondeterministic loop could move: the verdict,
 /// `depth_reached`, `deepest_clean_bound`, each context's (vars,
 /// conflicts, decisions, propagations), the retired property groups,
 /// the capped and the simulated backward queries and the anchored
 /// frames.
-type Scheduled = (
+type FreshRun = (
     String,
     usize,
     Option<u32>,
@@ -837,7 +831,7 @@ type Scheduled = (
     usize,
 );
 
-fn scheduled_check(d: &Design, prop: usize, max_depth: usize) -> Scheduled {
+fn fresh_check(d: &Design, prop: usize, max_depth: usize) -> FreshRun {
     let mut engine = BmcEngine::new(d, VerifyOptions::default().proofs(true));
     let run = engine.check(prop, max_depth).expect("run");
     let clean = match run.verdict {
@@ -867,50 +861,47 @@ fn scheduled_check(d: &Design, prop: usize, max_depth: usize) -> Scheduled {
     )
 }
 
-/// The anchored context runs up to two bounds past the backward answers
-/// it has, so a run the backward check ends at bound `b` leaves it
-/// unrolled through `b + 2`; a run the anchored context ends stops at
-/// its own bound. Each context's queries depend on its own answers
-/// only, so twenty fresh engines agree on the verdict and on every
-/// counter of both contexts, whichever check ends the run.
+/// A run stops at the bound of its verdict, so the anchored context is
+/// unrolled through that bound whichever check ends the run, and two
+/// fresh engines agree on the verdict and on every counter of both
+/// contexts.
 #[test]
-fn step_worker_schedule_is_deterministic() {
+fn fresh_engines_agree_on_every_counter() {
     let deep = random_design(&GenConfig::deep(), 0);
     let cases = [
         (
             parked_counter_with_idle_state(32),
             0,
             "BackwardInduction@18",
-            21,
+            19,
         ),
         (mod_counter(4, 5, 9), 0, "ForwardDiameter@5", 6),
         (mod_counter(4, 12, 7), 0, "cex@7", 8),
         (deep, 1, "cex@7", 8),
     ];
     for (d, prop, verdict, depth) in cases {
-        let first = scheduled_check(&d, prop, 60);
+        let first = fresh_check(&d, prop, 60);
         assert_eq!((first.0.as_str(), first.7), (verdict, depth), "{verdict}");
-        for engine in 1..20 {
-            assert_eq!(
-                scheduled_check(&d, prop, 60),
-                first,
-                "{verdict}: engine {engine}"
-            );
-        }
+        assert_eq!(fresh_check(&d, prop, 60), first, "{verdict}");
     }
 }
 
-/// The bounds the anchored context ran past a backward proof are never
-/// committed as cleared: the resume point stays the bound before the
-/// proof, and a deeper second check asks their counterexample queries
-/// again and proves the property at the bound a fresh engine does.
+/// A backward proof at bound 18 stops the anchored context there: it is
+/// unrolled through frame 18, the resume point is the bound before the
+/// proof, and no counterexample query runs at the proved bound, neither
+/// in the first check nor in a deeper second one, which proves the
+/// property at the bound a fresh engine does.
 #[test]
-fn speculative_bounds_are_never_committed() {
+fn a_backward_proof_stops_the_anchored_context_at_its_bound() {
     let d = parked_counter_with_idle_state(32);
     let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let run = engine.check(0, 40).expect("run");
     assert_eq!(verdict_name(&run.verdict), "BackwardInduction@18");
-    assert_eq!(engine.depth(), 21, "two speculative bounds past the proof");
+    assert_eq!(
+        engine.depth(),
+        19,
+        "the anchored context stops at the proof"
+    );
     let cancelled = ResourceGovernor::unlimited();
     cancelled.cancel();
     engine.set_governor(cancelled);
@@ -945,11 +936,46 @@ fn speculative_bounds_are_never_committed() {
             "{verdict:?}"
         );
     }
+    assert_eq!(retired, 18, "one refuted group per bound below the proof");
     assert_eq!(
         engine.property_clauses_retired() - retired,
-        engine.depth() as u64 - 18,
-        "every counterexample query from bound 18 on runs again"
+        engine.depth() as u64 - 19,
+        "no counterexample query runs from bound 18 on"
     );
+}
+
+/// The bound loop runs on the caller's thread and stops at its verdict:
+/// a proofs-on check has one `per_bound_seconds` entry and one anchored
+/// frame per bound through `depth_reached`, and its encode and solve
+/// seconds add up to no more than its wall clock.
+#[test]
+fn one_thread_accounting_stops_at_the_verdict() {
+    let qs = QuickSort::new(QuickSortConfig {
+        n: 3,
+        addr_width: 6,
+        data_width: 4,
+        bug: Bug::None,
+    });
+    let cases = [
+        (parked_counter_with_idle_state(32), 0, 60),
+        (qs.design.clone(), qs.p1.0 as usize, qs.cycle_bound()),
+    ];
+    for (d, prop, max_depth) in cases {
+        let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
+        let run = engine.check(prop, max_depth).expect("run");
+        let name = verdict_name(&run.verdict);
+        assert!(run.verdict.is_proof(), "{name}");
+        assert_eq!(run.per_bound_seconds.len(), run.depth_reached + 1, "{name}");
+        assert_eq!(engine.depth(), run.depth_reached + 1, "{name}");
+        let phases = run.phase_seconds;
+        assert!(
+            phases.encode + phases.solve <= run.elapsed.as_secs_f64(),
+            "{name}: encode {} + solve {} > elapsed {:?}",
+            phases.encode,
+            phases.solve,
+            run.elapsed
+        );
+    }
 }
 
 /// A second `check` of a property the backward check proved answers at

@@ -11,10 +11,10 @@
 //!
 //! The sweep is seeded and budget-free, so each (site, N) pair replays
 //! identically: a failure here is a deterministic repro, not a flake.
-//! With proofs on, the engine's anchored and floating contexts run each
-//! bound on two threads under two forks of the governor, so the N-th
-//! occurrence of a site counts per context, not across both; the
-//! proofs-on sweep runs every pair twice to pin that.
+//! With proofs on, the engine's anchored and floating contexts ask each
+//! bound's queries in turn on the caller's thread under clones of one
+//! governor, so the N-th occurrence of a site counts across both; the
+//! proofs-on sweep runs every pair twice to pin that it replays.
 //!
 //! The k-induction engine shares the governance contract: its sweeps at
 //! the bottom of this file assert the same no-flip/resume guarantees,
@@ -180,10 +180,9 @@ fn fault_sweep_on_random_designs_never_flips_verdicts() {
     }
 }
 
-/// With proofs on, the two contexts run each bound on two threads, and
-/// each counts fault sites on its own governor fork. A trip therefore
-/// lands at the same point of the same context on every run: two fresh
-/// engines end identically, whatever the thread schedule.
+/// With proofs on, the two contexts ask each bound's queries in turn and
+/// count fault sites on one counter. A trip therefore lands at the same
+/// query on every run: two fresh engines end identically.
 fn assert_fault_replays(design: &Design, prop: usize, bound: usize, site: FaultSite, n: u64) {
     let run_once = || {
         let governor = ResourceGovernor::unlimited().with_fault(site, n);
@@ -205,12 +204,13 @@ fn assert_fault_replays(design: &Design, prop: usize, bound: usize, site: FaultS
     );
 }
 
-/// Each context counts fault sites on its own governor fork, so a frame
-/// fault armed at `n` trips at bound `n - 1` with proofs on, exactly as
-/// with proofs off (one anchored frame per bound). Counted across both
-/// contexts, it would trip at about half that depth.
+/// Both contexts count frames on one fault counter, and here the
+/// floating bank answers every backward check, so the floating context
+/// unrolls no frame: a frame fault armed at `n` trips at bound `n - 1`
+/// with proofs on, exactly as with proofs off (one anchored frame per
+/// bound).
 #[test]
-fn frame_fault_counts_per_context_with_proofs_on() {
+fn frame_fault_trips_at_the_same_bound_with_proofs_on() {
     let ind2 = Industry2::new(Industry2Config::small());
     let prop = ind2.lookups[0];
     for proofs in [false, true] {
@@ -230,6 +230,7 @@ fn frame_fault_counts_per_context_with_proofs_on() {
                 run.verdict
             );
             assert_eq!(run.depth_reached as u64, n - 1, "proofs {proofs}, n {n}");
+            assert_eq!(engine.step_queries(), 0, "proofs {proofs}, n {n}");
         }
     }
 }
