@@ -4,10 +4,11 @@
 //! [`dump_bmc_cnf`] runs the exact clause pipeline of [`crate::BmcEngine`]
 //! — [`Unroller`] unrolling, [`EmmEncoder`] memory constraints, and (when
 //! enabled) the cross-frame [`Simplifier`] — but writes straight into a
-//! [`Cnf`], the flat clause store that is itself a [`CnfSink`], instead of
-//! the in-tree CDCL solver. The result is **satisfiable iff the selected
-//! property is falsifiable within the requested depth**, ready to be
-//! handed to any external DIMACS solver:
+//! [`Cnf`] instead of the in-tree CDCL solver. A [`Cnf`] is itself a
+//! [`CnfSink`]: it keeps the clauses as one terminated literal stream, in
+//! fixed blocks that are never reallocated. The result is **satisfiable
+//! iff the selected property is falsifiable within the requested depth**,
+//! ready to be handed to any external DIMACS solver:
 //!
 //! * the query assumptions become unit clauses — a standalone instance
 //!   has no assumption interface: the EMM encoder's active assumptions

@@ -1167,6 +1167,87 @@ mod tests {
         );
     }
 
+    /// With selectors on, every guarded clause is the clause emitted with
+    /// selectors off plus the guard of its read port, in the same order,
+    /// and the size accounting does not move.
+    #[test]
+    fn guarded_clauses_are_the_unguarded_ones_plus_the_guard() {
+        use emm_sat::dimacs::Cnf;
+        let shape = MemoryShape {
+            addr_width: 3,
+            data_width: 2,
+            read_ports: 2,
+            write_ports: 2,
+            arbitrary_init: true,
+        };
+        let frames = 4;
+        // Emits `frames` frames into a fresh instance. `spare` variables
+        // stand in, with selectors off, for the selector variables the
+        // guarded encoder creates at its first frame, so both runs number
+        // every other variable alike.
+        let run = |selectors, encoding, spare: usize| {
+            let mut enc = EmmEncoder::new(
+                &[shape],
+                EmmOptions {
+                    selectors,
+                    encoding,
+                    ..EmmOptions::default()
+                },
+            );
+            let mut cnf = Cnf::new();
+            let lits: Vec<_> = (0..frames).map(|_| fresh_frame(&mut cnf, &shape)).collect();
+            for _ in 0..spare {
+                cnf.new_var();
+            }
+            for frame in &lits {
+                enc.add_frame(&mut cnf, std::slice::from_ref(frame));
+            }
+            (cnf, enc)
+        };
+        for encoding in [ForwardingEncoding::Exclusive, ForwardingEncoding::Direct] {
+            for (selectors, spare) in [
+                (SelectorGranularity::PerMemory, 1),
+                (SelectorGranularity::PerReadPort, shape.read_ports),
+            ] {
+                let (plain, plain_enc) = run(SelectorGranularity::None, encoding, spare);
+                let (guarded, enc) = run(selectors, encoding, 0);
+                assert_eq!(enc.stats(), plain_enc.stats());
+                assert_eq!(guarded.num_vars(), plain.num_vars());
+                assert_eq!(guarded.num_clauses(), plain.num_clauses());
+                // Clauses guarded by each read port's selector.
+                let mut per_port = vec![0; shape.read_ports];
+                for (g, p) in guarded.clauses().zip(plain.clauses()) {
+                    if g == p {
+                        continue;
+                    }
+                    let (&guard, rest) = g.split_last().expect("a guarded clause");
+                    assert_eq!(rest, p);
+                    let port = (0..shape.read_ports)
+                        .position(|r| enc.selector_for(0, r) == Some(!guard))
+                        .expect("the guard is a selector's negation");
+                    per_port[port] += 1;
+                }
+                // Per read at frame k on port r: eq. (5) 2n per write of an
+                // earlier frame, the initial term 2n, eq. (6) 2n per
+                // earlier initial read, and with the exclusive chain the
+                // validity clause.
+                let n = shape.data_width;
+                let validity = usize::from(encoding == ForwardingEncoding::Exclusive);
+                let mut expected = vec![0; shape.read_ports];
+                for k in 0..frames {
+                    for (r, count) in expected.iter_mut().enumerate() {
+                        let earlier_reads = k * shape.read_ports + r;
+                        *count += 2 * n * (k * shape.write_ports + 1 + earlier_reads) + validity;
+                    }
+                }
+                if selectors == SelectorGranularity::PerMemory {
+                    expected = vec![expected.iter().sum(), 0];
+                }
+                assert_eq!(per_port, expected, "{encoding:?} {selectors:?}");
+            }
+        }
+    }
+
     #[test]
     fn addr_eq_encoding_is_equality() {
         // Exhaustive check of the 4m+1 clause encoding on 2-bit addresses.

@@ -6,9 +6,15 @@ use crate::sink::CnfSink;
 
 /// A DIMACS CNF instance, and a [`CnfSink`] that collects one.
 ///
-/// Clauses are stored back to back in one literal vector, with the end
-/// offset of each clause in a second one, so adding a clause allocates
-/// nothing once the vectors have grown.
+/// Clauses are stored as one literal stream shaped like DIMACS text: each
+/// clause's literals, then a terminator that is no literal's code. The
+/// stream is cut into blocks that never grow past their first allocation.
+/// A clause that does not fit in the last block starts a new block of
+/// 2^16 literals, or of its own length if it is longer, so adding a clause
+/// never copies the clauses before it.
+///
+/// Two instances are equal when they declare the same variable count and
+/// hold the same clauses in the same order, however their blocks are cut.
 ///
 /// ```
 /// use emm_sat::dimacs::Cnf;
@@ -22,15 +28,36 @@ use crate::sink::CnfSink;
 /// assert_eq!(cnf.to_dimacs(), "p cnf 2 2\n1 -2 0\n2 0\n");
 /// assert_eq!(Cnf::parse(&cnf.to_dimacs()), Ok(cnf));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Cnf {
     /// Declared (or inferred, or created) variable count.
     num_vars: usize,
-    /// Every clause's literals, in clause order.
-    lits: Vec<Lit>,
-    /// End offset in `lits` of each clause.
-    ends: Vec<usize>,
+    /// Number of clauses: of terminators in the stream.
+    num_clauses: usize,
+    /// The literal stream, in blocks of whole clauses.
+    blocks: Vec<Vec<Lit>>,
 }
+
+/// Ends each clause in the stream: `u32::MAX`, above every literal's code
+/// (at most `u32::MAX - 2`, the negative literal of the last variable a
+/// [`Var`] can name).
+const END: Lit = Lit::from_code(u32::MAX as usize);
+
+/// Literals in one block of the stream, unless a longer clause needs more.
+const BLOCK: usize = 1 << 16;
+
+impl PartialEq for Cnf {
+    fn eq(&self, other: &Cnf) -> bool {
+        self.num_vars == other.num_vars
+            && self
+                .blocks
+                .iter()
+                .flatten()
+                .eq(other.blocks.iter().flatten())
+    }
+}
+
+impl Eq for Cnf {}
 
 /// Error parsing a DIMACS file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,22 +93,23 @@ impl Cnf {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.ends.len()
+        self.num_clauses
     }
 
     /// The clauses, in insertion order.
     pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
-        let mut start = 0;
-        self.ends.iter().map(move |&end| {
-            let clause = &self.lits[start..end];
-            start = end;
-            clause
-        })
+        // Each block ends with a terminator, so the rest of it splits
+        // into exactly its clauses.
+        let mut clauses = self
+            .blocks
+            .iter()
+            .flat_map(|block| block[..block.len() - 1].split(|&l| l == END));
+        (0..self.num_clauses).map(move |_| clauses.next().expect("a clause per terminator"))
     }
 
-    /// Ends the clause made of the literals pushed since the last one.
-    fn close_clause(&mut self) {
-        self.ends.push(self.lits.len());
+    /// Number of literals, over all clauses.
+    fn num_lits(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum::<usize>() - self.num_clauses
     }
 
     /// Parses DIMACS CNF text.
@@ -92,6 +120,8 @@ impl Cnf {
     /// indices exceeding the header, unterminated clauses are tolerated).
     pub fn parse(text: &str) -> Result<Cnf, ParseDimacsError> {
         let mut cnf = Cnf::default();
+        // The literals read since the last `0`.
+        let mut clause = Vec::new();
         let mut declared_vars: Option<usize> = None;
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
@@ -129,7 +159,8 @@ impl Cnf {
                     message: format!("bad literal token {tok:?}"),
                 })?;
                 if v == 0 {
-                    cnf.close_clause();
+                    cnf.add_clause(&clause);
+                    clause.clear();
                 } else {
                     let idx = v.unsigned_abs() as usize - 1;
                     if idx >= Var::LIMIT {
@@ -150,12 +181,12 @@ impl Cnf {
                         }
                     }
                     cnf.num_vars = cnf.num_vars.max(idx + 1);
-                    cnf.lits.push(Lit::new(Var::from_index(idx), v > 0));
+                    clause.push(Lit::new(Var::from_index(idx), v > 0));
                 }
             }
         }
-        if cnf.lits.len() > cnf.ends.last().copied().unwrap_or(0) {
-            cnf.close_clause();
+        if !clause.is_empty() {
+            cnf.add_clause(&clause);
         }
         Ok(cnf)
     }
@@ -170,13 +201,14 @@ impl Cnf {
     ///
     /// Each variable's text (its number and the space after it) is counted
     /// up once into a table of fixed 8-byte slots. A first pass over the
-    /// literals sizes the text exactly; each literal is then an optional
-    /// `-` and one slot copy into a single buffer of that size (plus one
-    /// slot of slack, cut off at the end). The table is built only when it
-    /// has no more entries than there are literals, so its cost follows
-    /// the literals, not the declared variable count. Past it, and for
-    /// numbers of more than 7 digits, a literal's slot is computed
-    /// directly, in a wider slot.
+    /// stream sizes the text exactly. The second writes each literal as an
+    /// optional `-` and one slot copy, and each terminator as `0` and a
+    /// newline, into a single buffer of that size (plus one slot of slack,
+    /// cut off at the end). The table is built only when it has no more
+    /// entries than there are literals, so its cost follows the literals,
+    /// not the declared variable count. Past it, and for numbers of more
+    /// than 7 digits, a literal's slot is computed directly, in a wider
+    /// slot.
     pub fn to_dimacs_with_comments(&self, comments: &[&str]) -> String {
         let mut head = String::new();
         for comment in comments {
@@ -185,47 +217,52 @@ impl Cnf {
             head.push('\n');
         }
         head.push_str(&format!("p cnf {} {}\n", self.num_vars, self.num_clauses()));
-        let table = if self.num_vars <= self.lits.len() {
+        let table = if self.num_vars <= self.num_lits() {
             slot_table(self.num_vars.min(SLOT_VARS))
         } else {
             Vec::new()
         };
-        let text_len = |var: Var| match table.get(var.index()) {
-            Some(&(_, len)) => usize::from(len),
-            None => wide_slot(var).1,
+        // The terminator is in no table slot, so only a literal without a
+        // slot is checked for being one.
+        let text_len = |l: Lit| match table.get(l.var().index()) {
+            Some(&(_, len)) => usize::from(l.is_negative()) + usize::from(len),
+            None if l == END => 2,
+            None => usize::from(l.is_negative()) + wide_slot(l.var()).1,
         };
         let body = self
-            .lits
+            .blocks
             .iter()
-            .map(|&l| usize::from(l.is_negative()) + text_len(l.var()))
-            .sum::<usize>()
-            + 2 * self.ends.len();
+            .map(|block| block.iter().map(|&l| text_len(l)).sum::<usize>())
+            .sum::<usize>();
         let end = head.len() + body;
         // Every slot is copied whole and the cursor advanced by its text's
         // length, so the buffer carries one wide slot of slack past the end.
         let mut out = vec![0; end + WIDE];
         out[..head.len()].copy_from_slice(head.as_bytes());
         let mut pos = head.len();
-        for clause in self.clauses() {
-            for &l in clause {
+        for block in &self.blocks {
+            for &l in block {
                 // The `-` is written at every literal but kept, by moving
                 // past it, only at a negative one.
                 out[pos] = b'-';
-                pos += usize::from(l.is_negative());
                 match table.get(l.var().index()) {
                     Some(&(text, len)) => {
+                        pos += usize::from(l.is_negative());
                         out[pos..pos + SLOT].copy_from_slice(&text);
                         pos += usize::from(len);
                     }
+                    None if l == END => {
+                        out[pos..pos + 2].copy_from_slice(b"0\n");
+                        pos += 2;
+                    }
                     None => {
+                        pos += usize::from(l.is_negative());
                         let (text, len) = wide_slot(l.var());
                         out[pos..pos + WIDE].copy_from_slice(&text);
                         pos += len;
                     }
                 }
             }
-            out[pos..pos + 2].copy_from_slice(b"0\n");
-            pos += 2;
         }
         debug_assert_eq!(pos, end);
         out.truncate(pos);
@@ -253,8 +290,19 @@ impl CnfSink for Cnf {
     }
 
     fn add_clause(&mut self, lits: &[Lit]) {
-        self.lits.extend_from_slice(lits);
-        self.close_clause();
+        debug_assert!(!lits.contains(&END), "a literal of variable Var::LIMIT");
+        let len = lits.len() + 1;
+        if self
+            .blocks
+            .last()
+            .is_none_or(|block| block.capacity() - block.len() < len)
+        {
+            self.blocks.push(Vec::with_capacity(len.max(BLOCK)));
+        }
+        let block = self.blocks.last_mut().expect("a block with room");
+        block.extend_from_slice(lits);
+        block.push(END);
+        self.num_clauses += 1;
     }
 }
 
@@ -433,16 +481,27 @@ mod tests {
     /// An instance declaring `num_vars` variables with the given clauses
     /// (1-based signed numbers, as in DIMACS).
     fn declared(num_vars: usize, clauses: &[&[i64]]) -> Cnf {
+        let clauses: Vec<Vec<Lit>> = clauses
+            .iter()
+            .map(|clause| {
+                clause
+                    .iter()
+                    .map(|&v| Lit::new(Var::from_index(v.unsigned_abs() as usize - 1), v > 0))
+                    .collect()
+            })
+            .collect();
+        built(num_vars, &clauses)
+    }
+
+    /// An instance declaring `num_vars` variables built clause by clause
+    /// through the sink.
+    fn built(num_vars: usize, clauses: &[Vec<Lit>]) -> Cnf {
         let mut cnf = Cnf {
             num_vars,
             ..Cnf::default()
         };
         for clause in clauses {
-            for &v in *clause {
-                let var = Var::from_index(v.unsigned_abs() as usize - 1);
-                cnf.lits.push(Lit::new(var, v > 0));
-            }
-            cnf.close_clause();
+            cnf.add_clause(clause);
         }
         cnf
     }
@@ -474,7 +533,7 @@ mod tests {
                 // Declared exactly: more variables than literals, so every
                 // slot is computed directly.
                 let sparse = declared(n, &clauses);
-                assert!(sparse.num_vars() > sparse.lits.len());
+                assert!(sparse.num_vars() > sparse.num_lits());
                 assert_eq!(
                     sparse.to_dimacs(),
                     per_literal_dimacs(&sparse, &[]),
@@ -482,11 +541,8 @@ mod tests {
                 );
                 // Padded with as many units as variables: the table path.
                 let mut dense = sparse.clone();
-                dense
-                    .lits
-                    .extend(std::iter::repeat_n(Var::from_index(0).positive(), n));
-                dense.close_clause();
-                assert!(dense.num_vars() <= dense.lits.len());
+                dense.add_clause(&vec![Var::from_index(0).positive(); n]);
+                assert!(dense.num_vars() <= dense.num_lits());
                 assert_eq!(
                     dense.to_dimacs(),
                     per_literal_dimacs(&dense, &[]),
@@ -542,5 +598,148 @@ mod tests {
                 per_literal_dimacs(&cnf, &comments)
             );
         }
+    }
+
+    /// Checks `cnf` against the clauses it must hold: its clause iterator,
+    /// its text against the per-literal rule, and a parse of its text.
+    fn assert_holds(cnf: &Cnf, reference: &[Vec<Lit>]) {
+        let clauses = cnf.clauses();
+        assert_eq!(clauses.len(), reference.len());
+        assert!(clauses.eq(reference.iter().map(Vec::as_slice)));
+        let comments = ["stream"];
+        let text = cnf.to_dimacs_with_comments(&comments);
+        assert_eq!(text, per_literal_dimacs(cnf, &comments));
+        assert_eq!(Cnf::parse(&cnf.to_dimacs()).as_ref(), Ok(cnf));
+    }
+
+    /// `count` clauses of 0 to 9 literals over variables `1..=50`, drawn
+    /// from a fixed linear congruential sequence.
+    fn varied_clauses(count: usize) -> Vec<Vec<Lit>> {
+        let mut state = 0x2545_f491_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        (0..count)
+            .map(|_| {
+                let len = next(10);
+                (0..len)
+                    .map(|_| Lit::new(Var::from_index(next(50) as usize), next(2) == 0))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The terminator's code is the negative literal of variable
+    /// `Var::LIMIT`, which only an unchecked build can make; a debug build
+    /// refuses to store it as a literal.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Var::LIMIT")]
+    fn dimacs_terminator_is_refused_as_a_literal() {
+        Cnf::new().add_clause(&[END]);
+    }
+
+    /// The literals of the last variable a `Var` can name sit next to the
+    /// terminator without being taken for it: the negative one has the
+    /// largest code, two below it.
+    #[test]
+    fn dimacs_terminator_is_no_literal() {
+        let top = Var::from_index(Var::LIMIT - 1);
+        assert_eq!(top.negative().code(), u32::MAX as usize - 2);
+        assert_eq!(END.code(), u32::MAX as usize);
+        let reference = vec![
+            vec![top.negative(), top.positive()],
+            vec![top.positive(), top.negative()],
+            vec![top.negative()],
+            vec![Var::from_index(0).positive(), top.negative()],
+        ];
+        let cnf = built(Var::LIMIT, &reference);
+        assert_holds(&cnf, &reference);
+        assert_eq!(
+            cnf.to_dimacs(),
+            "p cnf 2147483647 4\n-2147483647 2147483647 0\n\
+             2147483647 -2147483647 0\n-2147483647 0\n1 -2147483647 0\n"
+        );
+    }
+
+    /// An empty clause is a bare terminator, whether added through the
+    /// sink or read from a bare `0`.
+    #[test]
+    fn dimacs_empty_clauses_are_bare_terminators() {
+        let a = Var::from_index(0).positive();
+        let reference = vec![vec![], vec![a], vec![], vec![]];
+        let cnf = built(1, &reference);
+        assert_holds(&cnf, &reference);
+        assert_eq!(cnf.to_dimacs(), "p cnf 1 4\n0\n1 0\n0\n0\n");
+        let parsed = Cnf::parse("p cnf 1 4\n0\n1 0 0\n0\n").expect("parse");
+        assert_eq!(parsed, cnf);
+        assert_holds(&parsed, &reference);
+        let only_empty = Cnf::parse("0\n").expect("parse");
+        assert_holds(&only_empty, &[vec![]]);
+        assert_eq!(only_empty.num_vars(), 0);
+    }
+
+    /// A clause longer than a block gets a block of its own, between
+    /// blocks of short clauses.
+    #[test]
+    fn dimacs_clause_longer_than_a_block() {
+        let long: Vec<Lit> = (0..BLOCK + 3)
+            .map(|i| Lit::new(Var::from_index(i % 1000), i % 3 == 0))
+            .collect();
+        let mut reference = varied_clauses(5);
+        reference.push(long);
+        reference.extend(varied_clauses(5));
+        let cnf = built(1000, &reference);
+        assert_eq!(cnf.blocks.len(), 3);
+        assert_eq!(cnf.blocks[1].len(), BLOCK + 4);
+        assert_eq!(cnf.blocks[1].capacity(), BLOCK + 4);
+        assert_holds(&cnf, &reference);
+    }
+
+    /// A run of clauses several blocks long is cut only between clauses,
+    /// and no block grows past its first allocation.
+    #[test]
+    fn dimacs_clauses_cross_block_boundaries() {
+        let reference = varied_clauses(4 * BLOCK / 5);
+        let cnf = built(50, &reference);
+        assert!(cnf.blocks.len() >= 3, "{} blocks", cnf.blocks.len());
+        for block in &cnf.blocks {
+            assert_eq!(block.capacity(), BLOCK);
+            assert_eq!(block.last(), Some(&END));
+        }
+        assert_holds(&cnf, &reference);
+    }
+
+    /// Equality compares the variable count and the clause sequence, not
+    /// how the stream is cut into blocks.
+    #[test]
+    fn dimacs_equality_ignores_block_layout() {
+        let reference = varied_clauses(BLOCK / 3);
+        let more = varied_clauses(7);
+        let mut sunk = built(50, &reference);
+        let mut parsed = Cnf::parse(&sunk.to_dimacs()).expect("parse");
+        assert_eq!(parsed, sunk);
+        // A clone's blocks are only as large as their literals, so the
+        // clauses added after the clone start a new block.
+        let mut cloned = sunk.clone();
+        for clause in &more {
+            sunk.add_clause(clause);
+            parsed.add_clause(clause);
+            cloned.add_clause(clause);
+        }
+        assert_eq!(cloned.blocks.len(), sunk.blocks.len() + 1);
+        assert_eq!(cloned, sunk);
+        assert_eq!(cloned, parsed);
+        let all: Vec<Vec<Lit>> = reference.into_iter().chain(more).collect();
+        assert_holds(&cloned, &all);
+        // A different variable count or clause boundary is a different
+        // instance.
+        assert_ne!(built(51, &all), cloned);
+        let [a, b] = [0, 1].map(|i| Var::from_index(i).positive());
+        assert_ne!(built(2, &[vec![a, b]]), built(2, &[vec![a], vec![b]]));
+        assert_ne!(built(2, &[vec![]]), built(2, &[]));
     }
 }

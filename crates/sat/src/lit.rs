@@ -81,7 +81,7 @@ impl Lit {
 
     /// Reconstructs a literal from its dense code (see [`Lit::code`]).
     #[inline]
-    pub fn from_code(code: usize) -> Lit {
+    pub const fn from_code(code: usize) -> Lit {
         Lit(code as u32)
     }
 
