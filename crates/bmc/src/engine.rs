@@ -158,10 +158,9 @@
 //! solver, so every proof, `Proved { k }` and their depths rest on the
 //! solver alone. A SAT answer only says "no proof at this bound", so even
 //! a wrong bank answer could only delay a proof, never produce one. A
-//! bank answer raises the `failed` bound and moves the backward cap as a
-//! solver SAT answer does. It leaves the floating solver untouched, so
-//! the solver's later queries start from a different state, and a
-//! bounded backward proof may land at another bound. On the quicksort
+//! bank answer raises the `failed` bound as a solver SAT answer does. It
+//! leaves the floating solver untouched, so the solver's later queries
+//! start from a different state. On the quicksort
 //! Table 1/2 proofs (N=3, AW=6, DW=4) the bank answers 28 of P1's 31
 //! backward checks and all 31 of P2's. [`BmcEngine::backward_simulated`]
 //! counts the bank answers.
@@ -181,17 +180,22 @@
 //!
 //! * [`ProofEngine::Bounded`] (the default) is the table above: the
 //!   counterexample check, and with proofs on the forward check plus the
-//!   backward check under the capped schedule below. A proof is
-//!   [`BmcVerdict::Proof`] (`proof@k`).
+//!   backward check. A proof is [`BmcVerdict::Proof`] (`proof@k`).
 //! * [`ProofEngine::KInduction`] is k-induction (Sheeran, Singh &
 //!   Stålmarck, FMCAD 2000; Eén & Sörensson, BMC 2003), and ignores
 //!   [`VerifyOptions::proofs`]. The anchored context asks only the
 //!   counterexample check (the **base case**) and carries no LFP builder;
 //!   the floating context always exists and asks the backward check (the
-//!   **inductive step**) under the plain `solve_budget`, because it is
-//!   this schedule's only proof route. A step UNSAT at `k` over a clean
-//!   base case returns [`BmcVerdict::Proved`]`{ k }`. [`crate::KInduction`]
-//!   is a thin handle on an engine with this schedule.
+//!   **inductive step**). A step UNSAT at `k` over a clean base case
+//!   returns [`BmcVerdict::Proved`]`{ k }`. [`crate::KInduction`] is a
+//!   thin handle on an engine with this schedule.
+//!
+//! Both schedules ask the backward check as the same step query, under
+//! the call's `solve_budget` (the paper's BMC-3 asks it as a plain
+//! query, and so does k-induction). They differ only in the order of
+//! their queries and in the kind of verdict a step UNSAT gives. The
+//! floating context sees the same step queries in the same order, so a
+//! bounded backward proof lands at the depth where k-induction proves.
 //!
 //! `Proved { k }` is unbounded: the property holds in **all** reachable
 //! states. The step query at `k` asks for a simple path `s_0 … s_k` with
@@ -225,8 +229,8 @@
 //!
 //! 1. with proofs on, the forward check: UNSAT proves, `Unknown` ends the
 //!    run;
-//! 2. with proofs on, the backward check under the cap of "Backward check
-//!    schedule": UNSAT proves, an uncapped `Unknown` ends the run;
+//! 2. with proofs on, the backward check: UNSAT proves, `Unknown` ends
+//!    the run;
 //! 3. the counterexample check of a bound not yet cleared: SAT ends the
 //!    run with a validated trace, `Unknown` ends it, UNSAT clears the
 //!    bound.
@@ -241,27 +245,6 @@
 //! are collected, and the bound is recorded as cleared. Both contexts
 //! hold clones of the engine's governor, so they share its deadline, its
 //! cancellation and one fault counter.
-//!
-//! ## Backward check schedule
-//!
-//! Under the bounded schedule the backward check is a termination check:
-//! UNSAT proves the property, SAT only says "no proof at this bound".
-//! Giving up on it can delay a proof but never yields a wrong verdict, so
-//! each backward query runs under a deterministic conflict cap. The cap
-//! starts at 16 in every [`BmcEngine::check`] call, doubles after each
-//! query that hits it, and falls back to 16 after any SAT answer. A query
-//! that hits the cap while the governor is clear counts as "no proof at
-//! this bound" and the counterexample check's answer counts as usual; a
-//! `solve_budget` conflict limit at or below the cap, or any governor
-//! trip, still ends the run [`BmcVerdict::Unknown`]. Once the backward
-//! query at bound `k` is UNSAT, so is every later one (the window at
-//! `k+1` contains a floating window of length `k`), so the capped queries
-//! after it are consecutive and the cap keeps doubling: a proof that
-//! needs `N` conflicts lands by bound `k + ⌈log2(N/16)⌉` if the depth
-//! limit allows. [`BmcEngine::backward_capped`] counts the abandoned
-//! queries. The forward check stays uncapped because it is the one that
-//! closes the paper's proofs at the cycle bound, and the k-induction step
-//! stays uncapped because it is that schedule's only proof route.
 //!
 //! ## The preprocessing and simplifying pipeline
 //!
@@ -916,22 +899,12 @@ pub(crate) struct StepQuery {
 /// What a [`StepQuery`] call answered.
 #[derive(Default)]
 pub(crate) struct StepAnswer {
-    /// The governor's poll before the backward check tripped, so the
-    /// check did not run (see [`StepQuery::backward`]).
-    pub(crate) poll: Option<ExhaustionReason>,
     /// The governor tripped before the context reached the depth.
     pub(crate) encode: Option<ExhaustionReason>,
     /// The step query's answer, when it ran.
     pub(crate) result: Option<SolveResult>,
     /// Why an `Unknown` answer stopped, as the solver reports it.
     pub(crate) exhaustion: Option<ExhaustionReason>,
-    /// An `Unknown` answer stopped at a conflict limit of the budget alone:
-    /// the governor's deadline, cancellation and lifetime work caps were
-    /// all clear.
-    pub(crate) budget_conflicts: bool,
-    /// The bounded schedule's cap, not `solve_budget`, stopped an
-    /// `Unknown` answer: no proof at this bound, and the run goes on.
-    pub(crate) capped: bool,
     pub(crate) encode_seconds: f64,
     pub(crate) solve_seconds: f64,
 }
@@ -1002,13 +975,6 @@ impl StepQuery {
             SolveResult::Unknown => {}
         }
         answer.exhaustion = ctx.solver.exhaustion_reason();
-        let stats = ctx.solver.stats();
-        answer.budget_conflicts = answer.exhaustion == Some(ExhaustionReason::ConflictLimit)
-            && ctx.governor.poll().is_none()
-            && ctx
-                .governor
-                .check_counters(stats.conflicts, stats.propagations)
-                .is_none();
         answer
     }
 
@@ -1057,42 +1023,6 @@ impl StepQuery {
         answer.solve_seconds += drawn;
         if let Some(result) = answer.result {
             self.bank.solved(prop, result);
-        }
-        answer
-    }
-
-    /// The bounded schedule's backward check of `call` at bound `k` under
-    /// the conflict cap `cap` (see the module docs' "Backward check
-    /// schedule"): polls the governor, asks the step, and moves the cap
-    /// on from the answer.
-    fn backward(
-        &mut self,
-        model: &Design,
-        call: &CheckCall,
-        k: usize,
-        cap: &mut u64,
-    ) -> StepAnswer {
-        if let Some(reason) = self.ctx.governor.poll() {
-            return StepAnswer {
-                poll: Some(reason),
-                ..StepAnswer::default()
-            };
-        }
-        let budget = &call.budget;
-        let capped = Budget {
-            max_conflicts: Some(budget.max_conflicts.map_or(*cap, |max| max.min(*cap))),
-            ..budget.clone()
-        };
-        let mut answer = self.step(model, call.prop, k, call.max_depth, capped);
-        match answer.result {
-            Some(SolveResult::Unknown)
-                if answer.budget_conflicts && budget.max_conflicts.is_none_or(|max| *cap < max) =>
-            {
-                answer.capped = true;
-                *cap = cap.saturating_mul(2);
-            }
-            Some(SolveResult::Sat) => *cap = BACKWARD_CAP_FLOOR,
-            _ => {}
         }
         answer
     }
@@ -1174,18 +1104,10 @@ pub struct BmcEngine<'d> {
     /// Wall time of the preprocessing phases (run once, in `new`).
     rewrite_seconds: f64,
     fraig_seconds: f64,
-    /// Backward queries abandoned at their cap, over the engine's life.
-    backward_capped: u64,
     /// The last forward witness (see the module docs' "Simulated forward
     /// answers").
     forward: ForwardWitness<'d>,
 }
-
-/// Conflict cap of the first backward query of a `check` call and of the
-/// first one after a satisfiable answer. The cap lives in the `check`
-/// call's bound loop, so restart mode's per-bound rebuilds keep it too
-/// and a hard backward proof is delayed, not lost, in both modes.
-const BACKWARD_CAP_FLOOR: u64 = 16;
 
 impl<'d> BmcEngine<'d> {
     /// Creates an engine for `design`.
@@ -1294,7 +1216,6 @@ impl<'d> BmcEngine<'d> {
             governor,
             rewrite_seconds,
             fraig_seconds,
-            backward_capped: 0,
             forward,
         }
     }
@@ -1305,9 +1226,8 @@ impl<'d> BmcEngine<'d> {
         options.pipeline.proof_engine == ProofEngine::KInduction
     }
 
-    /// Whether the anchored context runs forward termination checks, and
-    /// the floating one the capped backward check: proofs on under the
-    /// bounded schedule.
+    /// Whether the anchored context runs forward termination checks: proofs
+    /// on under the bounded schedule.
     fn forward_checks(options: &VerifyOptions) -> bool {
         options.proofs && !Self::induction(options)
     }
@@ -1428,13 +1348,6 @@ impl<'d> BmcEngine<'d> {
     /// UNSAT over the engine's life.
     pub fn step_queries(&self) -> u64 {
         self.floating.as_ref().map_or(0, |f| f.answered)
-    }
-
-    /// Backward termination queries abandoned at their conflict cap (see
-    /// the module docs' "Backward check schedule"), over the engine's
-    /// life. Each one meant "no proof at this bound", never a verdict.
-    pub fn backward_capped(&self) -> u64 {
-        self.backward_capped
     }
 
     /// Backward termination queries (k-induction steps) answered SAT from
@@ -1717,11 +1630,10 @@ impl<'d> BmcEngine<'d> {
             ..PhaseSeconds::default()
         };
         let mut per_bound_seconds = Vec::new();
-        let mut cap = BACKWARD_CAP_FLOOR;
         let mut ended = None;
         for i in 0..=max_depth {
             let bound_started = Instant::now();
-            let verdict = self.bound(&call, i, &mut cap, &mut phase_seconds)?;
+            let verdict = self.bound(&call, i, &mut phase_seconds)?;
             per_bound_seconds.push(bound_started.elapsed().as_secs_f64());
             if let Some(verdict) = verdict {
                 ended = Some((verdict, i));
@@ -1745,14 +1657,12 @@ impl<'d> BmcEngine<'d> {
     }
 
     /// Bound `i` of a `check` call (see the module docs' "One bound
-    /// loop"), with the backward check under the conflict cap `cap`.
-    /// Commits each answer as it arrives and returns `Some(verdict)` when
-    /// one ends the run.
+    /// loop"). Commits each answer as it arrives and returns
+    /// `Some(verdict)` when one ends the run.
     fn bound(
         &mut self,
         call: &CheckCall,
         i: usize,
-        cap: &mut u64,
         phases: &mut PhaseSeconds,
     ) -> Result<Option<BmcVerdict>, BmcError> {
         let prop = call.prop;
@@ -1794,9 +1704,8 @@ impl<'d> BmcEngine<'d> {
             }
         }
         let induction = Self::induction(&self.options);
-        if let Some(floating) = self.floating.as_mut().filter(|_| !induction) {
-            let answer = floating.backward(&self.model, call, i, cap);
-            if let Some(verdict) = self.step_verdict(prop, i, &answer, phases) {
+        if !induction {
+            if let Some(verdict) = self.step_check(call, i, phases) {
                 return Ok(Some(verdict));
             }
         }
@@ -1805,9 +1714,8 @@ impl<'d> BmcEngine<'d> {
                 return Ok(Some(verdict));
             }
         }
-        if let Some(floating) = self.floating.as_mut().filter(|_| induction) {
-            let answer = floating.step(&self.model, prop, i, call.max_depth, call.budget.clone());
-            return Ok(self.step_verdict(prop, i, &answer, phases));
+        if induction {
+            return Ok(self.step_check(call, i, phases));
         }
         Ok(None)
     }
@@ -1839,19 +1747,24 @@ impl<'d> BmcEngine<'d> {
         result
     }
 
-    /// The verdict a backward or step answer gives at bound `i`, if it
-    /// ends the run: a trip, a proof, or an `Unknown` that is not the
-    /// bounded schedule's cap.
-    fn step_verdict(
+    /// The backward check (the k-induction step) at bound `i` under the
+    /// call's budget, when the engine has a floating context, and the
+    /// verdict its answer gives if it ends the run: a trip, a proof, or an
+    /// `Unknown`.
+    fn step_check(
         &mut self,
-        prop: usize,
+        call: &CheckCall,
         i: usize,
-        answer: &StepAnswer,
         phases: &mut PhaseSeconds,
     ) -> Option<BmcVerdict> {
+        let prop = call.prop;
+        let answer =
+            self.floating
+                .as_mut()?
+                .step(&self.model, prop, i, call.max_depth, call.budget.clone());
         phases.encode += answer.encode_seconds;
         phases.solve += answer.solve_seconds;
-        if let Some(reason) = answer.poll.or(answer.encode) {
+        if let Some(reason) = answer.encode {
             return Some(self.unknown_verdict(prop, Some(reason)));
         }
         match answer.result? {
@@ -1862,11 +1775,6 @@ impl<'d> BmcEngine<'d> {
                 kind: ProofKind::BackwardInduction,
                 depth: i,
             }),
-            // No proof at this bound; the counterexample check counts.
-            SolveResult::Unknown if answer.capped => {
-                self.backward_capped += 1;
-                None
-            }
             SolveResult::Unknown => Some(self.unknown_verdict(prop, answer.exhaustion)),
             SolveResult::Sat => None,
         }

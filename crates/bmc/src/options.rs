@@ -43,11 +43,11 @@ use crate::engine::AbstractionSpec;
 /// ([`crate::BmcVerdict::Proof`]) — a proof *up to the completeness
 /// threshold reached within the depth budget*.
 /// [`ProofEngine::KInduction`] asks the same counterexample checks as
-/// its base case and an uncapped initial-state-free inductive step at
-/// every bound, and can close a property outright as
-/// [`crate::BmcVerdict::Proved`], independent of any depth budget. It
-/// ignores [`VerifyOptions::proofs`]: the step is always asked and the
-/// forward check never. [`crate::KInduction`] builds an engine with this
+/// its base case and, at every bound, the initial-state-free inductive
+/// step the bounded schedule asks as its backward check, and can close a
+/// property outright as [`crate::BmcVerdict::Proved`], independent of any
+/// depth budget. It ignores [`VerifyOptions::proofs`]: the step is always
+/// asked and the forward check never. [`crate::KInduction`] builds an engine with this
 /// schedule. Under either schedule every query asks exactly the formula
 /// of its bound, so one engine checks any property to any depth in any
 /// order. See the `BmcEngine` module docs' "Two schedules" and "Queries

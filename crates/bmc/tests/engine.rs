@@ -2,7 +2,7 @@
 //! explicit-model agreement, arbitrary initial memory state, and PBA.
 
 use emm_aig::{Design, LatchInit, MemInit, Trace, Word};
-use emm_bmc::{pba, BmcEngine, BmcError, BmcVerdict, KInduction, ProofKind, VerifyOptions};
+use emm_bmc::{pba, BmcEngine, BmcError, BmcVerdict, ProofEngine, ProofKind, VerifyOptions};
 use emm_core::{explicit_model, EmmOptions};
 use emm_designs::gen::{random_design, GenConfig};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
@@ -611,14 +611,12 @@ fn parked_counter_with_idle_state(bad_at: u64) -> Design {
 /// simple-path constraints. Its latch literals reach the solver only
 /// through LFP rows, which are added on demand after a model check, so
 /// the engine must constrain them every frame or that check reads
-/// unconstrained values. `KInduction`'s uncapped step query closes at
-/// the first inductive depth. The bounded engine's capped backward check
-/// lands later: its cap falls back to the floor after every SAT answer,
-/// the floating bank's included, so the hard queries near the first
-/// inductive depth start from a small cap.
+/// unconstrained values. K-induction's step query closes at the first
+/// inductive depth, and the bounded engine's backward check, the same
+/// query under the same budget, closes there too.
 #[test]
 fn lfp_counts_state_outside_every_cone() {
-    for (bad_at, ki_depth, bounded_depth) in [(32, 14, 18), (34, 24, 27)] {
+    for (bad_at, ki_depth, bounded_depth) in [(32, 14, 14), (34, 24, 24)] {
         let d = parked_counter_with_idle_state(bad_at);
         let run = BmcEngine::new(&d, VerifyOptions::default().proofs(true))
             .check(0, 60)
@@ -634,25 +632,28 @@ fn lfp_counts_state_outside_every_cone() {
             "bad_at {bad_at}: {:?}",
             run.verdict
         );
-        let run = KInduction::new(&d, VerifyOptions::default())
-            .check(0, 60)
-            .expect("run");
+        let run = BmcEngine::new(
+            &d,
+            VerifyOptions::default().proof_engine(ProofEngine::KInduction),
+        )
+        .check(0, 60)
+        .expect("run");
         assert!(
             matches!(run.verdict, BmcVerdict::Proved { k } if k == ki_depth),
             "bad_at {bad_at}: {:?}",
             run.verdict
         );
-        assert!(
-            bounded_depth >= ki_depth,
-            "a capped backward check can delay a proof, never advance it"
+        assert_eq!(
+            bounded_depth, ki_depth,
+            "the backward check proves at k-induction's depth"
         );
     }
 }
 
-/// A `solve_budget` conflict limit at or below the backward schedule's
-/// floor binds before the cap does, so it still ends the run `Unknown`.
+/// A `solve_budget` conflict limit binds the termination checks as it
+/// binds every query, so it ends the run `Unknown`.
 #[test]
-fn solve_budget_below_the_backward_floor_ends_the_run() {
+fn solve_budget_conflict_limit_ends_the_run() {
     let d = parked_counter_with_idle_state(32);
     for n in [1, 8, 16] {
         let mut engine = BmcEngine::new(
@@ -673,16 +674,15 @@ fn solve_budget_below_the_backward_floor_ends_the_run() {
             "budget {n}: {:?}",
             run.verdict
         );
-        assert_eq!(engine.backward_capped(), 0, "budget {n}");
     }
 }
 
 /// A governor lifetime conflict cap that trips inside a backward query
-/// reports the same `ConflictLimit` as the schedule's cap, but it ends
-/// the run. The bounds whose capped backward query fell through still
-/// ran their counterexample check, so `deepest_clean_bound` is the bound
-/// before the trip, and raising the governor resumes to the proof. The
-/// trip bound's counterexample query never runs, so it is not cleared.
+/// ends the run `ConflictLimit`. The bounds whose backward query answered
+/// SAT ran their counterexample check, so `deepest_clean_bound` is the
+/// bound before the trip, and raising the governor resumes to the proof
+/// a fresh engine finds. The trip bound's counterexample query never
+/// runs, so it is not cleared.
 #[test]
 fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
     let d = parked_counter_with_idle_state(32);
@@ -700,14 +700,13 @@ fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
         floating.conflicts >= cap && anchored.conflicts < cap,
         "the trip must come from the floating solver"
     );
-    assert!(engine.backward_capped() > 0, "earlier bounds fell through");
     match run.verdict {
         BmcVerdict::Unknown {
             reason: ExhaustionReason::ConflictLimit,
             deepest_clean_bound,
         } => {
-            assert_eq!(run.depth_reached, 11);
-            assert_eq!(deepest_clean_bound, Some(10));
+            assert_eq!(run.depth_reached, 13);
+            assert_eq!(deepest_clean_bound, Some(12));
         }
         other => panic!("expected Unknown{{ConflictLimit}}, got {other:?}"),
     }
@@ -718,8 +717,8 @@ fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
             run.verdict,
             BmcVerdict::Proof {
                 kind: ProofKind::BackwardInduction,
-                depth,
-            } if depth >= 14
+                depth: 14,
+            }
         ),
         "{:?}",
         run.verdict
@@ -727,11 +726,11 @@ fn governor_trip_in_a_backward_query_ends_the_run_and_resumes() {
 }
 
 /// The Table 1 P1 proof closes at the cycle bound by the forward check
-/// while every backward query before it is capped or SAT, and the
-/// schedule is deterministic: two fresh runs spend the same search in
-/// both contexts. At AW=6 DW=4 the floating bank answers most backward
-/// queries; at AW=3 DW=3 its runs leave some P2 bounds to the solver,
-/// whose capped queries fall through to the forward proof.
+/// while every backward query before it is SAT, and the schedule is
+/// deterministic: two fresh runs spend the same search in both contexts.
+/// At AW=6 DW=4 the floating bank answers most backward queries; at AW=3
+/// DW=3 its runs leave some P2 bounds to the solver, whose SAT answers
+/// fall through to the forward proof.
 #[test]
 fn backward_schedule_keeps_the_forward_proof_and_is_deterministic() {
     for (addr_width, data_width, p2) in [(6, 4, false), (3, 3, true)] {
@@ -767,7 +766,7 @@ fn backward_schedule_keeps_the_forward_proof_and_is_deterministic() {
                 )
             };
             (
-                engine.backward_capped(),
+                engine.step_queries(),
                 engine.backward_simulated(),
                 search(engine.floating_solver_stats().expect("proofs on")),
                 search(engine.solver_stats()),
@@ -776,7 +775,7 @@ fn backward_schedule_keeps_the_forward_proof_and_is_deterministic() {
         let first = run_once();
         assert!(first.1 > 0, "AW={addr_width}: the bank answers");
         if p2 {
-            assert!(first.0 > 0, "AW={addr_width}: capped queries fall through");
+            assert!(first.0 > 0, "AW={addr_width}: the solver answers the rest");
         }
         assert_eq!(run_once(), first, "AW={addr_width}");
     }
@@ -789,7 +788,10 @@ fn out_of_range_property_is_an_error() {
     let d = random_design(&GenConfig::aiger(), 7);
     assert_eq!(d.properties().len(), 3);
     let mut bounded = BmcEngine::new(&d, VerifyOptions::default());
-    let mut induction = KInduction::new(&d, VerifyOptions::default());
+    let mut induction = BmcEngine::new(
+        &d,
+        VerifyOptions::default().proof_engine(ProofEngine::KInduction),
+    );
     for err in [bounded.check(3, 3), induction.check(3, 3)] {
         match err {
             Err(
@@ -818,7 +820,7 @@ fn verdict_name(verdict: &BmcVerdict) -> String {
 /// every counter a nondeterministic loop could move: the verdict,
 /// `depth_reached`, `deepest_clean_bound`, each context's (vars,
 /// conflicts, decisions, propagations), the retired property groups,
-/// the capped and the simulated backward queries and the anchored
+/// the solved and the simulated backward queries and the anchored
 /// frames.
 type FreshRun = (
     String,
@@ -856,7 +858,7 @@ fn fresh_check(d: &Design, prop: usize, max_depth: usize) -> FreshRun {
         search(engine.solver_stats()),
         search(engine.floating_solver_stats().expect("proofs on")),
         engine.property_clauses_retired(),
-        [engine.backward_capped(), engine.backward_simulated()],
+        [engine.step_queries(), engine.backward_simulated()],
         engine.depth(),
     )
 }
@@ -872,8 +874,8 @@ fn fresh_engines_agree_on_every_counter() {
         (
             parked_counter_with_idle_state(32),
             0,
-            "BackwardInduction@18",
-            19,
+            "BackwardInduction@14",
+            15,
         ),
         (mod_counter(4, 5, 9), 0, "ForwardDiameter@5", 6),
         (mod_counter(4, 12, 7), 0, "cex@7", 8),
@@ -886,8 +888,8 @@ fn fresh_engines_agree_on_every_counter() {
     }
 }
 
-/// A backward proof at bound 18 stops the anchored context there: it is
-/// unrolled through frame 18, the resume point is the bound before the
+/// A backward proof at bound 14 stops the anchored context there: it is
+/// unrolled through frame 14, the resume point is the bound before the
 /// proof, and no counterexample query runs at the proved bound, neither
 /// in the first check nor in a deeper second one, which proves the
 /// property at the bound a fresh engine does.
@@ -896,10 +898,10 @@ fn a_backward_proof_stops_the_anchored_context_at_its_bound() {
     let d = parked_counter_with_idle_state(32);
     let mut engine = BmcEngine::new(&d, VerifyOptions::default().proofs(true));
     let run = engine.check(0, 40).expect("run");
-    assert_eq!(verdict_name(&run.verdict), "BackwardInduction@18");
+    assert_eq!(verdict_name(&run.verdict), "BackwardInduction@14");
     assert_eq!(
         engine.depth(),
-        19,
+        15,
         "the anchored context stops at the proof"
     );
     let cancelled = ResourceGovernor::unlimited();
@@ -911,7 +913,7 @@ fn a_backward_proof_stops_the_anchored_context_at_its_bound() {
             run.verdict,
             BmcVerdict::Unknown {
                 reason: ExhaustionReason::Cancelled,
-                deepest_clean_bound: Some(17),
+                deepest_clean_bound: Some(13),
             }
         ),
         "{:?}",
@@ -930,17 +932,17 @@ fn a_backward_proof_stops_the_anchored_context_at_its_bound() {
                 verdict,
                 BmcVerdict::Proof {
                     kind: ProofKind::BackwardInduction,
-                    depth: 18,
+                    depth: 14,
                 }
             ),
             "{verdict:?}"
         );
     }
-    assert_eq!(retired, 18, "one refuted group per bound below the proof");
+    assert_eq!(retired, 14, "one refuted group per bound below the proof");
     assert_eq!(
         engine.property_clauses_retired() - retired,
-        engine.depth() as u64 - 19,
-        "no counterexample query runs from bound 18 on"
+        engine.depth() as u64 - 15,
+        "no counterexample query runs from bound 14 on"
     );
 }
 
@@ -985,7 +987,7 @@ fn one_thread_accounting_stops_at_the_verdict() {
 /// without a proof, are not asked again.
 #[test]
 fn repeated_check_proves_where_a_fresh_engine_does() {
-    for (bad_at, proof) in [(32, "BackwardInduction@18"), (34, "BackwardInduction@27")] {
+    for (bad_at, proof) in [(32, "BackwardInduction@14"), (34, "BackwardInduction@24")] {
         let d = parked_counter_with_idle_state(bad_at);
         let fresh = BmcEngine::new(&d, VerifyOptions::default().proofs(true))
             .check(0, 60)

@@ -24,7 +24,7 @@
 use std::time::{Duration, Instant};
 
 use emm_aig::{Design, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcVerdict, KInduction, ProofEngine, VerifyOptions};
+use emm_bmc::{BmcEngine, BmcVerdict, ProofEngine, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
@@ -414,7 +414,7 @@ fn ki_inject_and_resume(
 ) -> BmcVerdict {
     let context = format!("kinduction fault ({site:?}, {n})");
     let governor = ResourceGovernor::unlimited().with_fault(site, n);
-    let mut engine = KInduction::new(design, ki_opts(governor));
+    let mut engine = BmcEngine::new(design, ki_engine_opts(governor));
     let degraded = engine.check(prop, max_k).expect("no spurious traces");
     assert_sound(&context, reference, &degraded.verdict);
     engine.set_governor(ResourceGovernor::unlimited());
@@ -467,7 +467,7 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
     let mut rng = StdRng::seed_from_u64(0xFA19);
     let d = random_mem_design(&mut rng);
     let reference = {
-        let mut engine = KInduction::new(&d, ki_opts(ResourceGovernor::unlimited()));
+        let mut engine = BmcEngine::new(&d, ki_engine_opts(ResourceGovernor::unlimited()));
         engine.check(0, 6).expect("reference").verdict
     };
     for site in sites {
@@ -482,7 +482,8 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
     });
     let prop = fifo.no_overflow.0 as usize;
     let reference = {
-        let mut engine = KInduction::new(&fifo.design, ki_opts(ResourceGovernor::unlimited()));
+        let mut engine =
+            BmcEngine::new(&fifo.design, ki_engine_opts(ResourceGovernor::unlimited()));
         engine.check(prop, 6).expect("reference").verdict
     };
     assert!(
@@ -500,7 +501,7 @@ fn fault_sweep_on_kinduction_never_flips_verdicts() {
     // resume cover a k-induction run past its first frames.
     let deep = deep_counterexample_design();
     let reference = {
-        let mut engine = KInduction::new(&deep, ki_opts(ResourceGovernor::unlimited()));
+        let mut engine = BmcEngine::new(&deep, ki_engine_opts(ResourceGovernor::unlimited()));
         engine.check(0, 6).expect("reference").verdict
     };
     assert_eq!(verdict_shape(&reference), (1, 6), "cex@5: {reference:?}");

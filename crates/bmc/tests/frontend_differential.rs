@@ -30,7 +30,7 @@ use emm_aig::aiger::{read_aiger, write_aiger_ascii, write_aiger_binary};
 use emm_aig::btor2::{read_btor2, write_btor2};
 use emm_aig::Design;
 use emm_bdd::{check_invariant, OracleVerdict, SymbolicOptions};
-use emm_bmc::{dump_bmc_cnf, BmcEngine, BmcVerdict, KInduction, ModelSource, VerifyOptions};
+use emm_bmc::{dump_bmc_cnf, BmcEngine, BmcVerdict, ModelSource, ProofEngine, VerifyOptions};
 use emm_core::explicit_model;
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::gen::{random_design, GenConfig};
@@ -62,9 +62,12 @@ fn bounded_key(d: &Design, prop: usize, max_depth: usize) -> String {
 
 /// K-induction verdict key of one property.
 fn induction_key(d: &Design, prop: usize, max_k: usize) -> String {
-    let run = KInduction::new(d, VerifyOptions::default())
-        .check(prop, max_k)
-        .expect("induction check");
+    let run = BmcEngine::new(
+        d,
+        VerifyOptions::default().proof_engine(ProofEngine::KInduction),
+    )
+    .check(prop, max_k)
+    .expect("induction check");
     verdict_key(&run.verdict)
 }
 

@@ -13,7 +13,7 @@
 //! refuted bound's property clause, counted by the engine.
 
 use emm_aig::{Design, LatchInit, MemInit};
-use emm_bmc::{BmcEngine, BmcVerdict, KInduction, ProofEngine, VerifyOptions};
+use emm_bmc::{BmcEngine, BmcVerdict, ProofEngine, VerifyOptions};
 use emm_designs::gen::{random_design, GenConfig};
 use emm_designs::quicksort::{Bug, QuickSort, QuickSortConfig};
 use emm_sat::SimplifyConfig;
@@ -300,13 +300,19 @@ fn property_switch_keeps_proofs_complete() {
     // The same switch on the k-induction engine: its step context was
     // unrolled for prop 0, and without a rebuild its shallow steps for
     // prop 2 would run over the deeper unrolling.
-    let mut fresh = KInduction::new(&d, VerifyOptions::default());
+    let mut fresh = BmcEngine::new(
+        &d,
+        VerifyOptions::default().proof_engine(ProofEngine::KInduction),
+    );
     let reference = fresh.check(2, 20).expect("fresh").verdict;
     assert!(
         matches!(reference, BmcVerdict::Proved { k: 1 }),
         "count==5 is 1-inductive: {reference:?}"
     );
-    let mut reused = KInduction::new(&d, VerifyOptions::default());
+    let mut reused = BmcEngine::new(
+        &d,
+        VerifyOptions::default().proof_engine(ProofEngine::KInduction),
+    );
     let first = reused.check(0, 20).expect("prop 0");
     assert!(
         first.verdict.is_counterexample() && first.depth_reached == 2,

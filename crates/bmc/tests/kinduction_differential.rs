@@ -1,6 +1,7 @@
 //! Differential tests for the k-induction engine.
 //!
-//! Three oracles keep [`KInduction`] honest:
+//! Three oracles keep the k-induction schedule
+//! (`ProofEngine::KInduction`) honest:
 //!
 //! * **BDD exhaustive reachability** (`emm_bdd::check_invariant`) on
 //!   small designs (aw ≤ 3): `Proved` must imply the invariant holds in
@@ -19,9 +20,7 @@ use std::path::Path;
 
 use emm_aig::{Aig, Design, LatchInit, MemInit};
 use emm_bdd::{check_invariant, OracleVerdict, SymbolicOptions};
-use emm_bmc::{
-    BmcEngine, BmcVerdict, KInduction, ModelSource, ProofEngine, ProofKind, VerifyOptions,
-};
+use emm_bmc::{BmcEngine, BmcVerdict, ModelSource, ProofEngine, ProofKind, VerifyOptions};
 use emm_designs::fifo::{Fifo, FifoConfig};
 use emm_designs::image_filter::{ImageFilter, ImageFilterConfig};
 use emm_designs::industry2::{Industry2, Industry2Config};
@@ -79,17 +78,26 @@ fn random_mem_design(rng: &mut StdRng) -> Design {
     d
 }
 
+/// A fresh engine for `d` under the k-induction schedule.
+fn ki_engine(d: &Design) -> BmcEngine<'_> {
+    BmcEngine::new(
+        d,
+        VerifyOptions::default().proof_engine(ProofEngine::KInduction),
+    )
+}
+
 /// The bounded engine's backward check is k-induction's step query under
-/// a conflict cap, which can delay a proof but never advance it.
-fn assert_backward_proof_not_before(label: &str, k: usize, bounded: &BmcVerdict) {
+/// the same budget, asked in the same order on the floating context, so
+/// a backward proof lands at k-induction's depth.
+fn assert_backward_proof_at(label: &str, k: usize, bounded: &BmcVerdict) {
     if let BmcVerdict::Proof {
         kind: ProofKind::BackwardInduction,
         depth,
     } = bounded
     {
-        assert!(
-            k <= *depth,
-            "{label}: capped backward proof at {depth} before k-induction's {k}"
+        assert_eq!(
+            *depth, k,
+            "{label}: backward proof at {depth}, k-induction's at {k}"
         );
     }
 }
@@ -105,13 +113,13 @@ fn bounded_agrees_with_induction(d: &Design, prop: usize, k: usize, max_depth: u
         !matches!(verdict, BmcVerdict::Counterexample(_)),
         "{label}: bounded engine contradicts the induction proof: {verdict:?}"
     );
-    assert_backward_proof_not_before(label, k, &verdict);
+    assert_backward_proof_at(label, k, &verdict);
 }
 
 /// Checks one design against the BDD oracle and the bounded engine.
 fn cross_check(d: &Design, max_k: usize, label: &str) {
     let oracle = check_invariant(d, 0, SymbolicOptions::default()).expect("oracle runs");
-    let mut ki = KInduction::new(d, VerifyOptions::default());
+    let mut ki = ki_engine(d);
     let ki_verdict = ki.check(0, max_k).expect("kinduction runs").verdict;
     let mut bounded = BmcEngine::new(d, VerifyOptions::default().proofs(true));
     let bounded_verdict = bounded.check(0, max_k).expect("bounded runs").verdict;
@@ -129,7 +137,7 @@ fn cross_check(d: &Design, max_k: usize, label: &str) {
                 !matches!(bounded_verdict, BmcVerdict::Counterexample(_)),
                 "{label}: k-induction proved but bounded found {bounded_verdict:?}"
             );
-            assert_backward_proof_not_before(label, *k, &bounded_verdict);
+            assert_backward_proof_at(label, *k, &bounded_verdict);
         }
         BmcVerdict::Counterexample(trace) => {
             let depth = trace.frames.len() - 1;
@@ -225,9 +233,7 @@ fn memory_as_state_is_not_spuriously_proved() {
         other => panic!("bounded engine returned {other:?} on the memory counter"),
     }
 
-    let run = KInduction::new(&d, VerifyOptions::default())
-        .check(0, 20)
-        .expect("kinduction");
+    let run = ki_engine(&d).check(0, 20).expect("kinduction");
     match run.verdict {
         BmcVerdict::Counterexample(t) => {
             assert_eq!(t.frames.len() - 1, 6);
@@ -245,7 +251,7 @@ fn workload_properties_close_by_induction() {
         addr_width: 2,
         data_width: 2,
     });
-    let mut ki = KInduction::new(&fifo.design, VerifyOptions::default());
+    let mut ki = ki_engine(&fifo.design);
     let run = ki.check(fifo.no_overflow.0 as usize, 10).expect("fifo");
     assert!(
         matches!(run.verdict, BmcVerdict::Proved { k: 1 }),
@@ -275,7 +281,7 @@ fn workload_properties_close_by_induction() {
         ("push_pop_identity", lifo.push_pop_identity.0 as usize),
         ("no_overflow", lifo.no_overflow.0 as usize),
     ] {
-        let mut ki = KInduction::new(&lifo.design, VerifyOptions::default());
+        let mut ki = ki_engine(&lifo.design);
         let run = ki.check(prop, 10).expect("lifo");
         assert!(
             matches!(run.verdict, BmcVerdict::Proved { k: 1 }),
@@ -296,7 +302,7 @@ fn workload_properties_close_by_induction() {
 #[test]
 fn industry_proof_properties_close_by_induction() {
     let ind2 = Industry2::new(Industry2Config::small());
-    let mut ki = KInduction::new(&ind2.design, VerifyOptions::default());
+    let mut ki = ki_engine(&ind2.design);
     let run = ki.check(ind2.invariant, 10).expect("industry2");
     assert!(
         matches!(run.verdict, BmcVerdict::Proved { k: 2 }),
@@ -306,7 +312,7 @@ fn industry_proof_properties_close_by_induction() {
 
     let imf = ImageFilter::new(ImageFilterConfig::small());
     let prop = imf.unreachable[0];
-    let mut ki = KInduction::new(&imf.design, VerifyOptions::default());
+    let mut ki = ki_engine(&imf.design);
     let run = ki.check(prop, 10).expect("image_filter");
     assert!(
         matches!(run.verdict, BmcVerdict::Proved { k: 1 }),
@@ -342,7 +348,7 @@ fn quicksort_agreement_with_bounded_engine() {
             .check(prop, bound)
             .expect("bounded")
             .verdict;
-        let ki = KInduction::new(&qs.design, VerifyOptions::default())
+        let ki = ki_engine(&qs.design)
             .check(prop, bound)
             .expect("kinduction")
             .verdict;
@@ -364,7 +370,7 @@ fn quicksort_agreement_with_bounded_engine() {
         data_width: 2,
         bug: Bug::None,
     });
-    let ki = KInduction::new(&qs.design, VerifyOptions::default())
+    let ki = ki_engine(&qs.design)
         .check(qs.p1.0 as usize, 10)
         .expect("kinduction")
         .verdict;

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use emm_aig::{fraig_design_governed, Design, FraigConfig, LatchInit, RewriteConfig};
 use emm_bmc::pba::{self, PbaConfig};
 use emm_bmc::{
-    BmcEngine, BmcVerdict, KInduction, ModelSource, PipelineOptions, ProofEngine, ReducedModel,
+    BmcEngine, BmcVerdict, ModelSource, PipelineOptions, ProofEngine, ReducedModel,
     VerificationServer, VerifyBudget, VerifyOptions, VerifyRequest,
 };
 use emm_core::Pool;
@@ -366,7 +366,7 @@ fn server_kinduction_matches_direct_engine_across_worker_counts() {
     assert_eq!(outcomes[0], outcomes[1], "1 vs 2 workers diverged");
     assert_eq!(outcomes[0], outcomes[2], "1 vs 4 workers diverged");
     for (i, (design, property, max_depth)) in jobs.iter().enumerate() {
-        let direct = emm_bmc::KInduction::new(design.as_ref(), options.clone())
+        let direct = emm_bmc::BmcEngine::new(design.as_ref(), options.clone())
             .check(*property, *max_depth)
             .expect("direct k-induction");
         assert_eq!(
@@ -551,29 +551,24 @@ fn mixed_jobs() -> Vec<MixedJob> {
 fn server_mixed_engine_batches_match_standalone_engines() {
     let jobs = mixed_jobs();
     let options = |engine| VerifyOptions::default().proof_engine(engine);
-    let standalone: Vec<(String, usize)> =
-        jobs.iter()
-            .map(|job| {
-                let pipeline = PipelineOptions::default();
-                let reduced = ReducedModel::reduce(
-                    &job.design,
-                    &pipeline.rewrite,
-                    &pipeline.fraig,
-                    &pipeline.governor,
-                    0,
-                );
-                let options = options(job.engine).solve_budget(job.solve.clone());
-                let run =
-                    match job.engine {
-                        ProofEngine::Bounded => BmcEngine::with_model(&reduced, options)
-                            .check(job.property, job.max_depth),
-                        ProofEngine::KInduction => KInduction::with_model(&reduced, options)
-                            .check(job.property, job.max_depth),
-                    }
-                    .expect("standalone run");
-                (outcome(&run.verdict), run.depth_reached)
-            })
-            .collect();
+    let standalone: Vec<(String, usize)> = jobs
+        .iter()
+        .map(|job| {
+            let pipeline = PipelineOptions::default();
+            let reduced = ReducedModel::reduce(
+                &job.design,
+                &pipeline.rewrite,
+                &pipeline.fraig,
+                &pipeline.governor,
+                0,
+            );
+            let options = options(job.engine).solve_budget(job.solve.clone());
+            let run = BmcEngine::with_model(&reduced, options)
+                .check(job.property, job.max_depth)
+                .expect("standalone run");
+            (outcome(&run.verdict), run.depth_reached)
+        })
+        .collect();
     let found = |engine, prefix: &str| {
         jobs.iter()
             .zip(&standalone)

@@ -90,15 +90,6 @@ impl VarHeap {
         }
     }
 
-    /// Rebuilds the heap after a global activity rescale (order unchanged,
-    /// but provided for completeness and used by tests).
-    #[allow(dead_code)]
-    pub fn rebuild(&mut self, activity: &[f64]) {
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(i, activity);
-        }
-    }
-
     fn sift_up(&mut self, mut idx: usize, activity: &[f64]) {
         let item = self.heap[idx];
         while idx > 0 {

@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: the paper's case-study workflows end to
 //! end, at test-friendly scale.
 
-use emm_verif::bmc::{pba, AbstractionSpec, BmcEngine, BmcVerdict, ProofKind, VerifyOptions};
+use emm_verif::bmc::{
+    pba, AbstractionSpec, BmcEngine, BmcVerdict, ProofEngine, ProofKind, VerifyOptions,
+};
 use emm_verif::designs::image_filter::{ImageFilter, ImageFilterConfig};
 use emm_verif::designs::industry2::{Industry2, Industry2Config};
 use emm_verif::designs::quicksort::{QuickSort, QuickSortConfig};
@@ -129,6 +131,9 @@ fn image_filter_property_bank() {
     }
     assert!(max_depth >= 8, "depths should spread out (max {max_depth})");
 
+    // The backward check is k-induction's step query under the same
+    // budget, so a backward proof lands at a fresh k-induction engine's
+    // depth.
     let mut engine = BmcEngine::new(&filter.design, VerifyOptions::default().proofs(true));
     for &p in &filter.unreachable {
         let run = engine.check(p, 24).expect("run");
@@ -137,6 +142,23 @@ fn image_filter_property_bank() {
             "invariant property {p} should be proved: {:?}",
             run.verdict
         );
+        if let BmcVerdict::Proof {
+            kind: ProofKind::BackwardInduction,
+            depth,
+        } = run.verdict
+        {
+            let induction = BmcEngine::new(
+                &filter.design,
+                VerifyOptions::default().proof_engine(ProofEngine::KInduction),
+            )
+            .check(p, 24)
+            .expect("k-induction run")
+            .verdict;
+            assert!(
+                matches!(induction, BmcVerdict::Proved { k } if k == depth),
+                "property {p}: backward proof at {depth}, k-induction {induction:?}"
+            );
+        }
     }
 }
 
